@@ -14,7 +14,8 @@ Layers, bottom up:
 
 from .asc import (AscParams, DegenerateParameterError, SpectralMeasure,
                   asc_hypergeometric, asc_recurrence, mass_points,
-                  orthogonality_measure, orthogonality_residual)
+                  orthogonality_measure, orthogonality_residual,
+                  orthogonality_residuals)
 from .fockoracle import (FockIndex, diagonal_action, invariant_integral,
                          negative_block_sum, pochhammer_geometric_sum,
                          positive_block_sum, qbinomial_convolution)

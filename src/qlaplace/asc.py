@@ -51,6 +51,7 @@ __all__ = [
     "mass_points",
     "orthogonality_measure",
     "orthogonality_residual",
+    "orthogonality_residuals",
 ]
 
 _LD = np.longdouble
@@ -162,24 +163,45 @@ def asc_hypergeometric_direct(k: int, theta, p: AscParams) -> float:
     return complex(qpoch(a * b, base, k) * a ** (-k) * series).real
 
 
+def _masked_qpoch_inf(a, base):
+    """(a; base)_inf for every entry of the complex array ``a`` at once.
+
+    Each entry multiplies its factors 1 - a*base^i while |a*base^i| >= _INF_TOL
+    and stops at the first one below, as ``qcore.qpoch_inf`` does for a
+    scalar, so every entry equals the scalar product bit for bit.
+    """
+    acc = np.ones_like(a)
+    t = acc * a
+    live = np.abs(t) >= _INF_TOL
+    while live.any():
+        np.multiply(acc, 1 - t, out=acc, where=live)
+        t *= base
+        live &= np.abs(t) >= _INF_TOL
+    return acc
+
+
 def continuous_weight(theta, p: AscParams):
     """Band weight w(cos theta) of the orthogonality measure (density
     with respect to dz/(2 pi sqrt(1-z^2)), i.e. dtheta/(2 pi) after z = cos theta).
 
     w = h(1) h(-1) h(sqrt(base)) h(-sqrt(base)) / (h(a) h(b)) with
     h(alpha) = (alpha e^(i theta); base)_inf (alpha e^(-i theta); base)_inf.
+
+    ``theta`` may be a scalar (the result is a scalar) or an array of angles;
+    the twelve infinite products run in one masked loop over all angles.
     """
-    w = np.exp(_CLD(1j) * _LD(theta))
+    th = np.atleast_1d(np.asarray(theta, dtype=_LD))
+    w = np.exp(_CLD(1j) * th)
     base = _LD(p.base)
     rt = np.sqrt(base)
-
-    def h(alpha):
-        alpha = _CLD(alpha)
-        return qpoch_inf(alpha * w, base, _INF_TOL) \
-            * qpoch_inf(alpha * np.conjugate(w), base, _INF_TOL)
-
-    val = h(1.0) * h(-1.0) * h(rt) * h(-rt) / (h(p.a) * h(p.b))
-    return np.real(val)
+    alphas = [_CLD(alpha) for alpha in (1.0, -1.0, rt, -rt, p.a, p.b)]
+    # rows 2k and 2k+1: alpha_k e^(i theta) and alpha_k e^(-i theta)
+    args = np.stack([alpha * v for alpha in alphas for v in (w, np.conjugate(w))])
+    prods = _masked_qpoch_inf(args, base)
+    h = prods[0::2] * prods[1::2]
+    val = h[0] * h[1] * h[2] * h[3] / (h[4] * h[5])
+    out = np.real(val)
+    return out if np.ndim(theta) else out[0]
 
 
 @dataclass(frozen=True)
@@ -201,6 +223,7 @@ def mass_points(p: AscParams, strict: bool = True) -> tuple[DiscreteMass, ...]:
     """
     a, b, base = _LD(p.a), _LD(p.b), _LD(p.base)
     out = []
+    norm = None
     k = 0
     while True:
         wk = a * base ** _LD(k)
@@ -212,9 +235,10 @@ def mass_points(p: AscParams, strict: bool = True) -> tuple[DiscreteMass, ...]:
         if wk < 1:
             break
         zk = (wk + 1 / wk) / 2
-        norm = qpoch_inf(a ** _LD(-2), base, _INF_TOL) / (
-            qpoch_inf(base, base, _INF_TOL) * qpoch_inf(a * b, base, _INF_TOL)
-            * qpoch_inf(b / a, base, _INF_TOL))
+        if norm is None:  # independent of k
+            norm = qpoch_inf(a ** _LD(-2), base, _INF_TOL) / (
+                qpoch_inf(base, base, _INF_TOL) * qpoch_inf(a * b, base, _INF_TOL)
+                * qpoch_inf(b / a, base, _INF_TOL))
         mk = norm * (1 - a * a * base ** _LD(2 * k)) * qpoch(a * a, base, k) \
             * qpoch(a * b, base, k)
         mk = mk / ((1 - a * a) * qpoch(base, base, k)
@@ -244,11 +268,6 @@ class SpectralMeasure:
     @property
     def quad_nodes(self) -> int:
         return len(self.theta_nodes)
-
-    def density_at(self, theta) -> float:
-        """Recompute the continuous density (with normalization) pointwise."""
-        return float(self.normalization * continuous_weight(theta, self.params)
-                     / (2 * np.pi))
 
     def trapezoid_weights(self) -> np.ndarray:
         """Quadrature weights for the continuous part, normalization included."""
@@ -295,44 +314,57 @@ def orthogonality_measure(p: AscParams, quad_nodes: int) -> SpectralMeasure:
         raise ValueError(f"need quad_nodes >= 16, got {quad_nodes}")
     discrete = mass_points(p, strict=True)  # may raise: check before densities
     nodes = np.linspace(0, np.pi, quad_nodes).astype(_LD)
-    dens = np.array([continuous_weight(t, p) for t in nodes], dtype=_LD) \
-        / (2 * _LD(np.pi))
+    dens = continuous_weight(nodes, p) / (2 * _LD(np.pi))
     return SpectralMeasure(params=p, theta_nodes=nodes, density=dens,
                            discrete=discrete)
 
 
-def _moment(i: int, j: int, measure: SpectralMeasure):
-    p = measure.params
-    z = np.cos(measure.theta_nodes)
-    table = _recurrence_table(max(i, j), z, p)
-    cont = table[i] * table[j]
-    disc = []
-    for d in measure.discrete:
-        td = _recurrence_table(max(i, j), _LD(d.z), p)
-        disc.append(td[i] * td[j])
-    return measure.integrate(cont, disc)
+def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int,
+                            pairs=None) -> dict:
+    """Deviation of each (i, j) moment from its closed form, relative to the
+    diagonal target 1/((base^(i+1); base)_inf (a b base^i; base)_inf).
+
+    ``pairs`` defaults to every 0 <= i <= j <= kmax.  Each grid's measure and
+    recurrence table are built once and shared by all pairs still refining;
+    a pair stops once two successive grids agree to 1e-11 of its target
+    scale, after at most 7 grids (each doubling keeps the previous nodes).
+    """
+    if kmax > 20:
+        raise ValueError("residual check supports degrees up to 20")
+    if pairs is None:
+        pairs = [(i, j) for i in range(kmax + 1) for j in range(i, kmax + 1)]
+    if any(not 0 <= k <= kmax for pair in pairs for k in pair):
+        raise ValueError(f"pair degrees must lie in 0..{kmax}")
+    base = _LD(p.base)
+    scale = {i: 1 / (qpoch_inf(base ** _LD(i + 1), base, _INF_TOL)
+                     * qpoch_inf(_LD(p.a) * _LD(p.b) * base ** _LD(i), base,
+                                 _INF_TOL))
+             for i in {i for i, _ in pairs}}
+    val = {}
+    pending = list(pairs)
+    nodes = quad_nodes
+    for _ in range(7):
+        measure = orthogonality_measure(p, nodes)
+        table = _recurrence_table(kmax, np.cos(measure.theta_nodes), p)
+        disc = [_recurrence_table(kmax, _LD(d.z), p) for d in measure.discrete]
+        refining = []
+        for i, j in pending:
+            moment = measure.integrate(table[i] * table[j],
+                                       [td[i] * td[j] for td in disc])
+            settled = (i, j) in val and \
+                abs(moment - val[i, j]) <= 1e-11 * abs(scale[i])
+            val[i, j] = moment
+            if not settled:
+                refining.append((i, j))
+        pending = refining
+        if not pending:
+            break
+        nodes = 2 * nodes - 1  # doubling that keeps previous nodes
+    return {(i, j): float(abs(val[i, j] - (scale[i] if i == j else 0.0))
+                          / abs(scale[i]))
+            for i, j in pairs}
 
 
 def orthogonality_residual(i: int, j: int, p: AscParams, quad_nodes: int) -> float:
-    """Deviation of the (i, j) moment from its closed form, relative to the
-    diagonal target 1/((base^(i+1); base)_inf (a b base^i; base)_inf).
-
-    The band integral is refined by node doubling until two successive grids
-    agree to 1e-11 of the target scale.
-    """
-    if i > 20 or j > 20:
-        raise ValueError("residual check supports degrees up to 20")
-    base = _LD(p.base)
-    target_scale = 1 / (qpoch_inf(base ** _LD(i + 1), base, _INF_TOL)
-                        * qpoch_inf(_LD(p.a) * _LD(p.b) * base ** _LD(i), base,
-                                    _INF_TOL))
-    target = target_scale if i == j else 0.0
-    nodes = quad_nodes
-    prev = None
-    for _ in range(7):
-        val = _moment(i, j, orthogonality_measure(p, nodes))
-        if prev is not None and abs(val - prev) <= 1e-11 * abs(target_scale):
-            break
-        prev = val
-        nodes = 2 * nodes - 1  # doubling that keeps previous nodes
-    return float(abs(val - target) / abs(target_scale))
+    """The (i, j) entry of :func:`orthogonality_residuals`."""
+    return orthogonality_residuals(max(i, j), p, quad_nodes, [(i, j)])[i, j]

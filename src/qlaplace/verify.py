@@ -4,7 +4,8 @@ as a named check with a measured residual against a pinned threshold.
 Each check returns a :class:`CheckResult`.  Checks that do not apply to the
 requested configuration (a sector no quadruple reduces to, the n = 1 trace
 exclusion, a degenerate mass point on the band edge) are reported as skipped,
-not failed.
+not failed; a check that raises any other exception is reported as failed,
+with the exception named in its note.
 """
 
 from __future__ import annotations
@@ -152,21 +153,18 @@ def check_asc_consistency(params, sector, cfg) -> float:
 
 def check_asc_orthogonality(params, sector, cfg) -> float:
     pp = spectral.asc_params(params, sector)
-    worst = 0.0
-    for i in range(5):
-        for j in range(i, 5):
-            worst = max(worst, asc.orthogonality_residual(i, j, pp, cfg.quad_nodes))
-    return worst
+    return max(asc.orthogonality_residuals(4, pp, cfg.quad_nodes).values())
 
 
 def check_density_identity(params, sector, cfg) -> float:
     pp = spectral.asc_params(params, sector)
     lnq = math.log(params.q)
+    thetas = np.linspace(0.0, math.pi, 202)[1:-1]
     worst = 0.0
-    for theta in np.linspace(0.0, math.pi, 202)[1:-1]:
+    for theta, weight in zip(thetas, asc.continuous_weight(thetas, pp)):
         c = spectral.c_function(params, sector, 1j * (theta / lnq))
         lhs = 1.0 / abs(c) ** 2
-        rhs = float(asc.continuous_weight(theta, pp))
+        rhs = float(weight)
         worst = max(worst, _rel(lhs, rhs, floor=abs(rhs)))
     return worst
 
@@ -366,6 +364,10 @@ def run_battery(cfg) -> list[CheckResult]:
         except DegenerateParameterError as exc:
             results.append(CheckResult(name, None, threshold, True, True,
                                        f"degenerate parameters: {exc}"))
+            continue
+        except Exception as exc:  # a raising check fails; the report completes
+            results.append(CheckResult(name, None, threshold, False,
+                                       note=f"{type(exc).__name__}: {exc}"))
             continue
         results.append(CheckResult(name, float(residual), threshold,
                                    float(residual) <= threshold))

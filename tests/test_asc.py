@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from qlaplace import asc, spectral, verify
 from qlaplace._rng import Lcg
 from qlaplace.asc import (AscParams, DegenerateParameterError,
                           asc_hypergeometric, asc_hypergeometric_direct,
                           asc_recurrence, continuous_weight, mass_points,
-                          orthogonality_measure, orthogonality_residual)
+                          orthogonality_measure, orthogonality_residual,
+                          orthogonality_residuals)
+from qlaplace.cli import RunConfig
+from qlaplace.lattice import ModelParams, Sector
 from qlaplace.qcore import qpoch_inf
 
 PARAM_SETS = [
@@ -186,3 +190,99 @@ def test_integrate_grid_consistency():
         meas.integrate(np.ones(64), [1.0])     # wrong number of mass values
     with pytest.raises(ValueError):
         meas.integrate(np.ones(64), None)      # masses exist but none given
+
+
+# ------------------------------------------------- batched evaluation
+
+#: (n, m, L, Lp): no point mass, and two point masses
+SECTORS = [(2, 2, 0, 0), (2, 4, 0, 2)]
+
+
+def _sector_params(q, n, m, L, Lp):
+    return spectral.asc_params(ModelParams(q=q, n=n, m=m), Sector(L=L, Lp=Lp))
+
+
+def _reference_weight(theta, p):
+    """The band weight one angle at a time, from scalar infinite products."""
+    w = np.exp(np.clongdouble(1j) * np.longdouble(theta))
+    base = np.longdouble(p.base)
+    rt = np.sqrt(base)
+
+    def h(alpha):
+        alpha = np.clongdouble(alpha)
+        return qpoch_inf(alpha * w, base, 1e-19) \
+            * qpoch_inf(alpha * np.conjugate(w), base, 1e-19)
+
+    return np.real(h(1.0) * h(-1.0) * h(rt) * h(-rt) / (h(p.a) * h(p.b)))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.95])
+@pytest.mark.parametrize("sector", SECTORS)
+def test_array_weight_matches_scalar_products_exactly(q, sector):
+    p = _sector_params(q, *sector)
+    assert len(mass_points(p)) == (2 if sector[1] == 4 else 0)
+    for nodes in (256, 511):
+        theta = np.linspace(0, np.pi, nodes).astype(np.longdouble)
+        got = continuous_weight(theta, p)
+        want = np.array([_reference_weight(t, p) for t in theta])
+        assert got.dtype == np.longdouble and got.shape == (nodes,)
+        assert np.array_equal(got, want)
+    one = continuous_weight(0.7, p)
+    assert np.ndim(one) == 0 and one == _reference_weight(0.7, p)
+
+
+def _reference_residual(i, j, p, quad_nodes, measures):
+    """One (i, j) moment refined on its own grid sequence; ``measures`` caches
+    the measure of each grid size."""
+    base = np.longdouble(p.base)
+    scale = 1 / (qpoch_inf(base ** np.longdouble(i + 1), base, 1e-19)
+                 * qpoch_inf(np.longdouble(p.a) * np.longdouble(p.b)
+                             * base ** np.longdouble(i), base, 1e-19))
+    nodes, prev = quad_nodes, None
+    for _ in range(7):
+        if nodes not in measures:
+            measures[nodes] = orthogonality_measure(p, nodes)
+        meas = measures[nodes]
+        k = max(i, j)
+        table = asc._recurrence_table(k, np.cos(meas.theta_nodes), p)
+        disc = [asc._recurrence_table(k, np.longdouble(d.z), p) for d in meas.discrete]
+        val = meas.integrate(table[i] * table[j], [td[i] * td[j] for td in disc])
+        if prev is not None and abs(val - prev) <= 1e-11 * abs(scale):
+            break
+        prev = val
+        nodes = 2 * nodes - 1
+    return float(abs(val - (scale if i == j else 0.0)) / abs(scale))
+
+
+# at q=0.95 without point masses, some pairs settle after two grids and
+# others after three
+@pytest.mark.parametrize("q,sector", [(0.5, SECTORS[0]), (0.5, SECTORS[1]),
+                                      (0.95, SECTORS[0])])
+def test_shared_grids_reproduce_per_pair_refinement(q, sector):
+    p = _sector_params(q, *sector)
+    got = orthogonality_residuals(4, p, 64)
+    assert set(got) == {(i, j) for i in range(5) for j in range(i, 5)}
+    measures = {}
+    for (i, j), res in got.items():
+        assert res == _reference_residual(i, j, p, 64, measures)
+    assert orthogonality_residual(1, 3, p, 64) == got[1, 3]
+
+
+def test_orthogonality_check_builds_one_measure_per_grid(monkeypatch):
+    cfg = RunConfig()
+    built = []
+
+    def counted(p, quad_nodes):
+        built.append(quad_nodes)
+        return orthogonality_measure(p, quad_nodes)
+
+    monkeypatch.setattr(asc, "orthogonality_measure", counted)
+    verify.check_asc_orthogonality(cfg.params(), cfg.sector(), cfg)
+    assert built == [256, 511]
+
+
+def test_residual_pairs_validated():
+    with pytest.raises(ValueError):
+        orthogonality_residuals(21, PARAM_SETS[0], 64)
+    with pytest.raises(ValueError):
+        orthogonality_residuals(2, PARAM_SETS[0], 64, [(0, 3)])

@@ -30,6 +30,18 @@ def test_verify_passes_at_default_parameters():
     assert "eigenvalue_residual" in names and "trace_oracle_agreement" in names
 
 
+def test_verify_reports_a_raising_check_as_failed():
+    res = run("verify", "--q", "0.95", "--n", "2", "--m", "2")
+    assert res.exit_code == 1
+    report = json.loads(res.stdout)
+    assert report["all_passed"] is False
+    checks = {c["name"]: c for c in report["checks"]}
+    assert len(checks) == 21
+    oracle = checks["trace_oracle_agreement"]
+    assert oracle["passed"] is False and oracle["residual"] is None
+    assert oracle["note"].startswith("ConvergenceError: ")
+
+
 def test_parameter_domain_violation_exits_2():
     res = run("verify", "--q", "1.2")
     assert res.exit_code == 2

@@ -143,10 +143,11 @@ def test_density_identity_against_weight():
     for params, sector in CASES[:3]:
         pp = asc_params(params, sector)
         ln = math.log(params.q)
-        for theta in np.linspace(0.0, math.pi, 52)[1:-1]:
+        thetas = np.linspace(0.0, math.pi, 52)[1:-1]
+        for theta, weight in zip(thetas, asc.continuous_weight(thetas, pp)):
             cval = c_function(params, sector, 1j * (theta / ln))
             lhs = 1.0 / abs(cval) ** 2
-            rhs = float(asc.continuous_weight(theta, pp))
+            rhs = float(weight)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
