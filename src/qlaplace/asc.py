@@ -113,28 +113,35 @@ def _recurrence_table(kmax: int, z, p: AscParams) -> list:
     return table
 
 
-def _convolution_value(k: int, w, a, b, base):
-    """Q_k via the generating-function convolution, in extended precision."""
+def _convolution_table(J: int, w, a, b, base):
+    """(base; base)_j and the generating-function convolution (u * v)_j for
+    j = 0..J, in extended precision, with
+
+        u_r = (a/w; base)_r w^(2r) / (base; base)_r,
+        v_s = (b w; base)_s / (base; base)_s,
+
+    so that Q_j = w^(-j) (base; base)_j (u * v)_j.  Q_j is symmetric in
+    (a, b), so callers may pass the pair in either order.
+    """
     w = _CLD(w)
     a = _CLD(a)
     b = _CLD(b)
     base = _LD(base)
-    A = np.empty(k + 1, dtype=_CLD)  # (a/w; base)_r
-    B = np.empty(k + 1, dtype=_CLD)  # (b*w; base)_s
-    C = np.empty(k + 1, dtype=_LD)   # (base; base)_r
+    A = np.empty(J + 1, dtype=_CLD)  # (a/w; base)_r
+    B = np.empty(J + 1, dtype=_CLD)  # (b*w; base)_s
+    C = np.empty(J + 1, dtype=_LD)   # (base; base)_r
     A[0] = B[0] = 1.0
     C[0] = 1.0
     pw = _LD(1.0)
-    for r in range(k):
+    for r in range(J):
         A[r + 1] = A[r] * (1 - (a / w) * pw)
         B[r + 1] = B[r] * (1 - (b * w) * pw)
         pw = pw * base
         C[r + 1] = C[r] * (1 - pw)
-    wpow = w ** np.arange(k + 1)
+    wpow = w ** np.arange(J + 1)
     u = A * wpow * wpow / C
     v = B / C
-    conv = np.convolve(u, v)[k]
-    return complex(w ** (-k) * C[k] * conv).real
+    return C, np.convolve(u, v)[:J + 1]
 
 
 def asc_hypergeometric(k: int, theta, p: AscParams) -> float:
@@ -147,7 +154,9 @@ def asc_hypergeometric(k: int, theta, p: AscParams) -> float:
     """
     if k < 0:
         raise ValueError(f"degree must be nonnegative, got {k}")
-    return _convolution_value(k, _w_from_theta(theta), p.a, p.b, p.base)
+    w = _w_from_theta(theta)
+    C, conv = _convolution_table(k, w, p.a, p.b, p.base)
+    return complex(w ** (-k) * C[k] * conv[k]).real
 
 
 def asc_hypergeometric_direct(k: int, theta, p: AscParams) -> float:

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import laplace, spectral
 from .lattice import LatticeFunction, ModelParams, Quadruple, Sector
+from .qcore import ConvergenceError
 from .verify import run_battery
 
 SCHEMA_VERSION = 1
@@ -48,18 +49,15 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not (0.0 < self.q < 1.0):
-            raise click.UsageError(f"--q must lie strictly in (0, 1), got {self.q}")
+        try:
+            self.params()
+            self.sector()
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
         if self.q > 0.95:
             raise click.UsageError(
                 f"--q {self.q} is outside the supported regime (q <= 0.95: "
                 "operator coefficients scale like 1/(1-q^2))")
-        if self.n < 1:
-            raise click.UsageError(f"--n must be >= 1, got {self.n}")
-        if self.m < 2:
-            raise click.UsageError(f"--m must be >= 2, got {self.m}")
-        if self.L < 0 or self.Lp < 0:
-            raise click.UsageError("--lambda and --lambda-prime must be >= 0")
         if self.max_j < 1:
             raise click.UsageError(f"--max-j must be >= 1, got {self.max_j}")
         if self.tol is not None and self.tol <= 0:
@@ -201,13 +199,7 @@ def spectrum(out, size, **kw):
     # not as the convergence verdict)
     ev2 = laplace.jacobi_matrix(params, sector, 2 * size).eigenvalues()
     shift = max(abs(ev[0] - ev2[0]), abs(ev[-1] - ev2[-1]))
-    lo, hi = spec.band
-
-    def dist(x: float) -> float:
-        d = 0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
-        return min([d] + [abs(x - t) for t in spec.discrete])
-
-    containment = max(dist(float(x)) for x in ev)
+    containment = spec.containment(ev)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "spectrum",
@@ -316,7 +308,10 @@ def oracle(out, quadruple, depth, **kw):
 
     # fixed test pair exercising two lattice points
     f = LatticeFunction.basis(0) + LatticeFunction.basis(1)
-    o = fockoracle.invariant_integral(params, quad, f, f, depth=depth)
+    try:
+        o = fockoracle.invariant_integral(params, quad, f, f, depth=depth)
+    except ConvergenceError as exc:
+        raise click.UsageError(f"{exc}; raise --depth")
     c = lat.hwv_inner_product(params, quad, f, f)
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -89,18 +89,25 @@ def diagonal_action(params: ModelParams, quad: Quadruple,
     read = np.conjugate(psi.get(jread, 0.0)) * phi.get(jread, 0.0)
     if read == 0:
         return _LD(0.0)
-    val = _LD((-1) ** (k + l)) * q ** _LD(2 * l * lp + 2 * kp * l - 2 * kp * lp)
-    val = val * qpoch(q ** _LD(2 * neg[0] - 2), q ** _LD(-2), k)
-    val = val * qpoch(q ** _LD(2 * neg[-1]), q * q, l) * q ** _LD(-2 * l * neg[-1])
+    val = _quadruple_prefactor(q, quad) \
+        * _negative_factor(q, k, l, neg[0], neg[-1])
     val = val * qpoch(q ** _LD(2 * pos[0] - 2), q ** _LD(-2), lp)
     val = val * q ** _LD(2 * kp * (sum(neg) + sum(pos)))
     val = val * q ** _LD(2 * (l + lp) * c)
     return val * read
 
 
-def _trace_weight(params: ModelParams, idx: FockIndex):
-    e = sum((params.N - (i + 1)) * a for i, a in enumerate(idx.values))
-    return params.q_ld ** _LD(2 * e)
+def _quadruple_prefactor(q, quad: Quadruple):
+    """(-1)^(k+l) q^(2 l lp + 2 kp l - 2 kp lp), common to every index."""
+    k, l, kp, lp = quad.k, quad.l, quad.kp, quad.lp
+    return _LD((-1) ** (k + l)) * q ** _LD(2 * l * lp + 2 * kp * l - 2 * kp * lp)
+
+
+def _negative_factor(q, k: int, l: int, a1: int, an: int):
+    """(q^(2a_1-2); q^-2)_k (q^(2a_n); q^2)_l q^(-2l a_n): the Pochhammer
+    factor of the first and last negative-block indices."""
+    return qpoch(q ** _LD(2 * a1 - 2), q ** _LD(-2), k) \
+        * qpoch(q ** _LD(2 * an), q * q, l) * q ** _LD(-2 * l * an)
 
 
 def _compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -128,17 +135,15 @@ def _negative_block(params: ModelParams, quad: Quadruple,
         c = -(l + jread)
         for parts in _compositions(-c, n, depth):
             a = tuple(-v for v in parts)
-            f = qpoch(q ** _LD(2 * a[0] - 2), q ** _LD(-2), k)
-            f = f * qpoch(q ** _LD(2 * a[-1]), q * q, l) * q ** _LD(-2 * l * a[-1])
+            f = _negative_factor(q, k, l, a[0], a[-1])
             e = sum(ai * (kp + l + lp + N - (i + 1)) for i, ai in enumerate(a))
             total = total + f * q ** _LD(2 * e) * read
     return total
 
 
-def _positive_block(params: ModelParams, quad: Quadruple, depth: int):
-    q = params.q_ld
-    m = params.m
-    kp, lp = quad.kp, quad.lp
+def _positive_lhs(q, m: int, kp: int, lp: int, depth: int):
+    """The positive-block sum of :func:`positive_block_sum`, truncated at
+    ``depth`` per index; ``q`` is an extended-precision scalar."""
     a = np.arange(1, depth + 1, dtype=_LD)
     first = np.array([qpoch(q ** _LD(2 * int(ai) - 2), q ** _LD(-2), lp)
                       for ai in a], dtype=_LD)
@@ -149,12 +154,10 @@ def _positive_block(params: ModelParams, quad: Quadruple, depth: int):
 
 
 def _oracle_value(params: ModelParams, quad: Quadruple, phi, psi, depth: int):
-    q = params.q_ld
-    k, l, kp, lp = quad.k, quad.l, quad.kp, quad.lp
-    pref = _LD((-1) ** (k + l)) * q ** _LD(2 * l * lp + 2 * kp * l - 2 * kp * lp)
-    return invariant_integral_normalizer(params) * pref \
+    return invariant_integral_normalizer(params) \
+        * _quadruple_prefactor(params.q_ld, quad) \
         * _negative_block(params, quad, phi, psi, depth) \
-        * _positive_block(params, quad, depth)
+        * _positive_lhs(params.q_ld, params.m, quad.kp, quad.lp, depth)
 
 
 def invariant_integral(params: ModelParams, quad: Quadruple,
@@ -237,12 +240,7 @@ def positive_block_sum(q: float, m: int, kp: int, lp: int, depth: int = 80):
         raise ValueError(f"need m >= 2, got {m}")
     qd = _LD(q)
     p = qd * qd
-    a = np.arange(1, depth + 1, dtype=_LD)
-    first = np.array([qpoch(qd ** _LD(2 * int(ai) - 2), qd ** _LD(-2), lp)
-                      for ai in a], dtype=_LD)
-    lhs = np.sum(first * qd ** ((2 * (m - 1 + kp)) * a))
-    for t in range(1, m - 1):
-        lhs = lhs * np.sum(qd ** ((2 * (m - 1 - t + kp)) * a))
+    lhs = _positive_lhs(qd, m, kp, lp, depth)
     rhs = qd ** _LD((m - 1) * (2 * kp + 2 * lp + m)) * qd ** _LD(2 * lp * kp) \
         * qpoch(p, p, kp) * qpoch(p, p, lp) / qpoch(p, p, kp + lp + m - 1)
     return lhs, rhs

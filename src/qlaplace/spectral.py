@@ -14,8 +14,9 @@ inverse integrates against the Plancherel measure (the Al-Salam-Chihara
 orthogonality measure rescaled to total mass 1, which is forced by sending
 the base-point indicator to the constant function 1).
 
-Numerical notes.  Eigenfunction profiles are evaluated through the stable
-convolution form of :mod:`qlaplace.asc` in extended precision; at discrete
+Numerical notes.  Eigenfunction profiles are evaluated in extended precision
+through the one convolution kernel of :mod:`qlaplace.asc`
+(``_convolution_table``, shared with ``asc_hypergeometric``); at discrete
 mass points (w = a q^(2k)) the terminating parameter a/w = q^(-2k) truncates
 the defining series after k+1 terms, and that short sum is used instead
 (bound-state profiles are minimal solutions of the recurrence, so any forward
@@ -31,8 +32,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .asc import (AscParams, SpectralMeasure, mass_points,
-                  orthogonality_measure)
+from .asc import (_INF_TOL, AscParams, SpectralMeasure, _convolution_table,
+                  mass_points, orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
 from .qcore import qpoch, qpoch_inf
@@ -59,7 +60,6 @@ __all__ = [
 
 _LD = np.longdouble
 _CLD = np.clongdouble
-_INF_TOL = 1e-19
 
 
 @dataclass(frozen=True)
@@ -121,36 +121,22 @@ def asc_params(params: ModelParams, sector: Sector) -> AscParams:
 
 def _profile_convolution(params: ModelParams, sector: Sector, w,
                          max_j: int) -> np.ndarray:
-    """Eigenfunction values at j = 0..max_j via the convolution form.
+    """Eigenfunction values at j = 0..max_j via the shared convolution.
 
-    With u_r = (b/w; p)_r w^(2r) / (p; p)_r and v_s = (a w; p)_s / (p; p)_s,
-    the value at x = q^(-2j) is (b/w)^j (p; p)_j (u * v)_j / (a b; p)_j.
+    With (p; p)_j and (u * v)_j from :func:`qlaplace.asc._convolution_table`
+    at (a, b) swapped to (b, a), the value at x = q^(-2j) is
+    (b/w)^j (p; p)_j (u * v)_j / (a b; p)_j.
     """
     pp = asc_params(params, sector)
     a, b, p = _CLD(pp.a), _CLD(pp.b), _LD(pp.base)
     w = _CLD(w)
-    J = max_j
-    A = np.empty(J + 1, dtype=_CLD)
-    B = np.empty(J + 1, dtype=_CLD)
-    C = np.empty(J + 1, dtype=_LD)
-    A[0] = B[0] = 1.0
-    C[0] = 1.0
-    pw = _LD(1.0)
-    for r in range(J):
-        A[r + 1] = A[r] * (1 - (b / w) * pw)
-        B[r + 1] = B[r] * (1 - (a * w) * pw)
-        pw = pw * p
-        C[r + 1] = C[r] * (1 - pw)
-    wpow = w ** np.arange(J + 1)
-    u = A * wpow * wpow / C
-    v = B / C
-    conv = np.convolve(u, v)[:J + 1]
-    out = np.empty(J + 1, dtype=_LD)
+    C, conv = _convolution_table(max_j, w, b, a, p)
+    out = np.empty(max_j + 1, dtype=_LD)
     pref = _CLD(1.0)
     ab = a * b
     abpoch = _LD(1.0)
     ppow = _LD(1.0)
-    for j in range(J + 1):
+    for j in range(max_j + 1):
         out[j] = np.real(pref * C[j] * conv[j] / abpoch)
         pref = pref * (b / w)
         abpoch = abpoch * np.real(1 - ab * ppow)
@@ -356,6 +342,18 @@ class Spectrum:
 
     band: tuple[float, float]
     discrete: tuple[float, ...]
+
+    def containment(self, eigenvalues) -> float:
+        """Largest distance of any given eigenvalue to the spectrum (0 when
+        every one lies in the band or on a discrete eigenvalue)."""
+        lo, hi = self.band
+        worst = 0.0
+        for x in eigenvalues:
+            d = 0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
+            for t in self.discrete:
+                d = min(d, abs(x - t))
+            worst = max(worst, d)
+        return float(worst)
 
     def to_json(self) -> dict:
         return {"band": [self.band[0], self.band[1]],

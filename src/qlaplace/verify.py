@@ -235,15 +235,7 @@ def check_roundtrip(params, sector, cfg) -> float:
 
 def check_spectrum_containment(params, sector, cfg) -> float:
     spec = spectral.spectrum(params, sector)
-    eig = laplace.jacobi_matrix(params, sector, 400).eigenvalues()
-    lo, hi = spec.band
-    worst = 0.0
-    for x in eig:
-        d = 0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
-        for t in spec.discrete:
-            d = min(d, abs(x - t))
-        worst = max(worst, d)
-    return worst
+    return spec.containment(laplace.jacobi_matrix(params, sector, 400).eigenvalues())
 
 
 def check_oracle(params, sector, cfg) -> float:

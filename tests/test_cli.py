@@ -4,9 +4,11 @@ import csv
 import io
 import json
 
+import pytest
 from click.testing import CliRunner
 
-from qlaplace.cli import main
+from qlaplace.cli import RunConfig, main
+from qlaplace.verify import check_spectrum_containment
 
 FAST = ["--quad-nodes", "64", "--max-j", "10"]
 
@@ -128,6 +130,14 @@ def test_oracle_report():
     assert report["depth"] == 40
 
 
+def test_oracle_depth_too_small_is_a_usage_error():
+    res = run("oracle", "--quadruple", "0", "0", "0", "0", "--q", "0.95")
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "--depth" in res.stderr
+    assert "Traceback" not in res.output + res.stderr
+
+
 def test_oracle_rejects_bad_quadruple_and_n1():
     res = run("oracle", "--quadruple", "1", "0", "0", "0")
     assert res.exit_code == 2
@@ -165,3 +175,22 @@ def test_spectrum_reports_truncation_convergence():
     assert report["converged"] is True
     assert report["containment_residual"] < 1e-6
     assert "extreme_shift_on_doubling" in report
+
+
+@pytest.mark.parametrize("m,Lp", [(2, 0), (4, 2)])
+def test_spectrum_containment_matches_verify_check(m, Lp):
+    report = json.loads(run("spectrum", "--size", "400", "--m", str(m),
+                            "--lambda-prime", str(Lp)).stdout)
+    cfg = RunConfig(m=m, Lp=Lp)
+    residual = check_spectrum_containment(cfg.params(), cfg.sector(), cfg)
+    assert report["containment_residual"] == residual
+
+
+@pytest.mark.parametrize("q", ["0.8", "0.95"])
+@pytest.mark.parametrize("n,m", [("2", "2"), ("3", "4")])
+def test_verify_is_total_near_the_q_bound(q, n, m):
+    res = run("verify", "--q", q, "--n", n, "--m", m, *FAST)
+    assert res.exit_code in (0, 1), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    report = json.loads(res.stdout)
+    assert len(report["checks"]) == 21
