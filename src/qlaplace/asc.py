@@ -215,12 +215,13 @@ def continuous_weight(theta, p: AscParams):
 
 @dataclass(frozen=True)
 class DiscreteMass:
-    """One point mass: z = (w + 1/w)/2 with w = a*base^index > 1."""
+    """One point mass: z = (w + 1/w)/2 with w = a*base^index > 1; the mass
+    is kept in extended precision."""
 
     index: int
     w: float
     z: float
-    mass: float
+    mass: np.longdouble
 
 
 def mass_points(p: AscParams, strict: bool = True) -> tuple[DiscreteMass, ...]:
@@ -253,8 +254,7 @@ def mass_points(p: AscParams, strict: bool = True) -> tuple[DiscreteMass, ...]:
         mk = mk / ((1 - a * a) * qpoch(base, base, k)
                    * qpoch(base * a / b, base, k))
         mk = mk * base ** _LD(-k * k) * (a ** _LD(3) * b) ** _LD(-k)
-        out.append(DiscreteMass(index=k, w=float(wk), z=float(zk),
-                                mass=float(mk)))
+        out.append(DiscreteMass(index=k, w=float(wk), z=float(zk), mass=mk))
         k += 1
     return tuple(out)
 
@@ -265,14 +265,14 @@ class SpectralMeasure:
 
     ``density`` holds (1/2 pi) * w(cos theta) at ``theta_nodes`` (so the
     continuous part integrates against d theta); ``normalization`` is a
-    positive scale applied to both parts when integrating.
+    positive extended-precision scale applied to both parts when integrating.
     """
 
     params: AscParams
     theta_nodes: np.ndarray
     density: np.ndarray
     discrete: tuple[DiscreteMass, ...]
-    normalization: float = 1.0
+    normalization: np.longdouble = _LD(1.0)
 
     @property
     def quad_nodes(self) -> int:
@@ -284,7 +284,7 @@ class SpectralMeasure:
         w = np.full(len(self.theta_nodes), h, dtype=self.density.dtype)
         w[0] /= 2
         w[-1] /= 2
-        return w * self.density * _LD(self.normalization)
+        return w * self.density * self.normalization
 
     def integrate(self, continuous_values, discrete_values=None):
         """Integrate a spectral function given by its node / mass-point values."""
@@ -295,7 +295,7 @@ class SpectralMeasure:
             if len(discrete_values) != len(self.discrete):
                 raise ValueError("discrete value count does not match the measure")
             for d, v in zip(self.discrete, discrete_values):
-                total = total + _LD(self.normalization) * _LD(d.mass) * v
+                total = total + self.normalization * d.mass * v
         return total
 
     def total_mass(self):
@@ -306,7 +306,7 @@ class SpectralMeasure:
         return {
             "theta_nodes": [float(t) for t in self.theta_nodes],
             "density": [float(v) for v in self.density],
-            "discrete": [{"z": d.z, "mass": d.mass} for d in self.discrete],
+            "discrete": [{"z": d.z, "mass": float(d.mass)} for d in self.discrete],
             "normalization": float(self.normalization),
         }
 

@@ -221,7 +221,7 @@ def plancherel_measure(params: ModelParams, sector: Sector,
     base = _LD(pp.base)
     norm = qpoch_inf(base, base, _INF_TOL) \
         * qpoch_inf(_LD(pp.a) * _LD(pp.b), base, _INF_TOL)
-    return replace(meas, normalization=float(norm))
+    return replace(meas, normalization=norm)
 
 
 @dataclass(frozen=True)
@@ -315,7 +315,7 @@ def inverse_transform_profile(params: ModelParams, sector: Sector,
     vals = cont_prof.T @ (w8 * np.asarray(fhat.continuous))
     if measure.discrete:
         dm = np.array([d.mass for d in measure.discrete], dtype=_LD) \
-            * _LD(measure.normalization)
+            * measure.normalization
         vals = vals + disc_prof.T @ (dm * np.asarray(fhat.discrete))
     return LatticeFunction({j: v for j, v in enumerate(vals)})
 

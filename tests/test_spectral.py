@@ -157,6 +157,9 @@ def test_plancherel_total_mass_and_discrete_criterion():
     for params, sector in MEASURE_CASES:
         meas = plancherel_measure(params, sector, 128)
         assert abs(float(meas.total_mass()) - 1.0) < 1e-10
+        # both parts keep extended precision; only to_json rounds to float
+        assert isinstance(meas.normalization, np.longdouble)
+        assert all(isinstance(d.mass, np.longdouble) for d in meas.discrete)
         nonempty = sector.L - sector.Lp < params.m - params.n - 1
         assert (len(meas.discrete) > 0) == nonempty
 
