@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import phi32, qpoch, qpoch_inf
+from .qcore import LD_INF_TOL, phi32, qpoch, qpoch_inf
 
 __all__ = [
     "AscParams",
@@ -59,9 +59,6 @@ _CLD = np.clongdouble
 
 #: half-width of the exclusion window around a*base^k = 1 (band-edge mass)
 BAND_EDGE_TOL = 1e-12
-
-#: truncation tolerance for the infinite products in weights and masses
-_INF_TOL = 1e-19
 
 
 class DegenerateParameterError(ValueError):
@@ -175,17 +172,17 @@ def asc_hypergeometric_direct(k: int, theta, p: AscParams) -> float:
 def _masked_qpoch_inf(a, base):
     """(a; base)_inf for every entry of the complex array ``a`` at once.
 
-    Each entry multiplies its factors 1 - a*base^i while |a*base^i| >= _INF_TOL
+    Each entry multiplies its factors 1 - a*base^i while |a*base^i| >= LD_INF_TOL
     and stops at the first one below, as ``qcore.qpoch_inf`` does for a
     scalar, so every entry equals the scalar product bit for bit.
     """
     acc = np.ones_like(a)
     t = acc * a
-    live = np.abs(t) >= _INF_TOL
+    live = np.abs(t) >= LD_INF_TOL
     while live.any():
         np.multiply(acc, 1 - t, out=acc, where=live)
         t *= base
-        live &= np.abs(t) >= _INF_TOL
+        live &= np.abs(t) >= LD_INF_TOL
     return acc
 
 
@@ -246,9 +243,9 @@ def mass_points(p: AscParams, strict: bool = True) -> tuple[DiscreteMass, ...]:
             break
         zk = (wk + 1 / wk) / 2
         if norm is None:  # independent of k
-            norm = qpoch_inf(a ** _LD(-2), base, _INF_TOL) / (
-                qpoch_inf(base, base, _INF_TOL) * qpoch_inf(a * b, base, _INF_TOL)
-                * qpoch_inf(b / a, base, _INF_TOL))
+            norm = qpoch_inf(a ** _LD(-2), base, LD_INF_TOL) / (
+                qpoch_inf(base, base, LD_INF_TOL) * qpoch_inf(a * b, base, LD_INF_TOL)
+                * qpoch_inf(b / a, base, LD_INF_TOL))
         mk = norm * (1 - a * a * base ** _LD(2 * k)) * qpoch(a * a, base, k) \
             * qpoch(a * b, base, k)
         mk = mk / ((1 - a * a) * qpoch(base, base, k)
@@ -345,9 +342,9 @@ def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int,
     if any(not 0 <= k <= kmax for pair in pairs for k in pair):
         raise ValueError(f"pair degrees must lie in 0..{kmax}")
     base = _LD(p.base)
-    scale = {i: 1 / (qpoch_inf(base ** _LD(i + 1), base, _INF_TOL)
+    scale = {i: 1 / (qpoch_inf(base ** _LD(i + 1), base, LD_INF_TOL)
                      * qpoch_inf(_LD(p.a) * _LD(p.b) * base ** _LD(i), base,
-                                 _INF_TOL))
+                                 LD_INF_TOL))
              for i in {i for i, _ in pairs}}
     val = {}
     pending = list(pairs)

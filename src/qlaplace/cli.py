@@ -60,8 +60,8 @@ class RunConfig:
                 "operator coefficients scale like 1/(1-q^2))")
         if self.max_j < 1:
             raise click.UsageError(f"--max-j must be >= 1, got {self.max_j}")
-        if self.tol is not None and self.tol <= 0:
-            raise click.UsageError(f"--tol must be positive, got {self.tol}")
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise click.UsageError(f"--tol must be positive and finite, got {self.tol}")
         if self.quad_nodes < 16:
             raise click.UsageError(f"--quad-nodes must be >= 16, got {self.quad_nodes}")
 
@@ -292,9 +292,7 @@ def transform(out, input_path, **kw):
 @_common_options
 @click.option("--quadruple", nargs=4, type=int, required=True,
               metavar="K L KP LP", help="isotypic label with K+LP = L+KP")
-@click.option("--depth", type=int, default=40, show_default=True,
-              help="trace truncation depth per index")
-def oracle(out, quadruple, depth, **kw):
+def oracle(out, quadruple, **kw):
     """Trace oracle versus the closed-form pairing for one quadruple."""
     cfg = _config(**kw)
     params = cfg.params()
@@ -309,9 +307,9 @@ def oracle(out, quadruple, depth, **kw):
     # fixed test pair exercising two lattice points
     f = LatticeFunction.basis(0) + LatticeFunction.basis(1)
     try:
-        o = fockoracle.invariant_integral(params, quad, f, f, depth=depth)
+        o = fockoracle.invariant_integral(params, quad, f, f)
     except ConvergenceError as exc:
-        raise click.UsageError(f"{exc}; raise --depth")
+        raise click.UsageError(str(exc))
     c = lat.hwv_inner_product(params, quad, f, f)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -321,7 +319,7 @@ def oracle(out, quadruple, depth, **kw):
         "oracle": float(o),
         "closed_form": float(c),
         "rel_err": float(abs(o - c) / max(1e-300, abs(c))),
-        "depth": depth,
+        "depth": fockoracle._depth(params.q),
     }
     _emit(report, cfg.fmt, out)
 

@@ -10,9 +10,9 @@ summation identities are used), so it independently validates the
 closed-form pairing of :func:`qlaplace.lattice.hwv_inner_product`.
 
 The sum factorizes exactly over the two index blocks; the negative block is
-a finite sum (the function reads vanish once sum a_i leaves the support) and
-the positive block is truncated at ``depth`` per index, with a doubling check
-guarding the geometric tails.
+a finite sum (the function reads vanish once sum a_i leaves the support).
+The positive block and the identities' geometric sums run each index to the
+first depth D with q^(2D) < ``LD_INF_TOL``; the oracle also checks at 2D.
 
 The n = 1 case is excluded: there the first and last negative indices
 coincide and the diagonal factor's two Pochhammer pieces collide; the
@@ -21,6 +21,7 @@ closed-form reduction does not cover it (see ``negative_block_sum``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -28,7 +29,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .lattice import ModelParams, Quadruple, invariant_integral_normalizer
-from .qcore import ConvergenceError, qpoch
+from .qcore import LD_INF_TOL, ConvergenceError, qpoch
 
 __all__ = [
     "FockIndex",
@@ -110,20 +111,19 @@ def _negative_factor(q, k: int, l: int, a1: int, an: int):
         * qpoch(q ** _LD(2 * an), q * q, l) * q ** _LD(-2 * l * an)
 
 
-def _compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write ``total`` as ``parts`` integers in [0, cap]."""
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All ways to write ``total`` as ``parts`` nonnegative integers."""
     if parts == 1:
-        if 0 <= total <= cap:
+        if total >= 0:
             yield (total,)
         return
-    for first in range(min(total, cap) + 1):
-        for rest in _compositions(total - first, parts - 1, cap):
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
 def _negative_block(params: ModelParams, quad: Quadruple,
-                    phi: Mapping[int, complex], psi: Mapping[int, complex],
-                    depth: int):
+                    phi: Mapping[int, complex], psi: Mapping[int, complex]):
     q = params.q_ld
     n, N = params.n, params.N
     k, l, kp, lp = quad.k, quad.l, quad.kp, quad.lp
@@ -133,7 +133,7 @@ def _negative_block(params: ModelParams, quad: Quadruple,
         if read == 0:
             continue
         c = -(l + jread)
-        for parts in _compositions(-c, n, depth):
+        for parts in _compositions(-c, n):
             a = tuple(-v for v in parts)
             f = _negative_factor(q, k, l, a[0], a[-1])
             e = sum(ai * (kp + l + lp + N - (i + 1)) for i, ai in enumerate(a))
@@ -141,12 +141,16 @@ def _negative_block(params: ModelParams, quad: Quadruple,
     return total
 
 
+def _depth(q) -> int:
+    """Smallest D with q^(2D) < LD_INF_TOL: every geometric tail's truncation."""
+    return math.ceil(math.log(LD_INF_TOL) / (2 * math.log(q)))
+
+
 def _positive_lhs(q, m: int, kp: int, lp: int, depth: int):
     """The positive-block sum of :func:`positive_block_sum`, truncated at
     ``depth`` per index; ``q`` is an extended-precision scalar."""
     a = np.arange(1, depth + 1, dtype=_LD)
-    first = np.array([qpoch(q ** _LD(2 * int(ai) - 2), q ** _LD(-2), lp)
-                      for ai in a], dtype=_LD)
+    first = qpoch(q ** (2 * a - 2), q ** _LD(-2), lp)
     total = np.sum(first * q ** ((2 * (m - 1 + kp)) * a))
     for t in range(1, m - 1):
         total = total * np.sum(q ** ((2 * (m - 1 - t + kp)) * a))
@@ -156,31 +160,29 @@ def _positive_lhs(q, m: int, kp: int, lp: int, depth: int):
 def _oracle_value(params: ModelParams, quad: Quadruple, phi, psi, depth: int):
     return invariant_integral_normalizer(params) \
         * _quadruple_prefactor(params.q_ld, quad) \
-        * _negative_block(params, quad, phi, psi, depth) \
+        * _negative_block(params, quad, phi, psi) \
         * _positive_lhs(params.q_ld, params.m, quad.kp, quad.lp, depth)
 
 
 def invariant_integral(params: ModelParams, quad: Quadruple,
-                       phi: Mapping[int, complex], psi: Mapping[int, complex],
-                       depth: int = 40, check: bool = True):
+                       phi: Mapping[int, complex], psi: Mapping[int, complex]):
     """Truncated trace realization of the dressed pairing.
 
-    Sums diagonal_action times the trace weight over all indices with
-    |a_i| <= depth (the two blocks factor exactly, and the negative block is
-    finite once the reads vanish).  With ``check`` set, the value is
-    recomputed at twice the depth and a relative movement above 1e-12
-    raises ConvergenceError.
+    Sums diagonal_action times the trace weight over all indices (the two
+    blocks factor exactly, and the negative block is finite once the reads
+    vanish), each positive index running to D = ``_depth(q)``.  The value is
+    recomputed at 2D, and a relative movement above 1e-12 raises
+    ConvergenceError; otherwise the 2D value is returned.
     """
     _require_n_ge_2(params)
+    depth = _depth(params.q)
     val = _oracle_value(params, quad, phi, psi, depth)
-    if check:
-        val2 = _oracle_value(params, quad, phi, psi, 2 * depth)
-        if abs(val2 - val) > 1e-12 * max(1.0, float(abs(val2))):
-            raise ConvergenceError(
-                f"trace truncation depth {depth} too small: value moved by "
-                f"{float(abs(val2 - val)):.3e} on doubling")
-        val = val2
-    return val
+    val2 = _oracle_value(params, quad, phi, psi, 2 * depth)
+    if abs(val2 - val) > 1e-12 * max(1.0, float(abs(val2))):
+        raise ConvergenceError(
+            f"trace truncation depth {depth} too small: value moved by "
+            f"{float(abs(val2 - val)):.3e} on doubling")
+    return val2
 
 
 def _exact_poch(a: Fraction, base: Fraction, k: int) -> Fraction:
@@ -214,7 +216,7 @@ def negative_block_sum(q: float, n: int, k: int, l: int, t: int):
     p = qf * qf
     pinv = 1 / p
     lhs = Fraction(0)
-    for parts in _compositions(t, n, t):
+    for parts in _compositions(t, n):
         a = tuple(-v for v in parts)
         f = _exact_poch(qf ** (2 * a[0] - 2 * k), p, k)
         f *= _exact_poch(qf ** (2 * a[-1]), p, l) * qf ** (-2 * l * a[-1])
@@ -227,11 +229,11 @@ def negative_block_sum(q: float, n: int, k: int, l: int, t: int):
     return float(lhs), float(rhs)
 
 
-def positive_block_sum(q: float, m: int, kp: int, lp: int, depth: int = 80):
+def positive_block_sum(q: float, m: int, kp: int, lp: int):
     """Both sides of the positive-block summation identity.
 
     lhs: sum over a_{n+1}, ..., a_{N-1} >= 1 (m-1 indices, truncated at
-         ``depth``) of (q^(2 a_{n+1} - 2); q^-2)_{lp}
+         ``_depth(q)``) of (q^(2 a_{n+1} - 2); q^-2)_{lp}
          q^(2 kp sum a_i) q^(2 sum (N-i) a_i);
     rhs: q^((m-1)(2kp + 2lp + m)) q^(2 lp kp)
          (q^2; q^2)_{kp} (q^2; q^2)_{lp} / (q^2; q^2)_{kp+lp+m-1}.
@@ -240,7 +242,7 @@ def positive_block_sum(q: float, m: int, kp: int, lp: int, depth: int = 80):
         raise ValueError(f"need m >= 2, got {m}")
     qd = _LD(q)
     p = qd * qd
-    lhs = _positive_lhs(qd, m, kp, lp, depth)
+    lhs = _positive_lhs(qd, m, kp, lp, _depth(q))
     rhs = qd ** _LD((m - 1) * (2 * kp + 2 * lp + m)) * qd ** _LD(2 * lp * kp) \
         * qpoch(p, p, kp) * qpoch(p, p, lp) / qpoch(p, p, kp + lp + m - 1)
     return lhs, rhs
@@ -265,10 +267,11 @@ def qbinomial_convolution(q: float, k: int, l: int, t: int):
     return lhs, rhs
 
 
-def pochhammer_geometric_sum(q: float, x: int, y: int, depth: int = 80):
+def pochhammer_geometric_sum(q: float, x: int, y: int):
     """Both sides of the Pochhammer-weighted geometric sum.
 
-    lhs: sum_{a>=1} (q^(2a-2); q^-2)_x q^(2ya), truncated at ``depth``;
+    lhs: sum_{a>=1} (q^(2a-2); q^-2)_x q^(2ya), truncated at ``_depth(q)``:
+         the m = 2 positive block with kp = y - 1, lp = x;
     rhs: q^(2y(x+1)) (q^2; q^2)_x / (q^(2y); q^2)_{x+1}.
     Requires y >= 1 for convergence.
     """
@@ -276,10 +279,7 @@ def pochhammer_geometric_sum(q: float, x: int, y: int, depth: int = 80):
         raise ValueError(f"need y >= 1 for convergence, got {y}")
     qd = _LD(q)
     p = qd * qd
-    lhs = _LD(0.0)
-    for a in range(1, depth + 1):
-        lhs = lhs + qpoch(qd ** _LD(2 * a - 2), qd ** _LD(-2), x) \
-            * qd ** _LD(2 * y * a)
+    lhs = _positive_lhs(qd, 2, y - 1, x, _depth(q))
     rhs = qd ** _LD(2 * y * (x + 1)) * qpoch(p, p, x) \
         / qpoch(qd ** _LD(2 * y), p, x + 1)
     return lhs, rhs

@@ -32,6 +32,9 @@ __all__ = [
 #: relative size O(tol / (1 - |base|))
 DEFAULT_INF_TOL = 1e-16
 
+#: truncation tolerance for products and geometric tails in ``np.longdouble``
+LD_INF_TOL = 1e-19
+
 #: relative snap width for detecting an exactly vanishing series factor.
 #: Lattice arguments such as a = q^(-2j) with base q^2 produce a factor
 #: 1 - a*base^j that is zero in exact arithmetic but O(j*eps) in floats;

@@ -32,11 +32,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .asc import (_INF_TOL, AscParams, SpectralMeasure, _convolution_table,
-                  mass_points, orthogonality_measure)
+from .asc import (AscParams, SpectralMeasure, _convolution_table, mass_points,
+                  orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
-from .qcore import qpoch, qpoch_inf
+from .qcore import LD_INF_TOL, qpoch, qpoch_inf
 
 __all__ = [
     "SpectralPoint",
@@ -219,8 +219,8 @@ def plancherel_measure(params: ModelParams, sector: Sector,
     pp = asc_params(params, sector)
     meas = orthogonality_measure(pp, quad_nodes)
     base = _LD(pp.base)
-    norm = qpoch_inf(base, base, _INF_TOL) \
-        * qpoch_inf(_LD(pp.a) * _LD(pp.b), base, _INF_TOL)
+    norm = qpoch_inf(base, base, LD_INF_TOL) \
+        * qpoch_inf(_LD(pp.a) * _LD(pp.b), base, LD_INF_TOL)
     return replace(meas, normalization=norm)
 
 

@@ -246,7 +246,7 @@ def check_oracle(params, sector, cfg) -> float:
     worst = 0.0
     for quad in quads:
         for phi, psi in ((f0, f0), (f1, f1), (f01, f01), (f01, f0)):
-            o = fockoracle.invariant_integral(params, quad, phi, psi, depth=40)
+            o = fockoracle.invariant_integral(params, quad, phi, psi)
             c = lattice.hwv_inner_product(params, quad, phi, psi)
             worst = max(worst, float(abs(o - c) / abs(c)) if c != 0
                         else float(abs(o)))
@@ -269,7 +269,7 @@ def check_identity_positive_block(params, sector, cfg) -> float:
     for m in (2, 3):
         for kp in range(4):
             for lp in range(4):
-                lhs, rhs = fockoracle.positive_block_sum(params.q, m, kp, lp, depth=80)
+                lhs, rhs = fockoracle.positive_block_sum(params.q, m, kp, lp)
                 worst = max(worst, _rel(lhs, rhs))
     return worst
 
@@ -288,7 +288,7 @@ def check_identity_geometric(params, sector, cfg) -> float:
     worst = 0.0
     for x in range(4):
         for y in range(1, 4):
-            lhs, rhs = fockoracle.pochhammer_geometric_sum(params.q, x, y, depth=90)
+            lhs, rhs = fockoracle.pochhammer_geometric_sum(params.q, x, y)
             worst = max(worst, _rel(lhs, rhs))
     return worst
 

@@ -286,8 +286,7 @@ def test_criterion_08_fock_oracle():
             for quad in all_quadruples(2):
                 for phi in family:
                     for psi in family:
-                        o = fockoracle.invariant_integral(params, quad, phi, psi,
-                                                          depth=40)
+                        o = fockoracle.invariant_integral(params, quad, phi, psi)
                         c = lattice.hwv_inner_product(params, quad, phi, psi)
                         if c == 0:
                             worst = max(worst, float(abs(o)))
@@ -329,8 +328,7 @@ def test_criterion_09_summation_identities():
         for m in (2, 3, 4):
             for kp in range(5):
                 for lp in range(5):
-                    lhs, rhs = fockoracle.positive_block_sum(q, m, kp, lp,
-                                                             depth=90)
+                    lhs, rhs = fockoracle.positive_block_sum(q, m, kp, lp)
                     worst = max(worst, float(abs(lhs - rhs))
                                 / max(1.0, float(abs(rhs))))
         for k in range(5):
@@ -341,7 +339,7 @@ def test_criterion_09_summation_identities():
                                 / max(1.0, float(abs(rhs))))
         for x in range(5):
             for y in range(1, 5):
-                lhs, rhs = fockoracle.pochhammer_geometric_sum(q, x, y, depth=90)
+                lhs, rhs = fockoracle.pochhammer_geometric_sum(q, x, y)
                 worst = max(worst, float(abs(lhs - rhs))
                             / max(1.0, float(abs(rhs))))
     _report(9, "summation identities", worst, 1e-12)

@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
+from qlaplace import fockoracle
 from qlaplace.fockoracle import (FockIndex, diagonal_action, invariant_integral,
                                  negative_block_sum, pochhammer_geometric_sum,
                                  positive_block_sum, qbinomial_convolution)
 from qlaplace.lattice import (LatticeFunction, ModelParams, Quadruple,
                               hwv_inner_product, invariant_integral_normalizer)
-from qlaplace.qcore import ConvergenceError, qpoch
+from qlaplace.qcore import LD_INF_TOL, ConvergenceError, qpoch
 
 F0 = LatticeFunction.basis(0)
 F1 = LatticeFunction.basis(1)
@@ -91,8 +92,7 @@ def test_oracle_equals_literal_enumeration():
     params = ModelParams(0.5, 2, 2)
     for quad in (Quadruple(0, 0, 0, 0), Quadruple(1, 0, 1, 0), Quadruple(1, 1, 1, 1)):
         for phi, psi in ((F0, F0), (F01, F01), (F01, F1)):
-            fast = float(invariant_integral(params, quad, phi, psi,
-                                            depth=6, check=False))
+            fast = float(fockoracle._oracle_value(params, quad, phi, psi, 6))
             literal = _literal_trace(params, quad, phi, psi, 6)
             assert fast == pytest.approx(literal, rel=1e-13, abs=1e-15)
 
@@ -109,7 +109,7 @@ def test_oracle_matches_closed_form():
     params = ModelParams(0.6, 2, 3)
     for quad in quadruples(2)[::3]:
         for phi, psi in ((F0, F0), (F1, F1), (F01, F01), (F01, F0)):
-            o = invariant_integral(params, quad, phi, psi, depth=40)
+            o = invariant_integral(params, quad, phi, psi)
             c = hwv_inner_product(params, quad, phi, psi)
             assert abs(o - c) <= 1e-9 * abs(c)
 
@@ -127,19 +127,27 @@ def test_oracle_positivity():
         assert val > 0
 
 
-def test_depth_doubling_detects_truncation():
+def test_depth_doubling_detects_truncation(monkeypatch):
+    monkeypatch.setattr(fockoracle, "_depth", lambda q: 2)
     params = ModelParams(0.6, 2, 2)
-    with pytest.raises(ConvergenceError):
-        invariant_integral(params, Quadruple(0, 0, 0, 0), F0, F0, depth=2)
+    with pytest.raises(ConvergenceError, match="depth 2 too small"):
+        invariant_integral(params, Quadruple(0, 0, 0, 0), F0, F0)
 
 
 def test_depth_doubling_stability_at_default():
     params = ModelParams(0.6, 2, 3)
-    v40 = invariant_integral(params, Quadruple(1, 1, 1, 1), F01, F01,
-                             depth=40, check=False)
-    v80 = invariant_integral(params, Quadruple(1, 1, 1, 1), F01, F01,
-                             depth=80, check=False)
-    assert abs(v80 - v40) <= 1e-12 * max(1.0, float(abs(v80)))
+    depth = fockoracle._depth(params.q)
+    quad = Quadruple(1, 1, 1, 1)
+    v1 = fockoracle._oracle_value(params, quad, F01, F01, depth)
+    v2 = fockoracle._oracle_value(params, quad, F01, F01, 2 * depth)
+    assert invariant_integral(params, quad, F01, F01) == v2
+    assert abs(v2 - v1) <= 1e-18 * max(1.0, float(abs(v2)))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.8, 0.9, 0.95])
+def test_depth_is_smallest_below_tolerance(q):
+    depth = fockoracle._depth(q)
+    assert q ** (2 * depth) < LD_INF_TOL <= q ** (2 * (depth - 1))
 
 
 # ----------------------------------------------------------- identity 1
@@ -190,14 +198,14 @@ def test_negative_block_n1_collision_documented():
 
 def test_positive_block_single_geometric():
     q = 0.5
-    lhs, rhs = positive_block_sum(q, 2, 0, 0, depth=80)
+    lhs, rhs = positive_block_sum(q, 2, 0, 0)
     want = q**2 / (1 - q**2)
     assert float(lhs) == pytest.approx(want, rel=1e-13)
     assert float(rhs) == pytest.approx(want, rel=1e-13)
 
 
 def test_positive_block_example():
-    lhs, rhs = positive_block_sum(0.5, 3, 1, 1, depth=60)
+    lhs, rhs = positive_block_sum(0.5, 3, 1, 1)
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
@@ -232,7 +240,7 @@ def test_qbinomial_convolution_example():
 
 def test_geometric_sum_pure():
     q, y = 0.5, 2
-    lhs, rhs = pochhammer_geometric_sum(q, 0, y, depth=80)
+    lhs, rhs = pochhammer_geometric_sum(q, 0, y)
     want = q ** (2 * y) / (1 - q ** (2 * y))
     assert float(lhs) == pytest.approx(want, rel=1e-13)
     assert float(rhs) == pytest.approx(want, rel=1e-13)
@@ -246,10 +254,26 @@ def test_geometric_sum_leading_terms_vanish():
 
 
 def test_geometric_sum_example():
-    lhs, rhs = pochhammer_geometric_sum(0.5, 2, 3, depth=80)
+    lhs, rhs = pochhammer_geometric_sum(0.5, 2, 3)
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_geometric_sum_requires_positive_exponent():
     with pytest.raises(ValueError):
         pochhammer_geometric_sum(0.5, 2, 0)
+
+
+# ----------------------------------------------------------- near q = 1
+
+@pytest.mark.parametrize("q", [0.8, 0.9, 0.95])
+def test_geometric_identities_near_the_q_bound(q):
+    # the tails decay like q^(2a); a fixed depth stops short of them here
+    for m in (2, 3):
+        for kp in range(4):
+            for lp in range(4):
+                lhs, rhs = positive_block_sum(q, m, kp, lp)
+                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+    for x in range(4):
+        for y in range(1, 4):
+            lhs, rhs = pochhammer_geometric_sum(q, x, y)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
