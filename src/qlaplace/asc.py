@@ -110,6 +110,16 @@ def _recurrence_table(kmax: int, z, p: AscParams) -> list:
     return table
 
 
+def _running_products(factors):
+    """1, f_0, f_0 f_1, ... along the last axis, multiplied left to right as
+    a scalar loop would, so every entry keeps that loop's bits."""
+    shape = factors.shape[:-1] + (factors.shape[-1] + 1,)
+    out = np.empty(shape, dtype=factors.dtype)
+    out[..., 0] = 1
+    out[..., 1:] = factors
+    return np.multiply.accumulate(out, axis=-1, out=out)  # cumprod
+
+
 def _convolution_table(J: int, w, a, b, base):
     """(base; base)_j and the generating-function convolution (u * v)_j for
     j = 0..J, in extended precision, with
@@ -119,26 +129,22 @@ def _convolution_table(J: int, w, a, b, base):
 
     so that Q_j = w^(-j) (base; base)_j (u * v)_j.  Q_j is symmetric in
     (a, b), so callers may pass the pair in either order.
+
+    ``w`` is a 1-D array of points; conv has one row per point, equal bit
+    for bit to a one-point evaluation, and C has shape (J+1,).
     """
-    w = _CLD(w)
-    a = _CLD(a)
-    b = _CLD(b)
-    base = _LD(base)
-    A = np.empty(J + 1, dtype=_CLD)  # (a/w; base)_r
-    B = np.empty(J + 1, dtype=_CLD)  # (b*w; base)_s
-    C = np.empty(J + 1, dtype=_LD)   # (base; base)_r
-    A[0] = B[0] = 1.0
-    C[0] = 1.0
-    pw = _LD(1.0)
-    for r in range(J):
-        A[r + 1] = A[r] * (1 - (a / w) * pw)
-        B[r + 1] = B[r] * (1 - (b * w) * pw)
-        pw = pw * base
-        C[r + 1] = C[r] * (1 - pw)
+    w = np.asarray(w, dtype=_CLD)[:, None]
+    pw = _running_products(np.full(J, _LD(base)))  # base^r
+    C = _running_products(1 - pw[1:])              # (base; base)_r
     wpow = w ** np.arange(J + 1)
-    u = A * wpow * wpow / C
-    v = B / C
-    return C, np.convolve(u, v)[:J + 1]
+    # (a/w; base)_r and (b*w; base)_s
+    u = _running_products(1 - (a / w) * pw[:-1]) * wpow * wpow / C
+    del wpow
+    v = _running_products(1 - (b * w) * pw[:-1]) / C
+    conv = np.empty_like(u)
+    for row, (ur, vr) in enumerate(zip(u, v)):
+        conv[row] = np.convolve(ur, vr)[:J + 1]
+    return C, conv
 
 
 def asc_hypergeometric(k: int, theta, p: AscParams) -> float:
@@ -152,8 +158,8 @@ def asc_hypergeometric(k: int, theta, p: AscParams) -> float:
     if k < 0:
         raise ValueError(f"degree must be nonnegative, got {k}")
     w = _w_from_theta(theta)
-    C, conv = _convolution_table(k, w, p.a, p.b, p.base)
-    return complex(w ** (-k) * C[k] * conv[k]).real
+    C, conv = _convolution_table(k, [w], p.a, p.b, p.base)
+    return complex(w ** (-k) * C[k] * conv[0, k]).real
 
 
 def asc_hypergeometric_direct(k: int, theta, p: AscParams) -> float:

@@ -269,7 +269,12 @@ def transform(out, input_path, **kw):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     fhat = spectral.transform_grid(params, sector, f, meas)
-    cont = np.asarray(fhat.continuous, dtype=complex)
+    with np.errstate(over="ignore"):  # reported below as a usage error
+        cont = np.asarray(fhat.continuous, dtype=complex)
+        disc = np.asarray(fhat.discrete, dtype=complex)
+    if not (np.isfinite(cont).all() and np.isfinite(disc).all()):
+        raise click.UsageError(f"transform values are not finite in double precision "
+                               f"(largest support index {max(f)})")
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "transform",
@@ -281,8 +286,8 @@ def transform(out, input_path, **kw):
         "continuous": [[v.real, v.imag] for v in cont],
         "discrete": [
             {"z": d.z, "lambda": float(laplace.eigenvalue(params, d.z)),
-             "value": [float(np.real(v)), float(np.imag(v))]}
-            for d, v in zip(meas.discrete, fhat.discrete)
+             "value": [v.real, v.imag]}
+            for d, v in zip(meas.discrete, disc)
         ],
     }
     _emit(report, cfg.fmt, out)

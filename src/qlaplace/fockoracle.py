@@ -157,11 +157,13 @@ def _positive_lhs(q, m: int, kp: int, lp: int, depth: int):
     return total
 
 
-def _oracle_value(params: ModelParams, quad: Quadruple, phi, psi, depth: int):
-    return invariant_integral_normalizer(params) \
+def _oracle_values(params: ModelParams, quad: Quadruple, phi, psi, *depths):
+    """The truncated trace at each depth; the depth-free factors are shared."""
+    common = invariant_integral_normalizer(params) \
         * _quadruple_prefactor(params.q_ld, quad) \
-        * _negative_block(params, quad, phi, psi) \
-        * _positive_lhs(params.q_ld, params.m, quad.kp, quad.lp, depth)
+        * _negative_block(params, quad, phi, psi)
+    return [common * _positive_lhs(params.q_ld, params.m, quad.kp, quad.lp, d)
+            for d in depths]
 
 
 def invariant_integral(params: ModelParams, quad: Quadruple,
@@ -176,8 +178,7 @@ def invariant_integral(params: ModelParams, quad: Quadruple,
     """
     _require_n_ge_2(params)
     depth = _depth(params.q)
-    val = _oracle_value(params, quad, phi, psi, depth)
-    val2 = _oracle_value(params, quad, phi, psi, 2 * depth)
+    val, val2 = _oracle_values(params, quad, phi, psi, depth, 2 * depth)
     if abs(val2 - val) > 1e-12 * max(1.0, float(abs(val2))):
         raise ConvergenceError(
             f"trace truncation depth {depth} too small: value moved by "

@@ -16,11 +16,13 @@ the base-point indicator to the constant function 1).
 
 Numerical notes.  Eigenfunction profiles are evaluated in extended precision
 through the one convolution kernel of :mod:`qlaplace.asc`
-(``_convolution_table``, shared with ``asc_hypergeometric``); at discrete
-mass points (w = a q^(2k)) the terminating parameter a/w = q^(-2k) truncates
-the defining series after k+1 terms, and that short sum is used instead
-(bound-state profiles are minimal solutions of the recurrence, so any forward
-evaluation loses relative accuracy exponentially in j).
+(``_convolution_table``, shared with ``asc_hypergeometric``), which
+evaluates all nodes of a quadrature grid in one array pass with bits
+identical to the per-point evaluation; at discrete mass points (w = a q^(2k))
+the terminating parameter a/w = q^(-2k) truncates the defining series after
+k+1 terms, and that short sum is used instead (bound-state profiles are
+minimal solutions of the recurrence, so any forward evaluation loses relative
+accuracy exponentially in j).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .asc import (AscParams, SpectralMeasure, _convolution_table, mass_points,
-                  orthogonality_measure)
+from .asc import (AscParams, SpectralMeasure, _convolution_table,
+                  _running_products, mass_points, orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
 from .qcore import LD_INF_TOL, qpoch, qpoch_inf
@@ -121,27 +123,22 @@ def asc_params(params: ModelParams, sector: Sector) -> AscParams:
 
 def _profile_convolution(params: ModelParams, sector: Sector, w,
                          max_j: int) -> np.ndarray:
-    """Eigenfunction values at j = 0..max_j via the shared convolution.
+    """Eigenfunction values at j = 0..max_j via the shared convolution, one
+    row per spectral point of the 1-D array ``w``.
 
     With (p; p)_j and (u * v)_j from :func:`qlaplace.asc._convolution_table`
     at (a, b) swapped to (b, a), the value at x = q^(-2j) is
     (b/w)^j (p; p)_j (u * v)_j / (a b; p)_j.
     """
     pp = asc_params(params, sector)
-    a, b, p = _CLD(pp.a), _CLD(pp.b), _LD(pp.base)
-    w = _CLD(w)
+    a, b, p = _LD(pp.a), _LD(pp.b), _LD(pp.base)
+    w = np.asarray(w, dtype=_CLD)
     C, conv = _convolution_table(max_j, w, b, a, p)
-    out = np.empty(max_j + 1, dtype=_LD)
-    pref = _CLD(1.0)
-    ab = a * b
-    abpoch = _LD(1.0)
-    ppow = _LD(1.0)
-    for j in range(max_j + 1):
-        out[j] = np.real(pref * C[j] * conv[j] / abpoch)
-        pref = pref * (b / w)
-        abpoch = abpoch * np.real(1 - ab * ppow)
-        ppow = ppow * p
-    return out
+    ppow = _running_products(np.full(max_j, p))
+    abpoch = _running_products(1 - a * b * ppow[:-1])
+    b_over_w = np.broadcast_to((b / w)[:, None], (len(w), max_j))
+    val = _running_products(b_over_w) * C * conv / abpoch
+    return np.ascontiguousarray(np.real(val))
 
 
 def _profile_mass_point(params: ModelParams, sector: Sector, kd: int,
@@ -177,7 +174,7 @@ def eigenfunction_profile(params: ModelParams, sector: Sector,
         raise ValueError("max_j must be nonnegative")
     if point.mass_index is not None:
         return _profile_mass_point(params, sector, point.mass_index, max_j)
-    return _profile_convolution(params, sector, point.w, max_j)
+    return _profile_convolution(params, sector, [point.w], max_j)[0]
 
 
 def eigenfunction(params: ModelParams, sector: Sector, point: SpectralPoint,
@@ -249,10 +246,8 @@ def _profile_matrix(params: ModelParams, sector: Sector,
 
     Returns (cont, disc): cont[t, j] on theta nodes, disc[k, j] on masses.
     """
-    cont = np.empty((len(measure.theta_nodes), max_j + 1), dtype=_LD)
-    for t, theta in enumerate(measure.theta_nodes):
-        w = np.exp(_CLD(1j) * _LD(theta))
-        cont[t] = _profile_convolution(params, sector, w, max_j)
+    w = np.exp(_CLD(1j) * np.asarray(measure.theta_nodes, dtype=_LD))
+    cont = _profile_convolution(params, sector, w, max_j)
     disc = np.empty((len(measure.discrete), max_j + 1), dtype=_LD)
     for kk, d in enumerate(measure.discrete):
         disc[kk] = _profile_mass_point(params, sector, d.index, max_j)

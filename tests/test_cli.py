@@ -128,6 +128,18 @@ def test_transform_of_base_indicator(tmp_path):
         assert abs(re_im[0] - 1.0) < 1e-12 and abs(re_im[1]) < 1e-12
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_transform_beyond_double_range_is_a_usage_error(tmp_path, fmt):
+    src = tmp_path / "deep.json"
+    src.write_text(json.dumps({"support": [400], "values": [[1.0, 0.0]]}))
+    res = run("transform", "--input", str(src), "--quad-nodes", "64",
+              "--format", fmt)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "largest support index 400" in res.stderr
+    assert "Traceback" not in res.output + res.stderr
+
+
 def test_transform_rejects_bad_schema(tmp_path):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps({"support": [0, 1], "values": [[1.0, 0.0]]}))

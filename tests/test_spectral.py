@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qlaplace import asc
+from qlaplace import asc, spectral
 from qlaplace._rng import Lcg
 from qlaplace.laplace import apply_three_term, eigenvalue, jacobi_matrix
 from qlaplace.lattice import (LatticeFunction, ModelParams, Sector,
@@ -123,6 +123,75 @@ def test_eigenvalue_equation_sample():
             worst = max(float(abs(af.get(j, 0.0) - lam * prof[j]))
                         for j in range(1, 31)) / scale
             assert worst < 1e-10
+
+
+# ----------------------------------------------------------- array kernel
+
+def _reference_convolution_table(J, w, a, b, base):
+    """One-point reference for asc._convolution_table: a scalar loop over
+    the degree, then np.convolve."""
+    w, a, b, base = np.clongdouble(w), np.clongdouble(a), np.clongdouble(b), _LD(base)
+    A = np.empty(J + 1, dtype=np.clongdouble)
+    B = np.empty(J + 1, dtype=np.clongdouble)
+    C = np.empty(J + 1, dtype=_LD)
+    A[0] = B[0] = 1.0
+    C[0] = 1.0
+    pw = _LD(1.0)
+    for r in range(J):
+        A[r + 1] = A[r] * (1 - (a / w) * pw)
+        B[r + 1] = B[r] * (1 - (b * w) * pw)
+        pw = pw * base
+        C[r + 1] = C[r] * (1 - pw)
+    wpow = w ** np.arange(J + 1)
+    u = A * wpow * wpow / C
+    v = B / C
+    return C, np.convolve(u, v)[:J + 1]
+
+
+def _reference_profile(params, sector, w, max_j):
+    """One-point reference for the eigenfunction profile: the table above
+    rescaled degree by degree by (b/w)^j / (ab; q^2)_j."""
+    pp = asc_params(params, sector)
+    a, b, p = np.clongdouble(pp.a), np.clongdouble(pp.b), _LD(pp.base)
+    w = np.clongdouble(w)
+    C, conv = _reference_convolution_table(max_j, w, b, a, p)
+    out = np.empty(max_j + 1, dtype=_LD)
+    pref = np.clongdouble(1.0)
+    ab = a * b
+    abpoch = _LD(1.0)
+    ppow = _LD(1.0)
+    for j in range(max_j + 1):
+        out[j] = np.real(pref * C[j] * conv[j] / abpoch)
+        pref = pref * (b / w)
+        abpoch = abpoch * np.real(1 - ab * ppow)
+        ppow = ppow * p
+    return out
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.95])
+@pytest.mark.parametrize("n, m, lp", [(2, 2, 0), (2, 4, 2)])
+def test_array_kernel_equals_one_point_reference(q, n, m, lp):
+    """Every node of the profile matrix, an off-band real point and an
+    imaginary angle keep the bits of the one-point evaluation."""
+    params, sector = ModelParams(q, n, m), Sector(0, lp)
+    meas = plancherel_measure(params, sector, 256)
+    assert len(meas.discrete) == (2 if lp else 0)
+    for J in (0, 1, 16, 60):
+        cont, _ = spectral._profile_matrix(params, sector, meas, J)
+        ref = np.array([_reference_profile(params, sector,
+                                           np.exp(np.clongdouble(1j) * t), J)
+                        for t in meas.theta_nodes])
+        assert cont.dtype == _LD and np.array_equal(cont, ref)
+        pt = point_from_exponent(params, 1)
+        assert np.array_equal(eigenfunction_profile(params, sector, pt, J),
+                              _reference_profile(params, sector, pt.w, J))
+    pp = asc_params(params, sector)
+    for theta in (0.7j, -1.3j):
+        w = np.exp(np.clongdouble(1j) * np.clongdouble(theta))
+        for k in (0, 1, 16, 60):
+            C, conv = _reference_convolution_table(k, w, pp.a, pp.b, pp.base)
+            ref = complex(w ** (-k) * C[k] * conv[k]).real
+            assert asc.asc_hypergeometric(k, theta, pp) == ref
 
 
 # ----------------------------------------------------------- c-function
