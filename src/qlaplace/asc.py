@@ -33,6 +33,7 @@ base^(-k)) / 2 for every k >= 0 with a base^k > 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,9 @@ class AscParams:
             raise ValueError(f"base must lie in (0, 1), got {self.base}")
 
 
-def _w_from_theta(theta) -> complex:
-    """e^(i theta); theta may be complex (real w > 0 for imaginary angles)."""
+def _w_from_theta(theta):
+    """e^(i theta) for a scalar or an array of angles; theta may be complex
+    (real w > 0 for imaginary angles)."""
     return np.exp(_CLD(1j) * _CLD(theta))
 
 
@@ -176,14 +178,32 @@ def asc_hypergeometric_direct(k: int, theta, p: AscParams) -> float:
 
 
 def _masked_qpoch_inf(a, base):
-    """(a; base)_inf for every entry of the complex array ``a`` at once.
+    """(a; base)_inf for every entry of the complex array ``a`` at once, for
+    a real ``base`` in (0, 1).
 
     Each entry multiplies its factors 1 - a*base^i while |a*base^i| >= LD_INF_TOL
     and stops at the first one below, as ``qcore.qpoch_inf`` does for a
-    scalar, so every entry equals the scalar product bit for bit.
+    scalar, so every entry equals the scalar product bit for bit.  The
+    factors before the first depth at which any entry could stop run on the
+    whole array without magnitude tests; only the rest are masked.
     """
     acc = np.ones_like(a)
     t = acc * a
+    # Live phase.  After i multiplications by the real base, each rounding
+    # both components of t once, the computed |t| is |a| base^i (1 + d) with
+    # |d| <= (i + 2) eps (the 2 covers t's own rounding and abs).  For i below
+    # i0 = floor(log(4 LD_INF_TOL / min|a|) / log base) the exact |a| base^i
+    # exceeds 4 LD_INF_TOL for every entry; the factor 4 absorbs d and the
+    # double-precision logs, so every entry is certainly still live and the
+    # masked loop would take these factors everywhere.  They run without
+    # abs, mask or where=, then the masked loop finishes, and each entry
+    # stops at the same factor as before.
+    smallest = float(np.abs(t).min(initial=np.inf))
+    if 4 * LD_INF_TOL < smallest < np.inf:
+        for _ in range(math.floor(math.log(4 * LD_INF_TOL / smallest)
+                                  / math.log(base))):
+            np.multiply(acc, 1 - t, out=acc)
+            t *= base
     live = np.abs(t) >= LD_INF_TOL
     while live.any():
         np.multiply(acc, 1 - t, out=acc, where=live)
@@ -199,18 +219,21 @@ def continuous_weight(theta, p: AscParams):
     w = h(1) h(-1) h(sqrt(base)) h(-sqrt(base)) / (h(a) h(b)) with
     h(alpha) = (alpha e^(i theta); base)_inf (alpha e^(-i theta); base)_inf.
 
-    ``theta`` may be a scalar (the result is a scalar) or an array of angles;
-    the twelve infinite products run in one masked loop over all angles.
+    ``theta`` may be a scalar (the result is a scalar) or an array of angles.
+    For real alpha and base the second product of each pair is the complex
+    conjugate of the first, bit for bit up to the sign of a zero imaginary
+    part, which never reaches the real weight: negation commutes with
+    rounding, so conjugation commutes with 1 - t, with t * base and with the
+    complex product.  Only the six products (alpha e^(i theta); base)_inf
+    are therefore run, in one loop over all angles, and h = P conj(P).
     """
     th = np.atleast_1d(np.asarray(theta, dtype=_LD))
     w = np.exp(_CLD(1j) * th)
     base = _LD(p.base)
     rt = np.sqrt(base)
-    alphas = [_CLD(alpha) for alpha in (1.0, -1.0, rt, -rt, p.a, p.b)]
-    # rows 2k and 2k+1: alpha_k e^(i theta) and alpha_k e^(-i theta)
-    args = np.stack([alpha * v for alpha in alphas for v in (w, np.conjugate(w))])
+    args = np.stack([_CLD(alpha) * w for alpha in (1.0, -1.0, rt, -rt, p.a, p.b)])
     prods = _masked_qpoch_inf(args, base)
-    h = prods[0::2] * prods[1::2]
+    h = prods * np.conjugate(prods)
     val = h[0] * h[1] * h[2] * h[3] / (h[4] * h[5])
     out = np.real(val)
     return out if np.ndim(theta) else out[0]

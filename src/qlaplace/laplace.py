@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .lattice import LatticeFunction, ModelParams, Quadruple, Sector, sector_weight
 from .qcore import bminus, bplus
@@ -128,9 +127,11 @@ class JacobiMatrix:
     size: int
 
     def eigenvalues(self) -> np.ndarray:
-        return eigh_tridiagonal(np.asarray(self.diag, dtype=float),
-                                np.asarray(self.offdiag, dtype=float),
-                                eigvals_only=True)
+        """Ascending eigenvalues, from the dense symmetric eigensolver on the
+        lower triangle (the only part it reads)."""
+        dense = np.diag(np.asarray(self.diag, dtype=float))
+        dense += np.diag(np.asarray(self.offdiag, dtype=float), -1)
+        return np.linalg.eigvalsh(dense)
 
     def to_json(self) -> dict:
         return {"diag": [float(v) for v in self.diag],

@@ -140,15 +140,15 @@ def check_basis_orthonormality(params, sector, cfg) -> float:
 def check_asc_consistency(params, sector, cfg) -> float:
     pp = spectral.asc_params(params, sector)
     rng = Lcg(cfg.seed + 303)
-    worst = 0.0
-    for _ in range(50):
-        z = 0.999 * rng.symmetric()
-        theta = math.acos(z)
-        table = asc._recurrence_table(15, _LD(z), pp)
-        for k in range(16):
-            hyp = asc.asc_hypergeometric(k, theta, pp)
-            worst = max(worst, _rel(hyp, float(table[k])))
-    return worst
+    z = np.array([0.999 * rng.symmetric() for _ in range(50)])
+    # math.acos, not np.arccos, which differs in the last bits and would
+    # move the residual away from the one-angle asc_hypergeometric values
+    w = asc._w_from_theta(np.array([math.acos(v) for v in z]))
+    C, conv = asc._convolution_table(15, w, pp.a, pp.b, pp.base)
+    k = np.arange(16)
+    hyp = np.real(w[:, None] ** -k * C * conv).astype(float)
+    ref = np.array(asc._recurrence_table(15, z.astype(_LD), pp), dtype=float).T
+    return float(np.max(np.abs(hyp - ref) / np.maximum(1.0, np.abs(ref))))
 
 
 def check_asc_orthogonality(params, sector, cfg) -> float:

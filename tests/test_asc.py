@@ -14,7 +14,7 @@ from qlaplace.asc import (AscParams, DegenerateParameterError,
                           orthogonality_residuals)
 from qlaplace.cli import RunConfig
 from qlaplace.lattice import ModelParams, Sector
-from qlaplace.qcore import qpoch_inf
+from qlaplace.qcore import LD_INF_TOL, qpoch_inf
 
 PARAM_SETS = [
     AscParams(a=0.5, b=0.125, base=0.25),          # no discrete part
@@ -216,11 +216,13 @@ def _reference_weight(theta, p):
     return np.real(h(1.0) * h(-1.0) * h(rt) * h(-rt) / (h(p.a) * h(p.b)))
 
 
-@pytest.mark.parametrize("q", [0.3, 0.5, 0.95])
-@pytest.mark.parametrize("sector", SECTORS)
-def test_array_weight_matches_scalar_products_exactly(q, sector):
+@pytest.mark.parametrize("sector,q", [
+    pytest.param(sector, q, id=f"sector{k}-{q}")
+    for k, sector in enumerate(SECTORS) for q in (0.01, 0.3, 0.5, 0.95)
+] + [pytest.param((1, 6, 0, 5), 0.3, id="five_masses-0.3")])  # a ~ 5.1e4
+def test_array_weight_matches_scalar_products_exactly(sector, q):
     p = _sector_params(q, *sector)
-    assert len(mass_points(p)) == (2 if sector[1] == 4 else 0)
+    assert len(mass_points(p)) == {2: 0, 4: 2, 6: 5}[sector[1]]
     for nodes in (256, 511):
         theta = np.linspace(0, np.pi, nodes).astype(np.longdouble)
         got = continuous_weight(theta, p)
@@ -229,6 +231,57 @@ def test_array_weight_matches_scalar_products_exactly(q, sector):
         assert np.array_equal(got, want)
     one = continuous_weight(0.7, p)
     assert np.ndim(one) == 0 and one == _reference_weight(0.7, p)
+
+
+def test_masked_products_match_scalar_products_at_the_tolerance():
+    """Entries far above, at and just around the truncation tolerance stop
+    at the same factor as the scalar product, in one array."""
+    tol = np.longdouble(LD_INF_TOL)
+    mags = [np.longdouble(1e4), np.longdouble(1)]
+    for edge in (4 * tol, tol):
+        mags += [np.nextafter(edge, np.longdouble(1)), edge,
+                 np.nextafter(edge, np.longdouble(0))]
+    mags.append(np.longdouble(1e-20))
+    phases = [np.exp(np.clongdouble(1j) * np.longdouble(t))
+              for t in (0.0, 0.3, np.pi / 2, 2.0, np.pi)]
+    for base in (0.25, 0.9025):
+        base = np.longdouble(base)
+        # all magnitudes in one array, then without the smallest ones, so
+        # the unmasked phase runs to every depth from 0 to its deepest
+        for keep in range(len(mags), 0, -1):
+            a = np.array([mag * w for mag in mags[:keep] for w in phases],
+                         dtype=np.clongdouble)
+            got = asc._masked_qpoch_inf(a, base)
+            want = np.array([qpoch_inf(x, base, LD_INF_TOL) for x in a])
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    tiny = np.array([1e-20, 1e-25], dtype=np.clongdouble)
+    assert np.array_equal(asc._masked_qpoch_inf(tiny, np.longdouble(0.5)),
+                          np.ones(2, dtype=np.clongdouble))
+
+
+def _reference_asc_consistency(params, sector, cfg):
+    """check_asc_consistency one angle and one degree at a time."""
+    pp = spectral.asc_params(params, sector)
+    rng = Lcg(cfg.seed + 303)
+    worst = 0.0
+    for _ in range(50):
+        z = 0.999 * rng.symmetric()
+        theta = math.acos(z)
+        table = asc._recurrence_table(15, np.longdouble(z), pp)
+        for k in range(16):
+            hyp = asc_hypergeometric(k, theta, pp)
+            worst = max(worst, verify._rel(hyp, float(table[k])))
+    return worst
+
+
+@pytest.mark.parametrize("q", [0.01, 0.5, 0.95])
+def test_asc_consistency_equals_the_per_degree_loop(q):
+    for n, m, L, Lp in [(2, 2, 0, 0), (2, 4, 0, 2), (1, 6, 0, 5), (3, 5, 0, 4)]:
+        cfg = RunConfig(q=q, n=n, m=m, L=L, Lp=Lp)
+        args = (cfg.params(), cfg.sector(), cfg)
+        assert verify.check_asc_consistency(*args) \
+            == _reference_asc_consistency(*args)
 
 
 def _reference_residual(i, j, p, quad_nodes, measures):

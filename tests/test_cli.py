@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qlaplace
 from qlaplace import fockoracle, verify
 from qlaplace.cli import RunConfig, main
 from qlaplace.qcore import ConvergenceError
@@ -22,6 +27,16 @@ def run(*args):
     except TypeError:
         runner = CliRunner()
     return runner.invoke(main, list(args))
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(qlaplace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, qlaplace.cli; print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env)
+    assert res.stdout.strip() == "False"
 
 
 def test_verify_passes_at_default_parameters():
