@@ -132,8 +132,12 @@ def _convolution_table(J: int, w, a, b, base):
     so that Q_j = w^(-j) (base; base)_j (u * v)_j.  Q_j is symmetric in
     (a, b), so callers may pass the pair in either order.
 
-    ``w`` is a 1-D array of points; conv has one row per point, equal bit
-    for bit to a one-point evaluation, and C has shape (J+1,).
+    ``w`` is a 1-D array of points; conv has one row per point and C has
+    shape (J+1,).  Degree k of every row is one ``einsum`` over
+    u_0 v_k + u_1 v_(k-1) + ... + u_k v_0, summed in ascending u-index with
+    the same complex multiply-add as ``np.convolve(u_row, v_row)[k]``, so
+    each row equals the one-point convolution bit for bit, with half its
+    multiply-adds (the full convolution also forms the degrees past J).
     """
     w = np.asarray(w, dtype=_CLD)[:, None]
     pw = _running_products(np.full(J, _LD(base)))  # base^r
@@ -144,9 +148,36 @@ def _convolution_table(J: int, w, a, b, base):
     del wpow
     v = _running_products(1 - (b * w) * pw[:-1]) / C
     conv = np.empty_like(u)
-    for row, (ur, vr) in enumerate(zip(u, v)):
-        conv[row] = np.convolve(ur, vr)[:J + 1]
+    for k in range(J + 1):
+        conv[:, k] = np.einsum("ij,ij->i", u[:, :k + 1], v[:, k::-1])
     return C, conv
+
+
+def _mass_point_series(kmax: int, kd: int, p: AscParams) -> np.ndarray:
+    """The terminating sums S_0..S_kmax at the kd-th mass point
+    w = a base^kd, in extended precision, with Q_j = (a b; base)_j a^(-j) S_j.
+
+    There the representation's parameter a/w = base^(-kd) kills every series
+    term past index kd, leaving the exact (kd+1)-term sum S_j = sum_{i<=kd} t_i,
+
+        t_0 = 1,
+        t_{i+1}/t_i = (1 - base^(i-j)) (1 - a^2 base^(kd+i)) (1 - base^(i-kd)) base
+                      / ((1 - base^(i+1)) (1 - a b base^i)).
+
+    Mass-point values are minimal solutions of the recurrence, so this sum,
+    not the forward recurrence, keeps their relative accuracy.  Each term
+    runs over all j at once, with the factors in the order of the one-j loop.
+    """
+    a, b, base = _LD(p.a), _LD(p.b), _LD(p.base)
+    j = np.arange(kmax + 1).astype(_LD)
+    tot = np.zeros(kmax + 1, dtype=_LD)
+    term = np.ones(kmax + 1, dtype=_LD)
+    for i in range(kd + 1):
+        tot = tot + term
+        term = term * (1 - base ** (i - j)) * (1 - a * a * base ** _LD(kd + i)) \
+            * (1 - base ** _LD(i - kd)) * base
+        term = term / ((1 - base ** _LD(i + 1)) * (1 - a * b * base ** _LD(i)))
+    return tot
 
 
 def asc_hypergeometric(k: int, theta, p: AscParams) -> float:
@@ -375,13 +406,18 @@ def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int,
                      * qpoch_inf(_LD(p.a) * _LD(p.b) * base ** _LD(i), base,
                                  LD_INF_TOL))
              for i in {i for i, _ in pairs}}
+    # mass points: Q_j = (ab; base)_j a^(-j) S_j, not the forward recurrence
+    a = _LD(p.a)
+    lead = np.array([qpoch(a * _LD(p.b), base, j) * a ** _LD(-j)
+                     for j in range(kmax + 1)])
     val = {}
     pending = list(pairs)
     nodes = quad_nodes
     for _ in range(7):
         measure = orthogonality_measure(p, nodes)
         table = _recurrence_table(kmax, np.cos(measure.theta_nodes), p)
-        disc = [_recurrence_table(kmax, _LD(d.z), p) for d in measure.discrete]
+        disc = [lead * _mass_point_series(kmax, d.index, p)
+                for d in measure.discrete]
         refining = []
         for i, j in pending:
             moment = measure.integrate(table[i] * table[j],

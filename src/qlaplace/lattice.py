@@ -237,7 +237,8 @@ def measure_mass(params: ModelParams, sector: Sector, j: int):
     """Normalized point mass at lattice index j; positive, with mass(0) = 1.
 
     The normalizer (q^(-2); q^(-2))_{L+n-1} carries the same sign as the
-    weight, so the quotient is positive.
+    weight, so the quotient is positive.  An integer array ``j`` gives the
+    masses elementwise, with the bits of one call per index.
     """
     q = params.q_ld
     norm = qpoch(q ** _LD(-2), q ** _LD(-2), sector.L + params.n - 1)

@@ -17,12 +17,14 @@ the base-point indicator to the constant function 1).
 Numerical notes.  Eigenfunction profiles are evaluated in extended precision
 through the one convolution kernel of :mod:`qlaplace.asc`
 (``_convolution_table``, shared with ``asc_hypergeometric``), which
-evaluates all nodes of a quadrature grid in one array pass with bits
-identical to the per-point evaluation; at discrete mass points (w = a q^(2k))
-the terminating parameter a/w = q^(-2k) truncates the defining series after
-k+1 terms, and that short sum is used instead (bound-state profiles are
-minimal solutions of the recurrence, so any forward evaluation loses relative
-accuracy exponentially in j).
+evaluates all nodes of a quadrature grid at once, one ``einsum`` per degree,
+with bits identical to the per-point evaluation; at discrete mass points
+(w = a q^(2k)) the terminating parameter a/w = q^(-2k) truncates the defining
+series after k+1 terms, and that short sum (``asc._mass_point_series``, one
+array over all degrees) is used instead (bound-state profiles are minimal
+solutions of the recurrence, so any forward evaluation loses relative
+accuracy exponentially in j).  The lattice masses of all degrees come from
+one ``measure_mass`` call on the index array.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from typing import Mapping
 import numpy as np
 
 from .asc import (AscParams, SpectralMeasure, _convolution_table,
-                  _running_products, mass_points, orthogonality_measure)
+                  _mass_point_series, _running_products, mass_points,
+                  orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
 from .qcore import LD_INF_TOL, qpoch, qpoch_inf
@@ -143,28 +146,11 @@ def _profile_convolution(params: ModelParams, sector: Sector, w,
 
 def _profile_mass_point(params: ModelParams, sector: Sector, kd: int,
                         max_j: int) -> np.ndarray:
-    """Eigenfunction values at the kd-th mass point via the short series.
-
-    At w = a q^(2 kd) the representation's parameter a/w = q^(-2 kd) kills
-    all series terms past index kd, leaving the exact (kd+1)-term sum
-
-        value(j) = (b/a)^j * sum_{i<=kd} t_i,
-        t_{i+1}/t_i = (1 - p^(i-j)) (1 - a^2 p^(kd+i)) (1 - p^(i-kd)) p
-                      / ((1 - p^(i+1)) (1 - a b p^i)).
-    """
+    """Eigenfunction values (b/a)^j S_j at the kd-th mass point, j = 0..max_j,
+    from the terminating sum S_j of :func:`qlaplace.asc._mass_point_series`."""
     pp = asc_params(params, sector)
-    a, b, p = _LD(pp.a), _LD(pp.b), _LD(pp.base)
-    out = np.empty(max_j + 1, dtype=_LD)
-    for j in range(max_j + 1):
-        tot = _LD(0.0)
-        term = _LD(1.0)
-        for i in range(kd + 1):
-            tot = tot + term
-            term = term * (1 - p ** _LD(i - j)) * (1 - a * a * p ** _LD(kd + i)) \
-                * (1 - p ** _LD(i - kd)) * p
-            term = term / ((1 - p ** _LD(i + 1)) * (1 - a * b * p ** _LD(i)))
-        out[j] = (b / a) ** _LD(j) * tot
-    return out
+    j = np.arange(max_j + 1).astype(_LD)
+    return (_LD(pp.b) / _LD(pp.a)) ** j * _mass_point_series(max_j, kd, pp)
 
 
 def eigenfunction_profile(params: ModelParams, sector: Sector,
@@ -255,8 +241,7 @@ def _profile_matrix(params: ModelParams, sector: Sector,
 
 
 def _mass_vector(params: ModelParams, sector: Sector, max_j: int) -> np.ndarray:
-    return np.array([measure_mass(params, sector, j) for j in range(max_j + 1)],
-                    dtype=_LD)
+    return measure_mass(params, sector, np.arange(max_j + 1))
 
 
 def _coefficient_vector(f: Mapping[int, complex], max_j: int) -> np.ndarray:

@@ -247,3 +247,15 @@ def test_verify_is_total_near_the_q_bound(q, n, m):
     report = json.loads(res.stdout)
     assert len(report["checks"]) == 21
     assert report["all_passed"] is True
+
+
+def test_verify_passes_with_five_point_masses_at_small_q():
+    # the outer mass point sits at z ~ 2.5e4, where the forward recurrence
+    # used to miss the orthogonality moments by a factor 1.3e4
+    res = run("verify", "--q", "0.3", "--n", "1", "--m", "6",
+              "--lambda-prime", "5")
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.stdout)
+    assert report["all_passed"] is True
+    check = next(c for c in report["checks"] if c["name"] == "asc_orthogonality")
+    assert check["passed"] is True and check["residual"] <= 1e-8

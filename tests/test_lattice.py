@@ -129,6 +129,18 @@ def test_mass_positivity_deep():
                 assert measure_mass(params, sec, j) > 0
 
 
+def test_array_masses_equal_the_per_index_masses():
+    """measure_mass on an index array keeps the bits of one call per index."""
+    js = np.arange(61)
+    for q in (0.01, 0.3, 0.5, 0.95):
+        for n, m in ((1, 2), (2, 2), (1, 6)):
+            params = ModelParams(q, n, m)
+            for sec in SECTORS:
+                got = measure_mass(params, sec, js)
+                want = np.array([measure_mass(params, sec, j) for j in js])
+                assert got.dtype == np.longdouble and np.array_equal(got, want)
+
+
 def test_mass_hand_value():
     params = ModelParams(0.5, 1, 2)
     assert float(measure_mass(params, Sector(0, 0), 1)) == pytest.approx(16.0)

@@ -194,6 +194,65 @@ def test_array_kernel_equals_one_point_reference(q, n, m, lp):
             assert asc.asc_hypergeometric(k, theta, pp) == ref
 
 
+def _reference_mass_point_profile(params, sector, kd, max_j):
+    """One-j reference for the mass-point profile: the terminating sum as a
+    scalar double loop over j and the series index."""
+    pp = asc_params(params, sector)
+    a, b, p = _LD(pp.a), _LD(pp.b), _LD(pp.base)
+    out = np.empty(max_j + 1, dtype=_LD)
+    for j in range(max_j + 1):
+        tot = _LD(0.0)
+        term = _LD(1.0)
+        for i in range(kd + 1):
+            tot = tot + term
+            term = term * (1 - p ** _LD(i - j)) * (1 - a * a * p ** _LD(kd + i)) \
+                * (1 - p ** _LD(i - kd)) * p
+            term = term / ((1 - p ** _LD(i + 1)) * (1 - a * b * p ** _LD(i)))
+        out[j] = (b / a) ** _LD(j) * tot
+    return out
+
+
+@pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.95])
+@pytest.mark.parametrize("n, m, lp", [(2, 2, 0), (1, 6, 5)])
+def test_kernels_equal_the_per_point_loops(q, n, m, lp):
+    """The per-degree convolution equals np.convolve row by row, and the
+    array mass-point sum equals the one-j loop, bit for bit."""
+    params, sector = ModelParams(q, n, m), Sector(0, lp)
+    pp = asc_params(params, sector)
+    for nodes in (256, 511):
+        theta = np.linspace(0, np.pi, nodes).astype(_LD)
+        w = np.exp(np.clongdouble(1j) * theta)
+        for J in (0, 1, 15, 60):
+            C, conv = asc._convolution_table(J, w, pp.b, pp.a, pp.base)
+            for row, wr in zip(conv, w):
+                C_ref, ref = _reference_convolution_table(J, wr, pp.b, pp.a, pp.base)
+                assert np.array_equal(row, ref)
+            assert np.array_equal(C, C_ref)
+    masses = asc.mass_points(pp)
+    assert len(masses) == (5 if lp else 0)
+    for d in masses:
+        for J in (0, 1, 15, 60):
+            got = spectral._profile_mass_point(params, sector, d.index, J)
+            assert got.dtype == _LD and np.array_equal(
+                got, _reference_mass_point_profile(params, sector, d.index, J))
+
+
+def test_mass_point_series_matches_the_recurrence_where_it_is_stable():
+    """Q_j = (ab; base)_j a^(-j) S_j at every mass point of a sector where the
+    forward recurrence still holds its digits at low degree."""
+    pp = asc_params(ModelParams(0.9, 1, 6), Sector(0, 5))
+    a, b, base = _LD(pp.a), _LD(pp.b), _LD(pp.base)
+    masses = asc.mass_points(pp)
+    assert len(masses) == 5
+    for d in masses:
+        series = asc._mass_point_series(6, d.index, pp)
+        z = (_LD(d.w) + 1 / _LD(d.w)) / 2
+        table = asc._recurrence_table(6, z, pp)
+        for j in range(7):
+            got = qpoch(a * b, base, j) * a ** _LD(-j) * series[j]
+            assert abs(got - table[j]) <= 1e-13 * max(1.0, abs(table[j]))
+
+
 # ----------------------------------------------------------- c-function
 
 def test_c_function_tends_to_one():
