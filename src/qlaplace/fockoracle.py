@@ -186,13 +186,31 @@ def invariant_integral(params: ModelParams, quad: Quadruple,
     return val2
 
 
-def _exact_poch(a: Fraction, base: Fraction, k: int) -> Fraction:
-    acc = Fraction(1)
-    p = Fraction(1)
-    for _ in range(k):
-        acc *= 1 - a * p
-        p *= base
-    return acc
+def _scaled_poch(u: int, v: int, exps) -> tuple[int, int, int]:
+    """prod over c in ``exps`` of (1 - x^c) at x = u/v, as integers (N, i, j)
+    with the product equal to N u^i v^j (i, j <= 0).
+
+    1 - x^c is (v^c - u^c) / v^c for c > 0 and (u^|c| - v^|c|) / u^|c| for
+    c < 0; a factor with c = 0 makes the product 0.
+    """
+    num, i, j = 1, 0, 0
+    for c in exps:
+        if c == 0:
+            return 0, 0, 0
+        if c > 0:
+            num *= v ** c - u ** c
+            j -= c
+        else:
+            num *= u ** -c - v ** -c
+            i += c
+    return num, i, j
+
+
+def _scaled_fraction(u: int, v: int, num: int, i: int, j: int,
+                     den: int = 1) -> Fraction:
+    """num u^i v^j / den as one Fraction (i, j of either sign)."""
+    return Fraction(num * u ** max(i, 0) * v ** max(j, 0),
+                    den * u ** max(-i, 0) * v ** max(-j, 0))
 
 
 def negative_block_sum(q: float, n: int, k: int, l: int, t: int):
@@ -204,9 +222,12 @@ def negative_block_sum(q: float, n: int, k: int, l: int, t: int):
     rhs: (q^-2; q^-2)_k (q^-2; q^-2)_l q^(2lt)
          (q^(-2(t-l+1)); q^-2)_{k+l+n-1} / (q^-2; q^-2)_{k+l+n-1}.
 
-    Both sides are evaluated in exact rational arithmetic (a float q is an
-    exact binary rational): the enumerated side cancels by tens of decimal
-    digits at moderate indices for small q, far beyond hardware precision.
+    Both sides are evaluated exactly (a float q is an exact binary rational):
+    the enumerated side cancels by tens of decimal digits at moderate
+    indices for small q, far beyond hardware precision.  With x = q^2 = u/v
+    in lowest terms, every term is an integer times u^i v^j; the terms are
+    brought to one common power of u and of v with integer multiplies and
+    each side becomes a single Fraction, whose float is correctly rounded.
 
     The identity holds for n >= 2 (and degenerately whenever k*l*t = 0); for
     n = 1 with k, l, t all positive the two Pochhammer factors collide on the
@@ -214,19 +235,29 @@ def negative_block_sum(q: float, n: int, k: int, l: int, t: int):
     check agreement on their own grid.
     """
     qf = Fraction(q)
-    p = qf * qf
-    pinv = 1 / p
-    lhs = Fraction(0)
+    u, v = qf.numerator ** 2, qf.denominator ** 2
+    terms = []
     for parts in _compositions(t, n):
-        a = tuple(-v for v in parts)
-        f = _exact_poch(qf ** (2 * a[0] - 2 * k), p, k)
-        f *= _exact_poch(qf ** (2 * a[-1]), p, l) * qf ** (-2 * l * a[-1])
-        e = sum((n - (i + 1)) * ai for i, ai in enumerate(a))
-        lhs += f * qf ** (2 * e)
-    rhs = _exact_poch(pinv, pinv, k) * _exact_poch(pinv, pinv, l) \
-        * qf ** (2 * l * t) \
-        * _exact_poch(qf ** (-2 * (t - l + 1)), pinv, k + l + n - 1) \
-        / _exact_poch(pinv, pinv, k + l + n - 1)
+        a = tuple(-c for c in parts)
+        n1, i1, j1 = _scaled_poch(u, v, range(a[0] - k, a[0]))
+        n2, i2, j2 = _scaled_poch(u, v, range(a[-1], a[-1] + l))
+        if n1 and n2:
+            # x^d = u^d v^-d from q^(-2l a_n) q^(2 sum (n-i) a_i)
+            d = -l * a[-1] + sum((n - (i + 1)) * ai for i, ai in enumerate(a))
+            terms.append((n1 * n2, d + i1 + i2, -d + j1 + j2))
+    lhs = Fraction(0)
+    if terms:
+        iu = min(i for _, i, _ in terms)
+        jv = min(j for *_, j in terms)
+        lhs = _scaled_fraction(u, v, sum(c * u ** (i - iu) * v ** (j - jv)
+                                         for c, i, j in terms), iu, jv)
+    kk = k + l + n - 1
+    n1, i1, j1 = _scaled_poch(u, v, range(-1, -k - 1, -1))
+    n2, i2, j2 = _scaled_poch(u, v, range(-1, -l - 1, -1))
+    n3, i3, j3 = _scaled_poch(u, v, range(-(t - l + 1), -(t - l + 1) - kk, -1))
+    n4, i4, j4 = _scaled_poch(u, v, range(-1, -kk - 1, -1))  # the divisor
+    rhs = _scaled_fraction(u, v, n1 * n2 * n3, l * t + i1 + i2 + i3 - i4,
+                           -l * t + j1 + j2 + j3 - j4, n4)
     return float(lhs), float(rhs)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -268,16 +269,64 @@ def forward_transform(params: ModelParams, sector: Sector,
     return np.sum(coeff * masses * prof)
 
 
+class _TransformPlan:
+    """Profile matrix and lattice masses of one measure at depth ``max_j``,
+    shared by every forward and inverse transform of depth <= max_j.
+
+    Each transform reads the leading columns of the plan's profiles and
+    masses.  Those columns carry the bits of a build at the smaller depth
+    (profile columns are running products along the degree axis, masses are
+    elementwise), and the extended-precision products sum in index order
+    whatever the strides, so every value equals a fresh build's.  A function
+    deeper than the plan raises ValueError.
+    """
+
+    def __init__(self, params: ModelParams, sector: Sector,
+                 measure: SpectralMeasure, max_j: int):
+        self.params, self.sector = params, sector
+        self.measure = measure
+        self.max_j = max_j
+        self.cont, self.disc = _profile_matrix(params, sector, measure, max_j)
+
+    @cached_property
+    def masses(self) -> np.ndarray:
+        """Lattice masses at 0..max_j; built on the first forward transform
+        (an inverse transform needs none)."""
+        return _mass_vector(self.params, self.sector, self.max_j)
+
+    def _columns(self, J: int) -> int:
+        if J > self.max_j:
+            raise ValueError(f"depth {J} exceeds the transform plan's "
+                             f"depth {self.max_j}")
+        return J + 1
+
+    def forward(self, f: Mapping[int, complex]) -> SpectralFunction:
+        """Forward transform sampled on the measure's full node set."""
+        cols = self._columns(max(f, default=0))
+        weighted = _coefficient_vector(f, cols - 1) * self.masses[:cols]
+        return SpectralFunction(measure=self.measure,
+                                continuous=self.cont[:, :cols] @ weighted,
+                                discrete=tuple(self.disc[:, :cols] @ weighted))
+
+    def inverse(self, fhat: SpectralFunction, max_j: int) -> LatticeFunction:
+        """Inverse transform on all lattice indices 0..max_j at once."""
+        if fhat.measure is not self.measure:
+            raise ValueError("the spectral function is sampled on another measure")
+        cols = self._columns(max_j)
+        measure = self.measure
+        w8 = measure.trapezoid_weights()
+        vals = self.cont[:, :cols].T @ (w8 * np.asarray(fhat.continuous))
+        if measure.discrete:
+            dm = np.array([d.mass for d in measure.discrete], dtype=_LD) \
+                * measure.normalization
+            vals = vals + self.disc[:, :cols].T @ (dm * np.asarray(fhat.discrete))
+        return LatticeFunction({j: v for j, v in enumerate(vals)})
+
+
 def transform_grid(params: ModelParams, sector: Sector, f: Mapping[int, complex],
                    measure: SpectralMeasure) -> SpectralFunction:
     """Forward transform sampled on a Plancherel measure's full node set."""
-    sup = sorted(f)
-    J = sup[-1] if sup else 0
-    cont_prof, disc_prof = _profile_matrix(params, sector, measure, J)
-    weighted = _coefficient_vector(f, J) * _mass_vector(params, sector, J)
-    return SpectralFunction(measure=measure,
-                            continuous=cont_prof @ weighted,
-                            discrete=tuple(disc_prof @ weighted))
+    return _TransformPlan(params, sector, measure, max(f, default=0)).forward(f)
 
 
 def inverse_transform(params: ModelParams, sector: Sector,
@@ -289,15 +338,7 @@ def inverse_transform(params: ModelParams, sector: Sector,
 def inverse_transform_profile(params: ModelParams, sector: Sector,
                               fhat: SpectralFunction, max_j: int) -> LatticeFunction:
     """Inverse transform on all lattice indices 0..max_j at once."""
-    measure = fhat.measure
-    cont_prof, disc_prof = _profile_matrix(params, sector, measure, max_j)
-    w8 = measure.trapezoid_weights()
-    vals = cont_prof.T @ (w8 * np.asarray(fhat.continuous))
-    if measure.discrete:
-        dm = np.array([d.mass for d in measure.discrete], dtype=_LD) \
-            * measure.normalization
-        vals = vals + disc_prof.T @ (dm * np.asarray(fhat.discrete))
-    return LatticeFunction({j: v for j, v in enumerate(vals)})
+    return _TransformPlan(params, sector, fhat.measure, max_j).inverse(fhat, max_j)
 
 
 def orthonormal_polynomial(params: ModelParams, sector: Sector, j: int,

@@ -105,17 +105,15 @@ def check_sector_independence(params, sector, cfg) -> float:
 
 def check_symmetry(params, sector, cfg) -> float:
     maxj = min(cfg.max_j, 40)
+    basis = [LatticeFunction.basis(j) for j in range(maxj + 1)]
+    actions = [laplace.apply_three_term(params, sector, f) for f in basis]
     worst = 0.0
     for j in range(maxj + 1):
-        fj = LatticeFunction.basis(j)
-        afj = laplace.apply_three_term(params, sector, fj)
         for k in (j - 1, j, j + 1):
             if k < 0 or k > maxj:
                 continue
-            fk = LatticeFunction.basis(k)
-            afk = laplace.apply_three_term(params, sector, fk)
-            lhs = lattice.inner_product(params, sector, afj, fk)
-            rhs = lattice.inner_product(params, sector, fj, afk)
+            lhs = lattice.inner_product(params, sector, actions[j], basis[k])
+            rhs = lattice.inner_product(params, sector, basis[j], actions[k])
             worst = max(worst, float(abs(lhs - rhs) / max(1.0, abs(lhs))))
     return worst
 
@@ -185,12 +183,13 @@ def check_transform_of_base_indicator(params, sector, cfg) -> float:
 
 def check_parseval(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
+    plan = spectral._TransformPlan(params, sector, meas, 14)
     rng = Lcg(cfg.seed + 404)
     worst = 0.0
     for _ in range(10):
         f = rng.lattice_function(15)
         nrm = lattice.inner_product(params, sector, f, f)
-        fhat = spectral.transform_grid(params, sector, f, meas)
+        fhat = plan.forward(f)
         par = meas.integrate(np.abs(np.asarray(fhat.continuous)) ** 2,
                              [abs(v) ** 2 for v in fhat.discrete])
         worst = max(worst, float(abs(par - nrm) / abs(nrm)))
@@ -204,12 +203,13 @@ def check_multiplication(params, sector, cfg) -> float:
                          for t in meas.theta_nodes], dtype=_LD)
     lam_disc = np.array([laplace.eigenvalue(params, d.z) for d in meas.discrete],
                         dtype=_LD)
+    plan = spectral._TransformPlan(params, sector, meas, 12)
     worst = 0.0
     for _ in range(5):
         f = rng.lattice_function(12)
         af = laplace.apply_three_term(params, sector, f)
-        fhat = spectral.transform_grid(params, sector, f, meas)
-        afhat = spectral.transform_grid(params, sector, af, meas)
+        fhat = plan.forward(f)
+        afhat = plan.forward(af)
         scale = max(1.0, float(np.max(np.abs(lam_cont * np.asarray(fhat.continuous)))))
         worst = max(worst, float(np.max(np.abs(
             np.asarray(afhat.continuous) - lam_cont * np.asarray(fhat.continuous)))) / scale)
@@ -220,12 +220,13 @@ def check_multiplication(params, sector, cfg) -> float:
 
 def check_roundtrip(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
+    plan = spectral._TransformPlan(params, sector, meas, 16)
     rng = Lcg(cfg.seed + 606)
     worst = 0.0
     for _ in range(5):
         f = rng.lattice_function(15)
-        fhat = spectral.transform_grid(params, sector, f, meas)
-        rec = spectral.inverse_transform_profile(params, sector, fhat, 16)
+        fhat = plan.forward(f)
+        rec = plan.inverse(fhat, 16)
         err = rec - f
         num = lattice.inner_product(params, sector, err, err)
         den = lattice.inner_product(params, sector, f, f)

@@ -1,6 +1,7 @@
 """Tests for the trace oracle and the four summation identities."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -191,6 +192,52 @@ def test_negative_block_n1_collision_documented():
     lhs, rhs = negative_block_sum(q, 1, 1, 1, 1)
     assert float(lhs) == pytest.approx(11.25)
     assert float(rhs) == pytest.approx(2.25)
+
+
+def _poch_fraction(a, base, k):
+    acc = Fraction(1)
+    p = Fraction(1)
+    for _ in range(k):
+        acc *= 1 - a * p
+        p *= base
+    return acc
+
+
+def _negative_block_fraction_loop(q, n, k, l, t):
+    """Both sides of the negative-block identity by a plain Fraction loop,
+    one exact Pochhammer factor at a time."""
+    qf = Fraction(q)
+    p = qf * qf
+    pinv = 1 / p
+    lhs = Fraction(0)
+    for parts in fockoracle._compositions(t, n):
+        a = tuple(-v for v in parts)
+        f = _poch_fraction(qf ** (2 * a[0] - 2 * k), p, k)
+        f *= _poch_fraction(qf ** (2 * a[-1]), p, l) * qf ** (-2 * l * a[-1])
+        e = sum((n - (i + 1)) * ai for i, ai in enumerate(a))
+        lhs += f * qf ** (2 * e)
+    rhs = _poch_fraction(pinv, pinv, k) * _poch_fraction(pinv, pinv, l) \
+        * qf ** (2 * l * t) \
+        * _poch_fraction(qf ** (-2 * (t - l + 1)), pinv, k + l + n - 1) \
+        / _poch_fraction(pinv, pinv, k + l + n - 1)
+    return float(lhs), float(rhs)
+
+
+@pytest.mark.parametrize("q", [0.01, 0.1, 0.3, 0.5, 0.7, 0.95, 0.123456789])
+def test_negative_block_equals_the_fraction_loop(q):
+    """The scaled-integer sum returns the floats of the exact Fraction loop:
+    on the battery grid (n in {2, 3}, k, l, t in 0..3) and on the full n = 1
+    grid, where lhs != rhs once k, l, t are all positive.  Cells with
+    t - l + 1 <= 0 put a factor 1 - x^0 into the right side's Pochhammer
+    product, which is then 0."""
+    cells = [(n, k, l, t) for n in (2, 3)
+             for k, l, t in itertools.product(range(4), repeat=3)]
+    cells += [(1, k, l, t) for k, l, t in itertools.product(range(5), repeat=3)]
+    for n, k, l, t in cells:
+        want = _negative_block_fraction_loop(q, n, k, l, t)
+        assert negative_block_sum(q, n, k, l, t) == want, (n, k, l, t)
+        if t - l + 1 <= 0:
+            assert want[1] == 0.0
 
 
 # ----------------------------------------------------------- identity 2

@@ -427,6 +427,57 @@ def test_multiplication_operator_property():
                 assert abs(va - lm * vf) / scale < 1e-9
 
 
+PLAN_CASES = [(ModelParams(q, n, m), Sector(L, Lp))
+              for q in (0.01, 0.3, 0.5, 0.95)
+              for n, m, L, Lp in ((2, 2, 0, 0), (2, 4, 0, 2), (1, 6, 0, 5),
+                                  (3, 5, 0, 4))]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("params,sector", PLAN_CASES)
+def test_transform_plan_slices_keep_the_bits_of_a_fresh_build(params, sector):
+    """A plan at depth 16 gives every shallower forward and inverse transform
+    the bits of the public functions, which build at the function's own
+    depth: the leading profile columns and masses equal a shallower build's."""
+    meas = plancherel_measure(params, sector, 256)
+    plan = spectral._TransformPlan(params, sector, meas, 16)
+    rng = Lcg(99)
+    for size in (1, 12, 13, 15, 17):
+        f = rng.lattice_function(size)
+        for g in (f, apply_three_term(params, sector, f)):
+            if max(g) > 16:
+                with pytest.raises(ValueError, match="depth"):
+                    plan.forward(g)
+                continue
+            got, want = plan.forward(g), transform_grid(params, sector, g, meas)
+            assert _same_bits(got.continuous, want.continuous)
+            assert _same_bits(got.discrete, want.discrete)
+            for depth in (1, 14, 16):
+                rec = plan.inverse(got, depth)
+                ref = inverse_transform_profile(params, sector, got, depth)
+                assert rec.support == ref.support
+                assert _same_bits([rec[j] for j in rec.support],
+                                  [ref[j] for j in ref.support])
+
+
+def test_transform_plan_rejects_deeper_functions():
+    params, sector = ModelParams(0.5, 2, 4), Sector(0, 2)
+    meas = plancherel_measure(params, sector, 64)
+    plan = spectral._TransformPlan(params, sector, meas, 5)
+    with pytest.raises(ValueError, match="depth 6"):
+        plan.forward(LatticeFunction.basis(6))
+    fhat = plan.forward(LatticeFunction.basis(5))
+    with pytest.raises(ValueError, match="depth 6"):
+        plan.inverse(fhat, 6)
+    other = plancherel_measure(params, sector, 64)
+    with pytest.raises(ValueError, match="another measure"):
+        plan.inverse(SpectralFunction(other, fhat.continuous, fhat.discrete), 5)
+
+
 # ----------------------------------------------------------- spectrum
 
 def test_spectrum_band_endpoints():

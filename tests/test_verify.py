@@ -1,0 +1,99 @@
+"""The spectral and symmetry checks of the battery against plain loops that
+build every transform and every operator action afresh: sharing one
+transform plan per check and one action per basis function must not move a
+residual by a bit."""
+
+import math
+
+import numpy as np
+import pytest
+
+from qlaplace import laplace, lattice, spectral, verify
+from qlaplace._rng import Lcg
+from qlaplace.cli import RunConfig
+from qlaplace.lattice import LatticeFunction
+
+_LD = np.longdouble
+
+CONFIGS = [RunConfig(q=0.3), RunConfig(q=0.5), RunConfig(q=0.95),
+           RunConfig(q=0.5, n=2, m=4, Lp=2)]
+
+
+def _parseval_loop(params, sector, cfg):
+    meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
+    rng = Lcg(cfg.seed + 404)
+    worst = 0.0
+    for _ in range(10):
+        f = rng.lattice_function(15)
+        nrm = lattice.inner_product(params, sector, f, f)
+        fhat = spectral.transform_grid(params, sector, f, meas)
+        par = meas.integrate(np.abs(np.asarray(fhat.continuous)) ** 2,
+                             [abs(v) ** 2 for v in fhat.discrete])
+        worst = max(worst, float(abs(par - nrm) / abs(nrm)))
+    return worst
+
+
+def _multiplication_loop(params, sector, cfg):
+    meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
+    rng = Lcg(cfg.seed + 505)
+    lam_cont = np.array([laplace.eigenvalue(params, math.cos(t))
+                         for t in meas.theta_nodes], dtype=_LD)
+    lam_disc = np.array([laplace.eigenvalue(params, d.z) for d in meas.discrete],
+                        dtype=_LD)
+    worst = 0.0
+    for _ in range(5):
+        f = rng.lattice_function(12)
+        af = laplace.apply_three_term(params, sector, f)
+        fhat = spectral.transform_grid(params, sector, f, meas)
+        afhat = spectral.transform_grid(params, sector, af, meas)
+        scale = max(1.0, float(np.max(np.abs(lam_cont * np.asarray(fhat.continuous)))))
+        worst = max(worst, float(np.max(np.abs(
+            np.asarray(afhat.continuous) - lam_cont * np.asarray(fhat.continuous)))) / scale)
+        for v_a, v_f, lam in zip(afhat.discrete, fhat.discrete, lam_disc):
+            worst = max(worst, float(abs(v_a - lam * v_f)) / scale)
+    return worst
+
+
+def _roundtrip_loop(params, sector, cfg):
+    meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
+    rng = Lcg(cfg.seed + 606)
+    worst = 0.0
+    for _ in range(5):
+        f = rng.lattice_function(15)
+        fhat = spectral.transform_grid(params, sector, f, meas)
+        rec = spectral.inverse_transform_profile(params, sector, fhat, 16)
+        err = rec - f
+        num = lattice.inner_product(params, sector, err, err)
+        den = lattice.inner_product(params, sector, f, f)
+        worst = max(worst, float(np.sqrt(abs(num) / abs(den))))
+    return worst
+
+
+def _symmetry_loop(params, sector, cfg):
+    maxj = min(cfg.max_j, 40)
+    worst = 0.0
+    for j in range(maxj + 1):
+        fj = LatticeFunction.basis(j)
+        afj = laplace.apply_three_term(params, sector, fj)
+        for k in (j - 1, j, j + 1):
+            if k < 0 or k > maxj:
+                continue
+            fk = LatticeFunction.basis(k)
+            afk = laplace.apply_three_term(params, sector, fk)
+            lhs = lattice.inner_product(params, sector, afj, fk)
+            rhs = lattice.inner_product(params, sector, fj, afk)
+            worst = max(worst, float(abs(lhs - rhs) / max(1.0, abs(lhs))))
+    return worst
+
+
+@pytest.mark.parametrize("check,loop", [
+    (verify.check_parseval, _parseval_loop),
+    (verify.check_multiplication, _multiplication_loop),
+    (verify.check_roundtrip, _roundtrip_loop),
+    (verify.check_symmetry, _symmetry_loop),
+], ids=["parseval", "multiplication", "roundtrip", "symmetry"])
+@pytest.mark.parametrize("cfg", CONFIGS,
+                         ids=["q0.3", "q0.5", "q0.95", "q0.5-m4-Lp2"])
+def test_check_equals_its_plain_loop(check, loop, cfg):
+    params, sector = cfg.params(), cfg.sector()
+    assert check(params, sector, cfg) == loop(params, sector, cfg)
