@@ -35,13 +35,8 @@ class Lcg:
         """Next draw in [-1, 1)."""
         return 2.0 * self.uniform() - 1.0
 
-    def lattice_function(self, size: int, complex_values: bool = True) -> LatticeFunction:
-        """Random function supported on j = 0..size-1 with entries in [-1, 1)."""
-        coeffs = {}
-        for j in range(size):
-            re = self.symmetric()
-            if complex_values:
-                coeffs[j] = complex(re, self.symmetric())
-            else:
-                coeffs[j] = re
-        return LatticeFunction(coeffs)
+    def lattice_function(self, size: int) -> LatticeFunction:
+        """Random function supported on j = 0..size-1 whose real and imaginary
+        parts lie in [-1, 1)."""
+        return LatticeFunction({j: complex(self.symmetric(), self.symmetric())
+                                for j in range(size)})

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import laplace, spectral
 from .lattice import LatticeFunction, ModelParams, Quadruple, Sector
 from .qcore import ConvergenceError
-from .verify import run_battery
+from .verify import CONTAINMENT_THRESHOLD, run_battery
 
 SCHEMA_VERSION = 1
 
@@ -72,36 +73,62 @@ class RunConfig:
         return Sector(L=self.L, Lp=self.Lp)
 
 
-def _common_options(fn):
-    fn = click.option("--q", type=float, default=0.5, show_default=True,
-                      help="deformation parameter in (0, 1)")(fn)
-    fn = click.option("--n", type=int, default=2, show_default=True)(fn)
-    fn = click.option("--m", type=int, default=2, show_default=True)(fn)
-    fn = click.option("--lambda", "lam", type=int, default=0, show_default=True,
-                      help="sector label L")(fn)
-    fn = click.option("--lambda-prime", "lam_p", type=int, default=0,
-                      show_default=True, help="sector label L'")(fn)
-    fn = click.option("--max-j", type=int, default=30, show_default=True,
-                      help="lattice depth used by residual checks")(fn)
-    fn = click.option("--tol", type=float, default=None,
-                      help="override every check threshold (default: pinned "
-                           "per-check thresholds)")(fn)
-    fn = click.option("--quad-nodes", type=int, default=256, show_default=True,
-                      help="theta nodes for spectral quadrature")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                      default="json", show_default=True)(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="seed of the documented LCG for random test functions")(fn)
-    fn = click.option("--out", type=click.Path(dir_okay=False, writable=True),
-                      default=None, help="write the report here instead of stdout")(fn)
-    return fn
+def _out_path(ctx, param, value):
+    # checked before the command runs, so a bad path costs no battery pass
+    if value is not None:
+        parent = os.path.dirname(os.path.abspath(value))
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise click.BadParameter(f"directory {parent!r} is missing or not writable")
+    return value
 
 
-def _config(q, n, m, lam, lam_p, max_j, tol, quad_nodes, fmt, seed) -> RunConfig:
-    cfg = RunConfig(q=q, n=n, m=m, L=lam, Lp=lam_p, max_j=max_j, tol=tol,
-                    quad_nodes=quad_nodes, fmt=fmt, seed=seed)
+def _options(*groups):
+    """Decorator adding the options of ``groups`` to a command, in this order."""
+    def decorate(fn):
+        for option in reversed([o for group in groups for o in group]):
+            fn = option(fn)
+        return fn
+    return decorate
+
+
+# Option groups: each command declares the groups whose RunConfig fields it
+# reads.  Parameters are named after their RunConfig fields.
+_MODEL = (
+    click.option("--q", type=float, default=RunConfig.q, show_default=True,
+                 help="deformation parameter in (0, 1)"),
+    click.option("--n", type=int, default=RunConfig.n, show_default=True),
+    click.option("--m", type=int, default=RunConfig.m, show_default=True),
+    click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
+                 default=RunConfig.fmt, show_default=True),
+    click.option("--out", type=click.Path(dir_okay=False, writable=True),
+                 callback=_out_path, help="write the report here instead of stdout"),
+)
+_SECTOR = (
+    click.option("--lambda", "L", type=int, default=RunConfig.L, show_default=True,
+                 help="sector label L"),
+    click.option("--lambda-prime", "Lp", type=int, default=RunConfig.Lp,
+                 show_default=True, help="sector label L'"),
+)
+_QUADRATURE = (
+    click.option("--quad-nodes", type=int, default=RunConfig.quad_nodes,
+                 show_default=True, help="theta nodes for spectral quadrature"),
+)
+_BATTERY = (
+    click.option("--max-j", type=int, default=RunConfig.max_j, show_default=True,
+                 help="lattice depth used by residual checks"),
+    click.option("--tol", type=float, default=RunConfig.tol,
+                 help="override every check threshold (default: pinned "
+                      "per-check thresholds)"),
+    click.option("--seed", type=int, default=RunConfig.seed, show_default=True,
+                 help="seed of the documented LCG for random test functions"),
+)
+
+
+def _config(**kw) -> tuple[RunConfig, dict]:
+    """The validated configuration, and the report's echo of the given fields."""
+    cfg = RunConfig(**kw)
     cfg.validate()
-    return cfg
+    return cfg, {k: v for k, v in asdict(cfg).items() if k in kw}
 
 
 def _fmt17(x) -> str:
@@ -142,34 +169,21 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _json_safe(x):
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    return x
-
-
-def _config_json(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
-    return {k: _json_safe(v) for k, v in d.items()}
-
-
 @click.group()
 def main():
     """Spectral toolkit for the lattice q-difference operator."""
 
 
 @main.command()
-@_common_options
+@_options(_MODEL, _SECTOR, _QUADRATURE, _BATTERY)
 def verify(out, **kw):
     """Run the verification battery; exit 1 if any check fails."""
-    cfg = _config(**kw)
+    cfg, config = _config(**kw)
     results = run_battery(cfg)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
-        "config": _config_json(cfg),
+        "config": config,
         "checks": [r.to_json() for r in results],
         "all_passed": all(r.passed for r in results),
     }
@@ -181,12 +195,12 @@ def verify(out, **kw):
 
 
 @main.command()
-@_common_options
+@_options(_MODEL, _SECTOR)
 @click.option("--size", type=int, default=400, show_default=True,
               help="tridiagonal truncation size")
 def spectrum(out, size, **kw):
     """Band, discrete eigenvalues, and truncated-matrix eigenvalues."""
-    cfg = _config(**kw)
+    cfg, config = _config(**kw)
     if size < 2:
         raise click.UsageError(f"--size must be >= 2, got {size}")
     params, sector = cfg.params(), cfg.sector()
@@ -203,7 +217,7 @@ def spectrum(out, size, **kw):
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "spectrum",
-        "config": _config_json(cfg),
+        "config": config,
         "sector": {"L": sector.L, "Lp": sector.Lp},
         "band": [spec.band[0], spec.band[1]],
         "discrete": list(spec.discrete),
@@ -212,16 +226,16 @@ def spectrum(out, size, **kw):
         "jacobi_eigenvalues": [float(v) for v in ev],
         "containment_residual": containment,
         "extreme_shift_on_doubling": float(shift),
-        "converged": bool(containment < 1e-6),
+        "converged": bool(containment <= CONTAINMENT_THRESHOLD),
     }
     _emit(report, cfg.fmt, out)
 
 
 @main.command()
-@_common_options
+@_options(_MODEL, _SECTOR, _QUADRATURE)
 def plancherel(out, **kw):
     """Spectral measure: continuous density plus point masses."""
-    cfg = _config(**kw)
+    cfg, config = _config(**kw)
     params, sector = cfg.params(), cfg.sector()
     try:
         meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
@@ -232,7 +246,7 @@ def plancherel(out, **kw):
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "plancherel",
-        "config": _config_json(cfg),
+        "config": config,
         "sector": {"L": sector.L, "Lp": sector.Lp},
         "band": [spec.band[0], spec.band[1]],
         "discrete": [
@@ -251,13 +265,13 @@ def plancherel(out, **kw):
 
 
 @main.command()
-@_common_options
+@_options(_MODEL, _SECTOR, _QUADRATURE)
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
               required=True, help="lattice function as JSON "
                                   '{"support": [...], "values": [[re, im], ...]}')
 def transform(out, input_path, **kw):
     """Forward spectral transform of a lattice function."""
-    cfg = _config(**kw)
+    cfg, config = _config(**kw)
     params, sector = cfg.params(), cfg.sector()
     try:
         with open(input_path) as fh:
@@ -278,7 +292,7 @@ def transform(out, input_path, **kw):
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "transform",
-        "config": _config_json(cfg),
+        "config": config,
         "sector": {"L": sector.L, "Lp": sector.Lp},
         "theta": [float(t) for t in meas.theta_nodes],
         "lambda_continuous": [float(laplace.eigenvalue(params, math.cos(t)))
@@ -294,12 +308,12 @@ def transform(out, input_path, **kw):
 
 
 @main.command()
-@_common_options
+@_options(_MODEL)
 @click.option("--quadruple", nargs=4, type=int, required=True,
               metavar="K L KP LP", help="isotypic label with K+LP = L+KP")
 def oracle(out, quadruple, **kw):
     """Trace oracle versus the closed-form pairing for one quadruple."""
-    cfg = _config(**kw)
+    cfg, config = _config(**kw)
     params = cfg.params()
     if params.n < 2:
         raise click.UsageError("the trace oracle requires n >= 2")
@@ -319,7 +333,7 @@ def oracle(out, quadruple, **kw):
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "oracle",
-        "config": _config_json(cfg),
+        "config": config,
         "quadruple": list(quadruple),
         "oracle": float(o),
         "closed_form": float(c),

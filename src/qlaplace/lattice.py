@@ -206,19 +206,25 @@ class LatticeFunction(Mapping):
     def from_json(cls, obj) -> "LatticeFunction":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError(f"lattice function JSON must be an object, got {type(obj).__name__}")
         sup = obj.get("support")
         vals = obj.get("values")
         if not isinstance(sup, list) or not isinstance(vals, list):
             raise ValueError("lattice function JSON needs 'support' and 'values' lists")
         if len(sup) != len(vals):
             raise ValueError("'support' and 'values' have different lengths")
-        coeffs = {}
-        for j, pair in zip(sup, vals):
+        for pair in vals:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ValueError(f"'values' entries must be [re, im] pairs, got {pair!r}")
-            v = complex(pair[0], pair[1])
-            coeffs[j] = v.real if v.imag == 0 else v
-        return cls(coeffs)
+        coeffs = {}
+        try:  # a non-numeric value, an unhashable or infinite index
+            for j, (re, im) in zip(sup, vals):
+                v = complex(re, im)
+                coeffs[j] = v.real if v.imag == 0 else v
+            return cls(coeffs)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"bad lattice function entry: {exc}") from None
 
 
 def sector_weight(params: ModelParams, sector: Sector, j: int):

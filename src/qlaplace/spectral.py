@@ -376,10 +376,6 @@ class Spectrum:
             worst = max(worst, d)
         return float(worst)
 
-    def to_json(self) -> dict:
-        return {"band": [self.band[0], self.band[1]],
-                "discrete": list(self.discrete)}
-
 
 def spectrum(params: ModelParams, sector: Sector) -> Spectrum:
     """Band endpoints (at z = -1 and z = 1) and the discrete eigenvalues."""

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,19 @@ from qlaplace.qcore import ConvergenceError
 from qlaplace.verify import check_spectrum_containment
 
 FAST = ["--quad-nodes", "64", "--max-j", "10"]
+
+# option groups; each command declares the groups whose RunConfig fields it reads
+MODEL = {"--q", "--n", "--m", "--format", "--out"}
+SECTOR = {"--lambda", "--lambda-prime"}
+QUADRATURE = {"--quad-nodes"}
+BATTERY_OPTIONS = {"--max-j", "--tol", "--seed"}
+COMMAND_OPTIONS = {
+    "verify": MODEL | SECTOR | QUADRATURE | BATTERY_OPTIONS,
+    "spectrum": MODEL | SECTOR | {"--size"},
+    "plancherel": MODEL | SECTOR | QUADRATURE,
+    "transform": MODEL | SECTOR | QUADRATURE | {"--input"},
+    "oracle": MODEL | {"--quadruple"},
+}
 
 
 def run(*args):
@@ -37,6 +51,56 @@ def test_cli_import_does_not_load_scipy():
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env=env)
     assert res.stdout.strip() == "False"
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    declared = {name: {opt for p in cmd.params for opt in p.opts}
+                for name, cmd in main.commands.items()}
+    assert declared == COMMAND_OPTIONS
+    assert sum(len(cmd.params) for cmd in main.commands.values()) == 42
+
+
+@pytest.mark.parametrize("command,args,fields", [
+    ("verify", [], set(asdict(RunConfig()))),
+    ("spectrum", [], {"q", "n", "m", "fmt", "L", "Lp"}),
+    ("plancherel", [], {"q", "n", "m", "fmt", "L", "Lp", "quad_nodes"}),
+    ("transform", ["--input", "f0.json"], {"q", "n", "m", "fmt", "L", "Lp", "quad_nodes"}),
+    ("oracle", ["--quadruple", "1", "1", "1", "1"], {"q", "n", "m", "fmt"}),
+], ids=["verify", "spectrum", "plancherel", "transform", "oracle"])
+def test_report_config_echoes_exactly_the_fields_the_command_reads(
+        tmp_path, command, args, fields):
+    (tmp_path / "f0.json").write_text('{"support": [0], "values": [[1.0, 0.0]]}')
+    res = run(command, *[str(tmp_path / a) if a.endswith(".json") else a for a in args])
+    assert res.exit_code == 0, res.output
+    config = json.loads(res.stdout)["config"]
+    assert set(config) == fields
+    assert config == {k: v for k, v in asdict(RunConfig()).items() if k in fields}
+
+
+@pytest.mark.parametrize("command,option", [
+    ("spectrum", "--seed"), ("spectrum", "--quad-nodes"), ("plancherel", "--max-j"),
+    ("transform", "--tol"), ("oracle", "--lambda"), ("oracle", "--quad-nodes"),
+])
+def test_an_option_the_command_does_not_read_is_a_usage_error(command, option):
+    res = run(command, option, "1")
+    assert res.exit_code == 2
+    assert f"No such option '{option}'" in res.stderr
+
+
+@pytest.mark.parametrize("args,content", [
+    (["verify", "--out", "missing/v.json"], None),
+    (["transform", "--input", "f.json"], "[[0, 1.0]]"),
+    (["transform", "--input", "f.json"], '{"support": [0], "values": [["x", 0]]}'),
+    (["transform", "--input", "f.json"], '{"support": [1e400], "values": [[1.0, 0.0]]}'),
+], ids=["out-directory-missing", "input-top-level-list", "input-string-value",
+        "input-infinite-index"])
+def test_bad_out_or_input_is_a_usage_error(tmp_path, args, content):
+    if content is not None:
+        (tmp_path / "f.json").write_text(content)
+    res = run(*[str(tmp_path / a) if a.endswith(".json") else a for a in args])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output + res.stderr
 
 
 def test_verify_passes_at_default_parameters():
@@ -100,9 +164,9 @@ def test_reports_are_deterministic():
 
 def test_csv_and_json_carry_identical_numbers():
     j = run("spectrum", "--n", "1", "--m", "3", "--lambda-prime", "2",
-            "--size", "50", *FAST)
+            "--size", "50")
     c = run("spectrum", "--n", "1", "--m", "3", "--lambda-prime", "2",
-            "--size", "50", "--format", "csv", *FAST)
+            "--size", "50", "--format", "csv")
     assert j.exit_code == 0 and c.exit_code == 0
     report = json.loads(j.stdout)
     rows = {row["field"]: row["value"]
@@ -116,10 +180,10 @@ def test_csv_and_json_carry_identical_numbers():
 
 
 def test_spectrum_discrete_part_presence():
-    empty = json.loads(run("spectrum", "--size", "40", *FAST).stdout)
+    empty = json.loads(run("spectrum", "--size", "40").stdout)
     assert empty["discrete"] == []
     full = json.loads(run("spectrum", "--n", "1", "--m", "3", "--lambda-prime",
-                          "2", "--size", "40", *FAST).stdout)
+                          "2", "--size", "40").stdout)
     assert len(full["discrete"]) == 2
 
 
@@ -210,7 +274,7 @@ def test_verify_skips_inapplicable_checks():
 
 def test_out_file_writing(tmp_path):
     target = tmp_path / "spec.json"
-    res = run("spectrum", "--size", "30", "--out", str(target), *FAST)
+    res = run("spectrum", "--size", "30", "--out", str(target))
     assert res.exit_code == 0
     report = json.loads(target.read_text())
     assert report["command"] == "spectrum"
@@ -222,7 +286,7 @@ def test_q_outside_supported_regime_exits_2():
 
 
 def test_spectrum_reports_truncation_convergence():
-    report = json.loads(run("spectrum", "--size", "200", *FAST).stdout)
+    report = json.loads(run("spectrum", "--size", "200").stdout)
     assert report["converged"] is True
     assert report["containment_residual"] < 1e-6
     assert "extreme_shift_on_doubling" in report

@@ -80,6 +80,12 @@ def test_lattice_function_json_validation():
         LatticeFunction.from_json({"support": [0, 1], "values": [[1, 0]]})
     with pytest.raises(ValueError, match="values"):
         LatticeFunction.from_json({"support": [0], "values": [[1]]})
+    with pytest.raises(ValueError, match="object"):
+        LatticeFunction.from_json("[[0, 1.0]]")
+    for bad in ('{"support": [0], "values": [["x", 0]]}',
+                '{"support": [1e400], "values": [[1.0, 0.0]]}'):
+        with pytest.raises(ValueError, match="entry"):
+            LatticeFunction.from_json(bad)
 
 
 # ----------------------------------------------------------- weights
