@@ -151,16 +151,20 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
     if isinstance(obj, (int, np.integer)):
         return [(prefix.rstrip("."), str(int(obj)))]
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise click.UsageError(f"report field {prefix.rstrip('.')} is {obj}: the "
+                                   "result is not finite in double precision")
         return [(prefix.rstrip("."), _fmt17(obj))]
     return [(prefix.rstrip("."), str(obj))]
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:
+    rows = _flatten(report)  # refuses a NaN or infinite number in either format
     if fmt == "json":
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         lines = ["field,value"]
-        lines += [f"{name},{val}" for name, val in _flatten(report)]
+        lines += [f"{name},{val}" for name, val in rows]
         text = "\n".join(lines) + "\n"
     if out is None:
         click.echo(text, nl=False)
@@ -184,7 +188,7 @@ def verify(out, **kw):
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
         "config": config,
-        "checks": [r.to_json() for r in results],
+        "checks": [asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
     _emit(report, cfg.fmt, out)
@@ -205,13 +209,17 @@ def spectrum(out, size, **kw):
         raise click.UsageError(f"--size must be >= 2, got {size}")
     params, sector = cfg.params(), cfg.sector()
     spec = spectral.spectrum(params, sector)
-    jm = laplace.jacobi_matrix(params, sector, size)
+    try:
+        jm = laplace.jacobi_matrix(params, sector, size)
+        jm2 = laplace.jacobi_matrix(params, sector, 2 * size)
+    except OverflowError as exc:
+        raise click.UsageError(f"operator coefficients overflow double precision: {exc}")
     ev = jm.eigenvalues()
     # truncation quality: distance of every truncation eigenvalue to the
     # spectrum (band edges are only approached at O(size^-2), so the raw
     # extreme-eigenvalue shift under doubling is reported as information,
     # not as the convergence verdict)
-    ev2 = laplace.jacobi_matrix(params, sector, 2 * size).eigenvalues()
+    ev2 = jm2.eigenvalues()
     shift = max(abs(ev[0] - ev2[0]), abs(ev[-1] - ev2[-1]))
     containment = spec.containment(ev)
     report = {

@@ -14,6 +14,7 @@ j ~ 60 for small q, so this module computes in numpy's extended-precision
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -220,7 +221,13 @@ class LatticeFunction(Mapping):
         coeffs = {}
         try:  # a non-numeric value, an unhashable or infinite index
             for j, (re, im) in zip(sup, vals):
+                if isinstance(j, bool):  # True would pass as the index 1
+                    raise ValueError(f"support index {j!r} is not an integer")
+                if j in coeffs:
+                    raise ValueError(f"support index {j!r} is repeated")
                 v = complex(re, im)
+                if not cmath.isfinite(v):
+                    raise ValueError(f"value at support index {j!r} is not finite: {v}")
                 coeffs[j] = v.real if v.imag == 0 else v
             return cls(coeffs)
         except (TypeError, OverflowError) as exc:

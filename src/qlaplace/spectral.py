@@ -366,15 +366,14 @@ class Spectrum:
 
     def containment(self, eigenvalues) -> float:
         """Largest distance of any given eigenvalue to the spectrum (0 when
-        every one lies in the band or on a discrete eigenvalue)."""
+        every one lies in the band or on a discrete eigenvalue, NaN when any
+        is NaN)."""
+        x = np.asarray(eigenvalues, dtype=float)
         lo, hi = self.band
-        worst = 0.0
-        for x in eigenvalues:
-            d = 0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
-            for t in self.discrete:
-                d = min(d, abs(x - t))
-            worst = max(worst, d)
-        return float(worst)
+        d = np.where((lo <= x) & (x <= hi), 0.0, np.minimum(abs(x - lo), abs(x - hi)))
+        for t in self.discrete:
+            d = np.minimum(d, abs(x - t))
+        return float(np.max(d, initial=0.0))
 
 
 def spectrum(params: ModelParams, sector: Sector) -> Spectrum:

@@ -5,11 +5,14 @@ Each check returns a :class:`CheckResult`.  Checks that do not apply to the
 requested configuration (a sector no quadruple reduces to, the n = 1 trace
 exclusion, a degenerate mass point on the band edge) are reported as skipped,
 not failed; a check that raises any other exception is reported as failed,
-with the exception named in its note.
+with the exception named in its note.  Every check reduces its comparisons
+through :func:`_worst`, so a NaN or infinite comparison fails its check with a
+``FloatingPointError`` note instead of vanishing from the residual.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,19 +38,30 @@ class CheckResult:
     skipped: bool = False
     note: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "note": self.note,
-        }
+
+def _worst(errors) -> float:
+    """The largest per-comparison error, 0.0 when there is none.
+
+    A NaN or infinite error raises ``FloatingPointError``, which
+    :func:`run_battery` reports as a failed check: ``max`` drops a NaN
+    (``max(0.0, nan)`` is 0.0) and would pass a comparison never made.
+    """
+    worst = 0.0
+    for i, err in enumerate(errors):
+        if not math.isfinite(err):
+            raise FloatingPointError(f"comparison {i} has error {err}")
+        if err > worst:
+            worst = err
+    return worst
 
 
 def _rel(a, b, floor: float = 1.0) -> float:
     return float(abs(a - b) / max(floor, abs(b)))
+
+
+def _support_gaps(a, b, scale: float):
+    """|a_j - b_j| / scale for each j in the union of the two supports."""
+    return (float(abs(a.get(j, 0.0) - b.get(j, 0.0))) / scale for j in set(a) | set(b))
 
 
 def _spectral_points(params: ModelParams, sector: Sector):
@@ -61,78 +75,74 @@ def _spectral_points(params: ModelParams, sector: Sector):
 
 def check_eigenvalue_residual(params, sector, cfg) -> float:
     J = min(cfg.max_j, 30)
-    worst = 0.0
+    errors = []
     for pt in _spectral_points(params, sector):
         prof = spectral.eigenfunction_profile(params, sector, pt, J + 1)
         f = LatticeFunction({j: prof[j] for j in range(J + 2)})
         af = laplace.apply_three_term(params, sector, f)
         lam = laplace.eigenvalue(params, pt)
         scale = float(np.max(np.abs(prof[:J + 1])))
-        worst = max(worst, max(float(abs(af.get(j, 0.0) - lam * prof[j])) / scale
-                               for j in range(1, J + 1)))
-    return worst
+        errors += (float(abs(af.get(j, 0.0) - lam * prof[j])) / scale
+                   for j in range(1, J + 1))
+    return _worst(errors)
 
 
 def check_cross_form(params, sector, cfg) -> float:
     quad = sector.a_quadruple()
     rng = Lcg(cfg.seed + 101)
-    worst = 0.0
+    errors = []
     for _ in range(5):
         f = rng.lattice_function(10)
         a1 = laplace.apply_three_term(params, sector, f)
         a2 = laplace.apply_divergence_form(params, quad, f)
         scale = max(1.0, max(abs(v) for v in a1.values()))
-        for j in set(a1) | set(a2):
-            worst = max(worst, float(abs(a1.get(j, 0.0) - a2.get(j, 0.0))) / scale)
-    return worst
+        errors += _support_gaps(a1, a2, scale)
+    return _worst(errors)
 
 
 def check_sector_independence(params, sector, cfg) -> float:
     # a representative sector with several quadruples reducing to it
     quads = [Quadruple(1, 1, 1, 1), Quadruple(2, 0, 2, 0), Quadruple(0, 2, 0, 2)]
     rng = Lcg(cfg.seed + 202)
-    worst = 0.0
+    errors = []
     for _ in range(3):
         f = rng.lattice_function(8)
         outs = [laplace.apply_divergence_form(params, qd, f) for qd in quads]
         scale = max(1.0, max(abs(v) for v in outs[0].values()))
         for other in outs[1:]:
-            for j in set(outs[0]) | set(other):
-                worst = max(worst,
-                            float(abs(outs[0].get(j, 0.0) - other.get(j, 0.0))) / scale)
-    return worst
+            errors += _support_gaps(outs[0], other, scale)
+    return _worst(errors)
 
 
 def check_symmetry(params, sector, cfg) -> float:
     maxj = min(cfg.max_j, 40)
     basis = [LatticeFunction.basis(j) for j in range(maxj + 1)]
     actions = [laplace.apply_three_term(params, sector, f) for f in basis]
-    worst = 0.0
+    errors = []
     for j in range(maxj + 1):
         for k in (j - 1, j, j + 1):
             if k < 0 or k > maxj:
                 continue
             lhs = lattice.inner_product(params, sector, actions[j], basis[k])
             rhs = lattice.inner_product(params, sector, basis[j], actions[k])
-            worst = max(worst, float(abs(lhs - rhs) / max(1.0, abs(lhs))))
-    return worst
+            errors.append(float(abs(lhs - rhs) / max(1.0, abs(lhs))))
+    return _worst(errors)
 
 
 def check_norm_identity(params, sector, cfg) -> float:
-    worst = 0.0
+    errors = []
     for j in range(min(cfg.max_j, 60) + 1):
         a = lattice.measure_mass(params, sector, j)
         b = lattice.indicator_norm_sq(params, sector, j)
-        worst = max(worst, _rel(a, b, floor=float(abs(b))))
-    return worst
+        errors.append(_rel(a, b, floor=float(abs(b))))
+    return _worst(errors)
 
 
 def check_basis_orthonormality(params, sector, cfg) -> float:
-    worst = 0.0
-    for j in range(min(cfg.max_j, 40) + 1):
-        e = lattice.orthonormal_basis(params, sector, j)
-        worst = max(worst, float(abs(lattice.inner_product(params, sector, e, e) - 1)))
-    return worst
+    basis = (lattice.orthonormal_basis(params, sector, j)
+             for j in range(min(cfg.max_j, 40) + 1))
+    return _worst(float(abs(lattice.inner_product(params, sector, e, e) - 1))
+                  for e in basis)
 
 
 def check_asc_consistency(params, sector, cfg) -> float:
@@ -146,54 +156,52 @@ def check_asc_consistency(params, sector, cfg) -> float:
     k = np.arange(16)
     hyp = np.real(w[:, None] ** -k * C * conv).astype(float)
     ref = np.array(asc._recurrence_table(15, z.astype(_LD), pp), dtype=float).T
-    return float(np.max(np.abs(hyp - ref) / np.maximum(1.0, np.abs(ref))))
+    return _worst((np.abs(hyp - ref) / np.maximum(1.0, np.abs(ref))).flat)
 
 
 def check_asc_orthogonality(params, sector, cfg) -> float:
     pp = spectral.asc_params(params, sector)
-    return max(asc.orthogonality_residuals(4, pp, cfg.quad_nodes).values())
+    return _worst(asc.orthogonality_residuals(4, pp, cfg.quad_nodes).values())
 
 
 def check_density_identity(params, sector, cfg) -> float:
     pp = spectral.asc_params(params, sector)
     lnq = math.log(params.q)
     thetas = np.linspace(0.0, math.pi, 202)[1:-1]
-    worst = 0.0
+    errors = []
     for theta, weight in zip(thetas, asc.continuous_weight(thetas, pp)):
         c = spectral.c_function(params, sector, 1j * (theta / lnq))
         lhs = 1.0 / abs(c) ** 2
         rhs = float(weight)
-        worst = max(worst, _rel(lhs, rhs, floor=abs(rhs)))
-    return worst
+        errors.append(_rel(lhs, rhs, floor=abs(rhs)))
+    return _worst(errors)
 
 
 def check_plancherel_mass(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
-    return float(abs(meas.total_mass() - 1.0))
+    return _worst([float(abs(meas.total_mass() - 1.0))])
 
 
 def check_transform_of_base_indicator(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     fhat = spectral.transform_grid(params, sector, LatticeFunction.basis(0), meas)
-    worst = float(np.max(np.abs(np.asarray(fhat.continuous) - 1.0)))
-    for v in fhat.discrete:
-        worst = max(worst, float(abs(v - 1.0)))
-    return worst
+    return _worst(float(abs(v - 1.0))
+                  for v in itertools.chain(fhat.continuous, fhat.discrete))
 
 
 def check_parseval(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     plan = spectral._TransformPlan(params, sector, meas, 14)
     rng = Lcg(cfg.seed + 404)
-    worst = 0.0
+    errors = []
     for _ in range(10):
         f = rng.lattice_function(15)
         nrm = lattice.inner_product(params, sector, f, f)
         fhat = plan.forward(f)
         par = meas.integrate(np.abs(np.asarray(fhat.continuous)) ** 2,
                              [abs(v) ** 2 for v in fhat.discrete])
-        worst = max(worst, float(abs(par - nrm) / abs(nrm)))
-    return worst
+        errors.append(float(abs(par - nrm) / abs(nrm)))
+    return _worst(errors)
 
 
 def check_multiplication(params, sector, cfg) -> float:
@@ -204,25 +212,25 @@ def check_multiplication(params, sector, cfg) -> float:
     lam_disc = np.array([laplace.eigenvalue(params, d.z) for d in meas.discrete],
                         dtype=_LD)
     plan = spectral._TransformPlan(params, sector, meas, 12)
-    worst = 0.0
+    errors = []
     for _ in range(5):
         f = rng.lattice_function(12)
         af = laplace.apply_three_term(params, sector, f)
         fhat = plan.forward(f)
         afhat = plan.forward(af)
         scale = max(1.0, float(np.max(np.abs(lam_cont * np.asarray(fhat.continuous)))))
-        worst = max(worst, float(np.max(np.abs(
-            np.asarray(afhat.continuous) - lam_cont * np.asarray(fhat.continuous)))) / scale)
-        for v_a, v_f, lam in zip(afhat.discrete, fhat.discrete, lam_disc):
-            worst = max(worst, float(abs(v_a - lam * v_f)) / scale)
-    return worst
+        gaps = np.abs(np.asarray(afhat.continuous) - lam_cont * np.asarray(fhat.continuous))
+        errors += (float(g) / scale for g in gaps)
+        errors += (float(abs(v_a - lam * v_f)) / scale
+                   for v_a, v_f, lam in zip(afhat.discrete, fhat.discrete, lam_disc))
+    return _worst(errors)
 
 
 def check_roundtrip(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     plan = spectral._TransformPlan(params, sector, meas, 16)
     rng = Lcg(cfg.seed + 606)
-    worst = 0.0
+    errors = []
     for _ in range(5):
         f = rng.lattice_function(15)
         fhat = plan.forward(f)
@@ -230,13 +238,14 @@ def check_roundtrip(params, sector, cfg) -> float:
         err = rec - f
         num = lattice.inner_product(params, sector, err, err)
         den = lattice.inner_product(params, sector, f, f)
-        worst = max(worst, float(np.sqrt(abs(num) / abs(den))))
-    return worst
+        errors.append(float(np.sqrt(abs(num) / abs(den))))
+    return _worst(errors)
 
 
 def check_spectrum_containment(params, sector, cfg) -> float:
     spec = spectral.spectrum(params, sector)
-    return spec.containment(laplace.jacobi_matrix(params, sector, 400).eigenvalues())
+    ev = laplace.jacobi_matrix(params, sector, 400).eigenvalues()
+    return _worst([spec.containment(ev)])
 
 
 def check_oracle(params, sector, cfg) -> float:
@@ -244,60 +253,46 @@ def check_oracle(params, sector, cfg) -> float:
     f01 = f0 + f1
     quads = [Quadruple(0, 0, 0, 0), Quadruple(1, 0, 1, 0), Quadruple(0, 1, 0, 1),
              Quadruple(1, 1, 1, 1)]
-    worst = 0.0
+    errors = []
     for quad in quads:
         for phi, psi in ((f0, f0), (f1, f1), (f01, f01), (f01, f0)):
             o = fockoracle.invariant_integral(params, quad, phi, psi)
             c = lattice.hwv_inner_product(params, quad, phi, psi)
-            worst = max(worst, float(abs(o - c) / abs(c)) if c != 0
-                        else float(abs(o)))
-    return worst
+            errors.append(float(abs(o - c) / abs(c)) if c != 0
+                          else float(abs(o)))
+    return _worst(errors)
+
+
+def _identity_residual(identity, q, *ranges) -> float:
+    """Worst relative gap between the two sides that ``identity(q, *args)``
+    returns, over every ``args`` in the product of ``ranges``."""
+    return _worst(_rel(*identity(q, *args)) for args in itertools.product(*ranges))
 
 
 def check_identity_negative_block(params, sector, cfg) -> float:
-    worst = 0.0
-    for n in (2, 3):
-        for k in range(4):
-            for ll in range(4):
-                for t in range(4):
-                    lhs, rhs = fockoracle.negative_block_sum(params.q, n, k, ll, t)
-                    worst = max(worst, _rel(lhs, rhs))
-    return worst
+    return _identity_residual(fockoracle.negative_block_sum, params.q,
+                              (2, 3), range(4), range(4), range(4))
 
 
 def check_identity_positive_block(params, sector, cfg) -> float:
-    worst = 0.0
-    for m in (2, 3):
-        for kp in range(4):
-            for lp in range(4):
-                lhs, rhs = fockoracle.positive_block_sum(params.q, m, kp, lp)
-                worst = max(worst, _rel(lhs, rhs))
-    return worst
+    return _identity_residual(fockoracle.positive_block_sum, params.q,
+                              (2, 3), range(4), range(4))
 
 
 def check_identity_qbinomial(params, sector, cfg) -> float:
-    worst = 0.0
-    for k in range(5):
-        for ll in range(5):
-            for t in range(5):
-                lhs, rhs = fockoracle.qbinomial_convolution(params.q, k, ll, t)
-                worst = max(worst, _rel(lhs, rhs))
-    return worst
+    return _identity_residual(fockoracle.qbinomial_convolution, params.q,
+                              range(5), range(5), range(5))
 
 
 def check_identity_geometric(params, sector, cfg) -> float:
-    worst = 0.0
-    for x in range(4):
-        for y in range(1, 4):
-            lhs, rhs = fockoracle.pochhammer_geometric_sum(params.q, x, y)
-            worst = max(worst, _rel(lhs, rhs))
-    return worst
+    return _identity_residual(fockoracle.pochhammer_geometric_sum, params.q,
+                              range(4), range(1, 4))
 
 
 def check_difference_duality(params, sector, cfg) -> float:
     rng = Lcg(cfg.seed + 707)
     q = params.q_ld
-    worst = 0.0
+    errors = []
     for _ in range(5):
         u = {j - 3: rng.symmetric() for j in range(8)}
         v = {j - 3: rng.symmetric() for j in range(8)}
@@ -306,8 +301,8 @@ def check_difference_duality(params, sector, cfg) -> float:
             * (q ** _LD(-2) - 1)
         rhs = -q * q * sum(bplus(u, j, q) * v.get(j, 0.0) * q ** _LD(-2 * j)
                            for j in window) * (q ** _LD(-2) - 1)
-        worst = max(worst, _rel(lhs, rhs))
-    return worst
+        errors.append(_rel(lhs, rhs))
+    return _worst(errors)
 
 
 #: also the bound of the ``qlaplace spectrum`` report's ``converged`` flag

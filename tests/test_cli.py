@@ -92,8 +92,13 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(command, option):
     (["transform", "--input", "f.json"], "[[0, 1.0]]"),
     (["transform", "--input", "f.json"], '{"support": [0], "values": [["x", 0]]}'),
     (["transform", "--input", "f.json"], '{"support": [1e400], "values": [[1.0, 0.0]]}'),
+    (["transform", "--input", "f.json"], '{"support": [0, 0], "values": [[1, 0], [5, 0]]}'),
+    (["transform", "--input", "f.json"], '{"support": [true], "values": [[1.0, 0.0]]}'),
+    (["transform", "--input", "f.json"], '{"support": [0], "values": [[NaN, 0.0]]}'),
+    (["transform", "--input", "f.json"], '{"support": [0], "values": [[1.0, -Infinity]]}'),
 ], ids=["out-directory-missing", "input-top-level-list", "input-string-value",
-        "input-infinite-index"])
+        "input-infinite-index", "input-repeated-index", "input-boolean-index",
+        "input-nan-value", "input-infinite-value"])
 def test_bad_out_or_input_is_a_usage_error(tmp_path, args, content):
     if content is not None:
         (tmp_path / "f.json").write_text(content)
@@ -101,6 +106,8 @@ def test_bad_out_or_input_is_a_usage_error(tmp_path, args, content):
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output + res.stderr
+    if content is not None:
+        assert "bad input function" in res.stderr
 
 
 def test_verify_passes_at_default_parameters():
@@ -323,3 +330,37 @@ def test_verify_passes_with_five_point_masses_at_small_q():
     assert report["all_passed"] is True
     check = next(c for c in report["checks"] if c["name"] == "asc_orthogonality")
     assert check["passed"] is True and check["residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("args", [
+    ["plancherel"], ["transform", "--input", "f0.json"],
+    ["oracle", "--quadruple", "1", "1", "1", "1"], ["spectrum"],
+], ids=["plancherel", "transform", "oracle", "spectrum"])
+def test_a_non_finite_report_is_a_usage_error(tmp_path, args, fmt):
+    # at q = 0.01, m = 200 the outer mass points, the trace oracle and the
+    # Jacobi coefficients leave double range
+    (tmp_path / "f0.json").write_text('{"support": [0], "values": [[1.0, 0.0]]}')
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    res = run(*args, "--q", "0.01", "--m", "200", "--format", fmt)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "double precision" in res.stderr
+    assert res.stdout == ""
+
+
+def test_verify_fails_every_check_with_nan_comparisons():
+    # at L = 300 the lattice masses are inf / inf; these checks used to read
+    # 0.0 and pass, and transform_of_base_indicator's NaN broke the report
+    res = run("verify", "--lambda", "300")
+    assert res.exit_code == 1
+    report = json.loads(res.stdout)
+    assert report["all_passed"] is False
+    failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
+    assert set(failed) == {
+        "cross_form_agreement", "operator_symmetry", "norm_closed_form",
+        "basis_orthonormality", "transform_of_base_indicator", "parseval",
+        "multiplication_operator", "transform_roundtrip"}
+    for check in failed.values():
+        assert check["residual"] is None
+        assert check["note"].startswith("FloatingPointError: ")

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -86,6 +87,13 @@ def test_lattice_function_json_validation():
                 '{"support": [1e400], "values": [[1.0, 0.0]]}'):
         with pytest.raises(ValueError, match="entry"):
             LatticeFunction.from_json(bad)
+    with pytest.raises(ValueError, match="repeated"):
+        LatticeFunction.from_json({"support": [0, 0], "values": [[1, 0], [5, 0]]})
+    with pytest.raises(ValueError, match="not an integer"):
+        LatticeFunction.from_json({"support": [True], "values": [[1.0, 0.0]]})
+    for re, im in ((math.nan, 0.0), (1.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="not finite"):
+            LatticeFunction.from_json({"support": [0], "values": [[re, im]]})
 
 
 # ----------------------------------------------------------- weights

@@ -509,3 +509,20 @@ def test_jacobi_truncation_converges_into_spectrum():
             for t in spec.discrete:
                 d = min(d, abs(x - t))
             assert d < 1e-6
+
+
+def test_containment_equals_the_per_eigenvalue_loop_and_keeps_a_nan():
+    for params, sector in CASES:
+        spec = spectrum(params, sector)
+        ev = jacobi_matrix(params, sector, 400).eigenvalues()
+        lo, hi = spec.band
+        worst = 0.0
+        for x in ev:
+            d = 0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
+            for t in spec.discrete:
+                d = min(d, abs(x - t))
+            worst = max(worst, d)
+        assert spec.containment(ev) == worst
+        assert math.isnan(spec.containment([math.nan]))
+        assert math.isnan(spec.containment([lo, math.nan, hi]))
+    assert spec.containment([]) == 0.0

@@ -97,3 +97,26 @@ def _symmetry_loop(params, sector, cfg):
 def test_check_equals_its_plain_loop(check, loop, cfg):
     params, sector = cfg.params(), cfg.sector()
     assert check(params, sector, cfg) == loop(params, sector, cfg)
+
+
+def test_worst_is_zero_without_comparisons():
+    assert verify._worst([]) == 0.0
+    assert verify._worst(iter(())) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_worst_refuses_a_non_finite_comparison_anywhere(bad, position):
+    errors = [1e-3, 2e-3, 5e-4, 3e-3, 1e-4]
+    assert verify._worst(errors) == 3e-3
+    errors[position] = bad
+    with pytest.raises(FloatingPointError, match=f"comparison {position} "):
+        verify._worst(errors)
+
+
+def test_multiplication_with_nan_transforms_raises():
+    # every continuous transform value is NaN here (the lattice masses reach
+    # ~1e720 by j = 12); the check used to read 0.0 and pass
+    cfg = RunConfig(q=0.01, n=2, m=7, L=1, Lp=6)
+    with pytest.raises(FloatingPointError):
+        verify.check_multiplication(cfg.params(), cfg.sector(), cfg)
