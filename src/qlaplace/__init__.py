@@ -20,7 +20,7 @@ from .fockoracle import (FockIndex, diagonal_action, invariant_integral,
                          negative_block_sum, pochhammer_geometric_sum,
                          positive_block_sum, qbinomial_convolution)
 from .laplace import (JacobiMatrix, apply_divergence_form, apply_three_term,
-                      eigenvalue, jacobi_matrix, operator_norm_bound)
+                      eigenvalue, jacobi_matrix)
 from .lattice import (LatticeFunction, ModelParams, Quadruple, Sector,
                       hwv_inner_product, hwv_pairing_constant,
                       indicator_norm_sq, inner_product,
@@ -30,9 +30,8 @@ from .qcore import (ConvergenceError, bminus, bplus, jackson_integral, phi32,
                     phi32_info, qbinomial, qpoch, qpoch_inf)
 from .spectral import (SpectralFunction, SpectralPoint, Spectrum, asc_params,
                        c_function, continuous_point, discrete_point,
-                       eigenfunction, eigenfunction_profile, forward_transform,
-                       inverse_transform, inverse_transform_profile,
-                       orthonormal_polynomial, plancherel_measure,
-                       point_from_exponent, spectrum, transform_grid)
+                       eigenfunction_profile, inverse_transform_profile,
+                       plancherel_measure, point_from_exponent, spectrum,
+                       transform_grid)
 
 __version__ = "0.1.0"

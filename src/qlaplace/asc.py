@@ -331,10 +331,6 @@ class SpectralMeasure:
     discrete: tuple[DiscreteMass, ...]
     normalization: np.longdouble = _LD(1.0)
 
-    @property
-    def quad_nodes(self) -> int:
-        return len(self.theta_nodes)
-
     def trapezoid_weights(self) -> np.ndarray:
         """Quadrature weights for the continuous part, normalization included."""
         h = self.theta_nodes[1] - self.theta_nodes[0]
@@ -358,14 +354,6 @@ class SpectralMeasure:
     def total_mass(self):
         ones = np.ones_like(self.density)
         return self.integrate(ones, [1.0] * len(self.discrete))
-
-    def to_json(self) -> dict:
-        return {
-            "theta_nodes": [float(t) for t in self.theta_nodes],
-            "density": [float(v) for v in self.density],
-            "discrete": [{"z": d.z, "mass": float(d.mass)} for d in self.discrete],
-            "normalization": float(self.normalization),
-        }
 
 
 def orthogonality_measure(p: AscParams, quad_nodes: int) -> SpectralMeasure:

@@ -27,7 +27,6 @@ __all__ = [
     "apply_divergence_form",
     "jacobi_matrix",
     "eigenvalue",
-    "operator_norm_bound",
 ]
 
 _LD = np.longdouble
@@ -177,20 +176,3 @@ def eigenvalue(params: ModelParams, point):
     N = params.N
     return q ** _LD(N) * (2 * _LD(z) - q ** _LD(N - 1) - q ** _LD(1 - N)) \
         / _denominator(params)
-
-
-def operator_norm_bound(params: ModelParams, sector: Sector, size: int):
-    """Max absolute row sum of the truncated Jacobi matrix.
-
-    A Gershgorin-type bound: every truncation eigenvalue lies within it, and
-    it stabilizes quickly in ``size`` because the matrix entries converge.
-    """
-    if size < 2:
-        raise ValueError(f"need size >= 2, got {size}")
-    jm = jacobi_matrix(params, sector, size)
-    d = np.abs(jm.diag)
-    o = np.abs(jm.offdiag)
-    rows = d.copy()
-    rows[:-1] += o
-    rows[1:] += o
-    return float(rows.max())

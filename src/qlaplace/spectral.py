@@ -42,7 +42,7 @@ from .asc import (AscParams, SpectralMeasure, _convolution_table,
                   orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
-from .qcore import LD_INF_TOL, qpoch, qpoch_inf
+from .qcore import LD_INF_TOL, qpoch_inf
 
 __all__ = [
     "SpectralPoint",
@@ -50,16 +50,12 @@ __all__ = [
     "discrete_point",
     "point_from_exponent",
     "asc_params",
-    "eigenfunction",
     "eigenfunction_profile",
     "c_function",
     "plancherel_measure",
     "SpectralFunction",
-    "forward_transform",
     "transform_grid",
-    "inverse_transform",
     "inverse_transform_profile",
-    "orthonormal_polynomial",
     "Spectrum",
     "spectrum",
 ]
@@ -164,12 +160,6 @@ def eigenfunction_profile(params: ModelParams, sector: Sector,
     return _profile_convolution(params, sector, [point.w], max_j)[0]
 
 
-def eigenfunction(params: ModelParams, sector: Sector, point: SpectralPoint,
-                  j: int) -> float:
-    """Eigenfunction value at the lattice point x = q^(-2j)."""
-    return float(eigenfunction_profile(params, sector, point, j)[j])
-
-
 def c_function(params: ModelParams, sector: Sector, arg) -> complex:
     """Harish-Chandra-type c-function of the sector.
 
@@ -241,32 +231,11 @@ def _profile_matrix(params: ModelParams, sector: Sector,
     return cont, disc
 
 
-def _mass_vector(params: ModelParams, sector: Sector, max_j: int) -> np.ndarray:
-    return measure_mass(params, sector, np.arange(max_j + 1))
-
-
 def _coefficient_vector(f: Mapping[int, complex], max_j: int) -> np.ndarray:
     vals = [f.get(j, 0.0) for j in range(max_j + 1)]
     if any(np.iscomplexobj(np.asarray(v)) or isinstance(v, complex) for v in vals):
         return np.array(vals, dtype=_CLD)
     return np.array(vals, dtype=_LD)
-
-
-def forward_transform(params: ModelParams, sector: Sector,
-                      f: Mapping[int, complex], point: SpectralPoint):
-    """Transform value at one spectral point: sum_j f(j) phi_j mass(j).
-
-    An exact finite sum over the support; the base-point indicator maps to
-    the constant 1.
-    """
-    sup = sorted(f)
-    if not sup:
-        return 0.0
-    J = sup[-1]
-    prof = eigenfunction_profile(params, sector, point, J)
-    masses = _mass_vector(params, sector, J)
-    coeff = _coefficient_vector(f, J)
-    return np.sum(coeff * masses * prof)
 
 
 class _TransformPlan:
@@ -292,7 +261,7 @@ class _TransformPlan:
     def masses(self) -> np.ndarray:
         """Lattice masses at 0..max_j; built on the first forward transform
         (an inverse transform needs none)."""
-        return _mass_vector(self.params, self.sector, self.max_j)
+        return measure_mass(self.params, self.sector, np.arange(self.max_j + 1))
 
     def _columns(self, J: int) -> int:
         if J > self.max_j:
@@ -329,32 +298,10 @@ def transform_grid(params: ModelParams, sector: Sector, f: Mapping[int, complex]
     return _TransformPlan(params, sector, measure, max(f, default=0)).forward(f)
 
 
-def inverse_transform(params: ModelParams, sector: Sector,
-                      fhat: SpectralFunction, j: int):
-    """Inverse transform at lattice index j: integral of fhat * phi_j dsigma."""
-    return inverse_transform_profile(params, sector, fhat, j).get(j, 0.0)
-
-
 def inverse_transform_profile(params: ModelParams, sector: Sector,
                               fhat: SpectralFunction, max_j: int) -> LatticeFunction:
     """Inverse transform on all lattice indices 0..max_j at once."""
     return _TransformPlan(params, sector, fhat.measure, max_j).inverse(fhat, max_j)
-
-
-def orthonormal_polynomial(params: ModelParams, sector: Sector, j: int,
-                           point: SpectralPoint):
-    """Image of the orthonormal lattice basis under the transform.
-
-    A degree-j polynomial of the spectral variable: the Al-Salam-Chihara
-    polynomial at z normalized by 1/sqrt((q^2; q^2)_j (q^(2(n+L)); q^2)_j);
-    orthonormal with respect to the Plancherel measure, equals 1 at j = 0.
-    """
-    from .asc import asc_recurrence
-
-    pp = asc_params(params, sector)
-    p = _LD(pp.base)
-    qj = asc_recurrence(j, _LD(point.z), pp)
-    return qj / np.sqrt(qpoch(p, p, j) * qpoch(_LD(pp.a) * _LD(pp.b), p, j))
 
 
 @dataclass(frozen=True)

@@ -170,14 +170,6 @@ def test_quad_nodes_validation():
         orthogonality_measure(PARAM_SETS[0], 8)
 
 
-def test_measure_json_shape():
-    meas = orthogonality_measure(PARAM_SETS[1], 64)
-    blob = meas.to_json()
-    assert set(blob) == {"theta_nodes", "density", "discrete", "normalization"}
-    assert len(blob["theta_nodes"]) == 64
-    assert blob["discrete"][0].keys() == {"z", "mass"}
-
-
 def test_weight_positive_on_band():
     p = PARAM_SETS[1]
     for theta in np.linspace(0.1, math.pi - 0.1, 7):

@@ -7,7 +7,7 @@ import pytest
 
 from qlaplace._rng import Lcg
 from qlaplace.laplace import (apply_divergence_form, apply_three_term,
-                              eigenvalue, jacobi_matrix, operator_norm_bound)
+                              eigenvalue, jacobi_matrix)
 from qlaplace.lattice import (LatticeFunction, ModelParams, Quadruple, Sector,
                               inner_product, measure_mass)
 from qlaplace.spectral import continuous_point, point_from_exponent
@@ -137,20 +137,6 @@ def test_jacobi_matches_conjugated_three_term():
             up = float(af.get(j + 1, 0.0) * c[j] / c[j + 1])
             assert d == pytest.approx(jm.diag[j], rel=1e-12)
             assert up == pytest.approx(jm.offdiag[j], rel=1e-12)
-
-
-def test_operator_norm_bound():
-    params = ModelParams(0.7, 2, 2)
-    sec = Sector(0, 0)
-    b100 = operator_norm_bound(params, sec, 100)
-    b200 = operator_norm_bound(params, sec, 200)
-    assert abs(b200 - b100) < 1e-8
-    jm = jacobi_matrix(params, sec, 200)
-    assert b200 >= abs(jm.diag[0])
-    ev = jm.eigenvalues()
-    assert ev.min() >= -b200 - 1e-12 and ev.max() <= b200 + 1e-12
-    with pytest.raises(ValueError):
-        operator_norm_bound(params, sec, 1)
 
 
 # ----------------------------------------------------------- eigenvalue map

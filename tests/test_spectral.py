@@ -14,11 +14,10 @@ from qlaplace.lattice import (LatticeFunction, ModelParams, Sector,
                               inner_product, measure_mass)
 from qlaplace.qcore import phi32, qpoch
 from qlaplace.spectral import (SpectralFunction, asc_params, c_function,
-                               continuous_point, discrete_point, eigenfunction,
-                               eigenfunction_profile, forward_transform,
-                               inverse_transform, inverse_transform_profile,
-                               orthonormal_polynomial, plancherel_measure,
-                               point_from_exponent, spectrum, transform_grid)
+                               continuous_point, discrete_point,
+                               eigenfunction_profile, inverse_transform_profile,
+                               plancherel_measure, point_from_exponent, spectrum,
+                               transform_grid)
 
 _LD = np.longdouble
 
@@ -71,7 +70,8 @@ def test_point_constructors():
 def test_eigenfunction_is_one_at_base_point():
     for params, sector in CASES:
         for pt in sample_points(params, sector):
-            assert eigenfunction(params, sector, pt, 0) == pytest.approx(1.0, rel=1e-15)
+            prof = eigenfunction_profile(params, sector, pt, 0)
+            assert prof[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_eigenfunction_matches_literal_series_small_j():
@@ -285,7 +285,7 @@ def test_plancherel_total_mass_and_discrete_criterion():
     for params, sector in MEASURE_CASES:
         meas = plancherel_measure(params, sector, 128)
         assert abs(float(meas.total_mass()) - 1.0) < 1e-10
-        # both parts keep extended precision; only to_json rounds to float
+        # both parts keep extended precision
         assert isinstance(meas.normalization, np.longdouble)
         assert all(isinstance(d.mass, np.longdouble) for d in meas.discrete)
         nonempty = sector.L - sector.Lp < params.m - params.n - 1
@@ -323,34 +323,45 @@ def test_transform_of_base_indicator_is_constant_one():
 
 def test_transform_of_indicator_closed_form():
     """U f_j = q^(-2j(L+Lp+N-1)) (q^(2j+2); q^2)_{L+n-1} / (q^2; q^2)_{L+n-1}
-    times the eigenfunction value at j."""
+    times the eigenfunction value at j, on every node of the measure."""
     params, sector = ModelParams(0.5, 2, 2), Sector(2, 0)
+    meas = plancherel_measure(params, sector, 64)
+    assert meas.discrete == ()
     q = params.q_ld
     g = sector.L + params.n - 1
     for j in (1, 3, 7):
-        fj = LatticeFunction.basis(j)
-        for pt in sample_points(params, sector):
-            got = forward_transform(params, sector, fj, pt)
-            pref = q ** _LD(-2 * j * (sector.L + sector.Lp + params.N - 1)) \
-                * qpoch(q ** _LD(2 * j + 2), q * q, g) / qpoch(q * q, q * q, g)
-            want = pref * eigenfunction(params, sector, pt, j)
-            assert float(got) == pytest.approx(float(want), rel=1e-13)
+        got = transform_grid(params, sector, LatticeFunction.basis(j), meas)
+        pref = q ** _LD(-2 * j * (sector.L + sector.Lp + params.N - 1)) \
+            * qpoch(q ** _LD(2 * j + 2), q * q, g) / qpoch(q * q, q * q, g)
+        for t, val in zip(meas.theta_nodes, got.continuous):
+            pt = continuous_point(float(t))
+            want = pref * eigenfunction_profile(params, sector, pt, j)[j]
+            assert float(val) == pytest.approx(float(want), rel=1e-13)
+
+
+def _orthonormal_polynomial(params, sector, j, z):
+    """p_j(z): the Al-Salam-Chihara polynomial over sqrt((p; p)_j (ab; p)_j),
+    orthonormal for the Plancherel measure, with p_0 = 1."""
+    pp = asc_params(params, sector)
+    p = _LD(pp.base)
+    return asc.asc_recurrence(j, _LD(z), pp) \
+        / np.sqrt(qpoch(p, p, j) * qpoch(_LD(pp.a) * _LD(pp.b), p, j))
 
 
 def test_transform_of_orthonormal_basis_is_orthonormal_polynomial():
+    """U e_j = p_j on the measure's nodes and at its mass points."""
     for params, sector in CASES[:2]:
+        meas = plancherel_measure(params, sector, 64)
+        plan = spectral._TransformPlan(params, sector, meas, 5)
         for j in (0, 2, 5):
             ej = LatticeFunction({j: 1.0 / np.sqrt(measure_mass(params, sector, j))})
-            for pt in sample_points(params, sector):
-                lhs = float(forward_transform(params, sector, ej, pt))
-                rhs = float(orthonormal_polynomial(params, sector, j, pt))
-                assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_orthonormal_polynomial_base_case():
-    params, sector = ModelParams(0.5, 1, 3), Sector(0, 2)
-    for pt in sample_points(params, sector):
-        assert float(orthonormal_polynomial(params, sector, 0, pt)) == 1.0
+            fhat = plan.forward(ej)
+            for t, val in zip(meas.theta_nodes, fhat.continuous):
+                want = _orthonormal_polynomial(params, sector, j, np.cos(t))
+                assert float(val) == pytest.approx(float(want), rel=1e-10)
+            for d, val in zip(meas.discrete, fhat.discrete):
+                want = _orthonormal_polynomial(params, sector, j, d.z)
+                assert float(val) == pytest.approx(float(want), rel=1e-10)
 
 
 def test_orthonormal_polynomials_first_moment():
@@ -387,15 +398,16 @@ def test_roundtrip_of_base_indicator():
     params, sector = ModelParams(0.5, 2, 2), Sector(0, 0)
     meas = plancherel_measure(params, sector, 128)
     fhat = transform_grid(params, sector, LatticeFunction.basis(0), meas)
-    assert inverse_transform(params, sector, fhat, 0) == pytest.approx(1.0, abs=1e-12)
-    assert abs(inverse_transform(params, sector, fhat, 3)) < 1e-12
+    assert inverse_transform_profile(params, sector, fhat, 0).get(0, 0.0) \
+        == pytest.approx(1.0, abs=1e-12)
+    assert abs(inverse_transform_profile(params, sector, fhat, 3).get(3, 0.0)) < 1e-12
 
 
 def test_inverse_of_zero():
     params, sector = ModelParams(0.5, 2, 2), Sector(0, 0)
     meas = plancherel_measure(params, sector, 64)
     fhat = SpectralFunction(meas, np.zeros(64), ())
-    assert inverse_transform(params, sector, fhat, 2) == 0.0
+    assert inverse_transform_profile(params, sector, fhat, 2).get(2, 0.0) == 0.0
 
 
 def test_inconsistent_grid_rejected():
