@@ -270,6 +270,14 @@ def continuous_weight(theta, p: AscParams):
     return out if np.ndim(theta) else out[0]
 
 
+def _norm_factor(i: int, p: AscParams):
+    """h_i = (base^(i+1); base)_inf (a b base^i; base)_inf in extended
+    precision: the i-th diagonal moment of the orthogonality measure is 1/h_i."""
+    base = _LD(p.base)
+    return qpoch_inf(base ** _LD(i + 1), base, LD_INF_TOL) \
+        * qpoch_inf(_LD(p.a) * _LD(p.b) * base ** _LD(i), base, LD_INF_TOL)
+
+
 @dataclass(frozen=True)
 class DiscreteMass:
     """One point mass: z = (w + 1/w)/2 with w = a*base^index > 1; the mass
@@ -304,8 +312,7 @@ def mass_points(p: AscParams, strict: bool = True) -> tuple[DiscreteMass, ...]:
         zk = (wk + 1 / wk) / 2
         if norm is None:  # independent of k
             norm = qpoch_inf(a ** _LD(-2), base, LD_INF_TOL) / (
-                qpoch_inf(base, base, LD_INF_TOL) * qpoch_inf(a * b, base, LD_INF_TOL)
-                * qpoch_inf(b / a, base, LD_INF_TOL))
+                _norm_factor(0, p) * qpoch_inf(b / a, base, LD_INF_TOL))
         mk = norm * (1 - a * a * base ** _LD(2 * k)) * qpoch(a * a, base, k) \
             * qpoch(a * b, base, k)
         mk = mk / ((1 - a * a) * qpoch(base, base, k)
@@ -390,10 +397,7 @@ def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int,
     if any(not 0 <= k <= kmax for pair in pairs for k in pair):
         raise ValueError(f"pair degrees must lie in 0..{kmax}")
     base = _LD(p.base)
-    scale = {i: 1 / (qpoch_inf(base ** _LD(i + 1), base, LD_INF_TOL)
-                     * qpoch_inf(_LD(p.a) * _LD(p.b) * base ** _LD(i), base,
-                                 LD_INF_TOL))
-             for i in {i for i, _ in pairs}}
+    scale = {i: 1 / _norm_factor(i, p) for i in {i for i, _ in pairs}}
     # mass points: Q_j = (ab; base)_j a^(-j) S_j, not the forward recurrence
     a = _LD(p.a)
     lead = np.array([qpoch(a * _LD(p.b), base, j) * a ** _LD(-j)

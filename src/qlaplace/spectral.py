@@ -38,11 +38,10 @@ from typing import Mapping
 import numpy as np
 
 from .asc import (AscParams, SpectralMeasure, _convolution_table,
-                  _mass_point_series, _running_products, mass_points,
-                  orthogonality_measure)
+                  _masked_qpoch_inf, _mass_point_series, _norm_factor,
+                  _running_products, mass_points, orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
-from .qcore import LD_INF_TOL, qpoch_inf
 
 __all__ = [
     "SpectralPoint",
@@ -160,25 +159,27 @@ def eigenfunction_profile(params: ModelParams, sector: Sector,
     return _profile_convolution(params, sector, [point.w], max_j)[0]
 
 
-def c_function(params: ModelParams, sector: Sector, arg) -> complex:
-    """Harish-Chandra-type c-function of the sector.
+def c_function(params: ModelParams, sector: Sector, arg):
+    """Harish-Chandra-type c-function of the sector, elementwise on a scalar
+    or an array ``arg``.
 
-    c(arg) = (q^(arg+N-1+L+Lp); q^2)_inf (q^(arg+n-m+1+L-Lp); q^2)_inf
-             / (q^(2 arg); q^2)_inf,
-    with q^arg = exp(arg * ln q) for complex arg.  The continuous Plancherel
+    c(arg) = (a u; base)_inf (b u; base)_inf / (u^2; base)_inf with u = q^arg
+    = exp(arg ln q) and (a, b, base) = ``asc_params`` (a and b carry the
+    exponents n - m + 1 + L - Lp and N - 1 + L + Lp), run as one call of the
+    band weight's extended-precision product kernel.  The continuous Plancherel
     density is |1/c(i nu)|^2 under e^(i theta) = q^(i nu).  A vanishing
-    denominator factor (q^(2 arg) on q^(-2 Z+)) is reported as an error.
+    denominator factor (q^(2 arg) on q^(-2 Z+)) raises ValueError.
     """
-    q = float(params.q)
-    u = cmath.exp(complex(arg) * math.log(q))
-    p = q * q
-    bq = q ** (params.N - 1 + sector.L + sector.Lp)
-    aq = q ** (params.n - params.m + 1 + sector.L - sector.Lp)
-    den = qpoch_inf(u * u, p)
-    if den == 0 or abs(den) < 1e-300:
+    pp = asc_params(params, sector)
+    arg = np.asarray(arg)
+    u = np.exp(arg.astype(_CLD) * np.log(params.q_ld))
+    num_a, num_b, den = _masked_qpoch_inf(np.stack([pp.a * u, pp.b * u, u * u]),
+                                          _LD(pp.base))
+    vanishing = np.abs(den) < 1e-300
+    if vanishing.any():
         raise ValueError(f"c-function denominator (q^(2 arg); q^2)_inf vanishes "
-                         f"at arg={arg!r}")
-    return complex(qpoch_inf(u * bq, p) * qpoch_inf(u * aq, p) / den)
+                         f"at arg={arg[vanishing][0]}")
+    return num_a * num_b / den
 
 
 def plancherel_measure(params: ModelParams, sector: Sector,
@@ -191,11 +192,8 @@ def plancherel_measure(params: ModelParams, sector: Sector,
     The discrete part is nonempty exactly when L - Lp < m - n - 1.
     """
     pp = asc_params(params, sector)
-    meas = orthogonality_measure(pp, quad_nodes)
-    base = _LD(pp.base)
-    norm = qpoch_inf(base, base, LD_INF_TOL) \
-        * qpoch_inf(_LD(pp.a) * _LD(pp.b), base, LD_INF_TOL)
-    return replace(meas, normalization=norm)
+    return replace(orthogonality_measure(pp, quad_nodes),
+                   normalization=_norm_factor(0, pp))
 
 
 @dataclass(frozen=True)

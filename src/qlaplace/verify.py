@@ -81,8 +81,9 @@ def check_eigenvalue_residual(params, sector, cfg) -> float:
         f = LatticeFunction({j: prof[j] for j in range(J + 2)})
         af = laplace.apply_three_term(params, sector, f)
         lam = laplace.eigenvalue(params, pt)
-        scale = float(np.max(np.abs(prof[:J + 1])))
-        errors += (float(abs(af.get(j, 0.0) - lam * prof[j])) / scale
+        # carries |lambda| as the gap's rounding does; passes 1e308 at small q
+        scale = max(_LD(1), abs(lam)) * np.max(np.abs(prof[:J + 1]))
+        errors += (float(abs(af.get(j, 0.0) - lam * prof[j]) / scale)
                    for j in range(1, J + 1))
     return _worst(errors)
 
@@ -165,16 +166,12 @@ def check_asc_orthogonality(params, sector, cfg) -> float:
 
 
 def check_density_identity(params, sector, cfg) -> float:
-    pp = spectral.asc_params(params, sector)
-    lnq = math.log(params.q)
     thetas = np.linspace(0.0, math.pi, 202)[1:-1]
-    errors = []
-    for theta, weight in zip(thetas, asc.continuous_weight(thetas, pp)):
-        c = spectral.c_function(params, sector, 1j * (theta / lnq))
-        lhs = 1.0 / abs(c) ** 2
-        rhs = float(weight)
-        errors.append(_rel(lhs, rhs, floor=abs(rhs)))
-    return _worst(errors)
+    # e^(i theta) = q^(i nu) at nu = theta / ln q, in extended precision
+    nu = thetas.astype(_LD) / np.log(params.q_ld)
+    inv_c2 = 1 / np.abs(spectral.c_function(params, sector, 1j * nu)) ** 2
+    weight = asc.continuous_weight(thetas, spectral.asc_params(params, sector))
+    return _worst((np.abs(inv_c2 - weight) / np.abs(weight)).astype(float))
 
 
 def check_plancherel_mass(params, sector, cfg) -> float:
@@ -218,10 +215,11 @@ def check_multiplication(params, sector, cfg) -> float:
         af = laplace.apply_three_term(params, sector, f)
         fhat = plan.forward(f)
         afhat = plan.forward(af)
-        scale = max(1.0, float(np.max(np.abs(lam_cont * np.asarray(fhat.continuous)))))
-        gaps = np.abs(np.asarray(afhat.continuous) - lam_cont * np.asarray(fhat.continuous))
-        errors += (float(g) / scale for g in gaps)
-        errors += (float(abs(v_a - lam * v_f)) / scale
+        lam_fhat = lam_cont * np.asarray(fhat.continuous)
+        scale = max(_LD(1), np.max(np.abs(lam_fhat)))  # may pass 1e308
+        errors += (float(g / scale)
+                   for g in np.abs(np.asarray(afhat.continuous) - lam_fhat))
+        errors += (float(abs(v_a - lam * v_f) / scale)
                    for v_a, v_f, lam in zip(afhat.discrete, fhat.discrete, lam_disc))
     return _worst(errors)
 

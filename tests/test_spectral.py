@@ -266,17 +266,38 @@ def test_c_function_denominator_zero_reported():
         c_function(params, sector, 0.0)  # q^(2*0) = 1 kills the denominator
 
 
+def test_c_function_array_equals_its_scalar_calls():
+    for params, sector in CASES:
+        args = np.concatenate([1j * np.linspace(0.1, 4.0, 7),
+                               [0.3, 2.5 + 0.7j, -0.4 + 1.1j]]).astype(np.clongdouble)
+        vals = c_function(params, sector, args)
+        assert vals.shape == args.shape
+        for arg, val in zip(args, vals):
+            assert c_function(params, sector, arg) == val
+
+
+def test_c_function_array_with_vanishing_denominator_reported():
+    params, sector = ModelParams(0.5, 2, 2), Sector(0, 0)
+    with pytest.raises(ValueError, match="at arg=0"):
+        c_function(params, sector, np.array([1j, 0.0, 2j]))
+
+
 def test_density_identity_against_weight():
-    lnq = {0.5: math.log(0.5), 0.7: math.log(0.7)}
     for params, sector in CASES[:3]:
         pp = asc_params(params, sector)
-        ln = math.log(params.q)
         thetas = np.linspace(0.0, math.pi, 52)[1:-1]
-        for theta, weight in zip(thetas, asc.continuous_weight(thetas, pp)):
-            cval = c_function(params, sector, 1j * (theta / ln))
-            lhs = 1.0 / abs(cval) ** 2
-            rhs = float(weight)
-            assert lhs == pytest.approx(rhs, rel=1e-10)
+        nu = thetas.astype(_LD) / np.log(params.q_ld)
+        lhs = 1 / np.abs(c_function(params, sector, 1j * nu)) ** 2
+        rhs = asc.continuous_weight(thetas, pp)
+        for got, want in zip(lhs, rhs):
+            assert float(got) == pytest.approx(float(want), rel=1e-10)
+
+
+def test_longdouble_is_80_bit_extended():
+    assert np.finfo(_LD).nmant >= 63, (
+        "the lattice masses, the band weight and the c-function assume an "
+        "80-bit x87 longdouble (63 mantissa bits); this platform's longdouble "
+        f"has {np.finfo(_LD).nmant}")
 
 
 # ----------------------------------------------------------- measure

@@ -46,11 +46,12 @@ def _multiplication_loop(params, sector, cfg):
         af = laplace.apply_three_term(params, sector, f)
         fhat = spectral.transform_grid(params, sector, f, meas)
         afhat = spectral.transform_grid(params, sector, af, meas)
-        scale = max(1.0, float(np.max(np.abs(lam_cont * np.asarray(fhat.continuous)))))
+        lam_fhat = lam_cont * np.asarray(fhat.continuous)
+        scale = max(_LD(1), np.max(np.abs(lam_fhat)))
         worst = max(worst, float(np.max(np.abs(
-            np.asarray(afhat.continuous) - lam_cont * np.asarray(fhat.continuous)))) / scale)
+            np.asarray(afhat.continuous) - lam_fhat) / scale)))
         for v_a, v_f, lam in zip(afhat.discrete, fhat.discrete, lam_disc):
-            worst = max(worst, float(abs(v_a - lam * v_f)) / scale)
+            worst = max(worst, float(abs(v_a - lam * v_f) / scale))
     return worst
 
 
@@ -114,9 +115,36 @@ def test_worst_refuses_a_non_finite_comparison_anywhere(bad, position):
         verify._worst(errors)
 
 
-def test_multiplication_with_nan_transforms_raises():
-    # every continuous transform value is NaN here (the lattice masses reach
-    # ~1e720 by j = 12); the check used to read 0.0 and pass
+def test_multiplication_passes_where_the_double_scale_overflowed():
+    # the transform values reach ~6e380 here: finite in extended precision,
+    # but a scale converted to double overflowed and turned every gap NaN
     cfg = RunConfig(q=0.01, n=2, m=7, L=1, Lp=6)
-    with pytest.raises(FloatingPointError):
-        verify.check_multiplication(cfg.params(), cfg.sector(), cfg)
+    assert verify.check_multiplication(cfg.params(), cfg.sector(), cfg) <= 1e-9
+
+
+#: the (n, m, L, Lp) sectors of the 48-config domain sweep
+SWEEP_SECTORS = [(1, 2, 0, 0), (1, 3, 0, 2), (2, 2, 3, 0), (3, 5, 0, 4),
+                 (2, 7, 1, 6), (4, 2, 2, 2), (1, 6, 0, 5), (5, 9, 0, 0)]
+
+
+@pytest.mark.parametrize("n,m,L,Lp", SWEEP_SECTORS,
+                         ids=["-".join(map(str, s)) for s in SWEEP_SECTORS])
+def test_battery_passes_at_small_q(n, m, L, Lp):
+    # off-band eigenvalues reach ~1e36 at q = 0.01: the eigenvalue yardstick
+    # must carry |lambda| and both scales must stay in extended precision
+    cfg = RunConfig(q=0.01, n=n, m=m, L=L, Lp=Lp, quad_nodes=128, max_j=10)
+    failed = [(r.name, r.residual, r.note) for r in verify.run_battery(cfg)
+              if not r.passed]
+    assert not failed
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(q=0.5), RunConfig(q=0.95), RunConfig(q=0.5, m=4, Lp=2),
+    RunConfig(q=0.3, n=3, m=4), RunConfig(q=0.9, n=2, m=6, Lp=2),
+    RunConfig(q=0.7, n=1, m=5), RunConfig(q=0.3, n=1, m=6, Lp=5),
+], ids=["default", "q0.95", "m4-Lp2", "q0.3-n3-m4", "q0.9-m6-Lp2", "q0.7-n1-m5",
+        "q0.3-n1-m6-Lp5"])
+def test_density_identity_at_extended_precision(cfg):
+    # both sides run the same extended-precision product kernel from an
+    # extended-precision argument on
+    assert verify.check_density_identity(cfg.params(), cfg.sector(), cfg) <= 1e-15
