@@ -29,9 +29,8 @@ from .lattice import (LatticeFunction, ModelParams, Quadruple, Sector,
 from .qcore import (ConvergenceError, bminus, bplus, jackson_integral, phi32,
                     phi32_info, qbinomial, qpoch, qpoch_inf)
 from .spectral import (SpectralFunction, SpectralPoint, Spectrum, asc_params,
-                       c_function, continuous_point, discrete_point,
-                       eigenfunction_profile, inverse_transform_profile,
-                       plancherel_measure, point_from_exponent, spectrum,
-                       transform_grid)
+                       c_function, continuous_point, eigenfunction_profile,
+                       inverse_transform_profile, plancherel_measure,
+                       point_from_exponent, spectrum, transform_grid)
 
 __version__ = "0.1.0"

@@ -258,8 +258,7 @@ def continuous_weight(theta, p: AscParams):
     complex product.  Only the six products (alpha e^(i theta); base)_inf
     are therefore run, in one loop over all angles, and h = P conj(P).
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=_LD))
-    w = np.exp(_CLD(1j) * th)
+    w = _w_from_theta(np.atleast_1d(np.asarray(theta, dtype=_LD)))
     base = _LD(p.base)
     rt = np.sqrt(base)
     args = np.stack([_CLD(alpha) * w for alpha in (1.0, -1.0, rt, -rt, p.a, p.b)])
@@ -332,7 +331,6 @@ class SpectralMeasure:
     positive extended-precision scale applied to both parts when integrating.
     """
 
-    params: AscParams
     theta_nodes: np.ndarray
     density: np.ndarray
     discrete: tuple[DiscreteMass, ...]
@@ -376,8 +374,7 @@ def orthogonality_measure(p: AscParams, quad_nodes: int) -> SpectralMeasure:
     discrete = mass_points(p, strict=True)  # may raise: check before densities
     nodes = np.linspace(0, np.pi, quad_nodes).astype(_LD)
     dens = continuous_weight(nodes, p) / (2 * _LD(np.pi))
-    return SpectralMeasure(params=p, theta_nodes=nodes, density=dens,
-                           discrete=discrete)
+    return SpectralMeasure(theta_nodes=nodes, density=dens, discrete=discrete)
 
 
 def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int,

@@ -258,9 +258,8 @@ def plancherel(out, **kw):
         "sector": {"L": sector.L, "Lp": sector.Lp},
         "band": [spec.band[0], spec.band[1]],
         "discrete": [
-            {"z": d.z, "mass": float(norm * d.mass),
-             "lambda": float(laplace.eigenvalue(params, d.z))}
-            for d in meas.discrete
+            {"z": d.z, "mass": float(norm * d.mass), "lambda": lam}
+            for d, lam in zip(meas.discrete, spec.discrete)
         ],
         "density": {
             "theta": [float(t) for t in meas.theta_nodes],
@@ -297,19 +296,20 @@ def transform(out, input_path, **kw):
     if not (np.isfinite(cont).all() and np.isfinite(disc).all()):
         raise click.UsageError(f"transform values are not finite in double precision "
                                f"(largest support index {max(f)})")
+    lam_cont = laplace.eigenvalue(
+        params, np.array([math.cos(t) for t in meas.theta_nodes]))
+    lam_disc = laplace.eigenvalue(params, np.array([d.z for d in meas.discrete]))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "transform",
         "config": config,
         "sector": {"L": sector.L, "Lp": sector.Lp},
         "theta": [float(t) for t in meas.theta_nodes],
-        "lambda_continuous": [float(laplace.eigenvalue(params, math.cos(t)))
-                              for t in meas.theta_nodes],
+        "lambda_continuous": [float(v) for v in lam_cont],
         "continuous": [[v.real, v.imag] for v in cont],
         "discrete": [
-            {"z": d.z, "lambda": float(laplace.eigenvalue(params, d.z)),
-             "value": [v.real, v.imag]}
-            for d, v in zip(meas.discrete, disc)
+            {"z": d.z, "lambda": float(lam), "value": [v.real, v.imag]}
+            for d, lam, v in zip(meas.discrete, lam_disc, disc)
         ],
     }
     _emit(report, cfg.fmt, out)

@@ -123,7 +123,6 @@ class JacobiMatrix:
 
     diag: np.ndarray
     offdiag: np.ndarray
-    size: int
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues, from the dense symmetric eigensolver on the
@@ -161,11 +160,12 @@ def jacobi_matrix(params: ModelParams, sector: Sector, size: int) -> JacobiMatri
     j = np.arange(size - 1, dtype=float)
     off = q**N * np.sqrt((1 - q ** (2 * j + 2))
                          * (1 - q ** (2 * j + 2 * n + 2 * L))) / D
-    return JacobiMatrix(diag=diag, offdiag=off, size=size)
+    return JacobiMatrix(diag=diag, offdiag=off)
 
 
 def eigenvalue(params: ModelParams, point):
-    """Operator eigenvalue at a spectral point (or a raw z value).
+    """Operator eigenvalue at a spectral point, a raw z value, or elementwise
+    on an array of z values (each entry keeps the bits of its scalar call).
 
     lambda(z) = q^N (2z - q^(N-1) - q^(1-N)) / ((1-q^2)(1-q^(2(N-1)))).
     Real for z in [-1, 1] (continuous band) and for real z > 1 (discrete

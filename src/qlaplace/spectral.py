@@ -1,7 +1,8 @@
 """Eigenfunctions, Plancherel measure, and the unitary spectral transform.
 
 A spectral point carries w with z = (w + 1/w)/2: on the continuous band
-w = e^(i theta), theta in [0, pi]; discrete points have real w > 1.  The
+w = e^(i theta), theta in [0, pi]; off the band w is real, and the Plancherel
+mass points (w = a q^(2k) > 1) are the ``asc.DiscreteMass`` values.  The
 generalized eigenfunction of the sector operator takes the value 1 at the
 lattice base point and, at x = q^(-2j), equals a rescaled Al-Salam-Chihara
 polynomial of degree j in z with parameters
@@ -37,16 +38,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .asc import (AscParams, SpectralMeasure, _convolution_table,
+from .asc import (AscParams, DiscreteMass, SpectralMeasure, _convolution_table,
                   _masked_qpoch_inf, _mass_point_series, _norm_factor,
-                  _running_products, mass_points, orthogonality_measure)
+                  _running_products, _w_from_theta, mass_points,
+                  orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
 
 __all__ = [
     "SpectralPoint",
     "continuous_point",
-    "discrete_point",
     "point_from_exponent",
     "asc_params",
     "eigenfunction_profile",
@@ -65,35 +66,18 @@ _CLD = np.clongdouble
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """A point of the spectral variable.
+    """A point z = (w + 1/w)/2 of the spectral variable that is not a
+    Plancherel mass point (those are ``asc.DiscreteMass``)."""
 
-    ``kind`` is "continuous" (z in [-1, 1], theta set) or "discrete"
-    (real z > 1).  ``mass_index`` is set only for Plancherel mass points.
-    """
-
-    kind: str
     z: float
     w: complex
-    theta: float | None = None
-    mass_index: int | None = None
 
 
 def continuous_point(theta: float) -> SpectralPoint:
     """Band point with w = e^(i theta), z = cos(theta)."""
     if not (0.0 <= theta <= math.pi):
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    return SpectralPoint(kind="continuous", z=math.cos(theta),
-                         w=cmath.exp(1j * theta), theta=theta)
-
-
-def discrete_point(params: ModelParams, sector: Sector, k: int) -> SpectralPoint:
-    """The k-th Plancherel mass point of the sector (w = a q^(2k) > 1)."""
-    pts = mass_points(asc_params(params, sector), strict=False)
-    for d in pts:
-        if d.index == k:
-            return SpectralPoint(kind="discrete", z=d.z, w=d.w, mass_index=k)
-    raise ValueError(f"sector {sector} has no mass point of index {k} "
-                     f"({len(pts)} exist)")
+    return SpectralPoint(z=math.cos(theta), w=cmath.exp(1j * theta))
 
 
 def point_from_exponent(params: ModelParams, ell) -> SpectralPoint:
@@ -103,9 +87,7 @@ def point_from_exponent(params: ModelParams, ell) -> SpectralPoint:
     used in operator tests); ell = 0 gives the zero of the eigenvalue map.
     """
     w = float(params.q) ** (2 * ell + params.N - 1)
-    z = (w + 1 / w) / 2
-    kind = "continuous" if abs(z) <= 1 else "discrete"
-    return SpectralPoint(kind=kind, z=z, w=w, theta=0.0 if z == 1.0 else None)
+    return SpectralPoint(z=(w + 1 / w) / 2, w=w)
 
 
 def asc_params(params: ModelParams, sector: Sector) -> AscParams:
@@ -150,12 +132,15 @@ def _profile_mass_point(params: ModelParams, sector: Sector, kd: int,
 
 
 def eigenfunction_profile(params: ModelParams, sector: Sector,
-                          point: SpectralPoint, max_j: int) -> np.ndarray:
-    """Eigenfunction values at lattice indices 0..max_j (value 1 at j = 0)."""
+                          point: SpectralPoint | DiscreteMass,
+                          max_j: int) -> np.ndarray:
+    """Eigenfunction values at lattice indices 0..max_j (value 1 at j = 0);
+    a mass point of the sector (``asc.DiscreteMass``) takes the terminating
+    sum."""
     if max_j < 0:
         raise ValueError("max_j must be nonnegative")
-    if point.mass_index is not None:
-        return _profile_mass_point(params, sector, point.mass_index, max_j)
+    if isinstance(point, DiscreteMass):
+        return _profile_mass_point(params, sector, point.index, max_j)
     return _profile_convolution(params, sector, [point.w], max_j)[0]
 
 
@@ -221,8 +206,8 @@ def _profile_matrix(params: ModelParams, sector: Sector,
 
     Returns (cont, disc): cont[t, j] on theta nodes, disc[k, j] on masses.
     """
-    w = np.exp(_CLD(1j) * np.asarray(measure.theta_nodes, dtype=_LD))
-    cont = _profile_convolution(params, sector, w, max_j)
+    cont = _profile_convolution(params, sector,
+                                _w_from_theta(measure.theta_nodes), max_j)
     disc = np.empty((len(measure.discrete), max_j + 1), dtype=_LD)
     for kk, d in enumerate(measure.discrete):
         disc[kk] = _profile_mass_point(params, sector, d.index, max_j)
@@ -323,8 +308,7 @@ class Spectrum:
 
 def spectrum(params: ModelParams, sector: Sector) -> Spectrum:
     """Band endpoints (at z = -1 and z = 1) and the discrete eigenvalues."""
-    lo = float(eigenvalue(params, -1.0))
-    hi = float(eigenvalue(params, 1.0))
-    disc = tuple(float(eigenvalue(params, d.z))
-                 for d in mass_points(asc_params(params, sector), strict=False))
-    return Spectrum(band=(lo, hi), discrete=disc)
+    z = [-1.0, 1.0] + [d.z for d in mass_points(asc_params(params, sector),
+                                                strict=False)]
+    lo, hi, *disc = (float(v) for v in eigenvalue(params, np.array(z)))
+    return Spectrum(band=(lo, hi), discrete=tuple(disc))

@@ -68,19 +68,19 @@ def _spectral_points(params: ModelParams, sector: Sector):
     pts = [spectral.continuous_point(t)
            for t in (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3)]
     pts += [spectral.point_from_exponent(params, ell) for ell in (1, 2, 3)]
-    for d in asc.mass_points(spectral.asc_params(params, sector), strict=False):
-        pts.append(spectral.discrete_point(params, sector, d.index))
+    pts += asc.mass_points(spectral.asc_params(params, sector), strict=False)
     return pts
 
 
 def check_eigenvalue_residual(params, sector, cfg) -> float:
     J = min(cfg.max_j, 30)
+    pts = _spectral_points(params, sector)
+    lams = laplace.eigenvalue(params, np.array([pt.z for pt in pts]))
     errors = []
-    for pt in _spectral_points(params, sector):
+    for pt, lam in zip(pts, lams):
         prof = spectral.eigenfunction_profile(params, sector, pt, J + 1)
         f = LatticeFunction({j: prof[j] for j in range(J + 2)})
         af = laplace.apply_three_term(params, sector, f)
-        lam = laplace.eigenvalue(params, pt)
         # carries |lambda| as the gap's rounding does; passes 1e308 at small q
         scale = max(_LD(1), abs(lam)) * np.max(np.abs(prof[:J + 1]))
         errors += (float(abs(af.get(j, 0.0) - lam * prof[j]) / scale)
@@ -204,10 +204,9 @@ def check_parseval(params, sector, cfg) -> float:
 def check_multiplication(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     rng = Lcg(cfg.seed + 505)
-    lam_cont = np.array([laplace.eigenvalue(params, math.cos(t))
-                         for t in meas.theta_nodes], dtype=_LD)
-    lam_disc = np.array([laplace.eigenvalue(params, d.z) for d in meas.discrete],
-                        dtype=_LD)
+    lam_cont = laplace.eigenvalue(
+        params, np.array([math.cos(t) for t in meas.theta_nodes]))
+    lam_disc = laplace.eigenvalue(params, np.array([d.z for d in meas.discrete]))
     plan = spectral._TransformPlan(params, sector, meas, 12)
     errors = []
     for _ in range(5):

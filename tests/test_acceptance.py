@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from qlaplace import asc, fockoracle, laplace, lattice, spectral
+from qlaplace import asc, fockoracle, laplace, lattice, spectral, verify
 from qlaplace._rng import Lcg
 from qlaplace.lattice import LatticeFunction, ModelParams, Quadruple, Sector
 from qlaplace.qcore import qpoch
@@ -32,16 +32,6 @@ def _report(num, name, residual, threshold):
     assert ok, f"criterion {num} ({name}): {residual:.3e} > {threshold:.0e}"
 
 
-def _sector_points(params, sector):
-    pts = [spectral.continuous_point(t)
-           for t in (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3)]
-    pts += [spectral.point_from_exponent(params, ell) for ell in (1, 2, 3)]
-    pts += [spectral.discrete_point(params, sector, d.index)
-            for d in asc.mass_points(spectral.asc_params(params, sector),
-                                     strict=False)]
-    return pts
-
-
 def all_quadruples(max_entry):
     rng = range(max_entry + 1)
     return [Quadruple(*t) for t in itertools.product(rng, repeat=4)
@@ -56,7 +46,7 @@ def test_criterion_01_eigenvalue_equation():
         for q in Q_GRID:
             params = ModelParams(q, n, m)
             for sector in SECTORS:
-                for pt in _sector_points(params, sector):
+                for pt in verify._spectral_points(params, sector):
                     prof = spectral.eigenfunction_profile(params, sector, pt, J + 1)
                     f = LatticeFunction({j: prof[j] for j in range(J + 2)})
                     af = laplace.apply_three_term(params, sector, f)

@@ -1,6 +1,7 @@
 """Tests for the operator's three realizations and the eigenvalue map."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from qlaplace.laplace import (apply_divergence_form, apply_three_term,
                               eigenvalue, jacobi_matrix)
 from qlaplace.lattice import (LatticeFunction, ModelParams, Quadruple, Sector,
                               inner_product, measure_mass)
-from qlaplace.spectral import continuous_point, point_from_exponent
+from qlaplace.spectral import (continuous_point, plancherel_measure,
+                               point_from_exponent)
 
 _LD = np.longdouble
 
@@ -109,7 +111,6 @@ def test_symmetry_of_quadratic_form():
 def test_jacobi_matrix_shape_and_positivity():
     params = ModelParams(0.5, 2, 3)
     jm = jacobi_matrix(params, Sector(2, 0), 50)
-    assert jm.size == 50
     assert len(jm.diag) == 50 and len(jm.offdiag) == 49
     assert (jm.offdiag > 0).all()
     with pytest.raises(ValueError):
@@ -167,6 +168,24 @@ def test_eigenvalue_accepts_raw_z():
     params = ModelParams(0.5, 2, 2)
     assert float(eigenvalue(params, 1.0)) == pytest.approx(
         float(eigenvalue(params, continuous_point(0.0))))
+
+
+@pytest.mark.parametrize("q, n, m, lp, count", [(0.5, 2, 2, 0, 0),
+                                                (0.5, 2, 4, 2, 2),
+                                                (0.3, 1, 6, 5, 5),
+                                                (0.95, 2, 2, 0, 0)])
+def test_eigenvalue_array_call_equals_the_per_point_loop(q, n, m, lp, count):
+    """One call over a 256-node measure's z values and its mass points'
+    z values keeps the bits of one scalar call per point."""
+    params, sector = ModelParams(q, n, m), Sector(0, lp)
+    meas = plancherel_measure(params, sector, 256)
+    z = [math.cos(t) for t in meas.theta_nodes] + [d.z for d in meas.discrete]
+    got = eigenvalue(params, np.array(z))
+    want = np.empty(len(z), dtype=_LD)
+    for i, zi in enumerate(z):
+        want[i] = eigenvalue(params, zi)
+    assert len(meas.discrete) == count
+    assert got.dtype == _LD and np.array_equal(got, want)
 
 
 def test_cross_form_on_shifted_support():

@@ -14,10 +14,9 @@ from qlaplace.lattice import (LatticeFunction, ModelParams, Sector,
                               inner_product, measure_mass)
 from qlaplace.qcore import phi32, qpoch
 from qlaplace.spectral import (SpectralFunction, asc_params, c_function,
-                               continuous_point, discrete_point,
-                               eigenfunction_profile, inverse_transform_profile,
-                               plancherel_measure, point_from_exponent, spectrum,
-                               transform_grid)
+                               continuous_point, eigenfunction_profile,
+                               inverse_transform_profile, plancherel_measure,
+                               point_from_exponent, spectrum, transform_grid)
 
 _LD = np.longdouble
 
@@ -42,8 +41,7 @@ MEASURE_CASES = [
 def sample_points(params, sector):
     pts = [continuous_point(t) for t in (math.pi / 6, math.pi / 2, 2.5)]
     pts += [point_from_exponent(params, ell) for ell in (1, 2)]
-    pts += [discrete_point(params, sector, d.index)
-            for d in asc.mass_points(asc_params(params, sector), strict=False)]
+    pts += asc.mass_points(asc_params(params, sector), strict=False)
     return pts
 
 
@@ -52,17 +50,11 @@ def sample_points(params, sector):
 def test_point_constructors():
     params = ModelParams(0.5, 1, 3)
     pt = continuous_point(1.0)
-    assert pt.kind == "continuous" and abs(pt.z - math.cos(1.0)) < 1e-15
+    assert abs(pt.z - math.cos(1.0)) < 1e-15
     with pytest.raises(ValueError):
         continuous_point(4.0)
-    d = discrete_point(params, Sector(0, 2), 0)
-    assert d.kind == "discrete" and d.z > 1 and d.mass_index == 0
-    with pytest.raises(ValueError):
-        discrete_point(params, Sector(0, 2), 9)
-    with pytest.raises(ValueError):
-        discrete_point(params, Sector(2, 0), 0)  # empty discrete part
     g = point_from_exponent(params, 1)
-    assert g.z > 1 and g.mass_index is None
+    assert g.z > 1
 
 
 # ----------------------------------------------------------- eigenfunctions
@@ -235,6 +227,24 @@ def test_kernels_equal_the_per_point_loops(q, n, m, lp):
             got = spectral._profile_mass_point(params, sector, d.index, J)
             assert got.dtype == _LD and np.array_equal(
                 got, _reference_mass_point_profile(params, sector, d.index, J))
+
+
+@pytest.mark.parametrize("q, n, m, lp, count", [(0.3, 1, 6, 5, 5),
+                                                (0.5, 2, 4, 2, 2)])
+def test_eigenfunction_profile_takes_a_mass_point_directly(q, n, m, lp, count):
+    """A DiscreteMass of the sector runs the terminating sum: its profile is
+    the mass-point profile and the profile matrix's row, bit for bit."""
+    params, sector = ModelParams(q, n, m), Sector(0, lp)
+    meas = plancherel_measure(params, sector, 256)
+    assert len(meas.discrete) == count
+    for J in (0, 1, 30, 60):
+        _, disc = spectral._profile_matrix(params, sector, meas, J)
+        for d, row in zip(meas.discrete, disc):
+            got = eigenfunction_profile(params, sector, d, J)
+            assert got.dtype == _LD
+            assert np.array_equal(
+                got, spectral._profile_mass_point(params, sector, d.index, J))
+            assert np.array_equal(got, row)
 
 
 def test_mass_point_series_matches_the_recurrence_where_it_is_stable():
