@@ -68,15 +68,21 @@ class DegenerateParameterError(ValueError):
 
 @dataclass(frozen=True)
 class AscParams:
-    """Parameters (a, b, base) of the polynomial family; base in (0, 1)."""
+    """Parameters (a, b, base) of the polynomial family; base in (0, 1).
 
-    a: float
-    b: float
-    base: float
+    Stored in extended precision whatever type they are given in, so every
+    path of the family runs in ``longdouble``.
+    """
+
+    a: np.longdouble
+    b: np.longdouble
+    base: np.longdouble
 
     def __post_init__(self):
         if not (0.0 < float(self.base) < 1.0):
             raise ValueError(f"base must lie in (0, 1), got {self.base}")
+        for name in ("a", "b", "base"):
+            object.__setattr__(self, name, _LD(getattr(self, name)))
 
 
 def _w_from_theta(theta):
@@ -88,8 +94,7 @@ def _w_from_theta(theta):
 def asc_recurrence(k: int, z, p: AscParams):
     """Q_k(z) by running the three-term recurrence up from Q_0 = 1.
 
-    ``z`` may be a scalar or ndarray; the dtype of ``z`` and the parameters
-    is preserved (pass longdouble values for extended precision).
+    ``z`` may be a scalar or ndarray; the values are extended precision.
     """
     if k < 0:
         raise ValueError(f"degree must be nonnegative, got {k}")
@@ -168,7 +173,7 @@ def _mass_point_series(kmax: int, kd: int, p: AscParams) -> np.ndarray:
     not the forward recurrence, keeps their relative accuracy.  Each term
     runs over all j at once, with the factors in the order of the one-j loop.
     """
-    a, b, base = _LD(p.a), _LD(p.b), _LD(p.base)
+    a, b, base = p.a, p.b, p.base
     j = np.arange(kmax + 1).astype(_LD)
     tot = np.zeros(kmax + 1, dtype=_LD)
     term = np.ones(kmax + 1, dtype=_LD)
@@ -202,7 +207,7 @@ def asc_hypergeometric_direct(k: int, theta, p: AscParams) -> float:
     used to pin ``asc_hypergeometric`` to the defining series in tests.
     """
     w = _w_from_theta(theta)
-    a, b, base = _CLD(p.a), _CLD(p.b), _LD(p.base)
+    a, b, base = _CLD(p.a), _CLD(p.b), p.base
     series = phi32(base ** _LD(-k), a * w, a / w, a * b, base, base,
                    max_terms=k + 2)
     return complex(qpoch(a * b, base, k) * a ** (-k) * series).real
@@ -259,7 +264,7 @@ def continuous_weight(theta, p: AscParams):
     are therefore run, in one loop over all angles, and h = P conj(P).
     """
     w = _w_from_theta(np.atleast_1d(np.asarray(theta, dtype=_LD)))
-    base = _LD(p.base)
+    base = p.base
     rt = np.sqrt(base)
     args = np.stack([_CLD(alpha) * w for alpha in (1.0, -1.0, rt, -rt, p.a, p.b)])
     prods = _masked_qpoch_inf(args, base)
@@ -272,9 +277,9 @@ def continuous_weight(theta, p: AscParams):
 def _norm_factor(i: int, p: AscParams):
     """h_i = (base^(i+1); base)_inf (a b base^i; base)_inf in extended
     precision: the i-th diagonal moment of the orthogonality measure is 1/h_i."""
-    base = _LD(p.base)
+    base = p.base
     return qpoch_inf(base ** _LD(i + 1), base, LD_INF_TOL) \
-        * qpoch_inf(_LD(p.a) * _LD(p.b) * base ** _LD(i), base, LD_INF_TOL)
+        * qpoch_inf(p.a * p.b * base ** _LD(i), base, LD_INF_TOL)
 
 
 @dataclass(frozen=True)
@@ -295,7 +300,7 @@ def mass_points(p: AscParams, strict: bool = True) -> tuple[DiscreteMass, ...]:
     ``strict`` is set, a point with a*base^k within BAND_EDGE_TOL of 1 raises
     DegenerateParameterError; otherwise such points are silently excluded.
     """
-    a, b, base = _LD(p.a), _LD(p.b), _LD(p.base)
+    a, b, base = p.a, p.b, p.base
     out = []
     norm = None
     k = 0
@@ -393,11 +398,9 @@ def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int,
         pairs = [(i, j) for i in range(kmax + 1) for j in range(i, kmax + 1)]
     if any(not 0 <= k <= kmax for pair in pairs for k in pair):
         raise ValueError(f"pair degrees must lie in 0..{kmax}")
-    base = _LD(p.base)
     scale = {i: 1 / _norm_factor(i, p) for i in {i for i, _ in pairs}}
     # mass points: Q_j = (ab; base)_j a^(-j) S_j, not the forward recurrence
-    a = _LD(p.a)
-    lead = np.array([qpoch(a * _LD(p.b), base, j) * a ** _LD(-j)
+    lead = np.array([qpoch(p.a * p.b, p.base, j) * p.a ** _LD(-j)
                      for j in range(kmax + 1)])
     val = {}
     pending = list(pairs)

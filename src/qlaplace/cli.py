@@ -26,8 +26,9 @@ from dataclasses import asdict, dataclass
 import click
 import numpy as np
 
-from . import laplace, spectral
-from .lattice import LatticeFunction, ModelParams, Quadruple, Sector
+from . import fockoracle, laplace, spectral
+from .lattice import (LatticeFunction, ModelParams, Quadruple, Sector,
+                      hwv_inner_product)
 from .qcore import ConvergenceError
 from .verify import CONTAINMENT_THRESHOLD, run_battery
 
@@ -296,9 +297,7 @@ def transform(out, input_path, **kw):
     if not (np.isfinite(cont).all() and np.isfinite(disc).all()):
         raise click.UsageError(f"transform values are not finite in double precision "
                                f"(largest support index {max(f)})")
-    lam_cont = laplace.eigenvalue(
-        params, np.array([math.cos(t) for t in meas.theta_nodes]))
-    lam_disc = laplace.eigenvalue(params, np.array([d.z for d in meas.discrete]))
+    lam_cont, lam_disc = spectral.measure_eigenvalues(params, meas)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "transform",
@@ -329,15 +328,13 @@ def oracle(out, quadruple, **kw):
         quad = Quadruple(*quadruple)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    from . import fockoracle, lattice as lat
-
     # fixed test pair exercising two lattice points
     f = LatticeFunction.basis(0) + LatticeFunction.basis(1)
     try:
         o = fockoracle.invariant_integral(params, quad, f, f)
     except ConvergenceError as exc:
         raise click.UsageError(str(exc))
-    c = lat.hwv_inner_product(params, quad, f, f)
+    c = hwv_inner_product(params, quad, f, f)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "oracle",

@@ -29,7 +29,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .lattice import ModelParams, Quadruple, invariant_integral_normalizer
-from .qcore import LD_INF_TOL, ConvergenceError, qpoch
+from .qcore import LD_INF_TOL, ConvergenceError, qbinomial, qpoch
 
 __all__ = [
     "FockIndex",
@@ -286,8 +286,6 @@ def qbinomial_convolution(q: float, k: int, l: int, t: int):
     lhs: sum_{x+y=t} [k+x; k] [l+y; l] q^(-2x(l+1));
     rhs: [k+l+t+1; k+l+1].
     """
-    from .qcore import qbinomial
-
     qd = _LD(q)
     pinv = qd ** _LD(-2)
     lhs = _LD(0.0)

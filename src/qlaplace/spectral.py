@@ -53,6 +53,7 @@ __all__ = [
     "eigenfunction_profile",
     "c_function",
     "plancherel_measure",
+    "measure_eigenvalues",
     "SpectralFunction",
     "transform_grid",
     "inverse_transform_profile",
@@ -85,17 +86,18 @@ def point_from_exponent(params: ModelParams, ell) -> SpectralPoint:
 
     Integer ell >= 1 gives z > 1 off the band (generalized eigenfunctions
     used in operator tests); ell = 0 gives the zero of the eigenvalue map.
+    A w that underflows double, so that z is not finite, raises ValueError.
     """
     w = float(params.q) ** (2 * ell + params.N - 1)
-    return SpectralPoint(z=(w + 1 / w) / 2, w=w)
+    z = (w + 1 / w) / 2 if w else math.inf
+    if not math.isfinite(z):
+        raise ValueError(f"w = q^(2 ell + N - 1) = {w} underflows double at "
+                         f"ell={ell}, q={params.q}, N={params.N}: z is not finite")
+    return SpectralPoint(z=z, w=w)
 
 
 def asc_params(params: ModelParams, sector: Sector) -> AscParams:
-    """Al-Salam-Chihara parameters attached to a sector (base = q^2).
-
-    Stored as extended-precision scalars so downstream arithmetic keeps the
-    extra digits.
-    """
+    """Al-Salam-Chihara parameters attached to a sector (base = q^2)."""
     q = params.q_ld
     return AscParams(a=q ** _LD(2 * params.n - params.N + 1 + sector.L - sector.Lp),
                      b=q ** _LD(params.N - 1 + sector.L + sector.Lp),
@@ -112,7 +114,7 @@ def _profile_convolution(params: ModelParams, sector: Sector, w,
     (b/w)^j (p; p)_j (u * v)_j / (a b; p)_j.
     """
     pp = asc_params(params, sector)
-    a, b, p = _LD(pp.a), _LD(pp.b), _LD(pp.base)
+    a, b, p = pp.a, pp.b, pp.base
     w = np.asarray(w, dtype=_CLD)
     C, conv = _convolution_table(max_j, w, b, a, p)
     ppow = _running_products(np.full(max_j, p))
@@ -128,7 +130,7 @@ def _profile_mass_point(params: ModelParams, sector: Sector, kd: int,
     from the terminating sum S_j of :func:`qlaplace.asc._mass_point_series`."""
     pp = asc_params(params, sector)
     j = np.arange(max_j + 1).astype(_LD)
-    return (_LD(pp.b) / _LD(pp.a)) ** j * _mass_point_series(max_j, kd, pp)
+    return (pp.b / pp.a) ** j * _mass_point_series(max_j, kd, pp)
 
 
 def eigenfunction_profile(params: ModelParams, sector: Sector,
@@ -159,7 +161,7 @@ def c_function(params: ModelParams, sector: Sector, arg):
     arg = np.asarray(arg)
     u = np.exp(arg.astype(_CLD) * np.log(params.q_ld))
     num_a, num_b, den = _masked_qpoch_inf(np.stack([pp.a * u, pp.b * u, u * u]),
-                                          _LD(pp.base))
+                                          pp.base)
     vanishing = np.abs(den) < 1e-300
     if vanishing.any():
         raise ValueError(f"c-function denominator (q^(2 arg); q^2)_inf vanishes "
@@ -179,6 +181,13 @@ def plancherel_measure(params: ModelParams, sector: Sector,
     pp = asc_params(params, sector)
     return replace(orthogonality_measure(pp, quad_nodes),
                    normalization=_norm_factor(0, pp))
+
+
+def measure_eigenvalues(params: ModelParams, measure: SpectralMeasure):
+    """The eigenvalue map at the measure's theta nodes and at its mass points,
+    as (continuous, discrete); each node's z = cos(theta) is taken in double."""
+    return (eigenvalue(params, np.array([math.cos(t) for t in measure.theta_nodes])),
+            eigenvalue(params, np.array([d.z for d in measure.discrete])))
 
 
 @dataclass(frozen=True)

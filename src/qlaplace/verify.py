@@ -204,9 +204,7 @@ def check_parseval(params, sector, cfg) -> float:
 def check_multiplication(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     rng = Lcg(cfg.seed + 505)
-    lam_cont = laplace.eigenvalue(
-        params, np.array([math.cos(t) for t in meas.theta_nodes]))
-    lam_disc = laplace.eigenvalue(params, np.array([d.z for d in meas.discrete]))
+    lam_cont, lam_disc = spectral.measure_eigenvalues(params, meas)
     plan = spectral._TransformPlan(params, sector, meas, 12)
     errors = []
     for _ in range(5):
@@ -334,8 +332,7 @@ BATTERY = [
 
 def run_battery(cfg) -> list[CheckResult]:
     """Run every applicable check at the configuration's parameters."""
-    params = ModelParams(q=cfg.q, n=cfg.n, m=cfg.m)
-    sector = Sector(L=cfg.L, Lp=cfg.Lp)
+    params, sector = cfg.params(), cfg.sector()
     results = []
     for name, fn, pinned, requires in BATTERY:
         threshold = cfg.tol if cfg.tol is not None else pinned

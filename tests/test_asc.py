@@ -38,6 +38,18 @@ def test_base_validation():
         asc_recurrence(-1, 0.0, PARAM_SETS[0])
 
 
+def test_parameters_are_stored_in_extended_precision():
+    p = PARAM_SETS[0]
+    assert [type(v) for v in (p.a, p.b, p.base)] == [np.longdouble] * 3
+    # float parameters no longer run the recurrence in double
+    ld = AscParams(a=np.longdouble(0.5), b=np.longdouble(0.125),
+                   base=np.longdouble(0.25))
+    z = np.linspace(-1.0, 1.0, 9)
+    got = asc_recurrence(12, z, p)
+    assert got.dtype == np.longdouble
+    assert np.array_equal(got, asc_recurrence(12, z, ld))
+
+
 def test_hypergeometric_initial_values():
     p = PARAM_SETS[1]
     theta = 0.9

@@ -1,10 +1,16 @@
-"""The package's public names: every export is defined where it is listed."""
+"""The package's public names: every export is defined where it is listed,
+in the layer that is its one import path."""
 
 import ast
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -45,11 +51,32 @@ def test_all_names_resolve_to_definitions_of_the_module(name):
         assert export in defined, f"{name}.{export} is not defined in {name}"
 
 
-def test_package_exports_are_listed_by_a_layer():
-    listed = set()
-    for name in MODULES:
-        listed.update(_exported(name) or ())
+def test_package_binds_no_public_name_but_its_layers():
     public = [k for k, v in vars(qlaplace).items()
               if not k.startswith("_") and not isinstance(v, types.ModuleType)]
-    assert public
-    assert sorted(set(public) - listed) == []
+    assert public == []
+
+
+def _loaded_by(layer: str):
+    """The qlaplace layers and whether numpy are loaded, in a fresh
+    interpreter, by importing ``qlaplace.<layer>`` alone."""
+    src = str(Path(qlaplace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (f"import json, sys, qlaplace.{layer}; print(json.dumps(["
+             "sorted(k[9:] for k in sys.modules if k.startswith('qlaplace.')), "
+             "'numpy' in sys.modules]))")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env)
+    return json.loads(res.stdout)
+
+
+def test_qcore_import_loads_no_other_layer_and_no_numpy():
+    assert _loaded_by("qcore") == [["qcore"], False]
+
+
+@pytest.mark.parametrize("layer,below", [("lattice", ["qcore"]),
+                                         ("asc", ["qcore"]),
+                                         ("laplace", ["lattice", "qcore"])])
+def test_layer_import_loads_only_the_layers_below_it(layer, below):
+    assert _loaded_by(layer)[0] == sorted([layer, *below])

@@ -11,8 +11,8 @@ from qlaplace.laplace import (apply_divergence_form, apply_three_term,
                               eigenvalue, jacobi_matrix)
 from qlaplace.lattice import (LatticeFunction, ModelParams, Quadruple, Sector,
                               inner_product, measure_mass)
-from qlaplace.spectral import (continuous_point, plancherel_measure,
-                               point_from_exponent)
+from qlaplace.spectral import (continuous_point, measure_eigenvalues,
+                               plancherel_measure, point_from_exponent)
 
 _LD = np.longdouble
 
@@ -176,7 +176,8 @@ def test_eigenvalue_accepts_raw_z():
                                                 (0.95, 2, 2, 0, 0)])
 def test_eigenvalue_array_call_equals_the_per_point_loop(q, n, m, lp, count):
     """One call over a 256-node measure's z values and its mass points'
-    z values keeps the bits of one scalar call per point."""
+    z values, and ``measure_eigenvalues`` on the measure, keep the bits of one
+    scalar call per point."""
     params, sector = ModelParams(q, n, m), Sector(0, lp)
     meas = plancherel_measure(params, sector, 256)
     z = [math.cos(t) for t in meas.theta_nodes] + [d.z for d in meas.discrete]
@@ -186,6 +187,9 @@ def test_eigenvalue_array_call_equals_the_per_point_loop(q, n, m, lp, count):
         want[i] = eigenvalue(params, zi)
     assert len(meas.discrete) == count
     assert got.dtype == _LD and np.array_equal(got, want)
+    lam_cont, lam_disc = measure_eigenvalues(params, meas)
+    assert len(lam_disc) == count
+    assert np.array_equal(np.concatenate([lam_cont, lam_disc]), want)
 
 
 def test_cross_form_on_shifted_support():

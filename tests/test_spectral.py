@@ -335,6 +335,15 @@ def test_plancherel_band_edge_degeneracy_propagates():
     assert len(spectrum(params, sector).discrete) == 1
 
 
+def test_point_from_exponent_names_an_underflowing_w():
+    # q^(2 + N - 1) = 0.01^203 is below the smallest double; a
+    # DegenerateParameterError would turn the failing check into a skip
+    with pytest.raises(ValueError, match="underflows") as exc:
+        point_from_exponent(ModelParams(0.01, 2, 200), 1)
+    assert not isinstance(exc.value, asc.DegenerateParameterError)
+    assert "ell=1, q=0.01, N=202" in str(exc.value)
+
+
 def test_plancherel_discrete_examples():
     assert plancherel_measure(ModelParams(0.5, 2, 2), Sector(0, 0), 64).discrete == ()
     meas = plancherel_measure(ModelParams(0.5, 1, 3), Sector(0, 2), 64)

@@ -122,6 +122,14 @@ def test_multiplication_passes_where_the_double_scale_overflowed():
     assert verify.check_multiplication(cfg.params(), cfg.sector(), cfg) <= 1e-9
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_underflowing_off_band_point_fails_the_eigenvalue_check_by_name():
+    cfg = RunConfig(q=0.01, n=2, m=200, quad_nodes=16, max_j=1)
+    res = next(r for r in verify.run_battery(cfg) if r.name == "eigenvalue_residual")
+    assert not res.passed and not res.skipped
+    assert res.note.startswith("ValueError: ") and "underflows" in res.note
+
+
 #: the (n, m, L, Lp) sectors of the 48-config domain sweep
 SWEEP_SECTORS = [(1, 2, 0, 0), (1, 3, 0, 2), (2, 2, 3, 0), (3, 5, 0, 4),
                  (2, 7, 1, 6), (4, 2, 2, 2), (1, 6, 0, 5), (5, 9, 0, 0)]
