@@ -333,7 +333,8 @@ class SpectralMeasure:
 
     ``density`` holds (1/2 pi) * w(cos theta) at ``theta_nodes`` (so the
     continuous part integrates against d theta); ``normalization`` is a
-    positive extended-precision scale applied to both parts when integrating.
+    positive extended-precision scale of both parts, applied only by
+    :meth:`weights`.
     """
 
     theta_nodes: np.ndarray
@@ -341,24 +342,27 @@ class SpectralMeasure:
     discrete: tuple[DiscreteMass, ...]
     normalization: np.longdouble = _LD(1.0)
 
-    def trapezoid_weights(self) -> np.ndarray:
-        """Quadrature weights for the continuous part, normalization included."""
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature weights of the two parts, normalization included: the
+        trapezoid weights at the theta nodes and the point masses."""
         h = self.theta_nodes[1] - self.theta_nodes[0]
         w = np.full(len(self.theta_nodes), h, dtype=self.density.dtype)
         w[0] /= 2
         w[-1] /= 2
-        return w * self.density * self.normalization
+        return (w * self.density * self.normalization,
+                np.array([self.normalization * d.mass for d in self.discrete],
+                         dtype=_LD))
 
     def integrate(self, continuous_values, discrete_values=None):
         """Integrate a spectral function given by its node / mass-point values."""
-        total = np.sum(self.trapezoid_weights() * continuous_values)
-        if self.discrete:
-            if discrete_values is None:
-                raise ValueError("measure has point masses; discrete values required")
-            if len(discrete_values) != len(self.discrete):
-                raise ValueError("discrete value count does not match the measure")
-            for d, v in zip(self.discrete, discrete_values):
-                total = total + self.normalization * d.mass * v
+        nodes, masses = self.weights()
+        total = np.sum(nodes * continuous_values)
+        values = () if discrete_values is None else discrete_values
+        if len(values) != len(masses):
+            raise ValueError(f"{len(values)} discrete values for "
+                             f"{len(masses)} point masses")
+        for w, v in zip(masses, values):
+            total = total + w * v
         return total
 
     def total_mass(self):
@@ -382,23 +386,20 @@ def orthogonality_measure(p: AscParams, quad_nodes: int) -> SpectralMeasure:
     return SpectralMeasure(theta_nodes=nodes, density=dens, discrete=discrete)
 
 
-def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int,
-                            pairs=None) -> dict:
-    """Deviation of each (i, j) moment from its closed form, relative to the
-    diagonal target 1/((base^(i+1); base)_inf (a b base^i; base)_inf).
+def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int) -> dict:
+    """Deviation of each (i, j) moment, 0 <= i <= j <= kmax, from its closed
+    form, relative to the diagonal target
+    1/((base^(i+1); base)_inf (a b base^i; base)_inf).
 
-    ``pairs`` defaults to every 0 <= i <= j <= kmax.  Each grid's measure and
-    recurrence table are built once and shared by all pairs still refining;
-    a pair stops once two successive grids agree to 1e-11 of its target
-    scale, after at most 7 grids (each doubling keeps the previous nodes).
+    Each grid's measure and recurrence table are built once and shared by all
+    pairs still refining; a pair stops once two successive grids agree to
+    1e-11 of its target scale, after at most 7 grids (each doubling keeps the
+    previous nodes).
     """
     if kmax > 20:
         raise ValueError("residual check supports degrees up to 20")
-    if pairs is None:
-        pairs = [(i, j) for i in range(kmax + 1) for j in range(i, kmax + 1)]
-    if any(not 0 <= k <= kmax for pair in pairs for k in pair):
-        raise ValueError(f"pair degrees must lie in 0..{kmax}")
-    scale = {i: 1 / _norm_factor(i, p) for i in {i for i, _ in pairs}}
+    pairs = [(i, j) for i in range(kmax + 1) for j in range(i, kmax + 1)]
+    scale = {i: 1 / _norm_factor(i, p) for i in range(kmax + 1)}
     # mass points: Q_j = (ab; base)_j a^(-j) S_j, not the forward recurrence
     lead = np.array([qpoch(p.a * p.b, p.base, j) * p.a ** _LD(-j)
                      for j in range(kmax + 1)])
@@ -429,5 +430,5 @@ def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int,
 
 
 def orthogonality_residual(i: int, j: int, p: AscParams, quad_nodes: int) -> float:
-    """The (i, j) entry of :func:`orthogonality_residuals`."""
-    return orthogonality_residuals(max(i, j), p, quad_nodes, [(i, j)])[i, j]
+    """The (i, j) entry of :func:`orthogonality_residuals`, for i <= j."""
+    return orthogonality_residuals(j, p, quad_nodes)[i, j]

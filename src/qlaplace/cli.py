@@ -159,7 +159,10 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
     return [(prefix.rstrip("."), str(obj))]
 
 
-def _emit(report: dict, fmt: str, out: str | None) -> None:
+def _emit(command: str, config: dict, fmt: str, out: str | None, body: dict) -> None:
+    """Write the report: the common header, then the command's ``body``."""
+    report = {"schema_version": SCHEMA_VERSION, "command": command,
+              "config": config, **body}
     rows = _flatten(report)  # refuses a NaN or infinite number in either format
     if fmt == "json":
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -185,17 +188,13 @@ def verify(out, **kw):
     """Run the verification battery; exit 1 if any check fails."""
     cfg, config = _config(**kw)
     results = run_battery(cfg)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "config": config,
+    failing = [r.name for r in results if not r.passed]
+    _emit("verify", config, cfg.fmt, out, {
         "checks": [asdict(r) for r in results],
-        "all_passed": all(r.passed for r in results),
-    }
-    _emit(report, cfg.fmt, out)
-    if not report["all_passed"]:
-        failing = next(r.name for r in results if not r.passed)
-        click.echo(f"first failing check: {failing}", err=True)
+        "all_passed": not failing,
+    })
+    if failing:
+        click.echo(f"first failing check: {failing[0]}", err=True)
         sys.exit(1)
 
 
@@ -223,10 +222,7 @@ def spectrum(out, size, **kw):
     ev2 = jm2.eigenvalues()
     shift = max(abs(ev[0] - ev2[0]), abs(ev[-1] - ev2[-1]))
     containment = spec.containment(ev)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectrum",
-        "config": config,
+    _emit("spectrum", config, cfg.fmt, out, {
         "sector": {"L": sector.L, "Lp": sector.Lp},
         "band": [spec.band[0], spec.band[1]],
         "discrete": list(spec.discrete),
@@ -236,8 +232,7 @@ def spectrum(out, size, **kw):
         "containment_residual": containment,
         "extreme_shift_on_doubling": float(shift),
         "converged": bool(containment <= CONTAINMENT_THRESHOLD),
-    }
-    _emit(report, cfg.fmt, out)
+    })
 
 
 @main.command()
@@ -252,15 +247,13 @@ def plancherel(out, **kw):
         raise click.UsageError(str(exc))
     spec = spectral.spectrum(params, sector)
     norm = meas.normalization
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "plancherel",
-        "config": config,
+    mass_weights = meas.weights()[1]
+    _emit("plancherel", config, cfg.fmt, out, {
         "sector": {"L": sector.L, "Lp": sector.Lp},
         "band": [spec.band[0], spec.band[1]],
         "discrete": [
-            {"z": d.z, "mass": float(norm * d.mass), "lambda": lam}
-            for d, lam in zip(meas.discrete, spec.discrete)
+            {"z": d.z, "mass": float(w), "lambda": lam}
+            for d, w, lam in zip(meas.discrete, mass_weights, spec.discrete)
         ],
         "density": {
             "theta": [float(t) for t in meas.theta_nodes],
@@ -268,8 +261,7 @@ def plancherel(out, **kw):
         },
         "normalization": float(norm),
         "total_mass": float(meas.total_mass()),
-    }
-    _emit(report, cfg.fmt, out)
+    })
 
 
 @main.command()
@@ -298,10 +290,7 @@ def transform(out, input_path, **kw):
         raise click.UsageError(f"transform values are not finite in double precision "
                                f"(largest support index {max(f)})")
     lam_cont, lam_disc = spectral.measure_eigenvalues(params, meas)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "transform",
-        "config": config,
+    _emit("transform", config, cfg.fmt, out, {
         "sector": {"L": sector.L, "Lp": sector.Lp},
         "theta": [float(t) for t in meas.theta_nodes],
         "lambda_continuous": [float(v) for v in lam_cont],
@@ -310,8 +299,7 @@ def transform(out, input_path, **kw):
             {"z": d.z, "lambda": float(lam), "value": [v.real, v.imag]}
             for d, lam, v in zip(meas.discrete, lam_disc, disc)
         ],
-    }
-    _emit(report, cfg.fmt, out)
+    })
 
 
 @main.command()
@@ -335,17 +323,13 @@ def oracle(out, quadruple, **kw):
     except ConvergenceError as exc:
         raise click.UsageError(str(exc))
     c = hwv_inner_product(params, quad, f, f)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "oracle",
-        "config": config,
+    _emit("oracle", config, cfg.fmt, out, {
         "quadruple": list(quadruple),
         "oracle": float(o),
         "closed_form": float(c),
         "rel_err": float(abs(o - c) / max(1e-300, abs(c))),
         "depth": fockoracle._depth(params.q),
-    }
-    _emit(report, cfg.fmt, out)
+    })
 
 
 if __name__ == "__main__":

@@ -192,11 +192,12 @@ def measure_eigenvalues(params: ModelParams, measure: SpectralMeasure):
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    """A function of the spectral variable sampled on a measure's node set."""
+    """A function of the spectral variable sampled on a measure's node set:
+    ``clongdouble`` values at its theta nodes and at its mass points."""
 
     measure: SpectralMeasure
     continuous: np.ndarray
-    discrete: tuple
+    discrete: np.ndarray
 
     def __post_init__(self):
         if len(self.continuous) != len(self.measure.theta_nodes):
@@ -221,13 +222,6 @@ def _profile_matrix(params: ModelParams, sector: Sector,
     for kk, d in enumerate(measure.discrete):
         disc[kk] = _profile_mass_point(params, sector, d.index, max_j)
     return cont, disc
-
-
-def _coefficient_vector(f: Mapping[int, complex], max_j: int) -> np.ndarray:
-    vals = [f.get(j, 0.0) for j in range(max_j + 1)]
-    if any(np.iscomplexobj(np.asarray(v)) or isinstance(v, complex) for v in vals):
-        return np.array(vals, dtype=_CLD)
-    return np.array(vals, dtype=_LD)
 
 
 class _TransformPlan:
@@ -264,23 +258,21 @@ class _TransformPlan:
     def forward(self, f: Mapping[int, complex]) -> SpectralFunction:
         """Forward transform sampled on the measure's full node set."""
         cols = self._columns(max(f, default=0))
-        weighted = _coefficient_vector(f, cols - 1) * self.masses[:cols]
+        coeffs = np.array([f.get(j, 0) for j in range(cols)], dtype=_CLD)
+        weighted = coeffs * self.masses[:cols]
         return SpectralFunction(measure=self.measure,
                                 continuous=self.cont[:, :cols] @ weighted,
-                                discrete=tuple(self.disc[:, :cols] @ weighted))
+                                discrete=self.disc[:, :cols] @ weighted)
 
     def inverse(self, fhat: SpectralFunction, max_j: int) -> LatticeFunction:
         """Inverse transform on all lattice indices 0..max_j at once."""
         if fhat.measure is not self.measure:
             raise ValueError("the spectral function is sampled on another measure")
         cols = self._columns(max_j)
-        measure = self.measure
-        w8 = measure.trapezoid_weights()
-        vals = self.cont[:, :cols].T @ (w8 * np.asarray(fhat.continuous))
-        if measure.discrete:
-            dm = np.array([d.mass for d in measure.discrete], dtype=_LD) \
-                * measure.normalization
-            vals = vals + self.disc[:, :cols].T @ (dm * np.asarray(fhat.discrete))
+        nodes, masses = self.measure.weights()
+        vals = self.cont[:, :cols].T @ (nodes * fhat.continuous)
+        if len(masses):
+            vals = vals + self.disc[:, :cols].T @ (masses * fhat.discrete)
         return LatticeFunction({j: v for j, v in enumerate(vals)})
 
 

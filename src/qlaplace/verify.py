@@ -195,8 +195,7 @@ def check_parseval(params, sector, cfg) -> float:
         f = rng.lattice_function(15)
         nrm = lattice.inner_product(params, sector, f, f)
         fhat = plan.forward(f)
-        par = meas.integrate(np.abs(np.asarray(fhat.continuous)) ** 2,
-                             [abs(v) ** 2 for v in fhat.discrete])
+        par = meas.integrate(np.abs(fhat.continuous) ** 2, np.abs(fhat.discrete) ** 2)
         errors.append(float(abs(par - nrm) / abs(nrm)))
     return _worst(errors)
 
@@ -212,12 +211,11 @@ def check_multiplication(params, sector, cfg) -> float:
         af = laplace.apply_three_term(params, sector, f)
         fhat = plan.forward(f)
         afhat = plan.forward(af)
-        lam_fhat = lam_cont * np.asarray(fhat.continuous)
+        lam_fhat = lam_cont * fhat.continuous
         scale = max(_LD(1), np.max(np.abs(lam_fhat)))  # may pass 1e308
-        errors += (float(g / scale)
-                   for g in np.abs(np.asarray(afhat.continuous) - lam_fhat))
-        errors += (float(abs(v_a - lam * v_f) / scale)
-                   for v_a, v_f, lam in zip(afhat.discrete, fhat.discrete, lam_disc))
+        gaps = np.concatenate([afhat.continuous - lam_fhat,
+                               afhat.discrete - lam_disc * fhat.discrete])
+        errors += (float(g / scale) for g in np.abs(gaps))
     return _worst(errors)
 
 

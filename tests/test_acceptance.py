@@ -179,9 +179,7 @@ def test_criterion_06_orthogonality_and_plancherel():
         meas = spectral.plancherel_measure(params, sector, 513)
         cont_prof, disc_prof = spectral._profile_matrix(params, sector, meas, 21)
         masses = lattice.measure_mass(params, sector, np.arange(22))
-        w8 = meas.trapezoid_weights()
-        disc_m = np.array([d.mass for d in meas.discrete], dtype=_LD) \
-            * _LD(meas.normalization)
+        w8, disc_m = meas.weights()
         pp = spectral.asc_params(params, sector)
 
         # orthonormal polynomials, i, j <= 10

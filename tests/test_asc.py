@@ -194,6 +194,26 @@ def test_integrate_grid_consistency():
         meas.integrate(np.ones(64), [1.0])     # wrong number of mass values
     with pytest.raises(ValueError):
         meas.integrate(np.ones(64), None)      # masses exist but none given
+    bare = orthogonality_measure(PARAM_SETS[0], 64)
+    assert bare.discrete == ()
+    with pytest.raises(ValueError):
+        bare.integrate(np.ones(64), [1.0])     # values for masses that do not exist
+
+
+@pytest.mark.parametrize("q,n,m,L,Lp,count", [(0.5, 2, 2, 0, 0, 0),
+                                              (0.5, 1, 3, 0, 2, 2),
+                                              (0.3, 1, 6, 0, 5, 5)])
+def test_measure_weights_carry_the_normalization_once(q, n, m, L, Lp, count):
+    meas = spectral.plancherel_measure(ModelParams(q, n, m), Sector(L, Lp), 64)
+    assert len(meas.discrete) == count and meas.normalization != 1
+    nodes, masses = meas.weights()
+    h = meas.theta_nodes[1] - meas.theta_nodes[0]
+    trap = np.full(64, h, dtype=np.longdouble)
+    trap[0] /= 2
+    trap[-1] /= 2
+    assert nodes.dtype == masses.dtype == np.longdouble
+    assert np.array_equal(nodes, trap * meas.density * meas.normalization)
+    assert np.array_equal(masses, [meas.normalization * d.mass for d in meas.discrete])
 
 
 # ------------------------------------------------- batched evaluation
@@ -365,5 +385,3 @@ def test_orthogonality_check_builds_one_measure_per_grid(monkeypatch):
 def test_residual_pairs_validated():
     with pytest.raises(ValueError):
         orthogonality_residuals(21, PARAM_SETS[0], 64)
-    with pytest.raises(ValueError):
-        orthogonality_residuals(2, PARAM_SETS[0], 64, [(0, 3)])

@@ -186,6 +186,24 @@ def test_csv_and_json_carry_identical_numbers():
         assert float(rows[f"jacobi_eigenvalues.{i}"]) == report["jacobi_eigenvalues"][i]
 
 
+@pytest.mark.parametrize("command,args", [
+    ("verify", FAST), ("spectrum", ["--size", "40"]), ("plancherel", []),
+    ("transform", ["--input", "f0.json"]), ("oracle", ["--quadruple", "1", "1", "1", "1"]),
+], ids=["verify", "spectrum", "plancherel", "transform", "oracle"])
+def test_csv_report_starts_with_the_common_header(tmp_path, command, args):
+    (tmp_path / "f0.json").write_text('{"support": [0], "values": [[1.0, 0.0]]}')
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    res = run(command, *args, "--format", "csv")
+    assert res.exit_code == 0, res.output
+    rows = list(csv.reader(io.StringIO(res.stdout)))
+    assert rows[:3] == [["field", "value"], ["schema_version", "1"], ["command", command]]
+    config = json.loads(run(command, *args).stdout)["config"]
+    names = [name for name, _ in rows[3:]]
+    assert names[:len(config)] == [f"config.{k}" for k in asdict(RunConfig())
+                                   if k in config]
+    assert not any(name.startswith("config.") for name in names[len(config):])
+
+
 def test_spectrum_discrete_part_presence():
     empty = json.loads(run("spectrum", "--size", "40").stdout)
     assert empty["discrete"] == []

@@ -356,8 +356,9 @@ def test_transform_of_base_indicator_is_constant_one():
     for params, sector in CASES[:2]:
         meas = plancherel_measure(params, sector, 64)
         fhat = transform_grid(params, sector, LatticeFunction.basis(0), meas)
-        assert np.max(np.abs(np.asarray(fhat.continuous, dtype=float) - 1.0)) < 1e-14
-        for v in fhat.discrete:
+        assert not fhat.continuous.imag.any() and not fhat.discrete.imag.any()
+        assert np.max(np.abs(fhat.continuous.real - 1.0)) < 1e-14
+        for v in fhat.discrete.real:
             assert float(v) == pytest.approx(1.0, rel=1e-14)
 
 
@@ -371,9 +372,10 @@ def test_transform_of_indicator_closed_form():
     g = sector.L + params.n - 1
     for j in (1, 3, 7):
         got = transform_grid(params, sector, LatticeFunction.basis(j), meas)
+        assert not got.continuous.imag.any()
         pref = q ** _LD(-2 * j * (sector.L + sector.Lp + params.N - 1)) \
             * qpoch(q ** _LD(2 * j + 2), q * q, g) / qpoch(q * q, q * q, g)
-        for t, val in zip(meas.theta_nodes, got.continuous):
+        for t, val in zip(meas.theta_nodes, got.continuous.real):
             pt = continuous_point(float(t))
             want = pref * eigenfunction_profile(params, sector, pt, j)[j]
             assert float(val) == pytest.approx(float(want), rel=1e-13)
@@ -396,10 +398,11 @@ def test_transform_of_orthonormal_basis_is_orthonormal_polynomial():
         for j in (0, 2, 5):
             ej = LatticeFunction({j: 1.0 / np.sqrt(measure_mass(params, sector, j))})
             fhat = plan.forward(ej)
-            for t, val in zip(meas.theta_nodes, fhat.continuous):
+            assert not fhat.continuous.imag.any() and not fhat.discrete.imag.any()
+            for t, val in zip(meas.theta_nodes, fhat.continuous.real):
                 want = _orthonormal_polynomial(params, sector, j, np.cos(t))
                 assert float(val) == pytest.approx(float(want), rel=1e-10)
-            for d, val in zip(meas.discrete, fhat.discrete):
+            for d, val in zip(meas.discrete, fhat.discrete.real):
                 want = _orthonormal_polynomial(params, sector, j, d.z)
                 assert float(val) == pytest.approx(float(want), rel=1e-10)
 
@@ -528,6 +531,21 @@ def test_transform_plan_rejects_deeper_functions():
     other = plancherel_measure(params, sector, 64)
     with pytest.raises(ValueError, match="another measure"):
         plan.inverse(SpectralFunction(other, fhat.continuous, fhat.discrete), 5)
+
+
+@pytest.mark.parametrize("coeffs", [{0: 1.0, 1: -0.5, 3: 0.25},
+                                    {0: 1 + 0.5j, 1: -0.5, 3: 0.25j}],
+                         ids=["real", "complex"])
+def test_forward_transform_values_are_clongdouble_arrays(coeffs):
+    params, sector = CASES[1]  # two mass points
+    meas = plancherel_measure(params, sector, 64)
+    fhat = spectral._TransformPlan(params, sector, meas, 3).forward(
+        LatticeFunction(coeffs))
+    assert fhat.continuous.dtype == fhat.discrete.dtype == np.clongdouble
+    assert fhat.discrete.shape == (2,)
+    if not any(isinstance(v, complex) for v in coeffs.values()):
+        # a real function's transform is real at the nodes and the mass points
+        assert not fhat.continuous.imag.any() and not fhat.discrete.imag.any()
 
 
 # ----------------------------------------------------------- spectrum

@@ -135,15 +135,37 @@ SWEEP_SECTORS = [(1, 2, 0, 0), (1, 3, 0, 2), (2, 2, 3, 0), (3, 5, 0, 4),
                  (2, 7, 1, 6), (4, 2, 2, 2), (1, 6, 0, 5), (5, 9, 0, 0)]
 
 
+def _failed_checks(q, n, m, L, Lp):
+    cfg = RunConfig(q=q, n=n, m=m, L=L, Lp=Lp, quad_nodes=128, max_j=10)
+    return [(r.name, r.residual, r.note) for r in verify.run_battery(cfg)
+            if not r.passed]
+
+
 @pytest.mark.parametrize("n,m,L,Lp", SWEEP_SECTORS,
                          ids=["-".join(map(str, s)) for s in SWEEP_SECTORS])
 def test_battery_passes_at_small_q(n, m, L, Lp):
     # off-band eigenvalues reach ~1e36 at q = 0.01: the eigenvalue yardstick
     # must carry |lambda| and both scales must stay in extended precision
-    cfg = RunConfig(q=0.01, n=n, m=m, L=L, Lp=Lp, quad_nodes=128, max_j=10)
-    failed = [(r.name, r.residual, r.note) for r in verify.run_battery(cfg)
-              if not r.passed]
-    assert not failed
+    assert not _failed_checks(0.01, n, m, L, Lp)
+
+
+# The sectors with point masses (L - Lp < m - n - 1) fail plancherel_mass,
+# parseval and transform_roundtrip at q = 0.95 on 128 nodes; all 48 configs
+# pass on 256.  The mark goes once the measure's node count follows q.
+_NODES_DO_NOT_FOLLOW_Q = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="128 theta nodes do not resolve the q = 0.95 Plancherel measure "
+           "with point masses: the quadrature does not follow q")
+
+
+@pytest.mark.parametrize("q,n,m,L,Lp", [
+    pytest.param(q, n, m, L, Lp, id=f"{q}-{n}-{m}-{L}-{Lp}",
+                 marks=_NODES_DO_NOT_FOLLOW_Q if q == 0.95 and L - Lp < m - n - 1
+                 else ())
+    for q in (0.1, 0.3, 0.6, 0.9, 0.95) for n, m, L, Lp in SWEEP_SECTORS])
+def test_battery_passes_across_the_domain_sweep(q, n, m, L, Lp):
+    """The rest of the 48-config sweep, q = 0.01 being the test above."""
+    assert not _failed_checks(q, n, m, L, Lp)
 
 
 @pytest.mark.parametrize("cfg", [
