@@ -1,15 +1,13 @@
 """Al-Salam-Chihara polynomials Q_k(z; a, b | base) at a generic base.
 
-Three evaluation paths are provided:
+Two evaluation paths are provided:
 
 * ``asc_recurrence``: the three-term recurrence
   2 z Q_k = Q_{k+1} + (a+b) base^k Q_k + (1 - base^k)(1 - a b base^(k-1)) Q_{k-1},
   with Q_{-1} = 0, Q_0 = 1;
 * ``asc_hypergeometric``: the terminating basic-hypergeometric representation
   Q_k = (a b; base)_k a^(-k) * 3phi2(base^(-k), a e^(i t), a e^(-i t); ab, 0)
-  evaluated through an exact rearrangement (see below);
-* ``asc_hypergeometric_direct``: the same representation summed literally,
-  kept as a reference for small k.
+  evaluated through an exact rearrangement (see below).
 
 Direct summation of the terminating 3phi2 is numerically hopeless beyond
 small degree: its terms grow like base^(-k(k-1)/2) while the polynomial value
@@ -23,8 +21,7 @@ via the q-binomial theorem into the exact finite convolution
 
     Q_k = sum_r [k; r] (a/w; base)_r (b w; base)_{k-r} w^(2r-k),  w = e^(i t),
 
-whose terms stay comparable to the value.  The two hypergeometric paths agree
-to machine precision wherever the direct sum is still accurate.
+whose terms stay comparable to the value.
 
 The orthogonality measure consists of a continuous density on z = cos(t),
 t in [0, pi], plus finitely many point masses at z_k = (a base^k + a^(-1)
@@ -38,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import LD_INF_TOL, phi32, qpoch, qpoch_inf
+from .qcore import LD_INF_TOL, qpoch, qpoch_inf
 
 __all__ = [
     "AscParams",
@@ -47,7 +44,6 @@ __all__ = [
     "SpectralMeasure",
     "asc_recurrence",
     "asc_hypergeometric",
-    "asc_hypergeometric_direct",
     "continuous_weight",
     "mass_points",
     "orthogonality_measure",
@@ -198,19 +194,6 @@ def asc_hypergeometric(k: int, theta, p: AscParams) -> float:
     w = _w_from_theta(theta)
     C, conv = _convolution_table(k, [w], p.a, p.b, p.base)
     return complex(w ** (-k) * C[k] * conv[0, k]).real
-
-
-def asc_hypergeometric_direct(k: int, theta, p: AscParams) -> float:
-    """Reference evaluation: literal summation of the terminating 3phi2.
-
-    Accurate only for small k (cancellation grows like base^(-k(k-1)/2));
-    used to pin ``asc_hypergeometric`` to the defining series in tests.
-    """
-    w = _w_from_theta(theta)
-    a, b, base = _CLD(p.a), _CLD(p.b), p.base
-    series = phi32(base ** _LD(-k), a * w, a / w, a * b, base, base,
-                   max_terms=k + 2)
-    return complex(qpoch(a * b, base, k) * a ** (-k) * series).real
 
 
 def _masked_qpoch_inf(a, base):

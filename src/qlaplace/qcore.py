@@ -1,9 +1,8 @@
 """Scalar q-calculus primitives.
 
 q-Pochhammer symbols (finite and truncated-infinite), Gaussian q-binomial
-coefficients, the basic hypergeometric sum 3phi2 with vanishing second lower
-parameter, the Jackson integral on the lattice x = q^(-2j), and the forward /
-backward q-difference quotients.
+coefficients, the Jackson integral on the lattice x = q^(-2j), and the
+forward / backward q-difference quotients.
 
 All routines are dtype-preserving: they accept Python floats/complex or numpy
 scalars (including ``np.longdouble`` / ``np.clongdouble``) and carry the input
@@ -13,16 +12,13 @@ q-Pochhammer factors routinely change sign.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 __all__ = [
     "ConvergenceError",
     "qpoch",
     "qpoch_inf",
     "qbinomial",
-    "Phi32Result",
-    "phi32",
-    "phi32_info",
     "jackson_integral",
     "bminus",
     "bplus",
@@ -34,12 +30,6 @@ DEFAULT_INF_TOL = 1e-16
 
 #: truncation tolerance for products and geometric tails in ``np.longdouble``
 LD_INF_TOL = 1e-19
-
-#: relative snap width for detecting an exactly vanishing series factor.
-#: Lattice arguments such as a = q^(-2j) with base q^2 produce a factor
-#: 1 - a*base^j that is zero in exact arithmetic but O(j*eps) in floats;
-#: factors this close to zero terminate the series.
-TERMINATION_SNAP = 1e-12
 
 
 class ConvergenceError(ArithmeticError):
@@ -89,68 +79,6 @@ def qbinomial(a: int, b: int, base):
     if b < 0 or a < 0 or b > a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
     return qpoch(base, base, a) / (qpoch(base, base, b) * qpoch(base, base, a - b))
-
-
-class Phi32Result(NamedTuple):
-    """Outcome of a 3phi2 summation."""
-
-    value: complex
-    terms: int
-    #: which rule stopped the sum: "terminated" (a numerator Pochhammer
-    #: vanished, so the value is exact), "tol", or "max_terms"
-    stop: str
-
-
-def _snapped_zero(factor, magnitude) -> bool:
-    return abs(factor) <= TERMINATION_SNAP * max(1.0, float(abs(magnitude)))
-
-
-def phi32_info(a1, a2, a3, b1, z, base, max_terms: int = 1000,
-               tol: float = 1e-15) -> Phi32Result:
-    """Sum the basic hypergeometric series 3phi2 with second lower parameter 0.
-
-    The k-th term carries
-    (a1;base)_k (a2;base)_k (a3;base)_k / ((base;base)_k (b1;base)_k) * z^k;
-    the vanishing lower parameter contributes (0;base)_k = 1.  If some
-    (ai;base)_k vanishes the series terminates there and the result is exact
-    up to rounding; otherwise summation stops once |term| < tol, and running
-    past ``max_terms`` without converging reports stop="max_terms".
-
-    Direct summation is accurate only while the partial terms stay comparable
-    to the result; for lattice arguments a1 = base^(-j) with large j the terms
-    grow like base^(-j(j-1)/2) and cancellation destroys the sum.  Higher
-    modules use dedicated stable evaluations for that regime.
-    """
-    total = (a1 * 0 + a2 * 0 + a3 * 0 + z * 0) * 1.0
-    term = total + 1.0
-    p = term * 0 + 1.0  # base^k
-    k = 0
-    while k < max_terms:
-        total = total + term
-        k += 1
-        f1, f2, f3 = 1 - a1 * p, 1 - a2 * p, 1 - a3 * p
-        if (_snapped_zero(f1, a1 * p) or _snapped_zero(f2, a2 * p)
-                or _snapped_zero(f3, a3 * p)):
-            return Phi32Result(total, k, "terminated")
-        den = (1 - base * p) * (1 - b1 * p)
-        if _snapped_zero(den, 1.0):
-            raise ValueError(
-                "vanishing denominator factor: b1 lies on base^(-j) before "
-                "the series terminates")
-        term = term * f1 * f2 * f3 * z / den
-        p = p * base
-        if abs(term) < tol:
-            return Phi32Result(total + term, k + 1, "tol")
-    return Phi32Result(total, k, "max_terms")
-
-
-def phi32(a1, a2, a3, b1, z, base, max_terms: int = 1000, tol: float = 1e-15):
-    """Value of the 3phi2 sum; raises ConvergenceError on non-termination."""
-    res = phi32_info(a1, a2, a3, b1, z, base, max_terms=max_terms, tol=tol)
-    if res.stop == "max_terms":
-        raise ConvergenceError(
-            f"3phi2 did not reach tol={tol} within {max_terms} terms")
-    return res.value
 
 
 def jackson_integral(f: Mapping[int, complex], q):

@@ -40,7 +40,7 @@ class CheckResult:
 
 
 def _worst(errors) -> float:
-    """The largest per-comparison error, 0.0 when there is none.
+    """The largest per-comparison error as a ``float``, 0.0 when there is none.
 
     A NaN or infinite error raises ``FloatingPointError``, which
     :func:`run_battery` reports as a failed check: ``max`` drops a NaN
@@ -52,7 +52,7 @@ def _worst(errors) -> float:
             raise FloatingPointError(f"comparison {i} has error {err}")
         if err > worst:
             worst = err
-    return worst
+    return float(worst)
 
 
 def _rel(a, b, floor: float = 1.0) -> float:
@@ -149,14 +149,14 @@ def check_basis_orthonormality(params, sector, cfg) -> float:
 def check_asc_consistency(params, sector, cfg) -> float:
     pp = spectral.asc_params(params, sector)
     rng = Lcg(cfg.seed + 303)
-    z = np.array([0.999 * rng.symmetric() for _ in range(50)])
-    # math.acos, not np.arccos, which differs in the last bits and would
-    # move the residual away from the one-angle asc_hypergeometric values
-    w = asc._w_from_theta(np.array([math.acos(v) for v in z]))
+    # both paths at one point: z = cos(theta) of the drawn angle
+    theta = np.array([math.acos(0.999 * rng.symmetric()) for _ in range(50)])
+    w = asc._w_from_theta(theta)
     C, conv = asc._convolution_table(15, w, pp.a, pp.b, pp.base)
     k = np.arange(16)
     hyp = np.real(w[:, None] ** -k * C * conv).astype(float)
-    ref = np.array(asc._recurrence_table(15, z.astype(_LD), pp), dtype=float).T
+    ref = np.array(asc._recurrence_table(15, np.cos(theta.astype(_LD)), pp),
+                   dtype=float).T
     return _worst((np.abs(hyp - ref) / np.maximum(1.0, np.abs(ref))).flat)
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlaplace.qcore import (ConvergenceError, bminus, bplus, jackson_integral,
-                            phi32, phi32_info, qbinomial, qpoch, qpoch_inf)
+from qlaplace.qcore import (bminus, bplus, jackson_integral, qbinomial, qpoch,
+                            qpoch_inf)
 
 
 # ----------------------------------------------------------------- qpoch
@@ -113,58 +113,6 @@ def test_qbinomial_rejects_bad_input():
         qbinomial(2, 3, 0.5)
     with pytest.raises(ValueError):
         qbinomial(-1, 0, 0.5)
-
-
-# ------------------------------------------------------------------ phi32
-
-def test_phi32_unit_first_parameter():
-    # (1; base)_k = 0 for k >= 1: only the constant term survives
-    assert phi32(1.0, 0.3, 0.7, 0.2, 0.5, 0.5) == pytest.approx(1.0)
-
-
-def test_phi32_terminates_after_two_terms():
-    base = 0.5
-    res = phi32_info(base**-1, 0.01, 0.02, 0.03, base, base)
-    assert res.stop == "terminated"
-    assert res.terms == 2
-
-
-def _phi32_direct(a1, a2, a3, b1, z, base, nterms):
-    total = 0.0
-    for k in range(nterms):
-        total += (qpoch(a1, base, k) * qpoch(a2, base, k) * qpoch(a3, base, k)
-                  / (qpoch(base, base, k) * qpoch(b1, base, k))) * z**k
-    return total
-
-
-def test_phi32_lattice_instance_vs_direct_sum():
-    # terminating series with a1 on the lattice base^(-j)
-    q, j = 0.7, 5
-    p = q * q
-    a1 = p ** (-j)
-    a2, a3, b1 = q**3, q**5, q**4
-    direct = _phi32_direct(a1, a2, a3, b1, p, p, j + 1)
-    assert phi32(a1, a2, a3, b1, p, p) == pytest.approx(direct, rel=1e-12)
-
-
-def test_phi32_termination_is_exact_in_max_terms():
-    q, j = 0.6, 6
-    p = q * q
-    args = (p ** (-j), q**2, q**4, q**6, p, p)
-    v1 = phi32(*args, max_terms=j + 2)
-    v2 = phi32(*args, max_terms=500)
-    assert v1 == v2
-    assert phi32_info(*args).terms == j + 1
-
-
-def test_phi32_reports_convergence_failure():
-    with pytest.raises(ConvergenceError):
-        phi32(0.5, 0.5, 0.5, 0.2, 0.999, 0.99, max_terms=3, tol=1e-30)
-
-
-def test_phi32_tol_stop_rule():
-    res = phi32_info(0.5, 0.4, 0.3, 0.2, 0.1, 0.5, tol=1e-10)
-    assert res.stop == "tol"
 
 
 # ------------------------------------------------------------ jackson

@@ -115,6 +115,15 @@ def test_worst_refuses_a_non_finite_comparison_anywhere(bad, position):
         verify._worst(errors)
 
 
+def test_every_check_returns_a_python_float_at_the_default_config():
+    # cross_form_agreement divides its gaps by a longdouble scale; every
+    # residual must still reach a caller as a float, not only via run_battery
+    cfg = RunConfig()
+    params, sector = cfg.params(), cfg.sector()
+    for name, check, _, _ in verify.BATTERY:
+        assert type(check(params, sector, cfg)) is float, name
+
+
 def test_multiplication_passes_where_the_double_scale_overflowed():
     # the transform values reach ~6e380 here: finite in extended precision,
     # but a scale converted to double overflowed and turned every gap NaN
