@@ -30,7 +30,7 @@ from . import fockoracle, laplace, spectral
 from .lattice import (LatticeFunction, ModelParams, Quadruple, Sector,
                       hwv_inner_product)
 from .qcore import ConvergenceError
-from .verify import CONTAINMENT_THRESHOLD, run_battery
+from .verify import CONTAINMENT_SIZE, CONTAINMENT_THRESHOLD, run_battery
 
 SCHEMA_VERSION = 1
 
@@ -112,7 +112,7 @@ _SECTOR = (
 )
 _QUADRATURE = (
     click.option("--quad-nodes", type=int, default=RunConfig.quad_nodes,
-                 show_default=True, help="theta nodes for spectral quadrature"),
+                 show_default=True, help="minimum theta nodes for spectral quadrature"),
 )
 _BATTERY = (
     click.option("--max-j", type=int, default=RunConfig.max_j, show_default=True,
@@ -200,8 +200,8 @@ def verify(out, **kw):
 
 @main.command()
 @_options(_MODEL, _SECTOR)
-@click.option("--size", type=int, default=400, show_default=True,
-              help="tridiagonal truncation size")
+@click.option("--size", type=int, default=CONTAINMENT_SIZE,
+              show_default=True, help="tridiagonal truncation size")
 def spectrum(out, size, **kw):
     """Band, discrete eigenvalues, and truncated-matrix eigenvalues."""
     cfg, config = _config(**kw)

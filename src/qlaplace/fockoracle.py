@@ -4,13 +4,19 @@ summation identities used to reduce it in closed form.
 The invariant integral of a product of two dressed lattice functions is a
 weighted trace over a truncated multi-index space: indices a_1..a_n run over
 nonpositive integers, a_{n+1}..a_{N-1} over positive integers, each basis
-vector contributing an explicitly known diagonal factor times the trace
-weight q^(2 sum (N-i) a_i).  The oracle sums this directly (no closed-form
-summation identities are used), so it independently validates the
-closed-form pairing of :func:`qlaplace.lattice.hwv_inner_product`.
+vector contributing an explicitly known diagonal factor
+(:func:`diagonal_action`) times the trace weight q^(2 sum (N-i) a_i).
 
-The sum factorizes exactly over the two index blocks; the negative block is
-a finite sum (the function reads vanish once sum a_i leaves the support).
+The sum factorizes exactly over the two index blocks, and the oracle
+evaluates that product (``_oracle_values``): the normalizer and the
+quadruple prefactor times the negative-block sum, which is finite (the
+function reads vanish once sum a_i leaves the support), times the
+positive-block sum.  Both blocks are summed term by term, with no closed-form
+summation identity, so the oracle independently validates the closed-form
+pairing of :func:`qlaplace.lattice.hwv_inner_product`.  ``diagonal_action``
+is not called by the oracle; it is the per-vector reference whose literal
+sum the tests compare with it.
+
 The positive block and the identities' geometric sums run each index to the
 first depth D with q^(2D) < ``LD_INF_TOL``; the oracle also checks at 2D.
 
@@ -170,11 +176,12 @@ def invariant_integral(params: ModelParams, quad: Quadruple,
                        phi: Mapping[int, complex], psi: Mapping[int, complex]):
     """Truncated trace realization of the dressed pairing.
 
-    Sums diagonal_action times the trace weight over all indices (the two
-    blocks factor exactly, and the negative block is finite once the reads
-    vanish), each positive index running to D = ``_depth(q)``.  The value is
-    recomputed at 2D, and a relative movement above 1e-12 raises
-    ConvergenceError; otherwise the 2D value is returned.
+    Evaluates the factorized trace of ``_oracle_values``: the product of the
+    two index blocks' sums, which equals the sum of :func:`diagonal_action`
+    times the trace weight over all indices (the negative block is finite
+    once the reads vanish), each positive index running to D = ``_depth(q)``.
+    The value is recomputed at 2D, and a relative movement above 1e-12
+    raises ConvergenceError; otherwise the 2D value is returned.
     """
     _require_n_ge_2(params)
     depth = _depth(params.q)

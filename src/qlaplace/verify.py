@@ -7,7 +7,9 @@ exclusion, a degenerate mass point on the band edge) are reported as skipped,
 not failed; a check that raises any other exception is reported as failed,
 with the exception named in its note.  Every check reduces its comparisons
 through :func:`_worst`, so a NaN or infinite comparison fails its check with a
-``FloatingPointError`` note instead of vanishing from the residual.
+``FloatingPointError`` note instead of vanishing from the residual; a numpy
+overflow, division by zero or invalid operation inside a check fails it the
+same way instead of printing a warning.
 """
 
 from __future__ import annotations
@@ -151,10 +153,7 @@ def check_asc_consistency(params, sector, cfg) -> float:
     rng = Lcg(cfg.seed + 303)
     # both paths at one point: z = cos(theta) of the drawn angle
     theta = np.array([math.acos(0.999 * rng.symmetric()) for _ in range(50)])
-    w = asc._w_from_theta(theta)
-    C, conv = asc._convolution_table(15, w, pp.a, pp.b, pp.base)
-    k = np.arange(16)
-    hyp = np.real(w[:, None] ** -k * C * conv).astype(float)
+    hyp = np.real(asc._hypergeometric_table(15, theta, pp)).astype(float)
     ref = np.array(asc._recurrence_table(15, np.cos(theta.astype(_LD)), pp),
                    dtype=float).T
     return _worst((np.abs(hyp - ref) / np.maximum(1.0, np.abs(ref))).flat)
@@ -237,7 +236,7 @@ def check_roundtrip(params, sector, cfg) -> float:
 
 def check_spectrum_containment(params, sector, cfg) -> float:
     spec = spectral.spectrum(params, sector)
-    ev = laplace.jacobi_matrix(params, sector, 400).eigenvalues()
+    ev = laplace.jacobi_matrix(params, sector, CONTAINMENT_SIZE).eigenvalues()
     return _worst([spec.containment(ev)])
 
 
@@ -300,6 +299,8 @@ def check_difference_duality(params, sector, cfg) -> float:
 
 #: also the bound of the ``qlaplace spectrum`` report's ``converged`` flag
 CONTAINMENT_THRESHOLD = 1e-6
+#: Jacobi truncation size of the check, also ``qlaplace spectrum``'s default
+CONTAINMENT_SIZE = 400
 
 #: (name, function, threshold, requires) with requires in
 #: {"", "quadruple", "oracle"}
@@ -343,7 +344,10 @@ def run_battery(cfg) -> list[CheckResult]:
                                        "trace oracle requires n >= 2"))
             continue
         try:
-            residual = fn(params, sector, cfg)
+            # an overflow, a division by zero or an invalid operation raises
+            # FloatingPointError (a failed check); underflow stays silent
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                residual = fn(params, sector, cfg)
         except DegenerateParameterError as exc:
             results.append(CheckResult(name, None, threshold, True, True,
                                        f"degenerate parameters: {exc}"))

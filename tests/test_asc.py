@@ -317,43 +317,50 @@ def test_asc_consistency_equals_the_per_degree_loop(q):
             == _reference_asc_consistency(*args)
 
 
-def _reference_residual(i, j, p, quad_nodes, measures):
-    """One (i, j) moment refined on its own grid sequence; ``measures`` caches
-    the measure of each grid size."""
+def _reference_moment(i, j, p, meas):
+    """One (i, j) moment on one measure, from its own recurrence table of
+    degree max(i, j)."""
     base = np.longdouble(p.base)
-    scale = 1 / (qpoch_inf(base ** np.longdouble(i + 1), base, 1e-19)
-                 * qpoch_inf(np.longdouble(p.a) * np.longdouble(p.b)
-                             * base ** np.longdouble(i), base, 1e-19))
+    k = max(i, j)
+    table = asc._recurrence_table(k, np.cos(meas.theta_nodes), p)
+    a = np.longdouble(p.a)
+    disc = [[qpoch(a * np.longdouble(p.b), base, r) * a ** np.longdouble(-r) * s
+             for r, s in enumerate(asc._mass_point_series(k, d.index, p))]
+            for d in meas.discrete]
+    return meas.integrate(table[i] * table[j], [td[i] * td[j] for td in disc])
+
+
+def _reference_residuals(kmax, p, quad_nodes):
+    """Every (i, j) moment evaluated on its own; the whole table moves to the
+    doubled grid until no moment moves by more than 1e-11 of its target."""
+    base = np.longdouble(p.base)
+    scale = [1 / (qpoch_inf(base ** np.longdouble(i + 1), base, 1e-19)
+                  * qpoch_inf(np.longdouble(p.a) * np.longdouble(p.b)
+                              * base ** np.longdouble(i), base, 1e-19))
+             for i in range(kmax + 1)]
+    pairs = [(i, j) for i in range(kmax + 1) for j in range(i, kmax + 1)]
     nodes, prev = quad_nodes, None
     for _ in range(7):
-        if nodes not in measures:
-            measures[nodes] = orthogonality_measure(p, nodes)
-        meas = measures[nodes]
-        k = max(i, j)
-        table = asc._recurrence_table(k, np.cos(meas.theta_nodes), p)
-        a = np.longdouble(p.a)
-        disc = [[qpoch(a * np.longdouble(p.b), base, r) * a ** np.longdouble(-r) * s
-                 for r, s in enumerate(asc._mass_point_series(k, d.index, p))]
-                for d in meas.discrete]
-        val = meas.integrate(table[i] * table[j], [td[i] * td[j] for td in disc])
-        if prev is not None and abs(val - prev) <= 1e-11 * abs(scale):
+        meas = orthogonality_measure(p, nodes)
+        val = {(i, j): _reference_moment(i, j, p, meas) for i, j in pairs}
+        if prev is not None and all(
+                abs(val[i, j] - prev[i, j]) <= 1e-11 * abs(scale[i]) for i, j in pairs):
             break
         prev = val
-        nodes = 2 * nodes - 1
-    return float(abs(val - (scale if i == j else 0.0)) / abs(scale))
+        nodes = 2 * len(meas.theta_nodes) - 1
+    return {(i, j): float(abs(val[i, j] - (scale[i] if i == j else 0.0))
+                          / abs(scale[i]))
+            for i, j in pairs}
 
 
-# at q=0.95 without point masses, some pairs settle after two grids and
-# others after three
+# at q=0.95 the node rule starts the grid at 256 nodes, not at the floor 64
 @pytest.mark.parametrize("q,sector", [(0.5, SECTORS[0]), (0.5, SECTORS[1]),
                                       (0.95, SECTORS[0])])
-def test_shared_grids_reproduce_per_pair_refinement(q, sector):
+def test_shared_grids_reproduce_whole_table_refinement(q, sector):
     p = _sector_params(q, *sector)
     got = orthogonality_residuals(4, p, 64)
     assert set(got) == {(i, j) for i in range(5) for j in range(i, 5)}
-    measures = {}
-    for (i, j), res in got.items():
-        assert res == _reference_residual(i, j, p, 64, measures)
+    assert got == _reference_residuals(4, p, 64)
     assert orthogonality_residual(1, 3, p, 64) == got[1, 3]
 
 
@@ -376,6 +383,49 @@ def test_asc_orthogonality_holds_across_the_baseline_sweep(q):
         assert res <= 1e-8, (n, m, L, Lp)
         checked += 1
     assert checked == 7  # n=1, m=2 has a = 1, a mass on the band edge
+
+
+def test_node_count_never_goes_below_the_floor():
+    for p in PARAM_SETS:
+        for floor in (16, 64, 257, 1000):
+            assert asc._node_count(p, floor) >= floor
+    # a = b = 0 (continuous q-Hermite): no pole, so the floor is the grid
+    assert asc._node_count(AscParams(a=0.0, b=0.0, base=0.25), 16) == 16
+
+
+@pytest.mark.parametrize("q", [0.01, 0.1, 0.3, 0.5, 0.6, 0.7, 0.9, 0.95])
+def test_node_count_keeps_the_default_grid_across_the_sweep(q):
+    # every integer configuration has d >= ln(1/0.95), so the default 256
+    # nodes stay the grid and the default reports keep their bytes
+    for n, m, L, Lp in SWEEP_SECTORS + [(2, 2, 0, 0)]:
+        p = _sector_params(q, n, m, L, Lp)
+        try:
+            mass_points(p, strict=True)
+        except DegenerateParameterError:
+            continue
+        assert asc._node_count(p, 16) <= 256, (n, m, L, Lp)
+
+
+def test_node_count_follows_the_pole_distance_at_the_q_bound():
+    # d = ln(1/0.95) = 0.0513: ceil(ln(0.25 / 1e-12) / (2 d)) = 256
+    p = _sector_params(0.95, 1, 3, 0, 2)
+    assert asc._node_count(p, 64) == 256
+    assert len(orthogonality_measure(p, 64).theta_nodes) == 256
+
+
+def test_node_count_names_d_above_the_cap():
+    p = AscParams(a=1 + 1e-9, b=0.125, base=0.25)
+    with pytest.raises(ValueError, match=r"d = 1e-09"):
+        asc._node_count(p, 16)
+    with pytest.raises(ValueError, match=r"d = 1e-09"):
+        orthogonality_measure(p, 16)
+
+
+def test_node_count_reads_parameters_below_the_double_range():
+    # b ~ 1e-402 at q = 0.01, m = 200: its logarithm is taken in longdouble
+    p = _sector_params(0.01, 2, 200, 0, 0)
+    assert float(p.b) == 0.0
+    assert asc._node_count(p, 16) == 16
 
 
 def test_orthogonality_check_builds_one_measure_per_grid(monkeypatch):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -329,7 +330,7 @@ def test_spectrum_containment_matches_verify_check(m, Lp):
 @pytest.mark.parametrize("q", ["0.7", "0.8", "0.95"])
 @pytest.mark.parametrize("n,m", [("2", "2"), ("3", "4")])
 def test_verify_is_total_near_the_q_bound(q, n, m):
-    # 64 nodes under-resolve the band at q = 0.95 (plancherel_mass 6e-10)
+    # --quad-nodes is a floor: at q = 0.95 the node rule builds 256 nodes
     res = run("verify", "--q", q, "--n", n, "--m", m,
               "--quad-nodes", "128", "--max-j", "10")
     assert res.exit_code == 0, res.output
@@ -382,3 +383,25 @@ def test_verify_fails_every_check_with_nan_comparisons():
     for check in failed.values():
         assert check["residual"] is None
         assert check["note"].startswith("FloatingPointError: ")
+
+
+@pytest.mark.parametrize("args", [["--lambda", "300"], ["--q", "0.01", "--m", "200"]],
+                         ids=["lambda300", "q0.01-m200"])
+def test_a_failing_verify_writes_only_its_verdict_to_stderr(args):
+    # numpy floating-point errors fail their checks instead of warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run("verify", *args)
+    assert res.exit_code == 1
+    assert caught == []
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("first failing check: ")
+
+
+def test_quad_nodes_is_a_minimum_that_q_raises():
+    res = run("plancherel", "--q", "0.95", "--m", "4", "--lambda-prime", "2",
+              "--quad-nodes", "64")
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.stdout)["density"]["theta"]) == 256
+    res = run("verify", "--q", "0.95", "--quad-nodes", "64", "--max-j", "10")
+    assert res.exit_code == 0, res.output

@@ -158,19 +158,8 @@ def test_battery_passes_at_small_q(n, m, L, Lp):
     assert not _failed_checks(0.01, n, m, L, Lp)
 
 
-# The sectors with point masses (L - Lp < m - n - 1) fail plancherel_mass,
-# parseval and transform_roundtrip at q = 0.95 on 128 nodes; all 48 configs
-# pass on 256.  The mark goes once the measure's node count follows q.
-_NODES_DO_NOT_FOLLOW_Q = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="128 theta nodes do not resolve the q = 0.95 Plancherel measure "
-           "with point masses: the quadrature does not follow q")
-
-
 @pytest.mark.parametrize("q,n,m,L,Lp", [
-    pytest.param(q, n, m, L, Lp, id=f"{q}-{n}-{m}-{L}-{Lp}",
-                 marks=_NODES_DO_NOT_FOLLOW_Q if q == 0.95 and L - Lp < m - n - 1
-                 else ())
+    pytest.param(q, n, m, L, Lp, id=f"{q}-{n}-{m}-{L}-{Lp}")
     for q in (0.1, 0.3, 0.6, 0.9, 0.95) for n, m, L, Lp in SWEEP_SECTORS])
 def test_battery_passes_across_the_domain_sweep(q, n, m, L, Lp):
     """The rest of the 48-config sweep, q = 0.01 being the test above."""
