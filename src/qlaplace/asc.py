@@ -78,7 +78,10 @@ class AscParams:
         if not (0.0 < float(self.base) < 1.0):
             raise ValueError(f"base must lie in (0, 1), got {self.base}")
         for name in ("a", "b", "base"):
-            object.__setattr__(self, name, _LD(getattr(self, name)))
+            value = _LD(getattr(self, name))
+            if not np.isfinite(value):  # b = 0 is allowed
+                raise ValueError(f"{name} = {value} is not finite in extended precision")
+            object.__setattr__(self, name, value)
 
 
 def _w_from_theta(theta):

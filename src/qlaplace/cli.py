@@ -44,8 +44,6 @@ class RunConfig:
     m: int = 2
     L: int = 0
     Lp: int = 0
-    max_j: int = 30
-    tol: float | None = None
     quad_nodes: int = 256
     fmt: str = "json"
     seed: int = 0
@@ -60,10 +58,6 @@ class RunConfig:
             raise click.UsageError(
                 f"--q {self.q} is outside the supported regime (q <= 0.95: "
                 "operator coefficients scale like 1/(1-q^2))")
-        if self.max_j < 1:
-            raise click.UsageError(f"--max-j must be >= 1, got {self.max_j}")
-        if self.tol is not None and not 0 < self.tol < math.inf:
-            raise click.UsageError(f"--tol must be positive and finite, got {self.tol}")
         if self.quad_nodes < 16:
             raise click.UsageError(f"--quad-nodes must be >= 16, got {self.quad_nodes}")
 
@@ -115,11 +109,6 @@ _QUADRATURE = (
                  show_default=True, help="minimum theta nodes for spectral quadrature"),
 )
 _BATTERY = (
-    click.option("--max-j", type=int, default=RunConfig.max_j, show_default=True,
-                 help="lattice depth used by residual checks"),
-    click.option("--tol", type=float, default=RunConfig.tol,
-                 help="override every check threshold (default: pinned "
-                      "per-check thresholds)"),
     click.option("--seed", type=int, default=RunConfig.seed, show_default=True,
                  help="seed of the documented LCG for random test functions"),
 )
@@ -208,7 +197,10 @@ def spectrum(out, size, **kw):
     if size < 2:
         raise click.UsageError(f"--size must be >= 2, got {size}")
     params, sector = cfg.params(), cfg.sector()
-    spec = spectral.spectrum(params, sector)
+    try:
+        spec = spectral.spectrum(params, sector)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     try:
         jm = laplace.jacobi_matrix(params, sector, size)
         jm2 = laplace.jacobi_matrix(params, sector, 2 * size)

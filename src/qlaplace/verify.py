@@ -30,6 +30,10 @@ __all__ = ["CheckResult", "run_battery", "BATTERY"]
 
 _LD = np.longdouble
 
+#: lattice indices 0..LATTICE_DEPTH that the eigenvalue, symmetry, norm and
+#: orthonormality checks compare
+LATTICE_DEPTH = 30
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -75,7 +79,7 @@ def _spectral_points(params: ModelParams, sector: Sector):
 
 
 def check_eigenvalue_residual(params, sector, cfg) -> float:
-    J = min(cfg.max_j, 30)
+    J = LATTICE_DEPTH
     pts = _spectral_points(params, sector)
     lams = laplace.eigenvalue(params, np.array([pt.z for pt in pts]))
     errors = []
@@ -118,13 +122,12 @@ def check_sector_independence(params, sector, cfg) -> float:
 
 
 def check_symmetry(params, sector, cfg) -> float:
-    maxj = min(cfg.max_j, 40)
-    basis = [LatticeFunction.basis(j) for j in range(maxj + 1)]
+    basis = [LatticeFunction.basis(j) for j in range(LATTICE_DEPTH + 1)]
     actions = [laplace.apply_three_term(params, sector, f) for f in basis]
     errors = []
-    for j in range(maxj + 1):
+    for j in range(LATTICE_DEPTH + 1):
         for k in (j - 1, j, j + 1):
-            if k < 0 or k > maxj:
+            if k < 0 or k > LATTICE_DEPTH:
                 continue
             lhs = lattice.inner_product(params, sector, actions[j], basis[k])
             rhs = lattice.inner_product(params, sector, basis[j], actions[k])
@@ -134,7 +137,7 @@ def check_symmetry(params, sector, cfg) -> float:
 
 def check_norm_identity(params, sector, cfg) -> float:
     errors = []
-    for j in range(min(cfg.max_j, 60) + 1):
+    for j in range(LATTICE_DEPTH + 1):
         a = lattice.measure_mass(params, sector, j)
         b = lattice.indicator_norm_sq(params, sector, j)
         errors.append(_rel(a, b, floor=float(abs(b))))
@@ -143,7 +146,7 @@ def check_norm_identity(params, sector, cfg) -> float:
 
 def check_basis_orthonormality(params, sector, cfg) -> float:
     basis = (lattice.orthonormal_basis(params, sector, j)
-             for j in range(min(cfg.max_j, 40) + 1))
+             for j in range(LATTICE_DEPTH + 1))
     return _worst(float(abs(lattice.inner_product(params, sector, e, e) - 1))
                   for e in basis)
 
@@ -333,8 +336,7 @@ def run_battery(cfg) -> list[CheckResult]:
     """Run every applicable check at the configuration's parameters."""
     params, sector = cfg.params(), cfg.sector()
     results = []
-    for name, fn, pinned, requires in BATTERY:
-        threshold = cfg.tol if cfg.tol is not None else pinned
+    for name, fn, threshold, requires in BATTERY:
         if requires == "quadruple" and not sector.realizable:
             results.append(CheckResult(name, None, threshold, True, True,
                                        "sector not realizable by a quadruple"))

@@ -14,6 +14,7 @@ import numpy as np
 
 from qlaplace import asc, fockoracle, laplace, lattice, spectral, verify
 from qlaplace._rng import Lcg
+from qlaplace.cli import RunConfig
 from qlaplace.lattice import LatticeFunction, ModelParams, Quadruple, Sector
 from qlaplace.qcore import qpoch
 
@@ -39,22 +40,16 @@ def all_quadruples(max_entry):
 
 
 def test_criterion_01_eigenvalue_equation():
-    """AΦ = λΦ at 1 <= j <= 30 over the full parameter grid."""
-    J = 30
+    """AΦ = λΦ at 1 <= j <= 30 over the full parameter grid, read through the
+    battery's own check and its max(1, |λ|) max_j |Φ_j| yardstick."""
+    assert verify.LATTICE_DEPTH == 30
     worst = 0.0
     for (n, m) in NM_GRID:
         for q in Q_GRID:
-            params = ModelParams(q, n, m)
             for sector in SECTORS:
-                for pt in verify._spectral_points(params, sector):
-                    prof = spectral.eigenfunction_profile(params, sector, pt, J + 1)
-                    f = LatticeFunction({j: prof[j] for j in range(J + 2)})
-                    af = laplace.apply_three_term(params, sector, f)
-                    lam = laplace.eigenvalue(params, pt)
-                    scale = float(np.max(np.abs(prof[:J + 1])))
-                    res = max(float(abs(af.get(j, 0.0) - lam * prof[j]))
-                              for j in range(1, J + 1)) / scale
-                    worst = max(worst, res)
+                cfg = RunConfig(q=q, n=n, m=m, L=sector.L, Lp=sector.Lp)
+                worst = max(worst, verify.check_eigenvalue_residual(
+                    cfg.params(), cfg.sector(), cfg))
     _report(1, "eigenvalue equation", worst, 1e-10)
 
 

@@ -19,13 +19,13 @@ from qlaplace.cli import RunConfig, main
 from qlaplace.qcore import ConvergenceError
 from qlaplace.verify import check_spectrum_containment
 
-FAST = ["--quad-nodes", "64", "--max-j", "10"]
+FAST = ["--quad-nodes", "64"]
 
 # option groups; each command declares the groups whose RunConfig fields it reads
 MODEL = {"--q", "--n", "--m", "--format", "--out"}
 SECTOR = {"--lambda", "--lambda-prime"}
 QUADRATURE = {"--quad-nodes"}
-BATTERY_OPTIONS = {"--max-j", "--tol", "--seed"}
+BATTERY_OPTIONS = {"--seed"}
 COMMAND_OPTIONS = {
     "verify": MODEL | SECTOR | QUADRATURE | BATTERY_OPTIONS,
     "spectrum": MODEL | SECTOR | {"--size"},
@@ -44,13 +44,20 @@ def run(*args):
     return runner.invoke(main, list(args))
 
 
-def test_cli_import_does_not_load_scipy():
+def run_python(*args, cwd=None):
+    """``python *args`` in a fresh interpreter that imports this qlaplace;
+    a run past 60 s raises instead of hanging the suite."""
     src = str(Path(qlaplace.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=60)
+
+
+def test_cli_import_does_not_load_scipy():
     probe = "import sys, qlaplace.cli; print('scipy' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True, env=env)
+    res = run_python("-c", probe)
+    assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
 
 
@@ -58,7 +65,7 @@ def test_each_command_declares_only_the_options_it_reads():
     declared = {name: {opt for p in cmd.params for opt in p.opts}
                 for name, cmd in main.commands.items()}
     assert declared == COMMAND_OPTIONS
-    assert sum(len(cmd.params) for cmd in main.commands.values()) == 42
+    assert sum(len(cmd.params) for cmd in main.commands.values()) == 40
 
 
 @pytest.mark.parametrize("command,args,fields", [
@@ -79,8 +86,9 @@ def test_report_config_echoes_exactly_the_fields_the_command_reads(
 
 
 @pytest.mark.parametrize("command,option", [
-    ("spectrum", "--seed"), ("spectrum", "--quad-nodes"), ("plancherel", "--max-j"),
-    ("transform", "--tol"), ("oracle", "--lambda"), ("oracle", "--quad-nodes"),
+    ("verify", "--tol"), ("verify", "--max-j"), ("spectrum", "--seed"),
+    ("spectrum", "--quad-nodes"), ("plancherel", "--max-j"), ("transform", "--tol"),
+    ("oracle", "--lambda"), ("oracle", "--quad-nodes"),
 ])
 def test_an_option_the_command_does_not_read_is_a_usage_error(command, option):
     res = run(command, option, "1")
@@ -148,20 +156,15 @@ def test_parameter_domain_violation_exits_2():
     assert res.exit_code == 2
     res = run("plancherel", "--quad-nodes", "4")
     assert res.exit_code == 2
-    for tol in ("nan", "inf", "0"):
-        res = run("verify", "--tol", tol, *FAST)
-        assert res.exit_code == 2, tol
-        assert isinstance(res.exception, SystemExit)
-        assert "--tol" in res.stderr
 
 
-def test_corrupted_threshold_names_first_failing_check():
-    res = run("verify", "--tol", "1e-20", *FAST)
+def test_failing_verify_names_first_failing_check():
+    res = run("verify", "--lambda", "300")
     assert res.exit_code == 1
     report = json.loads(res.stdout)
     assert report["all_passed"] is False
     first_fail = next(c["name"] for c in report["checks"] if not c["passed"])
-    assert first_fail in res.stderr
+    assert res.stderr == f"first failing check: {first_fail}\n"
 
 
 def test_reports_are_deterministic():
@@ -331,8 +334,7 @@ def test_spectrum_containment_matches_verify_check(m, Lp):
 @pytest.mark.parametrize("n,m", [("2", "2"), ("3", "4")])
 def test_verify_is_total_near_the_q_bound(q, n, m):
     # --quad-nodes is a floor: at q = 0.95 the node rule builds 256 nodes
-    res = run("verify", "--q", q, "--n", n, "--m", m,
-              "--quad-nodes", "128", "--max-j", "10")
+    res = run("verify", "--q", q, "--n", n, "--m", m, "--quad-nodes", "128")
     assert res.exit_code == 0, res.output
     report = json.loads(res.stdout)
     assert len(report["checks"]) == 21
@@ -403,5 +405,28 @@ def test_quad_nodes_is_a_minimum_that_q_raises():
               "--quad-nodes", "64")
     assert res.exit_code == 0, res.output
     assert len(json.loads(res.stdout)["density"]["theta"]) == 256
-    res = run("verify", "--q", "0.95", "--quad-nodes", "64", "--max-j", "10")
+    res = run("verify", "--q", "0.95", "--quad-nodes", "64")
     assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["plancherel"], ["spectrum"], ["transform", "--input", "f0.json"],
+], ids=["plancherel", "spectrum", "transform"])
+def test_parameters_past_extended_range_are_a_usage_error(tmp_path, args):
+    # at q = 0.01, m = 2500 the family parameter a = q^(-2497) is inf in
+    # longdouble; the mass-point enumeration used to loop forever on it
+    (tmp_path / "f0.json").write_text('{"support": [0], "values": [[1.0, 0.0]]}')
+    res = run_python("-m", "qlaplace.cli", *args, "--q", "0.01", "--m", "2500",
+                     cwd=tmp_path)
+    assert res.returncode == 2
+    assert "a = inf is not finite" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_verify_past_extended_range_completes_its_report():
+    res = run_python("-m", "qlaplace.cli", "verify", "--q", "0.01", "--m", "2500")
+    assert res.returncode == 1
+    report = json.loads(res.stdout)
+    assert len(report["checks"]) == 21 and report["all_passed"] is False
+    assert res.stderr == "first failing check: eigenvalue_residual\n"

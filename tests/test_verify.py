@@ -71,7 +71,7 @@ def _roundtrip_loop(params, sector, cfg):
 
 
 def _symmetry_loop(params, sector, cfg):
-    maxj = min(cfg.max_j, 40)
+    maxj = verify.LATTICE_DEPTH
     worst = 0.0
     for j in range(maxj + 1):
         fj = LatticeFunction.basis(j)
@@ -133,7 +133,7 @@ def test_multiplication_passes_where_the_double_scale_overflowed():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_underflowing_off_band_point_fails_the_eigenvalue_check_by_name():
-    cfg = RunConfig(q=0.01, n=2, m=200, quad_nodes=16, max_j=1)
+    cfg = RunConfig(q=0.01, n=2, m=200, quad_nodes=16)
     res = next(r for r in verify.run_battery(cfg) if r.name == "eigenvalue_residual")
     assert not res.passed and not res.skipped
     assert res.note.startswith("ValueError: ") and "underflows" in res.note
@@ -145,7 +145,7 @@ SWEEP_SECTORS = [(1, 2, 0, 0), (1, 3, 0, 2), (2, 2, 3, 0), (3, 5, 0, 4),
 
 
 def _failed_checks(q, n, m, L, Lp):
-    cfg = RunConfig(q=q, n=n, m=m, L=L, Lp=Lp, quad_nodes=128, max_j=10)
+    cfg = RunConfig(q=q, n=n, m=m, L=L, Lp=Lp, quad_nodes=128)
     return [(r.name, r.residual, r.note) for r in verify.run_battery(cfg)
             if not r.passed]
 
