@@ -419,32 +419,26 @@ def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int) -> dict:
     form, relative to the diagonal target
     1/((base^(i+1); base)_inf (a b base^i; base)_inf).
 
-    Each grid's measure and recurrence table are built once and give every
-    moment; the grid doubles (keeping its nodes) until no moment moves by more
-    than 1e-11 of its target scale, after at most 7 grids.
+    Every moment comes from one measure and one recurrence table.  A moment
+    integrand is a degree <= 2 kmax polynomial times the band weight, whose
+    trapezoid error is C exp(-2 d (N - 1 - kmax)), so the grid has
+    max(quad_nodes, N(d) + kmax + 1) nodes, N(d) the :func:`_node_count` of
+    the weight alone.
     """
     if kmax > 20:
         raise ValueError("residual check supports degrees up to 20")
-    pairs = [(i, j) for i in range(kmax + 1) for j in range(i, kmax + 1)]
-    scale = [1 / _norm_factor(i, p) for i in range(kmax + 1)]
+    mass_points(p, strict=True)  # a band-edge mass raises before d is read
+    measure = orthogonality_measure(p, max(quad_nodes, _node_count(p, 0) + kmax + 1))
+    table = _recurrence_table(kmax, np.cos(measure.theta_nodes), p)
     # mass points: Q_j = (ab; base)_j a^(-j) S_j, not the forward recurrence
     lead = np.array([qpoch(p.a * p.b, p.base, j) * p.a ** _LD(-j)
                      for j in range(kmax + 1)])
-    prev = None
-    nodes = quad_nodes
-    for _ in range(7):
-        measure = orthogonality_measure(p, nodes)
-        table = _recurrence_table(kmax, np.cos(measure.theta_nodes), p)
-        disc = [lead * _mass_point_series(kmax, d.index, p)
-                for d in measure.discrete]
-        val = {(i, j): measure.integrate(table[i] * table[j],
-                                         [td[i] * td[j] for td in disc])
-               for i, j in pairs}
-        if prev is not None and all(
-                abs(val[i, j] - prev[i, j]) <= 1e-11 * abs(scale[i]) for i, j in pairs):
-            break
-        prev = val
-        nodes = 2 * len(measure.theta_nodes) - 1  # doubling that keeps the nodes
+    disc = [lead * _mass_point_series(kmax, d.index, p) for d in measure.discrete]
+    scale = [1 / _norm_factor(i, p) for i in range(kmax + 1)]
+    pairs = [(i, j) for i in range(kmax + 1) for j in range(i, kmax + 1)]
+    val = {(i, j): measure.integrate(table[i] * table[j],
+                                     [td[i] * td[j] for td in disc])
+           for i, j in pairs}
     return {(i, j): float(abs(val[i, j] - (scale[i] if i == j else 0.0))
                           / abs(scale[i]))
             for i, j in pairs}

@@ -99,9 +99,10 @@ def point_from_exponent(params: ModelParams, ell) -> SpectralPoint:
 def asc_params(params: ModelParams, sector: Sector) -> AscParams:
     """Al-Salam-Chihara parameters attached to a sector (base = q^2)."""
     q = params.q_ld
-    return AscParams(a=q ** _LD(2 * params.n - params.N + 1 + sector.L - sector.Lp),
-                     b=q ** _LD(params.N - 1 + sector.L + sector.Lp),
-                     base=q * q)
+    with np.errstate(over="ignore"):  # AscParams names a non-finite a or b
+        a = q ** _LD(2 * params.n - params.N + 1 + sector.L - sector.Lp)
+        b = q ** _LD(params.N - 1 + sector.L + sector.Lp)
+    return AscParams(a=a, b=b, base=q * q)
 
 
 def _profile_convolution(params: ModelParams, sector: Sector, w,

@@ -330,38 +330,55 @@ def _reference_moment(i, j, p, meas):
     return meas.integrate(table[i] * table[j], [td[i] * td[j] for td in disc])
 
 
-def _reference_residuals(kmax, p, quad_nodes):
-    """Every (i, j) moment evaluated on its own; the whole table moves to the
-    doubled grid until no moment moves by more than 1e-11 of its target."""
+def _reference_residuals(kmax, p, meas):
+    """Every (i, j) moment evaluated on its own on the measure ``meas``."""
     base = np.longdouble(p.base)
     scale = [1 / (qpoch_inf(base ** np.longdouble(i + 1), base, 1e-19)
                   * qpoch_inf(np.longdouble(p.a) * np.longdouble(p.b)
                               * base ** np.longdouble(i), base, 1e-19))
              for i in range(kmax + 1)]
-    pairs = [(i, j) for i in range(kmax + 1) for j in range(i, kmax + 1)]
-    nodes, prev = quad_nodes, None
-    for _ in range(7):
-        meas = orthogonality_measure(p, nodes)
-        val = {(i, j): _reference_moment(i, j, p, meas) for i, j in pairs}
-        if prev is not None and all(
-                abs(val[i, j] - prev[i, j]) <= 1e-11 * abs(scale[i]) for i, j in pairs):
-            break
-        prev = val
-        nodes = 2 * len(meas.theta_nodes) - 1
-    return {(i, j): float(abs(val[i, j] - (scale[i] if i == j else 0.0))
-                          / abs(scale[i]))
-            for i, j in pairs}
+    return {(i, j): float(abs(_reference_moment(i, j, p, meas)
+                              - (scale[i] if i == j else 0.0)) / abs(scale[i]))
+            for i in range(kmax + 1) for j in range(i, kmax + 1)}
 
 
-# at q=0.95 the node rule starts the grid at 256 nodes, not at the floor 64
+def _recording_measures(monkeypatch):
+    """Replace ``asc.orthogonality_measure`` by a wrapper that keeps every
+    measure it builds."""
+    built = []
+
+    def recorded(p, quad_nodes):
+        built.append(orthogonality_measure(p, quad_nodes))
+        return built[-1]
+
+    monkeypatch.setattr(asc, "orthogonality_measure", recorded)
+    return built
+
+
+# at q=0.95 the node rule and the degree term give 256 + 5 = 261 nodes, not
+# the floor 64
 @pytest.mark.parametrize("q,sector", [(0.5, SECTORS[0]), (0.5, SECTORS[1]),
                                       (0.95, SECTORS[0])])
-def test_shared_grids_reproduce_whole_table_refinement(q, sector):
+def test_one_grid_reproduces_the_per_pair_moments(q, sector, monkeypatch):
     p = _sector_params(q, *sector)
+    built = _recording_measures(monkeypatch)
     got = orthogonality_residuals(4, p, 64)
+    assert len(built) == 1
+    assert len(built[0].theta_nodes) == max(64, asc._node_count(p, 0) + 5)
     assert set(got) == {(i, j) for i in range(5) for j in range(i, 5)}
-    assert got == _reference_residuals(4, p, 64)
-    assert orthogonality_residual(1, 3, p, 64) == got[1, 3]
+    assert got == _reference_residuals(4, p, built[0])
+    assert orthogonality_residual(1, 3, p, 64) \
+        == orthogonality_residuals(3, p, 64)[1, 3]
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.95])
+@pytest.mark.parametrize("sector", [(2, 2, 0, 0), (1, 3, 0, 2)])
+def test_degree_term_keeps_the_whole_table_at_the_floor(q, sector):
+    # without the kmax + 1 nodes, one 16-node grid reads 0.99 at kmax 14,
+    # q=0.1, (2,2,0,0)
+    p = _sector_params(q, *sector)
+    for kmax in (4, 8, 14, 20):
+        assert max(orthogonality_residuals(kmax, p, 16).values()) <= 1e-12, kmax
 
 
 # ROADMAP baseline sweep: n, m, L, L'
@@ -374,15 +391,17 @@ def test_asc_orthogonality_holds_across_the_baseline_sweep(q):
     """The mass-point sums keep every moment at its target where the forward
     recurrence at the mass points missed it by up to 3.5e+111."""
     checked = 0
-    for n, m, L, Lp in SWEEP_SECTORS:
-        cfg = RunConfig(q=q, n=n, m=m, L=L, Lp=Lp)
-        try:
-            res = verify.check_asc_orthogonality(cfg.params(), cfg.sector(), cfg)
-        except DegenerateParameterError:  # a band-edge mass: a skipped check
-            continue
-        assert res <= 1e-8, (n, m, L, Lp)
-        checked += 1
-    assert checked == 7  # n=1, m=2 has a = 1, a mass on the band edge
+    for quad_nodes in (16, 256):  # the grid floor, low and default
+        for n, m, L, Lp in SWEEP_SECTORS:
+            cfg = RunConfig(q=q, n=n, m=m, L=L, Lp=Lp, quad_nodes=quad_nodes)
+            try:
+                res = verify.check_asc_orthogonality(cfg.params(), cfg.sector(), cfg)
+            except DegenerateParameterError:  # a band-edge mass: a skipped check
+                continue
+            # the battery threshold is 1e-8; one grid reads <= 3.7e-13
+            assert res <= 1e-12, (quad_nodes, n, m, L, Lp)
+            checked += 1
+    assert checked == 14  # n=1, m=2 has a = 1, a mass on the band edge
 
 
 def test_node_count_never_goes_below_the_floor():
@@ -429,16 +448,12 @@ def test_node_count_reads_parameters_below_the_double_range():
 
 
 def test_orthogonality_check_builds_one_measure_per_grid(monkeypatch):
-    cfg = RunConfig()
-    built = []
-
-    def counted(p, quad_nodes):
-        built.append(quad_nodes)
-        return orthogonality_measure(p, quad_nodes)
-
-    monkeypatch.setattr(asc, "orthogonality_measure", counted)
-    verify.check_asc_orthogonality(cfg.params(), cfg.sector(), cfg)
-    assert built == [256, 511]
+    # N(d) + kmax + 1 = 256 + 5 nodes at q=0.95; the floor 256 at q=0.5
+    for q, nodes in ((0.5, 256), (0.95, 261)):
+        cfg = RunConfig(q=q)
+        built = _recording_measures(monkeypatch)
+        verify.check_asc_orthogonality(cfg.params(), cfg.sector(), cfg)
+        assert [len(m.theta_nodes) for m in built] == [nodes]
 
 
 def test_residual_pairs_validated():

@@ -421,6 +421,7 @@ def test_parameters_past_extended_range_are_a_usage_error(tmp_path, args):
     assert res.returncode == 2
     assert "a = inf is not finite" in res.stderr
     assert "Traceback" not in res.stderr
+    assert "RuntimeWarning" not in res.stderr
     assert res.stdout == ""
 
 
@@ -429,4 +430,6 @@ def test_verify_past_extended_range_completes_its_report():
     assert res.returncode == 1
     report = json.loads(res.stdout)
     assert len(report["checks"]) == 21 and report["all_passed"] is False
+    notes = {c["name"]: c["note"] for c in report["checks"]}
+    assert notes["asc_orthogonality"].startswith("ValueError: a = inf")
     assert res.stderr == "first failing check: eigenvalue_residual\n"
