@@ -21,7 +21,9 @@ via the q-binomial theorem into the exact finite convolution
 
     Q_k = sum_r [k; r] (a/w; base)_r (b w; base)_{k-r} w^(2r-k),  w = e^(i t),
 
-whose terms stay comparable to the value.
+whose terms stay comparable to the value.  The recurrence serves the moment
+table and the eigenfunction profiles of :mod:`qlaplace.spectral`; the
+convolution is its cross-check (``verify``'s ``asc_consistency``).
 
 The orthogonality measure consists of a continuous density on z = cos(t),
 t in [0, pi], plus finitely many point masses at z_k = (a base^k + a^(-1)
@@ -133,8 +135,7 @@ def _convolution_table(J: int, w, a, b, base):
         u_r = (a/w; base)_r w^(2r) / (base; base)_r,
         v_s = (b w; base)_s / (base; base)_s,
 
-    so that Q_j = w^(-j) (base; base)_j (u * v)_j.  Q_j is symmetric in
-    (a, b), so callers may pass the pair in either order.
+    so that Q_j = w^(-j) (base; base)_j (u * v)_j.
 
     ``w`` is a 1-D array of points; conv has one row per point and C has
     shape (J+1,).  Degree k of every row is one ``einsum`` over

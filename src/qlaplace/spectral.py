@@ -1,9 +1,9 @@
 """Eigenfunctions, Plancherel measure, and the unitary spectral transform.
 
-A spectral point carries w with z = (w + 1/w)/2: on the continuous band
-w = e^(i theta), theta in [0, pi]; off the band w is real, and the Plancherel
-mass points (w = a q^(2k) > 1) are the ``asc.DiscreteMass`` values.  The
-generalized eigenfunction of the sector operator takes the value 1 at the
+A spectral point carries z: on the continuous band z = cos(theta), theta
+in [0, pi]; off the band z > 1, and the Plancherel mass points
+(z = (w + 1/w)/2 with w = a q^(2k) > 1) are the ``asc.DiscreteMass`` values.
+The generalized eigenfunction of the sector operator takes the value 1 at the
 lattice base point and, at x = q^(-2j), equals a rescaled Al-Salam-Chihara
 polynomial of degree j in z with parameters
 
@@ -16,10 +16,12 @@ orthogonality measure rescaled to total mass 1, which is forced by sending
 the base-point indicator to the constant function 1).
 
 Numerical notes.  Eigenfunction profiles are evaluated in extended precision
-through the one convolution kernel of :mod:`qlaplace.asc`
-(``_convolution_table``, shared with ``asc_hypergeometric``), which
-evaluates all nodes of a quadrature grid at once, one ``einsum`` per degree,
-with bits identical to the per-point evaluation; at discrete mass points
+through the three-term recurrence of :mod:`qlaplace.asc`
+(``_recurrence_table``, shared with the moment table), which runs all nodes
+of a quadrature grid at once, with bits identical to the per-point
+evaluation.  On the band, and off it away from the mass points, the
+polynomial is the dominant solution of its recurrence, so the forward run
+keeps its relative accuracy.  At discrete mass points
 (w = a q^(2k)) the terminating parameter a/w = q^(-2k) truncates the defining
 series after k+1 terms, and that short sum (``asc._mass_point_series``, one
 array over all degrees) is used instead (bound-state profiles are minimal
@@ -30,7 +32,6 @@ one ``measure_mass`` call on the index array.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -38,10 +39,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .asc import (AscParams, DiscreteMass, SpectralMeasure, _convolution_table,
-                  _masked_qpoch_inf, _mass_point_series, _norm_factor,
-                  _running_products, _w_from_theta, mass_points,
-                  orthogonality_measure)
+from .asc import (AscParams, DiscreteMass, SpectralMeasure, _masked_qpoch_inf,
+                  _mass_point_series, _norm_factor, _recurrence_table,
+                  _running_products, mass_points, orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
 
@@ -67,22 +67,22 @@ _CLD = np.clongdouble
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """A point z = (w + 1/w)/2 of the spectral variable that is not a
-    Plancherel mass point (those are ``asc.DiscreteMass``)."""
+    """A point z of the spectral variable that is not a Plancherel mass
+    point (those are ``asc.DiscreteMass``)."""
 
     z: float
-    w: complex
 
 
 def continuous_point(theta: float) -> SpectralPoint:
-    """Band point with w = e^(i theta), z = cos(theta)."""
+    """Band point z = cos(theta)."""
     if not (0.0 <= theta <= math.pi):
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    return SpectralPoint(z=math.cos(theta), w=cmath.exp(1j * theta))
+    return SpectralPoint(z=math.cos(theta))
 
 
 def point_from_exponent(params: ModelParams, ell) -> SpectralPoint:
-    """Point with w = q^(2*ell + N - 1) for a real spectral label ell.
+    """Point z = (w + 1/w)/2 with w = q^(2*ell + N - 1) for a real spectral
+    label ell.
 
     Integer ell >= 1 gives z > 1 off the band (generalized eigenfunctions
     used in operator tests); ell = 0 gives the zero of the eigenvalue map.
@@ -93,7 +93,7 @@ def point_from_exponent(params: ModelParams, ell) -> SpectralPoint:
     if not math.isfinite(z):
         raise ValueError(f"w = q^(2 ell + N - 1) = {w} underflows double at "
                          f"ell={ell}, q={params.q}, N={params.N}: z is not finite")
-    return SpectralPoint(z=z, w=w)
+    return SpectralPoint(z=z)
 
 
 def asc_params(params: ModelParams, sector: Sector) -> AscParams:
@@ -105,24 +105,16 @@ def asc_params(params: ModelParams, sector: Sector) -> AscParams:
     return AscParams(a=a, b=b, base=q * q)
 
 
-def _profile_convolution(params: ModelParams, sector: Sector, w,
-                         max_j: int) -> np.ndarray:
-    """Eigenfunction values at j = 0..max_j via the shared convolution, one
-    row per spectral point of the 1-D array ``w``.
-
-    With (p; p)_j and (u * v)_j from :func:`qlaplace.asc._convolution_table`
-    at (a, b) swapped to (b, a), the value at x = q^(-2j) is
-    (b/w)^j (p; p)_j (u * v)_j / (a b; p)_j.
-    """
+def _profile_recurrence(params: ModelParams, sector: Sector, z,
+                        max_j: int) -> np.ndarray:
+    """Eigenfunction values at j = 0..max_j, one row per entry of the 1-D
+    ``longdouble`` array ``z``: the recurrence table of
+    :func:`qlaplace.asc._recurrence_table` with degree j rescaled by
+    b^j / (a b; q^2)_j."""
     pp = asc_params(params, sector)
-    a, b, p = pp.a, pp.b, pp.base
-    w = np.asarray(w, dtype=_CLD)
-    C, conv = _convolution_table(max_j, w, b, a, p)
-    ppow = _running_products(np.full(max_j, p))
-    abpoch = _running_products(1 - a * b * ppow[:-1])
-    b_over_w = np.broadcast_to((b / w)[:, None], (len(w), max_j))
-    val = _running_products(b_over_w) * C * conv / abpoch
-    return np.ascontiguousarray(np.real(val))
+    ppow = _running_products(np.full(max_j, pp.base))
+    scale = _running_products(pp.b / (1 - pp.a * pp.b * ppow[:-1]))
+    return np.stack(_recurrence_table(max_j, z, pp), axis=-1) * scale
 
 
 def _profile_mass_point(params: ModelParams, sector: Sector, kd: int,
@@ -144,7 +136,8 @@ def eigenfunction_profile(params: ModelParams, sector: Sector,
         raise ValueError("max_j must be nonnegative")
     if isinstance(point, DiscreteMass):
         return _profile_mass_point(params, sector, point.index, max_j)
-    return _profile_convolution(params, sector, [point.w], max_j)[0]
+    return _profile_recurrence(params, sector, np.array([point.z], dtype=_LD),
+                               max_j)[0]
 
 
 def c_function(params: ModelParams, sector: Sector, arg):
@@ -217,8 +210,7 @@ def _profile_matrix(params: ModelParams, sector: Sector,
 
     Returns (cont, disc): cont[t, j] on theta nodes, disc[k, j] on masses.
     """
-    cont = _profile_convolution(params, sector,
-                                _w_from_theta(measure.theta_nodes), max_j)
+    cont = _profile_recurrence(params, sector, np.cos(measure.theta_nodes), max_j)
     disc = np.empty((len(measure.discrete), max_j + 1), dtype=_LD)
     for kk, d in enumerate(measure.discrete):
         disc[kk] = _profile_mass_point(params, sector, d.index, max_j)
@@ -231,7 +223,8 @@ class _TransformPlan:
 
     Each transform reads the leading columns of the plan's profiles and
     masses.  Those columns carry the bits of a build at the smaller depth
-    (profile columns are running products along the degree axis, masses are
+    (profile column j comes from a recurrence run in degree order and a
+    running product, so it depends on no later column; masses are
     elementwise), and the extended-precision products sum in index order
     whatever the strides, so every value equals a fresh build's.  A function
     deeper than the plan raises ValueError.

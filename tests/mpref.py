@@ -107,21 +107,27 @@ def eigenfunction_at_mass(j: int, p, kd: int):
                          last=min(j, kd))
 
 
-def eigenfunction_band(J: int, p, w) -> list:
-    """The sector eigenfunction at x = q^(-2j), j = 0..J, at a band point w,
-    as Q_j b^j / (a b; base)_j with Q_j from the three-term recurrence
-    (KLS 14.8.4) run in mpmath.  On the band the forward recurrence is
-    stable; the values are taken at two working precisions and must agree
-    to DIGITS digits."""
+def band_w(z):
+    """w = z + i sqrt(1 - z^2) for a band point z taken exactly, as a
+    function returning w at the current working precision (the ``w`` of
+    :func:`phi32_terminating`)."""
+    return lambda: exact(z) + 1j * mpmath.sqrt(1 - exact(z) ** 2)
+
+
+def eigenfunction_band(J: int, p, z) -> list:
+    """The sector eigenfunction at x = q^(-2j), j = 0..J, at a band point z
+    taken exactly, as Q_j b^j / (a b; base)_j with Q_j from the three-term
+    recurrence (KLS 14.8.4) run in mpmath.  On the band the forward
+    recurrence is stable; the values are taken at two working precisions and
+    must agree to DIGITS digits."""
     def run(dps):
         with mp.workdps(dps):
-            a, b, q, ww = exact(p.a), exact(p.b), exact(p.base), exact(w)
-            z = (ww + 1 / ww) / 2
+            a, b, q, zz = exact(p.a), exact(p.b), exact(p.base), exact(z)
             prev, cur = mpmath.mpf(0), mpmath.mpf(1)
             scale = mpmath.mpf(1)  # b^j / (a b; base)_j
             out = [cur]
             for k in range(J):
-                prev, cur = cur, (2 * z - (a + b) * q ** k) * cur \
+                prev, cur = cur, (2 * zz - (a + b) * q ** k) * cur \
                     - (1 - q ** k) * (1 - a * b * q ** (k - 1)) * prev
                 scale *= b / (1 - a * b * q ** k)
                 out.append(cur * scale)

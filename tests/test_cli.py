@@ -360,10 +360,14 @@ def test_verify_passes_with_five_point_masses_at_small_q():
 ], ids=["plancherel", "transform", "oracle", "spectrum"])
 def test_a_non_finite_report_is_a_usage_error(tmp_path, args, fmt):
     # at q = 0.01, m = 200 the outer mass points, the trace oracle and the
-    # Jacobi coefficients leave double range
+    # Jacobi coefficients leave double range; the report refuses them
+    # without numpy warning about forming them
     (tmp_path / "f0.json").write_text('{"support": [0], "values": [[1.0, 0.0]]}')
     args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
-    res = run(*args, "--q", "0.01", "--m", "200", "--format", fmt)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run(*args, "--q", "0.01", "--m", "200", "--format", fmt)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "double precision" in res.stderr

@@ -56,14 +56,15 @@ def norm_factor_error(q) -> float:
 
 def band_profile_error(q) -> float:
     """Profile values at j <= 60 at two band points, in the units of
-    ``mpref.profile_error``.  At q=0.95 the convolution loses digits at
-    z < 0 (theta = 2.1): 1.4e-13 by j = 30, 1.5e-9 by j = 60."""
+    ``mpref.profile_error``, against the recurrence run in mpmath at the
+    point's own z.  On the band the polynomial is the dominant solution of
+    its recurrence, so the forward run holds its digits at every q."""
     worst = 0.0
     for params, sector, pp in _cases(q):
         for theta in (0.8, 2.1):
             pt = spectral.continuous_point(theta)
             got = spectral.eigenfunction_profile(params, sector, pt, 60)
-            ref = mpref.eigenfunction_band(60, pp, pt.w)
+            ref = mpref.eigenfunction_band(60, pp, pt.z)
             worst = max(worst, mpref.profile_error(got, ref, pp))
     return worst
 
@@ -87,8 +88,8 @@ BUDGETS = [
     #            4.9e-19 4.0e-19 5.8e-19 2.0e-18
     (norm_factor_error, [1e-19, 1e-18, 1e-18, 6e-18]),
     #                   2.1e-20 2.8e-19 4.6e-19 2.8e-18
-    (band_profile_error, [5e-17, 3e-17, 3e-15, 3e-9]),
-    #                    2.1e-17 1.3e-17 1.1e-15 1.5e-9
+    (band_profile_error, [5e-17, 3e-17, 3e-16, 2e-16]),
+    #                    6.9e-18 2.9e-17 1.2e-16 5.0e-17
     (mass_profile_error, [3e-18, 6e-18, 6e-18, 4e-17]),
     #                    1.2e-18 3.0e-18 2.6e-18 1.6e-17
 ]

@@ -68,11 +68,12 @@ def test_eigenfunction_is_one_at_base_point():
 
 def test_eigenfunction_matches_literal_series_small_j():
     """The profile against the literal terminating 3phi2 of its definition,
-    summed in mpmath, at j <= 30.
+    summed in mpmath at w = z + i sqrt(1 - z^2) of the point's own z, at
+    j <= 30.
 
     The literal sum cancels like p^(-j(j-1)/2); mpmath raises its precision
     until 50 digits survive.  Errors are in the units of
-    ``mpref.profile_error``; the measured worst case is 4.0e-18 (5.5e-19
+    ``mpref.profile_error``; the measured worst case is 2.5e-19 (1.2e-19
     at j <= 6).
     """
     params, sector = ModelParams(0.7, 2, 2), Sector(1, 1)
@@ -80,8 +81,8 @@ def test_eigenfunction_matches_literal_series_small_j():
     for theta in (0.8, 2.1):
         pt = continuous_point(theta)
         prof = eigenfunction_profile(params, sector, pt, 30)
-        literal = [mpref.eigenfunction(j, pp, pt.w) for j in range(31)]
-        assert mpref.profile_error(prof, literal, pp) <= 8e-18
+        literal = [mpref.eigenfunction(j, pp, mpref.band_w(pt.z)) for j in range(31)]
+        assert mpref.profile_error(prof, literal, pp) <= 1e-18
 
 
 def test_connection_to_asc_polynomials():
@@ -136,43 +137,41 @@ def _reference_convolution_table(J, w, a, b, base):
     return C, np.convolve(u, v)[:J + 1]
 
 
-def _reference_profile(params, sector, w, max_j):
-    """One-point reference for the eigenfunction profile: the table above
-    rescaled degree by degree by (b/w)^j / (ab; q^2)_j."""
+def _reference_profile(params, sector, z, max_j):
+    """One-point reference for the eigenfunction profile: the three-term
+    recurrence as a scalar loop at z, degree j rescaled by b^j / (ab; q^2)_j."""
     pp = asc_params(params, sector)
-    a, b, p = np.clongdouble(pp.a), np.clongdouble(pp.b), _LD(pp.base)
-    w = np.clongdouble(w)
-    C, conv = _reference_convolution_table(max_j, w, b, a, p)
+    a, b, base = pp.a, pp.b, pp.base
+    z = _LD(z)
     out = np.empty(max_j + 1, dtype=_LD)
-    pref = np.clongdouble(1.0)
-    ab = a * b
-    abpoch = _LD(1.0)
-    ppow = _LD(1.0)
-    for j in range(max_j + 1):
-        out[j] = np.real(pref * C[j] * conv[j] / abpoch)
-        pref = pref * (b / w)
-        abpoch = abpoch * np.real(1 - ab * ppow)
-        ppow = ppow * p
+    prev, cur = _LD(0.0), _LD(1.0)
+    scale, ppow = _LD(1.0), _LD(1.0)
+    for k in range(max_j + 1):
+        out[k] = cur * scale
+        prev, cur = cur, 2 * z * cur - (a + b) * base**k * cur \
+            - (1 - base**k) * (1 - a * b * base ** (k - 1)) * prev
+        scale = scale * (b / (1 - a * b * ppow))
+        ppow = ppow * base
     return out
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.95])
 @pytest.mark.parametrize("n, m, lp", [(2, 2, 0), (2, 4, 2)])
 def test_array_kernel_equals_one_point_reference(q, n, m, lp):
-    """Every node of the profile matrix, an off-band real point and an
-    imaginary angle keep the bits of the one-point evaluation."""
+    """Every node of the profile matrix and an off-band point keep the bits
+    of the one-point recurrence at the same z; the hypergeometric path at an
+    imaginary angle keeps the bits of the one-point convolution."""
     params, sector = ModelParams(q, n, m), Sector(0, lp)
     meas = plancherel_measure(params, sector, 256)
     assert len(meas.discrete) == (2 if lp else 0)
     for J in (0, 1, 16, 60):
         cont, _ = spectral._profile_matrix(params, sector, meas, J)
-        ref = np.array([_reference_profile(params, sector,
-                                           np.exp(np.clongdouble(1j) * t), J)
+        ref = np.array([_reference_profile(params, sector, np.cos(t), J)
                         for t in meas.theta_nodes])
         assert cont.dtype == _LD and np.array_equal(cont, ref)
         pt = point_from_exponent(params, 1)
         assert np.array_equal(eigenfunction_profile(params, sector, pt, J),
-                              _reference_profile(params, sector, pt.w, J))
+                              _reference_profile(params, sector, pt.z, J))
     pp = asc_params(params, sector)
     for theta in (0.7j, -1.3j):
         w = np.exp(np.clongdouble(1j) * np.clongdouble(theta))
@@ -211,9 +210,9 @@ def test_kernels_equal_the_per_point_loops(q, n, m, lp):
         theta = np.linspace(0, np.pi, nodes).astype(_LD)
         w = np.exp(np.clongdouble(1j) * theta)
         for J in (0, 1, 15, 60):
-            C, conv = asc._convolution_table(J, w, pp.b, pp.a, pp.base)
+            C, conv = asc._convolution_table(J, w, pp.a, pp.b, pp.base)
             for row, wr in zip(conv, w):
-                C_ref, ref = _reference_convolution_table(J, wr, pp.b, pp.a, pp.base)
+                C_ref, ref = _reference_convolution_table(J, wr, pp.a, pp.b, pp.base)
                 assert np.array_equal(row, ref)
             assert np.array_equal(C, C_ref)
     masses = asc.mass_points(pp)
