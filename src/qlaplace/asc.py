@@ -206,36 +206,58 @@ def asc_hypergeometric(k: int, theta, p: AscParams) -> float:
     return complex(_hypergeometric_table(k, np.asarray([theta]), p)[0, k]).real
 
 
-def _masked_qpoch_inf(a, base):
+def _masked_qpoch_inf(a, base, paired=0):
     """(a; base)_inf for every entry of the complex array ``a`` at once, for
-    a real ``base`` in (0, 1).
+    a real ``base`` in (0, 1).  The first ``paired`` rows of ``a`` also give
+    (-a; base)_inf: the result holds the rows of ``a``, then those negated
+    rows in order.
 
     Each entry multiplies its factors 1 - a*base^i while |a*base^i| >= LD_INF_TOL
     and stops at the first one below, as ``qcore.qpoch_inf`` does for a
-    scalar, so every entry equals the scalar product bit for bit.  The
-    factors before the first depth at which any entry could stop run on the
-    whole array without magnitude tests; only the rest are masked.
+    scalar, so every entry equals the scalar product bit for bit.  A row and
+    its negative share one running term t: negation commutes with every
+    rounded step of t (up to the sign of a zero component), the negated
+    row's factor 1 - (-t) is 1 + t bit for bit, zero signs included, and
+    |-t| = |t| stops both at the same factor.  The factors before the first
+    depth at which any entry could stop run on the whole array without
+    magnitude tests; only the rest are masked.
     """
-    acc = np.ones_like(a)
-    t = acc * a
+    n = len(a)
+    t = np.ones_like(a) * a
+    f = np.empty((n + paired,) + t.shape[1:], dtype=t.dtype)
+    acc = np.ones_like(f)
+    minus, plus, head = f[:n], f[n:], t[:paired]
+
+    def factors():  # 1 - t on every row, then 1 + t on the paired ones
+        np.subtract(1, t, out=minus)
+        if paired:
+            np.add(1, head, out=plus)
+        return f
+
     # Live phase.  After i multiplications by the real base, each rounding
     # both components of t once, the computed |t| is |a| base^i (1 + d) with
-    # |d| <= (i + 2) eps (the 2 covers t's own rounding and abs).  For i below
-    # i0 = floor(log(4 LD_INF_TOL / min|a|) / log base) the exact |a| base^i
-    # exceeds 4 LD_INF_TOL for every entry; the factor 4 absorbs d and the
-    # double-precision logs, so every entry is certainly still live and the
-    # masked loop would take these factors everywhere.  They run without
-    # abs, mask or where=, then the masked loop finishes, and each entry
-    # stops at the same factor as before.
+    # |d| <= (i + 2) eps (the 2 covers t's own rounding and abs), about 5e-17
+    # at i = 427.  Let s be the smallest computed |a|, read as a double, so
+    # s <= |a| (1 + 2^-52) for every entry, and M = 1 + 1e-9.  Every
+    # i <= i0 = floor((log(M LD_INF_TOL) - log s) / log base) has
+    # base^i >= M LD_INF_TOL / s up to the double-precision logs, which move
+    # it by a relative 1e-12 at most (a difference of logs, so no quotient
+    # underflows).  The exact |a| base^i then exceeds (M - 1e-12) LD_INF_TOL,
+    # and the computed |t| is at least LD_INF_TOL for every i below 9e9.  So
+    # factors 0..i0 are live in every entry and the masked loop would take
+    # them everywhere.  They run without abs, mask or where=, then the masked
+    # loop finishes, and each entry stops at the same factor as the scalar.
+    edge = (1 + 1e-9) * LD_INF_TOL  # M LD_INF_TOL
     smallest = float(np.abs(t).min(initial=np.inf))
-    if 4 * LD_INF_TOL < smallest < np.inf:
-        for _ in range(math.floor(math.log(4 * LD_INF_TOL / smallest)
-                                  / math.log(base))):
-            np.multiply(acc, 1 - t, out=acc)
+    if edge < smallest < np.inf:
+        for _ in range(math.floor((math.log(edge) - math.log(smallest))
+                                  / math.log(base)) + 1):
+            np.multiply(acc, factors(), out=acc)
             t *= base
     live = np.abs(t) >= LD_INF_TOL
     while live.any():
-        np.multiply(acc, 1 - t, out=acc, where=live)
+        np.multiply(acc, factors(), out=acc,
+                    where=np.concatenate([live, live[:paired]]))
         t *= base
         live &= np.abs(t) >= LD_INF_TOL
     return acc
@@ -253,15 +275,25 @@ def continuous_weight(theta, p: AscParams):
     conjugate of the first, bit for bit up to the sign of a zero imaginary
     part, which never reaches the real weight: negation commutes with
     rounding, so conjugation commutes with 1 - t, with t * base and with the
-    complex product.  Only the six products (alpha e^(i theta); base)_inf
-    are therefore run, in one loop over all angles, and h = P conj(P).
+    complex product.  Only the products (alpha e^(i theta); base)_inf are
+    therefore run, in one :func:`_masked_qpoch_inf` loop over all angles, and
+    h = P conj(P).  The loop runs one running term for each of the pairs
+    (1, -1) and (sqrt(base), -sqrt(base)), and one for a and for b unless it
+    is 0 (h(0) = 1 exactly) or equals, in extended precision, an alpha
+    already run: a = sqrt(base) whenever n - m + L - L' = 0.
     """
     w = _w_from_theta(np.atleast_1d(np.asarray(theta, dtype=_LD)))
-    base = p.base
-    rt = np.sqrt(base)
-    args = np.stack([_CLD(alpha) * w for alpha in (1.0, -1.0, rt, -rt, p.a, p.b)])
-    prods = _masked_qpoch_inf(args, base)
+    rt = np.sqrt(p.base)
+    alphas = [_LD(1), rt]  # run for alpha and for -alpha
+    for alpha in (p.a, p.b):
+        if alpha != 0 and abs(alpha) not in alphas[:2] and alpha not in alphas:
+            alphas.append(alpha)
+    prods = _masked_qpoch_inf(np.stack([_CLD(alpha) * w for alpha in alphas]),
+                              p.base, paired=2)
+    alphas += [-alphas[0], -alphas[1]]  # the rows of prods
     h = prods * np.conjugate(prods)
+    h = [h[alphas.index(alpha)] if alpha != 0 else 1
+         for alpha in (1, -1, rt, -rt, p.a, p.b)]
     val = h[0] * h[1] * h[2] * h[3] / (h[4] * h[5])
     out = np.real(val)
     return out if np.ndim(theta) else out[0]

@@ -18,7 +18,8 @@ is not called by the oracle; it is the per-vector reference whose literal
 sum the tests compare with it.
 
 The positive block and the identities' geometric sums run each index to the
-first depth D with q^(2D) < ``LD_INF_TOL``; the oracle also checks at 2D.
+first depth D with q^(2D) < ``LD_INF_TOL``; the oracle also checks at 2D,
+from one table of powers built at 2D whose prefixes give both sums.
 
 The n = 1 case is excluded: there the first and last negative indices
 coincide and the diagonal factor's two Pochhammer pieces collide; the
@@ -152,24 +153,37 @@ def _depth(q) -> int:
     return math.ceil(math.log(LD_INF_TOL) / (2 * math.log(q)))
 
 
-def _positive_lhs(q, m: int, kp: int, lp: int, depth: int):
-    """The positive-block sum of :func:`positive_block_sum`, truncated at
-    ``depth`` per index; ``q`` is an extended-precision scalar."""
-    a = np.arange(1, depth + 1, dtype=_LD)
-    first = qpoch(q ** (2 * a - 2), q ** _LD(-2), lp)
-    total = np.sum(first * q ** ((2 * (m - 1 + kp)) * a))
-    for t in range(1, m - 1):
-        total = total * np.sum(q ** ((2 * (m - 1 - t + kp)) * a))
-    return total
+def _positive_lhs(q, m: int, kp: int, lp: int, *depths):
+    """The positive-block sums of :func:`positive_block_sum`, truncated at
+    each of ``depths`` per index; ``q`` is an extended-precision scalar.
+
+    The power tables are built once, at the deepest depth, and each sum
+    reads a leading slice: ``np.sum`` of a contiguous prefix gives the bits
+    of those values summed alone.  For lp = 0 the Pochhammer factor is the
+    empty product, exactly 1, and is not formed.
+    """
+    a = np.arange(1, max(depths) + 1, dtype=_LD)
+    first = q ** ((2 * (m - 1 + kp)) * a)
+    if lp:
+        first = qpoch(q ** (2 * a - 2), q ** _LD(-2), lp) * first
+    rest = [q ** ((2 * (m - 1 - t + kp)) * a) for t in range(1, m - 1)]
+    out = []
+    for d in depths:
+        total = np.sum(first[:d])
+        for powers in rest:
+            total = total * np.sum(powers[:d])
+        out.append(total)
+    return out
 
 
 def _oracle_values(params: ModelParams, quad: Quadruple, phi, psi, *depths):
-    """The truncated trace at each depth; the depth-free factors are shared."""
+    """The truncated trace at each depth; the depth-free factors are shared,
+    and one positive-block power table serves every depth."""
     common = invariant_integral_normalizer(params) \
         * _quadruple_prefactor(params.q_ld, quad) \
         * _negative_block(params, quad, phi, psi)
-    return [common * _positive_lhs(params.q_ld, params.m, quad.kp, quad.lp, d)
-            for d in depths]
+    sums = _positive_lhs(params.q_ld, params.m, quad.kp, quad.lp, *depths)
+    return [common * lhs for lhs in sums]
 
 
 def invariant_integral(params: ModelParams, quad: Quadruple,
@@ -281,7 +295,7 @@ def positive_block_sum(q: float, m: int, kp: int, lp: int):
         raise ValueError(f"need m >= 2, got {m}")
     qd = _LD(q)
     p = qd * qd
-    lhs = _positive_lhs(qd, m, kp, lp, _depth(q))
+    lhs, = _positive_lhs(qd, m, kp, lp, _depth(q))
     rhs = qd ** _LD((m - 1) * (2 * kp + 2 * lp + m)) * qd ** _LD(2 * lp * kp) \
         * qpoch(p, p, kp) * qpoch(p, p, lp) / qpoch(p, p, kp + lp + m - 1)
     return lhs, rhs
@@ -316,7 +330,7 @@ def pochhammer_geometric_sum(q: float, x: int, y: int):
         raise ValueError(f"need y >= 1 for convergence, got {y}")
     qd = _LD(q)
     p = qd * qd
-    lhs = _positive_lhs(qd, 2, y - 1, x, _depth(q))
+    lhs, = _positive_lhs(qd, 2, y - 1, x, _depth(q))
     rhs = qd ** _LD(2 * y * (x + 1)) * qpoch(p, p, x) \
         / qpoch(qd ** _LD(2 * y), p, x + 1)
     return lhs, rhs

@@ -267,6 +267,30 @@ def test_array_weight_matches_scalar_products_exactly(sector, q):
     assert np.ndim(one) == 0 and one == _reference_weight(0.7, p)
 
 
+_RT = np.sqrt(np.longdouble(0.9025))
+
+
+@pytest.mark.parametrize("p,masses", [
+    pytest.param(_sector_params(0.95, 2, 2, 0, 0), 0, id="a_is_sqrt_base"),
+    pytest.param(AscParams(a=0.6, b=0.6, base=0.9025), 0, id="a_is_b"),
+    pytest.param(AscParams(a=-_RT, b=0.4, base=0.9025), 0, id="a_is_minus_sqrt_base"),
+    pytest.param(AscParams(a=0.5, b=0.0, base=0.9025), 0, id="b_is_zero"),
+    pytest.param(AscParams(a=1.5, b=_RT, base=0.9025), 4, id="a_above_one"),
+])
+def test_weight_with_shared_rows_matches_scalar_products_exactly(p, masses):
+    """a or b equal to 0, to +-1, to +-sqrt(base) or to each other runs no
+    row of its own; the weight keeps the one-angle-at-a-time bits."""
+    rt = np.sqrt(p.base)
+    assert p.a == p.b or any(x == 0 or abs(x) in (1, rt) for x in (p.a, p.b))
+    assert len(mass_points(p)) == masses
+    theta = np.linspace(0, np.pi, 129).astype(np.longdouble)
+    got = continuous_weight(theta, p)
+    want = np.array([_reference_weight(t, p) for t in theta])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert continuous_weight(0.7, p) == _reference_weight(0.7, p)
+
+
 def test_masked_products_match_scalar_products_at_the_tolerance():
     """Entries far above, at and just around the truncation tolerance stop
     at the same factor as the scalar product, in one array."""
@@ -292,6 +316,32 @@ def test_masked_products_match_scalar_products_at_the_tolerance():
     tiny = np.array([1e-20, 1e-25], dtype=np.clongdouble)
     assert np.array_equal(asc._masked_qpoch_inf(tiny, np.longdouble(0.5)),
                           np.ones(2, dtype=np.clongdouble))
+
+
+def test_masked_products_stop_at_the_live_bound():
+    """Magnitudes tol base^-k (1 +- 2^-62) leave the unmasked phase after
+    factors 0..k-1, so the masked loop decides factor k, the one at the
+    tolerance; every row, and every paired row's negative, equals the scalar
+    product entry by entry.  At base 0.25 the product past k ~ 130 overflows,
+    so the deep case there is k = 100."""
+    tol = np.longdouble(LD_INF_TOL)
+    phases = [np.exp(np.clongdouble(1j) * np.longdouble(t))
+              for t in (0.0, 0.3, np.pi / 2, 2.0, np.pi)]
+    for base, deep in ((0.25, 100), (0.9025, 400)):
+        base = np.longdouble(base)
+        for k in (1, 5, deep):
+            for sign in (1, -1):
+                mag = tol * base ** -k * (1 + sign * np.longdouble(2) ** -62)
+                assert math.floor((math.log((1 + 1e-9) * LD_INF_TOL)
+                                   - math.log(mag)) / math.log(base)) == k - 1
+                a = np.array([[mag * w for w in phases],
+                              [mag / base * w for w in phases]], dtype=np.clongdouble)
+                for paired in (0, 1, 2):
+                    got = asc._masked_qpoch_inf(a, base, paired)
+                    want = np.array([[qpoch_inf(x, base, LD_INF_TOL) for x in row]
+                                     for row in [*a, *-a[:paired]]])
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 def _reference_asc_consistency(params, sector, cfg):

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qlaplace import fockoracle
@@ -142,6 +143,24 @@ def test_depth_doubling_stability_at_default():
     v1, v2 = fockoracle._oracle_values(params, quad, F01, F01, depth, 2 * depth)
     assert invariant_integral(params, quad, F01, F01) == v2
     assert abs(v2 - v1) <= 1e-18 * max(1.0, float(abs(v2)))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("quad", [Quadruple(1, 0, 1, 0), Quadruple(1, 1, 1, 1)],
+                         ids=["lp0", "lp1"])
+def test_both_depths_keep_their_single_depth_bits(m, quad):
+    """D and 2D read prefixes of one power table; each value has the bits of
+    the call at that depth alone.  At depths 3 and 6 the two values differ,
+    so a prefix read at the wrong length shows."""
+    params = ModelParams(0.95, 2, m)
+    depth = fockoracle._depth(params.q)
+    for depths in ((depth, 2 * depth), (3, 6)):
+        both = fockoracle._oracle_values(params, quad, F01, F01, *depths)
+        alone = [fockoracle._oracle_values(params, quad, F01, F01, d)[0]
+                 for d in depths]
+        assert both == alone
+        assert np.array_equal(np.signbit(both), np.signbit(alone))
+    assert both[0] != both[1]
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.8, 0.9, 0.95])
