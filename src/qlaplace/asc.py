@@ -439,12 +439,18 @@ def orthogonality_measure(p: AscParams, quad_nodes: int) -> SpectralMeasure:
                                            (a b base^i; base)_inf).
     Mass points exactly on the band edge raise DegenerateParameterError.
     """
+    # the point masses may raise: enumerate them before the densities
+    return _grid_measure(p, mass_points(p, strict=True), quad_nodes)
+
+
+def _grid_measure(p: AscParams, discrete, quad_nodes: int) -> SpectralMeasure:
+    """:func:`orthogonality_measure` with its point masses ``discrete``
+    already enumerated."""
     if quad_nodes < 16:
         raise ValueError(f"need quad_nodes >= 16, got {quad_nodes}")
-    discrete = mass_points(p, strict=True)  # may raise: check before densities
-    nodes = np.linspace(0, np.pi, _node_count(p, quad_nodes)).astype(_LD)
-    dens = continuous_weight(nodes, p) / (2 * _LD(np.pi))
-    return SpectralMeasure(theta_nodes=nodes, density=dens, discrete=discrete)
+    theta = np.linspace(0, np.pi, _node_count(p, quad_nodes)).astype(_LD)
+    dens = continuous_weight(theta, p) / (2 * _LD(np.pi))
+    return SpectralMeasure(theta_nodes=theta, density=dens, discrete=discrete)
 
 
 def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int) -> dict:
@@ -460,8 +466,8 @@ def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int) -> dict:
     """
     if kmax > 20:
         raise ValueError("residual check supports degrees up to 20")
-    mass_points(p, strict=True)  # a band-edge mass raises before d is read
-    measure = orthogonality_measure(p, max(quad_nodes, _node_count(p, 0) + kmax + 1))
+    discrete = mass_points(p, strict=True)  # a band-edge mass raises before d is read
+    measure = _grid_measure(p, discrete, max(quad_nodes, _node_count(p, 0) + kmax + 1))
     table = _recurrence_table(kmax, np.cos(measure.theta_nodes), p)
     # mass points: Q_j = (ab; base)_j a^(-j) S_j, not the forward recurrence
     lead = np.array([qpoch(p.a * p.b, p.base, j) * p.a ** _LD(-j)

@@ -36,7 +36,8 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .lattice import ModelParams, Quadruple, invariant_integral_normalizer
-from .qcore import LD_INF_TOL, ConvergenceError, qbinomial, qpoch
+from .qcore import (LD_INF_TOL, ConvergenceError, _qbinomial_from,
+                    _qpoch_prefixes, qpoch)
 
 __all__ = [
     "FockIndex",
@@ -306,15 +307,17 @@ def qbinomial_convolution(q: float, k: int, l: int, t: int):
 
     lhs: sum_{x+y=t} [k+x; k] [l+y; l] q^(-2x(l+1));
     rhs: [k+l+t+1; k+l+1].
+    Every coefficient reads one table of (q^-2; q^-2)_i, i <= k+l+t+1.
     """
     qd = _LD(q)
     pinv = qd ** _LD(-2)
+    table = _qpoch_prefixes(pinv, pinv, k + l + t + 1)
     lhs = _LD(0.0)
     for x in range(t + 1):
         y = t - x
-        lhs = lhs + qbinomial(k + x, k, pinv) * qbinomial(l + y, l, pinv) \
-            * qd ** _LD(-2 * x * (l + 1))
-    rhs = qbinomial(k + l + t + 1, k + l + 1, pinv)
+        lhs = lhs + _qbinomial_from(table, k + x, k) \
+            * _qbinomial_from(table, l + y, l) * qd ** _LD(-2 * x * (l + 1))
+    rhs = _qbinomial_from(table, k + l + t + 1, k + l + 1)
     return lhs, rhs
 
 

@@ -10,6 +10,16 @@ Three realizations of the same bounded self-adjoint operator:
 The three are implemented from independent formulas and cross-checked by the
 test suite.  Eigenvalues are parametrized by z = (w + 1/w)/2 through
 lambda(z) = q^N (2z - q^(N-1) - q^(1-N)) / ((1-q^2)(1-q^(2(N-1)))).
+
+The two lattice actions run over index arrays: :func:`apply_three_term`
+evaluates its whole output range in one array pass, and
+:func:`apply_divergence_form` takes the sector weight and the difference
+quotients over the same range.  Type rule: when a function's values share
+one type (float, complex, ``longdouble`` or ``clongdouble``), every output
+value has the bits of the per-index formula, and a real function gives real
+values.  A function that mixes real and complex values is first promoted to
+the common complex type, so its real-only neighbourhoods are divided in
+complex arithmetic, which can move such an entry by one ulp.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeFunction, ModelParams, Quadruple, Sector, sector_weight
-from .qcore import bminus, bplus
+from .qcore import _quotient
 
 __all__ = [
     "JacobiMatrix",
@@ -37,18 +47,25 @@ def _denominator(params: ModelParams):
     return (1 - q * q) * (1 - q ** _LD(2 * (params.N - 1)))
 
 
-def _three_term_at(params: ModelParams, sector: Sector, f, j: int):
-    """Value of the three-term operator action at lattice index j."""
+def _values(f, lo: int, hi: int):
+    """The values of ``f`` at indices lo..hi-1 as one array, missing entries
+    (negative indices included) read as 0; the values' common type is kept."""
+    return np.array([f.get(j, 0.0) for j in range(lo, hi)])
+
+
+def _three_term(params: ModelParams, sector: Sector, f, lo: int, hi: int):
+    """Values of the three-term action at indices lo..hi-1 (lo >= 0)."""
     q = params.q_ld
     n, N = params.n, params.N
     L, Lp = sector.L, sector.Lp
-    x = q ** _LD(-2 * j)
-    val = q ** _LD(-(L + Lp)) * (x - q ** _LD(2 * (n + L))) * f.get(j + 1, 0.0)
-    if j >= 1:
-        # at j = 0 the q^2-shift coefficient is (x - 1) = 0: no off-lattice read
-        val = val + q ** _LD(2 * N - 2 + L + Lp) * (x - 1) * f.get(j - 1, 0.0)
+    x = q ** _LD(-2 * np.arange(lo, hi))
+    vals = _values(f, lo - 1, hi + 1)
+    val = q ** _LD(-(L + Lp)) * (x - q ** _LD(2 * (n + L))) * vals[2:]
+    # at j = 0 the q^2-shift coefficient is (x - 1) = 0: no off-lattice read
+    t = 1 if lo == 0 else 0
+    val[t:] = val[t:] + q ** _LD(2 * N - 2 + L + Lp) * (x[t:] - 1) * vals[t:-2]
     val = val + (q ** _LD(2 * n + L - Lp) * (1 + q ** _LD(2 * (params.m - 1 + Lp)))
-                 - x * (1 + q ** _LD(2 * (N - 1)))) * f.get(j, 0.0)
+                 - x * (1 + q ** _LD(2 * (N - 1)))) * vals[1:-1]
     return q * val / (_denominator(params) * x)
 
 
@@ -66,8 +83,8 @@ def apply_three_term(params: ModelParams, sector: Sector,
     The result is supported within [min support - 1 (clamped at 0),
     max support + 1].
     """
-    return LatticeFunction({j: _three_term_at(params, sector, f, j)
-                            for j in _output_range(f)})
+    out = _output_range(f)
+    return LatticeFunction(zip(out, _three_term(params, sector, f, out.start, out.stop)))
 
 
 def apply_divergence_form(params: ModelParams, quad: Quadruple,
@@ -94,27 +111,26 @@ def apply_divergence_form(params: ModelParams, quad: Quadruple,
     D = _denominator(params)
     scal = q ** _LD(1 - 2 * s) * (1 - q ** _LD(2 * s)) \
         * (1 - q ** _LD(2 * (N - 1 + s))) / D
-    out_range = _output_range(f)
-    if not out_range:
+    out = _output_range(f)
+    if not out:
         return LatticeFunction({})
-
-    # G = rho * x * (q^(2(n+k)) - x q^(-2l)) * B- f, on the indices the
-    # forward quotient will read
-    g = {}
-    for jj in range(out_range.start, out_range.stop):
-        x = q ** _LD(-2 * jj)
-        g[jj] = sector_weight(params, sector, jj) * x \
-            * (q ** _LD(2 * (n + k)) - x * q ** _LD(-2 * l)) * bminus(f, jj, q)
-
-    out = {}
-    for j in out_range:
-        if j == 0:
-            out[j] = _three_term_at(params, sector, f, 0)
-            continue
-        second = q ** _LD(-1 - 2 * kp) * (1 - q * q) ** 2 * bplus(g, j, q) \
-            / (D * sector_weight(params, sector, j))
-        out[j] = scal * f.get(j, 0.0) - second
-    return LatticeFunction(out)
+    lo, hi = out.start, out.stop
+    j = np.arange(lo, hi)
+    x = q ** _LD(-2 * j)
+    rho = sector_weight(params, sector, j)
+    vals = _values(f, lo, hi + 1)
+    # G = rho * x * (q^(2(n+k)) - x q^(-2l)) * B- f on the output range, and
+    # B+ G from G's values one index below (0 below the range)
+    g = rho * x * (q ** _LD(2 * (n + k)) - x * q ** _LD(-2 * l)) \
+        * _quotient(vals[1:], vals[:-1], x, q**-2)
+    g = np.concatenate([np.zeros(1, g.dtype), g])
+    t = 1 if lo == 0 else 0  # j = 0, where present, comes from the three-term form
+    second = q ** _LD(-1 - 2 * kp) * (1 - q * q) ** 2 \
+        * _quotient(g[t:-1], g[t + 1:], x[t:], q**2) / (D * rho[t:])
+    res = scal * vals[t:-1] - second
+    if t:
+        res = np.concatenate([_three_term(params, sector, f, 0, 1), res])
+    return LatticeFunction(zip(out, res))
 
 
 @dataclass(frozen=True)
@@ -169,10 +185,13 @@ def eigenvalue(params: ModelParams, point):
 
     lambda(z) = q^N (2z - q^(N-1) - q^(1-N)) / ((1-q^2)(1-q^(2(N-1)))).
     Real for z in [-1, 1] (continuous band) and for real z > 1 (discrete
-    points); zero exactly at z = (q^(N-1) + q^(1-N))/2.
+    points); zero exactly at z = (q^(N-1) + q^(1-N))/2.  A real z gives a
+    ``longdouble`` value and a complex z (off the spectrum) a ``clongdouble``
+    one.
     """
     z = getattr(point, "z", point)
+    z = np.clongdouble(z) if np.iscomplexobj(z) else _LD(z)
     q = params.q_ld
     N = params.N
-    return q ** _LD(N) * (2 * _LD(z) - q ** _LD(N - 1) - q ** _LD(1 - N)) \
+    return q ** _LD(N) * (2 * z - q ** _LD(N - 1) - q ** _LD(1 - N)) \
         / _denominator(params)

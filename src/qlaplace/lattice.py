@@ -10,6 +10,12 @@ pairing of dressed (highest-weight) vectors labelled by a quadruple
 Lattice weights grow like q^(-2j(N-1+L+Lp)) and overflow IEEE doubles near
 j ~ 60 for small q, so this module computes in numpy's extended-precision
 ``longdouble`` (80-bit on x86-64; ~18 significant digits, range ~1e4932).
+
+:func:`sector_weight` and :func:`measure_mass` take an integer index or an
+integer index array; each array entry has the bits of the scalar call at
+its index.  :func:`inner_product` takes its masses from one
+:func:`measure_mass` call on the sorted support and sums in index order, so
+it keeps the bits of the per-index sum.
 """
 
 from __future__ import annotations
@@ -234,40 +240,53 @@ class LatticeFunction(Mapping):
             raise ValueError(f"bad lattice function entry: {exc}") from None
 
 
-def sector_weight(params: ModelParams, sector: Sector, j: int):
+def sector_weight(params: ModelParams, sector: Sector, j):
     """Weight of the sector measure at x = q^(-2j), before normalization.
 
     Equals x^(Lp+m-1) * (q^(-2) x; q^(-2))_{L+n-1}; its sign is
-    (-1)^(L+n-1) for every j.
+    (-1)^(L+n-1) for every j.  An integer array ``j`` gives the weights
+    elementwise.
     """
     q = params.q_ld
-    x = q ** _LD(-2 * j)
+    e = _LD(-2 * j)
+    return _weight(params, sector, q, e, q ** e, q ** _LD(-2))
+
+
+def _weight(params: ModelParams, sector: Sector, q, e, x, step):
+    """:func:`sector_weight` at e = -2j, from x = q^e and step = q^(-2)."""
     return x ** _LD(sector.Lp + params.m - 1) * qpoch(
-        q ** _LD(-2 * j - 2), q ** _LD(-2), sector.L + params.n - 1)
+        q ** (e - 2), step, sector.L + params.n - 1)
 
 
-def measure_mass(params: ModelParams, sector: Sector, j: int):
+def measure_mass(params: ModelParams, sector: Sector, j):
     """Normalized point mass at lattice index j; positive, with mass(0) = 1.
 
     The normalizer (q^(-2); q^(-2))_{L+n-1} carries the same sign as the
     weight, so the quotient is positive.  An integer array ``j`` gives the
-    masses elementwise, with the bits of one call per index.
+    masses elementwise, each with the bits of the scalar call at its index:
+    x = q^(-2j) is formed once per index and serves the weight and the
+    trailing factor; q^(-2) and the normalizer are formed once per call.
     """
     q = params.q_ld
-    norm = qpoch(q ** _LD(-2), q ** _LD(-2), sector.L + params.n - 1)
-    return sector_weight(params, sector, j) * q ** _LD(-2 * j) / norm
+    e = _LD(-2 * j)
+    x = q ** e
+    step = q ** _LD(-2)
+    return _weight(params, sector, q, e, x, step) * x \
+        / qpoch(step, step, sector.L + params.n - 1)
 
 
 def inner_product(params: ModelParams, sector: Sector, f: Mapping[int, complex],
                   g: Mapping[int, complex]):
     """Sesquilinear pairing sum_j conj(g(j)) f(j) mass(j).
 
-    Conjugate-linear in ``g``; positive definite on nonzero functions.
+    Conjugate-linear in ``g``; positive definite on nonzero functions.  The
+    masses come from one :func:`measure_mass` call on the sorted support,
+    and the sum runs in index order.
     """
+    idx = sorted(set(f) | set(g))
     total = params.q_ld * 0
-    for j in sorted(set(f) | set(g)):
-        total = total + np.conjugate(g.get(j, 0.0)) * f.get(j, 0.0) \
-            * measure_mass(params, sector, j)
+    for j, mass in zip(idx, measure_mass(params, sector, np.array(idx, dtype=int))):
+        total = total + np.conjugate(g.get(j, 0.0)) * f.get(j, 0.0) * mass
     return total
 
 

@@ -1,4 +1,4 @@
-"""Scalar q-calculus primitives.
+"""q-calculus primitives.
 
 q-Pochhammer symbols (finite and truncated-infinite), Gaussian q-binomial
 coefficients, the Jackson integral on the lattice x = q^(-2j), and the
@@ -6,8 +6,10 @@ forward / backward q-difference quotients.
 
 All routines are dtype-preserving: they accept Python floats/complex or numpy
 scalars (including ``np.longdouble`` / ``np.clongdouble``) and carry the input
-precision through.  No logarithmic rescaling is used anywhere, since
-q-Pochhammer factors routinely change sign.
+precision through.  :func:`qpoch` and the difference quotients' value
+formula also run elementwise on numpy arrays, with the bits of the scalar
+calls.  No logarithmic rescaling is used anywhere, since q-Pochhammer factors
+routinely change sign.
 """
 
 from __future__ import annotations
@@ -42,14 +44,23 @@ def qpoch(a, base, k: int):
     The empty product (k = 0) is exactly 1.  Any complex ``a``/``base`` are
     accepted; the value is computed as an explicit product of factors.
     """
+    return _qpoch_prefixes(a, base, k)[k]
+
+
+def _qpoch_prefixes(a, base, k: int) -> list:
+    """The partial products (a; base)_0, ..., (a; base)_k of one running
+    product; entry i has the bits of ``qpoch(a, base, i)``."""
     if k < 0:
         raise ValueError(f"q-Pochhammer order must be nonnegative, got {k}")
-    acc = a * 0 + 1.0
-    p = a * 0 + 1.0
-    for _ in range(k):
-        acc = acc * (1 - a * p)
-        p = p * base
-    return acc
+    one = a * 0 + 1.0  # 1 in the type of a, so the loop mixes no Python scalar
+    out = [one]
+    if k:
+        out.append(one * (one - a))  # the factor 1 - a * 1: a * 1 is a, bit for bit
+        p = one
+        for _ in range(k - 1):
+            p = p * base
+            out.append(out[-1] * (one - a * p))
+    return out
 
 
 def qpoch_inf(a, base, tol: float = DEFAULT_INF_TOL):
@@ -74,11 +85,17 @@ def qpoch_inf(a, base, tol: float = DEFAULT_INF_TOL):
 def qbinomial(a: int, b: int, base):
     """Gaussian binomial coefficient [a; b] at the given base.
 
-    Equals (base; base)_a / ((base; base)_b (base; base)_{a-b}).
+    Equals (base; base)_a / ((base; base)_b (base; base)_{a-b}); the three
+    symbols are partial products of one running product.
     """
     if b < 0 or a < 0 or b > a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
-    return qpoch(base, base, a) / (qpoch(base, base, b) * qpoch(base, base, a - b))
+    return _qbinomial_from(_qpoch_prefixes(base, base, a), a, b)
+
+
+def _qbinomial_from(table, a: int, b: int):
+    """[a; b] from ``table``, the prefixes of (base; base) to order >= a."""
+    return table[a] / (table[b] * table[a - b])
 
 
 def jackson_integral(f: Mapping[int, complex], q):
@@ -93,16 +110,20 @@ def jackson_integral(f: Mapping[int, complex], q):
     return total
 
 
+def _quotient(shifted, here, x, step):
+    """The q-difference quotient (shifted - here) / (step * x - x) from the
+    values at the shifted point step * x and at x.  Works elementwise on
+    arrays of equal length as on scalars."""
+    return (shifted - here) / (step * x - x)
+
+
 def bminus(f: Mapping[int, complex], j: int, q):
     """Backward q-difference quotient (f(q^-2 x) - f(x)) / (q^-2 x - x).
 
     Evaluated at the lattice point x = q^(-2j); reads indices j and j+1.
     Missing indices read as 0, so bilateral (q^(2Z)) supports work too.
     """
-    x = q ** (-2 * j)
-    upper = f.get(j + 1, 0.0)
-    here = f.get(j, 0.0)
-    return (upper - here) / (q**-2 * x - x)
+    return _quotient(f.get(j + 1, 0.0), f.get(j, 0.0), q ** (-2 * j), q**-2)
 
 
 def bplus(f: Mapping[int, complex], j: int, q):
@@ -111,10 +132,7 @@ def bplus(f: Mapping[int, complex], j: int, q):
     Evaluated at x = q^(-2j); reads indices j-1 and j.  On the half-line
     lattice q^(-2Z+) the point q^2*x falls off-lattice at j = 0, so callers
     restricted to that lattice must supply their own boundary policy there
-    (the difference operators in :mod:`qlaplace.laplace` never call this at
-    the boundary).  Missing indices read as 0.
+    (the divergence form in :mod:`qlaplace.laplace` never forms the forward
+    quotient at the boundary).  Missing indices read as 0.
     """
-    x = q ** (-2 * j)
-    lower = f.get(j - 1, 0.0)
-    here = f.get(j, 0.0)
-    return (lower - here) / (q**2 * x - x)
+    return _quotient(f.get(j - 1, 0.0), f.get(j, 0.0), q ** (-2 * j), q**2)

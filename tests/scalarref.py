@@ -1,0 +1,126 @@
+"""Per-index references of the lattice-side kernels: the formulas the array
+kernels of ``lattice``, ``laplace``, ``qcore`` and ``fockoracle`` replace,
+written one lattice index (one Python call) at a time.
+
+Each reference repeats the operations of the array kernel in the same order
+on scalars, so for a function whose values share one type the two agree bit
+for bit.  Nothing here is imported by the library.
+"""
+
+import numpy as np
+
+_LD = np.longdouble
+
+
+def qpoch(a, base, k):
+    """(a; base)_k as the running product of k factors."""
+    acc = a * 0 + 1.0
+    p = a * 0 + 1.0
+    for _ in range(k):
+        acc = acc * (1 - a * p)
+        p = p * base
+    return acc
+
+
+def qbinomial(a, b, base):
+    """[a; b] from three separate Pochhammer products."""
+    return qpoch(base, base, a) / (qpoch(base, base, b) * qpoch(base, base, a - b))
+
+
+def sector_weight(params, sector, j):
+    q = params.q_ld
+    x = q ** _LD(-2 * j)
+    return x ** _LD(sector.Lp + params.m - 1) * qpoch(
+        q ** _LD(-2 * j - 2), q ** _LD(-2), sector.L + params.n - 1)
+
+
+def measure_mass(params, sector, j):
+    q = params.q_ld
+    norm = qpoch(q ** _LD(-2), q ** _LD(-2), sector.L + params.n - 1)
+    return sector_weight(params, sector, j) * q ** _LD(-2 * j) / norm
+
+
+def inner_product(params, sector, f, g):
+    total = params.q_ld * 0
+    for j in sorted(set(f) | set(g)):
+        total = total + np.conjugate(g.get(j, 0.0)) * f.get(j, 0.0) \
+            * measure_mass(params, sector, j)
+    return total
+
+
+def _denominator(params):
+    q = params.q_ld
+    return (1 - q * q) * (1 - q ** _LD(2 * (params.N - 1)))
+
+
+def three_term_at(params, sector, f, j):
+    q = params.q_ld
+    n, N = params.n, params.N
+    L, Lp = sector.L, sector.Lp
+    x = q ** _LD(-2 * j)
+    val = q ** _LD(-(L + Lp)) * (x - q ** _LD(2 * (n + L))) * f.get(j + 1, 0.0)
+    if j >= 1:
+        val = val + q ** _LD(2 * N - 2 + L + Lp) * (x - 1) * f.get(j - 1, 0.0)
+    val = val + (q ** _LD(2 * n + L - Lp) * (1 + q ** _LD(2 * (params.m - 1 + Lp)))
+                 - x * (1 + q ** _LD(2 * (N - 1)))) * f.get(j, 0.0)
+    return q * val / (_denominator(params) * x)
+
+
+def output_range(f):
+    sup = sorted(f)
+    if not sup:
+        return range(0)
+    return range(max(0, sup[0] - 1), sup[-1] + 2)
+
+
+def apply_three_term(params, sector, f):
+    """{j: value} over the output range, exact zeros kept."""
+    return {j: three_term_at(params, sector, f, j) for j in output_range(f)}
+
+
+def bminus(f, j, q):
+    x = q ** (-2 * j)
+    return (f.get(j + 1, 0.0) - f.get(j, 0.0)) / (q**-2 * x - x)
+
+
+def bplus(f, j, q):
+    x = q ** (-2 * j)
+    return (f.get(j - 1, 0.0) - f.get(j, 0.0)) / (q**2 * x - x)
+
+
+def apply_divergence_form(params, quad, f):
+    """{j: value} over the output range, exact zeros kept."""
+    q = params.q_ld
+    n, N = params.n, params.N
+    sector = quad.sector()
+    k, l, kp, s = quad.k, quad.l, quad.kp, quad.s
+    D = _denominator(params)
+    scal = q ** _LD(1 - 2 * s) * (1 - q ** _LD(2 * s)) \
+        * (1 - q ** _LD(2 * (N - 1 + s))) / D
+    out_range = output_range(f)
+    g = {}
+    for jj in out_range:
+        x = q ** _LD(-2 * jj)
+        g[jj] = sector_weight(params, sector, jj) * x \
+            * (q ** _LD(2 * (n + k)) - x * q ** _LD(-2 * l)) * bminus(f, jj, q)
+    out = {}
+    for j in out_range:
+        if j == 0:
+            out[j] = three_term_at(params, sector, f, 0)
+            continue
+        second = q ** _LD(-1 - 2 * kp) * (1 - q * q) ** 2 * bplus(g, j, q) \
+            / (D * sector_weight(params, sector, j))
+        out[j] = scal * f.get(j, 0.0) - second
+    return out
+
+
+def qbinomial_convolution(q, k, l, t):
+    qd = _LD(q)
+    pinv = qd ** _LD(-2)
+    lhs = _LD(0.0)
+    for x in range(t + 1):
+        y = t - x
+        lhs = lhs + qbinomial(k + x, k, pinv) * qbinomial(l + y, l, pinv) \
+            * qd ** _LD(-2 * x * (l + 1))
+    rhs = qbinomial(k + l + t + 1, k + l + 1, pinv)
+    return lhs, rhs

@@ -1,0 +1,177 @@
+"""The lattice-side array kernels against their per-index references
+(``scalarref``), bit for bit, and the type rule of :mod:`qlaplace.laplace`."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import scalarref
+from qlaplace import fockoracle, laplace, lattice, qcore
+from qlaplace.lattice import LatticeFunction, ModelParams, Quadruple, Sector
+
+_LD, _CLD = np.longdouble, np.clongdouble
+
+PARAMS = [ModelParams(0.5, 2, 2), ModelParams(0.3, 1, 6), ModelParams(0.95, 3, 4),
+          ModelParams(0.01, 2, 7)]
+QUADS = [Quadruple(0, 0, 0, 0), Quadruple(1, 1, 1, 1), Quadruple(2, 0, 2, 0),
+         Quadruple(0, 2, 0, 2), Quadruple(2, 1, 1, 0)]
+
+#: supports with gaps, with and without the base point j = 0, and empty
+SUPPORTS = [(), (0,), (1,), (5,), (0, 1, 2), (0, 3, 4, 9), (2, 3, 7, 8, 12),
+            tuple(range(12))]
+
+#: value types a lattice function's values can share
+KINDS = ["float", "complex", "longdouble", "clongdouble"]
+
+
+def _values(kind, n, rng):
+    re, im = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+    if kind == "float":
+        return [float(v) for v in re]
+    if kind == "complex":
+        return [complex(a, b) for a, b in zip(re, im)]
+    if kind == "longdouble":
+        return [_LD(a) / 3 for a in re]
+    return [_CLD(complex(a, b)) / 3 for a, b in zip(re, im)]
+
+
+def _function(kind, support, seed):
+    rng = np.random.default_rng(seed)
+    return LatticeFunction(dict(zip(support, _values(kind, len(support), rng))))
+
+
+def _same_bits(a, b) -> bool:
+    """Equal type, value and zero sign (NaN equal to NaN), part by part."""
+    if type(a) is not type(b):
+        return False
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    parts = (np.real, np.imag) if np.iscomplexobj(a) else (np.real,)
+    return all(np.array_equal(p(a), p(b), equal_nan=True)
+               and np.array_equal(np.signbit(p(a)), np.signbit(p(b)))
+               for p in parts)
+
+
+def _same_function(got: LatticeFunction, want: dict) -> bool:
+    want = LatticeFunction(want)  # drops the exact zeros, as the kernel does
+    return got.support == want.support \
+        and all(_same_bits(got[j], want[j]) for j in want)
+
+
+def _cases():
+    for (i, params), support, kind in itertools.product(
+            enumerate(PARAMS), SUPPORTS, KINDS):
+        yield pytest.param(params, support, kind, id=f"p{i}-{kind}-{support}")
+
+
+@pytest.mark.parametrize("params,support,kind", _cases())
+def test_three_term_action_keeps_the_bits_of_the_per_index_formula(params, support, kind):
+    f = _function(kind, support, seed=len(support))
+    for sector in {q.sector() for q in QUADS}:
+        got = laplace.apply_three_term(params, sector, f)
+        assert _same_function(got, scalarref.apply_three_term(params, sector, f))
+
+
+@pytest.mark.parametrize("params,support,kind", _cases())
+def test_divergence_form_keeps_the_bits_of_the_per_index_formula(params, support, kind):
+    f = _function(kind, support, seed=len(support) + 1)
+    for quad in QUADS:
+        got = laplace.apply_divergence_form(params, quad, f)
+        assert _same_function(got, scalarref.apply_divergence_form(params, quad, f))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_real_functions_stay_real(kind):
+    params, sector = PARAMS[0], Sector(0, 0)
+    f = _function(kind, (0, 2, 3), seed=7)
+    want = _CLD if kind in ("complex", "clongdouble") else _LD
+    for out in (laplace.apply_three_term(params, sector, f),
+                laplace.apply_divergence_form(params, Quadruple(0, 0, 0, 0), f)):
+        assert {type(v) for v in out.values()} == {want}
+
+
+@pytest.mark.parametrize("params", PARAMS)
+def test_a_mixed_function_is_promoted_to_its_common_type_first(params):
+    """Real and complex values in one function: the action equals, bit for
+    bit, the per-index formula on the function with every value made
+    complex, so real-only neighbourhoods now divide in complex arithmetic."""
+    f = LatticeFunction({0: 0.5, 1: complex(0.25, -1.0), 2: -0.75, 5: 0.125,
+                         6: 1.5, 7: complex(-2.0, 0.5)})
+    promoted = {j: complex(v) for j, v in f.items()}
+    for quad in QUADS:
+        sector = quad.sector()
+        got = laplace.apply_three_term(params, sector, f)
+        assert {type(v) for v in got.values()} == {_CLD}
+        assert _same_function(got, scalarref.apply_three_term(params, sector, promoted))
+        got = laplace.apply_divergence_form(params, quad, f)
+        assert _same_function(got, scalarref.apply_divergence_form(params, quad, promoted))
+
+
+@pytest.mark.parametrize("params", PARAMS)
+def test_inner_product_keeps_the_bits_of_the_per_index_sum(params):
+    for (sf, sg), kind in itertools.product(
+            [((), ()), ((0,), (0,)), ((3,), (4,)), ((0, 1, 2), (1, 2, 3)),
+             ((0, 3, 4, 9), (2, 3, 7, 8, 12)), (tuple(range(12)), (5,))], KINDS):
+        f = _function(kind, sf, seed=len(sf))
+        g = _function(kind, sg, seed=len(sg) + 10)
+        for sector in (Sector(0, 0), Sector(3, 1), Sector(0, 4)):
+            got = lattice.inner_product(params, sector, f, g)
+            assert _same_bits(got, scalarref.inner_product(params, sector, f, g))
+
+
+@pytest.mark.parametrize("params", PARAMS)
+def test_measure_mass_on_an_index_array_keeps_every_scalar_bits(params):
+    js = np.arange(80)
+    for sector in (Sector(0, 0), Sector(3, 1), Sector(0, 4), Sector(2, 2)):
+        got = lattice.measure_mass(params, sector, js)
+        assert got.dtype == _LD
+        weights = lattice.sector_weight(params, sector, js)
+        for j in js:
+            scalar = lattice.measure_mass(params, sector, int(j))
+            assert _same_bits(scalar, scalarref.measure_mass(params, sector, int(j)))
+            assert _same_bits(got[j], scalar)
+            assert _same_bits(weights[j], scalarref.sector_weight(params, sector, int(j)))
+
+
+@pytest.mark.parametrize("base", [_LD(0.5) ** _LD(-2), _LD(0.95) ** _LD(-2),
+                                  _LD(0.3), 0.7, complex(0.3, 0.4)])
+def test_qbinomial_keeps_the_bits_of_three_pochhammer_loops(base):
+    for a in range(16):
+        for b in range(a + 1):
+            assert _same_bits(qcore.qbinomial(a, b, base),
+                              scalarref.qbinomial(a, b, base))
+        table = qcore._qpoch_prefixes(base, base, a)
+        assert all(_same_bits(table[k], scalarref.qpoch(base, base, k))
+                   for k in range(a + 1))
+
+
+@pytest.mark.parametrize("a", [_LD(0.3), _LD(7.5), -2.0, complex(0.6, -0.8), 0.0, -0.0,
+                               np.array([0.5, -3.0, 1.0], dtype=_LD)])
+def test_qpoch_keeps_the_bits_of_the_running_product(a):
+    for base in (_LD(0.25), _LD(4), 0.5, complex(0.1, 0.9)):
+        for k in range(8):
+            got, want = qcore.qpoch(a, base, k), scalarref.qpoch(a, base, k)
+            if isinstance(got, np.ndarray):
+                assert all(_same_bits(u, v) for u, v in zip(got, want))
+            else:
+                assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.95])
+def test_qbinomial_convolution_keeps_the_bits_of_the_per_coefficient_loops(q):
+    for k, l, t in itertools.product(range(5), range(5), range(6)):
+        got = fockoracle.qbinomial_convolution(q, k, l, t)
+        want = scalarref.qbinomial_convolution(q, k, l, t)
+        assert all(_same_bits(u, v) for u, v in zip(got, want))
+
+
+def test_difference_quotients_are_one_formula():
+    """bminus and bplus on a mapping give the value helper's bits."""
+    q = _LD(0.6)
+    rng = np.random.default_rng(3)
+    f = {j - 3: v for j, v in enumerate(rng.uniform(-1, 1, 9))}
+    for j in range(-4, 8):
+        assert _same_bits(qcore.bminus(f, j, q), scalarref.bminus(f, j, q))
+        assert _same_bits(qcore.bplus(f, j, q), scalarref.bplus(f, j, q))

@@ -393,15 +393,16 @@ def _reference_residuals(kmax, p, meas):
 
 
 def _recording_measures(monkeypatch):
-    """Replace ``asc.orthogonality_measure`` by a wrapper that keeps every
-    measure it builds."""
+    """Replace ``asc._grid_measure``, where every measure is built, by a
+    wrapper that keeps each measure it builds."""
     built = []
+    build = asc._grid_measure
 
-    def recorded(p, quad_nodes):
-        built.append(orthogonality_measure(p, quad_nodes))
+    def recorded(p, discrete, quad_nodes):
+        built.append(build(p, discrete, quad_nodes))
         return built[-1]
 
-    monkeypatch.setattr(asc, "orthogonality_measure", recorded)
+    monkeypatch.setattr(asc, "_grid_measure", recorded)
     return built
 
 

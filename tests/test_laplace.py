@@ -192,6 +192,28 @@ def test_eigenvalue_array_call_equals_the_per_point_loop(q, n, m, lp, count):
     assert np.array_equal(np.concatenate([lam_cont, lam_disc]), want)
 
 
+@pytest.mark.parametrize("q, n, m", [(0.5, 2, 2), (0.3, 1, 6), (0.95, 3, 4)])
+def test_eigenvalue_is_affine_in_complex_z(q, n, m):
+    """A complex z keeps its imaginary part: Im lambda(x + iy) = 2 q^N y / D
+    to about 1 ulp, and the real part is lambda(x)."""
+    params = ModelParams(q, n, m)
+    qd = params.q_ld
+    D = (1 - qd * qd) * (1 - qd ** _LD(2 * (params.N - 1)))
+    eps = np.finfo(_LD).eps
+    for x, y in ((0.3, 0.1), (1.5, -2.0), (-0.7, 1e-3), (0.0, 40.0)):
+        lam = eigenvalue(params, complex(x, y))
+        assert type(lam) is np.clongdouble
+        want = 2 * qd ** _LD(params.N) * _LD(y) / D
+        assert abs(lam.imag - want) <= 2 * eps * abs(want)
+        real = eigenvalue(params, x)
+        assert type(real) is _LD
+        assert abs(lam.real - real) <= 2 * eps * max(abs(real), abs(lam))
+    z = np.array([0.3, complex(1.5, -2.0)])
+    got = eigenvalue(params, z)
+    assert got.dtype == np.clongdouble
+    assert got[1] == eigenvalue(params, complex(1.5, -2.0))
+
+
 def test_cross_form_on_shifted_support():
     # functions vanishing near the origin exercise the difference-window edge
     params = ModelParams(0.5, 2, 3)
