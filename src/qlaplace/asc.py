@@ -103,6 +103,10 @@ def asc_recurrence(k: int, z, p: AscParams):
 
 
 def _recurrence_table(kmax: int, z, p: AscParams) -> list:
+    """Q_0..Q_kmax at ``z``.  The degree-k coefficients (a+b) base^k and
+    (1 - base^k)(1 - ab base^(k-1)) come from one array over k (array
+    ``base ** k`` has the scalar power's bits), and 2z is formed once, so
+    each step runs the per-degree loop's operations in its order."""
     a, b, base = p.a, p.b, p.base
     prev = z * 0 + 1.0
     table = [prev]
@@ -110,10 +114,10 @@ def _recurrence_table(kmax: int, z, p: AscParams) -> list:
         return table
     cur = 2 * z - (a + b)
     table.append(cur)
-    for k in range(1, kmax):
-        nxt = 2 * z * cur - (a + b) * base**k * cur \
-            - (1 - base**k) * (1 - a * b * base ** (k - 1)) * prev
-        prev, cur = cur, nxt
+    pw = base ** np.arange(kmax)
+    z2 = 2 * z
+    for lin, quad in zip((a + b) * pw[1:], (1 - pw[1:]) * (1 - a * b * pw[:-1])):
+        prev, cur = cur, z2 * cur - lin * cur - quad * prev
         table.append(cur)
     return table
 

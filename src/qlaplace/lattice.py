@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -72,9 +73,9 @@ class ModelParams:
     def N(self) -> int:
         return self.n + self.m
 
-    @property
+    @cached_property
     def q_ld(self) -> np.longdouble:
-        """q as an extended-precision scalar."""
+        """q as an extended-precision scalar, built on first access."""
         return _LD(self.q)
 
 

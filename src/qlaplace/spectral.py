@@ -28,12 +28,18 @@ array over all degrees) is used instead (bound-state profiles are minimal
 solutions of the recurrence, so any forward evaluation loses relative
 accuracy exponentially in j).  The lattice masses of all degrees come from
 one ``measure_mass`` call on the index array.
+
+Transforms run on a ``_TransformPlan``: the profiles and masses of one
+measure at one depth.  A forward result carries its plan, and the inverse
+reads it when it is deep enough for the same params, sector and measure, so
+a round trip builds one profile matrix; the plan lives as long as the
+result, in no module state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
 
@@ -187,11 +193,16 @@ def measure_eigenvalues(params: ModelParams, measure: SpectralMeasure):
 @dataclass(frozen=True)
 class SpectralFunction:
     """A function of the spectral variable sampled on a measure's node set:
-    ``clongdouble`` values at its theta nodes and at its mass points."""
+    ``clongdouble`` values at its theta nodes and at its mass points.
+
+    A forward transform's result carries the plan that made it, so the
+    inverse of the same round trip reads the same profiles.
+    """
 
     measure: SpectralMeasure
     continuous: np.ndarray
     discrete: np.ndarray
+    _plan: _TransformPlan | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.continuous) != len(self.measure.theta_nodes):
@@ -217,6 +228,19 @@ def _profile_matrix(params: ModelParams, sector: Sector,
     return cont, disc
 
 
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v for a ``longdouble`` matrix M.  A complex v runs as two real
+    products, M @ v.real and M @ v.imag: the sums of M cast to complex, in
+    the same order, without the cast copy of M.  A real v gives a real
+    result."""
+    if not np.iscomplexobj(v):
+        return M @ v
+    out = np.empty(len(M), dtype=np.result_type(M, v))
+    out.real = M @ v.real
+    out.imag = M @ v.imag
+    return out
+
+
 class _TransformPlan:
     """Profile matrix and lattice masses of one measure at depth ``max_j``,
     shared by every forward and inverse transform of depth <= max_j.
@@ -227,7 +251,9 @@ class _TransformPlan:
     running product, so it depends on no later column; masses are
     elementwise), and the extended-precision products sum in index order
     whatever the strides, so every value equals a fresh build's.  A function
-    deeper than the plan raises ValueError.
+    deeper than the plan raises ValueError.  A forward result carries its
+    plan (``SpectralFunction._plan``), which
+    :func:`inverse_transform_profile` reuses when it is deep enough.
     """
 
     def __init__(self, params: ModelParams, sector: Sector,
@@ -255,8 +281,9 @@ class _TransformPlan:
         coeffs = np.array([f.get(j, 0) for j in range(cols)], dtype=_CLD)
         weighted = coeffs * self.masses[:cols]
         return SpectralFunction(measure=self.measure,
-                                continuous=self.cont[:, :cols] @ weighted,
-                                discrete=self.disc[:, :cols] @ weighted)
+                                continuous=_matvec(self.cont[:, :cols], weighted),
+                                discrete=_matvec(self.disc[:, :cols], weighted),
+                                _plan=self)
 
     def inverse(self, fhat: SpectralFunction, max_j: int) -> LatticeFunction:
         """Inverse transform on all lattice indices 0..max_j at once."""
@@ -264,9 +291,9 @@ class _TransformPlan:
             raise ValueError("the spectral function is sampled on another measure")
         cols = self._columns(max_j)
         nodes, masses = self.measure.weights()
-        vals = self.cont[:, :cols].T @ (nodes * fhat.continuous)
+        vals = _matvec(self.cont[:, :cols].T, nodes * fhat.continuous)
         if len(masses):
-            vals = vals + self.disc[:, :cols].T @ (masses * fhat.discrete)
+            vals = vals + _matvec(self.disc[:, :cols].T, masses * fhat.discrete)
         return LatticeFunction({j: v for j, v in enumerate(vals)})
 
 
@@ -278,8 +305,18 @@ def transform_grid(params: ModelParams, sector: Sector, f: Mapping[int, complex]
 
 def inverse_transform_profile(params: ModelParams, sector: Sector,
                               fhat: SpectralFunction, max_j: int) -> LatticeFunction:
-    """Inverse transform on all lattice indices 0..max_j at once."""
-    return _TransformPlan(params, sector, fhat.measure, max_j).inverse(fhat, max_j)
+    """Inverse transform on all lattice indices 0..max_j at once.
+
+    It reads the plan ``fhat`` carries from its forward transform when that
+    plan is at least ``max_j`` deep on the same params, sector and measure,
+    and builds one at ``max_j`` otherwise; the values are the same bits
+    either way.
+    """
+    plan = fhat._plan
+    if (plan is None or plan.max_j < max_j or plan.measure is not fhat.measure
+            or (plan.params, plan.sector) != (params, sector)):
+        plan = _TransformPlan(params, sector, fhat.measure, max_j)
+    return plan.inverse(fhat, max_j)
 
 
 @dataclass(frozen=True)

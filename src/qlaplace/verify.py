@@ -136,9 +136,9 @@ def check_symmetry(params, sector, cfg) -> float:
 
 
 def check_norm_identity(params, sector, cfg) -> float:
+    masses = lattice.measure_mass(params, sector, np.arange(LATTICE_DEPTH + 1))
     errors = []
-    for j in range(LATTICE_DEPTH + 1):
-        a = lattice.measure_mass(params, sector, j)
+    for j, a in enumerate(masses):
         b = lattice.indicator_norm_sq(params, sector, j)
         errors.append(_rel(a, b, floor=float(abs(b))))
     return _worst(errors)

@@ -1,6 +1,7 @@
 """Per-index references of the lattice-side kernels: the formulas the array
 kernels of ``lattice``, ``laplace``, ``qcore`` and ``fockoracle`` replace,
-written one lattice index (one Python call) at a time.
+written one lattice index (one Python call) at a time, and the per-degree
+loop of the Al-Salam-Chihara recurrence in ``asc``.
 
 Each reference repeats the operations of the array kernel in the same order
 on scalars, so for a function whose values share one type the two agree bit
@@ -124,3 +125,21 @@ def qbinomial_convolution(q, k, l, t):
             * qd ** _LD(-2 * x * (l + 1))
     rhs = qbinomial(k + l + t + 1, k + l + 1, pinv)
     return lhs, rhs
+
+
+def recurrence_table(kmax, z, p):
+    """Q_0..Q_kmax at z, each degree's coefficients formed in the loop from
+    scalar powers of the base."""
+    a, b, base = p.a, p.b, p.base
+    prev = z * 0 + 1.0
+    table = [prev]
+    if kmax == 0:
+        return table
+    cur = 2 * z - (a + b)
+    table.append(cur)
+    for k in range(1, kmax):
+        nxt = 2 * z * cur - (a + b) * base**k * cur \
+            - (1 - base**k) * (1 - a * b * base ** (k - 1)) * prev
+        prev, cur = cur, nxt
+        table.append(cur)
+    return table

@@ -1,5 +1,6 @@
-"""The lattice-side array kernels against their per-index references
-(``scalarref``), bit for bit, and the type rule of :mod:`qlaplace.laplace`."""
+"""The lattice-side array kernels and the Al-Salam-Chihara recurrence table
+against their per-index references (``scalarref``), bit for bit, and the type
+rule of :mod:`qlaplace.laplace`."""
 
 import itertools
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import scalarref
-from qlaplace import fockoracle, laplace, lattice, qcore
+from qlaplace import asc, fockoracle, laplace, lattice, qcore, spectral
 from qlaplace.lattice import LatticeFunction, ModelParams, Quadruple, Sector
 
 _LD, _CLD = np.longdouble, np.clongdouble
@@ -175,3 +176,18 @@ def test_difference_quotients_are_one_formula():
     for j in range(-4, 8):
         assert _same_bits(qcore.bminus(f, j, q), scalarref.bminus(f, j, q))
         assert _same_bits(qcore.bplus(f, j, q), scalarref.bplus(f, j, q))
+
+
+@pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.95])
+def test_recurrence_table_keeps_the_bits_of_the_per_degree_loop(q):
+    """Coefficients from one array over the degree, 2z hoisted: every entry,
+    type included, equals the loop that forms them per degree."""
+    nodes = np.cos(np.linspace(0, np.pi, 256).astype(_LD))
+    points = [nodes, nodes[:1], _LD(-0.3), 0.7, _LD(3.5), 1.0000001]
+    for n, m, L, Lp in ((2, 2, 0, 0), (2, 4, 0, 2), (1, 6, 0, 5), (3, 5, 2, 1)):
+        pp = spectral.asc_params(ModelParams(q, n, m), Sector(L, Lp))
+        for z, kmax in itertools.product(points, (0, 1, 2, 16, 60)):
+            got = asc._recurrence_table(kmax, z, pp)
+            want = scalarref.recurrence_table(kmax, z, pp)
+            assert len(got) == len(want) == kmax + 1
+            assert all(_same_bits(u, v) for u, v in zip(got, want))

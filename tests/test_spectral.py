@@ -528,6 +528,105 @@ def test_transform_plan_rejects_deeper_functions():
         plan.inverse(SpectralFunction(other, fhat.continuous, fhat.discrete), 5)
 
 
+#: sectors with 0, 2 and 5 mass points
+REUSE_CASES = [(ModelParams(0.5, 2, 2), Sector(0, 0), 0),
+               (ModelParams(0.5, 2, 4), Sector(0, 2), 2),
+               (ModelParams(0.3, 1, 6), Sector(0, 5), 5)]
+
+
+def _identical(a, b):
+    """Equal dtype, shape, values and zero signs, real and imaginary part."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and all(
+        np.array_equal(p(a), p(b)) and np.array_equal(np.signbit(p(a)), np.signbit(p(b)))
+        for p in (np.real, np.imag))
+
+
+def _identical_lattice(got, want):
+    return got.support == want.support and _identical(
+        [got[j] for j in got.support], [want[j] for j in want.support])
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    build = spectral._profile_matrix
+
+    def counted(*args):
+        builds.append(args[-1])
+        return build(*args)
+    monkeypatch.setattr(spectral, "_profile_matrix", counted)
+    return builds
+
+
+@pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
+def test_round_trip_builds_one_plan(params, sector, masses, monkeypatch):
+    """The inverse reads the plan its forward result carries when that plan
+    is deep enough, at equal and at smaller depth: one profile build per
+    round trip, with the bits of a fresh plan at the inverse's depth."""
+    meas = plancherel_measure(params, sector, 256)
+    assert len(meas.discrete) == masses
+    fhat = transform_grid(params, sector, Lcg(5).lattice_function(21), meas)
+    wants = {depth: spectral._TransformPlan(params, sector, meas, depth).inverse(fhat, depth)
+             for depth in (20, 11, 0)}
+    builds = _count_builds(monkeypatch)
+    for depth, want in wants.items():
+        assert _identical_lattice(inverse_transform_profile(params, sector, fhat, depth),
+                                  want)
+    assert builds == []
+
+
+@pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
+def test_inverse_builds_its_own_plan_when_the_carried_one_does_not_serve(
+        params, sector, masses, monkeypatch):
+    """A deeper inverse, other params, another sector or a hand-built
+    spectral function each get a plan at the inverse's depth, with its bits."""
+    meas = plancherel_measure(params, sector, 256)
+    fhat = transform_grid(params, sector, Lcg(6).lattice_function(14), meas)
+    plain = SpectralFunction(meas, fhat.continuous, fhat.discrete)
+    cases = [(params, sector, fhat, 30), (ModelParams(params.q, params.n, params.m + 1),
+                                          sector, fhat, 12),
+             (params, Sector(1, sector.Lp), fhat, 12), (params, sector, plain, 12)]
+    wants = [spectral._TransformPlan(p, s, meas, depth).inverse(fh, depth)
+             for p, s, fh, depth in cases]
+    builds = _count_builds(monkeypatch)
+    for (p, s, fh, depth), want in zip(cases, wants):
+        assert _identical_lattice(inverse_transform_profile(p, s, fh, depth), want)
+    assert builds == [30, 12, 12, 12]
+
+
+def test_forward_result_carries_its_plan_outside_equality():
+    params, sector, _ = REUSE_CASES[1]
+    meas = plancherel_measure(params, sector, 64)
+    plan = spectral._TransformPlan(params, sector, meas, 4)
+    fhat = plan.forward(LatticeFunction.basis(2))
+    assert fhat._plan is plan
+    assert "_plan" not in repr(fhat)
+    assert SpectralFunction(meas, fhat.continuous, fhat.discrete)._plan is None
+
+
+@pytest.mark.parametrize("kind", ["complex", "zeros", "minus_zero_imag", "real"])
+def test_split_product_equals_the_complex_product(kind):
+    """M @ v.real and M @ v.imag give the values and zero signs of M cast to
+    complex, also on an empty matrix; a real vector keeps a real result."""
+    rng = np.random.default_rng(8)
+    M = rng.uniform(-1, 1, (40, 40)).astype(_LD)
+    M[rng.random(M.shape) < 0.3] = 0.0
+    M[rng.random(M.shape) < 0.1] = -0.0
+    re, im = rng.uniform(-1, 1, 40).astype(_LD), rng.uniform(-1, 1, 40).astype(_LD)
+    if kind == "zeros":
+        re[::3], im[::2] = 0.0, 0.0
+    if kind == "minus_zero_imag":
+        re[::4], im[:] = -0.0, -0.0
+    v = re if kind == "real" else np.empty(40, dtype=np.clongdouble)
+    if kind != "real":
+        v.real, v.imag = re, im
+    for mat in (M, M[:, :10], M.T[:10], M[:0]):
+        vec = v[:mat.shape[1]]
+        got = spectral._matvec(mat, vec)
+        assert _identical(got, mat @ vec)
+        assert got.dtype == (_LD if kind == "real" else np.clongdouble)
+
+
 @pytest.mark.parametrize("coeffs", [{0: 1.0, 1: -0.5, 3: 0.25},
                                     {0: 1 + 0.5j, 1: -0.5, 3: 0.25j}],
                          ids=["real", "complex"])
