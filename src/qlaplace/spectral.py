@@ -185,8 +185,9 @@ def plancherel_measure(params: ModelParams, sector: Sector,
 
 def measure_eigenvalues(params: ModelParams, measure: SpectralMeasure):
     """The eigenvalue map at the measure's theta nodes and at its mass points,
-    as (continuous, discrete); each node's z = cos(theta) is taken in double."""
-    return (eigenvalue(params, np.array([math.cos(t) for t in measure.theta_nodes])),
+    as (continuous, discrete); the nodes' z is the ``longdouble`` cos(theta)
+    at which the profiles run."""
+    return (eigenvalue(params, np.cos(measure.theta_nodes)),
             eigenvalue(params, np.array([d.z for d in measure.discrete])))
 
 

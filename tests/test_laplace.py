@@ -1,7 +1,6 @@
 """Tests for the operator's three realizations and the eigenvalue map."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -175,12 +174,13 @@ def test_eigenvalue_accepts_raw_z():
                                                 (0.3, 1, 6, 5, 5),
                                                 (0.95, 2, 2, 0, 0)])
 def test_eigenvalue_array_call_equals_the_per_point_loop(q, n, m, lp, count):
-    """One call over a 256-node measure's z values and its mass points'
-    z values, and ``measure_eigenvalues`` on the measure, keep the bits of one
-    scalar call per point."""
+    """One call over a 256-node measure's z values (the ``longdouble``
+    cos(theta) of the profiles) and its mass points' z values, and
+    ``measure_eigenvalues`` on the measure, keep the bits of one scalar call
+    per point."""
     params, sector = ModelParams(q, n, m), Sector(0, lp)
     meas = plancherel_measure(params, sector, 256)
-    z = [math.cos(t) for t in meas.theta_nodes] + [d.z for d in meas.discrete]
+    z = [np.cos(t) for t in meas.theta_nodes] + [d.z for d in meas.discrete]
     got = eigenvalue(params, np.array(z))
     want = np.empty(len(z), dtype=_LD)
     for i, zi in enumerate(z):

@@ -36,7 +36,7 @@ def _parseval_loop(params, sector, cfg):
 def _multiplication_loop(params, sector, cfg):
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     rng = Lcg(cfg.seed + 505)
-    lam_cont = np.array([laplace.eigenvalue(params, math.cos(t))
+    lam_cont = np.array([laplace.eigenvalue(params, np.cos(t))
                          for t in meas.theta_nodes], dtype=_LD)
     lam_disc = np.array([laplace.eigenvalue(params, d.z) for d in meas.discrete],
                         dtype=_LD)
@@ -98,6 +98,13 @@ def _symmetry_loop(params, sector, cfg):
 def test_check_equals_its_plain_loop(check, loop, cfg):
     params, sector = cfg.params(), cfg.sector()
     assert check(params, sector, cfg) == loop(params, sector, cfg)
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(q=0.5), RunConfig(q=0.95)], ids=["q0.5", "q0.95"])
+def test_multiplication_reads_the_transform_not_the_rounding_of_z(cfg):
+    """lambda runs at the profiles' own longdouble z = cos(theta): with z
+    rounded to double the residual read 1.1e-17 (q=0.5) and 2.7e-17 (q=0.95)."""
+    assert verify.check_multiplication(cfg.params(), cfg.sector(), cfg) < 2e-18
 
 
 def test_worst_is_zero_without_comparisons():
