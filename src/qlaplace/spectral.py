@@ -29,11 +29,9 @@ solutions of the recurrence, so any forward evaluation loses relative
 accuracy exponentially in j).  The lattice masses of all degrees come from
 one ``measure_mass`` call on the index array.
 
-Transforms run on a ``_TransformPlan``: the profiles and masses of one
-measure at one depth.  A forward result carries its plan, and the inverse
-reads it when it is deep enough for the same params, sector and measure, so
-a round trip builds one profile matrix; the plan lives as long as the
-result, in no module state.
+Transforms run on a ``_TransformPlan``, the profiles and masses of one
+measure at one depth.  A forward result carries its plan, which the inverse
+of the same round trip reads, so a round trip builds one profile matrix.
 """
 
 from __future__ import annotations
@@ -194,11 +192,7 @@ def measure_eigenvalues(params: ModelParams, measure: SpectralMeasure):
 @dataclass(frozen=True)
 class SpectralFunction:
     """A function of the spectral variable sampled on a measure's node set:
-    ``clongdouble`` values at its theta nodes and at its mass points.
-
-    A forward transform's result carries the plan that made it, so the
-    inverse of the same round trip reads the same profiles.
-    """
+    ``clongdouble`` values at its theta nodes and at its mass points."""
 
     measure: SpectralMeasure
     continuous: np.ndarray

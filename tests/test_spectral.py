@@ -2,6 +2,7 @@
 spectral transform."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -578,20 +579,23 @@ def test_round_trip_builds_one_plan(params, sector, masses, monkeypatch):
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
 def test_inverse_builds_its_own_plan_when_the_carried_one_does_not_serve(
         params, sector, masses, monkeypatch):
-    """A deeper inverse, other params, another sector or a hand-built
-    spectral function each get a plan at the inverse's depth, with its bits."""
+    """A deeper inverse, other params, another sector, a hand-built spectral
+    function or one moved onto another measure each get a plan at the
+    inverse's depth, with its bits."""
     meas = plancherel_measure(params, sector, 256)
     fhat = transform_grid(params, sector, Lcg(6).lattice_function(14), meas)
     plain = SpectralFunction(meas, fhat.continuous, fhat.discrete)
+    moved = replace(fhat, measure=plancherel_measure(params, sector, 256))
     cases = [(params, sector, fhat, 30), (ModelParams(params.q, params.n, params.m + 1),
                                           sector, fhat, 12),
-             (params, Sector(1, sector.Lp), fhat, 12), (params, sector, plain, 12)]
-    wants = [spectral._TransformPlan(p, s, meas, depth).inverse(fh, depth)
+             (params, Sector(1, sector.Lp), fhat, 12), (params, sector, plain, 12),
+             (params, sector, moved, 12)]
+    wants = [spectral._TransformPlan(p, s, fh.measure, depth).inverse(fh, depth)
              for p, s, fh, depth in cases]
     builds = _count_builds(monkeypatch)
     for (p, s, fh, depth), want in zip(cases, wants):
         assert _identical_lattice(inverse_transform_profile(p, s, fh, depth), want)
-    assert builds == [30, 12, 12, 12]
+    assert builds == [30, 12, 12, 12, 12]
 
 
 def test_forward_result_carries_its_plan_outside_equality():
