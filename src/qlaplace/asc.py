@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -361,15 +362,21 @@ class SpectralMeasure:
     """Continuous density on theta in [0, pi] plus point masses.
 
     ``density`` holds (1/2 pi) * w(cos theta) at ``theta_nodes`` (so the
-    continuous part integrates against d theta); ``normalization`` is a
-    positive extended-precision scale of both parts, applied only by
+    continuous part integrates against d theta), w the band weight of the
+    family ``params``; it is formed on its first read, since transforms and
+    eigenvalues read only the nodes and the mass points.  ``normalization``
+    is a positive extended-precision scale of both parts, applied only by
     :meth:`weights`.
     """
 
     theta_nodes: np.ndarray
-    density: np.ndarray
+    params: AscParams
     discrete: tuple[DiscreteMass, ...]
     normalization: np.longdouble = _LD(1.0)
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        return continuous_weight(self.theta_nodes, self.params) / (2 * _LD(np.pi))
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature weights of the two parts, normalization included: the
@@ -453,8 +460,7 @@ def _grid_measure(p: AscParams, discrete, quad_nodes: int) -> SpectralMeasure:
     if quad_nodes < 16:
         raise ValueError(f"need quad_nodes >= 16, got {quad_nodes}")
     theta = np.linspace(0, np.pi, _node_count(p, quad_nodes)).astype(_LD)
-    dens = continuous_weight(theta, p) / (2 * _LD(np.pi))
-    return SpectralMeasure(theta_nodes=theta, density=dens, discrete=discrete)
+    return SpectralMeasure(theta_nodes=theta, params=p, discrete=discrete)
 
 
 def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int) -> dict:

@@ -226,6 +226,29 @@ def test_measure_weights_carry_the_normalization_once(q, n, m, L, Lp, count):
     assert np.array_equal(masses, [meas.normalization * d.mass for d in meas.discrete])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: orthogonality_measure(PARAM_SETS[1], 64),
+    lambda: spectral.plancherel_measure(ModelParams(0.95, 2, 4), Sector(0, 2), 256),
+], ids=["orthogonality", "plancherel"])
+def test_density_is_formed_once_on_first_read(monkeypatch, build):
+    weight = asc.continuous_weight
+    calls = []
+
+    def counting(theta, p):
+        calls.append(p)
+        return weight(theta, p)
+
+    monkeypatch.setattr(asc, "continuous_weight", counting)
+    meas = build()
+    assert calls == []
+    want = weight(meas.theta_nodes, meas.params) / (2 * np.longdouble(np.pi))
+    assert meas.density.dtype == np.longdouble
+    assert np.array_equal(meas.density, want)
+    meas.weights()
+    meas.total_mass()
+    assert calls == [meas.params]
+
+
 # ------------------------------------------------- batched evaluation
 
 #: (n, m, L, Lp): no point mass, and two point masses

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import qlaplace
-from qlaplace import fockoracle, verify
+from qlaplace import asc, fockoracle, verify
 from qlaplace.cli import RunConfig, main
 from qlaplace.qcore import ConvergenceError
 from qlaplace.verify import check_spectrum_containment
@@ -234,6 +234,18 @@ def test_transform_of_base_indicator(tmp_path):
     report = json.loads(res.stdout)
     for re_im in report["continuous"]:
         assert abs(re_im[0] - 1.0) < 1e-12 and abs(re_im[1]) < 1e-12
+
+
+def test_transform_never_forms_the_density(tmp_path, monkeypatch):
+    """The report reads the measure's nodes and mass points, not its density."""
+    calls = []
+    monkeypatch.setattr(asc, "continuous_weight", lambda *args: calls.append(args))
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps({"support": [0, 3], "values": [[1.0, 0.0], [0.5, 0.25]]}))
+    res = run("transform", "--input", str(src), "--m", "4", "--lambda-prime", "2")
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.stdout)["discrete"]) == 2
+    assert calls == []
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qlaplace import laplace, lattice, spectral, verify
+from qlaplace import asc, laplace, lattice, spectral, verify
 from qlaplace._rng import Lcg
 from qlaplace.cli import RunConfig
 from qlaplace.lattice import LatticeFunction
@@ -183,3 +183,35 @@ def test_density_identity_at_extended_precision(cfg):
     # both sides run the same extended-precision product kernel from an
     # extended-precision argument on
     assert verify.check_density_identity(cfg.params(), cfg.sector(), cfg) <= 1e-15
+
+
+@pytest.fixture
+def weight_builds(monkeypatch):
+    """The node counts of every band-weight evaluation, in call order."""
+    builds = []
+    weight = asc.continuous_weight
+
+    def counting(theta, p):
+        builds.append(np.size(theta))
+        return weight(theta, p)
+
+    monkeypatch.setattr(asc, "continuous_weight", counting)
+    return builds
+
+
+def test_battery_forms_the_band_weight_five_times(weight_builds):
+    """asc_orthogonality's grid, density_identity's angles, and the density of
+    each check that integrates over its Plancherel measure: plancherel_mass,
+    parseval and transform_roundtrip."""
+    verify.run_battery(RunConfig())
+    assert weight_builds == [256, 200, 256, 256, 256]
+
+
+@pytest.mark.parametrize("check", [verify.check_multiplication,
+                                   verify.check_transform_of_base_indicator])
+def test_forward_transform_checks_never_form_the_density(weight_builds, check):
+    """Forward transforms and the eigenvalue map read only the measure's
+    theta nodes and mass points."""
+    cfg = RunConfig()
+    check(cfg.params(), cfg.sector(), cfg)
+    assert weight_builds == []
