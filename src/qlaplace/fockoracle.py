@@ -154,37 +154,85 @@ def _depth(q) -> int:
     return math.ceil(math.log(LD_INF_TOL) / (2 * math.log(q)))
 
 
-def _positive_lhs(q, m: int, kp: int, lp: int, *depths):
-    """The positive-block sums of :func:`positive_block_sum`, truncated at
-    each of ``depths`` per index; ``q`` is an extended-precision scalar.
+class _PowerTable:
+    """The positive-block terms of one check call at one extended-precision q.
 
-    The power tables are built once, at the deepest depth, and each sum
-    reads a leading slice: ``np.sum`` of a contiguous prefix gives the bits
-    of those values summed alone.  For lp = 0 the Pochhammer factor is the
-    empty product, exactly 1, and is not formed.
+    Over a = 1..``length``, ``powers[e - 1]`` holds q^(2 e a) for e up to the
+    largest m - 1 + kp of ``blocks``, the (m, kp, lp) the call sums, and
+    ``poch[lp]`` the products (q^(2a - 2); q^-2)_lp up to their largest lp.
+    Every entry has the bits of a table built for one block alone: ``powl``
+    bits depend only on the exponent's value, so q^(2a - 2) is the e = 1 row
+    shifted by one (q^0 = 1 exactly), and ``poch[lp]`` is the running
+    product's own entry, so the prefixes of one (a; base) run serve every lp.
     """
-    a = np.arange(1, max(depths) + 1, dtype=_LD)
-    first = q ** ((2 * (m - 1 + kp)) * a)
-    if lp:
-        first = qpoch(q ** (2 * a - 2), q ** _LD(-2), lp) * first
-    rest = [q ** ((2 * (m - 1 - t + kp)) * a) for t in range(1, m - 1)]
-    out = []
-    for d in depths:
-        total = np.sum(first[:d])
-        for powers in rest:
-            total = total * np.sum(powers[:d])
-        out.append(total)
-    return out
+
+    def __init__(self, q, blocks, length: int):
+        a = np.arange(1, length + 1, dtype=_LD)
+        e = np.arange(1, max(m - 1 + kp for m, kp, _ in blocks) + 1, dtype=_LD)
+        self.powers = q ** ((2 * e)[:, None] * a)
+        lp = max(lp for *_, lp in blocks)
+        if lp:
+            shifted = np.concatenate([[_LD(1)], self.powers[0, :-1]])
+            self.poch = _qpoch_prefixes(shifted, q ** _LD(-2), lp)
+
+    def sums(self, m: int, kp: int, lp: int, *depths) -> list:
+        """The positive-block sums of :func:`positive_block_sum`, truncated at
+        each of ``depths`` per index.
+
+        Each sum reads a leading slice: ``np.sum`` of a contiguous prefix
+        gives the bits of those values summed alone.  For lp = 0 the
+        Pochhammer factor is the empty product, exactly 1, and is not formed.
+        """
+        first = self.powers[m - 2 + kp]
+        if lp:
+            first = self.poch[lp] * first
+        rest = [self.powers[m - 2 - t + kp] for t in range(1, m - 1)]
+        out = []
+        for d in depths:
+            total = np.sum(first[:d])
+            for powers in rest:
+                total = total * np.sum(powers[:d])
+            out.append(total)
+        return out
 
 
-def _oracle_values(params: ModelParams, quad: Quadruple, phi, psi, *depths):
-    """The truncated trace at each depth; the depth-free factors are shared,
-    and one positive-block power table serves every depth."""
-    common = invariant_integral_normalizer(params) \
-        * _quadruple_prefactor(params.q_ld, quad) \
-        * _negative_block(params, quad, phi, psi)
-    sums = _positive_lhs(params.q_ld, params.m, quad.kp, quad.lp, *depths)
-    return [common * lhs for lhs in sums]
+def _oracle_values(params: ModelParams, quads, pairs, *depths) -> list:
+    """The truncated trace of each (phi, psi) of ``pairs`` at each depth, one
+    row per quadruple of ``quads``.
+
+    The depth-free factors are shared by the depths, and the positive-block
+    sums, which depend on the quadruple alone, by every pair; one power table
+    built at the deepest depth serves every quadruple.
+    """
+    q = params.q_ld
+    blocks = [(params.m, quad.kp, quad.lp) for quad in quads]
+    table = _PowerTable(q, blocks, max(depths))
+    norm = invariant_integral_normalizer(params)
+    rows = []
+    for quad, block in zip(quads, blocks):
+        sums = table.sums(*block, *depths)
+        head = norm * _quadruple_prefactor(q, quad)
+        row = []
+        for phi, psi in pairs:
+            common = head * _negative_block(params, quad, phi, psi)
+            row.append([common * lhs for lhs in sums])
+        rows.append(row)
+    return rows
+
+
+def _invariant_integrals(params: ModelParams, quads, pairs) -> list:
+    """:func:`invariant_integral` of each (phi, psi) of ``pairs``, one row per
+    quadruple of ``quads``."""
+    _require_n_ge_2(params)
+    depth = _depth(params.q)
+    rows = _oracle_values(params, quads, pairs, depth, 2 * depth)
+    for row in rows:
+        for val, val2 in row:
+            if abs(val2 - val) > 1e-12 * max(1.0, float(abs(val2))):
+                raise ConvergenceError(
+                    f"trace truncation depth {depth} too small: value moved by "
+                    f"{float(abs(val2 - val)):.3e} on doubling")
+    return [[val2 for _, val2 in row] for row in rows]
 
 
 def invariant_integral(params: ModelParams, quad: Quadruple,
@@ -198,14 +246,7 @@ def invariant_integral(params: ModelParams, quad: Quadruple,
     The value is recomputed at 2D, and a relative movement above 1e-12
     raises ConvergenceError; otherwise the 2D value is returned.
     """
-    _require_n_ge_2(params)
-    depth = _depth(params.q)
-    val, val2 = _oracle_values(params, quad, phi, psi, depth, 2 * depth)
-    if abs(val2 - val) > 1e-12 * max(1.0, float(abs(val2))):
-        raise ConvergenceError(
-            f"trace truncation depth {depth} too small: value moved by "
-            f"{float(abs(val2 - val)):.3e} on doubling")
-    return val2
+    return _invariant_integrals(params, [quad], [(phi, psi)])[0][0]
 
 
 def _scaled_poch(u: int, v: int, exps) -> tuple[int, int, int]:
@@ -283,6 +324,22 @@ def negative_block_sum(q: float, n: int, k: int, l: int, t: int):
     return float(lhs), float(rhs)
 
 
+def _positive_block_sides(q: float, grid) -> list:
+    """Both sides of :func:`positive_block_sum` at each (m, kp, lp) of
+    ``grid``; every lhs reads one :class:`_PowerTable`."""
+    grid = list(grid)
+    for m, _, _ in grid:
+        if m < 2:
+            raise ValueError(f"need m >= 2, got {m}")
+    qd, depth = _LD(q), _depth(q)
+    p = qd * qd
+    table = _PowerTable(qd, grid, depth)
+    return [(table.sums(m, kp, lp, depth)[0],
+             qd ** _LD((m - 1) * (2 * kp + 2 * lp + m)) * qd ** _LD(2 * lp * kp)
+             * qpoch(p, p, kp) * qpoch(p, p, lp) / qpoch(p, p, kp + lp + m - 1))
+            for m, kp, lp in grid]
+
+
 def positive_block_sum(q: float, m: int, kp: int, lp: int):
     """Both sides of the positive-block summation identity.
 
@@ -292,14 +349,7 @@ def positive_block_sum(q: float, m: int, kp: int, lp: int):
     rhs: q^((m-1)(2kp + 2lp + m)) q^(2 lp kp)
          (q^2; q^2)_{kp} (q^2; q^2)_{lp} / (q^2; q^2)_{kp+lp+m-1}.
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    qd = _LD(q)
-    p = qd * qd
-    lhs, = _positive_lhs(qd, m, kp, lp, _depth(q))
-    rhs = qd ** _LD((m - 1) * (2 * kp + 2 * lp + m)) * qd ** _LD(2 * lp * kp) \
-        * qpoch(p, p, kp) * qpoch(p, p, lp) / qpoch(p, p, kp + lp + m - 1)
-    return lhs, rhs
+    return _positive_block_sides(q, [(m, kp, lp)])[0]
 
 
 def qbinomial_convolution(q: float, k: int, l: int, t: int):
@@ -321,6 +371,22 @@ def qbinomial_convolution(q: float, k: int, l: int, t: int):
     return lhs, rhs
 
 
+def _geometric_sum_sides(q: float, grid) -> list:
+    """Both sides of :func:`pochhammer_geometric_sum` at each (x, y) of
+    ``grid``; every lhs reads one :class:`_PowerTable`."""
+    grid = list(grid)
+    for _, y in grid:
+        if y < 1:
+            raise ValueError(f"need y >= 1 for convergence, got {y}")
+    qd, depth = _LD(q), _depth(q)
+    p = qd * qd
+    table = _PowerTable(qd, [(2, y - 1, x) for x, y in grid], depth)
+    return [(table.sums(2, y - 1, x, depth)[0],
+             qd ** _LD(2 * y * (x + 1)) * qpoch(p, p, x)
+             / qpoch(qd ** _LD(2 * y), p, x + 1))
+            for x, y in grid]
+
+
 def pochhammer_geometric_sum(q: float, x: int, y: int):
     """Both sides of the Pochhammer-weighted geometric sum.
 
@@ -329,11 +395,4 @@ def pochhammer_geometric_sum(q: float, x: int, y: int):
     rhs: q^(2y(x+1)) (q^2; q^2)_x / (q^(2y); q^2)_{x+1}.
     Requires y >= 1 for convergence.
     """
-    if y < 1:
-        raise ValueError(f"need y >= 1 for convergence, got {y}")
-    qd = _LD(q)
-    p = qd * qd
-    lhs, = _positive_lhs(qd, 2, y - 1, x, _depth(q))
-    rhs = qd ** _LD(2 * y * (x + 1)) * qpoch(p, p, x) \
-        / qpoch(qd ** _LD(2 * y), p, x + 1)
-    return lhs, rhs
+    return _geometric_sum_sides(q, [(x, y)])[0]

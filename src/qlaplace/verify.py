@@ -248,40 +248,42 @@ def check_oracle(params, sector, cfg) -> float:
     f01 = f0 + f1
     quads = [Quadruple(0, 0, 0, 0), Quadruple(1, 0, 1, 0), Quadruple(0, 1, 0, 1),
              Quadruple(1, 1, 1, 1)]
+    pairs = ((f0, f0), (f1, f1), (f01, f01), (f01, f0))
     errors = []
-    for quad in quads:
-        for phi, psi in ((f0, f0), (f1, f1), (f01, f01), (f01, f0)):
-            o = fockoracle.invariant_integral(params, quad, phi, psi)
+    oracle = fockoracle._invariant_integrals(params, quads, pairs)
+    for quad, row in zip(quads, oracle):
+        for (phi, psi), o in zip(pairs, row):
             c = lattice.hwv_inner_product(params, quad, phi, psi)
             errors.append(float(abs(o - c) / abs(c)) if c != 0
                           else float(abs(o)))
     return _worst(errors)
 
 
-def _identity_residual(identity, q, *ranges) -> float:
-    """Worst relative gap between the two sides that ``identity(q, *args)``
-    returns, over every ``args`` in the product of ``ranges``."""
-    return _worst(_rel(*identity(q, *args)) for args in itertools.product(*ranges))
+def _identity_residual(sides) -> float:
+    """Worst relative gap over the (lhs, rhs) pairs of ``sides``."""
+    return _worst(_rel(lhs, rhs) for lhs, rhs in sides)
 
 
 def check_identity_negative_block(params, sector, cfg) -> float:
-    return _identity_residual(fockoracle.negative_block_sum, params.q,
-                              (2, 3), range(4), range(4), range(4))
+    grid = itertools.product((2, 3), range(4), range(4), range(4))
+    return _identity_residual(fockoracle.negative_block_sum(params.q, *args)
+                              for args in grid)
 
 
 def check_identity_positive_block(params, sector, cfg) -> float:
-    return _identity_residual(fockoracle.positive_block_sum, params.q,
-                              (2, 3), range(4), range(4))
+    return _identity_residual(fockoracle._positive_block_sides(
+        params.q, itertools.product((2, 3), range(4), range(4))))
 
 
 def check_identity_qbinomial(params, sector, cfg) -> float:
-    return _identity_residual(fockoracle.qbinomial_convolution, params.q,
-                              range(5), range(5), range(5))
+    grid = itertools.product(range(5), range(5), range(5))
+    return _identity_residual(fockoracle.qbinomial_convolution(params.q, *args)
+                              for args in grid)
 
 
 def check_identity_geometric(params, sector, cfg) -> float:
-    return _identity_residual(fockoracle.pochhammer_geometric_sum, params.q,
-                              range(4), range(1, 4))
+    return _identity_residual(fockoracle._geometric_sum_sides(
+        params.q, itertools.product(range(4), range(1, 4))))
 
 
 def check_difference_duality(params, sector, cfg) -> float:

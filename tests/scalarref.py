@@ -1,7 +1,8 @@
 """Per-index references of the lattice-side kernels: the formulas the array
 kernels of ``lattice``, ``laplace``, ``qcore`` and ``fockoracle`` replace,
-written one lattice index (one Python call) at a time, and the per-degree
-loop of the Al-Salam-Chihara recurrence in ``asc``.
+written one lattice index (one Python call) at a time, the per-degree
+loop of the Al-Salam-Chihara recurrence in ``asc``, and the positive-block
+sums of ``fockoracle`` with every power formed for one call alone.
 
 Each reference repeats the operations of the array kernel in the same order
 on scalars, so for a function whose values share one type the two agree bit
@@ -9,6 +10,9 @@ for bit.  Nothing here is imported by the library.
 """
 
 import numpy as np
+
+from qlaplace import fockoracle
+from qlaplace.lattice import invariant_integral_normalizer
 
 _LD = np.longdouble
 
@@ -125,6 +129,47 @@ def qbinomial_convolution(q, k, l, t):
             * qd ** _LD(-2 * x * (l + 1))
     rhs = qbinomial(k + l + t + 1, k + l + 1, pinv)
     return lhs, rhs
+
+
+def positive_lhs(q, m, kp, lp, depth):
+    """The positive-block sum at one (m, kp, lp), each of the m - 1 indices
+    running a = 1..depth, from powers formed for this call alone."""
+    a = np.arange(1, depth + 1, dtype=_LD)
+    first = q ** ((2 * (m - 1 + kp)) * a)
+    if lp:
+        first = qpoch(q ** (2 * a - 2), q ** _LD(-2), lp) * first
+    total = np.sum(first)
+    for t in range(1, m - 1):
+        total = total * np.sum(q ** ((2 * (m - 1 - t + kp)) * a))
+    return total
+
+
+def positive_block_sum(q, m, kp, lp):
+    qd = _LD(q)
+    p = qd * qd
+    lhs = positive_lhs(qd, m, kp, lp, fockoracle._depth(q))
+    rhs = qd ** _LD((m - 1) * (2 * kp + 2 * lp + m)) * qd ** _LD(2 * lp * kp) \
+        * qpoch(p, p, kp) * qpoch(p, p, lp) / qpoch(p, p, kp + lp + m - 1)
+    return lhs, rhs
+
+
+def pochhammer_geometric_sum(q, x, y):
+    qd = _LD(q)
+    p = qd * qd
+    lhs = positive_lhs(qd, 2, y - 1, x, fockoracle._depth(q))
+    rhs = qd ** _LD(2 * y * (x + 1)) * qpoch(p, p, x) \
+        / qpoch(qd ** _LD(2 * y), p, x + 1)
+    return lhs, rhs
+
+
+def invariant_integral(params, quad, phi, psi):
+    """The oracle's value at depth 2D for one pair at one quadruple, its
+    positive sum formed for this call alone."""
+    q = params.q_ld
+    return invariant_integral_normalizer(params) \
+        * fockoracle._quadruple_prefactor(q, quad) \
+        * fockoracle._negative_block(params, quad, phi, psi) \
+        * positive_lhs(q, params.m, quad.kp, quad.lp, 2 * fockoracle._depth(params.q))
 
 
 def recurrence_table(kmax, z, p):

@@ -191,3 +191,42 @@ def test_recurrence_table_keeps_the_bits_of_the_per_degree_loop(q):
             want = scalarref.recurrence_table(kmax, z, pp)
             assert len(got) == len(want) == kmax + 1
             assert all(_same_bits(u, v) for u, v in zip(got, want))
+
+
+#: the trace oracle's quadruples and function pairs in ``verify``
+ORACLE_QUADS = [Quadruple(0, 0, 0, 0), Quadruple(1, 0, 1, 0), Quadruple(0, 1, 0, 1),
+                Quadruple(1, 1, 1, 1)]
+_F0, _F1 = LatticeFunction.basis(0), LatticeFunction.basis(1)
+ORACLE_PAIRS = ((_F0, _F0), (_F1, _F1), (_F0 + _F1, _F0 + _F1), (_F0 + _F1, _F0))
+
+
+@pytest.mark.parametrize("q", [0.01, 0.5, 0.95])
+def test_identity_grids_keep_the_bits_of_per_call_sums(q):
+    """One power table per identity check: each side over the battery's grid,
+    and each public call, equals the sums formed for that call alone."""
+    grid = list(itertools.product((2, 3), range(4), range(4)))
+    for args, sides in zip(grid, fockoracle._positive_block_sides(q, grid)):
+        want = scalarref.positive_block_sum(q, *args)
+        assert all(_same_bits(u, v) for u, v in zip(sides, want))
+        assert all(_same_bits(u, v)
+                   for u, v in zip(fockoracle.positive_block_sum(q, *args), want))
+    grid = list(itertools.product(range(4), range(1, 4)))
+    for args, sides in zip(grid, fockoracle._geometric_sum_sides(q, grid)):
+        want = scalarref.pochhammer_geometric_sum(q, *args)
+        assert all(_same_bits(u, v) for u, v in zip(sides, want))
+        assert all(_same_bits(u, v)
+                   for u, v in zip(fockoracle.pochhammer_geometric_sum(q, *args), want))
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("q", [0.01, 0.5, 0.95])
+def test_oracle_check_keeps_the_bits_of_per_call_values(q, m):
+    """One power table serves the check's four quadruples and four pairs; each
+    value, and each public call, equals the value of that pair alone."""
+    params = ModelParams(q, 2, m)
+    rows = fockoracle._invariant_integrals(params, ORACLE_QUADS, ORACLE_PAIRS)
+    for quad, row in zip(ORACLE_QUADS, rows):
+        for (phi, psi), got in zip(ORACLE_PAIRS, row):
+            want = scalarref.invariant_integral(params, quad, phi, psi)
+            assert _same_bits(got, want)
+            assert _same_bits(fockoracle.invariant_integral(params, quad, phi, psi), want)

@@ -94,7 +94,7 @@ def test_oracle_equals_literal_enumeration():
     params = ModelParams(0.5, 2, 2)
     for quad in (Quadruple(0, 0, 0, 0), Quadruple(1, 0, 1, 0), Quadruple(1, 1, 1, 1)):
         for phi, psi in ((F0, F0), (F01, F01), (F01, F1)):
-            fast = float(fockoracle._oracle_values(params, quad, phi, psi, 6)[0])
+            fast = float(fockoracle._oracle_values(params, [quad], [(phi, psi)], 6)[0][0][0])
             literal = _literal_trace(params, quad, phi, psi, 6)
             assert fast == pytest.approx(literal, rel=1e-13, abs=1e-15)
 
@@ -140,7 +140,8 @@ def test_depth_doubling_stability_at_default():
     params = ModelParams(0.6, 2, 3)
     depth = fockoracle._depth(params.q)
     quad = Quadruple(1, 1, 1, 1)
-    v1, v2 = fockoracle._oracle_values(params, quad, F01, F01, depth, 2 * depth)
+    ((v1, v2),), = fockoracle._oracle_values(params, [quad], [(F01, F01)],
+                                             depth, 2 * depth)
     assert invariant_integral(params, quad, F01, F01) == v2
     assert abs(v2 - v1) <= 1e-18 * max(1.0, float(abs(v2)))
 
@@ -155,8 +156,8 @@ def test_both_depths_keep_their_single_depth_bits(m, quad):
     params = ModelParams(0.95, 2, m)
     depth = fockoracle._depth(params.q)
     for depths in ((depth, 2 * depth), (3, 6)):
-        both = fockoracle._oracle_values(params, quad, F01, F01, *depths)
-        alone = [fockoracle._oracle_values(params, quad, F01, F01, d)[0]
+        (both,), = fockoracle._oracle_values(params, [quad], [(F01, F01)], *depths)
+        alone = [fockoracle._oracle_values(params, [quad], [(F01, F01)], d)[0][0][0]
                  for d in depths]
         assert both == alone
         assert np.array_equal(np.signbit(both), np.signbit(alone))
