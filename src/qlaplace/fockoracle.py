@@ -17,9 +17,12 @@ pairing of :func:`qlaplace.lattice.hwv_inner_product`.  ``diagonal_action``
 is not called by the oracle; it is the per-vector reference whose literal
 sum the tests compare with it.
 
-The positive block and the identities' geometric sums run each index to the
-first depth D with q^(2D) < ``LD_INF_TOL``; the oracle also checks at 2D,
-from one table of powers built at 2D whose prefixes give both sums.
+The positive block and the identities' geometric sums run D terms per index,
+D the first depth with q^(2D) < ``LD_INF_TOL``; the oracle also checks at 2D.
+The first positive index starts at a = lp + 1: its terms a <= lp vanish
+exactly, through the factor 1 - q^0 of (q^(2a-2); q^-2)_lp, and summing them
+in floating point would add rounding errors scaled up to q^(-2 lp).  Every
+sum of one check call reads one table of powers.
 
 The n = 1 case is excluded: there the first and last negative indices
 coincide and the diagonal factor's two Pochhammer pieces collide; the
@@ -157,35 +160,36 @@ def _depth(q) -> int:
 class _PowerTable:
     """The positive-block terms of one check call at one extended-precision q.
 
-    Over a = 1..``length``, ``powers[e - 1]`` holds q^(2 e a) for e up to the
-    largest m - 1 + kp of ``blocks``, the (m, kp, lp) the call sums, and
-    ``poch[lp]`` the products (q^(2a - 2); q^-2)_lp up to their largest lp.
+    Over a = 1..``depth`` + the largest lp of ``blocks``, the (m, kp, lp) the
+    call sums, ``powers[e - 1]`` holds q^(2 e a) for e up to their largest
+    m - 1 + kp, and ``poch[lp]`` the products (q^(2a - 2); q^-2)_lp.
     Every entry has the bits of a table built for one block alone: ``powl``
     bits depend only on the exponent's value, so q^(2a - 2) is the e = 1 row
     shifted by one (q^0 = 1 exactly), and ``poch[lp]`` is the running
     product's own entry, so the prefixes of one (a; base) run serve every lp.
     """
 
-    def __init__(self, q, blocks, length: int):
-        a = np.arange(1, length + 1, dtype=_LD)
+    def __init__(self, q, blocks, depth: int):
+        lp = max(lp for *_, lp in blocks)
+        a = np.arange(1, depth + lp + 1, dtype=_LD)
         e = np.arange(1, max(m - 1 + kp for m, kp, _ in blocks) + 1, dtype=_LD)
         self.powers = q ** ((2 * e)[:, None] * a)
-        lp = max(lp for *_, lp in blocks)
         if lp:
             shifted = np.concatenate([[_LD(1)], self.powers[0, :-1]])
             self.poch = _qpoch_prefixes(shifted, q ** _LD(-2), lp)
 
     def sums(self, m: int, kp: int, lp: int, *depths) -> list:
-        """The positive-block sums of :func:`positive_block_sum`, truncated at
-        each of ``depths`` per index.
+        """The positive-block sums of :func:`positive_block_sum`, each index
+        taking ``d`` terms for each d of ``depths``: the first from a = lp + 1,
+        the others from a = 1.
 
         Each sum reads a leading slice: ``np.sum`` of a contiguous prefix
         gives the bits of those values summed alone.  For lp = 0 the
         Pochhammer factor is the empty product, exactly 1, and is not formed.
         """
-        first = self.powers[m - 2 + kp]
+        first = self.powers[m - 2 + kp, lp:]
         if lp:
-            first = self.poch[lp] * first
+            first = self.poch[lp][lp:] * first
         rest = [self.powers[m - 2 - t + kp] for t in range(1, m - 1)]
         out = []
         for d in depths:
@@ -242,7 +246,8 @@ def invariant_integral(params: ModelParams, quad: Quadruple,
     Evaluates the factorized trace of ``_oracle_values``: the product of the
     two index blocks' sums, which equals the sum of :func:`diagonal_action`
     times the trace weight over all indices (the negative block is finite
-    once the reads vanish), each positive index running to D = ``_depth(q)``.
+    once the reads vanish), each positive index taking D = ``_depth(q)``
+    terms, the first from a = lp + 1.
     The value is recomputed at 2D, and a relative movement above 1e-12
     raises ConvergenceError; otherwise the 2D value is returned.
     """
@@ -343,9 +348,10 @@ def _positive_block_sides(q: float, grid) -> list:
 def positive_block_sum(q: float, m: int, kp: int, lp: int):
     """Both sides of the positive-block summation identity.
 
-    lhs: sum over a_{n+1}, ..., a_{N-1} >= 1 (m-1 indices, truncated at
-         ``_depth(q)``) of (q^(2 a_{n+1} - 2); q^-2)_{lp}
-         q^(2 kp sum a_i) q^(2 sum (N-i) a_i);
+    lhs: sum over a_{n+1}, ..., a_{N-1} >= 1 (m-1 indices) of
+         (q^(2 a_{n+1} - 2); q^-2)_{lp} q^(2 kp sum a_i) q^(2 sum (N-i) a_i),
+         each index taking D = ``_depth(q)`` terms, a_{n+1} from lp + 1
+         (its terms a_{n+1} <= lp vanish);
     rhs: q^((m-1)(2kp + 2lp + m)) q^(2 lp kp)
          (q^2; q^2)_{kp} (q^2; q^2)_{lp} / (q^2; q^2)_{kp+lp+m-1}.
     """
@@ -390,8 +396,9 @@ def _geometric_sum_sides(q: float, grid) -> list:
 def pochhammer_geometric_sum(q: float, x: int, y: int):
     """Both sides of the Pochhammer-weighted geometric sum.
 
-    lhs: sum_{a>=1} (q^(2a-2); q^-2)_x q^(2ya), truncated at ``_depth(q)``:
-         the m = 2 positive block with kp = y - 1, lp = x;
+    lhs: sum_{a>=1} (q^(2a-2); q^-2)_x q^(2ya), its D = ``_depth(q)``
+         terms from a = x + 1 (the terms a <= x vanish): the m = 2 positive
+         block with kp = y - 1, lp = x;
     rhs: q^(2y(x+1)) (q^2; q^2)_x / (q^(2y); q^2)_{x+1}.
     Requires y >= 1 for convergence.
     """

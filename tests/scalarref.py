@@ -132,12 +132,13 @@ def qbinomial_convolution(q, k, l, t):
 
 
 def positive_lhs(q, m, kp, lp, depth):
-    """The positive-block sum at one (m, kp, lp), each of the m - 1 indices
-    running a = 1..depth, from powers formed for this call alone."""
+    """The positive-block sum at one (m, kp, lp), from powers formed for this
+    call alone: the first index runs a = lp + 1..lp + depth, the other m - 2
+    run a = 1..depth."""
     a = np.arange(1, depth + 1, dtype=_LD)
-    first = q ** ((2 * (m - 1 + kp)) * a)
+    first = q ** ((2 * (m - 1 + kp)) * (a + lp))
     if lp:
-        first = qpoch(q ** (2 * a - 2), q ** _LD(-2), lp) * first
+        first = qpoch(q ** (2 * (a + lp) - 2), q ** _LD(-2), lp) * first
     total = np.sum(first)
     for t in range(1, m - 1):
         total = total * np.sum(q ** ((2 * (m - 1 - t + kp)) * a))

@@ -73,12 +73,14 @@ def test_n1_rejected():
 # ----------------------------------------------------------- the oracle
 
 def _literal_trace(params, quad, phi, psi, depth):
-    """Reference: literal sum of diagonal_action times the trace weight."""
+    """Reference: literal sum of diagonal_action times the trace weight, each
+    positive index taking ``depth`` terms past those that vanish (the first
+    index's a <= lp)."""
     q = params.q
     n, N = params.n, params.N
     total = 0.0
     neg_axes = [range(0, -depth - 1, -1)] * n
-    pos_axes = [range(1, depth + 1)] * (params.m - 1)
+    pos_axes = [range(1, depth + quad.lp + 1)] + [range(1, depth + 1)] * (params.m - 2)
     for neg in itertools.product(*neg_axes):
         for pos in itertools.product(*pos_axes):
             idx = FockIndex(neg + pos)
@@ -343,3 +345,28 @@ def test_geometric_identities_near_the_q_bound(q):
         for y in range(1, 4):
             lhs, rhs = pochhammer_geometric_sum(q, x, y)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("q", [1e-6, 0.01, 0.5, 0.95])
+def test_positive_sums_meet_their_closed_forms_relatively(q):
+    """Relative to |rhs|, with no floor.  The first index's terms a <= lp
+    vanish exactly and are not summed: in floating point each would carry a
+    rounding error of 1 - q^0 scaled by up to q^(-2 lp)."""
+    for m, kp, lp in itertools.product((2, 3, 4), range(4), range(4)):
+        lhs, rhs = positive_block_sum(q, m, kp, lp)
+        assert abs(lhs - rhs) <= 2e-18 * abs(rhs), (m, kp, lp)
+    for x, y in itertools.product(range(4), range(1, 4)):
+        lhs, rhs = pochhammer_geometric_sum(q, x, y)
+        assert abs(lhs - rhs) <= 2e-18 * abs(rhs), (x, y)
+
+
+def test_oracle_converges_at_depth_two():
+    """At q = 1e-6 the depth is 2; with lp = 1 the first index's two terms
+    start at a = 2, and the 2D value moves by a rounding error only."""
+    params = ModelParams(1e-6, 2, 2)
+    assert fockoracle._depth(params.q) == 2
+    for quad in (Quadruple(0, 1, 0, 1), Quadruple(1, 1, 1, 1)):
+        for phi, psi in ((F1, F1), (F01, F01), (F01, F0)):
+            o = invariant_integral(params, quad, phi, psi)
+            c = hwv_inner_product(params, quad, phi, psi)
+            assert abs(o - c) <= 1e-18 * abs(c)
