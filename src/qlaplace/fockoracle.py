@@ -170,13 +170,13 @@ class _PowerTable:
     """
 
     def __init__(self, q, blocks, depth: int):
-        lp = max(lp for *_, lp in blocks)
-        a = np.arange(1, depth + lp + 1, dtype=_LD)
+        lpmax = max(lp for *_, lp in blocks)
+        a = np.arange(1, depth + lpmax + 1, dtype=_LD)
         e = np.arange(1, max(m - 1 + kp for m, kp, _ in blocks) + 1, dtype=_LD)
         self.powers = q ** ((2 * e)[:, None] * a)
-        if lp:
+        if lpmax:
             shifted = np.concatenate([[_LD(1)], self.powers[0, :-1]])
-            self.poch = _qpoch_prefixes(shifted, q ** _LD(-2), lp)
+            self.poch = _qpoch_prefixes(shifted, q ** _LD(-2), lpmax)
 
     def sums(self, m: int, kp: int, lp: int, *depths) -> list:
         """The positive-block sums of :func:`positive_block_sum`, each index
