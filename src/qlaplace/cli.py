@@ -11,8 +11,9 @@ Commands
 * ``oracle``      trace oracle versus closed-form pairing for one quadruple.
 
 Exit status: 0 all checks pass / command succeeded, 1 a verification check
-failed, 2 invalid usage or parameters.  Reports are deterministic for a fixed
-configuration and seed, and carry ``schema_version`` 1.
+failed, 2 invalid usage or parameters (:class:`_Command` maps every ``ValueError``
+and ``ArithmeticError`` of a command body to it).  Reports are deterministic
+for a fixed configuration and seed, and carry ``schema_version`` 1.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from . import fockoracle, laplace, spectral
 from .lattice import (LatticeFunction, ModelParams, Quadruple, Sector,
                       hwv_inner_product)
-from .qcore import ConvergenceError
 from .verify import CONTAINMENT_SIZE, CONTAINMENT_THRESHOLD, run_battery
 
 SCHEMA_VERSION = 1
@@ -49,11 +49,8 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        try:
-            self.params()
-            self.sector()
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        self.params()
+        self.sector()
         if self.q > 0.95:
             raise click.UsageError(
                 f"--q {self.q} is outside the supported regime (q <= 0.95: "
@@ -166,6 +163,16 @@ def _emit(command: str, config: dict, fmt: str, out: str | None, body: dict) -> 
             fh.write(text)
 
 
+class _Command(click.Command):
+    """A command whose body's refusals end as usage errors (exit 2)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, ArithmeticError) as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
 @click.group()
 @click.pass_context
 def main(ctx):
@@ -173,6 +180,9 @@ def main(ctx):
     # a report refuses a value past double range (exit 2), so numpy does not
     # warn about forming it; ``verify``'s checks raise instead
     ctx.with_resource(np.errstate(over="ignore", divide="ignore", invalid="ignore"))
+
+
+main.command_class = _Command
 
 
 @main.command()
@@ -201,15 +211,9 @@ def spectrum(out, size, **kw):
     if size < 2:
         raise click.UsageError(f"--size must be >= 2, got {size}")
     params, sector = cfg.params(), cfg.sector()
-    try:
-        spec = spectral.spectrum(params, sector)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        jm = laplace.jacobi_matrix(params, sector, size)
-        jm2 = laplace.jacobi_matrix(params, sector, 2 * size)
-    except OverflowError as exc:
-        raise click.UsageError(f"operator coefficients overflow double precision: {exc}")
+    spec = spectral.spectrum(params, sector)
+    jm = laplace.jacobi_matrix(params, sector, size)
+    jm2 = laplace.jacobi_matrix(params, sector, 2 * size)
     ev = jm.eigenvalues()
     # truncation quality: distance of every truncation eigenvalue to the
     # spectrum (band edges are only approached at O(size^-2), so the raw
@@ -237,10 +241,7 @@ def plancherel(out, **kw):
     """Spectral measure: continuous density plus point masses."""
     cfg, config = _config(**kw)
     params, sector = cfg.params(), cfg.sector()
-    try:
-        meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     spec = spectral.spectrum(params, sector)
     norm = meas.normalization
     mass_weights = meas.weights()[1]
@@ -274,10 +275,7 @@ def transform(out, input_path, **kw):
             f = LatticeFunction.from_json(json.load(fh))
     except (ValueError, KeyError) as exc:
         raise click.UsageError(f"bad input function: {exc}")
-    try:
-        meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     fhat = spectral.transform_grid(params, sector, f, meas)
     cont = np.asarray(fhat.continuous, dtype=complex)
     disc = np.asarray(fhat.discrete, dtype=complex)
@@ -305,18 +303,10 @@ def oracle(out, quadruple, **kw):
     """Trace oracle versus the closed-form pairing for one quadruple."""
     cfg, config = _config(**kw)
     params = cfg.params()
-    if params.n < 2:
-        raise click.UsageError("the trace oracle requires n >= 2")
-    try:
-        quad = Quadruple(*quadruple)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    quad = Quadruple(*quadruple)
     # fixed test pair exercising two lattice points
     f = LatticeFunction.basis(0) + LatticeFunction.basis(1)
-    try:
-        o = fockoracle.invariant_integral(params, quad, f, f)
-    except ConvergenceError as exc:
-        raise click.UsageError(str(exc))
+    o = fockoracle.invariant_integral(params, quad, f, f)
     c = hwv_inner_product(params, quad, f, f)
     _emit("oracle", config, cfg.fmt, out, {
         "quadruple": list(quadruple),

@@ -74,7 +74,7 @@ class FockIndex:
 def _require_n_ge_2(params: ModelParams) -> None:
     if params.n == 1:
         raise ValueError(
-            "the diagonal trace action is not defined for n = 1 (the two "
+            "the trace oracle is not defined for n = 1 (the two "
             "negative-block Pochhammer factors would collide on one index)")
 
 

@@ -161,21 +161,27 @@ def jacobi_matrix(params: ModelParams, sector: Sector, size: int) -> JacobiMatri
         o_j = q^N sqrt((1-q^(2j+2)) (1-q^(2j+2n+2L))) / D,
 
     not by conjugating the three-term action; agreement of the two paths is a
-    test, not a construction.
+    test, not a construction.  An entry that is not finite in double raises
+    OverflowError, whatever numpy's error state.
     """
     if size < 1:
         raise ValueError(f"matrix size must be >= 1, got {size}")
-    q = float(params.q)
+    # a double scalar: a power past double range is inf, as in the arrays
+    q = np.float64(params.q)
     n, N = params.n, params.N
     L, Lp = sector.L, sector.Lp
     D = float(_denominator(params))
-    j = np.arange(size, dtype=float)
-    diag = q**N * (q ** (2 * j + N - 1 + L + Lp)
-                   + q ** (2 * j + 2 * n - (N - 1) + L - Lp)
-                   - q ** (N - 1) - q ** (1 - N)) / D
-    j = np.arange(size - 1, dtype=float)
-    off = q**N * np.sqrt((1 - q ** (2 * j + 2))
-                         * (1 - q ** (2 * j + 2 * n + 2 * L))) / D
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = np.arange(size, dtype=float)
+        diag = q**N * (q ** (2 * j + N - 1 + L + Lp)
+                       + q ** (2 * j + 2 * n - (N - 1) + L - Lp)
+                       - q ** (N - 1) - q ** (1 - N)) / D
+        j = np.arange(size - 1, dtype=float)
+        off = q**N * np.sqrt((1 - q ** (2 * j + 2))
+                             * (1 - q ** (2 * j + 2 * n + 2 * L))) / D
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise OverflowError(f"operator coefficients overflow double precision at q = "
+                            f"{params.q}, N = {N}, L = {L}, L' = {Lp}, size {size}")
     return JacobiMatrix(diag=diag, offdiag=off)
 
 

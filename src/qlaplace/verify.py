@@ -238,8 +238,9 @@ def check_roundtrip(params, sector, cfg) -> float:
 
 
 def check_spectrum_containment(params, sector, cfg) -> float:
-    spec = spectral.spectrum(params, sector)
+    # the matrix first: past double range its refusal names the coefficients
     ev = laplace.jacobi_matrix(params, sector, CONTAINMENT_SIZE).eigenvalues()
+    spec = spectral.spectrum(params, sector)
     return _worst([spec.containment(ev)])
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import qlaplace
 from qlaplace import asc, fockoracle, verify
@@ -20,6 +21,9 @@ from qlaplace.qcore import ConvergenceError
 from qlaplace.verify import check_spectrum_containment
 
 FAST = ["--quad-nodes", "64"]
+# the Jacobi diagonal holds q^(-92) = inf in double
+JACOBI_OVERFLOW = ["--q", "0.00016640942421768955", "--n", "3", "--m", "2",
+                   "--lambda-prime", "94"]
 
 # option groups; each command declares the groups whose RunConfig fields it reads
 MODEL = {"--q", "--n", "--m", "--format", "--out"}
@@ -449,3 +453,100 @@ def test_verify_past_extended_range_completes_its_report():
     notes = {c["name"]: c["note"] for c in report["checks"]}
     assert notes["asc_orthogonality"].startswith("ValueError: a = inf")
     assert res.stderr == "first failing check: eigenvalue_residual\n"
+
+
+def test_jacobi_coefficients_past_double_range_are_a_usage_error():
+    # the dense eigensolver used to raise LinAlgError on the inf diagonal
+    res = run("spectrum", *JACOBI_OVERFLOW, "--size", "40")
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "double precision" in res.stderr
+    assert "Traceback" not in res.output + res.stderr
+    assert res.stdout == ""
+
+
+def test_verify_names_the_jacobi_overflow_in_a_complete_report():
+    res = run("verify", *JACOBI_OVERFLOW, *FAST)
+    assert res.exit_code == 1
+    report = json.loads(res.stdout)
+    assert len(report["checks"]) == 21
+    notes = {c["name"]: c["note"] for c in report["checks"]}
+    assert notes["spectrum_containment"].startswith(
+        "OverflowError: operator coefficients overflow double precision")
+
+
+@pytest.mark.parametrize("refused,usage_error", [
+    (["oracle", "--quadruple", "0", "0", "0", "0", "--n", "1", "--m", "3"],
+     ["oracle", "--quadruple", "0", "0", "0", "0", "--q", "0.97"]),
+    (["spectrum", *JACOBI_OVERFLOW, "--size", "40"], ["spectrum", "--size", "1"]),
+], ids=["oracle-n1", "spectrum-jacobi-overflow"])
+def test_a_refusal_in_a_command_body_prints_the_command_usage(refused, usage_error):
+    # the library's ValueError or ArithmeticError ends like a UsageError the
+    # command raises itself: exit 2 under the command's usage line
+    res, ref = run(*refused), run(*usage_error)
+    assert res.exit_code == ref.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    usage = res.stderr.splitlines()[:2]
+    assert usage == ref.stderr.splitlines()[:2]
+    assert usage[0] == f"Usage: main {refused[0]} [OPTIONS]"
+
+
+@pytest.fixture(scope="module")
+def lattice_function_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("totality") / "f.json"
+    path.write_text('{"support": [0, 1, 3], "values": [[1.0, 0.0], [-0.5, 0.25], [2.0, 0.0]]}')
+    return str(path)
+
+
+# q log-uniform down to 1e-8 as well as uniform up to the 0.95 bound
+_Q = st.one_of(st.floats(1e-8, 0.95), st.floats(-8.0, -1.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def invocations(draw, command, input_path):
+    # the oracle's negative block costs C(n + t - 1, t) terms per read
+    n = draw(st.integers(1, 10 if command == "oracle" else 50))
+    args = [command, "--q", repr(draw(_Q)), "--n", str(n),
+            "--m", str(draw(st.integers(2, 300))),
+            "--format", draw(st.sampled_from(["json", "csv"]))]
+    if command == "oracle":
+        k, l, kp = (draw(st.integers(0, 3)) for _ in range(3))
+        return args + ["--quadruple", str(k), str(l), str(kp), str(l + kp - k)]
+    args += ["--lambda", str(draw(st.integers(0, 100))),
+             "--lambda-prime", str(draw(st.integers(0, 100)))]
+    if command == "spectrum":
+        return args + ["--size", str(draw(st.integers(2, 40)))]
+    args += ["--quad-nodes", str(draw(st.integers(16, 64)))]
+    return args + ["--input", input_path] if command == "transform" else args
+
+
+# examples per command: the five together take ~12 s
+TOTALITY_EXAMPLES = {"verify": 50, "spectrum": 400, "plancherel": 150,
+                     "transform": 100, "oracle": 200}
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_every_accepted_input_ends_in_a_report_or_a_usage_error(
+        lattice_function_file, command):
+    @settings(max_examples=TOTALITY_EXAMPLES[command], deadline=None,
+              derandomize=True)
+    @given(args=invocations(command, lattice_function_file))
+    def ends_in_a_report_or_a_usage_error(args):
+        res = run(*args)
+        assert res.exit_code in (0, 1, 2), res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit), \
+            repr(res.exception)
+        if res.exit_code == 2:
+            return
+        if args[args.index("--format") + 1] == "csv":
+            assert next(csv.reader(io.StringIO(res.stdout))) == ["field", "value"]
+        else:
+            assert json.loads(res.stdout)["command"] == command
+        if res.exit_code == 1:
+            assert command == "verify"
+            assert len(res.stderr.splitlines()) == 1
+            assert res.stderr.startswith("first failing check: ")
+        else:
+            assert res.stderr == ""
+
+    ends_in_a_report_or_a_usage_error()

@@ -116,6 +116,19 @@ def test_jacobi_matrix_shape_and_positivity():
         jacobi_matrix(params, Sector(0, 0), 0)
 
 
+@pytest.mark.parametrize("state", ["warn", "raise", "ignore"])
+@pytest.mark.parametrize("params,sector", [
+    # the scalar power q^(1-N) = 0.01^(-201) leaves double range
+    (ModelParams(0.01, 2, 200), Sector(0, 0)),
+    # only the array power q^(2j+2n-(N-1)+L-Lp) does: q^(-92) at j = 0
+    (ModelParams(0.00016640942421768955, 3, 2), Sector(0, 94)),
+], ids=["scalar-power", "array-power"])
+def test_jacobi_matrix_refuses_entries_past_double_range(params, sector, state):
+    with np.errstate(over=state, invalid=state), pytest.raises(
+            OverflowError, match="operator coefficients overflow double precision"):
+        jacobi_matrix(params, sector, 40)
+
+
 def test_jacobi_diagonal_limit():
     params = ModelParams(0.5, 2, 2)
     q, N = params.q, params.N
