@@ -27,7 +27,10 @@ convolution is its cross-check (``verify``'s ``asc_consistency``).
 
 The orthogonality measure consists of a continuous density on z = cos(t),
 t in [0, pi], plus finitely many point masses at z_k = (a base^k + a^(-1)
-base^(-k)) / 2 for every k >= 0 with a base^k > 1.
+base^(-k)) / 2 for every k >= 0 with a base^k > 1.  The density is
+1/|c(e^(i t))|^2 with c(u) = (a u, b u; base)_inf / (u^2; base)_inf, the
+c-function; one kernel runs its three products for the density and for
+``spectral.c_function``.
 """
 
 from __future__ import annotations
@@ -211,34 +214,18 @@ def asc_hypergeometric(k: int, theta, p: AscParams) -> float:
     return complex(_hypergeometric_table(k, np.asarray([theta]), p)[0, k]).real
 
 
-def _masked_qpoch_inf(a, base, paired=0):
+def _masked_qpoch_inf(a, base):
     """(a; base)_inf for every entry of the complex array ``a`` at once, for
-    a real ``base`` in (0, 1).  The first ``paired`` rows of ``a`` also give
-    (-a; base)_inf: the result holds the rows of ``a``, then those negated
-    rows in order.
+    a real ``base`` in (0, 1).
 
     Each entry multiplies its factors 1 - a*base^i while |a*base^i| >= LD_INF_TOL
     and stops at the first one below, as ``qcore.qpoch_inf`` does for a
-    scalar, so every entry equals the scalar product bit for bit.  A row and
-    its negative share one running term t: negation commutes with every
-    rounded step of t (up to the sign of a zero component), the negated
-    row's factor 1 - (-t) is 1 + t bit for bit, zero signs included, and
-    |-t| = |t| stops both at the same factor.  The factors before the first
-    depth at which any entry could stop run on the whole array without
-    magnitude tests; only the rest are masked.
+    scalar, so every entry equals the scalar product bit for bit.  The
+    factors before the first depth at which any entry could stop run on the
+    whole array without magnitude tests; only the rest are masked.
     """
-    n = len(a)
     t = np.ones_like(a) * a
-    f = np.empty((n + paired,) + t.shape[1:], dtype=t.dtype)
-    acc = np.ones_like(f)
-    minus, plus, head = f[:n], f[n:], t[:paired]
-
-    def factors():  # 1 - t on every row, then 1 + t on the paired ones
-        np.subtract(1, t, out=minus)
-        if paired:
-            np.add(1, head, out=plus)
-        return f
-
+    acc = np.ones_like(t)
     # Live phase.  After i multiplications by the real base, each rounding
     # both components of t once, the computed |t| is |a| base^i (1 + d) with
     # |d| <= (i + 2) eps (the 2 covers t's own rounding and abs), about 5e-17
@@ -257,50 +244,39 @@ def _masked_qpoch_inf(a, base, paired=0):
     if edge < smallest < np.inf:
         for _ in range(math.floor((math.log(edge) - math.log(smallest))
                                   / math.log(base)) + 1):
-            np.multiply(acc, factors(), out=acc)
+            np.multiply(acc, 1 - t, out=acc)
             t *= base
     live = np.abs(t) >= LD_INF_TOL
     while live.any():
-        np.multiply(acc, factors(), out=acc,
-                    where=np.concatenate([live, live[:paired]]))
+        np.multiply(acc, 1 - t, out=acc, where=live)
         t *= base
         live &= np.abs(t) >= LD_INF_TOL
     return acc
+
+
+def _c_products(u, p: AscParams):
+    """(a u; base)_inf, (b u; base)_inf and (u^2; base)_inf for every entry
+    of the complex array ``u``, from one :func:`_masked_qpoch_inf` loop: the
+    numerator and denominator factors of the c-function
+    c(u) = (a u, b u; base)_inf / (u^2; base)_inf."""
+    return _masked_qpoch_inf(np.stack([p.a * u, p.b * u, u * u]), p.base)
 
 
 def continuous_weight(theta, p: AscParams):
     """Band weight w(cos theta) of the orthogonality measure (density
     with respect to dz/(2 pi sqrt(1-z^2)), i.e. dtheta/(2 pi) after z = cos theta).
 
-    w = h(1) h(-1) h(sqrt(base)) h(-sqrt(base)) / (h(a) h(b)) with
-    h(alpha) = (alpha e^(i theta); base)_inf (alpha e^(-i theta); base)_inf.
+    w = 1/|c(e^(i theta))|^2 = |(e^(2 i theta); base)_inf|^2
+    / |(a e^(i theta), b e^(i theta); base)_inf|^2 (KLS 14.8.2), with the
+    three products of :func:`_c_products`.  It is formed as |den|^2 over the
+    numerators, not as 1/|c|^2: at theta = 0 the denominator product is
+    exactly 0 and the weight with it.
 
     ``theta`` may be a scalar (the result is a scalar) or an array of angles.
-    For real alpha and base the second product of each pair is the complex
-    conjugate of the first, bit for bit up to the sign of a zero imaginary
-    part, which never reaches the real weight: negation commutes with
-    rounding, so conjugation commutes with 1 - t, with t * base and with the
-    complex product.  Only the products (alpha e^(i theta); base)_inf are
-    therefore run, in one :func:`_masked_qpoch_inf` loop over all angles, and
-    h = P conj(P).  The loop runs one running term for each of the pairs
-    (1, -1) and (sqrt(base), -sqrt(base)), and one for a and for b unless it
-    is 0 (h(0) = 1 exactly) or equals, in extended precision, an alpha
-    already run: a = sqrt(base) whenever n - m + L - L' = 0.
     """
-    w = _w_from_theta(np.atleast_1d(np.asarray(theta, dtype=_LD)))
-    rt = np.sqrt(p.base)
-    alphas = [_LD(1), rt]  # run for alpha and for -alpha
-    for alpha in (p.a, p.b):
-        if alpha != 0 and abs(alpha) not in alphas[:2] and alpha not in alphas:
-            alphas.append(alpha)
-    prods = _masked_qpoch_inf(np.stack([_CLD(alpha) * w for alpha in alphas]),
-                              p.base, paired=2)
-    alphas += [-alphas[0], -alphas[1]]  # the rows of prods
-    h = prods * np.conjugate(prods)
-    h = [h[alphas.index(alpha)] if alpha != 0 else 1
-         for alpha in (1, -1, rt, -rt, p.a, p.b)]
-    val = h[0] * h[1] * h[2] * h[3] / (h[4] * h[5])
-    out = np.real(val)
+    u = _w_from_theta(np.atleast_1d(np.asarray(theta, dtype=_LD)))
+    num_a, num_b, den = np.abs(_c_products(u, p)) ** 2
+    out = den / (num_a * num_b)
     return out if np.ndim(theta) else out[0]
 
 

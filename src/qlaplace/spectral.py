@@ -43,7 +43,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .asc import (AscParams, DiscreteMass, SpectralMeasure, _masked_qpoch_inf,
+from .asc import (AscParams, DiscreteMass, SpectralMeasure, _c_products,
                   _mass_point_series, _norm_factor, _recurrence_table,
                   _running_products, mass_points, orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
@@ -150,16 +150,17 @@ def c_function(params: ModelParams, sector: Sector, arg):
 
     c(arg) = (a u; base)_inf (b u; base)_inf / (u^2; base)_inf with u = q^arg
     = exp(arg ln q) and (a, b, base) = ``asc_params`` (a and b carry the
-    exponents n - m + 1 + L - Lp and N - 1 + L + Lp), run as one call of the
-    band weight's extended-precision product kernel.  The continuous Plancherel
-    density is |1/c(i nu)|^2 under e^(i theta) = q^(i nu).  A vanishing
-    denominator factor (q^(2 arg) on q^(-2 Z+)) raises ValueError.
+    exponents n - m + 1 + L - Lp and N - 1 + L + Lp), its three products run
+    by ``asc._c_products``, the kernel of the band weight
+    ``asc.continuous_weight`` = 1/|c(i nu)|^2 under e^(i theta) = q^(i nu).
+    The check ``density_identity`` reads c where Harish-Chandra defines it,
+    in the eigenfunctions' large-j behaviour.  A vanishing denominator factor
+    (q^(2 arg) on q^(-2 Z+)) raises ValueError.
     """
     pp = asc_params(params, sector)
     arg = np.asarray(arg)
     u = np.exp(arg.astype(_CLD) * np.log(params.q_ld))
-    num_a, num_b, den = _masked_qpoch_inf(np.stack([pp.a * u, pp.b * u, u * u]),
-                                          pp.base)
+    num_a, num_b, den = _c_products(u, pp)
     vanishing = np.abs(den) < 1e-300
     if vanishing.any():
         raise ValueError(f"c-function denominator (q^(2 arg); q^2)_inf vanishes "

@@ -24,7 +24,7 @@ from . import asc, fockoracle, laplace, lattice, spectral
 from ._rng import Lcg
 from .asc import DegenerateParameterError
 from .lattice import LatticeFunction, ModelParams, Quadruple, Sector
-from .qcore import bminus, bplus
+from .qcore import LD_INF_TOL, bminus, bplus, qpoch_inf
 
 __all__ = ["CheckResult", "run_battery", "BATTERY"]
 
@@ -168,12 +168,18 @@ def check_asc_orthogonality(params, sector, cfg) -> float:
 
 
 def check_density_identity(params, sector, cfg) -> float:
-    thetas = np.linspace(0.0, math.pi, 202)[1:-1]
-    # e^(i theta) = q^(i nu) at nu = theta / ln q, in extended precision
-    nu = thetas.astype(_LD) / np.log(params.q_ld)
-    inv_c2 = 1 / np.abs(spectral.c_function(params, sector, 1j * nu)) ** 2
-    weight = asc.continuous_weight(thetas, spectral.asc_params(params, sector))
-    return _worst((np.abs(inv_c2 - weight) / np.abs(weight)).astype(float))
+    # Darboux's method on the polynomials' generating function (KLS 14.8;
+    # Ismail 2005): Q_K(cos theta) (base^(K+1); base)_inf
+    # = 2 Re[e^(i K theta) c(-i nu)] + O(base^K), e^(i theta) = q^(i nu),
+    # with base^K < 1e-19 base^20; Q_K comes from the recurrence, not the weight
+    pp = spectral.asc_params(params, sector)
+    K = math.ceil(math.log(1e-19) / math.log(pp.base)) + 20
+    thetas = np.linspace(0.0, math.pi, 42)[1:-1].astype(_LD)
+    c = spectral.c_function(params, sector, -1j * (thetas / np.log(params.q_ld)))
+    lhs = asc._recurrence_table(K, np.cos(thetas), pp)[K] \
+        * qpoch_inf(pp.base ** _LD(K + 1), pp.base, LD_INF_TOL)
+    rhs = 2 * np.real(asc._w_from_theta(K * thetas) * c)
+    return _worst((np.abs(lhs - rhs) / np.abs(c)).astype(float))
 
 
 def check_plancherel_mass(params, sector, cfg) -> float:

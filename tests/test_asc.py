@@ -259,8 +259,19 @@ def _sector_params(q, n, m, L, Lp):
     return spectral.asc_params(ModelParams(q=q, n=n, m=m), Sector(L=L, Lp=Lp))
 
 
+def _scalar_weight(theta, p):
+    """The band weight one angle at a time from the c-function's three
+    products, one scalar infinite product each."""
+    u = np.exp(np.clongdouble(1j) * np.longdouble(theta))
+    num_a, num_b, den = (np.abs(qpoch_inf(x, p.base, LD_INF_TOL)) ** 2
+                         for x in (p.a * u, p.b * u, u * u))
+    return den / (num_a * num_b)
+
+
 def _reference_weight(theta, p):
-    """The band weight one angle at a time, from scalar infinite products."""
+    """The band weight as the six-product ratio
+    h(1) h(-1) h(sqrt(base)) h(-sqrt(base)) / (h(a) h(b)) with
+    h(alpha) = (alpha e^(i theta), alpha e^(-i theta); base)_inf."""
     w = np.exp(np.clongdouble(1j) * np.longdouble(theta))
     base = np.longdouble(p.base)
     rt = np.sqrt(base)
@@ -273,21 +284,35 @@ def _reference_weight(theta, p):
     return np.real(h(1.0) * h(-1.0) * h(rt) * h(-rt) / (h(p.a) * h(p.b)))
 
 
-@pytest.mark.parametrize("sector,q", [
+_WEIGHT_CASES = [
     pytest.param(sector, q, id=f"sector{k}-{q}")
     for k, sector in enumerate(SECTORS) for q in (0.01, 0.3, 0.5, 0.95)
-] + [pytest.param((1, 6, 0, 5), 0.3, id="five_masses-0.3")])  # a ~ 5.1e4
+] + [pytest.param((1, 6, 0, 5), 0.3, id="five_masses-0.3")]  # a ~ 5.1e4
+
+
+@pytest.mark.parametrize("sector,q", _WEIGHT_CASES)
 def test_array_weight_matches_scalar_products_exactly(sector, q):
     p = _sector_params(q, *sector)
     assert len(mass_points(p)) == {2: 0, 4: 2, 6: 5}[sector[1]]
     for nodes in (256, 511):
         theta = np.linspace(0, np.pi, nodes).astype(np.longdouble)
         got = continuous_weight(theta, p)
-        want = np.array([_reference_weight(t, p) for t in theta])
+        want = np.array([_scalar_weight(t, p) for t in theta])
         assert got.dtype == np.longdouble and got.shape == (nodes,)
         assert np.array_equal(got, want)
     one = continuous_weight(0.7, p)
-    assert np.ndim(one) == 0 and one == _reference_weight(0.7, p)
+    assert np.ndim(one) == 0 and one == _scalar_weight(0.7, p)
+
+
+@pytest.mark.parametrize("sector,q", _WEIGHT_CASES)
+def test_weight_matches_the_six_product_ratio(sector, q):
+    """1/|c|^2 against the ratio of the pairs h(alpha), an independent
+    product arrangement, on interior nodes (the weight vanishes at 0)."""
+    p = _sector_params(q, *sector)
+    theta = np.linspace(0, np.pi, 129)[1:-1].astype(np.longdouble)
+    got = continuous_weight(theta, p)
+    want = np.array([_reference_weight(t, p) for t in theta])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-17
 
 
 _RT = np.sqrt(np.longdouble(0.9025))
@@ -301,17 +326,18 @@ _RT = np.sqrt(np.longdouble(0.9025))
     pytest.param(AscParams(a=1.5, b=_RT, base=0.9025), 4, id="a_above_one"),
 ])
 def test_weight_with_shared_rows_matches_scalar_products_exactly(p, masses):
-    """a or b equal to 0, to +-1, to +-sqrt(base) or to each other runs no
-    row of its own; the weight keeps the one-angle-at-a-time bits."""
+    """a or b equal to 0 (its product runs no factor), to +-sqrt(base) or to
+    each other, and a above one: the weight keeps the one-angle-at-a-time
+    bits."""
     rt = np.sqrt(p.base)
     assert p.a == p.b or any(x == 0 or abs(x) in (1, rt) for x in (p.a, p.b))
     assert len(mass_points(p)) == masses
     theta = np.linspace(0, np.pi, 129).astype(np.longdouble)
     got = continuous_weight(theta, p)
-    want = np.array([_reference_weight(t, p) for t in theta])
+    want = np.array([_scalar_weight(t, p) for t in theta])
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert continuous_weight(0.7, p) == _reference_weight(0.7, p)
+    assert continuous_weight(0.7, p) == _scalar_weight(0.7, p)
 
 
 def test_masked_products_match_scalar_products_at_the_tolerance():
@@ -344,9 +370,9 @@ def test_masked_products_match_scalar_products_at_the_tolerance():
 def test_masked_products_stop_at_the_live_bound():
     """Magnitudes tol base^-k (1 +- 2^-62) leave the unmasked phase after
     factors 0..k-1, so the masked loop decides factor k, the one at the
-    tolerance; every row, and every paired row's negative, equals the scalar
-    product entry by entry.  At base 0.25 the product past k ~ 130 overflows,
-    so the deep case there is k = 100."""
+    tolerance; every row equals the scalar product entry by entry.  At base
+    0.25 the product past k ~ 130 overflows, so the deep case there is
+    k = 100."""
     tol = np.longdouble(LD_INF_TOL)
     phases = [np.exp(np.clongdouble(1j) * np.longdouble(t))
               for t in (0.0, 0.3, np.pi / 2, 2.0, np.pi)]
@@ -359,12 +385,11 @@ def test_masked_products_stop_at_the_live_bound():
                                    - math.log(mag)) / math.log(base)) == k - 1
                 a = np.array([[mag * w for w in phases],
                               [mag / base * w for w in phases]], dtype=np.clongdouble)
-                for paired in (0, 1, 2):
-                    got = asc._masked_qpoch_inf(a, base, paired)
-                    want = np.array([[qpoch_inf(x, base, LD_INF_TOL) for x in row]
-                                     for row in [*a, *-a[:paired]]])
-                    assert np.array_equal(got, want)
-                    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+                got = asc._masked_qpoch_inf(a, base)
+                want = np.array([[qpoch_inf(x, base, LD_INF_TOL) for x in row]
+                                 for row in a])
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 def _reference_asc_consistency(params, sector, cfg):

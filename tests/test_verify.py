@@ -180,9 +180,49 @@ def test_battery_passes_across_the_domain_sweep(q, n, m, L, Lp):
 ], ids=["default", "q0.95", "m4-Lp2", "q0.3-n3-m4", "q0.9-m6-Lp2", "q0.7-n1-m5",
         "q0.3-n1-m6-Lp5"])
 def test_density_identity_at_extended_precision(cfg):
-    # both sides run the same extended-precision product kernel from an
-    # extended-precision argument on
+    # Q_K from the recurrence and c from its three products both run in
+    # extended precision from the extended-precision angle on, and base^K is
+    # below 1e-19: the Darboux gap is rounding alone
     assert verify.check_density_identity(cfg.params(), cfg.sector(), cfg) <= 1e-15
+
+
+_DENSITY_THRESHOLD = next(threshold for name, _, threshold, _ in verify.BATTERY
+                          if name == "density_identity")
+_DENSITY_CONFIGS = pytest.mark.parametrize(
+    "cfg", [RunConfig(), RunConfig(q=0.95)], ids=["default", "q0.95"])
+
+
+def _density_identity(cfg):
+    return verify.check_density_identity(cfg.params(), cfg.sector(), cfg)
+
+
+@_DENSITY_CONFIGS
+def test_density_identity_never_reads_the_band_weight(monkeypatch, cfg):
+    """The check compares the eigenfunctions with c, so a band weight that
+    cannot be formed leaves it passing."""
+    def refuse(theta, p):
+        raise AssertionError("density_identity formed the band weight")
+
+    monkeypatch.setattr(asc, "continuous_weight", refuse)
+    assert _density_identity(cfg) <= _DENSITY_THRESHOLD
+
+
+@_DENSITY_CONFIGS
+@pytest.mark.parametrize("module,name", [(spectral, "c_function"),
+                                         (asc, "_recurrence_table")],
+                         ids=["c_function", "recurrence"])
+def test_density_identity_fails_a_kernel_off_by_1e_8(monkeypatch, cfg, module, name):
+    """Each side's kernel scaled by 1 + 1e-8 fails the check."""
+    kernel = getattr(module, name)
+
+    def mutant(*args):
+        out = kernel(*args)
+        if isinstance(out, list):  # the recurrence table, one array per degree
+            return [v * (1 + 1e-8) for v in out]
+        return out * (1 + 1e-8)
+
+    monkeypatch.setattr(module, name, mutant)
+    assert _density_identity(cfg) > _DENSITY_THRESHOLD
 
 
 @pytest.fixture
@@ -199,12 +239,12 @@ def weight_builds(monkeypatch):
     return builds
 
 
-def test_battery_forms_the_band_weight_five_times(weight_builds):
-    """asc_orthogonality's grid, density_identity's angles, and the density of
-    each check that integrates over its Plancherel measure: plancherel_mass,
-    parseval and transform_roundtrip."""
+def test_battery_forms_the_band_weight_four_times(weight_builds):
+    """asc_orthogonality's grid and the density of each check that integrates
+    over its Plancherel measure: plancherel_mass, parseval and
+    transform_roundtrip."""
     verify.run_battery(RunConfig())
-    assert weight_builds == [256, 200, 256, 256, 256]
+    assert weight_builds == [256, 256, 256, 256]
 
 
 @pytest.mark.parametrize("check", [verify.check_multiplication,
