@@ -24,7 +24,7 @@ from . import asc, fockoracle, laplace, lattice, spectral
 from ._rng import Lcg
 from .asc import DegenerateParameterError
 from .lattice import LatticeFunction, ModelParams, Quadruple, Sector
-from .qcore import LD_INF_TOL, bminus, bplus, qpoch_inf
+from .qcore import bminus, bplus
 
 __all__ = ["CheckResult", "run_battery", "BATTERY"]
 
@@ -170,14 +170,17 @@ def check_asc_orthogonality(params, sector, cfg) -> float:
 def check_density_identity(params, sector, cfg) -> float:
     # Darboux's method on the polynomials' generating function (KLS 14.8;
     # Ismail 2005): Q_K(cos theta) (base^(K+1); base)_inf
-    # = 2 Re[e^(i K theta) c(-i nu)] + O(base^K), e^(i theta) = q^(i nu),
-    # with base^K < 1e-19 base^20; Q_K comes from the recurrence, not the weight
+    # = 2 Re[e^(i K theta) c(-i nu)] + O(base^K |a b|), e^(i theta) = q^(i nu),
+    # the error term being the next poles' share at t = e^(-+i theta)/base.
+    # K makes base^K max(1, |a|) max(1, |b|) < 1e-19 base^20, which also puts
+    # K past every mass point, and (base^(K+1); base)_inf rounds to 1 there,
+    # so it is left out.  Q_K comes from the recurrence, not the weight.
     pp = spectral.asc_params(params, sector)
-    K = math.ceil(math.log(1e-19) / math.log(pp.base)) + 20
+    size = np.log(np.maximum(1, np.abs(pp.a))) + np.log(np.maximum(1, np.abs(pp.b)))
+    K = math.ceil((math.log(1e-19) - float(size)) / math.log(pp.base)) + 20
     thetas = np.linspace(0.0, math.pi, 42)[1:-1].astype(_LD)
     c = spectral.c_function(params, sector, -1j * (thetas / np.log(params.q_ld)))
-    lhs = asc._recurrence_table(K, np.cos(thetas), pp)[K] \
-        * qpoch_inf(pp.base ** _LD(K + 1), pp.base, LD_INF_TOL)
+    lhs = asc._recurrence_table(K, np.cos(thetas), pp)[K]
     rhs = 2 * np.real(asc._w_from_theta(K * thetas) * c)
     return _worst((np.abs(lhs - rhs) / np.abs(c)).astype(float))
 

@@ -177,12 +177,15 @@ def test_battery_passes_across_the_domain_sweep(q, n, m, L, Lp):
     RunConfig(q=0.5), RunConfig(q=0.95), RunConfig(q=0.5, m=4, Lp=2),
     RunConfig(q=0.3, n=3, m=4), RunConfig(q=0.9, n=2, m=6, Lp=2),
     RunConfig(q=0.7, n=1, m=5), RunConfig(q=0.3, n=1, m=6, Lp=5),
+    RunConfig(q=0.3, n=1, m=70), RunConfig(q=0.5, n=1, m=110),
 ], ids=["default", "q0.95", "m4-Lp2", "q0.3-n3-m4", "q0.9-m6-Lp2", "q0.7-n1-m5",
-        "q0.3-n1-m6-Lp5"])
+        "q0.3-n1-m6-Lp5", "q0.3-n1-m70", "q0.5-n1-m110"])
 def test_density_identity_at_extended_precision(cfg):
     # Q_K from the recurrence and c from its three products both run in
-    # extended precision from the extended-precision angle on, and base^K is
-    # below 1e-19: the Darboux gap is rounding alone
+    # extended precision from the extended-precision angle on, and
+    # base^K |a b| is below 1e-19: the Darboux gap is rounding alone.  The
+    # last two have a = 3.6e35 and 3.2e32 (34 and 54 mass points), where a K
+    # that ignores a leaves next-pole gaps of 1.3e-6 and 2.0
     assert verify.check_density_identity(cfg.params(), cfg.sector(), cfg) <= 1e-15
 
 
