@@ -218,40 +218,30 @@ def _masked_qpoch_inf(a, base):
     """(a; base)_inf for every entry of the complex array ``a`` at once, for
     a real ``base`` in (0, 1).
 
-    Each entry multiplies its factors 1 - a*base^i while |a*base^i| >= LD_INF_TOL
-    and stops at the first one below, as ``qcore.qpoch_inf`` does for a
-    scalar, so every entry equals the scalar product bit for bit.  The
-    factors before the first depth at which any entry could stop run on the
-    whole array without magnitude tests; only the rest are masked.
+    Each entry multiplies its factors 1 - t, t = a base^i, while
+    |t| > s = ``_LOG_SPLIT``, under a per-entry mask, so its bits do not
+    depend on the rest of the array.  The factors left have positive real
+    parts, so their principal logs sum to the log of their product, the
+    series -sum_k t^k / (k (1 - base^k)) (Gasper & Rahman 2004).  It stops
+    at the least K with s^(K+1) / ((K+1)(1 - base)(1 - s)) < LD_INF_TOL, a
+    bound of its remainder: 17 or 18 terms, where the truncated product
+    takes up to 427 factors at q = 0.95.
     """
     t = np.ones_like(a) * a
     acc = np.ones_like(t)
-    # Live phase.  After i multiplications by the real base, each rounding
-    # both components of t once, the computed |t| is |a| base^i (1 + d) with
-    # |d| <= (i + 2) eps (the 2 covers t's own rounding and abs), about 5e-17
-    # at i = 427.  Let s be the smallest computed |a|, read as a double, so
-    # s <= |a| (1 + 2^-52) for every entry, and M = 1 + 1e-9.  Every
-    # i <= i0 = floor((log(M LD_INF_TOL) - log s) / log base) has
-    # base^i >= M LD_INF_TOL / s up to the double-precision logs, which move
-    # it by a relative 1e-12 at most (a difference of logs, so no quotient
-    # underflows).  The exact |a| base^i then exceeds (M - 1e-12) LD_INF_TOL,
-    # and the computed |t| is at least LD_INF_TOL for every i below 9e9.  So
-    # factors 0..i0 are live in every entry and the masked loop would take
-    # them everywhere.  They run without abs, mask or where=, then the masked
-    # loop finishes, and each entry stops at the same factor as the scalar.
-    edge = (1 + 1e-9) * LD_INF_TOL  # M LD_INF_TOL
-    smallest = float(np.abs(t).min(initial=np.inf))
-    if edge < smallest < np.inf:
-        for _ in range(math.floor((math.log(edge) - math.log(smallest))
-                                  / math.log(base)) + 1):
-            np.multiply(acc, 1 - t, out=acc)
-            t *= base
-    live = np.abs(t) >= LD_INF_TOL
-    while live.any():
-        np.multiply(acc, 1 - t, out=acc, where=live)
-        t *= base
-        live &= np.abs(t) >= LD_INF_TOL
-    return acc
+    head = np.abs(t) > _LOG_SPLIT
+    while head.any():
+        np.multiply(acc, 1 - t, out=acc, where=head)
+        np.multiply(t, base, out=t, where=head)
+        head &= np.abs(t) > _LOG_SPLIT
+    K = 1
+    while _LOG_SPLIT ** (K + 1) >= LD_INF_TOL * (K + 1) * (1 - base) * (1 - _LOG_SPLIT):
+        K += 1
+    k = np.arange(1, K + 1)
+    series = np.zeros_like(t)
+    for coef in (1 / (k * (1 - base ** k)))[::-1]:  # Horner, t^K down to t
+        series = (series + coef) * t
+    return acc * np.exp(-series)
 
 
 def _c_products(u, p: AscParams):
@@ -389,6 +379,9 @@ class SpectralMeasure:
 _TRAPEZOID_C = 0.25
 #: total-mass error the node count aims at: 1/100 of ``plancherel_mass``'s 1e-10
 _NODE_TOL = 1e-12
+#: magnitude of the running term at which ``_masked_qpoch_inf`` turns from
+#: multiplying factors to the log series of the rest of the product
+_LOG_SPLIT = 0.1
 _MAX_NODES = 2 ** 14
 
 

@@ -8,8 +8,9 @@ All routines are dtype-preserving: they accept Python floats/complex or numpy
 scalars (including ``np.longdouble`` / ``np.clongdouble``) and carry the input
 precision through.  :func:`qpoch` and the difference quotients' value
 formula also run elementwise on numpy arrays, with the bits of the scalar
-calls.  No logarithmic rescaling is used anywhere, since q-Pochhammer factors
-routinely change sign.
+calls.  No product is summed as logarithms, since q-Pochhammer factors
+routinely change sign, except the tail of ``asc._masked_qpoch_inf``, whose
+factors 1 - t all have |t| <= 0.1 and so a positive real part.
 """
 
 from __future__ import annotations

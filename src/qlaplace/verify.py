@@ -154,12 +154,13 @@ def check_basis_orthonormality(params, sector, cfg) -> float:
 def check_asc_consistency(params, sector, cfg) -> float:
     pp = spectral.asc_params(params, sector)
     rng = Lcg(cfg.seed + 303)
-    # both paths at one point: z = cos(theta) of the drawn angle
+    # both paths at one point: z = cos(theta) of the drawn angle; compared in
+    # extended precision, where Q_15 of a mass-laden sector (a^15 ~ 1e535 at
+    # a = 3.6e35) still fits
     theta = np.array([math.acos(0.999 * rng.symmetric()) for _ in range(50)])
-    hyp = np.real(asc._hypergeometric_table(15, theta, pp)).astype(float)
-    ref = np.array(asc._recurrence_table(15, np.cos(theta.astype(_LD)), pp),
-                   dtype=float).T
-    return _worst((np.abs(hyp - ref) / np.maximum(1.0, np.abs(ref))).flat)
+    hyp = np.real(asc._hypergeometric_table(15, theta, pp))
+    ref = np.array(asc._recurrence_table(15, np.cos(theta.astype(_LD)), pp)).T
+    return _worst((np.abs(hyp - ref) / np.maximum(1, np.abs(ref))).flat)
 
 
 def check_asc_orthogonality(params, sector, cfg) -> float:

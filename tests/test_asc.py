@@ -259,15 +259,6 @@ def _sector_params(q, n, m, L, Lp):
     return spectral.asc_params(ModelParams(q=q, n=n, m=m), Sector(L=L, Lp=Lp))
 
 
-def _scalar_weight(theta, p):
-    """The band weight one angle at a time from the c-function's three
-    products, one scalar infinite product each."""
-    u = np.exp(np.clongdouble(1j) * np.longdouble(theta))
-    num_a, num_b, den = (np.abs(qpoch_inf(x, p.base, LD_INF_TOL)) ** 2
-                         for x in (p.a * u, p.b * u, u * u))
-    return den / (num_a * num_b)
-
-
 def _reference_weight(theta, p):
     """The band weight as the six-product ratio
     h(1) h(-1) h(sqrt(base)) h(-sqrt(base)) / (h(a) h(b)) with
@@ -290,18 +281,23 @@ _WEIGHT_CASES = [
 ] + [pytest.param((1, 6, 0, 5), 0.3, id="five_masses-0.3")]  # a ~ 5.1e4
 
 
+def _assert_one_angle_bits(theta, p):
+    """The weight over the array ``theta`` equals its one-angle calls bit
+    for bit, signbits included."""
+    got = continuous_weight(theta, p)
+    want = np.array([continuous_weight(t, p) for t in theta])
+    assert got.dtype == want.dtype == np.longdouble and got.shape == theta.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("sector,q", _WEIGHT_CASES)
-def test_array_weight_matches_scalar_products_exactly(sector, q):
+def test_array_weight_equals_its_one_angle_calls(sector, q):
     p = _sector_params(q, *sector)
     assert len(mass_points(p)) == {2: 0, 4: 2, 6: 5}[sector[1]]
     for nodes in (256, 511):
-        theta = np.linspace(0, np.pi, nodes).astype(np.longdouble)
-        got = continuous_weight(theta, p)
-        want = np.array([_scalar_weight(t, p) for t in theta])
-        assert got.dtype == np.longdouble and got.shape == (nodes,)
-        assert np.array_equal(got, want)
-    one = continuous_weight(0.7, p)
-    assert np.ndim(one) == 0 and one == _scalar_weight(0.7, p)
+        _assert_one_angle_bits(np.linspace(0, np.pi, nodes).astype(np.longdouble), p)
+    assert np.ndim(continuous_weight(0.7, p)) == 0
 
 
 @pytest.mark.parametrize("sector,q", _WEIGHT_CASES)
@@ -325,71 +321,55 @@ _RT = np.sqrt(np.longdouble(0.9025))
     pytest.param(AscParams(a=0.5, b=0.0, base=0.9025), 0, id="b_is_zero"),
     pytest.param(AscParams(a=1.5, b=_RT, base=0.9025), 4, id="a_above_one"),
 ])
-def test_weight_with_shared_rows_matches_scalar_products_exactly(p, masses):
-    """a or b equal to 0 (its product runs no factor), to +-sqrt(base) or to
-    each other, and a above one: the weight keeps the one-angle-at-a-time
-    bits."""
+def test_weight_with_shared_rows_equals_its_one_angle_calls(p, masses):
+    """a or b equal to 0 (its product is exactly 1), to +-sqrt(base) or to
+    each other, and a above one: entries that share a product's values or
+    run it to different depths keep their one-angle bits."""
     rt = np.sqrt(p.base)
     assert p.a == p.b or any(x == 0 or abs(x) in (1, rt) for x in (p.a, p.b))
     assert len(mass_points(p)) == masses
-    theta = np.linspace(0, np.pi, 129).astype(np.longdouble)
-    got = continuous_weight(theta, p)
-    want = np.array([_scalar_weight(t, p) for t in theta])
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert continuous_weight(0.7, p) == _scalar_weight(0.7, p)
+    _assert_one_angle_bits(np.linspace(0, np.pi, 129).astype(np.longdouble), p)
 
 
-def test_masked_products_match_scalar_products_at_the_tolerance():
-    """Entries far above, at and just around the truncation tolerance stop
-    at the same factor as the scalar product, in one array."""
-    tol = np.longdouble(LD_INF_TOL)
-    mags = [np.longdouble(1e4), np.longdouble(1)]
-    for edge in (4 * tol, tol):
-        mags += [np.nextafter(edge, np.longdouble(1)), edge,
-                 np.nextafter(edge, np.longdouble(0))]
-    mags.append(np.longdouble(1e-20))
+@pytest.mark.parametrize("base", [0.25, 0.9025])
+def test_masked_products_match_50_digit_references_around_the_split(base):
+    """Magnitudes just above, at and just below the log series' split and
+    the truncation tolerance, at five phases, against mpmath's product of
+    the exact entries.  Just below the split an entry runs no factor, so
+    the series alone carries its product at its largest remainder bound.
+    Measured worst: 9.7e-20 at base 0.25, 1.0e-19 at 0.9025."""
+    base = np.longdouble(base)
     phases = [np.exp(np.clongdouble(1j) * np.longdouble(t))
               for t in (0.0, 0.3, np.pi / 2, 2.0, np.pi)]
-    for base in (0.25, 0.9025):
-        base = np.longdouble(base)
-        # all magnitudes in one array, then without the smallest ones, so
-        # the unmasked phase runs to every depth from 0 to its deepest
-        for keep in range(len(mags), 0, -1):
-            a = np.array([mag * w for mag in mags[:keep] for w in phases],
-                         dtype=np.clongdouble)
-            got = asc._masked_qpoch_inf(a, base)
-            want = np.array([qpoch_inf(x, base, LD_INF_TOL) for x in a])
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
-    tiny = np.array([1e-20, 1e-25], dtype=np.clongdouble)
-    assert np.array_equal(asc._masked_qpoch_inf(tiny, np.longdouble(0.5)),
-                          np.ones(2, dtype=np.clongdouble))
+    mags = [np.nextafter(edge, step) for edge in (asc._LOG_SPLIT, LD_INF_TOL)
+            for step in (np.longdouble(1), np.longdouble(0))]
+    mags += [np.longdouble(asc._LOG_SPLIT), np.longdouble(LD_INF_TOL)]
+    a = np.array([mag * w for mag in mags for w in phases], dtype=np.clongdouble)
+    got = asc._masked_qpoch_inf(a, base)
+    with mpmath.workdps(mpref.DIGITS + 10):
+        q = mpref.exact(base)
+        worst = max(mpref.rel_err(g, mpmath.qp(mpref.exact(x), q))
+                    for g, x in zip(got, a))
+    assert worst <= 2e-19
+    zero = asc._masked_qpoch_inf(np.zeros(2, dtype=np.clongdouble), base)
+    assert np.array_equal(zero, np.ones(2, dtype=np.clongdouble))
 
 
-def test_masked_products_stop_at_the_live_bound():
-    """Magnitudes tol base^-k (1 +- 2^-62) leave the unmasked phase after
-    factors 0..k-1, so the masked loop decides factor k, the one at the
-    tolerance; every row equals the scalar product entry by entry.  At base
-    0.25 the product past k ~ 130 overflows, so the deep case there is
-    k = 100."""
-    tol = np.longdouble(LD_INF_TOL)
-    phases = [np.exp(np.clongdouble(1j) * np.longdouble(t))
-              for t in (0.0, 0.3, np.pi / 2, 2.0, np.pi)]
-    for base, deep in ((0.25, 100), (0.9025, 400)):
-        base = np.longdouble(base)
-        for k in (1, 5, deep):
-            for sign in (1, -1):
-                mag = tol * base ** -k * (1 + sign * np.longdouble(2) ** -62)
-                assert math.floor((math.log((1 + 1e-9) * LD_INF_TOL)
-                                   - math.log(mag)) / math.log(base)) == k - 1
-                a = np.array([[mag * w for w in phases],
-                              [mag / base * w for w in phases]], dtype=np.clongdouble)
-                got = asc._masked_qpoch_inf(a, base)
-                want = np.array([[qpoch_inf(x, base, LD_INF_TOL) for x in row]
-                                 for row in a])
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+def _threshold(check):
+    return next(threshold for name, fn, threshold, _ in verify.BATTERY if fn is check)
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(q=0.95)], ids=["default", "q0.95"])
+@pytest.mark.parametrize("check", [verify.check_density_identity,
+                                   verify.check_plancherel_mass],
+                         ids=["density_identity", "plancherel_mass"])
+def test_products_off_by_1e_8_fail_the_c_function_checks(monkeypatch, cfg, check):
+    """The kernel scaled by 1 + 1e-8 moves c by about 1e-8 and the weight by
+    2e-8: the c-function's check and the measure's total mass both fail."""
+    kernel = asc._masked_qpoch_inf
+    monkeypatch.setattr(asc, "_masked_qpoch_inf",
+                        lambda a, base: kernel(a, base) * (1 + 1e-8))
+    assert check(cfg.params(), cfg.sector(), cfg) > _threshold(check)
 
 
 def _reference_asc_consistency(params, sector, cfg):
@@ -401,8 +381,8 @@ def _reference_asc_consistency(params, sector, cfg):
         theta = math.acos(0.999 * rng.symmetric())
         table = asc._recurrence_table(15, np.cos(np.longdouble(theta)), pp)
         for k in range(16):
-            hyp = asc_hypergeometric(k, theta, pp)
-            worst = max(worst, verify._rel(hyp, float(table[k])))
+            hyp = np.real(asc._hypergeometric_table(k, np.array([theta]), pp)[0, k])
+            worst = max(worst, verify._rel(hyp, table[k]))
     return worst
 
 
