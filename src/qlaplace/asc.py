@@ -1,13 +1,15 @@
 """Al-Salam-Chihara polynomials Q_k(z; a, b | base) at a generic base.
 
-Two evaluation paths are provided:
+Two evaluation paths are provided, each returning every degree 0..kmax:
 
-* ``asc_recurrence``: the three-term recurrence
+* ``asc_recurrence(kmax, z, p)``: the three-term recurrence
   2 z Q_k = Q_{k+1} + (a+b) base^k Q_k + (1 - base^k)(1 - a b base^(k-1)) Q_{k-1},
-  with Q_{-1} = 0, Q_0 = 1;
-* ``asc_hypergeometric``: the terminating basic-hypergeometric representation
+  with Q_{-1} = 0, Q_0 = 1, at a scalar or an array of points z;
+* ``asc_hypergeometric(J, theta, p)``: the terminating basic-hypergeometric
+  representation
   Q_k = (a b; base)_k a^(-k) * 3phi2(base^(-k), a e^(i t), a e^(-i t); ab, 0)
-  evaluated through an exact rearrangement (see below).
+  evaluated through an exact rearrangement (see below), one row per angle
+  of a 1-D array.
 
 Direct summation of the terminating 3phi2 is numerically hopeless beyond
 small degree: its terms grow like base^(-k(k-1)/2) while the polynomial value
@@ -22,8 +24,9 @@ via the q-binomial theorem into the exact finite convolution
     Q_k = sum_r [k; r] (a/w; base)_r (b w; base)_{k-r} w^(2r-k),  w = e^(i t),
 
 whose terms stay comparable to the value.  The recurrence serves the moment
-table and the eigenfunction profiles of :mod:`qlaplace.spectral`; the
-convolution is its cross-check (``verify``'s ``asc_consistency``).
+table (``orthogonality_residual``) and the eigenfunction profiles of
+:mod:`qlaplace.spectral`; the convolution is its cross-check (``verify``'s
+``asc_consistency``).
 
 The orthogonality measure consists of a continuous density on z = cos(t),
 t in [0, pi], plus finitely many point masses at z_k = (a base^k + a^(-1)
@@ -54,7 +57,6 @@ __all__ = [
     "mass_points",
     "orthogonality_measure",
     "orthogonality_residual",
-    "orthogonality_residuals",
 ]
 
 _LD = np.longdouble
@@ -96,21 +98,17 @@ def _w_from_theta(theta):
     return np.exp(_CLD(1j) * _CLD(theta))
 
 
-def asc_recurrence(k: int, z, p: AscParams):
-    """Q_k(z) by running the three-term recurrence up from Q_0 = 1.
+def asc_recurrence(kmax: int, z, p: AscParams) -> list:
+    """Q_0..Q_kmax at ``z`` by running the three-term recurrence up from
+    Q_0 = 1; ``z`` may be a scalar or ndarray, the values extended precision.
 
-    ``z`` may be a scalar or ndarray; the values are extended precision.
+    The degree-k coefficients (a+b) base^k and (1 - base^k)(1 - ab base^(k-1))
+    come from one array over k (array ``base ** k`` has the scalar power's
+    bits), and 2z is formed once, so each step runs the per-degree loop's
+    operations in its order.
     """
-    if k < 0:
-        raise ValueError(f"degree must be nonnegative, got {k}")
-    return _recurrence_table(k, z, p)[k]
-
-
-def _recurrence_table(kmax: int, z, p: AscParams) -> list:
-    """Q_0..Q_kmax at ``z``.  The degree-k coefficients (a+b) base^k and
-    (1 - base^k)(1 - ab base^(k-1)) come from one array over k (array
-    ``base ** k`` has the scalar power's bits), and 2z is formed once, so
-    each step runs the per-degree loop's operations in its order."""
+    if kmax < 0:
+        raise ValueError(f"degree must be nonnegative, got {kmax}")
     a, b, base = p.a, p.b, p.base
     prev = z * 0 + 1.0
     table = [prev]
@@ -193,25 +191,21 @@ def _mass_point_series(kmax: int, kd: int, p: AscParams) -> np.ndarray:
     return tot
 
 
-def _hypergeometric_table(J: int, theta, p: AscParams) -> np.ndarray:
-    """Q_j = w^(-j) (base; base)_j (u * v)_j for j = 0..J at each angle of the
-    1-D array ``theta``, w = e^(i theta): one ``clongdouble`` row per angle."""
+def asc_hypergeometric(J: int, theta, p: AscParams) -> np.ndarray:
+    """Q_0..Q_J from the hypergeometric representation, evaluated stably, at
+    each angle of the 1-D array ``theta``: one ``clongdouble`` row per angle.
+
+    Q_j = w^(-j) (base; base)_j (u * v)_j with w = e^(i theta), the
+    convolution of :func:`_convolution_table`, equals the terminating 3phi2
+    representation exactly (see module docstring); its real part is the
+    value for real a, b.  z = cos(theta); a complex theta with pure imaginary
+    part addresses real w = e^(i theta) > 0 off the band.
+    """
+    if J < 0:
+        raise ValueError(f"degree must be nonnegative, got {J}")
     w = _w_from_theta(theta)
     C, conv = _convolution_table(J, w, p.a, p.b, p.base)
     return w[:, None] ** -np.arange(J + 1) * C * conv
-
-
-def asc_hypergeometric(k: int, theta, p: AscParams) -> float:
-    """Q_k from the hypergeometric representation, evaluated stably.
-
-    ``theta`` is the angle with z = cos(theta); a complex theta with pure
-    imaginary part addresses real w = e^(i theta) > 0 off the band.  The
-    value equals the terminating 3phi2 representation exactly (see module
-    docstring); output is real for real a, b.
-    """
-    if k < 0:
-        raise ValueError(f"degree must be nonnegative, got {k}")
-    return complex(_hypergeometric_table(k, np.asarray([theta]), p)[0, k]).real
 
 
 def _masked_qpoch_inf(a, base):
@@ -432,10 +426,12 @@ def _grid_measure(p: AscParams, discrete, quad_nodes: int) -> SpectralMeasure:
     return SpectralMeasure(theta_nodes=theta, params=p, discrete=discrete)
 
 
-def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int) -> dict:
+def orthogonality_residual(kmax: int, p: AscParams, quad_nodes: int) -> dict:
     """Deviation of each (i, j) moment, 0 <= i <= j <= kmax, from its closed
-    form, relative to the diagonal target
-    1/((base^(i+1); base)_inf (a b base^i; base)_inf).
+    form, relative to the diagonal target:
+
+        lhs: integral Q_i Q_j dmu over the orthogonality measure;
+        rhs: delta_ij / ((base^(i+1); base)_inf (a b base^i; base)_inf).
 
     Every moment comes from one measure and one recurrence table.  A moment
     integrand is a degree <= 2 kmax polynomial times the band weight, whose
@@ -447,7 +443,7 @@ def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int) -> dict:
         raise ValueError("residual check supports degrees up to 20")
     discrete = mass_points(p, strict=True)  # a band-edge mass raises before d is read
     measure = _grid_measure(p, discrete, max(quad_nodes, _node_count(p, 0) + kmax + 1))
-    table = _recurrence_table(kmax, np.cos(measure.theta_nodes), p)
+    table = asc_recurrence(kmax, np.cos(measure.theta_nodes), p)
     # mass points: Q_j = (ab; base)_j a^(-j) S_j, not the forward recurrence
     lead = np.array([qpoch(p.a * p.b, p.base, j) * p.a ** _LD(-j)
                      for j in range(kmax + 1)])
@@ -460,8 +456,3 @@ def orthogonality_residuals(kmax: int, p: AscParams, quad_nodes: int) -> dict:
     return {(i, j): float(abs(val[i, j] - (scale[i] if i == j else 0.0))
                           / abs(scale[i]))
             for i, j in pairs}
-
-
-def orthogonality_residual(i: int, j: int, p: AscParams, quad_nodes: int) -> float:
-    """The (i, j) entry of :func:`orthogonality_residuals`, for i <= j."""
-    return orthogonality_residuals(j, p, quad_nodes)[i, j]

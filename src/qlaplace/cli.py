@@ -306,7 +306,7 @@ def oracle(out, quadruple, **kw):
     quad = Quadruple(*quadruple)
     # fixed test pair exercising two lattice points
     f = LatticeFunction.basis(0) + LatticeFunction.basis(1)
-    o = fockoracle.invariant_integral(params, quad, f, f)
+    [[o]] = fockoracle.invariant_integral(params, [quad], [(f, f)])
     c = hwv_inner_product(params, quad, f, f)
     _emit("oracle", config, cfg.fmt, out, {
         "quadruple": list(quadruple),

@@ -224,9 +224,18 @@ def _oracle_values(params: ModelParams, quads, pairs, *depths) -> list:
     return rows
 
 
-def _invariant_integrals(params: ModelParams, quads, pairs) -> list:
-    """:func:`invariant_integral` of each (phi, psi) of ``pairs``, one row per
-    quadruple of ``quads``."""
+def invariant_integral(params: ModelParams, quads, pairs) -> list:
+    """Truncated trace realization of the dressed pairing of each (phi, psi)
+    of ``pairs``, one row per quadruple of ``quads``.
+
+    Evaluates the factorized trace of ``_oracle_values``: the product of the
+    two index blocks' sums, which equals the sum of :func:`diagonal_action`
+    times the trace weight over all indices (the negative block is finite
+    once the reads vanish), each positive index taking D = ``_depth(q)``
+    terms, the first from a = lp + 1.
+    Every value is recomputed at 2D, and a relative movement above 1e-12
+    raises ConvergenceError; otherwise the 2D values are returned.
+    """
     _require_n_ge_2(params)
     depth = _depth(params.q)
     rows = _oracle_values(params, quads, pairs, depth, 2 * depth)
@@ -237,21 +246,6 @@ def _invariant_integrals(params: ModelParams, quads, pairs) -> list:
                     f"trace truncation depth {depth} too small: value moved by "
                     f"{float(abs(val2 - val)):.3e} on doubling")
     return [[val2 for _, val2 in row] for row in rows]
-
-
-def invariant_integral(params: ModelParams, quad: Quadruple,
-                       phi: Mapping[int, complex], psi: Mapping[int, complex]):
-    """Truncated trace realization of the dressed pairing.
-
-    Evaluates the factorized trace of ``_oracle_values``: the product of the
-    two index blocks' sums, which equals the sum of :func:`diagonal_action`
-    times the trace weight over all indices (the negative block is finite
-    once the reads vanish), each positive index taking D = ``_depth(q)``
-    terms, the first from a = lp + 1.
-    The value is recomputed at 2D, and a relative movement above 1e-12
-    raises ConvergenceError; otherwise the 2D value is returned.
-    """
-    return _invariant_integrals(params, [quad], [(phi, psi)])[0][0]
 
 
 def _scaled_poch(u: int, v: int, exps) -> tuple[int, int, int]:
@@ -329,9 +323,18 @@ def negative_block_sum(q: float, n: int, k: int, l: int, t: int):
     return float(lhs), float(rhs)
 
 
-def _positive_block_sides(q: float, grid) -> list:
-    """Both sides of :func:`positive_block_sum` at each (m, kp, lp) of
-    ``grid``; every lhs reads one :class:`_PowerTable`."""
+def positive_block_sum(q: float, grid) -> list:
+    """Both sides of the positive-block summation identity at each
+    (m, kp, lp) of ``grid``, as (lhs, rhs) pairs.
+
+    lhs: sum over a_{n+1}, ..., a_{N-1} >= 1 (m-1 indices) of
+         (q^(2 a_{n+1} - 2); q^-2)_{lp} q^(2 kp sum a_i) q^(2 sum (N-i) a_i),
+         each index taking D = ``_depth(q)`` terms, a_{n+1} from lp + 1
+         (its terms a_{n+1} <= lp vanish);
+    rhs: q^((m-1)(2kp + 2lp + m)) q^(2 lp kp)
+         (q^2; q^2)_{kp} (q^2; q^2)_{lp} / (q^2; q^2)_{kp+lp+m-1}.
+    Every lhs reads one :class:`_PowerTable`.
+    """
     grid = list(grid)
     for m, _, _ in grid:
         if m < 2:
@@ -343,19 +346,6 @@ def _positive_block_sides(q: float, grid) -> list:
              qd ** _LD((m - 1) * (2 * kp + 2 * lp + m)) * qd ** _LD(2 * lp * kp)
              * qpoch(p, p, kp) * qpoch(p, p, lp) / qpoch(p, p, kp + lp + m - 1))
             for m, kp, lp in grid]
-
-
-def positive_block_sum(q: float, m: int, kp: int, lp: int):
-    """Both sides of the positive-block summation identity.
-
-    lhs: sum over a_{n+1}, ..., a_{N-1} >= 1 (m-1 indices) of
-         (q^(2 a_{n+1} - 2); q^-2)_{lp} q^(2 kp sum a_i) q^(2 sum (N-i) a_i),
-         each index taking D = ``_depth(q)`` terms, a_{n+1} from lp + 1
-         (its terms a_{n+1} <= lp vanish);
-    rhs: q^((m-1)(2kp + 2lp + m)) q^(2 lp kp)
-         (q^2; q^2)_{kp} (q^2; q^2)_{lp} / (q^2; q^2)_{kp+lp+m-1}.
-    """
-    return _positive_block_sides(q, [(m, kp, lp)])[0]
 
 
 def qbinomial_convolution(q: float, k: int, l: int, t: int):
@@ -377,9 +367,16 @@ def qbinomial_convolution(q: float, k: int, l: int, t: int):
     return lhs, rhs
 
 
-def _geometric_sum_sides(q: float, grid) -> list:
-    """Both sides of :func:`pochhammer_geometric_sum` at each (x, y) of
-    ``grid``; every lhs reads one :class:`_PowerTable`."""
+def pochhammer_geometric_sum(q: float, grid) -> list:
+    """Both sides of the Pochhammer-weighted geometric sum at each (x, y) of
+    ``grid``, as (lhs, rhs) pairs.
+
+    lhs: sum_{a>=1} (q^(2a-2); q^-2)_x q^(2ya), its D = ``_depth(q)``
+         terms from a = x + 1 (the terms a <= x vanish): the m = 2 positive
+         block with kp = y - 1, lp = x;
+    rhs: q^(2y(x+1)) (q^2; q^2)_x / (q^(2y); q^2)_{x+1}.
+    Requires y >= 1 for convergence.  Every lhs reads one :class:`_PowerTable`.
+    """
     grid = list(grid)
     for _, y in grid:
         if y < 1:
@@ -391,15 +388,3 @@ def _geometric_sum_sides(q: float, grid) -> list:
              qd ** _LD(2 * y * (x + 1)) * qpoch(p, p, x)
              / qpoch(qd ** _LD(2 * y), p, x + 1))
             for x, y in grid]
-
-
-def pochhammer_geometric_sum(q: float, x: int, y: int):
-    """Both sides of the Pochhammer-weighted geometric sum.
-
-    lhs: sum_{a>=1} (q^(2a-2); q^-2)_x q^(2ya), its D = ``_depth(q)``
-         terms from a = x + 1 (the terms a <= x vanish): the m = 2 positive
-         block with kp = y - 1, lp = x;
-    rhs: q^(2y(x+1)) (q^2; q^2)_x / (q^(2y); q^2)_{x+1}.
-    Requires y >= 1 for convergence.
-    """
-    return _geometric_sum_sides(q, [(x, y)])[0]

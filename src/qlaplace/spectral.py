@@ -17,11 +17,12 @@ the base-point indicator to the constant function 1).
 
 Numerical notes.  Eigenfunction profiles are evaluated in extended precision
 through the three-term recurrence of :mod:`qlaplace.asc`
-(``_recurrence_table``, shared with the moment table), which runs all nodes
-of a quadrature grid at once, with bits identical to the per-point
-evaluation.  On the band, and off it away from the mass points, the
-polynomial is the dominant solution of its recurrence, so the forward run
-keeps its relative accuracy.  At discrete mass points
+(``asc_recurrence(max_j, z, p)``, the table of degrees 0..max_j shared with
+the moment table ``asc.orthogonality_residual``), which runs all nodes of a
+quadrature grid at once, with bits identical to the per-point evaluation.
+On the band, and off it away from the mass points, the polynomial is the
+dominant solution of its recurrence, so the forward run keeps its relative
+accuracy.  At discrete mass points
 (w = a q^(2k)) the terminating parameter a/w = q^(-2k) truncates the defining
 series after k+1 terms, and that short sum (``asc._mass_point_series``, one
 array over all degrees) is used instead (bound-state profiles are minimal
@@ -44,8 +45,8 @@ from typing import Mapping
 import numpy as np
 
 from .asc import (AscParams, DiscreteMass, SpectralMeasure, _c_products,
-                  _mass_point_series, _norm_factor, _recurrence_table,
-                  _running_products, mass_points, orthogonality_measure)
+                  _mass_point_series, _norm_factor, _running_products,
+                  asc_recurrence, mass_points, orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
 
@@ -113,12 +114,12 @@ def _profile_recurrence(params: ModelParams, sector: Sector, z,
                         max_j: int) -> np.ndarray:
     """Eigenfunction values at j = 0..max_j, one row per entry of the 1-D
     ``longdouble`` array ``z``: the recurrence table of
-    :func:`qlaplace.asc._recurrence_table` with degree j rescaled by
+    :func:`qlaplace.asc.asc_recurrence` with degree j rescaled by
     b^j / (a b; q^2)_j."""
     pp = asc_params(params, sector)
     ppow = _running_products(np.full(max_j, pp.base))
     scale = _running_products(pp.b / (1 - pp.a * pp.b * ppow[:-1]))
-    return np.stack(_recurrence_table(max_j, z, pp), axis=-1) * scale
+    return np.stack(asc_recurrence(max_j, z, pp), axis=-1) * scale
 
 
 def _profile_mass_point(params: ModelParams, sector: Sector, kd: int,

@@ -24,7 +24,7 @@ from . import asc, fockoracle, laplace, lattice, spectral
 from ._rng import Lcg
 from .asc import DegenerateParameterError
 from .lattice import LatticeFunction, ModelParams, Quadruple, Sector
-from .qcore import bminus, bplus
+from .qcore import LD_INF_TOL, bminus, bplus
 
 __all__ = ["CheckResult", "run_battery", "BATTERY"]
 
@@ -158,14 +158,14 @@ def check_asc_consistency(params, sector, cfg) -> float:
     # extended precision, where Q_15 of a mass-laden sector (a^15 ~ 1e535 at
     # a = 3.6e35) still fits
     theta = np.array([math.acos(0.999 * rng.symmetric()) for _ in range(50)])
-    hyp = np.real(asc._hypergeometric_table(15, theta, pp))
-    ref = np.array(asc._recurrence_table(15, np.cos(theta.astype(_LD)), pp)).T
+    hyp = np.real(asc.asc_hypergeometric(15, theta, pp))
+    ref = np.array(asc.asc_recurrence(15, np.cos(theta.astype(_LD)), pp)).T
     return _worst((np.abs(hyp - ref) / np.maximum(1, np.abs(ref))).flat)
 
 
 def check_asc_orthogonality(params, sector, cfg) -> float:
     pp = spectral.asc_params(params, sector)
-    return _worst(asc.orthogonality_residuals(4, pp, cfg.quad_nodes).values())
+    return _worst(asc.orthogonality_residual(4, pp, cfg.quad_nodes).values())
 
 
 def check_density_identity(params, sector, cfg) -> float:
@@ -173,15 +173,15 @@ def check_density_identity(params, sector, cfg) -> float:
     # Ismail 2005): Q_K(cos theta) (base^(K+1); base)_inf
     # = 2 Re[e^(i K theta) c(-i nu)] + O(base^K |a b|), e^(i theta) = q^(i nu),
     # the error term being the next poles' share at t = e^(-+i theta)/base.
-    # K makes base^K max(1, |a|) max(1, |b|) < 1e-19 base^20, which also puts
-    # K past every mass point, and (base^(K+1); base)_inf rounds to 1 there,
-    # so it is left out.  Q_K comes from the recurrence, not the weight.
+    # K makes base^K max(1, |a|) max(1, |b|) < LD_INF_TOL base^20, which also
+    # puts K past every mass point, and (base^(K+1); base)_inf rounds to 1
+    # there, so it is left out.  Q_K comes from the recurrence, not the weight.
     pp = spectral.asc_params(params, sector)
     size = np.log(np.maximum(1, np.abs(pp.a))) + np.log(np.maximum(1, np.abs(pp.b)))
-    K = math.ceil((math.log(1e-19) - float(size)) / math.log(pp.base)) + 20
+    K = math.ceil((math.log(LD_INF_TOL) - float(size)) / math.log(pp.base)) + 20
     thetas = np.linspace(0.0, math.pi, 42)[1:-1].astype(_LD)
     c = spectral.c_function(params, sector, -1j * (thetas / np.log(params.q_ld)))
-    lhs = asc._recurrence_table(K, np.cos(thetas), pp)[K]
+    lhs = asc.asc_recurrence(K, np.cos(thetas), pp)[K]
     rhs = 2 * np.real(asc._w_from_theta(K * thetas) * c)
     return _worst((np.abs(lhs - rhs) / np.abs(c)).astype(float))
 
@@ -192,10 +192,28 @@ def check_plancherel_mass(params, sector, cfg) -> float:
 
 
 def check_transform_of_base_indicator(params, sector, cfg) -> float:
+    # e_0 transforms to 1, and each e_j to the orthonormal polynomial of the
+    # Plancherel measure p_j = Q_j sqrt(h_j / h_0), h_j / h_0 = 1 / ((base;
+    # base)_j (ab; base)_j), at every node and mass point: the lattice masses
+    # against the polynomials' norms.  Q_j comes from the recurrence on the
+    # band and from (ab; base)_j a^(-j) S_j at the mass points.
+    J = 12
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
-    fhat = spectral.transform_grid(params, sector, LatticeFunction.basis(0), meas)
-    return _worst(float(abs(v - 1.0))
-                  for v in itertools.chain(fhat.continuous, fhat.discrete))
+    plan = spectral._TransformPlan(params, sector, meas, J)
+    pp = spectral.asc_params(params, sector)
+    pw = asc._running_products(np.full(J, pp.base))  # base^j
+    ab_poch = asc._running_products(1 - pp.a * pp.b * pw[:-1])
+    norm = np.sqrt(1 / (asc._running_products(1 - pw[1:]) * ab_poch))
+    band = asc.asc_recurrence(J, np.cos(meas.theta_nodes), pp)
+    lead = ab_poch * pp.a ** -np.arange(J + 1)
+    masses = [lead * asc._mass_point_series(J, d.index, pp) for d in meas.discrete]
+    errors = []
+    for j in range(J + 1):
+        fhat = plan.forward(lattice.orthonormal_basis(params, sector, j))
+        want = norm[j] * np.concatenate([band[j], [m[j] for m in masses]])
+        got = np.concatenate([fhat.continuous, fhat.discrete])
+        errors.extend((np.abs(got - want) / np.maximum(1, np.abs(want))).astype(float))
+    return _worst(errors)
 
 
 def check_parseval(params, sector, cfg) -> float:
@@ -261,7 +279,7 @@ def check_oracle(params, sector, cfg) -> float:
              Quadruple(1, 1, 1, 1)]
     pairs = ((f0, f0), (f1, f1), (f01, f01), (f01, f0))
     errors = []
-    oracle = fockoracle._invariant_integrals(params, quads, pairs)
+    oracle = fockoracle.invariant_integral(params, quads, pairs)
     for quad, row in zip(quads, oracle):
         for (phi, psi), o in zip(pairs, row):
             c = lattice.hwv_inner_product(params, quad, phi, psi)
@@ -282,7 +300,7 @@ def check_identity_negative_block(params, sector, cfg) -> float:
 
 
 def check_identity_positive_block(params, sector, cfg) -> float:
-    return _identity_residual(fockoracle._positive_block_sides(
+    return _identity_residual(fockoracle.positive_block_sum(
         params.q, itertools.product((2, 3), range(4), range(4))))
 
 
@@ -293,7 +311,7 @@ def check_identity_qbinomial(params, sector, cfg) -> float:
 
 
 def check_identity_geometric(params, sector, cfg) -> float:
-    return _identity_residual(fockoracle._geometric_sum_sides(
+    return _identity_residual(fockoracle.pochhammer_geometric_sum(
         params.q, itertools.product(range(4), range(1, 4))))
 
 

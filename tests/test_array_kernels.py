@@ -187,7 +187,7 @@ def test_recurrence_table_keeps_the_bits_of_the_per_degree_loop(q):
     for n, m, L, Lp in ((2, 2, 0, 0), (2, 4, 0, 2), (1, 6, 0, 5), (3, 5, 2, 1)):
         pp = spectral.asc_params(ModelParams(q, n, m), Sector(L, Lp))
         for z, kmax in itertools.product(points, (0, 1, 2, 16, 60)):
-            got = asc._recurrence_table(kmax, z, pp)
+            got = asc.asc_recurrence(kmax, z, pp)
             want = scalarref.recurrence_table(kmax, z, pp)
             assert len(got) == len(want) == kmax + 1
             assert all(_same_bits(u, v) for u, v in zip(got, want))
@@ -203,30 +203,31 @@ ORACLE_PAIRS = ((_F0, _F0), (_F1, _F1), (_F0 + _F1, _F0 + _F1), (_F0 + _F1, _F0)
 @pytest.mark.parametrize("q", [0.01, 0.5, 0.95])
 def test_identity_grids_keep_the_bits_of_per_call_sums(q):
     """One power table per identity check: each side over the battery's grid,
-    and each public call, equals the sums formed for that call alone."""
+    and over a one-point grid, equals the sums formed for that call alone."""
     grid = list(itertools.product((2, 3), range(4), range(4)))
-    for args, sides in zip(grid, fockoracle._positive_block_sides(q, grid)):
+    for args, sides in zip(grid, fockoracle.positive_block_sum(q, grid)):
         want = scalarref.positive_block_sum(q, *args)
         assert all(_same_bits(u, v) for u, v in zip(sides, want))
-        assert all(_same_bits(u, v)
-                   for u, v in zip(fockoracle.positive_block_sum(q, *args), want))
+        [alone] = fockoracle.positive_block_sum(q, [args])
+        assert all(_same_bits(u, v) for u, v in zip(alone, want))
     grid = list(itertools.product(range(4), range(1, 4)))
-    for args, sides in zip(grid, fockoracle._geometric_sum_sides(q, grid)):
+    for args, sides in zip(grid, fockoracle.pochhammer_geometric_sum(q, grid)):
         want = scalarref.pochhammer_geometric_sum(q, *args)
         assert all(_same_bits(u, v) for u, v in zip(sides, want))
-        assert all(_same_bits(u, v)
-                   for u, v in zip(fockoracle.pochhammer_geometric_sum(q, *args), want))
+        [alone] = fockoracle.pochhammer_geometric_sum(q, [args])
+        assert all(_same_bits(u, v) for u, v in zip(alone, want))
 
 
 @pytest.mark.parametrize("m", [2, 4])
 @pytest.mark.parametrize("q", [0.01, 0.5, 0.95])
 def test_oracle_check_keeps_the_bits_of_per_call_values(q, m):
     """One power table serves the check's four quadruples and four pairs; each
-    value, and each public call, equals the value of that pair alone."""
+    value, and each one-pair call, equals the value of that pair alone."""
     params = ModelParams(q, 2, m)
-    rows = fockoracle._invariant_integrals(params, ORACLE_QUADS, ORACLE_PAIRS)
+    rows = fockoracle.invariant_integral(params, ORACLE_QUADS, ORACLE_PAIRS)
     for quad, row in zip(ORACLE_QUADS, rows):
         for (phi, psi), got in zip(ORACLE_PAIRS, row):
             want = scalarref.invariant_integral(params, quad, phi, psi)
             assert _same_bits(got, want)
-            assert _same_bits(fockoracle.invariant_integral(params, quad, phi, psi), want)
+            [[alone]] = fockoracle.invariant_integral(params, [quad], [(phi, psi)])
+            assert _same_bits(alone, want)

@@ -14,6 +14,24 @@ from qlaplace.lattice import (LatticeFunction, ModelParams, Quadruple,
                               hwv_inner_product, invariant_integral_normalizer)
 from qlaplace.qcore import LD_INF_TOL, ConvergenceError, qpoch
 
+
+def _oracle(params, quad, phi, psi):
+    """The trace oracle of one pair at one quadruple."""
+    [[val]] = invariant_integral(params, [quad], [(phi, psi)])
+    return val
+
+
+def _positive(q, m, kp, lp):
+    """Both sides of the positive-block identity at one (m, kp, lp)."""
+    [sides] = positive_block_sum(q, [(m, kp, lp)])
+    return sides
+
+
+def _geometric(q, x, y):
+    """Both sides of the Pochhammer-weighted geometric sum at one (x, y)."""
+    [sides] = pochhammer_geometric_sum(q, [(x, y)])
+    return sides
+
 F0 = LatticeFunction.basis(0)
 F1 = LatticeFunction.basis(1)
 F2 = LatticeFunction.basis(2)
@@ -67,7 +85,7 @@ def test_n1_rejected():
         diagonal_action(params, Quadruple(0, 0, 0, 0), F0, F0,
                         FockIndex((0, 1, 1, 1)))
     with pytest.raises(ValueError, match="n = 1"):
-        invariant_integral(params, Quadruple(0, 0, 0, 0), F0, F0)
+        _oracle(params, Quadruple(0, 0, 0, 0), F0, F0)
 
 
 # ----------------------------------------------------------- the oracle
@@ -105,7 +123,7 @@ def test_oracle_unit_mass_of_base_indicator():
     for q in (0.4, 0.6):
         for n, m in ((2, 2), (2, 3)):
             params = ModelParams(q, n, m)
-            val = float(invariant_integral(params, Quadruple(0, 0, 0, 0), F0, F0))
+            val = float(_oracle(params, Quadruple(0, 0, 0, 0), F0, F0))
             assert abs(val - 1.0) < 1e-12
 
 
@@ -113,21 +131,21 @@ def test_oracle_matches_closed_form():
     params = ModelParams(0.6, 2, 3)
     for quad in quadruples(2)[::3]:
         for phi, psi in ((F0, F0), (F1, F1), (F01, F01), (F01, F0)):
-            o = invariant_integral(params, quad, phi, psi)
+            o = _oracle(params, quad, phi, psi)
             c = hwv_inner_product(params, quad, phi, psi)
             assert abs(o - c) <= 1e-9 * abs(c)
 
 
 def test_oracle_disjoint_supports_vanish():
     params = ModelParams(0.5, 2, 2)
-    assert float(invariant_integral(params, Quadruple(1, 1, 1, 1), F0, F2)) \
+    assert float(_oracle(params, Quadruple(1, 1, 1, 1), F0, F2)) \
         == pytest.approx(0.0, abs=1e-12)
 
 
 def test_oracle_positivity():
     params = ModelParams(0.5, 2, 2)
     for quad in quadruples(2)[::4]:
-        val = float(invariant_integral(params, quad, F01, F01))
+        val = float(_oracle(params, quad, F01, F01))
         assert val > 0
 
 
@@ -135,7 +153,7 @@ def test_depth_doubling_detects_truncation(monkeypatch):
     monkeypatch.setattr(fockoracle, "_depth", lambda q: 2)
     params = ModelParams(0.6, 2, 2)
     with pytest.raises(ConvergenceError, match="depth 2 too small"):
-        invariant_integral(params, Quadruple(0, 0, 0, 0), F0, F0)
+        _oracle(params, Quadruple(0, 0, 0, 0), F0, F0)
 
 
 def test_depth_doubling_stability_at_default():
@@ -144,7 +162,7 @@ def test_depth_doubling_stability_at_default():
     quad = Quadruple(1, 1, 1, 1)
     ((v1, v2),), = fockoracle._oracle_values(params, [quad], [(F01, F01)],
                                              depth, 2 * depth)
-    assert invariant_integral(params, quad, F01, F01) == v2
+    assert _oracle(params, quad, F01, F01) == v2
     assert abs(v2 - v1) <= 1e-18 * max(1.0, float(abs(v2)))
 
 
@@ -266,20 +284,20 @@ def test_negative_block_equals_the_fraction_loop(q):
 
 def test_positive_block_single_geometric():
     q = 0.5
-    lhs, rhs = positive_block_sum(q, 2, 0, 0)
+    lhs, rhs = _positive(q, 2, 0, 0)
     want = q**2 / (1 - q**2)
     assert float(lhs) == pytest.approx(want, rel=1e-13)
     assert float(rhs) == pytest.approx(want, rel=1e-13)
 
 
 def test_positive_block_example():
-    lhs, rhs = positive_block_sum(0.5, 3, 1, 1)
+    lhs, rhs = _positive(0.5, 3, 1, 1)
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_positive_block_rejects_small_m():
     with pytest.raises(ValueError):
-        positive_block_sum(0.5, 1, 0, 0)
+        _positive(0.5, 1, 0, 0)
 
 
 # ----------------------------------------------------------- identity 3
@@ -308,7 +326,7 @@ def test_qbinomial_convolution_example():
 
 def test_geometric_sum_pure():
     q, y = 0.5, 2
-    lhs, rhs = pochhammer_geometric_sum(q, 0, y)
+    lhs, rhs = _geometric(q, 0, y)
     want = q ** (2 * y) / (1 - q ** (2 * y))
     assert float(lhs) == pytest.approx(want, rel=1e-13)
     assert float(rhs) == pytest.approx(want, rel=1e-13)
@@ -322,13 +340,13 @@ def test_geometric_sum_leading_terms_vanish():
 
 
 def test_geometric_sum_example():
-    lhs, rhs = pochhammer_geometric_sum(0.5, 2, 3)
+    lhs, rhs = _geometric(0.5, 2, 3)
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_geometric_sum_requires_positive_exponent():
     with pytest.raises(ValueError):
-        pochhammer_geometric_sum(0.5, 2, 0)
+        _geometric(0.5, 2, 0)
 
 
 # ----------------------------------------------------------- near q = 1
@@ -336,15 +354,10 @@ def test_geometric_sum_requires_positive_exponent():
 @pytest.mark.parametrize("q", [0.8, 0.9, 0.95])
 def test_geometric_identities_near_the_q_bound(q):
     # the tails decay like q^(2a); a fixed depth stops short of them here
-    for m in (2, 3):
-        for kp in range(4):
-            for lp in range(4):
-                lhs, rhs = positive_block_sum(q, m, kp, lp)
-                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-    for x in range(4):
-        for y in range(1, 4):
-            lhs, rhs = pochhammer_geometric_sum(q, x, y)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+    sides = positive_block_sum(q, itertools.product((2, 3), range(4), range(4))) \
+        + pochhammer_geometric_sum(q, itertools.product(range(4), range(1, 4)))
+    for lhs, rhs in sides:
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 @pytest.mark.parametrize("q", [1e-6, 0.01, 0.5, 0.95])
@@ -352,12 +365,12 @@ def test_positive_sums_meet_their_closed_forms_relatively(q):
     """Relative to |rhs|, with no floor.  The first index's terms a <= lp
     vanish exactly and are not summed: in floating point each would carry a
     rounding error of 1 - q^0 scaled by up to q^(-2 lp)."""
-    for m, kp, lp in itertools.product((2, 3, 4), range(4), range(4)):
-        lhs, rhs = positive_block_sum(q, m, kp, lp)
-        assert abs(lhs - rhs) <= 2e-18 * abs(rhs), (m, kp, lp)
-    for x, y in itertools.product(range(4), range(1, 4)):
-        lhs, rhs = pochhammer_geometric_sum(q, x, y)
-        assert abs(lhs - rhs) <= 2e-18 * abs(rhs), (x, y)
+    grid = list(itertools.product((2, 3, 4), range(4), range(4)))
+    for args, (lhs, rhs) in zip(grid, positive_block_sum(q, grid)):
+        assert abs(lhs - rhs) <= 2e-18 * abs(rhs), args
+    grid = list(itertools.product(range(4), range(1, 4)))
+    for args, (lhs, rhs) in zip(grid, pochhammer_geometric_sum(q, grid)):
+        assert abs(lhs - rhs) <= 2e-18 * abs(rhs), args
 
 
 def test_oracle_converges_at_depth_two():
@@ -367,6 +380,6 @@ def test_oracle_converges_at_depth_two():
     assert fockoracle._depth(params.q) == 2
     for quad in (Quadruple(0, 1, 0, 1), Quadruple(1, 1, 1, 1)):
         for phi, psi in ((F1, F1), (F01, F01), (F01, F0)):
-            o = invariant_integral(params, quad, phi, psi)
+            o = _oracle(params, quad, phi, psi)
             c = hwv_inner_product(params, quad, phi, psi)
             assert abs(o - c) <= 1e-18 * abs(c)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qlaplace import asc, laplace, lattice, spectral, verify
+from qlaplace import asc, fockoracle, laplace, lattice, spectral, verify
 from qlaplace._rng import Lcg
 from qlaplace.cli import RunConfig
 from qlaplace.lattice import LatticeFunction
@@ -212,7 +212,7 @@ def test_density_identity_never_reads_the_band_weight(monkeypatch, cfg):
 
 @_DENSITY_CONFIGS
 @pytest.mark.parametrize("module,name", [(spectral, "c_function"),
-                                         (asc, "_recurrence_table")],
+                                         (asc, "asc_recurrence")],
                          ids=["c_function", "recurrence"])
 def test_density_identity_fails_a_kernel_off_by_1e_8(monkeypatch, cfg, module, name):
     """Each side's kernel scaled by 1 + 1e-8 fails the check."""
@@ -258,3 +258,45 @@ def test_forward_transform_checks_never_form_the_density(weight_builds, check):
     cfg = RunConfig()
     check(cfg.params(), cfg.sector(), cfg)
     assert weight_builds == []
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["every-index", "past-the-base-point"])
+@pytest.mark.parametrize("cfg", [RunConfig(q=0.5), RunConfig(q=0.95)], ids=["q0.5", "q0.95"])
+def test_transform_of_base_indicator_fails_masses_off_by_1e_8(monkeypatch, cfg, first):
+    """The transformed orthonormal basis meets the orthonormal polynomials
+    only with the lattice masses their norms call for, also where the base
+    point's mass, the only one the transform of e_0 reads, is right."""
+    [threshold] = [thr for name, _, thr, _ in verify.BATTERY
+                   if name == "transform_of_base_indicator"]
+    check = verify.check_transform_of_base_indicator
+    assert check(cfg.params(), cfg.sector(), cfg) <= threshold
+    mass = spectral.measure_mass
+
+    def mutant(params, sector, j):
+        return mass(params, sector, j) * np.where(j >= first, 1 + 1e-8, 1)
+
+    monkeypatch.setattr(spectral, "measure_mass", mutant)
+    assert check(cfg.params(), cfg.sector(), cfg) > threshold
+
+
+#: the one entry point of each table and grid kernel
+PUBLIC_KERNELS = [(asc, "asc_recurrence"), (asc, "asc_hypergeometric"),
+                  (asc, "orthogonality_residual"), (fockoracle, "invariant_integral"),
+                  (fockoracle, "positive_block_sum"),
+                  (fockoracle, "pochhammer_geometric_sum")]
+
+
+def test_battery_runs_the_public_kernels(monkeypatch):
+    calls = {}
+    for module, name in PUBLIC_KERNELS:
+        kernel, key = getattr(module, name), f"{module.__name__}.{name}"
+        calls[key] = 0
+
+        def counting(*args, _kernel=kernel, _key=key):
+            calls[_key] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    results = verify.run_battery(RunConfig())
+    assert all(r.passed for r in results)
+    assert all(calls.values()), calls
