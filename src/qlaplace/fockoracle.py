@@ -21,8 +21,14 @@ The positive block and the identities' geometric sums run D terms per index,
 D the first depth with q^(2D) < ``LD_INF_TOL``; the oracle also checks at 2D.
 The first positive index starts at a = lp + 1: its terms a <= lp vanish
 exactly, through the factor 1 - q^0 of (q^(2a-2); q^-2)_lp, and summing them
-in floating point would add rounding errors scaled up to q^(-2 lp).  Every
-sum of one check call reads one table of powers.
+in floating point would add rounding errors scaled up to q^(-2 lp).
+
+Each identity kernel takes the whole grid of its check, (q, grid), and
+returns one (lhs, rhs) pair per grid point, so a check makes one call, and
+every sum of that call reads one table: the powers of q for the positive
+block and the geometric sum, the (q^-2; q^-2)_i prefixes for the binomial
+convolution, and the integer powers of u and v, q^2 = u/v, for the exact
+negative block.  No table outlives its call.
 
 The n = 1 case is excluded: there the first and last negative indices
 coincide and the diagonal factor's two Pochhammer pieces collide; the
@@ -31,7 +37,9 @@ closed-form reduction does not cover it (see ``negative_block_sum``).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -248,35 +256,65 @@ def invariant_integral(params: ModelParams, quads, pairs) -> list:
     return [[val2 for _, val2 in row] for row in rows]
 
 
-def _scaled_poch(u: int, v: int, exps) -> tuple[int, int, int]:
-    """prod over c in ``exps`` of (1 - x^c) at x = u/v, as integers (N, i, j)
-    with the product equal to N u^i v^j (i, j <= 0).
+def _negative_block_terms(n: int, k: int, l: int, t: int) -> tuple:
+    """Both sides of :func:`negative_block_sum` at (n, k, l, t) over
+    y = q^-2 = v/u, each as (terms, divisor): the side is the sum over its
+    terms (ms, i, j) of prod_{m in ms} (u^m - v^m) u^i v^j, divided by
+    prod_{m in divisor} (u^m - v^m).
 
-    1 - x^c is (v^c - u^c) / v^c for c > 0 and (u^|c| - v^|c|) / u^|c| for
-    c < 0; a factor with c = 0 makes the product 0.
+    Every Pochhammer factor 1 - x^c of a nonzero term has c <= -1, so it is
+    1 - y^m = (u^m - v^m) / u^m with m = -c: a run of consecutive c that
+    reaches c >= 0 also holds the factor 1 - x^0, and its term, which is 0,
+    is left out.  On the left that is a_n > -l; on the right t - l + 1 <= 0.
     """
-    num, i, j = 1, 0, 0
-    for c in exps:
-        if c == 0:
-            return 0, 0, 0
-        if c > 0:
-            num *= v ** c - u ** c
-            j -= c
-        else:
-            num *= u ** -c - v ** -c
-            i += c
-    return num, i, j
+    lhs = []
+    for parts in _compositions(t, n):  # parts = -a
+        first, last = parts[0], parts[-1]
+        if last >= l:
+            # x^d = u^d v^-d from q^(-2l a_n) q^(2 sum (n-i) a_i)
+            d = l * last - sum((n - 1 - i) * p for i, p in enumerate(parts))
+            ms = (*range(first + 1, first + k + 1), *range(last - l + 1, last + 1))
+            lhs.append((ms, d - sum(ms), -d))
+    kk = k + l + n - 1
+    s = t - l + 1
+    rhs = []
+    if s >= 1:
+        ms = (*range(1, k + 1), *range(1, l + 1), *range(s, s + kk))
+        rhs.append((ms, l * t - sum(ms) + kk * (kk + 1) // 2, -l * t))
+    return (lhs, ()), (rhs, range(1, kk + 1))
 
 
-def _scaled_fraction(u: int, v: int, num: int, i: int, j: int,
-                     den: int = 1) -> Fraction:
-    """num u^i v^j / den as one Fraction (i, j of either sign)."""
-    return Fraction(num * u ** max(i, 0) * v ** max(j, 0),
-                    den * u ** max(-i, 0) * v ** max(-j, 0))
+def _common_scale(terms, divisor) -> tuple:
+    """A side of :func:`_negative_block_terms` as ((terms, iu, jv, divisor),
+    reach): iu, jv the smallest exponents, each term (ms, i - iu, j - jv)
+    over the common scale u^iu v^jv, and reach the largest power of u or v
+    that :func:`_exact_side` reads."""
+    iu = min((i for _, i, _ in terms), default=0)
+    jv = min((j for *_, j in terms), default=0)
+    terms = [(ms, i - iu, j - jv) for ms, i, j in terms]
+    reach = max([abs(iu), abs(jv), *divisor]
+                + [e for ms, i, j in terms for e in (*ms, i, j)])
+    return (terms, iu, jv, divisor), reach
 
 
-def negative_block_sum(q: float, n: int, k: int, l: int, t: int):
-    """Both sides of the negative-block summation identity.
+def _exact_side(terms, iu: int, jv: int, divisor, up, vp) -> float:
+    """One side of :func:`_common_scale` as num / den, the powers read from
+    the tables ``up`` and ``vp``.  Python's int division rounds it correctly;
+    den is made positive, so a side that is 0 is +0.0."""
+    if not terms:
+        return 0.0
+    num = sum(math.prod(up[m] - vp[m] for m in ms) * up[i] * vp[j]
+              for ms, i, j in terms) * up[max(iu, 0)] * vp[max(jv, 0)]
+    den = math.prod(up[m] - vp[m] for m in divisor) \
+        * up[max(-iu, 0)] * vp[max(-jv, 0)]
+    if den < 0:
+        num, den = -num, -den
+    return num / den
+
+
+def negative_block_sum(q: float, grid) -> list:
+    """Both sides of the negative-block summation identity at each
+    (n, k, l, t) of ``grid``, as (lhs, rhs) pairs of floats.
 
     lhs: sum over a_1 + ... + a_n = -t (all a_i <= 0) of
          (q^(2a_1 - 2k); q^2)_k (q^(2a_n); q^2)_l q^(-2l a_n)
@@ -288,8 +326,10 @@ def negative_block_sum(q: float, n: int, k: int, l: int, t: int):
     the enumerated side cancels by tens of decimal digits at moderate
     indices for small q, far beyond hardware precision.  With x = q^2 = u/v
     in lowest terms, every term is an integer times u^i v^j; the terms are
-    brought to one common power of u and of v with integer multiplies and
-    each side becomes a single Fraction, whose float is correctly rounded.
+    brought to one common power of u and of v with integer multiplies, and
+    each side becomes one quotient of integers, whose float Python's int
+    division rounds correctly.  Every power reads one table of u^c and v^c,
+    built to the largest c the grid reads.
 
     The identity holds for n >= 2 (and degenerately whenever k*l*t = 0); for
     n = 1 with k, l, t all positive the two Pochhammer factors collide on the
@@ -298,29 +338,13 @@ def negative_block_sum(q: float, n: int, k: int, l: int, t: int):
     """
     qf = Fraction(q)
     u, v = qf.numerator ** 2, qf.denominator ** 2
-    terms = []
-    for parts in _compositions(t, n):
-        a = tuple(-c for c in parts)
-        n1, i1, j1 = _scaled_poch(u, v, range(a[0] - k, a[0]))
-        n2, i2, j2 = _scaled_poch(u, v, range(a[-1], a[-1] + l))
-        if n1 and n2:
-            # x^d = u^d v^-d from q^(-2l a_n) q^(2 sum (n-i) a_i)
-            d = -l * a[-1] + sum((n - (i + 1)) * ai for i, ai in enumerate(a))
-            terms.append((n1 * n2, d + i1 + i2, -d + j1 + j2))
-    lhs = Fraction(0)
-    if terms:
-        iu = min(i for _, i, _ in terms)
-        jv = min(j for *_, j in terms)
-        lhs = _scaled_fraction(u, v, sum(c * u ** (i - iu) * v ** (j - jv)
-                                         for c, i, j in terms), iu, jv)
-    kk = k + l + n - 1
-    n1, i1, j1 = _scaled_poch(u, v, range(-1, -k - 1, -1))
-    n2, i2, j2 = _scaled_poch(u, v, range(-1, -l - 1, -1))
-    n3, i3, j3 = _scaled_poch(u, v, range(-(t - l + 1), -(t - l + 1) - kk, -1))
-    n4, i4, j4 = _scaled_poch(u, v, range(-1, -kk - 1, -1))  # the divisor
-    rhs = _scaled_fraction(u, v, n1 * n2 * n3, l * t + i1 + i2 + i3 - i4,
-                           -l * t + j1 + j2 + j3 - j4, n4)
-    return float(lhs), float(rhs)
+    sides = [_common_scale(*side) for cell in grid
+             for side in _negative_block_terms(*cell)]
+    top = max((reach for _, reach in sides), default=0)
+    up, vp = ([*itertools.accumulate(itertools.repeat(b, top), operator.mul,
+                                     initial=1)] for b in (u, v))
+    values = [_exact_side(*side, up, vp) for side, _ in sides]
+    return list(zip(values[::2], values[1::2]))
 
 
 def positive_block_sum(q: float, grid) -> list:
@@ -348,23 +372,29 @@ def positive_block_sum(q: float, grid) -> list:
             for m, kp, lp in grid]
 
 
-def qbinomial_convolution(q: float, k: int, l: int, t: int):
-    """Both sides of the Gaussian-binomial convolution at base q^(-2).
+def qbinomial_convolution(q: float, grid) -> list:
+    """Both sides of the Gaussian-binomial convolution at base q^(-2) at each
+    (k, l, t) of ``grid``, as (lhs, rhs) pairs.
 
     lhs: sum_{x+y=t} [k+x; k] [l+y; l] q^(-2x(l+1));
     rhs: [k+l+t+1; k+l+1].
-    Every coefficient reads one table of (q^-2; q^-2)_i, i <= k+l+t+1.
+    Every coefficient reads one table of (q^-2; q^-2)_i, i up to the
+    grid's largest k+l+t+1.
     """
+    grid = list(grid)
     qd = _LD(q)
     pinv = qd ** _LD(-2)
-    table = _qpoch_prefixes(pinv, pinv, k + l + t + 1)
-    lhs = _LD(0.0)
-    for x in range(t + 1):
-        y = t - x
-        lhs = lhs + _qbinomial_from(table, k + x, k) \
-            * _qbinomial_from(table, l + y, l) * qd ** _LD(-2 * x * (l + 1))
-    rhs = _qbinomial_from(table, k + l + t + 1, k + l + 1)
-    return lhs, rhs
+    table = _qpoch_prefixes(pinv, pinv,
+                            max((k + l + t + 1 for k, l, t in grid), default=0))
+    out = []
+    for k, l, t in grid:
+        lhs = _LD(0.0)
+        for x in range(t + 1):
+            y = t - x
+            lhs = lhs + _qbinomial_from(table, k + x, k) \
+                * _qbinomial_from(table, l + y, l) * qd ** _LD(-2 * x * (l + 1))
+        out.append((lhs, _qbinomial_from(table, k + l + t + 1, k + l + 1)))
+    return out
 
 
 def pochhammer_geometric_sum(q: float, grid) -> list:

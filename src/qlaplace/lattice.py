@@ -13,9 +13,10 @@ j ~ 60 for small q, so this module computes in numpy's extended-precision
 
 :func:`sector_weight` and :func:`measure_mass` take an integer index or an
 integer index array; each array entry has the bits of the scalar call at
-its index.  :func:`inner_product` takes its masses from one
-:func:`measure_mass` call on the sorted support and sums in index order, so
-it keeps the bits of the per-index sum.
+its index.  :func:`inner_product` pairs a list of (f, g) in one call: its
+masses come from one :func:`measure_mass` call on the sorted union of the
+supports, and each pair sums in its own index order, so every value keeps
+the bits of that pair's per-index sum.
 """
 
 from __future__ import annotations
@@ -276,19 +277,24 @@ def measure_mass(params: ModelParams, sector: Sector, j):
         / qpoch(step, step, sector.L + params.n - 1)
 
 
-def inner_product(params: ModelParams, sector: Sector, f: Mapping[int, complex],
-                  g: Mapping[int, complex]):
-    """Sesquilinear pairing sum_j conj(g(j)) f(j) mass(j).
+def inner_product(params: ModelParams, sector: Sector, pairs) -> list:
+    """The sesquilinear pairing sum_j conj(g(j)) f(j) mass(j) of each (f, g)
+    of ``pairs``, one value per pair.
 
     Conjugate-linear in ``g``; positive definite on nonzero functions.  The
-    masses come from one :func:`measure_mass` call on the sorted support,
-    and the sum runs in index order.
+    masses come from one :func:`measure_mass` call on the sorted union of
+    every pair's support, and each pair's sum runs in its own index order.
     """
-    idx = sorted(set(f) | set(g))
-    total = params.q_ld * 0
-    for j, mass in zip(idx, measure_mass(params, sector, np.array(idx, dtype=int))):
-        total = total + np.conjugate(g.get(j, 0.0)) * f.get(j, 0.0) * mass
-    return total
+    pairs = [(f, g, sorted(set(f) | set(g))) for f, g in pairs]
+    idx = sorted(set().union(*(js for *_, js in pairs)))
+    mass = dict(zip(idx, measure_mass(params, sector, np.array(idx, dtype=int))))
+    out = []
+    for f, g, js in pairs:
+        total = params.q_ld * 0
+        for j in js:
+            total = total + np.conjugate(g.get(j, 0.0)) * f.get(j, 0.0) * mass[j]
+        out.append(total)
+    return out
 
 
 def indicator_norm_sq(params: ModelParams, sector: Sector, j: int):

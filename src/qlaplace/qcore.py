@@ -8,9 +8,11 @@ All routines are dtype-preserving: they accept Python floats/complex or numpy
 scalars (including ``np.longdouble`` / ``np.clongdouble``) and carry the input
 precision through.  :func:`qpoch` and the difference quotients' value
 formula also run elementwise on numpy arrays, with the bits of the scalar
-calls.  No product is summed as logarithms, since q-Pochhammer factors
-routinely change sign, except the tail of ``asc._masked_qpoch_inf``, whose
-factors 1 - t all have |t| <= 0.1 and so a positive real part.
+calls; :func:`qpoch_inf` folds its factors in numpy arrays, and numpy is
+imported by its first call, not by this module.  No product is summed as
+logarithms, since q-Pochhammer factors routinely change sign, except the
+tail of ``asc._masked_qpoch_inf``, whose factors 1 - t all have |t| <= 0.1
+and so a positive real part.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ DEFAULT_INF_TOL = 1e-16
 
 #: truncation tolerance for products and geometric tails in ``np.longdouble``
 LD_INF_TOL = 1e-19
+
+#: factors per array fold of :func:`qpoch_inf`
+_CHUNK = 256
 
 
 class ConvergenceError(ArithmeticError):
@@ -69,18 +74,35 @@ def qpoch_inf(a, base, tol: float = DEFAULT_INF_TOL):
 
     Multiplies factors 1 - a*base^i until |a*base^i| < tol; no tail
     correction is applied.  Requires |base| < 1.  The neglected tail has
-    relative size O(tol / (1 - |base|)).
+    relative size O(tol / (1 - |base|)).  The terms and the running product
+    are left folds by ``np.multiply.accumulate``, ``_CHUNK`` factors at a
+    time, in the type of a * 0 + base * 0 + 1.0: value and type are those of
+    the loop that multiplies one factor per step.
     """
     if abs(base) >= 1:
         raise ValueError(f"infinite product requires |base| < 1, got {base!r}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    acc = a * 0 + base * 0 + 1.0
-    t = acc * a
+    import numpy as np  # here, so that importing this layer loads no numpy
+
+    acc = a * 0 + base * 0 + 1.0  # NaN for a NaN or infinite a: no factor runs
+    kind, t = type(acc), acc * a
+    # the loop t -> t * base, acc -> acc * (1 - t) as two sequential
+    # np.multiply.accumulate folds per chunk, carrying t and acc forward
+    steps = np.full(_CHUNK + 1, base, dtype=np.asarray(acc).dtype)
+    factors = np.empty_like(steps)
     while abs(t) >= tol:
-        acc = acc * (1 - t)
-        t = t * base
-    return acc
+        steps[0] = t
+        ts = np.multiply.accumulate(steps)  # t base^i, i = 0..CHUNK
+        small = np.abs(ts[:-1]) < tol
+        cut = int(small.argmax())  # the first small term, or 0 if none is
+        if not small[cut]:
+            cut = _CHUNK
+        factors[0] = acc
+        np.subtract(1, ts[:cut], out=factors[1:cut + 1])
+        acc = np.multiply.accumulate(factors[:cut + 1])[-1]
+        t = ts[cut]
+    return kind(acc)
 
 
 def qbinomial(a: int, b: int, base):

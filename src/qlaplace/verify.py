@@ -124,15 +124,14 @@ def check_sector_independence(params, sector, cfg) -> float:
 def check_symmetry(params, sector, cfg) -> float:
     basis = [LatticeFunction.basis(j) for j in range(LATTICE_DEPTH + 1)]
     actions = [laplace.apply_three_term(params, sector, f) for f in basis]
-    errors = []
+    pairs = []
     for j in range(LATTICE_DEPTH + 1):
         for k in (j - 1, j, j + 1):
-            if k < 0 or k > LATTICE_DEPTH:
-                continue
-            lhs = lattice.inner_product(params, sector, actions[j], basis[k])
-            rhs = lattice.inner_product(params, sector, basis[j], actions[k])
-            errors.append(float(abs(lhs - rhs) / max(1.0, abs(lhs))))
-    return _worst(errors)
+            if 0 <= k <= LATTICE_DEPTH:
+                pairs += [(actions[j], basis[k]), (basis[j], actions[k])]
+    values = lattice.inner_product(params, sector, pairs)
+    return _worst(float(abs(lhs - rhs) / max(1.0, abs(lhs)))
+                  for lhs, rhs in zip(values[::2], values[1::2]))
 
 
 def check_norm_identity(params, sector, cfg) -> float:
@@ -147,8 +146,8 @@ def check_norm_identity(params, sector, cfg) -> float:
 def check_basis_orthonormality(params, sector, cfg) -> float:
     basis = (lattice.orthonormal_basis(params, sector, j)
              for j in range(LATTICE_DEPTH + 1))
-    return _worst(float(abs(lattice.inner_product(params, sector, e, e) - 1))
-                  for e in basis)
+    return _worst(float(abs(v - 1)) for v in
+                  lattice.inner_product(params, sector, [(e, e) for e in basis]))
 
 
 def check_asc_consistency(params, sector, cfg) -> float:
@@ -220,10 +219,9 @@ def check_parseval(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     plan = spectral._TransformPlan(params, sector, meas, 14)
     rng = Lcg(cfg.seed + 404)
+    fs = [rng.lattice_function(15) for _ in range(10)]
     errors = []
-    for _ in range(10):
-        f = rng.lattice_function(15)
-        nrm = lattice.inner_product(params, sector, f, f)
+    for f, nrm in zip(fs, lattice.inner_product(params, sector, [(f, f) for f in fs])):
         fhat = plan.forward(f)
         par = meas.integrate(np.abs(fhat.continuous) ** 2, np.abs(fhat.discrete) ** 2)
         errors.append(float(abs(par - nrm) / abs(nrm)))
@@ -253,16 +251,14 @@ def check_roundtrip(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     plan = spectral._TransformPlan(params, sector, meas, 16)
     rng = Lcg(cfg.seed + 606)
-    errors = []
+    pairs = []
     for _ in range(5):
         f = rng.lattice_function(15)
-        fhat = plan.forward(f)
-        rec = plan.inverse(fhat, 16)
-        err = rec - f
-        num = lattice.inner_product(params, sector, err, err)
-        den = lattice.inner_product(params, sector, f, f)
-        errors.append(float(np.sqrt(abs(num) / abs(den))))
-    return _worst(errors)
+        err = plan.inverse(plan.forward(f), 16) - f
+        pairs += [(err, err), (f, f)]
+    values = lattice.inner_product(params, sector, pairs)
+    return _worst(float(np.sqrt(abs(num) / abs(den)))
+                  for num, den in zip(values[::2], values[1::2]))
 
 
 def check_spectrum_containment(params, sector, cfg) -> float:
@@ -294,9 +290,8 @@ def _identity_residual(sides) -> float:
 
 
 def check_identity_negative_block(params, sector, cfg) -> float:
-    grid = itertools.product((2, 3), range(4), range(4), range(4))
-    return _identity_residual(fockoracle.negative_block_sum(params.q, *args)
-                              for args in grid)
+    return _identity_residual(fockoracle.negative_block_sum(
+        params.q, itertools.product((2, 3), range(4), range(4), range(4))))
 
 
 def check_identity_positive_block(params, sector, cfg) -> float:
@@ -305,9 +300,8 @@ def check_identity_positive_block(params, sector, cfg) -> float:
 
 
 def check_identity_qbinomial(params, sector, cfg) -> float:
-    grid = itertools.product(range(5), range(5), range(5))
-    return _identity_residual(fockoracle.qbinomial_convolution(params.q, *args)
-                              for args in grid)
+    return _identity_residual(fockoracle.qbinomial_convolution(
+        params.q, itertools.product(range(5), range(5), range(5))))
 
 
 def check_identity_geometric(params, sector, cfg) -> float:

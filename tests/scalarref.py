@@ -1,6 +1,7 @@
 """Per-index references of the lattice-side kernels: the formulas the array
 kernels of ``lattice``, ``laplace``, ``qcore`` and ``fockoracle`` replace,
-written one lattice index (one Python call) at a time, the per-degree
+written one lattice index (one Python call) at a time, the factor loop of
+``qcore.qpoch_inf``, the per-degree
 loop of the Al-Salam-Chihara recurrence in ``asc``, and the positive-block
 sums of ``fockoracle`` with every power formed for one call alone.
 
@@ -24,6 +25,17 @@ def qpoch(a, base, k):
     for _ in range(k):
         acc = acc * (1 - a * p)
         p = p * base
+    return acc
+
+
+def qpoch_inf(a, base, tol):
+    """(a; base)_inf as the loop of factors 1 - a base^i, one per step,
+    while |a base^i| >= tol."""
+    acc = a * 0 + base * 0 + 1.0
+    t = acc * a
+    while abs(t) >= tol:
+        acc = acc * (1 - t)
+        t = t * base
     return acc
 
 

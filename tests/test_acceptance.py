@@ -93,17 +93,15 @@ def test_criterion_03_symmetry():
                 actions = {j: laplace.apply_three_term(params, sector,
                                                        LatticeFunction.basis(j))
                            for j in range(42)}
+                pairs = []
                 for j in range(41):
                     for k in (j - 1, j, j + 1):
-                        if k < 0 or k > 40:
-                            continue
-                        lhs = lattice.inner_product(params, sector, actions[j],
-                                                    LatticeFunction.basis(k))
-                        rhs = lattice.inner_product(params, sector,
-                                                    LatticeFunction.basis(j),
-                                                    actions[k])
-                        worst = max(worst,
-                                    float(abs(lhs - rhs) / max(1.0, abs(lhs))))
+                        if 0 <= k <= 40:
+                            pairs += [(actions[j], LatticeFunction.basis(k)),
+                                      (LatticeFunction.basis(j), actions[k])]
+                values = lattice.inner_product(params, sector, pairs)
+                for lhs, rhs in zip(values[::2], values[1::2]):
+                    worst = max(worst, float(abs(lhs - rhs) / max(1.0, abs(lhs))))
     _report(3, "operator symmetry", worst, 1e-12)
 
 
@@ -114,10 +112,9 @@ def test_criterion_04_norm_closed_form():
         for q in Q_GRID:
             params = ModelParams(q, n, m)
             for sector in SECTORS:
-                for j in range(61):
-                    via_quadrature = lattice.inner_product(
-                        params, sector, LatticeFunction.basis(j),
-                        LatticeFunction.basis(j))
+                basis = [LatticeFunction.basis(j) for j in range(61)]
+                norms = lattice.inner_product(params, sector, [(f, f) for f in basis])
+                for j, via_quadrature in enumerate(norms):
                     closed = lattice.indicator_norm_sq(params, sector, j)
                     worst = max(worst, float(abs(via_quadrature - closed)
                                              / abs(closed)))
@@ -294,31 +291,19 @@ def test_criterion_09_summation_identities():
     counterexample).
     """
     worst = 0.0
+    n1_cells = [(1, k, l, t) for k, l, t in itertools.product(range(5), repeat=3)
+                if not (k and l and t)]
     for q in Q_GRID:
-        for n in (2, 3, 4):
-            for k in range(5):
-                for l in range(5):
-                    for t in range(5):
-                        lhs, rhs = fockoracle.negative_block_sum(q, n, k, l, t)
-                        worst = max(worst, float(abs(lhs - rhs))
-                                    / max(1.0, float(abs(rhs))))
-        for k in range(5):
-            for l in range(5):
-                for t in range(5):
-                    if k and l and t:
-                        continue
-                    lhs, rhs = fockoracle.negative_block_sum(q, 1, k, l, t)
-                    worst = max(worst, float(abs(lhs - rhs))
-                                / max(1.0, float(abs(rhs))))
+        for lhs, rhs in fockoracle.negative_block_sum(
+                q, [*itertools.product((2, 3, 4), range(5), range(5), range(5)),
+                    *n1_cells]):
+            worst = max(worst, float(abs(lhs - rhs)) / max(1.0, float(abs(rhs))))
         for lhs, rhs in fockoracle.positive_block_sum(
                 q, itertools.product((2, 3, 4), range(5), range(5))):
             worst = max(worst, float(abs(lhs - rhs)) / max(1.0, float(abs(rhs))))
-        for k in range(5):
-            for l in range(5):
-                for t in range(5):
-                    lhs, rhs = fockoracle.qbinomial_convolution(q, k, l, t)
-                    worst = max(worst, float(abs(lhs - rhs))
-                                / max(1.0, float(abs(rhs))))
+        for lhs, rhs in fockoracle.qbinomial_convolution(
+                q, itertools.product(range(5), repeat=3)):
+            worst = max(worst, float(abs(lhs - rhs)) / max(1.0, float(abs(rhs))))
         for lhs, rhs in fockoracle.pochhammer_geometric_sum(
                 q, itertools.product(range(5), range(1, 5))):
             worst = max(worst, float(abs(lhs - rhs)) / max(1.0, float(abs(rhs))))

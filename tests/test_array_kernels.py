@@ -112,14 +112,21 @@ def test_a_mixed_function_is_promoted_to_its_common_type_first(params):
 
 @pytest.mark.parametrize("params", PARAMS)
 def test_inner_product_keeps_the_bits_of_the_per_index_sum(params):
-    for (sf, sg), kind in itertools.product(
-            [((), ()), ((0,), (0,)), ((3,), (4,)), ((0, 1, 2), (1, 2, 3)),
-             ((0, 3, 4, 9), (2, 3, 7, 8, 12)), (tuple(range(12)), (5,))], KINDS):
-        f = _function(kind, sf, seed=len(sf))
-        g = _function(kind, sg, seed=len(sg) + 10)
-        for sector in (Sector(0, 0), Sector(3, 1), Sector(0, 4)):
-            got = lattice.inner_product(params, sector, f, g)
-            assert _same_bits(got, scalarref.inner_product(params, sector, f, g))
+    """One call over every pair: each value, and each one-pair call, equals
+    the per-index sum of that pair alone."""
+    pairs = [(_function(kind, sf, seed=len(sf)), _function(kind, sg, seed=len(sg) + 10))
+             for (sf, sg), kind in itertools.product(
+                 [((), ()), ((0,), (0,)), ((3,), (4,)), ((0, 1, 2), (1, 2, 3)),
+                  ((0, 3, 4, 9), (2, 3, 7, 8, 12)), (tuple(range(12)), (5,))], KINDS)]
+    for sector in (Sector(0, 0), Sector(3, 1), Sector(0, 4)):
+        got = lattice.inner_product(params, sector, pairs)
+        assert len(got) == len(pairs)
+        for (f, g), value in zip(pairs, got):
+            want = scalarref.inner_product(params, sector, f, g)
+            assert _same_bits(value, want)
+            [alone] = lattice.inner_product(params, sector, [(f, g)])
+            assert _same_bits(alone, want)
+        assert lattice.inner_product(params, sector, []) == []
 
 
 @pytest.mark.parametrize("params", PARAMS)
@@ -162,10 +169,61 @@ def test_qpoch_keeps_the_bits_of_the_running_product(a):
 
 @pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.95])
 def test_qbinomial_convolution_keeps_the_bits_of_the_per_coefficient_loops(q):
-    for k, l, t in itertools.product(range(5), range(5), range(6)):
-        got = fockoracle.qbinomial_convolution(q, k, l, t)
-        want = scalarref.qbinomial_convolution(q, k, l, t)
-        assert all(_same_bits(u, v) for u, v in zip(got, want))
+    """One prefix table over the grid: each side, and each one-point call,
+    equals the per-coefficient loops at that point alone."""
+    grid = list(itertools.product(range(5), range(5), range(6)))
+    for args, sides in zip(grid, fockoracle.qbinomial_convolution(q, grid), strict=True):
+        want = scalarref.qbinomial_convolution(q, *args)
+        assert all(_same_bits(u, v) for u, v in zip(sides, want))
+        [alone] = fockoracle.qbinomial_convolution(q, [args])
+        assert all(_same_bits(u, v) for u, v in zip(alone, want))
+
+
+def _qpoch_inf_cases():
+    """(a, base, tol): every kind of a at every base and tolerance, and a
+    whose factor count is 0 or lands on either side of a chunk edge."""
+    tols = (qcore.DEFAULT_INF_TOL, qcore.LD_INF_TOL)
+    bases = (0.0, 1e-12, 0.01, 0.25, 0.9025, _LD(0.95) ** 2)
+    kinds = (lambda r: r, lambda r: complex(r, -r / 2), lambda r: _LD(r) / 3,
+             lambda r: _CLD(complex(r, r / 2)) / 3)
+    for base, tol, kind in itertools.product(bases, tols, kinds):
+        for r in (0.3, -0.7, 2.5, 1e-3, -40.0):
+            yield kind(r), base, tol
+        yield kind(0.0), base, tol
+        yield kind(tol / 2), base, tol
+    chunk = qcore._CHUNK
+    for count, tol in itertools.product((chunk - 1, chunk, chunk + 1, 2 * chunk), tols):
+        base = _LD(0.9025)
+        yield tol * base ** _LD(0.5 - count), base, tol
+        yield _CLD(-tol * base ** _LD(0.5 - count)), base, tol
+
+
+def _factor_count(a, base, tol):
+    t, count = (a * 0 + base * 0 + 1.0) * a, 0
+    while abs(t) >= tol:
+        t, count = t * base, count + 1
+    return count
+
+
+def test_qpoch_inf_keeps_the_bits_of_the_factor_loop():
+    """The chunked array folds give the loop's value and type, on and around
+    the chunk edges too."""
+    counts = set()
+    for a, base, tol in _qpoch_inf_cases():
+        got = qcore.qpoch_inf(a, base, tol)
+        assert _same_bits(got, scalarref.qpoch_inf(a, base, tol)), (a, base, tol)
+        counts.add(_factor_count(a, base, tol))
+    chunk = qcore._CHUNK
+    assert {0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk} <= counts
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), _LD("nan"), _LD("-inf"),
+                                 _CLD(complex(0, float("inf"))), complex("nan")])
+def test_qpoch_inf_of_a_non_finite_argument_is_nan(bad):
+    with np.errstate(invalid="ignore"):  # inf * 0 in numpy's types
+        got = qcore.qpoch_inf(bad, 0.5, qcore.LD_INF_TOL)
+        assert _same_bits(got, scalarref.qpoch_inf(bad, 0.5, qcore.LD_INF_TOL))
+    assert np.isnan(got)
 
 
 def test_difference_quotients_are_one_formula():

@@ -32,6 +32,18 @@ def _geometric(q, x, y):
     [sides] = pochhammer_geometric_sum(q, [(x, y)])
     return sides
 
+
+def _negative(q, n, k, l, t):
+    """Both sides of the negative-block identity at one (n, k, l, t)."""
+    [sides] = negative_block_sum(q, [(n, k, l, t)])
+    return sides
+
+
+def _qbinomial(q, k, l, t):
+    """Both sides of the Gaussian-binomial convolution at one (k, l, t)."""
+    [sides] = qbinomial_convolution(q, [(k, l, t)])
+    return sides
+
 F0 = LatticeFunction.basis(0)
 F1 = LatticeFunction.basis(1)
 F2 = LatticeFunction.basis(2)
@@ -196,18 +208,18 @@ def test_negative_block_trivial_cases():
     q = 0.5
     for n in (1, 2, 3):
         for k in range(4):
-            lhs, rhs = negative_block_sum(q, n, k, 0, 0)
+            lhs, rhs = _negative(q, n, k, 0, 0)
             want = float(qpoch(q**-2.0, q**-2.0, k))
             assert float(lhs) == pytest.approx(want, rel=1e-13)
             assert float(rhs) == pytest.approx(want, rel=1e-13)
         for l in range(1, 4):
-            lhs, rhs = negative_block_sum(q, n, 1, l, 0)
+            lhs, rhs = _negative(q, n, 1, l, 0)
             assert float(lhs) == pytest.approx(0.0, abs=1e-13)
             assert float(rhs) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_negative_block_example():
-    lhs, rhs = negative_block_sum(0.5, 3, 2, 1, 2)
+    lhs, rhs = _negative(0.5, 3, 2, 1, 2)
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
@@ -217,7 +229,7 @@ def test_negative_block_grid_n_ge_2():
             for k in range(5):
                 for l in range(5):
                     for t in range(5):
-                        lhs, rhs = negative_block_sum(q, n, k, l, t)
+                        lhs, rhs = _negative(q, n, k, l, t)
                         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
@@ -227,9 +239,9 @@ def test_negative_block_n1_collision_documented():
     cells still agree, the collision cell genuinely does not."""
     q = 0.5
     for (k, l, t) in ((0, 2, 3), (2, 0, 3), (2, 2, 0)):
-        lhs, rhs = negative_block_sum(q, 1, k, l, t)
+        lhs, rhs = _negative(q, 1, k, l, t)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-    lhs, rhs = negative_block_sum(q, 1, 1, 1, 1)
+    lhs, rhs = _negative(q, 1, 1, 1, 1)
     assert float(lhs) == pytest.approx(11.25)
     assert float(rhs) == pytest.approx(2.25)
 
@@ -265,19 +277,22 @@ def _negative_block_fraction_loop(q, n, k, l, t):
 
 @pytest.mark.parametrize("q", [0.01, 0.1, 0.3, 0.5, 0.7, 0.95, 0.123456789])
 def test_negative_block_equals_the_fraction_loop(q):
-    """The scaled-integer sum returns the floats of the exact Fraction loop:
-    on the battery grid (n in {2, 3}, k, l, t in 0..3) and on the full n = 1
-    grid, where lhs != rhs once k, l, t are all positive.  Cells with
+    """The integer quotients return the floats of the exact Fraction loop,
+    zero signs included: over the battery grid (n in {2, 3}, k, l, t in
+    0..3) and over the full n = 1 grid, where lhs != rhs once k, l, t are
+    all positive, each grid in one call and each cell alone.  Cells with
     t - l + 1 <= 0 put a factor 1 - x^0 into the right side's Pochhammer
-    product, which is then 0."""
-    cells = [(n, k, l, t) for n in (2, 3)
-             for k, l, t in itertools.product(range(4), repeat=3)]
-    cells += [(1, k, l, t) for k, l, t in itertools.product(range(5), repeat=3)]
-    for n, k, l, t in cells:
-        want = _negative_block_fraction_loop(q, n, k, l, t)
-        assert negative_block_sum(q, n, k, l, t) == want, (n, k, l, t)
-        if t - l + 1 <= 0:
-            assert want[1] == 0.0
+    product, which is then +0.0."""
+    battery = list(itertools.product((2, 3), range(4), range(4), range(4)))
+    n1 = [(1, k, l, t) for k, l, t in itertools.product(range(5), repeat=3)]
+    for grid in (battery, n1):
+        for cell, got in zip(grid, negative_block_sum(q, grid), strict=True):
+            want = _negative_block_fraction_loop(q, *cell)
+            for sides in (got, _negative(q, *cell)):
+                assert sides == want, cell
+                assert np.signbit(sides).tolist() == np.signbit(want).tolist(), cell
+            if cell[3] - cell[2] + 1 <= 0:
+                assert want[1] == 0.0
 
 
 # ----------------------------------------------------------- identity 2
@@ -304,21 +319,21 @@ def test_positive_block_rejects_small_m():
 
 def test_qbinomial_convolution_trivial():
     q = 0.5
-    lhs, rhs = qbinomial_convolution(q, 3, 2, 0)
+    lhs, rhs = _qbinomial(q, 3, 2, 0)
     assert float(lhs) == pytest.approx(1.0)
     assert float(rhs) == pytest.approx(1.0)
 
 
 def test_qbinomial_convolution_geometric_case():
     q, t = 0.5, 5
-    lhs, rhs = qbinomial_convolution(q, 0, 0, t)
+    lhs, rhs = _qbinomial(q, 0, 0, t)
     want = (1 - q ** (-2.0 * (t + 1))) / (1 - q**-2.0)
     assert float(lhs) == pytest.approx(want, rel=1e-13)
     assert float(rhs) == pytest.approx(want, rel=1e-13)
 
 
 def test_qbinomial_convolution_example():
-    lhs, rhs = qbinomial_convolution(0.5, 2, 3, 4)
+    lhs, rhs = _qbinomial(0.5, 2, 3, 4)
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 

@@ -100,8 +100,9 @@ def test_symmetry_of_quadratic_form():
                for j in range(12)}
     for j in range(10):
         for k in (j, j + 1):
-            lhs = inner_product(params, sec, actions[j], LatticeFunction.basis(k))
-            rhs = inner_product(params, sec, LatticeFunction.basis(j), actions[k])
+            lhs, rhs = inner_product(params, sec, [
+                (actions[j], LatticeFunction.basis(k)),
+                (LatticeFunction.basis(j), actions[k])])
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 

@@ -423,14 +423,14 @@ def test_parseval_and_roundtrip():
         for _ in range(5):
             f = rng.lattice_function(12)
             fhat = transform_grid(params, sector, f, meas)
-            nrm = inner_product(params, sector, f, f)
+            [nrm] = inner_product(params, sector, [(f, f)])
             par = meas.integrate(np.abs(np.asarray(fhat.continuous)) ** 2,
                                  [abs(v) ** 2 for v in fhat.discrete])
             assert abs(par - nrm) <= 1e-10 * abs(nrm)
             rec = inverse_transform_profile(params, sector, fhat, 13)
             err = rec - f
-            rel = np.sqrt(abs(inner_product(params, sector, err, err))
-                          / abs(nrm))
+            [err_nrm] = inner_product(params, sector, [(err, err)])
+            rel = np.sqrt(abs(err_nrm) / abs(nrm))
             assert rel < 1e-10
 
 

@@ -25,7 +25,7 @@ def _parseval_loop(params, sector, cfg):
     worst = 0.0
     for _ in range(10):
         f = rng.lattice_function(15)
-        nrm = lattice.inner_product(params, sector, f, f)
+        [nrm] = lattice.inner_product(params, sector, [(f, f)])
         fhat = spectral.transform_grid(params, sector, f, meas)
         par = meas.integrate(np.abs(np.asarray(fhat.continuous)) ** 2,
                              [abs(v) ** 2 for v in fhat.discrete])
@@ -64,8 +64,8 @@ def _roundtrip_loop(params, sector, cfg):
         fhat = spectral.transform_grid(params, sector, f, meas)
         rec = spectral.inverse_transform_profile(params, sector, fhat, 16)
         err = rec - f
-        num = lattice.inner_product(params, sector, err, err)
-        den = lattice.inner_product(params, sector, f, f)
+        [num] = lattice.inner_product(params, sector, [(err, err)])
+        [den] = lattice.inner_product(params, sector, [(f, f)])
         worst = max(worst, float(np.sqrt(abs(num) / abs(den))))
     return worst
 
@@ -81,8 +81,8 @@ def _symmetry_loop(params, sector, cfg):
                 continue
             fk = LatticeFunction.basis(k)
             afk = laplace.apply_three_term(params, sector, fk)
-            lhs = lattice.inner_product(params, sector, afj, fk)
-            rhs = lattice.inner_product(params, sector, fj, afk)
+            [lhs] = lattice.inner_product(params, sector, [(afj, fk)])
+            [rhs] = lattice.inner_product(params, sector, [(fj, afk)])
             worst = max(worst, float(abs(lhs - rhs) / max(1.0, abs(lhs))))
     return worst
 
@@ -300,3 +300,30 @@ def test_battery_runs_the_public_kernels(monkeypatch):
     results = verify.run_battery(RunConfig())
     assert all(r.passed for r in results)
     assert all(calls.values()), calls
+
+
+#: checks that pair or sum through one call of a grid kernel, with the kernel
+ONE_CALL_CHECKS = [("operator_symmetry", lattice, "inner_product"),
+                   ("basis_orthonormality", lattice, "inner_product"),
+                   ("parseval", lattice, "inner_product"),
+                   ("transform_roundtrip", lattice, "inner_product"),
+                   ("identity_negative_block", fockoracle, "negative_block_sum"),
+                   ("identity_qbinomial_convolution", fockoracle,
+                    "qbinomial_convolution")]
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(q=0.5), RunConfig(q=0.95)], ids=["q0.5", "q0.95"])
+@pytest.mark.parametrize("check,module,name", ONE_CALL_CHECKS,
+                         ids=[check for check, *_ in ONE_CALL_CHECKS])
+def test_check_makes_one_grid_kernel_call(monkeypatch, cfg, check, module, name):
+    calls = []
+    kernel = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    [fn] = [fn for check_name, fn, _, _ in verify.BATTERY if check_name == check]
+    fn(cfg.params(), cfg.sector(), cfg)
+    assert len(calls) == 1
