@@ -131,14 +131,19 @@ def _negative_factor(q, k: int, l: int, a1: int, an: int):
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write ``total`` as ``parts`` nonnegative integers."""
-    if parts == 1:
-        if total >= 0:
-            yield (total,)
+    """All ways to write ``total`` as ``parts`` nonnegative integers, in
+    lexicographic order: stars and bars, the parts being the gaps between
+    ``parts - 1`` bars among ``total + parts - 1`` slots."""
+    if total < 0:
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    end = total + parts - 1
+    for bars in itertools.combinations(range(end), parts - 1):
+        prev, sizes = -1, []
+        for bar in bars:
+            sizes.append(bar - prev - 1)
+            prev = bar
+        sizes.append(end - prev - 1)
+        yield tuple(sizes)
 
 
 def _negative_block(params: ModelParams, quad: Quadruple,

@@ -142,10 +142,35 @@ class JacobiMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues, from the dense symmetric eigensolver on the
-        lower triangle (the only part it reads)."""
-        dense = np.diag(np.asarray(self.diag, dtype=float))
-        dense += np.diag(np.asarray(self.offdiag, dtype=float), -1)
+        lower triangle (the only part it reads, and the only part set)."""
+        size = len(self.diag)
+        dense = np.zeros((size, size))
+        dense.flat[::size + 1] = self.diag
+        dense.flat[size::size + 1] = self.offdiag
         return np.linalg.eigvalsh(dense)
+
+    def count_below(self, x: float) -> int:
+        """Number of eigenvalues below ``x``, in O(size) and without solving.
+
+        By Sylvester's law of inertia it is the number of negative pivots
+        d_0 = a_0 - x, d_i = (a_i - x) - o_(i-1)^2 / d_(i-1) of the LDL^T
+        factorization of T - xI: the Sturm count of bisection (Barth, Martin &
+        Wilkinson 1967; LAPACK ``dstebz``).  A pivot smaller in magnitude than
+        pivmin = tiny * max(1, max_i o_i^2) is replaced by -pivmin, as in
+        LAPACK's ``dlaebz``, so that no pivot is zero and no quotient leaves
+        double range.  An eigenvalue within rounding of x may count either way.
+        """
+        off2 = np.asarray(self.offdiag, dtype=float) ** 2
+        pivmin = np.finfo(float).tiny * max(1.0, float(off2.max(initial=0.0)))
+        count, d = 0, 1.0
+        shifted = (np.asarray(self.diag, dtype=float) - float(x)).tolist()
+        for a, o2 in zip(shifted, [0.0, *off2.tolist()]):
+            d = a - o2 / d
+            if d < pivmin:  # negative, or replaced by -pivmin
+                if d > -pivmin:
+                    d = -pivmin
+                count += 1
+        return count
 
     def to_json(self) -> dict:
         return {"diag": [float(v) for v in self.diag],

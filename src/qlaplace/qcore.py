@@ -17,6 +17,7 @@ and so a positive real part.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 __all__ = [
@@ -75,9 +76,9 @@ def qpoch_inf(a, base, tol: float = DEFAULT_INF_TOL):
     Multiplies factors 1 - a*base^i until |a*base^i| < tol; no tail
     correction is applied.  Requires |base| < 1.  The neglected tail has
     relative size O(tol / (1 - |base|)).  The terms and the running product
-    are left folds by ``np.multiply.accumulate``, ``_CHUNK`` factors at a
-    time, in the type of a * 0 + base * 0 + 1.0: value and type are those of
-    the loop that multiplies one factor per step.
+    are left folds by ``np.multiply.accumulate``, at most ``_CHUNK`` factors
+    at a time, in the type of a * 0 + base * 0 + 1.0: value and type are
+    those of the loop that multiplies one factor per step.
     """
     if abs(base) >= 1:
         raise ValueError(f"infinite product requires |base| < 1, got {base!r}")
@@ -87,17 +88,26 @@ def qpoch_inf(a, base, tol: float = DEFAULT_INF_TOL):
 
     acc = a * 0 + base * 0 + 1.0  # NaN for a NaN or infinite a: no factor runs
     kind, t = type(acc), acc * a
+    if base == 0:  # one factor at most, the loop's own step
+        return kind(acc * (1 - t) if abs(t) >= tol else acc)
     # the loop t -> t * base, acc -> acc * (1 - t) as two sequential
-    # np.multiply.accumulate folds per chunk, carrying t and acc forward
-    steps = np.full(_CHUNK + 1, base, dtype=np.asarray(acc).dtype)
+    # np.multiply.accumulate folds per chunk, carrying t and acc forward; a
+    # chunk holds the count estimate ceil(ln(tol/|t|) / ln|base|) + 1 (+1 for
+    # rounding), at most _CHUNK, so that a short product runs short arrays
+    size = _CHUNK
+    if abs(t) >= tol:
+        est = (math.log(tol) - math.log(abs(t))) / math.log(abs(base))
+        if est < _CHUNK:
+            size = min(math.ceil(est) + 1, _CHUNK)
+    steps = np.full(size + 1, base, dtype=np.asarray(acc).dtype)
     factors = np.empty_like(steps)
     while abs(t) >= tol:
         steps[0] = t
-        ts = np.multiply.accumulate(steps)  # t base^i, i = 0..CHUNK
+        ts = np.multiply.accumulate(steps)  # t base^i, i = 0..size
         small = np.abs(ts[:-1]) < tol
         cut = int(small.argmax())  # the first small term, or 0 if none is
         if not small[cut]:
-            cut = _CHUNK
+            cut = size
         factors[0] = acc
         np.subtract(1, ts[:cut], out=factors[1:cut + 1])
         acc = np.multiply.accumulate(factors[:cut + 1])[-1]

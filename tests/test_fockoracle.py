@@ -246,6 +246,25 @@ def test_negative_block_n1_collision_documented():
     assert float(rhs) == pytest.approx(2.25)
 
 
+def _compositions_recursive(total, parts):
+    """The compositions as one nested generator per part, first part outermost."""
+    if parts == 1:
+        if total >= 0:
+            yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions_recursive(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_keep_the_order_of_the_recursive_generator():
+    """Stars and bars yield the nested generators' sequence, so every sum
+    over the compositions adds its terms in the same order."""
+    for total, parts in itertools.product(range(-2, 9), range(1, 7)):
+        assert list(fockoracle._compositions(total, parts)) \
+            == list(_compositions_recursive(total, parts)), (total, parts)
+
+
 def _poch_fraction(a, base, k):
     acc = Fraction(1)
     p = Fraction(1)

@@ -10,7 +10,8 @@ import pytest
 import mpref
 from qlaplace import asc, spectral
 from qlaplace._rng import Lcg
-from qlaplace.laplace import apply_three_term, eigenvalue, jacobi_matrix
+from qlaplace.laplace import (JacobiMatrix, apply_three_term, eigenvalue,
+                              jacobi_matrix)
 from qlaplace.lattice import (LatticeFunction, ModelParams, Sector,
                               inner_product, measure_mass)
 from qlaplace.qcore import qpoch
@@ -678,6 +679,34 @@ def test_jacobi_truncation_converges_into_spectrum():
             for t in spec.discrete:
                 d = min(d, abs(x - t))
             assert d < 1e-6
+
+
+def test_count_below_is_the_number_of_dense_eigenvalues_below():
+    """The inertia count against the dense solve at the band edges, between
+    the marks and just off each discrete eigenvalue.  On a discrete
+    eigenvalue the truncation has one within rounding of x, and rounding
+    decides its side: there the count lies between the dense counts a
+    rounding margin either side."""
+    for params, sector in CASES:
+        jm = jacobi_matrix(params, sector, 400)
+        ev = jm.eigenvalues()
+        spec = spectrum(params, sector)
+        marks = sorted([*spec.band, *spec.discrete])
+        exact = [*spec.band, *[(u + v) / 2 for u, v in zip(marks, marks[1:])],
+                 *[t + s * 1e-9 * abs(t) for t in spec.discrete for s in (-1, 1)]]
+        for x in exact:
+            assert jm.count_below(x) == np.count_nonzero(ev < x), (params, sector, x)
+        tol = 64 * np.finfo(float).eps * np.abs(ev).max()
+        for x in spec.discrete:
+            assert np.count_nonzero(ev < x - tol) <= jm.count_below(x) \
+                <= np.count_nonzero(ev < x + tol), (params, sector, x)
+
+
+def test_count_below_replaces_a_zero_pivot():
+    """[[0, 1], [1, 0]] - 0 I has the zero pivot d_0 = 0, which becomes
+    -pivmin: one eigenvalue (-1) below 0, and no division by zero."""
+    jm = JacobiMatrix(np.zeros(2), np.ones(1))
+    assert [jm.count_below(x) for x in (-2.0, 0.0, 2.0)] == [0, 1, 2]
 
 
 def test_containment_equals_the_per_eigenvalue_loop_and_keeps_a_nan():

@@ -173,6 +173,76 @@ def test_battery_passes_across_the_domain_sweep(q, n, m, L, Lp):
     assert not _failed_checks(q, n, m, L, Lp)
 
 
+class _DenseSolve(Exception):
+    pass
+
+
+def test_containment_solves_only_when_an_eigenvalue_leaves_the_band(monkeypatch):
+    """Without point masses the inertia counts find every eigenvalue in the
+    band and the dense solve never runs; with two it does."""
+    def refuse(self):
+        raise _DenseSolve
+    monkeypatch.setattr(laplace.JacobiMatrix, "eigenvalues", refuse)
+    for cfg in (RunConfig(q=0.5), RunConfig(q=0.95)):
+        assert verify.check_spectrum_containment(cfg.params(), cfg.sector(), cfg) == 0.0
+    cfg = RunConfig(q=0.5, m=4, Lp=2)
+    with pytest.raises(_DenseSolve):
+        verify.check_spectrum_containment(cfg.params(), cfg.sector(), cfg)
+
+
+@pytest.mark.parametrize("edge", [0, 1], ids=["lower", "upper"])
+def test_containment_measures_an_eigenvalue_past_either_edge(monkeypatch, edge):
+    """With one band edge moved past the eigenvalues nearest it, the count at
+    that edge sends the check to the dense solve, which measures them."""
+    cfg = RunConfig(q=0.5)
+    params, sector = cfg.params(), cfg.sector()
+    ev = laplace.jacobi_matrix(params, sector, verify.CONTAINMENT_SIZE).eigenvalues()
+    band = list(spectral.spectrum(params, sector).band)
+    band[edge] = float(ev[3] if edge == 0 else ev[-4])
+    moved = spectral.Spectrum(band=tuple(band), discrete=())
+    monkeypatch.setattr(spectral, "spectrum", lambda params, sector: moved)
+    got = verify.check_spectrum_containment(params, sector, cfg)
+    assert got > 0.0
+    assert got == moved.containment(ev)
+
+
+def _dense_containment(params, sector):
+    """The containment residual from every eigenvalue of the dense solve,
+    the matrix built first as in the check."""
+    jm = laplace.jacobi_matrix(params, sector, verify.CONTAINMENT_SIZE)
+    return spectral.spectrum(params, sector).containment(jm.eigenvalues())
+
+
+def _assert_dense_bits(cfg):
+    """The check's residual has the bits of the full eigenvalue set's, and
+    where that raises, the check raises the same type."""
+    params, sector = cfg.params(), cfg.sector()
+    try:
+        want = _dense_containment(params, sector)
+    except Exception as exc:  # any type: the check must raise the same one
+        with pytest.raises(type(exc)):
+            verify.check_spectrum_containment(params, sector, cfg)
+        return
+    got = verify.check_spectrum_containment(params, sector, cfg)
+    assert got.hex() == float(want).hex(), cfg
+
+
+@pytest.mark.parametrize("q", [1e-6, 0.001, 0.01, 0.1, 0.3, 0.5, 0.6, 0.9, 0.95])
+def test_containment_keeps_the_bits_of_the_dense_solve(q):
+    for n, m, L, Lp in SWEEP_SECTORS:
+        _assert_dense_bits(RunConfig(q=q, n=n, m=m, L=L, Lp=Lp))
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(q=0.01, n=2, m=200),
+    RunConfig(q=0.00016640942421768955, n=3, m=2, Lp=94),
+], ids=["scalar-power", "array-power"])
+def test_containment_refuses_entries_past_double_range_as_the_dense_solve(cfg):
+    with pytest.raises(OverflowError, match="operator coefficients overflow"):
+        _dense_containment(cfg.params(), cfg.sector())
+    _assert_dense_bits(cfg)
+
+
 @pytest.mark.parametrize("cfg", [
     RunConfig(q=0.5), RunConfig(q=0.95), RunConfig(q=0.5, m=4, Lp=2),
     RunConfig(q=0.3, n=3, m=4), RunConfig(q=0.9, n=2, m=6, Lp=2),
