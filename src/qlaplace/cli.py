@@ -30,7 +30,8 @@ import numpy as np
 from . import fockoracle, laplace, spectral
 from .lattice import (LatticeFunction, ModelParams, Quadruple, Sector,
                       hwv_inner_product)
-from .verify import CONTAINMENT_SIZE, CONTAINMENT_THRESHOLD, run_battery
+from .verify import (CONTAINMENT_SIZE, CONTAINMENT_THRESHOLD, oracle_error,
+                     run_battery)
 
 SCHEMA_VERSION = 1
 
@@ -312,7 +313,7 @@ def oracle(out, quadruple, **kw):
         "quadruple": list(quadruple),
         "oracle": float(o),
         "closed_form": float(c),
-        "rel_err": float(abs(o - c) / max(1e-300, abs(c))),
+        "rel_err": oracle_error(o, c),
         "depth": fockoracle._depth(params.q),
     })
 

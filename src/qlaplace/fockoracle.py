@@ -1,11 +1,11 @@
-"""Brute-force trace realization of the invariant integral, plus the
-summation identities used to reduce it in closed form.
+"""Trace realization of the invariant integral, plus the summation
+identities used to reduce it in closed form.
 
 The invariant integral of a product of two dressed lattice functions is a
 weighted trace over a truncated multi-index space: indices a_1..a_n run over
 nonpositive integers, a_{n+1}..a_{N-1} over positive integers, each basis
-vector contributing an explicitly known diagonal factor
-(:func:`diagonal_action`) times the trace weight q^(2 sum (N-i) a_i).
+vector contributing an explicitly known diagonal factor times the trace
+weight q^(2 sum (N-i) a_i).
 
 The sum factorizes exactly over the two index blocks, and the oracle
 evaluates that product (``_oracle_values``): the normalizer and the
@@ -13,9 +13,9 @@ quadruple prefactor times the negative-block sum, which is finite (the
 function reads vanish once sum a_i leaves the support), times the
 positive-block sum.  Both blocks are summed term by term, with no closed-form
 summation identity, so the oracle independently validates the closed-form
-pairing of :func:`qlaplace.lattice.hwv_inner_product`.  ``diagonal_action``
-is not called by the oracle; it is the per-vector reference whose literal
-sum the tests compare with it.
+pairing of :func:`qlaplace.lattice.hwv_inner_product`.  The literal
+per-basis-vector definition (``FockIndex``, ``diagonal_action``) lives in
+``tests/scalarref.py``, whose literal sum the tests compare with the oracle.
 
 The positive block and the identities' geometric sums run D terms per index,
 D the first depth with q^(2D) < ``LD_INF_TOL``; the oracle also checks at 2D.
@@ -40,8 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -51,8 +49,6 @@ from .qcore import (LD_INF_TOL, ConvergenceError, _qbinomial_from,
                     _qpoch_prefixes, qpoch)
 
 __all__ = [
-    "FockIndex",
-    "diagonal_action",
     "invariant_integral",
     "negative_block_sum",
     "positive_block_sum",
@@ -61,60 +57,6 @@ __all__ = [
 ]
 
 _LD = np.longdouble
-
-
-@dataclass(frozen=True)
-class FockIndex:
-    """Multi-index (a_1, ..., a_{N-1}): first n entries <= 0, rest >= 1."""
-
-    values: tuple[int, ...]
-
-    def validate(self, params: ModelParams) -> None:
-        if len(self.values) != params.N - 1:
-            raise ValueError(f"index length {len(self.values)} != N-1 = "
-                             f"{params.N - 1}")
-        if any(v > 0 for v in self.values[:params.n]):
-            raise ValueError("first n entries must be nonpositive")
-        if any(v < 1 for v in self.values[params.n:]):
-            raise ValueError("trailing entries must be >= 1")
-
-
-def _require_n_ge_2(params: ModelParams) -> None:
-    if params.n == 1:
-        raise ValueError(
-            "the trace oracle is not defined for n = 1 (the two "
-            "negative-block Pochhammer factors would collide on one index)")
-
-
-def diagonal_action(params: ModelParams, quad: Quadruple,
-                    phi: Mapping[int, complex], psi: Mapping[int, complex],
-                    idx: FockIndex):
-    """Diagonal matrix element of the dressed pairing on one basis vector.
-
-    Returns the known eigenvalue factor times conj(psi) phi read at the
-    lattice point q^(2l + 2 sum_{i<=n} a_i); reads landing off the lattice
-    (positive exponent) give 0.
-    """
-    _require_n_ge_2(params)
-    idx.validate(params)
-    q = params.q_ld
-    n = params.n
-    k, l, kp, lp = quad.k, quad.l, quad.kp, quad.lp
-    neg = idx.values[:n]
-    pos = idx.values[n:]
-    c = sum(neg)
-    jread = -(l + c)
-    if jread < 0:
-        return _LD(0.0)
-    read = np.conjugate(psi.get(jread, 0.0)) * phi.get(jread, 0.0)
-    if read == 0:
-        return _LD(0.0)
-    val = _quadruple_prefactor(q, quad) \
-        * _negative_factor(q, k, l, neg[0], neg[-1])
-    val = val * qpoch(q ** _LD(2 * pos[0] - 2), q ** _LD(-2), lp)
-    val = val * q ** _LD(2 * kp * (sum(neg) + sum(pos)))
-    val = val * q ** _LD(2 * (l + lp) * c)
-    return val * read
 
 
 def _quadruple_prefactor(q, quad: Quadruple):
@@ -242,14 +184,17 @@ def invariant_integral(params: ModelParams, quads, pairs) -> list:
     of ``pairs``, one row per quadruple of ``quads``.
 
     Evaluates the factorized trace of ``_oracle_values``: the product of the
-    two index blocks' sums, which equals the sum of :func:`diagonal_action`
-    times the trace weight over all indices (the negative block is finite
-    once the reads vanish), each positive index taking D = ``_depth(q)``
-    terms, the first from a = lp + 1.
+    two index blocks' sums, which equals the sum of the diagonal factor times
+    the trace weight over all indices (the negative block is finite once the
+    reads vanish), each positive index taking D = ``_depth(q)`` terms, the
+    first from a = lp + 1.
     Every value is recomputed at 2D, and a relative movement above 1e-12
     raises ConvergenceError; otherwise the 2D values are returned.
     """
-    _require_n_ge_2(params)
+    if params.n == 1:
+        raise ValueError(
+            "the trace oracle is not defined for n = 1 (the two "
+            "negative-block Pochhammer factors would collide on one index)")
     depth = _depth(params.q)
     rows = _oracle_values(params, quads, pairs, depth, 2 * depth)
     for row in rows:
@@ -341,8 +286,7 @@ def negative_block_sum(q: float, grid) -> list:
     single index and lhs != rhs.  Both sides are returned so callers can
     check agreement on their own grid.
     """
-    qf = Fraction(q)
-    u, v = qf.numerator ** 2, qf.denominator ** 2
+    u, v = (c ** 2 for c in float(q).as_integer_ratio())
     sides = [_common_scale(*side) for cell in grid
              for side in _negative_block_terms(*cell)]
     top = max((reach for _, reach in sides), default=0)

@@ -1,8 +1,9 @@
 """q-calculus primitives.
 
-q-Pochhammer symbols (finite and truncated-infinite), Gaussian q-binomial
-coefficients, the Jackson integral on the lattice x = q^(-2j), and the
-forward / backward q-difference quotients.
+q-Pochhammer symbols (finite and truncated-infinite), the Gaussian
+q-binomial coefficient read from a table of Pochhammer prefixes
+(``_qbinomial_from``), the Jackson integral on the lattice x = q^(-2j), and
+the forward / backward q-difference quotients.
 
 All routines are dtype-preserving: they accept Python floats/complex or numpy
 scalars (including ``np.longdouble`` / ``np.clongdouble``) and carry the input
@@ -24,7 +25,6 @@ __all__ = [
     "ConvergenceError",
     "qpoch",
     "qpoch_inf",
-    "qbinomial",
     "jackson_integral",
     "bminus",
     "bplus",
@@ -115,19 +115,9 @@ def qpoch_inf(a, base, tol: float = DEFAULT_INF_TOL):
     return kind(acc)
 
 
-def qbinomial(a: int, b: int, base):
-    """Gaussian binomial coefficient [a; b] at the given base.
-
-    Equals (base; base)_a / ((base; base)_b (base; base)_{a-b}); the three
-    symbols are partial products of one running product.
-    """
-    if b < 0 or a < 0 or b > a:
-        raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
-    return _qbinomial_from(_qpoch_prefixes(base, base, a), a, b)
-
-
 def _qbinomial_from(table, a: int, b: int):
-    """[a; b] from ``table``, the prefixes of (base; base) to order >= a."""
+    """[a; b] = (base; base)_a / ((base; base)_b (base; base)_{a-b}), 0 <= b <= a,
+    from ``table``, the prefixes of (base; base) to order >= a."""
     return table[a] / (table[b] * table[a - b])
 
 

@@ -276,6 +276,15 @@ def check_spectrum_containment(params, sector, cfg) -> float:
     return _worst([spec.containment(jm.eigenvalues())])
 
 
+def oracle_error(oracle, closed_form) -> float:
+    """The trace oracle's gap to the closed-form pairing, relative to
+    |closed_form|, or |oracle| where the closed form is 0: the comparison of
+    ``trace_oracle_agreement`` and of the ``oracle`` command's ``rel_err``."""
+    if closed_form == 0:
+        return float(abs(oracle))
+    return float(abs(oracle - closed_form) / abs(closed_form))
+
+
 def check_oracle(params, sector, cfg) -> float:
     f0, f1 = LatticeFunction.basis(0), LatticeFunction.basis(1)
     f01 = f0 + f1
@@ -287,8 +296,7 @@ def check_oracle(params, sector, cfg) -> float:
     for quad, row in zip(quads, oracle):
         for (phi, psi), o in zip(pairs, row):
             c = lattice.hwv_inner_product(params, quad, phi, psi)
-            errors.append(float(abs(o - c) / abs(c)) if c != 0
-                          else float(abs(o)))
+            errors.append(oracle_error(o, c))
     return _worst(errors)
 
 

@@ -1,19 +1,25 @@
 """Per-index references of the lattice-side kernels: the formulas the array
 kernels of ``lattice``, ``laplace``, ``qcore`` and ``fockoracle`` replace,
 written one lattice index (one Python call) at a time, the factor loop of
-``qcore.qpoch_inf``, the per-degree
-loop of the Al-Salam-Chihara recurrence in ``asc``, and the positive-block
-sums of ``fockoracle`` with every power formed for one call alone.
+``qcore.qpoch_inf``, the Gaussian binomial of three Pochhammer loops, the
+per-degree loop of the Al-Salam-Chihara recurrence in ``asc``, the
+positive-block sums of ``fockoracle`` with every power formed for one call
+alone, and the trace oracle's literal definition: the multi-index
+(``FockIndex``) and the diagonal factor of the dressed pairing on one basis
+vector (``diagonal_action``).
 
 Each reference repeats the operations of the array kernel in the same order
 on scalars, so for a function whose values share one type the two agree bit
 for bit.  Nothing here is imported by the library.
 """
 
+from dataclasses import dataclass
+from typing import Mapping
+
 import numpy as np
 
-from qlaplace import fockoracle
-from qlaplace.lattice import invariant_integral_normalizer
+from qlaplace import fockoracle, qcore
+from qlaplace.lattice import ModelParams, Quadruple, invariant_integral_normalizer
 
 _LD = np.longdouble
 
@@ -201,3 +207,55 @@ def recurrence_table(kmax, z, p):
         prev, cur = cur, nxt
         table.append(cur)
     return table
+
+
+@dataclass(frozen=True)
+class FockIndex:
+    """Multi-index (a_1, ..., a_{N-1}): first n entries <= 0, rest >= 1."""
+
+    values: tuple[int, ...]
+
+    def validate(self, params: ModelParams) -> None:
+        if len(self.values) != params.N - 1:
+            raise ValueError(f"index length {len(self.values)} != N-1 = "
+                             f"{params.N - 1}")
+        if any(v > 0 for v in self.values[:params.n]):
+            raise ValueError("first n entries must be nonpositive")
+        if any(v < 1 for v in self.values[params.n:]):
+            raise ValueError("trailing entries must be >= 1")
+
+
+def diagonal_action(params: ModelParams, quad: Quadruple,
+                    phi: Mapping[int, complex], psi: Mapping[int, complex],
+                    idx: FockIndex):
+    """Diagonal matrix element of the dressed pairing on one basis vector.
+
+    Returns the known eigenvalue factor times conj(psi) phi read at the
+    lattice point q^(2l + 2 sum_{i<=n} a_i); reads landing off the lattice
+    (positive exponent) give 0.  The sum of these times the trace weight
+    q^(2 sum (N-i) a_i) over all indices is the trace that
+    ``fockoracle.invariant_integral`` evaluates block by block.
+    """
+    if params.n == 1:
+        raise ValueError(
+            "the trace oracle is not defined for n = 1 (the two "
+            "negative-block Pochhammer factors would collide on one index)")
+    idx.validate(params)
+    q = params.q_ld
+    n = params.n
+    k, l, kp, lp = quad.k, quad.l, quad.kp, quad.lp
+    neg = idx.values[:n]
+    pos = idx.values[n:]
+    c = sum(neg)
+    jread = -(l + c)
+    if jread < 0:
+        return _LD(0.0)
+    read = np.conjugate(psi.get(jread, 0.0)) * phi.get(jread, 0.0)
+    if read == 0:
+        return _LD(0.0)
+    val = fockoracle._quadruple_prefactor(q, quad) \
+        * fockoracle._negative_factor(q, k, l, neg[0], neg[-1])
+    val = val * qcore.qpoch(q ** _LD(2 * pos[0] - 2), q ** _LD(-2), lp)
+    val = val * q ** _LD(2 * kp * (sum(neg) + sum(pos)))
+    val = val * q ** _LD(2 * (l + lp) * c)
+    return val * read

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import qlaplace
 from qlaplace import asc, fockoracle, verify
 from qlaplace.cli import RunConfig, main
+from qlaplace.lattice import LatticeFunction, ModelParams, Quadruple, hwv_inner_product
 from qlaplace.qcore import ConvergenceError
 from qlaplace.verify import check_spectrum_containment
 
@@ -279,6 +280,22 @@ def test_oracle_report():
     assert set(report) >= {"quadruple", "oracle", "closed_form", "rel_err", "depth"}
     assert report["rel_err"] < 1e-9
     assert report["depth"] == fockoracle._depth(0.5) == 32
+
+
+def test_oracle_rel_err_is_the_checks_relative_gap_below_1e_300():
+    """At q=0.001 the closed form is 1e-894 in longdouble, past any double
+    floor: ``rel_err`` still reads the gap relative to it, as the battery's
+    ``trace_oracle_agreement`` does, not 0.0."""
+    res = run("oracle", "--q", "0.001", "--n", "2", "--m", "10",
+              "--quadruple", "0", "0", "10", "10")
+    assert res.exit_code == 0
+    report = json.loads(res.stdout)
+    params, quad = ModelParams(0.001, 2, 10), Quadruple(0, 0, 10, 10)
+    f = LatticeFunction.basis(0) + LatticeFunction.basis(1)
+    [[o]] = fockoracle.invariant_integral(params, [quad], [(f, f)])
+    c = hwv_inner_product(params, quad, f, f)
+    assert 0 < abs(c) < 1e-300
+    assert report["rel_err"] == float(abs(o - c) / abs(c)) > 0
 
 
 def test_oracle_reports_at_the_q_bound():

