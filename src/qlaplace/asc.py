@@ -376,6 +376,7 @@ _NODE_TOL = 1e-12
 #: magnitude of the running term at which ``_masked_qpoch_inf`` turns from
 #: multiplying factors to the log series of the rest of the product
 _LOG_SPLIT = 0.1
+#: most theta nodes of a measure grid, for the pole rule and a requested floor
 _MAX_NODES = 2 ** 14
 
 
@@ -406,7 +407,7 @@ def _node_count(p: AscParams, floor: int) -> int:
 
 def orthogonality_measure(p: AscParams, quad_nodes: int) -> SpectralMeasure:
     """The orthogonality measure of the family on a trapezoid theta grid of
-    :func:`_node_count` nodes, at least ``quad_nodes``.
+    :func:`_node_count` nodes, at least ``quad_nodes`` (16 to ``_MAX_NODES``).
 
     The moments reproduce
         integral Q_i Q_j dmu = delta_ij / ((base^(i+1); base)_inf
@@ -422,6 +423,8 @@ def _grid_measure(p: AscParams, discrete, quad_nodes: int) -> SpectralMeasure:
     already enumerated."""
     if quad_nodes < 16:
         raise ValueError(f"need quad_nodes >= 16, got {quad_nodes}")
+    if quad_nodes > _MAX_NODES:
+        raise ValueError(f"need quad_nodes <= {_MAX_NODES}, got {quad_nodes}")
     theta = np.linspace(0, np.pi, _node_count(p, quad_nodes)).astype(_LD)
     return SpectralMeasure(theta_nodes=theta, params=p, discrete=discrete)
 

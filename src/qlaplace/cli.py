@@ -28,6 +28,7 @@ import click
 import numpy as np
 
 from . import fockoracle, laplace, spectral
+from .asc import _MAX_NODES
 from .lattice import (LatticeFunction, ModelParams, Quadruple, Sector,
                       hwv_inner_product)
 from .verify import (CONTAINMENT_SIZE, CONTAINMENT_THRESHOLD, oracle_error,
@@ -58,6 +59,9 @@ class RunConfig:
                 "operator coefficients scale like 1/(1-q^2))")
         if self.quad_nodes < 16:
             raise click.UsageError(f"--quad-nodes must be >= 16, got {self.quad_nodes}")
+        if self.quad_nodes > _MAX_NODES:
+            raise click.UsageError(
+                f"--quad-nodes must be <= {_MAX_NODES}, got {self.quad_nodes}")
 
     def params(self) -> ModelParams:
         return ModelParams(q=self.q, n=self.n, m=self.m)

@@ -210,9 +210,9 @@ def jacobi_matrix(params: ModelParams, sector: Sector, size: int) -> JacobiMatri
     return JacobiMatrix(diag=diag, offdiag=off)
 
 
-def eigenvalue(params: ModelParams, point):
-    """Operator eigenvalue at a spectral point, a raw z value, or elementwise
-    on an array of z values (each entry keeps the bits of its scalar call).
+def eigenvalue(params: ModelParams, z):
+    """Operator eigenvalue at z, elementwise on an array of z values (each
+    entry keeps the bits of its scalar call).
 
     lambda(z) = q^N (2z - q^(N-1) - q^(1-N)) / ((1-q^2)(1-q^(2(N-1)))).
     Real for z in [-1, 1] (continuous band) and for real z > 1 (discrete
@@ -220,7 +220,6 @@ def eigenvalue(params: ModelParams, point):
     ``longdouble`` value and a complex z (off the spectrum) a ``clongdouble``
     one.
     """
-    z = getattr(point, "z", point)
     z = np.clongdouble(z) if np.iscomplexobj(z) else _LD(z)
     q = params.q_ld
     N = params.N

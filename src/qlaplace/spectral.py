@@ -1,6 +1,6 @@
 """Eigenfunctions, Plancherel measure, and the unitary spectral transform.
 
-A spectral point carries z: on the continuous band z = cos(theta), theta
+The spectral variable is z: on the continuous band z = cos(theta), theta
 in [0, pi]; off the band z > 1, and the Plancherel mass points
 (z = (w + 1/w)/2 with w = a q^(2k) > 1) are the ``asc.DiscreteMass`` values.
 The generalized eigenfunction of the sector operator takes the value 1 at the
@@ -18,8 +18,9 @@ the base-point indicator to the constant function 1).
 Numerical notes.  Eigenfunction profiles are evaluated in extended precision
 through the three-term recurrence of :mod:`qlaplace.asc`
 (``asc_recurrence(max_j, z, p)``, the table of degrees 0..max_j shared with
-the moment table ``asc.orthogonality_residual``), which runs all nodes of a
-quadrature grid at once, with bits identical to the per-point evaluation.
+the moment table ``asc.orthogonality_residual``), which runs every z of
+:func:`eigenfunction_profile` at once, with bits identical to the per-point
+evaluation.
 On the band, and off it away from the mass points, the polynomial is the
 dominant solution of its recurrence, so the forward run keeps its relative
 accuracy.  At discrete mass points
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -51,8 +52,6 @@ from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
 
 __all__ = [
-    "SpectralPoint",
-    "continuous_point",
     "point_from_exponent",
     "asc_params",
     "eigenfunction_profile",
@@ -70,24 +69,9 @@ _LD = np.longdouble
 _CLD = np.clongdouble
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A point z of the spectral variable that is not a Plancherel mass
-    point (those are ``asc.DiscreteMass``)."""
-
-    z: float
-
-
-def continuous_point(theta: float) -> SpectralPoint:
-    """Band point z = cos(theta)."""
-    if not (0.0 <= theta <= math.pi):
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    return SpectralPoint(z=math.cos(theta))
-
-
-def point_from_exponent(params: ModelParams, ell) -> SpectralPoint:
-    """Point z = (w + 1/w)/2 with w = q^(2*ell + N - 1) for a real spectral
-    label ell.
+def point_from_exponent(params: ModelParams, ell) -> float:
+    """z = (w + 1/w)/2 with w = q^(2*ell + N - 1) for a real spectral label
+    ell, as a float.
 
     Integer ell >= 1 gives z > 1 off the band (generalized eigenfunctions
     used in operator tests); ell = 0 gives the zero of the eigenvalue map.
@@ -98,7 +82,7 @@ def point_from_exponent(params: ModelParams, ell) -> SpectralPoint:
     if not math.isfinite(z):
         raise ValueError(f"w = q^(2 ell + N - 1) = {w} underflows double at "
                          f"ell={ell}, q={params.q}, N={params.N}: z is not finite")
-    return SpectralPoint(z=z)
+    return z
 
 
 def asc_params(params: ModelParams, sector: Sector) -> AscParams:
@@ -110,39 +94,29 @@ def asc_params(params: ModelParams, sector: Sector) -> AscParams:
     return AscParams(a=a, b=b, base=q * q)
 
 
-def _profile_recurrence(params: ModelParams, sector: Sector, z,
-                        max_j: int) -> np.ndarray:
-    """Eigenfunction values at j = 0..max_j, one row per entry of the 1-D
-    ``longdouble`` array ``z``: the recurrence table of
-    :func:`qlaplace.asc.asc_recurrence` with degree j rescaled by
-    b^j / (a b; q^2)_j."""
+def eigenfunction_profile(params: ModelParams, sector: Sector, z,
+                          discrete: Sequence[DiscreteMass], max_j: int):
+    """Eigenfunction values at lattice indices 0..max_j (value 1 at j = 0),
+    as (cont, disc).
+
+    cont[t, j] is at the t-th entry of the 1-D ``longdouble`` array ``z``: the
+    recurrence table of :func:`qlaplace.asc.asc_recurrence` with degree j
+    rescaled by b^j / (a b; q^2)_j.  disc[k, j] = (b/a)^j S_j is at the k-th
+    mass point of the sector in ``discrete`` (``asc.DiscreteMass`` values),
+    from the terminating sum S_j of :func:`qlaplace.asc._mass_point_series`.
+    Every row has the bits of a call on that point alone.
+    """
+    if max_j < 0:
+        raise ValueError("max_j must be nonnegative")
     pp = asc_params(params, sector)
     ppow = _running_products(np.full(max_j, pp.base))
     scale = _running_products(pp.b / (1 - pp.a * pp.b * ppow[:-1]))
-    return np.stack(asc_recurrence(max_j, z, pp), axis=-1) * scale
-
-
-def _profile_mass_point(params: ModelParams, sector: Sector, kd: int,
-                        max_j: int) -> np.ndarray:
-    """Eigenfunction values (b/a)^j S_j at the kd-th mass point, j = 0..max_j,
-    from the terminating sum S_j of :func:`qlaplace.asc._mass_point_series`."""
-    pp = asc_params(params, sector)
+    cont = np.stack(asc_recurrence(max_j, z, pp), axis=-1) * scale
     j = np.arange(max_j + 1).astype(_LD)
-    return (pp.b / pp.a) ** j * _mass_point_series(max_j, kd, pp)
-
-
-def eigenfunction_profile(params: ModelParams, sector: Sector,
-                          point: SpectralPoint | DiscreteMass,
-                          max_j: int) -> np.ndarray:
-    """Eigenfunction values at lattice indices 0..max_j (value 1 at j = 0);
-    a mass point of the sector (``asc.DiscreteMass``) takes the terminating
-    sum."""
-    if max_j < 0:
-        raise ValueError("max_j must be nonnegative")
-    if isinstance(point, DiscreteMass):
-        return _profile_mass_point(params, sector, point.index, max_j)
-    return _profile_recurrence(params, sector, np.array([point.z], dtype=_LD),
-                               max_j)[0]
+    disc = np.empty((len(discrete), max_j + 1), dtype=_LD)
+    for k, d in enumerate(discrete):
+        disc[k] = (pp.b / pp.a) ** j * _mass_point_series(max_j, d.index, pp)
+    return cont, disc
 
 
 def c_function(params: ModelParams, sector: Sector, arg):
@@ -212,19 +186,6 @@ class SpectralFunction:
                 f"for {len(self.measure.discrete)} mass points")
 
 
-def _profile_matrix(params: ModelParams, sector: Sector,
-                    measure: SpectralMeasure, max_j: int):
-    """Eigenfunction profiles on the measure's nodes and mass points.
-
-    Returns (cont, disc): cont[t, j] on theta nodes, disc[k, j] on masses.
-    """
-    cont = _profile_recurrence(params, sector, np.cos(measure.theta_nodes), max_j)
-    disc = np.empty((len(measure.discrete), max_j + 1), dtype=_LD)
-    for kk, d in enumerate(measure.discrete):
-        disc[kk] = _profile_mass_point(params, sector, d.index, max_j)
-    return cont, disc
-
-
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M @ v for a ``longdouble`` matrix M.  A complex v runs as two real
     products, M @ v.real and M @ v.imag: the sums of M cast to complex, in
@@ -258,7 +219,8 @@ class _TransformPlan:
         self.params, self.sector = params, sector
         self.measure = measure
         self.max_j = max_j
-        self.cont, self.disc = _profile_matrix(params, sector, measure, max_j)
+        self.cont, self.disc = eigenfunction_profile(
+            params, sector, np.cos(measure.theta_nodes), measure.discrete, max_j)
 
     @cached_property
     def masses(self) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from . import asc, fockoracle, laplace, lattice, spectral
 from ._rng import Lcg
 from .asc import DegenerateParameterError
-from .lattice import LatticeFunction, ModelParams, Quadruple, Sector
+from .lattice import LatticeFunction, Quadruple
 from .qcore import LD_INF_TOL, bminus, bplus
 
 __all__ = ["CheckResult", "run_battery", "BATTERY"]
@@ -70,21 +70,16 @@ def _support_gaps(a, b, scale: float):
     return (float(abs(a.get(j, 0.0) - b.get(j, 0.0))) / scale for j in set(a) | set(b))
 
 
-def _spectral_points(params: ModelParams, sector: Sector):
-    pts = [spectral.continuous_point(t)
-           for t in (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3)]
-    pts += [spectral.point_from_exponent(params, ell) for ell in (1, 2, 3)]
-    pts += asc.mass_points(spectral.asc_params(params, sector), strict=False)
-    return pts
-
-
 def check_eigenvalue_residual(params, sector, cfg) -> float:
     J = LATTICE_DEPTH
-    pts = _spectral_points(params, sector)
-    lams = laplace.eigenvalue(params, np.array([pt.z for pt in pts]))
+    z = [math.cos(t) for t in (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3)]
+    z += [spectral.point_from_exponent(params, ell) for ell in (1, 2, 3)]
+    masses = asc.mass_points(spectral.asc_params(params, sector), strict=False)
+    lams = laplace.eigenvalue(params, np.array(z + [d.z for d in masses]))
+    cont, disc = spectral.eigenfunction_profile(params, sector, np.array(z, dtype=_LD),
+                                                masses, J + 1)
     errors = []
-    for pt, lam in zip(pts, lams):
-        prof = spectral.eigenfunction_profile(params, sector, pt, J + 1)
+    for prof, lam in zip([*cont, *disc], lams):
         f = LatticeFunction({j: prof[j] for j in range(J + 2)})
         af = laplace.apply_three_term(params, sector, f)
         # carries |lambda| as the gap's rounding does; passes 1e308 at small q

@@ -172,7 +172,8 @@ def test_criterion_06_orthogonality_and_plancherel():
     for params, sector in ((ModelParams(0.5, 2, 2), Sector(0, 0)),
                            (ModelParams(0.5, 1, 3), Sector(0, 2))):
         meas = spectral.plancherel_measure(params, sector, 513)
-        cont_prof, disc_prof = spectral._profile_matrix(params, sector, meas, 21)
+        cont_prof, disc_prof = spectral.eigenfunction_profile(
+            params, sector, np.cos(meas.theta_nodes), meas.discrete, 21)
         masses = lattice.measure_mass(params, sector, np.arange(22))
         w8, disc_m = meas.weights()
         pp = spectral.asc_params(params, sector)

@@ -546,3 +546,12 @@ def test_orthogonality_check_builds_one_measure_per_grid(monkeypatch):
 def test_residual_pairs_validated():
     with pytest.raises(ValueError):
         orthogonality_residual(21, PARAM_SETS[0], 64)
+
+
+def test_measure_refuses_a_node_floor_past_the_cap():
+    # the floor went to np.linspace as given, whatever its size
+    pp = spectral.asc_params(ModelParams(0.5, 2, 2), Sector(0, 0))
+    assert len(asc.orthogonality_measure(pp, asc._MAX_NODES).theta_nodes) == asc._MAX_NODES
+    for floor in (asc._MAX_NODES + 1, 10 ** 15):
+        with pytest.raises(ValueError, match=f"need quad_nodes <= 16384, got {floor}"):
+            asc.orthogonality_measure(pp, floor)

@@ -446,6 +446,28 @@ def test_quad_nodes_is_a_minimum_that_q_raises():
     assert res.exit_code == 0, res.output
 
 
+@pytest.mark.parametrize("nodes", [asc._MAX_NODES + 1, 10 ** 15])
+@pytest.mark.parametrize("args", [
+    ["plancherel"], ["transform", "--input", "f0.json"], ["verify"],
+], ids=["plancherel", "transform", "verify"])
+def test_quad_nodes_past_the_node_cap_is_a_usage_error(tmp_path, args, nodes):
+    # the floor went to np.linspace as given: 10^15 nodes ended in a
+    # MemoryError traceback, and verify failed six checks with it
+    (tmp_path / "f0.json").write_text('{"support": [0], "values": [[1.0, 0.0]]}')
+    res = run_python("-m", "qlaplace.cli", *args, "--quad-nodes", str(nodes),
+                     cwd=tmp_path)
+    assert res.returncode == 2
+    assert f"--quad-nodes must be <= 16384, got {nodes}" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_quad_nodes_at_the_node_cap_runs():
+    res = run("plancherel", "--quad-nodes", str(asc._MAX_NODES))
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.stdout)["density"]["theta"]) == asc._MAX_NODES
+
+
 @pytest.mark.parametrize("args", [
     ["plancherel"], ["spectrum"], ["transform", "--input", "f0.json"],
 ], ids=["plancherel", "spectrum", "transform"])

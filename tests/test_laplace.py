@@ -10,8 +10,8 @@ from qlaplace.laplace import (apply_divergence_form, apply_three_term,
                               eigenvalue, jacobi_matrix)
 from qlaplace.lattice import (LatticeFunction, ModelParams, Quadruple, Sector,
                               inner_product, measure_mass)
-from qlaplace.spectral import (continuous_point, measure_eigenvalues,
-                               plancherel_measure, point_from_exponent)
+from qlaplace.spectral import (measure_eigenvalues, plancherel_measure,
+                               point_from_exponent)
 
 _LD = np.longdouble
 
@@ -164,7 +164,7 @@ def test_eigenvalue_band_center():
     params = ModelParams(0.5, 2, 3)
     q, N = params.q, params.N
     D = (1 - q**2) * (1 - q ** (2 * (N - 1)))
-    got = float(eigenvalue(params, continuous_point(np.pi / 2)))
+    got = float(eigenvalue(params, np.cos(np.pi / 2)))
     assert got == pytest.approx(-q * (1 + q ** (2 * (N - 1))) / D, rel=1e-14)
 
 
@@ -179,8 +179,10 @@ def test_eigenvalue_integer_label():
 
 def test_eigenvalue_accepts_raw_z():
     params = ModelParams(0.5, 2, 2)
-    assert float(eigenvalue(params, 1.0)) == pytest.approx(
-        float(eigenvalue(params, continuous_point(0.0))))
+    want = eigenvalue(params, 1.0)
+    assert type(want) is _LD
+    assert eigenvalue(params, 1) == eigenvalue(params, _LD(1)) == want
+    assert float(want) == pytest.approx(float(eigenvalue(params, np.cos(0.0))))
 
 
 @pytest.mark.parametrize("q, n, m, lp, count", [(0.5, 2, 2, 0, 0),

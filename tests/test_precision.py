@@ -7,12 +7,16 @@ the measured value is quoted beside each.  ``longdouble`` carries 64
 mantissa bits, so its unit roundoff is 5.4e-20.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import mpref
 from qlaplace import asc, spectral
 from qlaplace.lattice import ModelParams, Sector
+
+_LD = np.longdouble
 
 QS = [0.01, 0.3, 0.7, 0.95]
 SECTORS = [(2, 7, 1, 6), (1, 6, 0, 5), (1, 3, 0, 2)]
@@ -60,11 +64,12 @@ def band_profile_error(q) -> float:
     point's own z.  On the band the polynomial is the dominant solution of
     its recurrence, so the forward run holds its digits at every q."""
     worst = 0.0
+    z = [math.cos(theta) for theta in (0.8, 2.1)]
     for params, sector, pp in _cases(q):
-        for theta in (0.8, 2.1):
-            pt = spectral.continuous_point(theta)
-            got = spectral.eigenfunction_profile(params, sector, pt, 60)
-            ref = mpref.eigenfunction_band(60, pp, pt.z)
+        cont, _ = spectral.eigenfunction_profile(params, sector,
+                                                 np.array(z, dtype=_LD), (), 60)
+        for zt, got in zip(z, cont):
+            ref = mpref.eigenfunction_band(60, pp, zt)
             worst = max(worst, mpref.profile_error(got, ref, pp))
     return worst
 
@@ -72,10 +77,14 @@ def band_profile_error(q) -> float:
 def mass_profile_error(q) -> float:
     """Profile values at j <= 60 at every mass point, against the terminating
     sum (the forward recurrence loses the minimal solution there)."""
-    return max(mpref.rel_err(got, mpref.eigenfunction_at_mass(j, pp, d.index))
-               for params, sector, pp in _cases(q) for d in asc.mass_points(pp)
-               for j, got in enumerate(
-                   spectral.eigenfunction_profile(params, sector, d, 60)))
+    errors = []
+    for params, sector, pp in _cases(q):
+        masses = asc.mass_points(pp)
+        _, disc = spectral.eigenfunction_profile(params, sector, np.empty(0, dtype=_LD),
+                                                 masses, 60)
+        errors += (mpref.rel_err(got, mpref.eigenfunction_at_mass(j, pp, d.index))
+                   for d, row in zip(masses, disc) for j, got in enumerate(row))
+    return max(errors)
 
 
 #: the budget at each q of QS; under each, the measured worst cases

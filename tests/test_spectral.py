@@ -16,9 +16,9 @@ from qlaplace.lattice import (LatticeFunction, ModelParams, Sector,
                               inner_product, measure_mass)
 from qlaplace.qcore import qpoch
 from qlaplace.spectral import (SpectralFunction, asc_params, c_function,
-                               continuous_point, eigenfunction_profile,
-                               inverse_transform_profile, plancherel_measure,
-                               point_from_exponent, spectrum, transform_grid)
+                               eigenfunction_profile, inverse_transform_profile,
+                               plancherel_measure, point_from_exponent, spectrum,
+                               transform_grid)
 
 _LD = np.longdouble
 
@@ -41,30 +41,37 @@ MEASURE_CASES = [
 
 
 def sample_points(params, sector):
-    pts = [continuous_point(t) for t in (math.pi / 6, math.pi / 2, 2.5)]
-    pts += [point_from_exponent(params, ell) for ell in (1, 2)]
-    pts += asc.mass_points(asc_params(params, sector), strict=False)
-    return pts
+    """Band and off-band z values, as a ``longdouble`` array, and the
+    sector's mass points."""
+    z = [math.cos(t) for t in (math.pi / 6, math.pi / 2, 2.5)]
+    z += [point_from_exponent(params, ell) for ell in (1, 2)]
+    return (np.array(z, dtype=_LD),
+            asc.mass_points(asc_params(params, sector), strict=False))
+
+
+def sample_profiles(params, sector, max_j):
+    """(z, profile) at every sample point, from one profile call."""
+    z, masses = sample_points(params, sector)
+    cont, disc = eigenfunction_profile(params, sector, z, masses, max_j)
+    return list(zip([*z, *(_LD(d.z) for d in masses)], [*cont, *disc]))
 
 
 # ----------------------------------------------------------- point constructors
 
 def test_point_constructors():
     params = ModelParams(0.5, 1, 3)
-    pt = continuous_point(1.0)
-    assert abs(pt.z - math.cos(1.0)) < 1e-15
-    with pytest.raises(ValueError):
-        continuous_point(4.0)
     g = point_from_exponent(params, 1)
-    assert g.z > 1
+    assert type(g) is float and g > 1
 
 
 # ----------------------------------------------------------- eigenfunctions
 
 def test_eigenfunction_is_one_at_base_point():
     for params, sector in CASES:
-        for pt in sample_points(params, sector):
-            prof = eigenfunction_profile(params, sector, pt, 0)
+        z, masses = sample_points(params, sector)
+        cont, disc = eigenfunction_profile(params, sector, z, masses, 0)
+        assert cont.shape == (len(z), 1) and disc.shape == (len(masses), 1)
+        for prof in [*cont, *disc]:
             assert prof[0] == pytest.approx(1.0, rel=1e-15)
 
 
@@ -80,10 +87,10 @@ def test_eigenfunction_matches_literal_series_small_j():
     """
     params, sector = ModelParams(0.7, 2, 2), Sector(1, 1)
     pp = asc_params(params, sector)
-    for theta in (0.8, 2.1):
-        pt = continuous_point(theta)
-        prof = eigenfunction_profile(params, sector, pt, 30)
-        literal = [mpref.eigenfunction(j, pp, mpref.band_w(pt.z)) for j in range(31)]
+    z = [math.cos(theta) for theta in (0.8, 2.1)]
+    cont, _ = eigenfunction_profile(params, sector, np.array(z, dtype=_LD), (), 30)
+    for zt, prof in zip(z, cont):
+        literal = [mpref.eigenfunction(j, pp, mpref.band_w(zt)) for j in range(31)]
         assert mpref.profile_error(prof, literal, pp) <= 1e-18
 
 
@@ -92,9 +99,8 @@ def test_connection_to_asc_polynomials():
     for params, sector in CASES:
         pp = asc_params(params, sector)
         A = params.N - 1 + sector.L + sector.Lp
-        for pt in sample_points(params, sector):
-            prof = eigenfunction_profile(params, sector, pt, 30)
-            table = asc.asc_recurrence(30, _LD(pt.z), pp)
+        for z, prof in sample_profiles(params, sector, 30):
+            table = asc.asc_recurrence(30, z, pp)
             scale = max(abs(prof))
             for j in range(31):
                 pref = params.q_ld ** _LD(j * A) / qpoch(
@@ -105,11 +111,10 @@ def test_connection_to_asc_polynomials():
 
 def test_eigenvalue_equation_sample():
     for params, sector in CASES:
-        for pt in sample_points(params, sector):
-            prof = eigenfunction_profile(params, sector, pt, 31)
+        for z, prof in sample_profiles(params, sector, 31):
             f = LatticeFunction({j: prof[j] for j in range(32)})
             af = apply_three_term(params, sector, f)
-            lam = eigenvalue(params, pt)
+            lam = eigenvalue(params, z)
             scale = float(np.max(np.abs(prof[:31])))
             worst = max(float(abs(af.get(j, 0.0) - lam * prof[j]))
                         for j in range(1, 31)) / scale
@@ -166,14 +171,15 @@ def test_array_kernel_equals_one_point_reference(q, n, m, lp):
     params, sector = ModelParams(q, n, m), Sector(0, lp)
     meas = plancherel_measure(params, sector, 256)
     assert len(meas.discrete) == (2 if lp else 0)
+    z = point_from_exponent(params, 1)
     for J in (0, 1, 16, 60):
-        cont, _ = spectral._profile_matrix(params, sector, meas, J)
+        cont, _ = eigenfunction_profile(params, sector, np.cos(meas.theta_nodes),
+                                        meas.discrete, J)
         ref = np.array([_reference_profile(params, sector, np.cos(t), J)
                         for t in meas.theta_nodes])
         assert cont.dtype == _LD and np.array_equal(cont, ref)
-        pt = point_from_exponent(params, 1)
-        assert np.array_equal(eigenfunction_profile(params, sector, pt, J),
-                              _reference_profile(params, sector, pt.z, J))
+        [got], _ = eigenfunction_profile(params, sector, np.array([z], dtype=_LD), (), J)
+        assert np.array_equal(got, _reference_profile(params, sector, z, J))
     pp = asc_params(params, sector)
     for theta in (0.7j, -1.3j):
         w = np.exp(np.clongdouble(1j) * np.clongdouble(theta))
@@ -220,29 +226,51 @@ def test_kernels_equal_the_per_point_loops(q, n, m, lp):
             assert np.array_equal(C, C_ref)
     masses = asc.mass_points(pp)
     assert len(masses) == (5 if lp else 0)
-    for d in masses:
-        for J in (0, 1, 15, 60):
-            got = spectral._profile_mass_point(params, sector, d.index, J)
+    for J in (0, 1, 15, 60):
+        _, disc = eigenfunction_profile(params, sector, np.empty(0, dtype=_LD),
+                                        masses, J)
+        for d, got in zip(masses, disc):
             assert got.dtype == _LD and np.array_equal(
                 got, _reference_mass_point_profile(params, sector, d.index, J))
 
 
 @pytest.mark.parametrize("q, n, m, lp, count", [(0.3, 1, 6, 5, 5),
                                                 (0.5, 2, 4, 2, 2)])
-def test_eigenfunction_profile_takes_a_mass_point_directly(q, n, m, lp, count):
-    """A DiscreteMass of the sector runs the terminating sum: its profile is
-    the mass-point profile and the profile matrix's row, bit for bit."""
+def test_eigenfunction_profile_at_one_mass_point_is_its_row(q, n, m, lp, count):
+    """A DiscreteMass of the sector runs the terminating sum: its profile
+    alone is its row of the plan's profiles, bit for bit."""
     params, sector = ModelParams(q, n, m), Sector(0, lp)
     meas = plancherel_measure(params, sector, 256)
     assert len(meas.discrete) == count
     for J in (0, 1, 30, 60):
-        _, disc = spectral._profile_matrix(params, sector, meas, J)
-        for d, row in zip(meas.discrete, disc):
-            got = eigenfunction_profile(params, sector, d, J)
-            assert got.dtype == _LD
-            assert np.array_equal(
-                got, spectral._profile_mass_point(params, sector, d.index, J))
+        plan = spectral._TransformPlan(params, sector, meas, J)
+        for d, row in zip(meas.discrete, plan.disc):
+            cont, [got] = eigenfunction_profile(params, sector, np.empty(0, dtype=_LD),
+                                                [d], J)
+            assert cont.shape == (0, J + 1) and got.dtype == _LD
             assert np.array_equal(got, row)
+
+
+@pytest.mark.parametrize("q, n, m, lp, count", [(0.3, 1, 6, 5, 5),
+                                                (0.5, 2, 4, 2, 2),
+                                                (0.95, 2, 2, 0, 0)])
+def test_eigenfunction_profile_rows_do_not_depend_on_the_other_points(
+        q, n, m, lp, count):
+    """In a call with a measure's z values and its mass points, every row
+    has the bits of the same row from a z-only call and from a masses-only
+    call."""
+    params, sector = ModelParams(q, n, m), Sector(0, lp)
+    meas = plancherel_measure(params, sector, 256)
+    assert len(meas.discrete) == count
+    z = np.cos(meas.theta_nodes)
+    for J in (0, 1, 30, 60):
+        cont, disc = eigenfunction_profile(params, sector, z, meas.discrete, J)
+        assert cont.shape == (len(z), J + 1) and disc.shape == (count, J + 1)
+        z_only, no_disc = eigenfunction_profile(params, sector, z, (), J)
+        no_cont, masses_only = eigenfunction_profile(params, sector, z[:0],
+                                                     meas.discrete, J)
+        assert no_disc.shape == no_cont.shape == (0, J + 1)
+        assert _identical(cont, z_only) and _identical(disc, masses_only)
 
 
 def test_mass_point_series_matches_the_recurrence_where_it_is_stable():
@@ -373,9 +401,9 @@ def test_transform_of_indicator_closed_form():
         assert not got.continuous.imag.any()
         pref = q ** _LD(-2 * j * (sector.L + sector.Lp + params.N - 1)) \
             * qpoch(q ** _LD(2 * j + 2), q * q, g) / qpoch(q * q, q * q, g)
-        for t, val in zip(meas.theta_nodes, got.continuous.real):
-            pt = continuous_point(float(t))
-            want = pref * eigenfunction_profile(params, sector, pt, j)[j]
+        z = np.array([math.cos(float(t)) for t in meas.theta_nodes], dtype=_LD)
+        cont, _ = eigenfunction_profile(params, sector, z, (), j)
+        for val, want in zip(got.continuous.real, pref * cont[:, j]):
             assert float(val) == pytest.approx(float(want), rel=1e-13)
 
 
@@ -552,12 +580,12 @@ def _identical_lattice(got, want):
 
 def _count_builds(monkeypatch):
     builds = []
-    build = spectral._profile_matrix
+    build = spectral.eigenfunction_profile
 
     def counted(*args):
         builds.append(args[-1])
         return build(*args)
-    monkeypatch.setattr(spectral, "_profile_matrix", counted)
+    monkeypatch.setattr(spectral, "eigenfunction_profile", counted)
     return builds
 
 

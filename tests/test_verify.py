@@ -397,3 +397,20 @@ def test_check_makes_one_grid_kernel_call(monkeypatch, cfg, check, module, name)
     [fn] = [fn for check_name, fn, _, _ in verify.BATTERY if check_name == check]
     fn(cfg.params(), cfg.sector(), cfg)
     assert len(calls) == 1
+
+
+def test_eigenvalue_residual_makes_one_profile_call(monkeypatch):
+    """The check's seven z values and the sector's two mass points go
+    through one profile call."""
+    calls = []
+    kernel = spectral.eigenfunction_profile
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(spectral, "eigenfunction_profile", counting)
+    cfg = RunConfig(q=0.5, n=2, m=4, Lp=2)
+    assert verify.check_eigenvalue_residual(cfg.params(), cfg.sector(), cfg) < 1e-10
+    [(_, _, z, masses, _)] = calls
+    assert len(z) == 7 and len(masses) == 2
