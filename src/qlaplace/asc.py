@@ -350,14 +350,19 @@ class SpectralMeasure:
                          dtype=_LD))
 
     def integrate(self, continuous_values, discrete_values=None):
-        """Integrate a spectral function given by its node / mass-point values."""
+        """Integrate a spectral function given by its node / mass-point values.
+
+        Values with a leading axis, one function per row, give one integral
+        per row, each with the bits of its one-row call: a row's node terms
+        are summed along the contiguous last axis, as ``np.sum`` sums the row
+        alone, and its mass terms are added in order."""
         nodes, masses = self.weights()
-        total = np.sum(nodes * continuous_values)
-        values = () if discrete_values is None else discrete_values
-        if len(values) != len(masses):
-            raise ValueError(f"{len(values)} discrete values for "
+        total = np.sum(nodes * continuous_values, axis=-1)
+        values = np.asarray(() if discrete_values is None else discrete_values)
+        if values.shape[-1] != len(masses):
+            raise ValueError(f"{values.shape[-1]} discrete values for "
                              f"{len(masses)} point masses")
-        for w, v in zip(masses, values):
+        for w, v in zip(masses, np.moveaxis(values, -1, 0)):
             total = total + w * v
         return total
 

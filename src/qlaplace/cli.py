@@ -36,6 +36,10 @@ from .verify import (CONTAINMENT_SIZE, CONTAINMENT_THRESHOLD, oracle_error,
 
 SCHEMA_VERSION = 1
 
+#: largest ``spectrum --size``: the report also solves the dense 2 * size
+#: truncation, 4000 x 4000 (128 MB, a few seconds) at this bound
+MAX_SPECTRUM_SIZE = 2000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -215,6 +219,8 @@ def spectrum(out, size, **kw):
     cfg, config = _config(**kw)
     if size < 2:
         raise click.UsageError(f"--size must be >= 2, got {size}")
+    if size > MAX_SPECTRUM_SIZE:
+        raise click.UsageError(f"--size must be <= {MAX_SPECTRUM_SIZE}, got {size}")
     params, sector = cfg.params(), cfg.sector()
     spec = spectral.spectrum(params, sector)
     jm = laplace.jacobi_matrix(params, sector, size)
@@ -317,6 +323,9 @@ def oracle(out, quadruple, **kw):
         "quadruple": list(quadruple),
         "oracle": float(o),
         "closed_form": float(c),
+        # the extended-precision values, which can lie below the double range
+        "oracle_ld": np.format_float_scientific(o, unique=True),
+        "closed_form_ld": np.format_float_scientific(c, unique=True),
         "rel_err": oracle_error(o, c),
         "depth": fockoracle._depth(params.q),
     })

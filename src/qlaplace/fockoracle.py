@@ -328,22 +328,28 @@ def qbinomial_convolution(q: float, grid) -> list:
     lhs: sum_{x+y=t} [k+x; k] [l+y; l] q^(-2x(l+1));
     rhs: [k+l+t+1; k+l+1].
     Every coefficient reads one table of (q^-2; q^-2)_i, i up to the
-    grid's largest k+l+t+1.
+    grid's largest k+l+t+1.  The grid runs as arrays: every term (cell, x)
+    at once, each formed as [k+x; k] * [l+y; l] * q^(-2x(l+1)), then each
+    cell's sum from 0 in the order x = 0..t, one column of terms per step
+    (a cell with a smaller t adds +0, which leaves a sum that starts at +0
+    unchanged).  Every side has the bits of the per-cell loop.
     """
-    grid = list(grid)
+    grid = np.array(list(grid), dtype=int).reshape(-1, 3)
+    k, l, t = grid.T
     qd = _LD(q)
     pinv = qd ** _LD(-2)
-    table = _qpoch_prefixes(pinv, pinv,
-                            max((k + l + t + 1 for k, l, t in grid), default=0))
-    out = []
-    for k, l, t in grid:
-        lhs = _LD(0.0)
-        for x in range(t + 1):
-            y = t - x
-            lhs = lhs + _qbinomial_from(table, k + x, k) \
-                * _qbinomial_from(table, l + y, l) * qd ** _LD(-2 * x * (l + 1))
-        out.append((lhs, _qbinomial_from(table, k + l + t + 1, k + l + 1)))
-    return out
+    table = np.array(_qpoch_prefixes(pinv, pinv, int((k + l + t + 1).max(initial=0))),
+                     dtype=_LD)
+    steps = t.max(initial=-1) + 1
+    cell, x = np.nonzero(np.arange(steps) <= t[:, None])
+    kc, lc, y = k[cell], l[cell], t[cell] - x
+    terms = np.zeros((len(grid), steps), dtype=_LD)
+    terms[cell, x] = _qbinomial_from(table, kc + x, kc) \
+        * _qbinomial_from(table, lc + y, lc) * qd ** _LD(-2 * x * (lc + 1))
+    lhs = np.zeros(len(grid), dtype=_LD)
+    for column in terms.T:
+        lhs = lhs + column
+    return list(zip(lhs, _qbinomial_from(table, k + l + t + 1, k + l + 1)))
 
 
 def pochhammer_geometric_sum(q: float, grid) -> list:

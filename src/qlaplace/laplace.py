@@ -11,15 +11,21 @@ The three are implemented from independent formulas and cross-checked by the
 test suite.  Eigenvalues are parametrized by z = (w + 1/w)/2 through
 lambda(z) = q^N (2z - q^(N-1) - q^(1-N)) / ((1-q^2)(1-q^(2(N-1)))).
 
-The two lattice actions run over index arrays: :func:`apply_three_term`
-evaluates its whole output range in one array pass, and
-:func:`apply_divergence_form` takes the sector weight and the difference
-quotients over the same range.  Type rule: when a function's values share
-one type (float, complex, ``longdouble`` or ``clongdouble``), every output
-value has the bits of the per-index formula, and a real function gives real
-values.  A function that mixes real and complex values is first promoted to
-the common complex type, so its real-only neighbourhoods are divided in
-complex arithmetic, which can move such an entry by one ulp.
+The two lattice actions take a list of functions and return one action per
+function, in one array pass over index arrays: every function's values are
+one row over the union of the output ranges, the scalar coefficients and
+powers of q are formed once per call, and :func:`apply_divergence_form`
+takes the sector weight and the difference quotients over the same range.
+Each function reads its own output range from its row.  Type rule: the rows
+of one pass share one type, so the real functions (float or ``longdouble``
+values) run as one ``longdouble`` stack and the complex functions (complex
+or ``clongdouble``) as one ``clongdouble`` stack; the casts are exact, and
+no row is promoted by another.  When a function's values share one type,
+every output value has the bits of the per-index formula on that function
+alone, and a real function gives real values.  A function that mixes real
+and complex values is a complex row: it is promoted to the common complex
+type, so its real-only neighbourhoods are divided in complex arithmetic,
+which can move such an entry by one ulp, alone or in a batch.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ __all__ = [
 ]
 
 _LD = np.longdouble
+_CLD = np.clongdouble
 
 
 def _denominator(params: ModelParams):
@@ -47,26 +54,25 @@ def _denominator(params: ModelParams):
     return (1 - q * q) * (1 - q ** _LD(2 * (params.N - 1)))
 
 
-def _values(f, lo: int, hi: int):
-    """The values of ``f`` at indices lo..hi-1 as one array, missing entries
-    (negative indices included) read as 0; the values' common type is kept."""
-    return np.array([f.get(j, 0.0) for j in range(lo, hi)])
-
-
-def _three_term(params: ModelParams, sector: Sector, f, lo: int, hi: int):
-    """Values of the three-term action at indices lo..hi-1 (lo >= 0)."""
+def _three_term(params: ModelParams, sector: Sector, vals, lo: int, hi: int):
+    """Rows of the three-term action at indices lo..hi-1 (lo >= 0), from the
+    rows ``vals`` of values at lo-1..hi."""
     q = params.q_ld
     n, N = params.n, params.N
     L, Lp = sector.L, sector.Lp
     x = q ** _LD(-2 * np.arange(lo, hi))
-    vals = _values(f, lo - 1, hi + 1)
-    val = q ** _LD(-(L + Lp)) * (x - q ** _LD(2 * (n + L))) * vals[2:]
+    val = q ** _LD(-(L + Lp)) * (x - q ** _LD(2 * (n + L))) * vals[:, 2:]
     # at j = 0 the q^2-shift coefficient is (x - 1) = 0: no off-lattice read
     t = 1 if lo == 0 else 0
-    val[t:] = val[t:] + q ** _LD(2 * N - 2 + L + Lp) * (x[t:] - 1) * vals[t:-2]
+    val[:, t:] = val[:, t:] + q ** _LD(2 * N - 2 + L + Lp) * (x[t:] - 1) * vals[:, t:-2]
     val = val + (q ** _LD(2 * n + L - Lp) * (1 + q ** _LD(2 * (params.m - 1 + Lp)))
-                 - x * (1 + q ** _LD(2 * (N - 1)))) * vals[1:-1]
+                 - x * (1 + q ** _LD(2 * (N - 1)))) * vals[:, 1:-1]
     return q * val / (_denominator(params) * x)
+
+
+def _zero_column_first(rows):
+    """``rows`` with a column of +0 before its first column."""
+    return np.concatenate([np.zeros((len(rows), 1), rows.dtype), rows], axis=1)
 
 
 def _output_range(f) -> range:
@@ -76,20 +82,52 @@ def _output_range(f) -> range:
     return range(max(0, sup[0] - 1), sup[-1] + 2)
 
 
-def apply_three_term(params: ModelParams, sector: Sector,
-                     f: LatticeFunction) -> LatticeFunction:
-    """Apply the operator in its three-term form.
+def _stacked(fs, below: int, kernel) -> list:
+    """One action per function of ``fs``, each function's values one row.
 
-    The result is supported within [min support - 1 (clamped at 0),
-    max support + 1].
+    lo..hi-1 is the union of the functions' output ranges.  The rows hold the
+    values at lo-below..hi, missing entries (negative indices included) read
+    as 0, stacked by type: the real functions' rows as one ``longdouble``
+    array and the complex ones' as one ``clongdouble`` array, so that no row
+    is promoted by another (the casts are exact).  ``kernel(rows, lo, hi)``
+    returns the actions at lo..hi-1 of one stack; each function reads its
+    own range.
     """
-    out = _output_range(f)
-    return LatticeFunction(zip(out, _three_term(params, sector, f, out.start, out.stop)))
+    fs = list(fs)
+    outs = [_output_range(f) for f in fs]
+    result = [LatticeFunction({}) for _ in fs]
+    live = [i for i, out in enumerate(outs) if out]
+    if not live:
+        return result
+    lo = min(outs[i].start for i in live)
+    hi = max(outs[i].stop for i in live)
+    rows = {i: np.array([fs[i].get(j, 0.0) for j in range(lo - below, hi + 1)])
+            for i in live}
+    for dtype in (_LD, _CLD):
+        pos = [i for i in live if np.iscomplexobj(rows[i]) == (dtype is _CLD)]
+        if not pos:
+            continue
+        actions = kernel(np.array([rows[i] for i in pos], dtype=dtype), lo, hi)
+        for i, action in zip(pos, actions):
+            out = outs[i]
+            result[i] = LatticeFunction(zip(out, action[out.start - lo:out.stop - lo]))
+    return result
 
 
-def apply_divergence_form(params: ModelParams, quad: Quadruple,
-                          f: LatticeFunction) -> LatticeFunction:
-    """Apply the operator as scalar term minus weighted B+ ( ... B- ) form.
+def apply_three_term(params: ModelParams, sector: Sector, fs) -> list:
+    """Apply the operator in its three-term form to each function of ``fs``,
+    one result per function.
+
+    A result is supported within [min support - 1 (clamped at 0),
+    max support + 1].  The functions' values run as rows over the union of
+    their output ranges, and the coefficients are formed once per call.
+    """
+    return _stacked(fs, 1, lambda vals, lo, hi: _three_term(params, sector, vals, lo, hi))
+
+
+def apply_divergence_form(params: ModelParams, quad: Quadruple, fs) -> list:
+    """Apply the operator as scalar term minus weighted B+ ( ... B- ) form to
+    each function of ``fs``, one result per function.
 
     For the quadruple (k, l, kp, lp) with s = k + lp the action at j >= 1 is
 
@@ -101,7 +139,9 @@ def apply_divergence_form(params: ModelParams, quad: Quadruple,
     forward quotient would read the off-lattice point q^2 * x; its analytic
     coefficient vanishes there, and the value is delegated to the three-term
     form, which needs no off-lattice access.  The output depends on the
-    quadruple only through its sector.
+    quadruple only through its sector.  The functions' values run as rows
+    over the union of their output ranges; the sector weight and the scalar
+    coefficients are formed once per call.
     """
     q = params.q_ld
     n, N = params.n, params.N
@@ -111,26 +151,30 @@ def apply_divergence_form(params: ModelParams, quad: Quadruple,
     D = _denominator(params)
     scal = q ** _LD(1 - 2 * s) * (1 - q ** _LD(2 * s)) \
         * (1 - q ** _LD(2 * (N - 1 + s))) / D
-    out = _output_range(f)
-    if not out:
-        return LatticeFunction({})
-    lo, hi = out.start, out.stop
-    j = np.arange(lo, hi)
-    x = q ** _LD(-2 * j)
-    rho = sector_weight(params, sector, j)
-    vals = _values(f, lo, hi + 1)
-    # G = rho * x * (q^(2(n+k)) - x q^(-2l)) * B- f on the output range, and
-    # B+ G from G's values one index below (0 below the range)
-    g = rho * x * (q ** _LD(2 * (n + k)) - x * q ** _LD(-2 * l)) \
-        * _quotient(vals[1:], vals[:-1], x, q**-2)
-    g = np.concatenate([np.zeros(1, g.dtype), g])
-    t = 1 if lo == 0 else 0  # j = 0, where present, comes from the three-term form
-    second = q ** _LD(-1 - 2 * kp) * (1 - q * q) ** 2 \
-        * _quotient(g[t:-1], g[t + 1:], x[t:], q**2) / (D * rho[t:])
-    res = scal * vals[t:-1] - second
-    if t:
-        res = np.concatenate([_three_term(params, sector, f, 0, 1), res])
-    return LatticeFunction(zip(out, res))
+
+    def kernel(vals, lo, hi):
+        j = np.arange(lo, hi)
+        x = q ** _LD(-2 * j)
+        rho = sector_weight(params, sector, j)
+        # G = rho * x * (q^(2(n+k)) - x q^(-2l)) * B- f on the output range,
+        # and B+ G from G's values one index below (0 below the range).  One
+        # index below a row's own range G is (0 - 0) times a factor of fixed
+        # sign, a signed zero where the row's own call reads +0: it enters
+        # only the first output value, scal * (+0) - B+ G, where either zero
+        # gives the same bits
+        g = rho * x * (q ** _LD(2 * (n + k)) - x * q ** _LD(-2 * l)) \
+            * _quotient(vals[:, 1:], vals[:, :-1], x, q**-2)
+        g = _zero_column_first(g)
+        t = 1 if lo == 0 else 0  # j = 0, where present, comes from the three-term form
+        second = q ** _LD(-1 - 2 * kp) * (1 - q * q) ** 2 \
+            * _quotient(g[:, t:-1], g[:, t + 1:], x[t:], q**2) / (D * rho[t:])
+        res = scal * vals[:, t:-1] - second
+        if t:
+            edge = _three_term(params, sector, _zero_column_first(vals[:, :2]), 0, 1)
+            res = np.concatenate([edge, res], axis=1)
+        return res
+
+    return _stacked(fs, 0, kernel)
 
 
 @dataclass(frozen=True)

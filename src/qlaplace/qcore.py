@@ -117,7 +117,8 @@ def qpoch_inf(a, base, tol: float = DEFAULT_INF_TOL):
 
 def _qbinomial_from(table, a: int, b: int):
     """[a; b] = (base; base)_a / ((base; base)_b (base; base)_{a-b}), 0 <= b <= a,
-    from ``table``, the prefixes of (base; base) to order >= a."""
+    from ``table``, the prefixes of (base; base) to order >= a; elementwise on
+    index arrays a and b when ``table`` is an array."""
     return table[a] / (table[b] * table[a - b])
 
 

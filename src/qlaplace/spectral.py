@@ -32,8 +32,12 @@ accuracy exponentially in j).  The lattice masses of all degrees come from
 one ``measure_mass`` call on the index array.
 
 Transforms run on a ``_TransformPlan``, the profiles and masses of one
-measure at one depth.  A forward result carries its plan, which the inverse
-of the same round trip reads, so a round trip builds one profile matrix.
+measure at one depth.  Its forward and inverse take a list of functions, one
+column each of one matrix product per part (band and mass points), and every
+result has the bits of the one-function call; :func:`transform_grid` and
+:func:`inverse_transform_profile` are one-function calls of the same code.
+A forward result carries its plan, which the inverse of the same round trip
+reads, so a round trip builds one profile matrix.
 """
 
 from __future__ import annotations
@@ -186,16 +190,18 @@ class SpectralFunction:
                 f"for {len(self.measure.discrete)} mass points")
 
 
-def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M @ v for a ``longdouble`` matrix M.  A complex v runs as two real
-    products, M @ v.real and M @ v.imag: the sums of M cast to complex, in
-    the same order, without the cast copy of M.  A real v gives a real
-    result."""
-    if not np.iscomplexobj(v):
-        return M @ v
-    out = np.empty(len(M), dtype=np.result_type(M, v))
-    out.real = M @ v.real
-    out.imag = M @ v.imag
+def _matmul(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M @ V for a ``longdouble`` matrix M and a matrix V of columns.  A
+    complex V runs as two real products, M @ V.real and M @ V.imag: the sums
+    of M cast to complex, in the same order, without the cast copy of M.  A
+    real V gives a real result.  The extended-precision product sums each
+    entry in index order, so every column has the bits of M times that
+    column alone."""
+    if not np.iscomplexobj(V):
+        return M @ V
+    out = np.empty((len(M), V.shape[1]), dtype=np.result_type(M, V))
+    out.real = M @ V.real
+    out.imag = M @ V.imag
     return out
 
 
@@ -203,15 +209,19 @@ class _TransformPlan:
     """Profile matrix and lattice masses of one measure at depth ``max_j``,
     shared by every forward and inverse transform of depth <= max_j.
 
-    Each transform reads the leading columns of the plan's profiles and
-    masses.  Those columns carry the bits of a build at the smaller depth
-    (profile column j comes from a recurrence run in degree order and a
-    running product, so it depends on no later column; masses are
-    elementwise), and the extended-precision products sum in index order
-    whatever the strides, so every value equals a fresh build's.  A function
+    A call transforms a list of functions in one matrix product per part
+    (band and mass points), each function one column of the right-hand side
+    over the leading columns of the plan's profiles and masses.  Those
+    columns carry the bits of a build at the smaller depth (profile column j
+    comes from a recurrence run in degree order and a running product, so it
+    depends on no later column; masses are elementwise), and the
+    extended-precision products sum in index order whatever the strides, so
+    every value equals a fresh build's for that function alone: a shallower
+    function's coefficients past its own depth are zeros, and a zero term
+    leaves an index-order sum that starts at +0 unchanged.  A function
     deeper than the plan raises ValueError.  A forward result carries its
-    plan (``SpectralFunction._plan``), which
-    :func:`inverse_transform_profile` reuses when it is deep enough.
+    plan (``SpectralFunction._plan``), which :func:`inverse_transform_profile`
+    reuses when it is deep enough.
     """
 
     def __init__(self, params: ModelParams, sector: Sector,
@@ -234,32 +244,39 @@ class _TransformPlan:
                              f"depth {self.max_j}")
         return J + 1
 
-    def forward(self, f: Mapping[int, complex]) -> SpectralFunction:
-        """Forward transform sampled on the measure's full node set."""
-        cols = self._columns(max(f, default=0))
-        coeffs = np.array([f.get(j, 0) for j in range(cols)], dtype=_CLD)
-        weighted = coeffs * self.masses[:cols]
-        return SpectralFunction(measure=self.measure,
-                                continuous=_matvec(self.cont[:, :cols], weighted),
-                                discrete=_matvec(self.disc[:, :cols], weighted),
-                                _plan=self)
+    def forward(self, fs: Sequence[Mapping[int, complex]]) -> list:
+        """Forward transforms of the functions of ``fs``, each sampled on the
+        measure's full node set."""
+        cols = self._columns(max((max(f, default=0) for f in fs), default=0))
+        coeffs = np.array([[f.get(j, 0) for j in range(cols)] for f in fs],
+                          dtype=_CLD).reshape(len(fs), cols)
+        weighted = (coeffs * self.masses[:cols]).T
+        cont = _matmul(self.cont[:, :cols], weighted).T
+        disc = _matmul(self.disc[:, :cols], weighted).T
+        return [SpectralFunction(measure=self.measure, continuous=c, discrete=d,
+                                 _plan=self) for c, d in zip(cont, disc)]
 
-    def inverse(self, fhat: SpectralFunction, max_j: int) -> LatticeFunction:
-        """Inverse transform on all lattice indices 0..max_j at once."""
-        if fhat.measure is not self.measure:
+    def inverse(self, fhats: Sequence[SpectralFunction], max_j: int) -> list:
+        """Inverse transforms of the spectral functions of ``fhats``, each on
+        all lattice indices 0..max_j at once."""
+        if any(fhat.measure is not self.measure for fhat in fhats):
             raise ValueError("the spectral function is sampled on another measure")
         cols = self._columns(max_j)
         nodes, masses = self.measure.weights()
-        vals = _matvec(self.cont[:, :cols].T, nodes * fhat.continuous)
+        cont = np.array([nodes * fhat.continuous for fhat in fhats])
+        vals = _matmul(self.cont[:, :cols].T, cont.reshape(len(fhats), len(nodes)).T)
         if len(masses):
-            vals = vals + _matvec(self.disc[:, :cols].T, masses * fhat.discrete)
-        return LatticeFunction({j: v for j, v in enumerate(vals)})
+            disc = np.array([masses * fhat.discrete for fhat in fhats])
+            vals = vals + _matmul(self.disc[:, :cols].T,
+                                  disc.reshape(len(fhats), len(masses)).T)
+        return [LatticeFunction({j: v for j, v in enumerate(col)}) for col in vals.T]
 
 
 def transform_grid(params: ModelParams, sector: Sector, f: Mapping[int, complex],
                    measure: SpectralMeasure) -> SpectralFunction:
     """Forward transform sampled on a Plancherel measure's full node set."""
-    return _TransformPlan(params, sector, measure, max(f, default=0)).forward(f)
+    [fhat] = _TransformPlan(params, sector, measure, max(f, default=0)).forward([f])
+    return fhat
 
 
 def inverse_transform_profile(params: ModelParams, sector: Sector,
@@ -275,7 +292,8 @@ def inverse_transform_profile(params: ModelParams, sector: Sector,
     if (plan is None or plan.max_j < max_j or plan.measure is not fhat.measure
             or (plan.params, plan.sector) != (params, sector)):
         plan = _TransformPlan(params, sector, fhat.measure, max_j)
-    return plan.inverse(fhat, max_j)
+    [rec] = plan.inverse([fhat], max_j)
+    return rec
 
 
 @dataclass(frozen=True)

@@ -78,10 +78,12 @@ def check_eigenvalue_residual(params, sector, cfg) -> float:
     lams = laplace.eigenvalue(params, np.array(z + [d.z for d in masses]))
     cont, disc = spectral.eigenfunction_profile(params, sector, np.array(z, dtype=_LD),
                                                 masses, J + 1)
+    profs = [*cont, *disc]
+    afs = laplace.apply_three_term(
+        params, sector, [LatticeFunction({j: prof[j] for j in range(J + 2)})
+                         for prof in profs])
     errors = []
-    for prof, lam in zip([*cont, *disc], lams):
-        f = LatticeFunction({j: prof[j] for j in range(J + 2)})
-        af = laplace.apply_three_term(params, sector, f)
+    for prof, lam, af in zip(profs, lams, afs):
         # carries |lambda| as the gap's rounding does; passes 1e308 at small q
         scale = max(_LD(1), abs(lam)) * np.max(np.abs(prof[:J + 1]))
         errors += (float(abs(af.get(j, 0.0) - lam * prof[j]) / scale)
@@ -92,11 +94,10 @@ def check_eigenvalue_residual(params, sector, cfg) -> float:
 def check_cross_form(params, sector, cfg) -> float:
     quad = sector.a_quadruple()
     rng = Lcg(cfg.seed + 101)
+    fs = [rng.lattice_function(10) for _ in range(5)]
     errors = []
-    for _ in range(5):
-        f = rng.lattice_function(10)
-        a1 = laplace.apply_three_term(params, sector, f)
-        a2 = laplace.apply_divergence_form(params, quad, f)
+    for a1, a2 in zip(laplace.apply_three_term(params, sector, fs),
+                      laplace.apply_divergence_form(params, quad, fs)):
         scale = max(1.0, max(abs(v) for v in a1.values()))
         errors += _support_gaps(a1, a2, scale)
     return _worst(errors)
@@ -106,10 +107,9 @@ def check_sector_independence(params, sector, cfg) -> float:
     # a representative sector with several quadruples reducing to it
     quads = [Quadruple(1, 1, 1, 1), Quadruple(2, 0, 2, 0), Quadruple(0, 2, 0, 2)]
     rng = Lcg(cfg.seed + 202)
+    fs = [rng.lattice_function(8) for _ in range(3)]
     errors = []
-    for _ in range(3):
-        f = rng.lattice_function(8)
-        outs = [laplace.apply_divergence_form(params, qd, f) for qd in quads]
+    for outs in zip(*(laplace.apply_divergence_form(params, qd, fs) for qd in quads)):
         scale = max(1.0, max(abs(v) for v in outs[0].values()))
         for other in outs[1:]:
             errors += _support_gaps(outs[0], other, scale)
@@ -118,7 +118,7 @@ def check_sector_independence(params, sector, cfg) -> float:
 
 def check_symmetry(params, sector, cfg) -> float:
     basis = [LatticeFunction.basis(j) for j in range(LATTICE_DEPTH + 1)]
-    actions = [laplace.apply_three_term(params, sector, f) for f in basis]
+    actions = laplace.apply_three_term(params, sector, basis)
     pairs = []
     for j in range(LATTICE_DEPTH + 1):
         for k in (j - 1, j, j + 1):
@@ -201,9 +201,10 @@ def check_transform_of_base_indicator(params, sector, cfg) -> float:
     band = asc.asc_recurrence(J, np.cos(meas.theta_nodes), pp)
     lead = ab_poch * pp.a ** -np.arange(J + 1)
     masses = [lead * asc._mass_point_series(J, d.index, pp) for d in meas.discrete]
+    fhats = plan.forward([lattice.orthonormal_basis(params, sector, j)
+                          for j in range(J + 1)])
     errors = []
-    for j in range(J + 1):
-        fhat = plan.forward(lattice.orthonormal_basis(params, sector, j))
+    for j, fhat in enumerate(fhats):
         want = norm[j] * np.concatenate([band[j], [m[j] for m in masses]])
         got = np.concatenate([fhat.continuous, fhat.discrete])
         errors.extend((np.abs(got - want) / np.maximum(1, np.abs(want))).astype(float))
@@ -215,12 +216,11 @@ def check_parseval(params, sector, cfg) -> float:
     plan = spectral._TransformPlan(params, sector, meas, 14)
     rng = Lcg(cfg.seed + 404)
     fs = [rng.lattice_function(15) for _ in range(10)]
-    errors = []
-    for f, nrm in zip(fs, lattice.inner_product(params, sector, [(f, f) for f in fs])):
-        fhat = plan.forward(f)
-        par = meas.integrate(np.abs(fhat.continuous) ** 2, np.abs(fhat.discrete) ** 2)
-        errors.append(float(abs(par - nrm) / abs(nrm)))
-    return _worst(errors)
+    fhats = plan.forward(fs)
+    pars = meas.integrate(np.abs([fhat.continuous for fhat in fhats]) ** 2,
+                          np.abs([fhat.discrete for fhat in fhats]) ** 2)
+    return _worst(float(abs(par - nrm) / abs(nrm)) for par, nrm in
+                  zip(pars, lattice.inner_product(params, sector, [(f, f) for f in fs])))
 
 
 def check_multiplication(params, sector, cfg) -> float:
@@ -228,12 +228,10 @@ def check_multiplication(params, sector, cfg) -> float:
     rng = Lcg(cfg.seed + 505)
     lam_cont, lam_disc = spectral.measure_eigenvalues(params, meas)
     plan = spectral._TransformPlan(params, sector, meas, 12)
+    fs = [rng.lattice_function(12) for _ in range(5)]
+    fhats = plan.forward(fs + laplace.apply_three_term(params, sector, fs))
     errors = []
-    for _ in range(5):
-        f = rng.lattice_function(12)
-        af = laplace.apply_three_term(params, sector, f)
-        fhat = plan.forward(f)
-        afhat = plan.forward(af)
+    for fhat, afhat in zip(fhats[:5], fhats[5:]):
         lam_fhat = lam_cont * fhat.continuous
         scale = max(_LD(1), np.max(np.abs(lam_fhat)))  # may pass 1e308
         gaps = np.concatenate([afhat.continuous - lam_fhat,
@@ -246,10 +244,10 @@ def check_roundtrip(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     plan = spectral._TransformPlan(params, sector, meas, 16)
     rng = Lcg(cfg.seed + 606)
+    fs = [rng.lattice_function(15) for _ in range(5)]
     pairs = []
-    for _ in range(5):
-        f = rng.lattice_function(15)
-        err = plan.inverse(plan.forward(f), 16) - f
+    for f, rec in zip(fs, plan.inverse(plan.forward(fs), 16)):
+        err = rec - f
         pairs += [(err, err), (f, f)]
     values = lattice.inner_product(params, sector, pairs)
     return _worst(float(np.sqrt(abs(num) / abs(den)))

@@ -68,9 +68,9 @@ def test_criterion_02_cross_form_equality():
                 sector = Sector(L, Lp)
                 for _ in range(20):
                     f = rng.lattice_function(10)
-                    ref = laplace.apply_three_term(params, sector, f)
+                    [ref] = laplace.apply_three_term(params, sector, [f])
                     scale = max(1.0, max(abs(v) for v in ref.values()))
-                    outs = [laplace.apply_divergence_form(params, qd, f)
+                    outs = [laplace.apply_divergence_form(params, qd, [f])[0]
                             for qd in quads]
                     for out in outs:
                         for j in set(ref) | set(out):
@@ -90,9 +90,8 @@ def test_criterion_03_symmetry():
         for q in Q_GRID:
             params = ModelParams(q, n, m)
             for sector in (Sector(0, 0), Sector(3, 1), Sector(2, 2)):
-                actions = {j: laplace.apply_three_term(params, sector,
-                                                       LatticeFunction.basis(j))
-                           for j in range(42)}
+                actions = laplace.apply_three_term(
+                    params, sector, [LatticeFunction.basis(j) for j in range(42)])
                 pairs = []
                 for j in range(41):
                     for k in (j - 1, j, j + 1):
@@ -220,7 +219,7 @@ def test_criterion_06_orthogonality_and_plancherel():
             worst_rt = max(worst_rt, float(np.sqrt(err2 / nrm)))
 
             if trial < 10:
-                af = laplace.apply_three_term(params, sector, f)
+                [af] = laplace.apply_three_term(params, sector, [f])
                 acoeff = np.array([complex(af.get(j, 0.0)) for j in range(22)],
                                   dtype=np.clongdouble)
                 aw = acoeff * masses

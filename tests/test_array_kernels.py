@@ -71,7 +71,7 @@ def _cases():
 def test_three_term_action_keeps_the_bits_of_the_per_index_formula(params, support, kind):
     f = _function(kind, support, seed=len(support))
     for sector in {q.sector() for q in QUADS}:
-        got = laplace.apply_three_term(params, sector, f)
+        [got] = laplace.apply_three_term(params, sector, [f])
         assert _same_function(got, scalarref.apply_three_term(params, sector, f))
 
 
@@ -79,7 +79,7 @@ def test_three_term_action_keeps_the_bits_of_the_per_index_formula(params, suppo
 def test_divergence_form_keeps_the_bits_of_the_per_index_formula(params, support, kind):
     f = _function(kind, support, seed=len(support) + 1)
     for quad in QUADS:
-        got = laplace.apply_divergence_form(params, quad, f)
+        [got] = laplace.apply_divergence_form(params, quad, [f])
         assert _same_function(got, scalarref.apply_divergence_form(params, quad, f))
 
 
@@ -88,8 +88,8 @@ def test_real_functions_stay_real(kind):
     params, sector = PARAMS[0], Sector(0, 0)
     f = _function(kind, (0, 2, 3), seed=7)
     want = _CLD if kind in ("complex", "clongdouble") else _LD
-    for out in (laplace.apply_three_term(params, sector, f),
-                laplace.apply_divergence_form(params, Quadruple(0, 0, 0, 0), f)):
+    for [out] in (laplace.apply_three_term(params, sector, [f]),
+                  laplace.apply_divergence_form(params, Quadruple(0, 0, 0, 0), [f])):
         assert {type(v) for v in out.values()} == {want}
 
 
@@ -103,11 +103,41 @@ def test_a_mixed_function_is_promoted_to_its_common_type_first(params):
     promoted = {j: complex(v) for j, v in f.items()}
     for quad in QUADS:
         sector = quad.sector()
-        got = laplace.apply_three_term(params, sector, f)
+        [got] = laplace.apply_three_term(params, sector, [f])
         assert {type(v) for v in got.values()} == {_CLD}
         assert _same_function(got, scalarref.apply_three_term(params, sector, promoted))
-        got = laplace.apply_divergence_form(params, quad, f)
+        [got] = laplace.apply_divergence_form(params, quad, [f])
         assert _same_function(got, scalarref.apply_divergence_form(params, quad, promoted))
+
+
+@pytest.mark.parametrize("params", PARAMS)
+def test_stacked_actions_keep_the_bits_of_each_function_alone(params):
+    """One call on a batch that mixes every value type, supports from j = 0
+    and from j >= 2, the empty function, a function mixing real and complex
+    values and one whose imaginary parts are zeros: each result equals, type
+    and zero signs included, the one-function call and the per-index
+    formula, so no row is promoted by another and no row reads another's
+    range."""
+    fs = [_function(kind, support, seed=i) for i, (support, kind)
+          in enumerate(itertools.product(SUPPORTS, KINDS))]
+    mixed = LatticeFunction({2: 0.5, 3: complex(0.25, -1.0), 6: -0.75})
+    fs.insert(5, mixed)
+    fs.append(LatticeFunction({3: complex(-0.0, 1.0), 4: complex(-0.25, -0.0), 7: 0.5j}))
+    refs = [{j: complex(v) for j, v in f.items()} if f is mixed else f for f in fs]
+    for quad in QUADS:
+        sector = quad.sector()
+        got = laplace.apply_three_term(params, sector, fs)
+        assert len(got) == len(fs)
+        for f, ref, out in zip(fs, refs, got):
+            [alone] = laplace.apply_three_term(params, sector, [f])
+            assert _same_function(out, dict(alone))
+            assert _same_function(out, scalarref.apply_three_term(params, sector, ref))
+        got = laplace.apply_divergence_form(params, quad, fs)
+        assert len(got) == len(fs)
+        for f, ref, out in zip(fs, refs, got):
+            [alone] = laplace.apply_divergence_form(params, quad, [f])
+            assert _same_function(out, dict(alone))
+            assert _same_function(out, scalarref.apply_divergence_form(params, quad, ref))
 
 
 @pytest.mark.parametrize("params", PARAMS)
@@ -167,11 +197,13 @@ def test_qpoch_keeps_the_bits_of_the_running_product(a):
                 assert _same_bits(got, want)
 
 
-@pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.95])
+@pytest.mark.parametrize("q", [1e-6, 0.01, 0.3, 0.5, 0.95])
 def test_qbinomial_convolution_keeps_the_bits_of_the_per_coefficient_loops(q):
-    """One prefix table over the grid: each side, and each one-point call,
-    equals the per-coefficient loops at that point alone."""
+    """One prefix table and one array pass over the grid, cells of every t
+    side by side: each side, and each one-point call, equals the
+    per-coefficient loops at that point alone."""
     grid = list(itertools.product(range(5), range(5), range(6)))
+    assert fockoracle.qbinomial_convolution(q, []) == []
     for args, sides in zip(grid, fockoracle.qbinomial_convolution(q, grid), strict=True):
         want = scalarref.qbinomial_convolution(q, *args)
         assert all(_same_bits(u, v) for u, v in zip(sides, want))

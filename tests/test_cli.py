@@ -10,12 +10,13 @@ import warnings
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import qlaplace
-from qlaplace import asc, fockoracle, verify
+from qlaplace import asc, cli, fockoracle, verify
 from qlaplace.cli import RunConfig, main
 from qlaplace.lattice import LatticeFunction, ModelParams, Quadruple, hwv_inner_product
 from qlaplace.qcore import ConvergenceError
@@ -298,6 +299,26 @@ def test_oracle_rel_err_is_the_checks_relative_gap_below_1e_300():
     assert report["rel_err"] == float(abs(o - c) / abs(c)) > 0
 
 
+def test_oracle_reports_the_extended_precision_values_past_the_double_range():
+    """At q=0.001 the double fields read 0.0 (kept byte for byte); the
+    ``_ld`` fields carry the ``longdouble`` values, 1e-894, as strings that
+    read back to the same values."""
+    res = run("oracle", "--q", "0.001", "--n", "2", "--m", "10",
+              "--quadruple", "0", "0", "10", "10")
+    assert res.exit_code == 0
+    report = json.loads(res.stdout)
+    assert report["oracle"] == report["closed_form"] == 0.0
+    params, quad = ModelParams(0.001, 2, 10), Quadruple(0, 0, 10, 10)
+    f = LatticeFunction.basis(0) + LatticeFunction.basis(1)
+    [[o]] = fockoracle.invariant_integral(params, [quad], [(f, f)])
+    c = hwv_inner_product(params, quad, f, f)
+    for field, value in (("oracle_ld", o), ("closed_form_ld", c)):
+        text = report[field]
+        assert -897 <= int(text.split("e")[1]) <= -891
+        assert np.longdouble(text) == value
+    assert report["oracle_ld"] != report["closed_form_ld"]  # rel_err 3.8e-19
+
+
 def test_oracle_reports_at_the_q_bound():
     res = run("oracle", "--quadruple", "0", "0", "0", "0", "--q", "0.95")
     assert res.exit_code == 0, res.output
@@ -458,6 +479,17 @@ def test_quad_nodes_past_the_node_cap_is_a_usage_error(tmp_path, args, nodes):
                      cwd=tmp_path)
     assert res.returncode == 2
     assert f"--quad-nodes must be <= 16384, got {nodes}" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("size", [cli.MAX_SPECTRUM_SIZE + 1, 10 ** 7])
+def test_spectrum_size_past_its_bound_is_a_usage_error(size):
+    # the dense 2 * size solve allocated (2 * 10^7)^2 doubles and ended in a
+    # numpy _ArrayMemoryError traceback
+    res = run_python("-m", "qlaplace.cli", "spectrum", "--size", str(size))
+    assert res.returncode == 2
+    assert f"--size must be <= {cli.MAX_SPECTRUM_SIZE}, got {size}" in res.stderr
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
 

@@ -112,8 +112,8 @@ def test_connection_to_asc_polynomials():
 def test_eigenvalue_equation_sample():
     for params, sector in CASES:
         for z, prof in sample_profiles(params, sector, 31):
-            f = LatticeFunction({j: prof[j] for j in range(32)})
-            af = apply_three_term(params, sector, f)
+            [af] = apply_three_term(params, sector,
+                                    [LatticeFunction({j: prof[j] for j in range(32)})])
             lam = eigenvalue(params, z)
             scale = float(np.max(np.abs(prof[:31])))
             worst = max(float(abs(af.get(j, 0.0) - lam * prof[j]))
@@ -423,7 +423,7 @@ def test_transform_of_orthonormal_basis_is_orthonormal_polynomial():
         plan = spectral._TransformPlan(params, sector, meas, 5)
         for j in (0, 2, 5):
             ej = LatticeFunction({j: 1.0 / np.sqrt(measure_mass(params, sector, j))})
-            fhat = plan.forward(ej)
+            [fhat] = plan.forward([ej])
             assert not fhat.continuous.imag.any() and not fhat.discrete.imag.any()
             for t, val in zip(meas.theta_nodes, fhat.continuous.real):
                 want = _orthonormal_polynomial(params, sector, j, np.cos(t))
@@ -497,7 +497,7 @@ def test_multiplication_operator_property():
         lam_d = [float(eigenvalue(params, d.z)) for d in meas.discrete]
         for _ in range(3):
             f = rng.lattice_function(10)
-            af = apply_three_term(params, sector, f)
+            [af] = apply_three_term(params, sector, [f])
             fhat = transform_grid(params, sector, f, meas)
             afhat = transform_grid(params, sector, af, meas)
             scale = max(1.0, float(np.max(np.abs(lam * np.asarray(fhat.continuous)))))
@@ -529,16 +529,16 @@ def test_transform_plan_slices_keep_the_bits_of_a_fresh_build(params, sector):
     rng = Lcg(99)
     for size in (1, 12, 13, 15, 17):
         f = rng.lattice_function(size)
-        for g in (f, apply_three_term(params, sector, f)):
+        for g in (f, *apply_three_term(params, sector, [f])):
             if max(g) > 16:
                 with pytest.raises(ValueError, match="depth"):
-                    plan.forward(g)
+                    plan.forward([g])
                 continue
-            got, want = plan.forward(g), transform_grid(params, sector, g, meas)
+            [got], want = plan.forward([g]), transform_grid(params, sector, g, meas)
             assert _same_bits(got.continuous, want.continuous)
             assert _same_bits(got.discrete, want.discrete)
             for depth in (1, 14, 16):
-                rec = plan.inverse(got, depth)
+                [rec] = plan.inverse([got], depth)
                 ref = inverse_transform_profile(params, sector, got, depth)
                 assert rec.support == ref.support
                 assert _same_bits([rec[j] for j in rec.support],
@@ -550,13 +550,13 @@ def test_transform_plan_rejects_deeper_functions():
     meas = plancherel_measure(params, sector, 64)
     plan = spectral._TransformPlan(params, sector, meas, 5)
     with pytest.raises(ValueError, match="depth 6"):
-        plan.forward(LatticeFunction.basis(6))
-    fhat = plan.forward(LatticeFunction.basis(5))
+        plan.forward([LatticeFunction.basis(6)])
+    [fhat] = plan.forward([LatticeFunction.basis(5)])
     with pytest.raises(ValueError, match="depth 6"):
-        plan.inverse(fhat, 6)
+        plan.inverse([fhat], 6)
     other = plancherel_measure(params, sector, 64)
     with pytest.raises(ValueError, match="another measure"):
-        plan.inverse(SpectralFunction(other, fhat.continuous, fhat.discrete), 5)
+        plan.inverse([fhat, SpectralFunction(other, fhat.continuous, fhat.discrete)], 5)
 
 
 #: sectors with 0, 2 and 5 mass points
@@ -597,7 +597,7 @@ def test_round_trip_builds_one_plan(params, sector, masses, monkeypatch):
     meas = plancherel_measure(params, sector, 256)
     assert len(meas.discrete) == masses
     fhat = transform_grid(params, sector, Lcg(5).lattice_function(21), meas)
-    wants = {depth: spectral._TransformPlan(params, sector, meas, depth).inverse(fhat, depth)
+    wants = {depth: spectral._TransformPlan(params, sector, meas, depth).inverse([fhat], depth)[0]
              for depth in (20, 11, 0)}
     builds = _count_builds(monkeypatch)
     for depth, want in wants.items():
@@ -620,7 +620,7 @@ def test_inverse_builds_its_own_plan_when_the_carried_one_does_not_serve(
                                           sector, fhat, 12),
              (params, Sector(1, sector.Lp), fhat, 12), (params, sector, plain, 12),
              (params, sector, moved, 12)]
-    wants = [spectral._TransformPlan(p, s, fh.measure, depth).inverse(fh, depth)
+    wants = [spectral._TransformPlan(p, s, fh.measure, depth).inverse([fh], depth)[0]
              for p, s, fh, depth in cases]
     builds = _count_builds(monkeypatch)
     for (p, s, fh, depth), want in zip(cases, wants):
@@ -632,7 +632,7 @@ def test_forward_result_carries_its_plan_outside_equality():
     params, sector, _ = REUSE_CASES[1]
     meas = plancherel_measure(params, sector, 64)
     plan = spectral._TransformPlan(params, sector, meas, 4)
-    fhat = plan.forward(LatticeFunction.basis(2))
+    [fhat] = plan.forward([LatticeFunction.basis(2)])
     assert fhat._plan is plan
     assert "_plan" not in repr(fhat)
     assert SpectralFunction(meas, fhat.continuous, fhat.discrete)._plan is None
@@ -640,25 +640,29 @@ def test_forward_result_carries_its_plan_outside_equality():
 
 @pytest.mark.parametrize("kind", ["complex", "zeros", "minus_zero_imag", "real"])
 def test_split_product_equals_the_complex_product(kind):
-    """M @ v.real and M @ v.imag give the values and zero signs of M cast to
-    complex, also on an empty matrix; a real vector keeps a real result."""
+    """M @ V.real and M @ V.imag give the values and zero signs of M cast to
+    complex, also on an empty matrix, and each column the bits of M times
+    that column alone; a real V keeps a real result."""
     rng = np.random.default_rng(8)
     M = rng.uniform(-1, 1, (40, 40)).astype(_LD)
     M[rng.random(M.shape) < 0.3] = 0.0
     M[rng.random(M.shape) < 0.1] = -0.0
-    re, im = rng.uniform(-1, 1, 40).astype(_LD), rng.uniform(-1, 1, 40).astype(_LD)
+    re, im = (rng.uniform(-1, 1, (40, 3)).astype(_LD) for _ in range(2))
     if kind == "zeros":
         re[::3], im[::2] = 0.0, 0.0
     if kind == "minus_zero_imag":
         re[::4], im[:] = -0.0, -0.0
-    v = re if kind == "real" else np.empty(40, dtype=np.clongdouble)
+    V = re if kind == "real" else np.empty((40, 3), dtype=np.clongdouble)
     if kind != "real":
-        v.real, v.imag = re, im
+        V.real, V.imag = re, im
     for mat in (M, M[:, :10], M.T[:10], M[:0]):
-        vec = v[:mat.shape[1]]
-        got = spectral._matvec(mat, vec)
-        assert _identical(got, mat @ vec)
+        cols = V[:mat.shape[1]]
+        got = spectral._matmul(mat, cols)
+        assert _identical(got, mat @ cols)
         assert got.dtype == (_LD if kind == "real" else np.clongdouble)
+        for k in range(cols.shape[1]):
+            assert _identical(got[:, k], mat @ cols[:, k])
+            assert _identical(spectral._matmul(mat, cols[:, k:k + 1])[:, 0], got[:, k])
 
 
 @pytest.mark.parametrize("coeffs", [{0: 1.0, 1: -0.5, 3: 0.25},
@@ -667,8 +671,8 @@ def test_split_product_equals_the_complex_product(kind):
 def test_forward_transform_values_are_clongdouble_arrays(coeffs):
     params, sector = CASES[1]  # two mass points
     meas = plancherel_measure(params, sector, 64)
-    fhat = spectral._TransformPlan(params, sector, meas, 3).forward(
-        LatticeFunction(coeffs))
+    [fhat] = spectral._TransformPlan(params, sector, meas, 3).forward(
+        [LatticeFunction(coeffs)])
     assert fhat.continuous.dtype == fhat.discrete.dtype == np.clongdouble
     assert fhat.discrete.shape == (2,)
     if not any(isinstance(v, complex) for v in coeffs.values()):
@@ -752,3 +756,36 @@ def test_containment_equals_the_per_eigenvalue_loop_and_keeps_a_nan():
         assert math.isnan(spec.containment([math.nan]))
         assert math.isnan(spec.containment([lo, math.nan, hi]))
     assert spec.containment([]) == 0.0
+
+
+@pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
+def test_stacked_transforms_keep_the_bits_of_each_function_alone(params, sector, masses):
+    """One forward call on functions of every depth up to the plan's, the
+    empty function and real and complex values, and one inverse call on
+    their transforms: each result has the bits of the one-function call,
+    and of the public functions, which build at the function's own depth."""
+    meas = plancherel_measure(params, sector, 256)
+    assert len(meas.discrete) == masses
+    plan = spectral._TransformPlan(params, sector, meas, 16)
+    rng = Lcg(12)
+    fs = [rng.lattice_function(size) for size in (1, 5, 12, 17)]
+    fs += [LatticeFunction(), LatticeFunction.basis(3),
+           LatticeFunction({0: 1.0, 4: -0.5, 9: 0.25})]
+    fs += apply_three_term(params, sector, fs[:2])
+    fhats = plan.forward(fs)
+    assert len(fhats) == len(fs)
+    for f, fhat in zip(fs, fhats):
+        [alone] = plan.forward([f])
+        public = transform_grid(params, sector, f, meas)
+        for want in (alone, public):
+            assert _identical(fhat.continuous, want.continuous)
+            assert _identical(fhat.discrete, want.discrete)
+    for depth in (16, 9):
+        recs = plan.inverse(fhats, depth)
+        assert len(recs) == len(fhats)
+        for fhat, rec in zip(fhats, recs):
+            [alone] = plan.inverse([fhat], depth)
+            assert _identical_lattice(rec, alone)
+            assert _identical_lattice(
+                rec, inverse_transform_profile(params, sector, fhat, depth))
+    assert plan.forward([]) == [] and plan.inverse([], 16) == []

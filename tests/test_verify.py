@@ -43,7 +43,7 @@ def _multiplication_loop(params, sector, cfg):
     worst = 0.0
     for _ in range(5):
         f = rng.lattice_function(12)
-        af = laplace.apply_three_term(params, sector, f)
+        [af] = laplace.apply_three_term(params, sector, [f])
         fhat = spectral.transform_grid(params, sector, f, meas)
         afhat = spectral.transform_grid(params, sector, af, meas)
         lam_fhat = lam_cont * np.asarray(fhat.continuous)
@@ -75,12 +75,12 @@ def _symmetry_loop(params, sector, cfg):
     worst = 0.0
     for j in range(maxj + 1):
         fj = LatticeFunction.basis(j)
-        afj = laplace.apply_three_term(params, sector, fj)
+        [afj] = laplace.apply_three_term(params, sector, [fj])
         for k in (j - 1, j, j + 1):
             if k < 0 or k > maxj:
                 continue
             fk = LatticeFunction.basis(k)
-            afk = laplace.apply_three_term(params, sector, fk)
+            [afk] = laplace.apply_three_term(params, sector, [fk])
             [lhs] = lattice.inner_product(params, sector, [(afj, fk)])
             [rhs] = lattice.inner_product(params, sector, [(fj, afk)])
             worst = max(worst, float(abs(lhs - rhs) / max(1.0, abs(lhs))))
@@ -414,3 +414,59 @@ def test_eigenvalue_residual_makes_one_profile_call(monkeypatch):
     assert verify.check_eigenvalue_residual(cfg.params(), cfg.sector(), cfg) < 1e-10
     [(_, _, z, masses, _)] = calls
     assert len(z) == 7 and len(masses) == 2
+
+
+def _count_kernel_calls(monkeypatch) -> dict:
+    """Count the lattice actions and the transform plans' forward and inverse
+    calls, by kernel name."""
+    calls = dict.fromkeys(["apply_three_term", "apply_divergence_form",
+                           "forward", "inverse"], 0)
+
+    def counting(kernel, name):
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return counted
+
+    for name in ("apply_three_term", "apply_divergence_form"):
+        monkeypatch.setattr(laplace, name, counting(getattr(laplace, name), name))
+    for name in ("forward", "inverse"):
+        monkeypatch.setattr(spectral._TransformPlan, name,
+                            counting(getattr(spectral._TransformPlan, name), name))
+    return calls
+
+
+#: per check, the calls of each kernel: one per check, and one divergence
+#: form per quadruple
+ONE_ARRAY_PASS_CHECKS = [
+    ("eigenvalue_residual", {"apply_three_term": 1}),
+    ("cross_form_agreement", {"apply_three_term": 1, "apply_divergence_form": 1}),
+    ("sector_independence", {"apply_divergence_form": 3}),
+    ("operator_symmetry", {"apply_three_term": 1}),
+    ("transform_of_base_indicator", {"forward": 1}),
+    ("parseval", {"forward": 1}),
+    ("multiplication_operator", {"apply_three_term": 1, "forward": 1}),
+    ("transform_roundtrip", {"forward": 1, "inverse": 1}),
+]
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(q=0.5), RunConfig(q=0.5, n=2, m=4, Lp=2)],
+                         ids=["q0.5", "2mass"])
+@pytest.mark.parametrize("check,counts", ONE_ARRAY_PASS_CHECKS,
+                         ids=[check for check, _ in ONE_ARRAY_PASS_CHECKS])
+def test_check_runs_each_kernel_in_one_array_pass(monkeypatch, cfg, check, counts):
+    calls = _count_kernel_calls(monkeypatch)
+    [(fn, threshold)] = [(fn, threshold) for name, fn, threshold, _ in verify.BATTERY
+                         if name == check]
+    assert fn(cfg.params(), cfg.sector(), cfg) <= threshold
+    assert calls == {**dict.fromkeys(calls, 0), **counts}
+
+
+def test_default_pass_kernel_calls(monkeypatch):
+    """A default battery pass: 4 three-term actions, 4 divergence forms,
+    4 forward transforms and 1 inverse (48, 14, 38 and 5 with one call per
+    function)."""
+    calls = _count_kernel_calls(monkeypatch)
+    assert all(r.passed for r in verify.run_battery(RunConfig()))
+    assert calls == {"apply_three_term": 4, "apply_divergence_form": 4,
+                     "forward": 4, "inverse": 1}
