@@ -27,8 +27,9 @@ Each identity kernel takes the whole grid of its check, (q, grid), and
 returns one (lhs, rhs) pair per grid point, so a check makes one call, and
 every sum of that call reads one table: the powers of q for the positive
 block and the geometric sum, the (q^-2; q^-2)_i prefixes for the binomial
-convolution, and the integer powers of u and v, q^2 = u/v, for the exact
-negative block.  No table outlives its call.
+convolution, and for the exact negative block the compositions of each
+(n, t), the integer powers of u and v, q^2 = u/v, and the run products
+prod (u^m - v^m) of its Pochhammer factors.  No table outlives its call.
 
 The n = 1 case is excluded: there the first and last negative indices
 coincide and the diagonal factor's two Pochhammer pieces collide; the
@@ -206,62 +207,6 @@ def invariant_integral(params: ModelParams, quads, pairs) -> list:
     return [[val2 for _, val2 in row] for row in rows]
 
 
-def _negative_block_terms(n: int, k: int, l: int, t: int) -> tuple:
-    """Both sides of :func:`negative_block_sum` at (n, k, l, t) over
-    y = q^-2 = v/u, each as (terms, divisor): the side is the sum over its
-    terms (ms, i, j) of prod_{m in ms} (u^m - v^m) u^i v^j, divided by
-    prod_{m in divisor} (u^m - v^m).
-
-    Every Pochhammer factor 1 - x^c of a nonzero term has c <= -1, so it is
-    1 - y^m = (u^m - v^m) / u^m with m = -c: a run of consecutive c that
-    reaches c >= 0 also holds the factor 1 - x^0, and its term, which is 0,
-    is left out.  On the left that is a_n > -l; on the right t - l + 1 <= 0.
-    """
-    lhs = []
-    for parts in _compositions(t, n):  # parts = -a
-        first, last = parts[0], parts[-1]
-        if last >= l:
-            # x^d = u^d v^-d from q^(-2l a_n) q^(2 sum (n-i) a_i)
-            d = l * last - sum((n - 1 - i) * p for i, p in enumerate(parts))
-            ms = (*range(first + 1, first + k + 1), *range(last - l + 1, last + 1))
-            lhs.append((ms, d - sum(ms), -d))
-    kk = k + l + n - 1
-    s = t - l + 1
-    rhs = []
-    if s >= 1:
-        ms = (*range(1, k + 1), *range(1, l + 1), *range(s, s + kk))
-        rhs.append((ms, l * t - sum(ms) + kk * (kk + 1) // 2, -l * t))
-    return (lhs, ()), (rhs, range(1, kk + 1))
-
-
-def _common_scale(terms, divisor) -> tuple:
-    """A side of :func:`_negative_block_terms` as ((terms, iu, jv, divisor),
-    reach): iu, jv the smallest exponents, each term (ms, i - iu, j - jv)
-    over the common scale u^iu v^jv, and reach the largest power of u or v
-    that :func:`_exact_side` reads."""
-    iu = min((i for _, i, _ in terms), default=0)
-    jv = min((j for *_, j in terms), default=0)
-    terms = [(ms, i - iu, j - jv) for ms, i, j in terms]
-    reach = max([abs(iu), abs(jv), *divisor]
-                + [e for ms, i, j in terms for e in (*ms, i, j)])
-    return (terms, iu, jv, divisor), reach
-
-
-def _exact_side(terms, iu: int, jv: int, divisor, up, vp) -> float:
-    """One side of :func:`_common_scale` as num / den, the powers read from
-    the tables ``up`` and ``vp``.  Python's int division rounds it correctly;
-    den is made positive, so a side that is 0 is +0.0."""
-    if not terms:
-        return 0.0
-    num = sum(math.prod(up[m] - vp[m] for m in ms) * up[i] * vp[j]
-              for ms, i, j in terms) * up[max(iu, 0)] * vp[max(jv, 0)]
-    den = math.prod(up[m] - vp[m] for m in divisor) \
-        * up[max(-iu, 0)] * vp[max(-jv, 0)]
-    if den < 0:
-        num, den = -num, -den
-    return num / den
-
-
 def negative_block_sum(q: float, grid) -> list:
     """Both sides of the negative-block summation identity at each
     (n, k, l, t) of ``grid``, as (lhs, rhs) pairs of floats.
@@ -274,12 +219,19 @@ def negative_block_sum(q: float, grid) -> list:
 
     Both sides are evaluated exactly (a float q is an exact binary rational):
     the enumerated side cancels by tens of decimal digits at moderate
-    indices for small q, far beyond hardware precision.  With x = q^2 = u/v
-    in lowest terms, every term is an integer times u^i v^j; the terms are
-    brought to one common power of u and of v with integer multiplies, and
-    each side becomes one quotient of integers, whose float Python's int
-    division rounds correctly.  Every power reads one table of u^c and v^c,
-    built to the largest c the grid reads.
+    indices for small q, far beyond hardware precision.  With y = q^-2 = v/u
+    in lowest terms, every Pochhammer factor 1 - y^m of a nonzero term is
+    (u^m - v^m) / u^m, so a run of consecutive factors is the run product
+    R(a, c) = prod_{m=a+1}^{a+c} (u^m - v^m) over a power of u.  A factor
+    1 - y^0 makes its term 0, and that term is left out: on the left that is
+    a_n > -l, on the right t - l + 1 <= 0.  Every term is then an integer
+    times u^i v^j, and each side, brought to one common power of u and of v
+    with integer multiplies, is one quotient of integers, whose float
+    Python's int division rounds correctly; so any exact evaluation of a
+    side gives its bits.  The call builds each table once: the compositions
+    of each (n, t) of the grid, the powers u^c and v^c and the run products
+    R(a, c) over the grid's largest a, c and power.  No table outlives the
+    call.
 
     The identity holds for n >= 2 (and degenerately whenever k*l*t = 0); for
     n = 1 with k, l, t all positive the two Pochhammer factors collide on the
@@ -287,13 +239,45 @@ def negative_block_sum(q: float, grid) -> list:
     check agreement on their own grid.
     """
     u, v = (c ** 2 for c in float(q).as_integer_ratio())
-    sides = [_common_scale(*side) for cell in grid
-             for side in _negative_block_terms(*cell)]
-    top = max((reach for _, reach in sides), default=0)
+    grid = list(grid)
+    tmax = max((t for *_, t in grid), default=0)
+    cmax = max((k + l + n - 1 for n, k, l, _ in grid), default=0)
+    # every power read: u^m - v^m to m = tmax + cmax, and each side's
+    # exponents, at most (n - 1 + k + l) t + (k + l)^2
+    top = max([tmax + cmax, *((n - 1 + k + l) * t + (k + l) ** 2 for n, k, l, t in grid)])
     up, vp = ([*itertools.accumulate(itertools.repeat(b, top), operator.mul,
                                      initial=1)] for b in (u, v))
-    values = [_exact_side(*side, up, vp) for side, _ in sides]
-    return list(zip(values[::2], values[1::2]))
+    # run[c][a] = R(a, c)
+    run = [[1] * (tmax + 1)]
+    for c in range(1, cmax + 1):
+        run.append([r * (up[a + c] - vp[a + c]) for a, r in enumerate(run[-1])])
+    comps = {}
+    out = []
+    for n, k, l, t in grid:
+        if (n, t) not in comps:
+            comps[n, t] = [(p[0], p[-1], sum((n - 1 - i) * x for i, x in enumerate(p)))
+                           for p in _compositions(t, n)]
+        # lhs: each composition parts = -a, first = -a_1, last = -a_n and
+        # w = sum_i (n - 1 - i) parts_i <= (n - 1) t gives the term
+        # R(first, k) R(last - l, l) u^(ck - w - k first) v^(w - l last);
+        # times u^su v^(lt), every exponent of the sum is >= 0
+        su = (n - 1 + k) * t
+        ck = l * (l - 1) // 2 - k * (k + 1) // 2
+        rk, rl = run[k], run[l]
+        num = sum(rk[first] * rl[last - l] * up[su - w - k * first] * vp[w + l * (t - last)]
+                  for first, last, w in comps[n, t] if last >= l)
+        # a positive denominator, so a left side that is 0 is +0.0
+        lhs = num * up[max(ck - su, 0)] / (vp[l * t] * up[max(su - ck, 0)])
+        # rhs: R(0, k) R(0, l) R(s - 1, kk) u^i v^-lt / R(0, kk), never 0
+        # (each u^m - v^m, m >= 1, is nonzero)
+        kk, s = k + l + n - 1, t - l + 1
+        rhs = 0.0
+        if s >= 1:
+            i = l * t - k * (k + 1) // 2 - l * (l + 1) // 2 - kk * (s - 1)
+            rhs = run[k][0] * run[l][0] * run[kk][s - 1] * up[max(i, 0)] \
+                / (run[kk][0] * up[max(-i, 0)] * vp[l * t])
+        out.append((lhs, rhs))
+    return out
 
 
 def positive_block_sum(q: float, grid) -> list:

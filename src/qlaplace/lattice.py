@@ -11,9 +11,9 @@ Lattice weights grow like q^(-2j(N-1+L+Lp)) and overflow IEEE doubles near
 j ~ 60 for small q, so this module computes in numpy's extended-precision
 ``longdouble`` (80-bit on x86-64; ~18 significant digits, range ~1e4932).
 
-:func:`sector_weight` and :func:`measure_mass` take an integer index or an
-integer index array; each array entry has the bits of the scalar call at
-its index.  :func:`inner_product` pairs a list of (f, g) in one call: its
+:func:`sector_weight`, :func:`measure_mass` and :func:`indicator_norm_sq`
+take an integer index or an integer index array; each array entry has the
+bits of the scalar call at its index.  :func:`inner_product` pairs a list of (f, g) in one call: its
 masses come from one :func:`measure_mass` call on the sorted union of the
 supports, and each pair sums in its own index order, so every value keeps
 the bits of that pair's per-index sum.
@@ -297,11 +297,13 @@ def inner_product(params: ModelParams, sector: Sector, pairs) -> list:
     return out
 
 
-def indicator_norm_sq(params: ModelParams, sector: Sector, j: int):
+def indicator_norm_sq(params: ModelParams, sector: Sector, j):
     """Closed form for the squared norm of the indicator f_j.
 
     Equals q^(-2j(N-1+L+Lp)) (q^(2j+2); q^2)_{L+n-1} / (q^2; q^2)_{L+n-1},
-    an independent rewriting of the point mass at j.
+    an independent rewriting of the point mass at j.  An integer array ``j``
+    gives the norms elementwise, each with the bits of the scalar call at
+    its index.
     """
     q = params.q_ld
     p = q * q

@@ -9,7 +9,10 @@ with the exception named in its note.  Every check reduces its comparisons
 through :func:`_worst`, so a NaN or infinite comparison fails its check with a
 ``FloatingPointError`` note instead of vanishing from the residual; a numpy
 overflow, division by zero or invalid operation inside a check fails it the
-same way instead of printing a warning.
+same way instead of printing a warning.  A check whose values sit in arrays
+forms its comparisons as one array, elementwise with the bits of the
+per-value formula, and ``_worst`` reduces it in one pass; the identity
+checks pass it an iterable of their relative gaps.
 """
 
 from __future__ import annotations
@@ -48,21 +51,28 @@ class CheckResult:
 def _worst(errors) -> float:
     """The largest per-comparison error as a ``float``, 0.0 when there is none.
 
-    A NaN or infinite error raises ``FloatingPointError``, which
-    :func:`run_battery` reports as a failed check: ``max`` drops a NaN
-    (``max(0.0, nan)`` is 0.0) and would pass a comparison never made.
+    ``errors`` is an array, reduced in one pass (flattened in C order), or an
+    iterable of numbers.  Each error is read as a double, so one past the
+    double range reads inf.  A NaN or infinite error raises
+    ``FloatingPointError`` naming its index, which :func:`run_battery`
+    reports as a failed check: ``max`` drops a NaN (``max(0.0, nan)`` is
+    0.0) and would pass a comparison never made.
     """
-    worst = 0.0
-    for i, err in enumerate(errors):
-        if not math.isfinite(err):
-            raise FloatingPointError(f"comparison {i} has error {err}")
-        if err > worst:
-            worst = err
-    return float(worst)
+    with np.errstate(over="ignore"):  # a longdouble past double range is inf
+        if isinstance(errors, np.ndarray):
+            errors = errors.astype(float, copy=False).ravel()
+        else:
+            errors = np.fromiter(errors, float)
+    finite = np.isfinite(errors)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FloatingPointError(f"comparison {i} has error {errors[i]}")
+    # + 0.0 turns a largest error of -0.0 into the 0.0 of no comparison
+    return float(errors.max(initial=0.0)) + 0.0
 
 
-def _rel(a, b, floor: float = 1.0) -> float:
-    return float(abs(a - b) / max(floor, abs(b)))
+def _rel(a, b) -> float:
+    return float(abs(a - b) / max(1.0, abs(b)))
 
 
 def _support_gaps(a, b, scale: float):
@@ -86,9 +96,9 @@ def check_eigenvalue_residual(params, sector, cfg) -> float:
     for prof, lam, af in zip(profs, lams, afs):
         # carries |lambda| as the gap's rounding does; passes 1e308 at small q
         scale = max(_LD(1), abs(lam)) * np.max(np.abs(prof[:J + 1]))
-        errors += (float(abs(af.get(j, 0.0) - lam * prof[j]) / scale)
-                   for j in range(1, J + 1))
-    return _worst(errors)
+        values = np.array([af.get(j, 0.0) for j in range(1, J + 1)])
+        errors.append(np.abs(values - lam * prof[1:J + 1]) / scale)
+    return _worst(np.concatenate(errors))
 
 
 def check_cross_form(params, sector, cfg) -> float:
@@ -124,25 +134,33 @@ def check_symmetry(params, sector, cfg) -> float:
         for k in (j - 1, j, j + 1):
             if 0 <= k <= LATTICE_DEPTH:
                 pairs += [(actions[j], basis[k]), (basis[j], actions[k])]
-    values = lattice.inner_product(params, sector, pairs)
-    return _worst(float(abs(lhs - rhs) / max(1.0, abs(lhs)))
-                  for lhs, rhs in zip(values[::2], values[1::2]))
+    values = np.array(lattice.inner_product(params, sector, pairs))
+    lhs, rhs = values[::2], values[1::2]
+    return _worst(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
 
 
 def check_norm_identity(params, sector, cfg) -> float:
-    masses = lattice.measure_mass(params, sector, np.arange(LATTICE_DEPTH + 1))
-    errors = []
-    for j, a in enumerate(masses):
-        b = lattice.indicator_norm_sq(params, sector, j)
-        errors.append(_rel(a, b, floor=float(abs(b))))
-    return _worst(errors)
+    j = np.arange(LATTICE_DEPTH + 1)
+    masses = lattice.measure_mass(params, sector, j)
+    norms = np.abs(lattice.indicator_norm_sq(params, sector, j))
+    # each gap over max(|norm| read as a double, |norm|): a norm past the
+    # double range reads inf there, which makes its gap 0
+    with np.errstate(over="ignore"):
+        floor = norms.astype(float)
+    return _worst(np.abs(masses - norms) / np.maximum(floor, norms))
+
+
+def _orthonormal_basis(params, sector, depth: int) -> list:
+    """e_0, ..., e_depth, each as :func:`lattice.orthonormal_basis` forms
+    it, from one :func:`lattice.indicator_norm_sq` call."""
+    norms = lattice.indicator_norm_sq(params, sector, np.arange(depth + 1))
+    return [LatticeFunction({j: 1.0 / np.sqrt(nrm)}) for j, nrm in enumerate(norms)]
 
 
 def check_basis_orthonormality(params, sector, cfg) -> float:
-    basis = (lattice.orthonormal_basis(params, sector, j)
-             for j in range(LATTICE_DEPTH + 1))
-    return _worst(float(abs(v - 1)) for v in
-                  lattice.inner_product(params, sector, [(e, e) for e in basis]))
+    basis = _orthonormal_basis(params, sector, LATTICE_DEPTH)
+    values = lattice.inner_product(params, sector, [(e, e) for e in basis])
+    return _worst(np.abs(np.array(values) - 1))
 
 
 def check_asc_consistency(params, sector, cfg) -> float:
@@ -154,7 +172,7 @@ def check_asc_consistency(params, sector, cfg) -> float:
     theta = np.array([math.acos(0.999 * rng.symmetric()) for _ in range(50)])
     hyp = np.real(asc.asc_hypergeometric(15, theta, pp))
     ref = np.array(asc.asc_recurrence(15, np.cos(theta.astype(_LD)), pp)).T
-    return _worst((np.abs(hyp - ref) / np.maximum(1, np.abs(ref))).flat)
+    return _worst(np.abs(hyp - ref) / np.maximum(1, np.abs(ref)))
 
 
 def check_asc_orthogonality(params, sector, cfg) -> float:
@@ -185,6 +203,13 @@ def check_plancherel_mass(params, sector, cfg) -> float:
     return _worst([float(abs(meas.total_mass() - 1.0))])
 
 
+def _transform_rows(fhats):
+    """The transforms' values at the nodes and at the mass points, one row
+    per transform."""
+    return (np.array([fhat.continuous for fhat in fhats]),
+            np.array([fhat.discrete for fhat in fhats]))
+
+
 def check_transform_of_base_indicator(params, sector, cfg) -> float:
     # e_0 transforms to 1, and each e_j to the orthonormal polynomial of the
     # Plancherel measure p_j = Q_j sqrt(h_j / h_0), h_j / h_0 = 1 / ((base;
@@ -201,14 +226,12 @@ def check_transform_of_base_indicator(params, sector, cfg) -> float:
     band = asc.asc_recurrence(J, np.cos(meas.theta_nodes), pp)
     lead = ab_poch * pp.a ** -np.arange(J + 1)
     masses = [lead * asc._mass_point_series(J, d.index, pp) for d in meas.discrete]
-    fhats = plan.forward([lattice.orthonormal_basis(params, sector, j)
-                          for j in range(J + 1)])
-    errors = []
-    for j, fhat in enumerate(fhats):
-        want = norm[j] * np.concatenate([band[j], [m[j] for m in masses]])
-        got = np.concatenate([fhat.continuous, fhat.discrete])
-        errors.extend((np.abs(got - want) / np.maximum(1, np.abs(want))).astype(float))
-    return _worst(errors)
+    fhats = plan.forward(_orthonormal_basis(params, sector, J))
+    # row j: degree j at every node, then at every mass point
+    want = norm[:, None] * np.concatenate(
+        [band, np.reshape(masses, (len(masses), J + 1)).T], axis=1)
+    got = np.concatenate(_transform_rows(fhats), axis=1)
+    return _worst(np.abs(got - want) / np.maximum(1, np.abs(want)))
 
 
 def check_parseval(params, sector, cfg) -> float:
@@ -230,14 +253,12 @@ def check_multiplication(params, sector, cfg) -> float:
     plan = spectral._TransformPlan(params, sector, meas, 12)
     fs = [rng.lattice_function(12) for _ in range(5)]
     fhats = plan.forward(fs + laplace.apply_three_term(params, sector, fs))
-    errors = []
-    for fhat, afhat in zip(fhats[:5], fhats[5:]):
-        lam_fhat = lam_cont * fhat.continuous
-        scale = max(_LD(1), np.max(np.abs(lam_fhat)))  # may pass 1e308
-        gaps = np.concatenate([afhat.continuous - lam_fhat,
-                               afhat.discrete - lam_disc * fhat.discrete])
-        errors += (float(g / scale) for g in np.abs(gaps))
-    return _worst(errors)
+    cont, disc = _transform_rows(fhats)
+    lam_fhat = lam_cont * cont[:5]
+    # one scale per function, which may pass 1e308
+    scale = np.array([max(_LD(1), top) for top in np.max(np.abs(lam_fhat), axis=1)])
+    gaps = np.concatenate([cont[5:] - lam_fhat, disc[5:] - lam_disc * disc[:5]], axis=1)
+    return _worst(np.abs(gaps) / scale[:, None])
 
 
 def check_roundtrip(params, sector, cfg) -> float:

@@ -4,7 +4,9 @@ written one lattice index (one Python call) at a time, the factor loop of
 ``qcore.qpoch_inf``, the Gaussian binomial of three Pochhammer loops, the
 per-degree loop of the Al-Salam-Chihara recurrence in ``asc``, the
 positive-block sums of ``fockoracle`` with every power formed for one call
-alone, and the trace oracle's literal definition: the multi-index
+alone, the negative-block identity's sides built term by term, one factor
+tuple per term and one power table per cell, and the trace oracle's literal
+definition: the multi-index
 (``FockIndex``) and the diagonal factor of the dressed pairing on one basis
 vector (``diagonal_action``).
 
@@ -13,6 +15,9 @@ on scalars, so for a function whose values share one type the two agree bit
 for bit.  Nothing here is imported by the library.
 """
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -178,6 +183,76 @@ def pochhammer_geometric_sum(q, x, y):
     lhs = positive_lhs(qd, 2, y - 1, x, fockoracle._depth(q))
     rhs = qd ** _LD(2 * y * (x + 1)) * qpoch(p, p, x) \
         / qpoch(qd ** _LD(2 * y), p, x + 1)
+    return lhs, rhs
+
+
+def _negative_block_terms(n: int, k: int, l: int, t: int) -> tuple:
+    """Both sides of ``fockoracle.negative_block_sum`` at (n, k, l, t) over
+    y = q^-2 = v/u, each as (terms, divisor): the side is the sum over its
+    terms (ms, i, j) of prod_{m in ms} (u^m - v^m) u^i v^j, divided by
+    prod_{m in divisor} (u^m - v^m).
+
+    Every Pochhammer factor 1 - x^c of a nonzero term has c <= -1, so it is
+    1 - y^m = (u^m - v^m) / u^m with m = -c: a run of consecutive c that
+    reaches c >= 0 also holds the factor 1 - x^0, and its term, which is 0,
+    is left out.  On the left that is a_n > -l; on the right t - l + 1 <= 0.
+    """
+    lhs = []
+    for parts in fockoracle._compositions(t, n):  # parts = -a
+        first, last = parts[0], parts[-1]
+        if last >= l:
+            # x^d = u^d v^-d from q^(-2l a_n) q^(2 sum (n-i) a_i)
+            d = l * last - sum((n - 1 - i) * p for i, p in enumerate(parts))
+            ms = (*range(first + 1, first + k + 1), *range(last - l + 1, last + 1))
+            lhs.append((ms, d - sum(ms), -d))
+    kk = k + l + n - 1
+    s = t - l + 1
+    rhs = []
+    if s >= 1:
+        ms = (*range(1, k + 1), *range(1, l + 1), *range(s, s + kk))
+        rhs.append((ms, l * t - sum(ms) + kk * (kk + 1) // 2, -l * t))
+    return (lhs, ()), (rhs, range(1, kk + 1))
+
+
+def _common_scale(terms, divisor) -> tuple:
+    """A side of :func:`_negative_block_terms` as ((terms, iu, jv, divisor),
+    reach): iu, jv the smallest exponents, each term (ms, i - iu, j - jv)
+    over the common scale u^iu v^jv, and reach the largest power of u or v
+    that :func:`_exact_side` reads."""
+    iu = min((i for _, i, _ in terms), default=0)
+    jv = min((j for *_, j in terms), default=0)
+    terms = [(ms, i - iu, j - jv) for ms, i, j in terms]
+    reach = max([abs(iu), abs(jv), *divisor]
+                + [e for ms, i, j in terms for e in (*ms, i, j)])
+    return (terms, iu, jv, divisor), reach
+
+
+def _exact_side(terms, iu: int, jv: int, divisor, up, vp) -> float:
+    """One side of :func:`_common_scale` as num / den, the powers read from
+    the tables ``up`` and ``vp``.  Python's int division rounds it correctly;
+    den is made positive, so a side that is 0 is +0.0."""
+    if not terms:
+        return 0.0
+    num = sum(math.prod(up[m] - vp[m] for m in ms) * up[i] * vp[j]
+              for ms, i, j in terms) * up[max(iu, 0)] * vp[max(jv, 0)]
+    den = math.prod(up[m] - vp[m] for m in divisor) \
+        * up[max(-iu, 0)] * vp[max(-jv, 0)]
+    if den < 0:
+        num, den = -num, -den
+    return num / den
+
+
+def negative_block_sum(q, n, k, l, t):
+    """Both sides of ``fockoracle.negative_block_sum`` at one (n, k, l, t),
+    each term's factor tuple built and the powers u^c, v^c tabled for this
+    cell alone.  Both evaluations are exact integer quotients, so they agree
+    bit for bit although they group the integers differently."""
+    u, v = (c ** 2 for c in float(q).as_integer_ratio())
+    sides = [_common_scale(*side) for side in _negative_block_terms(n, k, l, t)]
+    top = max(reach for _, reach in sides)
+    up, vp = ([*itertools.accumulate(itertools.repeat(b, top), operator.mul,
+                                     initial=1)] for b in (u, v))
+    lhs, rhs = (_exact_side(*side, up, vp) for side, _ in sides)
     return lhs, rhs
 
 

@@ -13,6 +13,7 @@ from qlaplace.fockoracle import (invariant_integral, negative_block_sum,
 from qlaplace.lattice import (LatticeFunction, ModelParams, Quadruple,
                               hwv_inner_product, invariant_integral_normalizer)
 from qlaplace.qcore import LD_INF_TOL, ConvergenceError, qpoch
+import scalarref
 from scalarref import FockIndex, diagonal_action
 
 
@@ -313,6 +314,24 @@ def test_negative_block_equals_the_fraction_loop(q):
                 assert np.signbit(sides).tolist() == np.signbit(want).tolist(), cell
             if cell[3] - cell[2] + 1 <= 0:
                 assert want[1] == 0.0
+
+
+@pytest.mark.parametrize("q", [0.5, 0.95, 0.3, 0.001, 1e-6])
+def test_negative_block_equals_the_per_term_builder(q):
+    """The per-call composition, power and run tables give the reprs of the
+    per-term builder kept in ``scalarref``, side by side, on n 2-5 x k, l 0-4
+    x t 0-5, in one call over every cell whose sides fit a double; a cell
+    past the double range (41 at q = 1e-6) raises OverflowError in both."""
+    fits = []
+    for cell in itertools.product(range(2, 6), range(5), range(5), range(6)):
+        try:
+            fits.append((cell, scalarref.negative_block_sum(q, *cell)))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                negative_block_sum(q, [cell])
+    got = negative_block_sum(q, [cell for cell, _ in fits])
+    for (cell, want), sides in zip(fits, got, strict=True):
+        assert [repr(side) for side in sides] == [repr(side) for side in want], cell
 
 
 # ----------------------------------------------------------- identity 2

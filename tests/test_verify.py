@@ -110,16 +110,60 @@ def test_multiplication_reads_the_transform_not_the_rounding_of_z(cfg):
 def test_worst_is_zero_without_comparisons():
     assert verify._worst([]) == 0.0
     assert verify._worst(iter(())) == 0.0
+    assert verify._worst(np.array([])) == 0.0
+    assert verify._worst(np.empty((0, 4), dtype=_LD)) == 0.0
+
+
+@pytest.mark.parametrize("errors", [[-0.0], [-0.0, -0.0, -0.0], [0.0, -0.0]])
+@pytest.mark.parametrize("form", [list, iter, np.array], ids=["list", "generator", "array"])
+def test_worst_of_only_zeros_is_positive_zero(errors, form):
+    worst = verify._worst(form(errors))
+    assert type(worst) is float and worst == 0.0 and math.copysign(1, worst) == 1
+
+
+@pytest.mark.parametrize("dtype", [float, _LD])
+def test_worst_of_an_array_is_the_worst_of_its_values_one_by_one(dtype):
+    """One array reduction and the generator of the same values give the
+    same float, a longdouble value rounded to double either way."""
+    errors = (np.random.default_rng(3).uniform(0, 1e-10, (7, 30)) / 3).astype(dtype)
+    worst = verify._worst(errors)
+    assert type(worst) is float
+    assert worst == verify._worst(v for v in errors.flat) == float(errors.max())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("position", [0, 2, 4])
-def test_worst_refuses_a_non_finite_comparison_anywhere(bad, position):
+@pytest.mark.parametrize("form", [list, iter, np.array, lambda e: np.array(e, dtype=_LD)],
+                         ids=["list", "generator", "array", "longdouble-array"])
+def test_worst_refuses_a_non_finite_comparison_anywhere(bad, position, form):
+    """At the first, a middle and the last position, in a list, a generator
+    and an array."""
     errors = [1e-3, 2e-3, 5e-4, 3e-3, 1e-4]
-    assert verify._worst(errors) == 3e-3
+    assert verify._worst(form(errors)) == 3e-3
     errors[position] = bad
-    with pytest.raises(FloatingPointError, match=f"comparison {position} "):
+    with pytest.raises(FloatingPointError, match=f"comparison {position} has error {bad}$"):
+        verify._worst(form(errors))
+
+
+def test_worst_names_the_flat_index_of_a_two_dimensional_array():
+    errors = np.zeros((3, 4))
+    errors[1, 2] = math.nan
+    errors[2, 0] = math.inf
+    with pytest.raises(FloatingPointError, match="comparison 6 has error nan$"):
         verify._worst(errors)
+
+
+@pytest.mark.parametrize("form", [list, iter, np.array], ids=["list", "generator", "array"])
+def test_a_longdouble_error_past_the_double_range_fails_its_check(monkeypatch, form):
+    """An error finite in longdouble but past the double range reads inf, and
+    its check fails with the note that names it."""
+    def check(params, sector, cfg):
+        return verify._worst(form([_LD(1e-3), _LD(10) ** 400, _LD(2e-3)]))
+
+    monkeypatch.setattr(verify, "BATTERY", [("past_double", check, 1e-9, "")])
+    [res] = verify.run_battery(RunConfig())
+    assert (res.residual, res.passed, res.skipped) == (None, False, False)
+    assert res.note == "FloatingPointError: comparison 1 has error inf"
 
 
 def test_every_check_returns_a_python_float_at_the_default_config():
@@ -417,10 +461,10 @@ def test_eigenvalue_residual_makes_one_profile_call(monkeypatch):
 
 
 def _count_kernel_calls(monkeypatch) -> dict:
-    """Count the lattice actions and the transform plans' forward and inverse
-    calls, by kernel name."""
+    """Count the lattice actions, the indicator norms and the transform
+    plans' forward and inverse calls, by kernel name."""
     calls = dict.fromkeys(["apply_three_term", "apply_divergence_form",
-                           "forward", "inverse"], 0)
+                           "indicator_norm_sq", "forward", "inverse"], 0)
 
     def counting(kernel, name):
         def counted(*args):
@@ -430,6 +474,8 @@ def _count_kernel_calls(monkeypatch) -> dict:
 
     for name in ("apply_three_term", "apply_divergence_form"):
         monkeypatch.setattr(laplace, name, counting(getattr(laplace, name), name))
+    monkeypatch.setattr(lattice, "indicator_norm_sq",
+                        counting(lattice.indicator_norm_sq, "indicator_norm_sq"))
     for name in ("forward", "inverse"):
         monkeypatch.setattr(spectral._TransformPlan, name,
                             counting(getattr(spectral._TransformPlan, name), name))
@@ -443,7 +489,9 @@ ONE_ARRAY_PASS_CHECKS = [
     ("cross_form_agreement", {"apply_three_term": 1, "apply_divergence_form": 1}),
     ("sector_independence", {"apply_divergence_form": 3}),
     ("operator_symmetry", {"apply_three_term": 1}),
-    ("transform_of_base_indicator", {"forward": 1}),
+    ("norm_closed_form", {"indicator_norm_sq": 1}),
+    ("basis_orthonormality", {"indicator_norm_sq": 1}),
+    ("transform_of_base_indicator", {"indicator_norm_sq": 1, "forward": 1}),
     ("parseval", {"forward": 1}),
     ("multiplication_operator", {"apply_three_term": 1, "forward": 1}),
     ("transform_roundtrip", {"forward": 1, "inverse": 1}),
@@ -464,9 +512,9 @@ def test_check_runs_each_kernel_in_one_array_pass(monkeypatch, cfg, check, count
 
 def test_default_pass_kernel_calls(monkeypatch):
     """A default battery pass: 4 three-term actions, 4 divergence forms,
-    4 forward transforms and 1 inverse (48, 14, 38 and 5 with one call per
-    function)."""
+    3 indicator-norm calls, 4 forward transforms and 1 inverse (48, 14, 75,
+    38 and 5 with one call per function)."""
     calls = _count_kernel_calls(monkeypatch)
     assert all(r.passed for r in verify.run_battery(RunConfig()))
     assert calls == {"apply_three_term": 4, "apply_divergence_form": 4,
-                     "forward": 4, "inverse": 1}
+                     "indicator_norm_sq": 3, "forward": 4, "inverse": 1}
