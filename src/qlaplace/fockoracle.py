@@ -264,8 +264,8 @@ def negative_block_sum(q: float, grid) -> list:
         su = (n - 1 + k) * t
         ck = l * (l - 1) // 2 - k * (k + 1) // 2
         rk, rl = run[k], run[l]
-        num = sum(rk[first] * rl[last - l] * up[su - w - k * first] * vp[w + l * (t - last)]
-                  for first, last, w in comps[n, t] if last >= l)
+        num = sum(rk[first] * rl[last - l] * up[su - w - k * first]
+                  * vp[w + l * (t - last)] for first, last, w in comps[n, t] if last >= l)
         # a positive denominator, so a left side that is 0 is +0.0
         lhs = num * up[max(ck - su, 0)] / (vp[l * t] * up[max(su - ck, 0)])
         # rhs: R(0, k) R(0, l) R(s - 1, kk) u^i v^-lt / R(0, kk), never 0

@@ -13,10 +13,10 @@ j ~ 60 for small q, so this module computes in numpy's extended-precision
 
 :func:`sector_weight`, :func:`measure_mass` and :func:`indicator_norm_sq`
 take an integer index or an integer index array; each array entry has the
-bits of the scalar call at its index.  :func:`inner_product` pairs a list of (f, g) in one call: its
-masses come from one :func:`measure_mass` call on the sorted union of the
-supports, and each pair sums in its own index order, so every value keeps
-the bits of that pair's per-index sum.
+bits of the scalar call at its index.  :func:`inner_product` pairs a list
+of (f, g) in one call: its masses come from one :func:`measure_mass` call
+on the sorted union of the supports, and each pair sums in its own index
+order, so every value keeps the bits of that pair's per-index sum.
 """
 
 from __future__ import annotations
