@@ -37,11 +37,6 @@ class Lcg:
 
     def lattice_function(self, size: int) -> LatticeFunction:
         """Random function supported on j = 0..size-1 whose real and imaginary
-        parts lie in [-1, 1): the draws of :meth:`symmetric`, in one loop."""
-        state, draws = self.state, []
-        for _ in range(2 * size):
-            state = (_MULT * state + _INC) & _MASK
-            draws.append(2.0 * ((state >> 11) * 2.0**-53) - 1.0)
-        self.state = state
-        return LatticeFunction({j: complex(re, im) for j, (re, im)
-                                in enumerate(zip(draws[::2], draws[1::2]))})
+        parts lie in [-1, 1)."""
+        return LatticeFunction({j: complex(self.symmetric(), self.symmetric())
+                                for j in range(size)})

@@ -150,15 +150,11 @@ def check_norm_identity(params, sector, cfg) -> float:
     return _worst(np.abs(masses - norms) / np.maximum(floor, norms))
 
 
-def _orthonormal_basis(params, sector, depth: int) -> list:
-    """e_0, ..., e_depth, each as :func:`lattice.orthonormal_basis` forms
-    it, from one :func:`lattice.indicator_norm_sq` call."""
-    norms = lattice.indicator_norm_sq(params, sector, np.arange(depth + 1))
-    return [LatticeFunction({j: 1.0 / np.sqrt(nrm)}) for j, nrm in enumerate(norms)]
-
-
 def check_basis_orthonormality(params, sector, cfg) -> float:
-    basis = _orthonormal_basis(params, sector, LATTICE_DEPTH)
+    # one scalar norm per index: a norm past the longdouble range fails with
+    # numpy's scalar-power note, as the transform check's basis does
+    basis = [lattice.orthonormal_basis(params, sector, j)
+             for j in range(LATTICE_DEPTH + 1)]
     values = lattice.inner_product(params, sector, [(e, e) for e in basis])
     return _worst(np.abs(np.array(values) - 1))
 
@@ -226,7 +222,8 @@ def check_transform_of_base_indicator(params, sector, cfg) -> float:
     band = asc.asc_recurrence(J, np.cos(meas.theta_nodes), pp)
     lead = ab_poch * pp.a ** -np.arange(J + 1)
     masses = [lead * asc._mass_point_series(J, d.index, pp) for d in meas.discrete]
-    fhats = plan.forward(_orthonormal_basis(params, sector, J))
+    fhats = plan.forward([lattice.orthonormal_basis(params, sector, j)
+                          for j in range(J + 1)])
     # row j: degree j at every node, then at every mass point
     want = norm[:, None] * np.concatenate(
         [band, np.reshape(masses, (len(masses), J + 1)).T], axis=1)
@@ -240,8 +237,8 @@ def check_parseval(params, sector, cfg) -> float:
     rng = Lcg(cfg.seed + 404)
     fs = [rng.lattice_function(15) for _ in range(10)]
     fhats = plan.forward(fs)
-    pars = meas.integrate(np.abs([fhat.continuous for fhat in fhats]) ** 2,
-                          np.abs([fhat.discrete for fhat in fhats]) ** 2)
+    cont, disc = _transform_rows(fhats)
+    pars = meas.integrate(np.abs(cont) ** 2, np.abs(disc) ** 2)
     return _worst(float(abs(par - nrm) / abs(nrm)) for par, nrm in
                   zip(pars, lattice.inner_product(params, sector, [(f, f) for f in fs])))
 

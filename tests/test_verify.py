@@ -166,6 +166,24 @@ def test_a_longdouble_error_past_the_double_range_fails_its_check(monkeypatch, f
     assert res.note == "FloatingPointError: comparison 1 has error inf"
 
 
+@pytest.mark.parametrize("check,cfg,depth", [
+    ("basis_orthonormality", RunConfig(q=0.01, m=200), verify.LATTICE_DEPTH),
+    ("transform_of_base_indicator", RunConfig(q=5e-6, n=8, m=28, Lp=10), 12)],
+    ids=["basis_orthonormality", "transform_of_base_indicator"])
+def test_an_overflowing_basis_norm_fails_with_its_scalar_call_note(check, cfg, depth):
+    """Each basis vector takes its norm from one scalar call, so a norm past
+    the longdouble range fails the check with that call's note, worded for a
+    scalar power (an array call words it for an array power)."""
+    params, sector = cfg.params(), cfg.sector()
+    with np.errstate(over="raise", divide="raise", invalid="raise"), \
+            pytest.raises(FloatingPointError) as exc:
+        for j in range(depth + 1):
+            lattice.indicator_norm_sq(params, sector, j)
+    [res] = [r for r in verify.run_battery(cfg) if r.name == check]
+    assert (res.residual, res.passed, res.skipped) == (None, False, False)
+    assert res.note == f"FloatingPointError: {exc.value}"
+
+
 def test_every_check_returns_a_python_float_at_the_default_config():
     # cross_form_agreement divides its gaps by a longdouble scale; every
     # residual must still reach a caller as a float, not only via run_battery
@@ -482,16 +500,16 @@ def _count_kernel_calls(monkeypatch) -> dict:
     return calls
 
 
-#: per check, the calls of each kernel: one per check, and one divergence
-#: form per quadruple
+#: per check, the calls of each kernel: one per check, one divergence form
+#: per quadruple, and one scalar norm per basis vector (see
+#: test_an_overflowing_basis_norm_fails_with_its_scalar_call_note)
 ONE_ARRAY_PASS_CHECKS = [
     ("eigenvalue_residual", {"apply_three_term": 1}),
     ("cross_form_agreement", {"apply_three_term": 1, "apply_divergence_form": 1}),
     ("sector_independence", {"apply_divergence_form": 3}),
     ("operator_symmetry", {"apply_three_term": 1}),
     ("norm_closed_form", {"indicator_norm_sq": 1}),
-    ("basis_orthonormality", {"indicator_norm_sq": 1}),
-    ("transform_of_base_indicator", {"indicator_norm_sq": 1, "forward": 1}),
+    ("transform_of_base_indicator", {"indicator_norm_sq": 13, "forward": 1}),
     ("parseval", {"forward": 1}),
     ("multiplication_operator", {"apply_three_term": 1, "forward": 1}),
     ("transform_roundtrip", {"forward": 1, "inverse": 1}),
@@ -512,9 +530,10 @@ def test_check_runs_each_kernel_in_one_array_pass(monkeypatch, cfg, check, count
 
 def test_default_pass_kernel_calls(monkeypatch):
     """A default battery pass: 4 three-term actions, 4 divergence forms,
-    3 indicator-norm calls, 4 forward transforms and 1 inverse (48, 14, 75,
+    45 indicator-norm calls (one array call for the norm check, one scalar
+    call per basis vector), 4 forward transforms and 1 inverse (48, 14, 75,
     38 and 5 with one call per function)."""
     calls = _count_kernel_calls(monkeypatch)
     assert all(r.passed for r in verify.run_battery(RunConfig()))
     assert calls == {"apply_three_term": 4, "apply_divergence_form": 4,
-                     "indicator_norm_sq": 3, "forward": 4, "inverse": 1}
+                     "indicator_norm_sq": 45, "forward": 4, "inverse": 1}
