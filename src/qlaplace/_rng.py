@@ -38,5 +38,5 @@ class Lcg:
     def lattice_function(self, size: int) -> LatticeFunction:
         """Random function supported on j = 0..size-1 whose real and imaginary
         parts lie in [-1, 1)."""
-        return LatticeFunction({j: complex(self.symmetric(), self.symmetric())
-                                for j in range(size)})
+        return LatticeFunction._from_items(
+            (j, complex(self.symmetric(), self.symmetric())) for j in range(size))

@@ -4,7 +4,8 @@ Two evaluation paths are provided, each returning every degree 0..kmax:
 
 * ``asc_recurrence(kmax, z, p)``: the three-term recurrence
   2 z Q_k = Q_{k+1} + (a+b) base^k Q_k + (1 - base^k)(1 - a b base^(k-1)) Q_{k-1},
-  with Q_{-1} = 0, Q_0 = 1, at a scalar or an array of points z;
+  with Q_{-1} = 0, Q_0 = 1, at a scalar or an array of points z, as a list
+  over the one degree-major array that ``_recurrence_table`` fills in place;
 * ``asc_hypergeometric(J, theta, p)``: the terminating basic-hypergeometric
   representation
   Q_k = (a b; base)_k a^(-k) * 3phi2(base^(-k), a e^(i t), a e^(-i t); ab, 0)
@@ -23,8 +24,8 @@ via the q-binomial theorem into the exact finite convolution
 
     Q_k = sum_r [k; r] (a/w; base)_r (b w; base)_{k-r} w^(2r-k),  w = e^(i t),
 
-whose terms stay comparable to the value.  The recurrence serves the moment
-table (``orthogonality_residual``) and the eigenfunction profiles of
+whose terms stay comparable to the value.  The recurrence's table serves the
+moment table (``orthogonality_residual``) and the eigenfunction profiles of
 :mod:`qlaplace.spectral`; the convolution is its cross-check (``verify``'s
 ``asc_consistency``).
 
@@ -98,30 +99,54 @@ def _w_from_theta(theta):
     return np.exp(_CLD(1j) * _CLD(theta))
 
 
-def asc_recurrence(kmax: int, z, p: AscParams) -> list:
-    """Q_0..Q_kmax at ``z`` by running the three-term recurrence up from
-    Q_0 = 1; ``z`` may be a scalar or ndarray, the values extended precision.
+def _recurrence_table(kmax: int, z, p: AscParams) -> np.ndarray:
+    """Q_0..Q_kmax at ``z`` as one degree-major array of shape
+    (kmax+1, *z.shape), row k the degree-k values, filled in place.
 
-    The degree-k coefficients (a+b) base^k and (1 - base^k)(1 - ab base^(k-1))
-    come from one array over k (array ``base ** k`` has the scalar power's
-    bits), and 2z is formed once, so each step runs the per-degree loop's
-    operations in its order.
+    Row 0 is z * 0 + 1 and row 1 is 2z - (a+b); the array takes row 1's
+    type.  The degree-k coefficients (a+b) base^k and
+    (1 - base^k)(1 - ab base^(k-1)) come from one array over k (array
+    ``base ** k`` has the scalar power's bits), and 2z is formed once; each
+    further row is written by the per-degree loop's five operations in its
+    order, 2z Q_(k-1) - lin Q_(k-1) - quad Q_(k-2), so every entry keeps
+    that loop's bits.
     """
     if kmax < 0:
         raise ValueError(f"degree must be nonnegative, got {kmax}")
     a, b, base = p.a, p.b, p.base
-    prev = z * 0 + 1.0
-    table = [prev]
+    first = 2 * z - (a + b)
+    table = np.empty((kmax + 1,) + np.shape(first), dtype=np.result_type(first))
+    table[0] = z * 0 + 1.0
     if kmax == 0:
         return table
-    cur = 2 * z - (a + b)
-    table.append(cur)
+    table[1] = first
     pw = base ** np.arange(kmax)
     z2 = 2 * z
-    for lin, quad in zip((a + b) * pw[1:], (1 - pw[1:]) * (1 - a * b * pw[:-1])):
-        prev, cur = cur, z2 * cur - lin * cur - quad * prev
-        table.append(cur)
+    # the rows as (1, *z.shape) views, so that a scalar z is written in place
+    # too; the output goes positionally, which numpy parses faster than out=
+    rows = table[:, None]
+    tmp = np.empty_like(rows[0])
+    mul, sub = np.multiply, np.subtract
+    for row, cur, prev, lin, quad in zip(rows[2:], rows[1:], rows, (a + b) * pw[1:],
+                                         (1 - pw[1:]) * (1 - a * b * pw[:-1])):
+        mul(z2, cur, row)
+        mul(lin, cur, tmp)
+        sub(row, tmp, row)
+        mul(quad, prev, tmp)
+        sub(row, tmp, row)
     return table
+
+
+def asc_recurrence(kmax: int, z, p: AscParams) -> list:
+    """Q_0..Q_kmax at ``z`` by running the three-term recurrence up from
+    Q_0 = 1; ``z`` may be a scalar or ndarray, the values extended precision.
+
+    Entry 0 is ``z * 0 + 1.0`` in the type of ``z``; the others are the
+    rows of :func:`_recurrence_table` (views of its one array for an array
+    ``z``, scalars for a scalar).
+    """
+    table = _recurrence_table(kmax, z, p)
+    return [z * 0 + 1.0, *table[1:]]
 
 
 def _running_products(factors):
@@ -441,7 +466,8 @@ def orthogonality_residual(kmax: int, p: AscParams, quad_nodes: int) -> dict:
         lhs: integral Q_i Q_j dmu over the orthogonality measure;
         rhs: delta_ij / ((base^(i+1); base)_inf (a b base^i; base)_inf).
 
-    Every moment comes from one measure and one recurrence table.  A moment
+    Every moment comes from one measure and one recurrence table, each a row
+    of one :meth:`SpectralMeasure.integrate` call.  A moment
     integrand is a degree <= 2 kmax polynomial times the band weight, whose
     trapezoid error is C exp(-2 d (N - 1 - kmax)), so the grid has
     max(quad_nodes, N(d) + kmax + 1) nodes, N(d) the :func:`_node_count` of
@@ -451,16 +477,17 @@ def orthogonality_residual(kmax: int, p: AscParams, quad_nodes: int) -> dict:
         raise ValueError("residual check supports degrees up to 20")
     discrete = mass_points(p, strict=True)  # a band-edge mass raises before d is read
     measure = _grid_measure(p, discrete, max(quad_nodes, _node_count(p, 0) + kmax + 1))
-    table = asc_recurrence(kmax, np.cos(measure.theta_nodes), p)
+    table = _recurrence_table(kmax, np.cos(measure.theta_nodes), p)
     # mass points: Q_j = (ab; base)_j a^(-j) S_j, not the forward recurrence
     lead = np.array([qpoch(p.a * p.b, p.base, j) * p.a ** _LD(-j)
                      for j in range(kmax + 1)])
-    disc = [lead * _mass_point_series(kmax, d.index, p) for d in measure.discrete]
+    disc = np.array([lead * _mass_point_series(kmax, d.index, p)
+                     for d in measure.discrete], dtype=_LD).reshape(-1, kmax + 1)
     scale = [1 / _norm_factor(i, p) for i in range(kmax + 1)]
     pairs = [(i, j) for i in range(kmax + 1) for j in range(i, kmax + 1)]
-    val = {(i, j): measure.integrate(table[i] * table[j],
-                                     [td[i] * td[j] for td in disc])
-           for i, j in pairs}
-    return {(i, j): float(abs(val[i, j] - (scale[i] if i == j else 0.0))
-                          / abs(scale[i]))
-            for i, j in pairs}
+    first, second = np.array(pairs).T
+    # one moment per row, each with the bits of its one-row call
+    val = measure.integrate(table[first] * table[second],
+                            (disc[:, first] * disc[:, second]).T)
+    return {(i, j): float(abs(v - (scale[i] if i == j else 0.0)) / abs(scale[i]))
+            for (i, j), v in zip(pairs, val)}

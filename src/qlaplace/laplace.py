@@ -95,7 +95,7 @@ def _stacked(fs, below: int, kernel) -> list:
     """
     fs = list(fs)
     outs = [_output_range(f) for f in fs]
-    result = [LatticeFunction({}) for _ in fs]
+    result = [LatticeFunction._from_items(()) for _ in fs]
     live = [i for i, out in enumerate(outs) if out]
     if not live:
         return result
@@ -110,7 +110,8 @@ def _stacked(fs, below: int, kernel) -> list:
         actions = kernel(np.array([rows[i] for i in pos], dtype=dtype), lo, hi)
         for i, action in zip(pos, actions):
             out = outs[i]
-            result[i] = LatticeFunction(zip(out, action[out.start - lo:out.stop - lo]))
+            result[i] = LatticeFunction._from_items(
+                zip(out, action[out.start - lo:out.stop - lo]))
     return result
 
 

@@ -139,6 +139,15 @@ class Quadruple:
         return Sector(self.L, self.Lp)
 
 
+def _index(j) -> int:
+    """The lattice index ``j`` as a Python int; ValueError unless it is an
+    integer >= 0."""
+    jj = int(j)
+    if jj != j or jj < 0:
+        raise ValueError(f"lattice index must be an integer >= 0, got {j!r}")
+    return jj
+
+
 class LatticeFunction(Mapping):
     """Finitely supported function on the lattice index set j in Z+.
 
@@ -153,12 +162,19 @@ class LatticeFunction(Mapping):
     def __init__(self, coeffs: Mapping[int, complex] = ()):
         clean = {}
         for j, v in dict(coeffs).items():
-            jj = int(j)
-            if jj != j or jj < 0:
-                raise ValueError(f"lattice index must be an integer >= 0, got {j!r}")
+            jj = _index(j)
             if v != 0:
                 clean[jj] = v
         object.__setattr__(self, "_coeffs", clean)
+
+    @classmethod
+    def _from_items(cls, items) -> "LatticeFunction":
+        """The function of the (index, value) pairs ``items``, whose indices
+        the library made: Python ints >= 0, each once.  Exact zeros are
+        dropped as by the constructor; the indices are not checked again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_coeffs", {j: v for j, v in items if v != 0})
+        return self
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("LatticeFunction is immutable")
@@ -166,7 +182,7 @@ class LatticeFunction(Mapping):
     @classmethod
     def basis(cls, j: int) -> "LatticeFunction":
         """The indicator f_j of the lattice point x = q^(-2j)."""
-        return cls({j: 1.0})
+        return cls._from_items([(_index(j), 1.0)])
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -314,7 +330,9 @@ def indicator_norm_sq(params: ModelParams, sector: Sector, j):
 
 def orthonormal_basis(params: ModelParams, sector: Sector, j: int) -> LatticeFunction:
     """The unit-norm multiple e_j = f_j / ||f_j|| of the indicator."""
-    return LatticeFunction({j: 1.0 / np.sqrt(indicator_norm_sq(params, sector, j))})
+    j = _index(j)
+    return LatticeFunction._from_items(
+        [(j, 1.0 / np.sqrt(indicator_norm_sq(params, sector, j)))])
 
 
 def invariant_integral_normalizer(params: ModelParams):

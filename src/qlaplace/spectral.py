@@ -17,10 +17,11 @@ the base-point indicator to the constant function 1).
 
 Numerical notes.  Eigenfunction profiles are evaluated in extended precision
 through the three-term recurrence of :mod:`qlaplace.asc`
-(``asc_recurrence(max_j, z, p)``, the table of degrees 0..max_j shared with
-the moment table ``asc.orthogonality_residual``), which runs every z of
+(``asc._recurrence_table(max_j, z, p)``, the one degree-major array of
+degrees 0..max_j, also the kernel of ``asc.asc_recurrence`` and of the
+moment table ``asc.orthogonality_residual``), which runs every z of
 :func:`eigenfunction_profile` at once, with bits identical to the per-point
-evaluation.
+evaluation, and is scaled in place.
 On the band, and off it away from the mass points, the polynomial is the
 dominant solution of its recurrence, so the forward run keeps its relative
 accuracy.  At discrete mass points
@@ -37,7 +38,10 @@ column each of one matrix product per part (band and mass points), and every
 result has the bits of the one-function call; :func:`transform_grid` and
 :func:`inverse_transform_profile` are one-function calls of the same code.
 A forward result carries its plan, which the inverse of the same round trip
-reads, so a round trip builds one profile matrix.
+reads, so a round trip builds one profile matrix: the transposed view of
+the profile's one table.  The inverse's lattice functions are built by
+``LatticeFunction._from_items``, without checking again the indices the
+plan made.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .asc import (AscParams, DiscreteMass, SpectralMeasure, _c_products,
-                  _mass_point_series, _norm_factor, _running_products,
-                  asc_recurrence, mass_points, orthogonality_measure)
+                  _mass_point_series, _norm_factor, _recurrence_table,
+                  _running_products, mass_points, orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
 
@@ -104,23 +108,26 @@ def eigenfunction_profile(params: ModelParams, sector: Sector, z,
     as (cont, disc).
 
     cont[t, j] is at the t-th entry of the 1-D ``longdouble`` array ``z``: the
-    recurrence table of :func:`qlaplace.asc.asc_recurrence` with degree j
-    rescaled by b^j / (a b; q^2)_j.  disc[k, j] = (b/a)^j S_j is at the k-th
+    recurrence table of :func:`qlaplace.asc._recurrence_table` with degree j
+    rescaled in place by b^j / (a b; q^2)_j, returned as the transposed view
+    of that degree-major table.  disc[k, j] = (b/a)^j S_j is at the k-th
     mass point of the sector in ``discrete`` (``asc.DiscreteMass`` values),
-    from the terminating sum S_j of :func:`qlaplace.asc._mass_point_series`.
-    Every row has the bits of a call on that point alone.
+    from the terminating sum S_j of :func:`qlaplace.asc._mass_point_series`
+    and one array of the powers (b/a)^j.  Every row has the bits of a call
+    on that point alone.
     """
     if max_j < 0:
         raise ValueError("max_j must be nonnegative")
     pp = asc_params(params, sector)
     ppow = _running_products(np.full(max_j, pp.base))
     scale = _running_products(pp.b / (1 - pp.a * pp.b * ppow[:-1]))
-    cont = np.stack(asc_recurrence(max_j, z, pp), axis=-1) * scale
-    j = np.arange(max_j + 1).astype(_LD)
+    table = _recurrence_table(max_j, z, pp)
+    table *= scale[:, None]
+    ratio = (pp.b / pp.a) ** np.arange(max_j + 1).astype(_LD)
     disc = np.empty((len(discrete), max_j + 1), dtype=_LD)
     for k, d in enumerate(discrete):
-        disc[k] = (pp.b / pp.a) ** j * _mass_point_series(max_j, d.index, pp)
-    return cont, disc
+        disc[k] = ratio * _mass_point_series(max_j, d.index, pp)
+    return table.T, disc
 
 
 def c_function(params: ModelParams, sector: Sector, arg):
@@ -269,7 +276,7 @@ class _TransformPlan:
             disc = np.array([masses * fhat.discrete for fhat in fhats])
             vals = vals + _matmul(self.disc[:, :cols].T,
                                   disc.reshape(len(fhats), len(masses)).T)
-        return [LatticeFunction({j: v for j, v in enumerate(col)}) for col in vals.T]
+        return [LatticeFunction._from_items(enumerate(col)) for col in vals.T]
 
 
 def transform_grid(params: ModelParams, sector: Sector, f: Mapping[int, complex],

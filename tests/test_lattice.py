@@ -68,6 +68,28 @@ def test_lattice_function_behaviour():
         f.new_attr = 3
 
 
+@pytest.mark.parametrize("dtype", [float, complex, np.longdouble, np.clongdouble])
+def test_library_built_function_equals_the_checked_one(dtype):
+    """The unchecked constructor of library-built functions gives the public
+    constructor's function: the same keys in the same order, the same values
+    and types, the exact zeros (of either sign) dropped, equality and repr."""
+    values = [dtype(v) for v in (0.5, 0.0, -0.25, -0.0, 3.0, 0.0, 1e-300)]
+    items = list(zip(range(len(values)), values))
+    got, want = LatticeFunction._from_items(items), LatticeFunction(dict(items))
+    assert list(got) == list(want) == [0, 2, 4, 6]
+    for j in want:
+        assert type(got[j]) is type(want[j]) and got[j] == want[j]
+    assert got == want and repr(got) == repr(want)
+    assert LatticeFunction._from_items(()) == LatticeFunction()
+    assert LatticeFunction._from_items(iter(items)) == want  # one pass of an iterator
+    # the library functions that build through it still check the index they are given
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="lattice index"):
+            LatticeFunction.basis(bad)
+        with pytest.raises(ValueError, match="lattice index"):
+            orthonormal_basis(ModelParams(0.5, 2, 2), Sector(0, 0), bad)
+
+
 def test_lattice_function_json_roundtrip():
     f = LatticeFunction({0: 1.5, 3: complex(0.25, -2.0)})
     blob = json.dumps(f.to_json())

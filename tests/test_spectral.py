@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mpref
+import scalarref
 from qlaplace import asc, spectral
 from qlaplace._rng import Lcg
 from qlaplace.laplace import (JacobiMatrix, apply_three_term, eigenvalue,
@@ -587,6 +588,44 @@ def _count_builds(monkeypatch):
         return build(*args)
     monkeypatch.setattr(spectral, "eigenfunction_profile", counted)
     return builds
+
+
+def _stacked_reference_profile(params, sector, z, discrete, J):
+    """The profile as built from a list of per-degree arrays: the per-degree
+    recurrence loop stacked point-major and scaled, and per mass point the
+    ratio power times the terminating sum."""
+    pp = asc_params(params, sector)
+    ppow = asc._running_products(np.full(J, pp.base))
+    scale = asc._running_products(pp.b / (1 - pp.a * pp.b * ppow[:-1]))
+    cont = np.stack(scalarref.recurrence_table(J, z, pp), axis=-1) * scale
+    disc = np.array([(pp.b / pp.a) ** np.arange(J + 1).astype(_LD)
+                     * asc._mass_point_series(J, d.index, pp) for d in discrete],
+                    dtype=_LD).reshape(len(discrete), J + 1)
+    return cont, disc
+
+
+def test_in_place_profile_table_keeps_the_bits_of_the_stacked_one():
+    """At the J = 60 round-trip benchmark's point set (q = 0.5, n = 2, m = 4,
+    L = 0, L' = 2, 256 nodes and 2 mass points) the profile written into one
+    degree-major table equals the stacked per-degree arrays, values and
+    dtype, and a round trip through the public functions equals one through
+    a plan holding those stacked arrays."""
+    params, sector = ModelParams(0.5, 2, 4), Sector(0, 2)
+    meas = plancherel_measure(params, sector, 256)
+    assert len(meas.theta_nodes) == 256 and len(meas.discrete) == 2
+    z = np.cos(meas.theta_nodes)
+    for J in (0, 1, 16, 60):
+        got = eigenfunction_profile(params, sector, z, meas.discrete, J)
+        want = _stacked_reference_profile(params, sector, z, meas.discrete, J)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and _identical(g, w)
+    f = Lcg(60).lattice_function(61)
+    rec = inverse_transform_profile(params, sector, transform_grid(params, sector, f, meas), 60)
+    plan = spectral._TransformPlan(params, sector, meas, 60)
+    plan.cont, plan.disc = _stacked_reference_profile(params, sector, z, meas.discrete, 60)
+    assert plan.cont.flags.c_contiguous and not plan.cont.flags.f_contiguous
+    [want] = plan.inverse(plan.forward([f]), 60)
+    assert rec.support == tuple(range(61)) and _identical_lattice(rec, want)
 
 
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
