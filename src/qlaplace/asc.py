@@ -27,7 +27,9 @@ via the q-binomial theorem into the exact finite convolution
 whose terms stay comparable to the value.  The recurrence's table serves the
 moment table (``orthogonality_residual``) and the eigenfunction profiles of
 :mod:`qlaplace.spectral`; the convolution is its cross-check (``verify``'s
-``asc_consistency``).
+``asc_consistency``).  At the mass points the 3phi2 terminates after a few
+exact terms; ``_mass_point_series`` sums them for every mass point in one
+call, one row per point, for the moment table and the profiles.
 
 The orthogonality measure consists of a continuous density on z = cos(t),
 t in [0, pi], plus finitely many point masses at z_k = (a base^k + a^(-1)
@@ -189,9 +191,10 @@ def _convolution_table(J: int, w, a, b, base):
     return C, conv
 
 
-def _mass_point_series(kmax: int, kd: int, p: AscParams) -> np.ndarray:
-    """The terminating sums S_0..S_kmax at the kd-th mass point
-    w = a base^kd, in extended precision, with Q_j = (a b; base)_j a^(-j) S_j.
+def _mass_point_series(kmax: int, discrete, p: AscParams) -> np.ndarray:
+    """The terminating sums S_0..S_kmax at each mass point of ``discrete``
+    (``DiscreteMass`` values, w = a base^kd for kd = ``index``), one
+    extended-precision row per point, with Q_j = (a b; base)_j a^(-j) S_j.
 
     There the representation's parameter a/w = base^(-kd) kills every series
     term past index kd, leaving the exact (kd+1)-term sum S_j = sum_{i<=kd} t_i,
@@ -201,18 +204,26 @@ def _mass_point_series(kmax: int, kd: int, p: AscParams) -> np.ndarray:
                       / ((1 - base^(i+1)) (1 - a b base^i)).
 
     Mass-point values are minimal solutions of the recurrence, so this sum,
-    not the forward recurrence, keeps their relative accuracy.  Each term
-    runs over all j at once, with the factors in the order of the one-j loop.
+    not the forward recurrence, keeps their relative accuracy.  The powers
+    of base come from one array (array ``base ** e`` has the scalar power's
+    bits), and term i runs over all j of the points with kd >= i at once in
+    the one-point, one-j loop's order, so every row has that loop's bits.
     """
     a, b, base = p.a, p.b, p.base
-    j = np.arange(kmax + 1).astype(_LD)
-    tot = np.zeros(kmax + 1, dtype=_LD)
-    term = np.ones(kmax + 1, dtype=_LD)
-    for i in range(kd + 1):
-        tot = tot + term
-        term = term * (1 - base ** (i - j)) * (1 - a * a * base ** _LD(kd + i)) \
-            * (1 - base ** _LD(i - kd)) * base
-        term = term / ((1 - base ** _LD(i + 1)) * (1 - a * b * base ** _LD(i)))
+    kd = np.array([d.index for d in discrete], dtype=int)
+    top = int(kd.max(initial=-1))
+    lo = max(kmax, top)  # base^e is pw[lo + e], for e = -lo..2 top + 1
+    pw = base ** np.arange(-lo, 2 * top + 2).astype(_LD)
+    tot = np.zeros((len(kd), kmax + 1), dtype=_LD)
+    term = np.ones_like(tot)
+    for i in range(top + 1):
+        on = kd >= i
+        k = kd[on, None]
+        tot[on] += term[on]
+        # base^(i-j) over j = 0..kmax: exponents i..i-kmax
+        term[on] = term[on] * (1 - pw[lo + i - kmax:lo + i + 1][::-1]) \
+            * (1 - a * a * pw[lo + k + i]) * (1 - pw[lo + i - k]) * base \
+            / ((1 - pw[lo + i + 1]) * (1 - a * b * pw[lo + i]))
     return tot
 
 
@@ -466,12 +477,12 @@ def orthogonality_residual(kmax: int, p: AscParams, quad_nodes: int) -> dict:
         lhs: integral Q_i Q_j dmu over the orthogonality measure;
         rhs: delta_ij / ((base^(i+1); base)_inf (a b base^i; base)_inf).
 
-    Every moment comes from one measure and one recurrence table, each a row
-    of one :meth:`SpectralMeasure.integrate` call.  A moment
-    integrand is a degree <= 2 kmax polynomial times the band weight, whose
-    trapezoid error is C exp(-2 d (N - 1 - kmax)), so the grid has
-    max(quad_nodes, N(d) + kmax + 1) nodes, N(d) the :func:`_node_count` of
-    the weight alone.
+    Every moment comes from one measure, one recurrence table and one
+    mass-point series call, each a row of one
+    :meth:`SpectralMeasure.integrate` call.  A moment integrand is a degree
+    <= 2 kmax polynomial times the band weight, whose trapezoid error is
+    C exp(-2 d (N - 1 - kmax)), so the grid has max(quad_nodes, N(d) + kmax
+    + 1) nodes, N(d) the :func:`_node_count` of the weight alone.
     """
     if kmax > 20:
         raise ValueError("residual check supports degrees up to 20")
@@ -481,8 +492,7 @@ def orthogonality_residual(kmax: int, p: AscParams, quad_nodes: int) -> dict:
     # mass points: Q_j = (ab; base)_j a^(-j) S_j, not the forward recurrence
     lead = np.array([qpoch(p.a * p.b, p.base, j) * p.a ** _LD(-j)
                      for j in range(kmax + 1)])
-    disc = np.array([lead * _mass_point_series(kmax, d.index, p)
-                     for d in measure.discrete], dtype=_LD).reshape(-1, kmax + 1)
+    disc = lead * _mass_point_series(kmax, measure.discrete, p)
     scale = [1 / _norm_factor(i, p) for i in range(kmax + 1)]
     pairs = [(i, j) for i in range(kmax + 1) for j in range(i, kmax + 1)]
     first, second = np.array(pairs).T

@@ -21,27 +21,28 @@ through the three-term recurrence of :mod:`qlaplace.asc`
 degrees 0..max_j, also the kernel of ``asc.asc_recurrence`` and of the
 moment table ``asc.orthogonality_residual``), which runs every z of
 :func:`eigenfunction_profile` at once, with bits identical to the per-point
-evaluation, and is scaled in place.
-On the band, and off it away from the mass points, the polynomial is the
-dominant solution of its recurrence, so the forward run keeps its relative
-accuracy.  At discrete mass points
+evaluation, and is scaled in place.  On the band, and off it away from the
+mass points, the polynomial is the dominant solution of its recurrence, so
+the forward run keeps its relative accuracy.  At discrete mass points
 (w = a q^(2k)) the terminating parameter a/w = q^(-2k) truncates the defining
-series after k+1 terms, and that short sum (``asc._mass_point_series``, one
-array over all degrees) is used instead (bound-state profiles are minimal
-solutions of the recurrence, so any forward evaluation loses relative
-accuracy exponentially in j).  The lattice masses of all degrees come from
-one ``measure_mass`` call on the index array.
+series after k+1 terms, and that short sum is used instead: one
+``asc._mass_point_series`` call over every mass point, a row of all degrees
+per point (bound-state profiles are minimal solutions of the recurrence, so
+any forward evaluation loses relative accuracy exponentially in j).  The
+lattice masses of all degrees come from one ``measure_mass`` call.
 
 Transforms run on a ``_TransformPlan``, the profiles and masses of one
-measure at one depth.  Its forward and inverse take a list of functions, one
-column each of one matrix product per part (band and mass points), and every
-result has the bits of the one-function call; :func:`transform_grid` and
-:func:`inverse_transform_profile` are one-function calls of the same code.
-A forward result carries its plan, which the inverse of the same round trip
-reads, so a round trip builds one profile matrix: the transposed view of
-the profile's one table.  The inverse's lattice functions are built by
-``LatticeFunction._from_items``, without checking again the indices the
-plan made.
+measure at one depth.  Its forward takes a list of functions, one column
+each of one matrix product per part (band and mass points), and returns
+(cont, disc), C-contiguous ``clongdouble`` arrays with one row per
+function, which its inverse takes; every row has the bits of the
+one-function call.  :func:`transform_grid`, the one builder of a
+``SpectralFunction``, and :func:`inverse_transform_profile` are one-row
+calls of the same code.  A transform_grid result carries its plan, which
+the inverse of the same round trip reads, so a round trip builds one
+profile matrix: the transposed view of the profile's one table.  The
+inverse's lattice functions are built by ``LatticeFunction._from_items``,
+without checking again the indices the plan made.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ def eigenfunction_profile(params: ModelParams, sector: Sector, z,
     rescaled in place by b^j / (a b; q^2)_j, returned as the transposed view
     of that degree-major table.  disc[k, j] = (b/a)^j S_j is at the k-th
     mass point of the sector in ``discrete`` (``asc.DiscreteMass`` values),
-    from the terminating sum S_j of :func:`qlaplace.asc._mass_point_series`
-    and one array of the powers (b/a)^j.  Every row has the bits of a call
-    on that point alone.
+    from the terminating sums S_j of one :func:`qlaplace.asc._mass_point_series`
+    call over every point and one array of the powers (b/a)^j.  Every row
+    has the bits of a call on that point alone.
     """
     if max_j < 0:
         raise ValueError("max_j must be nonnegative")
@@ -124,10 +125,7 @@ def eigenfunction_profile(params: ModelParams, sector: Sector, z,
     table = _recurrence_table(max_j, z, pp)
     table *= scale[:, None]
     ratio = (pp.b / pp.a) ** np.arange(max_j + 1).astype(_LD)
-    disc = np.empty((len(discrete), max_j + 1), dtype=_LD)
-    for k, d in enumerate(discrete):
-        disc[k] = ratio * _mass_point_series(max_j, d.index, pp)
-    return table.T, disc
+    return table.T, ratio * _mass_point_series(max_j, discrete, pp)
 
 
 def c_function(params: ModelParams, sector: Sector, arg):
@@ -226,9 +224,9 @@ class _TransformPlan:
     every value equals a fresh build's for that function alone: a shallower
     function's coefficients past its own depth are zeros, and a zero term
     leaves an index-order sum that starts at +0 unchanged.  A function
-    deeper than the plan raises ValueError.  A forward result carries its
-    plan (``SpectralFunction._plan``), which :func:`inverse_transform_profile`
-    reuses when it is deep enough.
+    deeper than the plan raises ValueError.  :func:`transform_grid` wraps
+    its one row in a ``SpectralFunction`` that carries the plan (``_plan``),
+    which :func:`inverse_transform_profile` reuses when it is deep enough.
     """
 
     def __init__(self, params: ModelParams, sector: Sector,
@@ -251,39 +249,37 @@ class _TransformPlan:
                              f"depth {self.max_j}")
         return J + 1
 
-    def forward(self, fs: Sequence[Mapping[int, complex]]) -> list:
-        """Forward transforms of the functions of ``fs``, each sampled on the
-        measure's full node set."""
+    def forward(self, fs: Sequence[Mapping[int, complex]]):
+        """Forward transforms of the functions of ``fs`` on the measure's full
+        node set, as (cont, disc): C-contiguous ``clongdouble`` arrays of
+        the values at the nodes and at the mass points, one row per
+        function."""
         cols = self._columns(max((max(f, default=0) for f in fs), default=0))
         coeffs = np.array([[f.get(j, 0) for j in range(cols)] for f in fs],
                           dtype=_CLD).reshape(len(fs), cols)
         weighted = (coeffs * self.masses[:cols]).T
-        cont = _matmul(self.cont[:, :cols], weighted).T
-        disc = _matmul(self.disc[:, :cols], weighted).T
-        return [SpectralFunction(measure=self.measure, continuous=c, discrete=d,
-                                 _plan=self) for c, d in zip(cont, disc)]
+        return (np.ascontiguousarray(_matmul(self.cont[:, :cols], weighted).T),
+                np.ascontiguousarray(_matmul(self.disc[:, :cols], weighted).T))
 
-    def inverse(self, fhats: Sequence[SpectralFunction], max_j: int) -> list:
-        """Inverse transforms of the spectral functions of ``fhats``, each on
-        all lattice indices 0..max_j at once."""
-        if any(fhat.measure is not self.measure for fhat in fhats):
-            raise ValueError("the spectral function is sampled on another measure")
+    def inverse(self, cont: np.ndarray, disc: np.ndarray, max_j: int) -> list:
+        """Inverse transforms of the spectral functions given by their values
+        at the nodes and at the mass points, one row each of ``cont`` and
+        ``disc``, each on all lattice indices 0..max_j at once."""
         cols = self._columns(max_j)
         nodes, masses = self.measure.weights()
-        cont = np.array([nodes * fhat.continuous for fhat in fhats])
-        vals = _matmul(self.cont[:, :cols].T, cont.reshape(len(fhats), len(nodes)).T)
+        vals = _matmul(self.cont[:, :cols].T, (nodes * cont).T)
         if len(masses):
-            disc = np.array([masses * fhat.discrete for fhat in fhats])
-            vals = vals + _matmul(self.disc[:, :cols].T,
-                                  disc.reshape(len(fhats), len(masses)).T)
+            vals = vals + _matmul(self.disc[:, :cols].T, (masses * disc).T)
         return [LatticeFunction._from_items(enumerate(col)) for col in vals.T]
 
 
 def transform_grid(params: ModelParams, sector: Sector, f: Mapping[int, complex],
                    measure: SpectralMeasure) -> SpectralFunction:
     """Forward transform sampled on a Plancherel measure's full node set."""
-    [fhat] = _TransformPlan(params, sector, measure, max(f, default=0)).forward([f])
-    return fhat
+    plan = _TransformPlan(params, sector, measure, max(f, default=0))
+    [cont], [disc] = plan.forward([f])
+    return SpectralFunction(measure=measure, continuous=cont, discrete=disc,
+                            _plan=plan)
 
 
 def inverse_transform_profile(params: ModelParams, sector: Sector,
@@ -299,7 +295,9 @@ def inverse_transform_profile(params: ModelParams, sector: Sector,
     if (plan is None or plan.max_j < max_j or plan.measure is not fhat.measure
             or (plan.params, plan.sector) != (params, sector)):
         plan = _TransformPlan(params, sector, fhat.measure, max_j)
-    [rec] = plan.inverse([fhat], max_j)
+    # a hand-built spectral function may hold a sequence of values
+    [rec] = plan.inverse(np.asarray(fhat.continuous)[None],
+                         np.asarray(fhat.discrete)[None], max_j)
     return rec
 
 

@@ -413,7 +413,7 @@ def _reference_moment(i, j, p, meas):
     table = asc_recurrence(k, np.cos(meas.theta_nodes), p)
     a = np.longdouble(p.a)
     disc = [[qpoch(a * np.longdouble(p.b), base, r) * a ** np.longdouble(-r) * s
-             for r, s in enumerate(asc._mass_point_series(k, d.index, p))]
+             for r, s in enumerate(asc._mass_point_series(k, [d], p)[0])]
             for d in meas.discrete]
     return meas.integrate(table[i] * table[j], [td[i] * td[j] for td in disc])
 

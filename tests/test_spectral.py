@@ -274,6 +274,25 @@ def test_eigenfunction_profile_rows_do_not_depend_on_the_other_points(
         assert _identical(cont, z_only) and _identical(disc, masses_only)
 
 
+@pytest.mark.parametrize("params,sector,count", [
+    (ModelParams(0.3, 1, 6), Sector(0, 5), 5),
+    (ModelParams(0.5, 2, 4), Sector(0, 2), 2)], ids=["5mass", "transform-deep"])
+def test_mass_point_series_of_all_points_is_each_point_alone(params, sector, count):
+    """One call over every mass point of a sector gives each point's row
+    with the bits of the call on that point alone, also for a reordered
+    subset of the points."""
+    pp = asc_params(params, sector)
+    masses = asc.mass_points(pp)
+    assert len(masses) == count
+    for J in (0, 1, 12, 60):
+        rows = asc._mass_point_series(J, masses, pp)
+        assert rows.shape == (count, J + 1) and rows.dtype == _LD
+        for d, row in zip(masses, rows):
+            assert _identical(row, asc._mass_point_series(J, [d], pp)[0])
+        assert _identical(asc._mass_point_series(J, masses[::-2], pp), rows[::-2])
+    assert asc._mass_point_series(60, (), pp).shape == (0, 61)
+
+
 def test_mass_point_series_matches_the_recurrence_where_it_is_stable():
     """Q_j = (ab; base)_j a^(-j) S_j at every mass point of a sector where the
     forward recurrence still holds its digits at low degree."""
@@ -281,8 +300,7 @@ def test_mass_point_series_matches_the_recurrence_where_it_is_stable():
     a, b, base = _LD(pp.a), _LD(pp.b), _LD(pp.base)
     masses = asc.mass_points(pp)
     assert len(masses) == 5
-    for d in masses:
-        series = asc._mass_point_series(6, d.index, pp)
+    for d, series in zip(masses, asc._mass_point_series(6, masses, pp)):
         z = (_LD(d.w) + 1 / _LD(d.w)) / 2
         table = asc.asc_recurrence(6, z, pp)
         for j in range(7):
@@ -424,12 +442,12 @@ def test_transform_of_orthonormal_basis_is_orthonormal_polynomial():
         plan = spectral._TransformPlan(params, sector, meas, 5)
         for j in (0, 2, 5):
             ej = LatticeFunction({j: 1.0 / np.sqrt(measure_mass(params, sector, j))})
-            [fhat] = plan.forward([ej])
-            assert not fhat.continuous.imag.any() and not fhat.discrete.imag.any()
-            for t, val in zip(meas.theta_nodes, fhat.continuous.real):
+            [cont], [disc] = plan.forward([ej])
+            assert not cont.imag.any() and not disc.imag.any()
+            for t, val in zip(meas.theta_nodes, cont.real):
                 want = _orthonormal_polynomial(params, sector, j, np.cos(t))
                 assert float(val) == pytest.approx(float(want), rel=1e-10)
-            for d, val in zip(meas.discrete, fhat.discrete.real):
+            for d, val in zip(meas.discrete, disc.real):
                 want = _orthonormal_polynomial(params, sector, j, d.z)
                 assert float(val) == pytest.approx(float(want), rel=1e-10)
 
@@ -535,12 +553,13 @@ def test_transform_plan_slices_keep_the_bits_of_a_fresh_build(params, sector):
                 with pytest.raises(ValueError, match="depth"):
                     plan.forward([g])
                 continue
-            [got], want = plan.forward([g]), transform_grid(params, sector, g, meas)
-            assert _same_bits(got.continuous, want.continuous)
-            assert _same_bits(got.discrete, want.discrete)
+            cont, disc = plan.forward([g])
+            want = transform_grid(params, sector, g, meas)
+            assert _same_bits(cont[0], want.continuous)
+            assert _same_bits(disc[0], want.discrete)
             for depth in (1, 14, 16):
-                [rec] = plan.inverse([got], depth)
-                ref = inverse_transform_profile(params, sector, got, depth)
+                [rec] = plan.inverse(cont, disc, depth)
+                ref = inverse_transform_profile(params, sector, want, depth)
                 assert rec.support == ref.support
                 assert _same_bits([rec[j] for j in rec.support],
                                   [ref[j] for j in ref.support])
@@ -552,12 +571,9 @@ def test_transform_plan_rejects_deeper_functions():
     plan = spectral._TransformPlan(params, sector, meas, 5)
     with pytest.raises(ValueError, match="depth 6"):
         plan.forward([LatticeFunction.basis(6)])
-    [fhat] = plan.forward([LatticeFunction.basis(5)])
+    cont, disc = plan.forward([LatticeFunction.basis(5)])
     with pytest.raises(ValueError, match="depth 6"):
-        plan.inverse([fhat], 6)
-    other = plancherel_measure(params, sector, 64)
-    with pytest.raises(ValueError, match="another measure"):
-        plan.inverse([fhat, SpectralFunction(other, fhat.continuous, fhat.discrete)], 5)
+        plan.inverse(cont, disc, 6)
 
 
 #: sectors with 0, 2 and 5 mass points
@@ -572,6 +588,11 @@ def _identical(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and all(
         np.array_equal(p(a), p(b)) and np.array_equal(np.signbit(p(a)), np.signbit(p(b)))
         for p in (np.real, np.imag))
+
+
+def _rows(fhat):
+    """A spectral function's values as the plan's one-row (cont, disc)."""
+    return np.asarray(fhat.continuous)[None], np.asarray(fhat.discrete)[None]
 
 
 def _identical_lattice(got, want):
@@ -599,7 +620,7 @@ def _stacked_reference_profile(params, sector, z, discrete, J):
     scale = asc._running_products(pp.b / (1 - pp.a * pp.b * ppow[:-1]))
     cont = np.stack(scalarref.recurrence_table(J, z, pp), axis=-1) * scale
     disc = np.array([(pp.b / pp.a) ** np.arange(J + 1).astype(_LD)
-                     * asc._mass_point_series(J, d.index, pp) for d in discrete],
+                     * asc._mass_point_series(J, [d], pp)[0] for d in discrete],
                     dtype=_LD).reshape(len(discrete), J + 1)
     return cont, disc
 
@@ -624,7 +645,7 @@ def test_in_place_profile_table_keeps_the_bits_of_the_stacked_one():
     plan = spectral._TransformPlan(params, sector, meas, 60)
     plan.cont, plan.disc = _stacked_reference_profile(params, sector, z, meas.discrete, 60)
     assert plan.cont.flags.c_contiguous and not plan.cont.flags.f_contiguous
-    [want] = plan.inverse(plan.forward([f]), 60)
+    [want] = plan.inverse(*plan.forward([f]), 60)
     assert rec.support == tuple(range(61)) and _identical_lattice(rec, want)
 
 
@@ -636,8 +657,8 @@ def test_round_trip_builds_one_plan(params, sector, masses, monkeypatch):
     meas = plancherel_measure(params, sector, 256)
     assert len(meas.discrete) == masses
     fhat = transform_grid(params, sector, Lcg(5).lattice_function(21), meas)
-    wants = {depth: spectral._TransformPlan(params, sector, meas, depth).inverse([fhat], depth)[0]
-             for depth in (20, 11, 0)}
+    wants = {depth: spectral._TransformPlan(params, sector, meas, depth).inverse(
+        *_rows(fhat), depth)[0] for depth in (20, 11, 0)}
     builds = _count_builds(monkeypatch)
     for depth, want in wants.items():
         assert _identical_lattice(inverse_transform_profile(params, sector, fhat, depth),
@@ -659,7 +680,7 @@ def test_inverse_builds_its_own_plan_when_the_carried_one_does_not_serve(
                                           sector, fhat, 12),
              (params, Sector(1, sector.Lp), fhat, 12), (params, sector, plain, 12),
              (params, sector, moved, 12)]
-    wants = [spectral._TransformPlan(p, s, fh.measure, depth).inverse([fh], depth)[0]
+    wants = [spectral._TransformPlan(p, s, fh.measure, depth).inverse(*_rows(fh), depth)[0]
              for p, s, fh, depth in cases]
     builds = _count_builds(monkeypatch)
     for (p, s, fh, depth), want in zip(cases, wants):
@@ -670,11 +691,30 @@ def test_inverse_builds_its_own_plan_when_the_carried_one_does_not_serve(
 def test_forward_result_carries_its_plan_outside_equality():
     params, sector, _ = REUSE_CASES[1]
     meas = plancherel_measure(params, sector, 64)
-    plan = spectral._TransformPlan(params, sector, meas, 4)
-    [fhat] = plan.forward([LatticeFunction.basis(2)])
-    assert fhat._plan is plan
+    fhat = transform_grid(params, sector, LatticeFunction.basis(2), meas)
+    plan = fhat._plan
+    assert isinstance(plan, spectral._TransformPlan)
+    assert plan.measure is meas and plan.max_j == 2
     assert "_plan" not in repr(fhat)
     assert SpectralFunction(meas, fhat.continuous, fhat.discrete)._plan is None
+
+
+@pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
+def test_forward_rows_are_contiguous_and_integrate_as_each_row_alone(
+        params, sector, masses):
+    """The plan's forward arrays are C-contiguous, so one stacked
+    ``integrate`` of |cont|^2 sums each row along its contiguous axis: row
+    by row, the bits of that row integrated alone."""
+    meas = plancherel_measure(params, sector, 256)
+    plan = spectral._TransformPlan(params, sector, meas, 14)
+    rng = Lcg(404)
+    cont, disc = plan.forward([rng.lattice_function(15) for _ in range(10)])
+    assert cont.flags.c_contiguous and disc.flags.c_contiguous
+    assert cont.shape == (10, len(meas.theta_nodes)) and disc.shape == (10, masses)
+    stacked = meas.integrate(np.abs(cont) ** 2, np.abs(disc) ** 2)
+    for total, c, d in zip(stacked, cont, disc):
+        assert _identical(total, meas.integrate(np.abs(c.copy()) ** 2,
+                                                np.abs(d.copy()) ** 2))
 
 
 @pytest.mark.parametrize("kind", ["complex", "zeros", "minus_zero_imag", "real"])
@@ -710,13 +750,13 @@ def test_split_product_equals_the_complex_product(kind):
 def test_forward_transform_values_are_clongdouble_arrays(coeffs):
     params, sector = CASES[1]  # two mass points
     meas = plancherel_measure(params, sector, 64)
-    [fhat] = spectral._TransformPlan(params, sector, meas, 3).forward(
+    cont, disc = spectral._TransformPlan(params, sector, meas, 3).forward(
         [LatticeFunction(coeffs)])
-    assert fhat.continuous.dtype == fhat.discrete.dtype == np.clongdouble
-    assert fhat.discrete.shape == (2,)
+    assert cont.dtype == disc.dtype == np.clongdouble
+    assert cont.shape == (1, len(meas.theta_nodes)) and disc.shape == (1, 2)
     if not any(isinstance(v, complex) for v in coeffs.values()):
         # a real function's transform is real at the nodes and the mass points
-        assert not fhat.continuous.imag.any() and not fhat.discrete.imag.any()
+        assert not cont.imag.any() and not disc.imag.any()
 
 
 # ----------------------------------------------------------- spectrum
@@ -811,20 +851,21 @@ def test_stacked_transforms_keep_the_bits_of_each_function_alone(params, sector,
     fs += [LatticeFunction(), LatticeFunction.basis(3),
            LatticeFunction({0: 1.0, 4: -0.5, 9: 0.25})]
     fs += apply_three_term(params, sector, fs[:2])
-    fhats = plan.forward(fs)
-    assert len(fhats) == len(fs)
-    for f, fhat in zip(fs, fhats):
-        [alone] = plan.forward([f])
-        public = transform_grid(params, sector, f, meas)
-        for want in (alone, public):
-            assert _identical(fhat.continuous, want.continuous)
-            assert _identical(fhat.discrete, want.discrete)
+    cont, disc = plan.forward(fs)
+    assert len(cont) == len(disc) == len(fs)
+    publics = [transform_grid(params, sector, f, meas) for f in fs]
+    for f, c, d, public in zip(fs, cont, disc, publics):
+        [c_alone], [d_alone] = plan.forward([f])
+        assert _identical(c, c_alone) and _identical(d, d_alone)
+        assert _identical(c, public.continuous) and _identical(d, public.discrete)
     for depth in (16, 9):
-        recs = plan.inverse(fhats, depth)
-        assert len(recs) == len(fhats)
-        for fhat, rec in zip(fhats, recs):
-            [alone] = plan.inverse([fhat], depth)
+        recs = plan.inverse(cont, disc, depth)
+        assert len(recs) == len(fs)
+        for k, (rec, public) in enumerate(zip(recs, publics)):
+            [alone] = plan.inverse(cont[k:k + 1], disc[k:k + 1], depth)
             assert _identical_lattice(rec, alone)
             assert _identical_lattice(
-                rec, inverse_transform_profile(params, sector, fhat, depth))
-    assert plan.forward([]) == [] and plan.inverse([], 16) == []
+                rec, inverse_transform_profile(params, sector, public, depth))
+    cont, disc = plan.forward([])
+    assert cont.shape == (0, len(meas.theta_nodes)) and disc.shape == (0, masses)
+    assert plan.inverse(cont, disc, 16) == []

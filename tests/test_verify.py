@@ -411,6 +411,28 @@ def test_transform_of_base_indicator_fails_masses_off_by_1e_8(monkeypatch, cfg, 
     assert check(cfg.params(), cfg.sector(), cfg) > threshold
 
 
+def test_norm_closed_form_fails_masses_off_where_the_norm_passes_double_range(
+        monkeypatch):
+    """At q = 1e-6, (2, 2, 0, 0) most closed-form norms pass the double
+    range; a 1e-8 error in the masses at those indices alone fails the
+    check, whose gaps are relative in extended precision."""
+    cfg = RunConfig(q=1e-6)
+    params, sector = cfg.params(), cfg.sector()
+    [threshold] = [thr for name, _, thr, _ in verify.BATTERY if name == "norm_closed_form"]
+    check = verify.check_norm_identity
+    assert check(params, sector, cfg) <= threshold
+    j = np.arange(verify.LATTICE_DEPTH + 1)
+    past = np.abs(lattice.indicator_norm_sq(params, sector, j)) > np.finfo(float).max
+    assert 0 < past.sum() < len(j)
+    mass = lattice.measure_mass
+
+    def mutant(params, sector, j):
+        return mass(params, sector, j) * np.where(past[j], 1 + 1e-8, 1)
+
+    monkeypatch.setattr(lattice, "measure_mass", mutant)
+    assert check(params, sector, cfg) > threshold
+
+
 #: the one entry point of each table and grid kernel
 PUBLIC_KERNELS = [(asc, "asc_recurrence"), (asc, "asc_hypergeometric"),
                   (asc, "orthogonality_residual"), (fockoracle, "invariant_integral"),
