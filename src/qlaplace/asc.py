@@ -256,10 +256,31 @@ def _masked_qpoch_inf(a, base):
     at the least K with s^(K+1) / ((K+1)(1 - base)(1 - s)) < LD_INF_TOL, a
     bound of its remainder: 17 or 18 terms, where the truncated product
     takes up to 427 factors at q = 0.95.
+
+    The first factors run on every entry with no mask and no fresh |t|:
+    factor i while m base^i > s / base, m the least |a| in extended
+    precision (it may pass the double range), and i < (1 - base) 2^61.
+    t base rounds each component once, so after i steps each |t| and the
+    running m base^i are within 2i + 5 roundings (2^-64 each) of exact
+    values at least m base^i; the margin 1/base outweighs them, so every
+    |t| is still above s and the masked loop would take the same factors
+    by the same operations.  It takes over from a fresh |t|.
     """
     t = np.ones_like(a) * a
     acc = np.ones_like(t)
-    head = np.abs(t) > _LOG_SPLIT
+    mag = np.abs(t)
+    least, edge = mag.min(initial=np.inf), _LOG_SPLIT / base
+    if edge < least < np.inf:
+        fac = np.empty_like(t)
+        steps, cap = 0, (1 - base) * 2.0 ** 61
+        while least > edge and steps < cap:
+            np.subtract(1, t, out=fac)
+            acc *= fac
+            t *= base
+            least = least * base
+            steps += 1
+        mag = np.abs(t)
+    head = mag > _LOG_SPLIT
     while head.any():
         np.multiply(acc, 1 - t, out=acc, where=head)
         np.multiply(t, base, out=t, where=head)
@@ -270,8 +291,11 @@ def _masked_qpoch_inf(a, base):
     k = np.arange(1, K + 1)
     series = np.zeros_like(t)
     for coef in (1 / (k * (1 - base ** k)))[::-1]:  # Horner, t^K down to t
-        series = (series + coef) * t
-    return acc * np.exp(-series)
+        series += coef
+        series *= t
+    np.negative(series, out=series)
+    acc *= np.exp(series, out=series)
+    return acc
 
 
 def _c_products(u, p: AscParams):

@@ -121,15 +121,18 @@ class _PowerTable:
     m - 1 + kp, and ``poch[lp]`` the products (q^(2a - 2); q^-2)_lp.
     Every entry has the bits of a table built for one block alone: ``powl``
     bits depend only on the exponent's value, so q^(2a - 2) is the e = 1 row
-    shifted by one (q^0 = 1 exactly), and ``poch[lp]`` is the running
-    product's own entry, so the prefixes of one (a; base) run serve every lp.
+    shifted by one (q^0 = 1 exactly), each distinct exponent 2ea is raised
+    once and taken into every cell that holds it, and ``poch[lp]`` is the
+    running product's own entry, so the prefixes of one (a; base) run serve
+    every lp.
     """
 
     def __init__(self, q, blocks, depth: int):
         lpmax = max(lp for *_, lp in blocks)
-        a = np.arange(1, depth + lpmax + 1, dtype=_LD)
-        e = np.arange(1, max(m - 1 + kp for m, kp, _ in blocks) + 1, dtype=_LD)
-        self.powers = q ** ((2 * e)[:, None] * a)
+        a = np.arange(1, depth + lpmax + 1)
+        e = np.arange(1, max(m - 1 + kp for m, kp, _ in blocks) + 1)
+        exps, cells = np.unique((2 * e)[:, None] * a, return_inverse=True)
+        self.powers = (q ** exps.astype(_LD))[cells.reshape(len(e), len(a))]
         if lpmax:
             shifted = np.concatenate([[_LD(1)], self.powers[0, :-1]])
             self.poch = _qpoch_prefixes(shifted, q ** _LD(-2), lpmax)

@@ -13,7 +13,9 @@ calls; :func:`qpoch_inf` folds its factors in numpy arrays, and numpy is
 imported by its first call, not by this module.  No product is summed as
 logarithms, since q-Pochhammer factors routinely change sign, except the
 tail of ``asc._masked_qpoch_inf``, whose factors 1 - t all have |t| <= 0.1
-and so a positive real part.
+and so a positive real part; that kernel multiplies the factors before the
+tail, the first of them on every entry at once and the rest under a
+per-entry mask.
 """
 
 from __future__ import annotations

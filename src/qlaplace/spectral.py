@@ -138,14 +138,15 @@ def c_function(params: ModelParams, sector: Sector, arg):
     by ``asc._c_products``, the kernel of the band weight
     ``asc.continuous_weight`` = 1/|c(i nu)|^2 under e^(i theta) = q^(i nu).
     The check ``density_identity`` reads c where Harish-Chandra defines it,
-    in the eigenfunctions' large-j behaviour.  A vanishing denominator factor
-    (q^(2 arg) on q^(-2 Z+)) raises ValueError.
+    in the eigenfunctions' large-j behaviour.  A denominator that is exactly
+    0, from a vanishing factor (q^(2 arg) on q^(-2 Z+)), raises ValueError;
+    a tiny one, such as (q; q^2)_inf ~ e^-822 at q = 0.999, does not.
     """
     pp = asc_params(params, sector)
     arg = np.asarray(arg)
     u = np.exp(arg.astype(_CLD) * np.log(params.q_ld))
     num_a, num_b, den = _c_products(u, pp)
-    vanishing = np.abs(den) < 1e-300
+    vanishing = den == 0
     if vanishing.any():
         raise ValueError(f"c-function denominator (q^(2 arg); q^2)_inf vanishes "
                          f"at arg={arg[vanishing][0]}")

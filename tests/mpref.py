@@ -45,9 +45,11 @@ def rel_err(got, ref) -> float:
 @functools.lru_cache(maxsize=None)
 def _qp_inf(x, q):
     """(x; q)_inf at the reference precision.  Kept: the weight's numerator
-    and the c-function's denominator do not depend on the sector."""
+    and the c-function's denominator do not depend on the sector.  Near
+    q = 1 the product needs more factors than mpmath's default cap (about
+    70,000 at q = 0.998)."""
     with mp.workdps(DIGITS + _GUARD):
-        return mpmath.qp(x, q)
+        return mpmath.qp(x, q, maxterms=10 ** 6)
 
 
 def phi32_terminating(k: int, alpha, beta, base, w, last: int | None = None):

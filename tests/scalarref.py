@@ -2,7 +2,8 @@
 kernels of ``lattice``, ``laplace``, ``qcore`` and ``fockoracle`` replace,
 written one lattice index (one Python call) at a time, the factor loop of
 ``qcore.qpoch_inf``, the Gaussian binomial of three Pochhammer loops, the
-per-degree loop of the Al-Salam-Chihara recurrence in ``asc``, the
+per-degree loop of the Al-Salam-Chihara recurrence in ``asc`` and its
+product kernel with every head factor masked, the
 positive-block sums of ``fockoracle`` with every power formed for one call
 alone, the negative-block identity's sides built term by term, one factor
 tuple per term and one power table per cell, and the trace oracle's literal
@@ -23,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from qlaplace import fockoracle, qcore
+from qlaplace import asc, fockoracle, qcore
 from qlaplace.lattice import ModelParams, Quadruple, invariant_integral_normalizer
 
 _LD = np.longdouble
@@ -282,6 +283,28 @@ def recurrence_table(kmax, z, p):
         prev, cur = cur, nxt
         table.append(cur)
     return table
+
+
+def masked_qpoch_inf(a, base):
+    """(a; base)_inf for every entry of ``a`` with every head factor under
+    the per-entry mask and a fresh |t| after each, and the log series of the
+    tail summed into new arrays."""
+    t = np.ones_like(a) * a
+    acc = np.ones_like(t)
+    head = np.abs(t) > asc._LOG_SPLIT
+    while head.any():
+        np.multiply(acc, 1 - t, out=acc, where=head)
+        np.multiply(t, base, out=t, where=head)
+        head &= np.abs(t) > asc._LOG_SPLIT
+    K = 1
+    while asc._LOG_SPLIT ** (K + 1) >= qcore.LD_INF_TOL * (K + 1) * (1 - base) \
+            * (1 - asc._LOG_SPLIT):
+        K += 1
+    k = np.arange(1, K + 1)
+    series = np.zeros_like(t)
+    for coef in (1 / (k * (1 - base ** k)))[::-1]:  # Horner, t^K down to t
+        series = (series + coef) * t
+    return acc * np.exp(-series)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""The lattice-side array kernels and the Al-Salam-Chihara recurrence table
-against their per-index references (``scalarref``), bit for bit, and the type
-rule of :mod:`qlaplace.laplace`."""
+"""The lattice-side array kernels, the Al-Salam-Chihara recurrence table and
+the band-weight product kernel against their per-index references
+(``scalarref``), bit for bit, and the type rule of :mod:`qlaplace.laplace`."""
 
 import itertools
 
@@ -9,6 +9,7 @@ import pytest
 
 import scalarref
 from qlaplace import asc, fockoracle, laplace, lattice, qcore, spectral, verify
+from qlaplace.cli import RunConfig
 from qlaplace.lattice import LatticeFunction, ModelParams, Quadruple, Sector
 
 _LD, _CLD = np.longdouble, np.clongdouble
@@ -333,3 +334,105 @@ def test_oracle_check_keeps_the_bits_of_per_call_values(q, m):
             assert _same_bits(got, want)
             [[alone]] = fockoracle.invariant_integral(params, [quad], [(phi, psi)])
             assert _same_bits(alone, want)
+
+
+#: the kernel's split and 1/base margin at these q, from 1e-6 to past the CLI's bound
+PRODUCT_QS = [1e-6, 0.01, 0.3, 0.5, 0.9, 0.95, 0.99]
+
+
+def _nudged(x, steps):
+    """x moved ``steps`` representable longdoubles up (or down if negative)."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, _LD(np.inf) if steps > 0 else _LD(0))
+    return x
+
+
+def _product_cases(q):
+    """Arrays for ``asc._masked_qpoch_inf`` at base q^2, each call's least
+    |a| setting how many factors run unmasked."""
+    base = _LD(q) ** 2
+    phases = np.exp(_CLD(1j) * np.array([0.0, 0.3, np.pi / 2, 2.0, np.pi], dtype=_LD))
+    split = _LD(asc._LOG_SPLIT)
+    # just either side of the split: no factor, or one masked factor
+    for steps in (-2, -1, 1, 2):
+        yield _nudged(split, steps) * phases
+    # least |a| at s / base^k, where the last unmasked factor meets the margin
+    for k in range(1, 31):
+        edge = split / base ** k
+        if edge > 1e60:
+            break
+        for steps in range(-2, 3):
+            least = _nudged(edge, steps)
+            yield np.concatenate([least * phases, 3 * least * phases[:2]])
+    # the band weight's rows on the unit circle, and rows whose heads end at
+    # different factors
+    u = np.exp(_CLD(1j) * np.linspace(0, np.pi, 256).astype(_LD))
+    for sector in (Sector(0, 0), Sector(0, 3)):
+        pp = spectral.asc_params(ModelParams(q, 1, 12), sector)
+        yield np.stack([pp.a * u, pp.b * u, u * u])
+    yield np.stack([x * phases for x in (0.2, 1.0, 5.0, 50.0)])
+    # zero and NaN entries
+    yield np.array([0, 1, -0.0, 0.5j], dtype=_CLD)
+    yield np.array([2, np.nan, complex(0.5, np.nan), 7j], dtype=_CLD)
+
+
+def _assert_same_products(a, base):
+    """The kernel and the all-masked loop give the same bits, and raise the
+    same floating-point error where the loop raises one."""
+    a = np.asarray(a, dtype=_CLD)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            want = scalarref.masked_qpoch_inf(a, base)
+        except FloatingPointError as err:
+            with pytest.raises(FloatingPointError, match=str(err)):
+                asc._masked_qpoch_inf(a, base)
+            with np.errstate(all="ignore"):
+                want = scalarref.masked_qpoch_inf(a, base)
+                got = asc._masked_qpoch_inf(a, base)
+        else:
+            got = asc._masked_qpoch_inf(a, base)
+    assert _same_bits(got, want), (a, base)
+
+
+@pytest.mark.parametrize("q", PRODUCT_QS)
+def test_product_kernel_keeps_the_bits_of_the_masked_loop(q):
+    """Factors run unmasked while the least |t| keeps the 1/base margin over
+    the split: value, zero sign and NaN equal the loop that masks every
+    factor, also where a call's entries stop at different factors."""
+    base = _LD(q) ** 2
+    for a in _product_cases(q):
+        _assert_same_products(a, base)
+
+
+def test_product_kernel_takes_a_least_magnitude_past_the_double_range():
+    """|a| = 1e400 is a valid ``AscParams`` entry; its head runs 17 factors
+    at q = 1e-12 with no double cast of the least |a|."""
+    phases = np.exp(_CLD(1j) * np.array([0.0, 1.0, 2.5], dtype=_LD))
+    for q in (1e-12, 0.5):  # the product overflows at q = 0.5, in both
+        _assert_same_products(_LD("1e400") * phases, _LD(q) ** 2)
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(), RunConfig(q=0.95), RunConfig(q=0.95, n=1, m=12, Lp=3),
+    RunConfig(q=0.95, m=4, Lp=2), RunConfig(q=0.3, n=1, m=70)],
+    ids=["default", "q0.95", "q0.95-1-12-0-3", "q0.95-2-4-0-2", "q0.3-1-70-0-0"])
+def test_battery_keeps_its_results_with_the_masked_loop(monkeypatch, cfg):
+    """Every check result is the same when the product kernel masks every
+    factor: at q = 0.95 m = 12 L' = 3 the rows' heads run 29, 15 and 23
+    factors, 14 of them unmasked, and at q = 0.3 m = 70 the a row's 35 run
+    masked."""
+    got = verify.run_battery(cfg)
+    monkeypatch.setattr(asc, "_masked_qpoch_inf", scalarref.masked_qpoch_inf)
+    assert got == verify.run_battery(cfg)
+
+
+def test_power_table_keeps_the_bits_of_per_cell_powers():
+    """Each distinct exponent is raised once: at q = 0.95 and the oracle's
+    depth 2D every cell equals its own power q^(2ea)."""
+    q = ModelParams(0.95, 2, 4).q_ld
+    depth = 2 * fockoracle._depth(0.95)
+    blocks = [(4, kp, lp) for kp in range(3) for lp in range(3)]
+    table = fockoracle._PowerTable(q, blocks, depth)
+    assert table.powers.shape == (5, depth + 2)
+    for (e, a), got in np.ndenumerate(table.powers):
+        assert _same_bits(got, q ** _LD(2 * (e + 1) * (a + 1)))

@@ -337,6 +337,20 @@ def test_c_function_array_with_vanishing_denominator_reported():
         c_function(params, sector, np.array([1j, 0.0, 2j]))
 
 
+def test_c_function_takes_a_tiny_nonzero_denominator():
+    """At q = 0.999 the denominator (q; q^2)_inf ~ e^-822 is far below the
+    double range but not 0: c is returned, and matches its 50-digit
+    reference (measured 1.0e-15: about 1,150 head factors of 1 - t near 0);
+    arg = 0, where u^2 = 1 makes it exactly 0, still raises."""
+    params, sector = ModelParams(0.999, 2, 2), Sector(0, 0)
+    got = c_function(params, sector, 0.5)
+    assert 0 < abs(got) < 1e-300
+    ref = mpref.c_function(asc_params(params, sector), params.q_ld, 0.5)
+    assert mpref.rel_err(got, ref) <= 5e-15
+    with pytest.raises(ValueError, match="vanishes at arg=0"):
+        c_function(params, sector, np.array([0.5, 0.0]))
+
+
 def test_density_identity_against_weight():
     """1/|c(i nu)|^2 against the band weight of KLS 14.8.2 in mpmath."""
     for params, sector in CASES[:3]:
