@@ -4,8 +4,8 @@ Two evaluation paths are provided, each returning every degree 0..kmax:
 
 * ``asc_recurrence(kmax, z, p)``: the three-term recurrence
   2 z Q_k = Q_{k+1} + (a+b) base^k Q_k + (1 - base^k)(1 - a b base^(k-1)) Q_{k-1},
-  with Q_{-1} = 0, Q_0 = 1, at a scalar or an array of points z, as a list
-  over the one degree-major array that ``_recurrence_table`` fills in place;
+  with Q_{-1} = 0, Q_0 = 1, at a scalar or an array of points z, as one
+  degree-major array filled in place: the family's table on a point set;
 * ``asc_hypergeometric(J, theta, p)``: the terminating basic-hypergeometric
   representation
   Q_k = (a b; base)_k a^(-k) * 3phi2(base^(-k), a e^(i t), a e^(-i t); ab, 0)
@@ -24,12 +24,12 @@ via the q-binomial theorem into the exact finite convolution
 
     Q_k = sum_r [k; r] (a/w; base)_r (b w; base)_{k-r} w^(2r-k),  w = e^(i t),
 
-whose terms stay comparable to the value.  The recurrence's table serves the
-moment table (``orthogonality_residual``) and the eigenfunction profiles of
-:mod:`qlaplace.spectral`; the convolution is its cross-check (``verify``'s
-``asc_consistency``).  At the mass points the 3phi2 terminates after a few
-exact terms; ``_mass_point_series`` sums them for every mass point in one
-call, one row per point, for the moment table and the profiles.
+whose terms stay comparable to the value; it cross-checks the recurrence
+(``verify``'s ``asc_consistency``).  At the mass points the 3phi2 terminates
+after a few exact terms, which ``_mass_point_series`` sums for every mass
+point in one call.  A ``SpectralMeasure`` owns its nodes' z = cos(theta) and
+gives Q_0..Q_k from the two there and at its mass points (``polynomials``);
+the eigenfunction profiles of :mod:`qlaplace.spectral` scale the same two.
 
 The orthogonality measure consists of a continuous density on z = cos(t),
 t in [0, pi], plus finitely many point masses at z_k = (a base^k + a^(-1)
@@ -101,12 +101,13 @@ def _w_from_theta(theta):
     return np.exp(_CLD(1j) * _CLD(theta))
 
 
-def _recurrence_table(kmax: int, z, p: AscParams) -> np.ndarray:
-    """Q_0..Q_kmax at ``z`` as one degree-major array of shape
+def asc_recurrence(kmax: int, z, p: AscParams) -> np.ndarray:
+    """Q_0..Q_kmax at a scalar or an ndarray ``z`` by the three-term
+    recurrence up from Q_0 = 1: one degree-major array of shape
     (kmax+1, *z.shape), row k the degree-k values, filled in place.
 
     Row 0 is z * 0 + 1 and row 1 is 2z - (a+b); the array takes row 1's
-    type.  The degree-k coefficients (a+b) base^k and
+    type, extended precision.  The degree-k coefficients (a+b) base^k and
     (1 - base^k)(1 - ab base^(k-1)) come from one array over k (array
     ``base ** k`` has the scalar power's bits), and 2z is formed once; each
     further row is written by the per-degree loop's five operations in its
@@ -137,18 +138,6 @@ def _recurrence_table(kmax: int, z, p: AscParams) -> np.ndarray:
         mul(quad, prev, tmp)
         sub(row, tmp, row)
     return table
-
-
-def asc_recurrence(kmax: int, z, p: AscParams) -> list:
-    """Q_0..Q_kmax at ``z`` by running the three-term recurrence up from
-    Q_0 = 1; ``z`` may be a scalar or ndarray, the values extended precision.
-
-    Entry 0 is ``z * 0 + 1.0`` in the type of ``z``; the others are the
-    rows of :func:`_recurrence_table` (views of its one array for an array
-    ``z``, scalars for a scalar).
-    """
-    table = _recurrence_table(kmax, z, p)
-    return [z * 0 + 1.0, *table[1:]]
 
 
 def _running_products(factors):
@@ -384,8 +373,9 @@ class SpectralMeasure:
     ``density`` holds (1/2 pi) * w(cos theta) at ``theta_nodes`` (so the
     continuous part integrates against d theta), w the band weight of the
     family ``params``; it is formed on its first read, since transforms and
-    eigenvalues read only the nodes and the mass points.  ``normalization``
-    is a positive extended-precision scale of both parts, applied only by
+    eigenvalues read only the nodes and the mass points; so is ``z``, the
+    read-only ``longdouble`` cos(theta) at the nodes.  ``normalization`` is
+    a positive extended-precision scale of both parts, applied only by
     :meth:`weights`.
     """
 
@@ -397,6 +387,24 @@ class SpectralMeasure:
     @cached_property
     def density(self) -> np.ndarray:
         return continuous_weight(self.theta_nodes, self.params) / (2 * _LD(np.pi))
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        z = np.cos(self.theta_nodes)
+        z.flags.writeable = False
+        return z
+
+    def polynomials(self, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+        """Q_0..Q_kmax at the nodes and at the mass points, as (band, disc):
+        band is :func:`asc_recurrence` at ``z``, one row per degree, and disc
+        one row per mass point, Q_j = (a b; base)_j a^(-j) S_j from one
+        :func:`_mass_point_series` call (the forward recurrence loses that
+        minimal solution), (a b; base)_j a running product."""
+        p = self.params
+        band = asc_recurrence(kmax, self.z, p)
+        pw = _running_products(np.full(kmax, p.base))  # base^j
+        lead = _running_products(1 - p.a * p.b * pw[:-1]) * p.a ** -np.arange(kmax + 1)
+        return band, lead * _mass_point_series(kmax, self.discrete, p)
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature weights of the two parts, normalization included: the
@@ -501,8 +509,8 @@ def orthogonality_residual(kmax: int, p: AscParams, quad_nodes: int) -> dict:
         lhs: integral Q_i Q_j dmu over the orthogonality measure;
         rhs: delta_ij / ((base^(i+1); base)_inf (a b base^i; base)_inf).
 
-    Every moment comes from one measure, one recurrence table and one
-    mass-point series call, each a row of one
+    Every moment comes from the values of one
+    :meth:`SpectralMeasure.polynomials` call, each a row of one
     :meth:`SpectralMeasure.integrate` call.  A moment integrand is a degree
     <= 2 kmax polynomial times the band weight, whose trapezoid error is
     C exp(-2 d (N - 1 - kmax)), so the grid has max(quad_nodes, N(d) + kmax
@@ -512,11 +520,7 @@ def orthogonality_residual(kmax: int, p: AscParams, quad_nodes: int) -> dict:
         raise ValueError("residual check supports degrees up to 20")
     discrete = mass_points(p, strict=True)  # a band-edge mass raises before d is read
     measure = _grid_measure(p, discrete, max(quad_nodes, _node_count(p, 0) + kmax + 1))
-    table = _recurrence_table(kmax, np.cos(measure.theta_nodes), p)
-    # mass points: Q_j = (ab; base)_j a^(-j) S_j, not the forward recurrence
-    lead = np.array([qpoch(p.a * p.b, p.base, j) * p.a ** _LD(-j)
-                     for j in range(kmax + 1)])
-    disc = lead * _mass_point_series(kmax, measure.discrete, p)
+    table, disc = measure.polynomials(kmax)
     scale = [1 / _norm_factor(i, p) for i in range(kmax + 1)]
     pairs = [(i, j) for i in range(kmax + 1) for j in range(i, kmax + 1)]
     first, second = np.array(pairs).T

@@ -16,20 +16,18 @@ orthogonality measure rescaled to total mass 1, which is forced by sending
 the base-point indicator to the constant function 1).
 
 Numerical notes.  Eigenfunction profiles are evaluated in extended precision
-through the three-term recurrence of :mod:`qlaplace.asc`
-(``asc._recurrence_table(max_j, z, p)``, the one degree-major array of
-degrees 0..max_j, also the kernel of ``asc.asc_recurrence`` and of the
-moment table ``asc.orthogonality_residual``), which runs every z of
-:func:`eigenfunction_profile` at once, with bits identical to the per-point
-evaluation, and is scaled in place.  On the band, and off it away from the
-mass points, the polynomial is the dominant solution of its recurrence, so
-the forward run keeps its relative accuracy.  At discrete mass points
-(w = a q^(2k)) the terminating parameter a/w = q^(-2k) truncates the defining
-series after k+1 terms, and that short sum is used instead: one
-``asc._mass_point_series`` call over every mass point, a row of all degrees
-per point (bound-state profiles are minimal solutions of the recurrence, so
-any forward evaluation loses relative accuracy exponentially in j).  The
-lattice masses of all degrees come from one ``measure_mass`` call.
+by ``asc.asc_recurrence``, the family's one degree-major table on a point
+set, at every z of :func:`eigenfunction_profile` at once (a measure's nodes
+are read at its ``SpectralMeasure.z``), with the per-point bits, scaled in
+place.  On the band, and off it away from the mass points, the polynomial is
+the dominant solution of its recurrence, so the forward run keeps its
+relative accuracy.  At discrete mass points (w = a q^(2k)) the terminating
+parameter a/w = q^(-2k) truncates the defining series after k+1 terms, and
+that short sum is used instead: one ``asc._mass_point_series`` call over
+every mass point, a row of all degrees per point (bound-state profiles are
+minimal solutions of the recurrence, so any forward evaluation loses
+relative accuracy exponentially in j).  The lattice masses of all degrees
+come from one ``measure_mass`` call.
 
 Transforms run on a ``_TransformPlan``, the profiles and masses of one
 measure at one depth.  Its forward takes a list of functions, one column
@@ -55,8 +53,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .asc import (AscParams, DiscreteMass, SpectralMeasure, _c_products,
-                  _mass_point_series, _norm_factor, _recurrence_table,
-                  _running_products, mass_points, orthogonality_measure)
+                  _mass_point_series, _norm_factor, _running_products,
+                  asc_recurrence, mass_points, orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
 
@@ -109,7 +107,7 @@ def eigenfunction_profile(params: ModelParams, sector: Sector, z,
     as (cont, disc).
 
     cont[t, j] is at the t-th entry of the 1-D ``longdouble`` array ``z``: the
-    recurrence table of :func:`qlaplace.asc._recurrence_table` with degree j
+    recurrence table of :func:`qlaplace.asc.asc_recurrence` with degree j
     rescaled in place by b^j / (a b; q^2)_j, returned as the transposed view
     of that degree-major table.  disc[k, j] = (b/a)^j S_j is at the k-th
     mass point of the sector in ``discrete`` (``asc.DiscreteMass`` values),
@@ -122,7 +120,7 @@ def eigenfunction_profile(params: ModelParams, sector: Sector, z,
     pp = asc_params(params, sector)
     ppow = _running_products(np.full(max_j, pp.base))
     scale = _running_products(pp.b / (1 - pp.a * pp.b * ppow[:-1]))
-    table = _recurrence_table(max_j, z, pp)
+    table = asc_recurrence(max_j, z, pp)
     table *= scale[:, None]
     ratio = (pp.b / pp.a) ** np.arange(max_j + 1).astype(_LD)
     return table.T, ratio * _mass_point_series(max_j, discrete, pp)
@@ -168,10 +166,9 @@ def plancherel_measure(params: ModelParams, sector: Sector,
 
 
 def measure_eigenvalues(params: ModelParams, measure: SpectralMeasure):
-    """The eigenvalue map at the measure's theta nodes and at its mass points,
-    as (continuous, discrete); the nodes' z is the ``longdouble`` cos(theta)
-    at which the profiles run."""
-    return (eigenvalue(params, np.cos(measure.theta_nodes)),
+    """The eigenvalue map at the measure's ``z``, the cos(theta) of its nodes
+    where the profiles run, and at its mass points, as (continuous, discrete)."""
+    return (eigenvalue(params, measure.z),
             eigenvalue(params, np.array([d.z for d in measure.discrete])))
 
 
@@ -236,7 +233,7 @@ class _TransformPlan:
         self.measure = measure
         self.max_j = max_j
         self.cont, self.disc = eigenfunction_profile(
-            params, sector, np.cos(measure.theta_nodes), measure.discrete, max_j)
+            params, sector, measure.z, measure.discrete, max_j)
 
     @cached_property
     def masses(self) -> np.ndarray:

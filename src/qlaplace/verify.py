@@ -164,7 +164,7 @@ def check_asc_consistency(params, sector, cfg) -> float:
     # a = 3.6e35) still fits
     theta = np.array([math.acos(0.999 * rng.symmetric()) for _ in range(50)])
     hyp = np.real(asc.asc_hypergeometric(15, theta, pp))
-    ref = np.array(asc.asc_recurrence(15, np.cos(theta.astype(_LD)), pp)).T
+    ref = asc.asc_recurrence(15, np.cos(theta.astype(_LD)), pp).T
     return _worst(np.abs(hyp - ref) / np.maximum(1, np.abs(ref)))
 
 
@@ -200,18 +200,17 @@ def check_transform_of_base_indicator(params, sector, cfg) -> float:
     # e_0 transforms to 1, and each e_j to the orthonormal polynomial of the
     # Plancherel measure p_j = Q_j sqrt(h_j / h_0), h_j / h_0 = 1 / ((base;
     # base)_j (ab; base)_j), at every node and mass point: the lattice masses
-    # against the polynomials' norms.  Q_j comes from the recurrence on the
-    # band and from (ab; base)_j a^(-j) S_j at the mass points.
+    # against the polynomials' norms.  Q_j comes from the measure, which
+    # owns its z and the family's values there and at its mass points.
     J = 12
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     plan = spectral._TransformPlan(params, sector, meas, J)
-    pp = spectral.asc_params(params, sector)
-    pw = asc._running_products(np.full(J, pp.base))  # base^j
-    ab_poch = asc._running_products(1 - pp.a * pp.b * pw[:-1])
-    norm = np.sqrt(1 / (asc._running_products(1 - pw[1:]) * ab_poch))
-    band = asc.asc_recurrence(J, np.cos(meas.theta_nodes), pp)
-    lead = ab_poch * pp.a ** -np.arange(J + 1)
-    masses = lead * asc._mass_point_series(J, meas.discrete, pp)
+    pp = meas.params
+    pw = np.cumprod(np.r_[_LD(1), np.full(J, pp.base)])  # base^j
+    # (base; base)_j and (ab; base)_j, j = 0..J, each a running product
+    norm = np.sqrt(1 / (np.cumprod(np.r_[1, 1 - pw[1:]])
+                        * np.cumprod(np.r_[1, 1 - pp.a * pp.b * pw[:-1]])))
+    band, masses = meas.polynomials(J)
     got = np.concatenate(plan.forward([lattice.orthonormal_basis(params, sector, j)
                                        for j in range(J + 1)]), axis=1)
     # row j: degree j at every node, then at every mass point

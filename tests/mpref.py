@@ -83,10 +83,11 @@ def phi32_terminating(k: int, alpha, beta, base, w, last: int | None = None):
         dps = max(2 * dps, int(lost) + DIGITS + 2 * _GUARD)
 
 
-def asc_polynomial(k: int, p, w):
+def asc_polynomial(k: int, p, w, last: int | None = None):
     """Q_k(z; a, b | base) at z = (w + 1/w)/2 (KLS 14.8.1):
-    (a b; base)_k a^(-k) 3phi2(base^-k, a w, a/w; a b, 0 | base; base)."""
-    series = phi32_terminating(k, p.a, p.b, p.base, w)
+    (a b; base)_k a^(-k) 3phi2(base^-k, a w, a/w; a b, 0 | base; base);
+    ``w`` and ``last`` as in :func:`phi32_terminating`."""
+    series = phi32_terminating(k, p.a, p.b, p.base, w, last)
     with mp.workdps(DIGITS + _GUARD):
         a, b, q = exact(p.a), exact(p.b), exact(p.base)
         return mpmath.qp(a * b, q, k) * a ** -k * series

@@ -285,6 +285,16 @@ def recurrence_table(kmax, z, p):
     return table
 
 
+def mass_point_polynomials(kmax, discrete, p):
+    """Q_0..Q_kmax at each mass point of ``discrete``, one row per point, as
+    (a b; base)_j a^(-j) S_j with (a b; base)_j a running product over j
+    and a^(-j) one array power."""
+    pw = asc._running_products(np.full(kmax, p.base))  # base^j
+    ab_poch = asc._running_products(1 - p.a * p.b * pw[:-1])
+    lead = ab_poch * p.a ** -np.arange(kmax + 1)
+    return lead * asc._mass_point_series(kmax, discrete, p)
+
+
 def masked_qpoch_inf(a, base):
     """(a; base)_inf for every entry of ``a`` with every head factor under
     the per-entry mask and a fresh |t| after each, and the log series of the

@@ -284,15 +284,19 @@ def test_difference_quotients_are_one_formula():
 @pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.95])
 def test_recurrence_table_keeps_the_bits_of_the_per_degree_loop(q):
     """Coefficients from one array over the degree, 2z hoisted: every entry,
-    type included, equals the loop that forms them per degree."""
+    type included, equals the loop that forms them per degree.  The table is
+    one ``longdouble`` array, so degree 0 at a Python-float z is the loop's
+    1.0 in extended precision."""
     nodes = np.cos(np.linspace(0, np.pi, 256).astype(_LD))
     points = [nodes, nodes[:1], _LD(-0.3), 0.7, _LD(3.5), 1.0000001]
     for n, m, L, Lp in ((2, 2, 0, 0), (2, 4, 0, 2), (1, 6, 0, 5), (3, 5, 2, 1)):
         pp = spectral.asc_params(ModelParams(q, n, m), Sector(L, Lp))
         for z, kmax in itertools.product(points, (0, 1, 2, 16, 60)):
             got = asc.asc_recurrence(kmax, z, pp)
-            want = scalarref.recurrence_table(kmax, z, pp)
-            assert len(got) == len(want) == kmax + 1
+            first, *rest = scalarref.recurrence_table(kmax, z, pp)
+            want = [_LD(first), *rest]
+            assert type(got) is np.ndarray and got.dtype == _LD
+            assert got.shape == (kmax + 1, *np.shape(z)) and len(want) == kmax + 1
             assert all(_same_bits(u, v) for u, v in zip(got, want))
 
 

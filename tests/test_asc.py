@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mpref
+import scalarref
 from qlaplace import asc, spectral, verify
 from qlaplace._rng import Lcg
 from qlaplace.asc import (AscParams, DegenerateParameterError,
@@ -405,16 +406,22 @@ def test_asc_consistency_equals_the_per_degree_loop(q):
             == _reference_asc_consistency(*args)
 
 
+def _reference_mass_values(k, p, discrete):
+    """Q_0..Q_k at each mass point alone, (a b; base)_r a^(-r) S_r with one
+    ``qpoch`` and one scalar power per degree."""
+    base = np.longdouble(p.base)
+    a = np.longdouble(p.a)
+    return [[qpoch(a * np.longdouble(p.b), base, r) * a ** np.longdouble(-r) * s
+             for r, s in enumerate(asc._mass_point_series(k, [d], p)[0])]
+            for d in discrete]
+
+
 def _reference_moment(i, j, p, meas):
     """One (i, j) moment on one measure, from its own recurrence table of
     degree max(i, j)."""
-    base = np.longdouble(p.base)
     k = max(i, j)
     table = asc_recurrence(k, np.cos(meas.theta_nodes), p)
-    a = np.longdouble(p.a)
-    disc = [[qpoch(a * np.longdouble(p.b), base, r) * a ** np.longdouble(-r) * s
-             for r, s in enumerate(asc._mass_point_series(k, [d], p)[0])]
-            for d in meas.discrete]
+    disc = _reference_mass_values(k, p, meas.discrete)
     return meas.integrate(table[i] * table[j], [td[i] * td[j] for td in disc])
 
 
@@ -428,6 +435,44 @@ def _reference_residuals(kmax, p, meas):
     return {(i, j): float(abs(_reference_moment(i, j, p, meas)
                               - (scale[i] if i == j else 0.0)) / abs(scale[i]))
             for i in range(kmax + 1) for j in range(i, kmax + 1)}
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and np.array_equal(got, want, equal_nan=True) \
+        and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+#: (n, m, L, L', mass points): sectors with 0, 2, 5, 17 and 35 mass points
+MASS_SECTORS = [(2, 2, 0, 0, 0), (1, 3, 0, 2, 2), (1, 6, 0, 5, 5), (1, 18, 0, 17, 17),
+                (1, 36, 0, 35, 35)]
+
+
+@pytest.mark.parametrize("q", [1e-6, 0.001, 0.01, 0.3, 0.5, 0.95])
+@pytest.mark.parametrize("n,m,L,Lp,count", MASS_SECTORS,
+                         ids=[f"{s[-1]}-masses" for s in MASS_SECTORS])
+def test_measure_polynomials_keep_the_bits_of_both_leads(q, n, m, L, Lp, count):
+    """The measure's Q_k: the recurrence at its z on the band, and at the
+    mass points the bits of the running-product lead the transform check
+    formed and of the per-degree ``qpoch`` lead the moment table formed.
+
+    With 17 or 35 points at q <= 0.01 the masses and many mass-point values
+    pass the longdouble range; each path then reaches the same inf or NaN
+    by the same operations."""
+    p = _sector_params(q, n, m, L, Lp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        meas = orthogonality_measure(p, 16)
+        assert len(meas.discrete) == count
+        z = meas.z
+        assert _same_bits(z, np.cos(meas.theta_nodes)) and not z.flags.writeable
+        assert meas.z is z
+        for k in (0, 1, 4, 12, 16, 60):
+            band, disc = meas.polynomials(k)
+            assert _same_bits(band, asc_recurrence(k, z, p))
+            assert _same_bits(disc, scalarref.mass_point_polynomials(k, meas.discrete, p))
+            per_degree = np.array(_reference_mass_values(k, p, meas.discrete),
+                                  dtype=np.longdouble).reshape(count, k + 1)
+            assert _same_bits(disc, per_degree)
 
 
 def _recording_measures(monkeypatch):

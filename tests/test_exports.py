@@ -80,3 +80,23 @@ def test_qcore_import_loads_no_other_layer_and_no_numpy():
                                          ("laplace", ["lattice", "qcore"])])
 def test_layer_import_loads_only_the_layers_below_it(layer, below):
     assert _loaded_by(layer)[0] == sorted([layer, *below])
+
+
+def _unused_imports(module) -> list:
+    """Names a module binds by a top-level import and never reads; a name
+    listed in ``__all__`` counts as read, ``__future__`` imports do not count."""
+    tree = ast.parse(inspect.getsource(module))
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported
+            if name not in read and name not in getattr(module, "__all__", ())]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_level_import_is_used(name):
+    """A kernel moved behind its owner leaves no dead import behind."""
+    assert _unused_imports(importlib.import_module(f"qlaplace.{name}")) == []
