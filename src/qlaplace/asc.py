@@ -197,18 +197,22 @@ def _mass_point_series(kmax: int, discrete, p: AscParams) -> np.ndarray:
     of base come from one array (array ``base ** e`` has the scalar power's
     bits), and term i runs over all j of the points with kd >= i at once in
     the one-point, one-j loop's order, so every row has that loop's bits.
+    No term past the largest kd is formed: no sum adds it, and at large j it
+    can overflow while every sum stays finite.
     """
     a, b, base = p.a, p.b, p.base
     kd = np.array([d.index for d in discrete], dtype=int)
     top = int(kd.max(initial=-1))
-    lo = max(kmax, top)  # base^e is pw[lo + e], for e = -lo..2 top + 1
-    pw = base ** np.arange(-lo, 2 * top + 2).astype(_LD)
+    lo = max(kmax, top)  # base^e is pw[lo + e], for e = -lo..2 top - 1
+    pw = base ** np.arange(-lo, 2 * top).astype(_LD)
     tot = np.zeros((len(kd), kmax + 1), dtype=_LD)
     term = np.ones_like(tot)
     for i in range(top + 1):
         on = kd >= i
-        k = kd[on, None]
         tot[on] += term[on]
+        if i == top:  # term top + 1 is never added
+            break
+        k = kd[on, None]
         # base^(i-j) over j = 0..kmax: exponents i..i-kmax
         term[on] = term[on] * (1 - pw[lo + i - kmax:lo + i + 1][::-1]) \
             * (1 - a * a * pw[lo + k + i]) * (1 - pw[lo + i - k]) * base \

@@ -31,7 +31,8 @@ come from one ``measure_mass`` call.
 
 Transforms run on a ``_TransformPlan``, the profiles and masses of one
 measure at one depth.  Its forward takes a list of functions, one column
-each of one matrix product per part (band and mass points), and returns
+each of one matrix product per part (band and mass points, run by
+``np.dot``'s ``longdouble`` dot loop, see :func:`_matmul`), and returns
 (cont, disc), C-contiguous ``clongdouble`` arrays with one row per
 function, which its inverse takes; every row has the bits of the
 one-function call.  :func:`transform_grid`, the one builder of a
@@ -194,17 +195,23 @@ class SpectralFunction:
 
 
 def _matmul(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """M @ V for a ``longdouble`` matrix M and a matrix V of columns.  A
-    complex V runs as two real products, M @ V.real and M @ V.imag: the sums
-    of M cast to complex, in the same order, without the cast copy of M.  A
-    real V gives a real result.  The extended-precision product sums each
-    entry in index order, so every column has the bits of M times that
-    column alone."""
+    """M @ V for a ``longdouble`` matrix M and a matrix V of columns, run by
+    ``np.dot``.  A complex V runs as two real products, M V.real and
+    M V.imag: the sums of M cast to complex, in the same order, without the
+    cast copy of M.  A real V gives a real result.
+
+    For ``longdouble``, ``np.dot`` runs the dtype's dot loop on the operands
+    as they are strided; it adds the same rounded products in the same index
+    order from +0 as ``@``'s no-BLAS matmul loop, so it gives the same
+    values and zero signs, but keeps the running sum in a register where
+    ``@`` loads and stores it in the output on every term: 2.4-3x faster on
+    the plan's shapes.  Every column has the bits of M times that column
+    alone."""
     if not np.iscomplexobj(V):
-        return M @ V
+        return np.dot(M, V)
     out = np.empty((len(M), V.shape[1]), dtype=np.result_type(M, V))
-    out.real = M @ V.real
-    out.imag = M @ V.imag
+    out.real = np.dot(M, V.real)
+    out.imag = np.dot(M, V.imag)
     return out
 
 
@@ -218,13 +225,15 @@ class _TransformPlan:
     columns carry the bits of a build at the smaller depth (profile column j
     comes from a recurrence run in degree order and a running product, so it
     depends on no later column; masses are elementwise), and the
-    extended-precision products sum in index order whatever the strides, so
-    every value equals a fresh build's for that function alone: a shallower
-    function's coefficients past its own depth are zeros, and a zero term
-    leaves an index-order sum that starts at +0 unchanged.  A function
-    deeper than the plan raises ValueError.  :func:`transform_grid` wraps
-    its one row in a ``SpectralFunction`` that carries the plan (``_plan``),
-    which :func:`inverse_transform_profile` reuses when it is deep enough.
+    extended-precision products, ``np.dot``'s ``longdouble`` dot loop
+    through :func:`_matmul`, sum in index order from +0 whatever the
+    strides, so every value equals a fresh build's for that function alone:
+    a shallower function's coefficients past its own depth are zeros, and a
+    zero term leaves an index-order sum that starts at +0 unchanged.  A
+    function deeper than the plan raises ValueError.  :func:`transform_grid`
+    wraps its one row in a ``SpectralFunction`` that carries the plan
+    (``_plan``), which :func:`inverse_transform_profile` reuses when it is
+    deep enough.
     """
 
     def __init__(self, params: ModelParams, sector: Sector,

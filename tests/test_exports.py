@@ -100,3 +100,26 @@ def _unused_imports(module) -> list:
 def test_every_module_level_import_is_used(name):
     """A kernel moved behind its owner leaves no dead import behind."""
     assert _unused_imports(importlib.import_module(f"qlaplace.{name}")) == []
+
+
+def _matmul_uses(source: str) -> list:
+    """Lines of ``source`` with an ``@`` or ``@=`` or a ``matmul`` name or
+    attribute (``np.matmul``, ``from numpy import matmul``)."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.BinOp, ast.AugAssign))
+                   and isinstance(node.op, ast.MatMult)
+                   or isinstance(node, ast.Attribute) and node.attr == "matmul"
+                   or isinstance(node, ast.Name) and node.id == "matmul"
+                   or isinstance(node, ast.ImportFrom)
+                   and any(alias.name == "matmul" for alias in node.names)})
+
+
+def test_no_module_multiplies_by_the_matmul_loop():
+    """For ``longdouble``, ``@`` and ``np.matmul`` run numpy's no-BLAS matmul
+    loop, 2.4-3x slower than the ``np.dot`` loop of the same bits, which
+    ``spectral._matmul`` runs."""
+    assert _matmul_uses("a @ b\nnp.matmul(a, b)\na @= b\nfrom numpy import matmul\n"
+                        "np.dot(a, b) * c") == [1, 2, 3, 4]
+    package = Path(qlaplace.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        assert _matmul_uses(path.read_text()) == [], path.name

@@ -293,6 +293,45 @@ def test_mass_point_series_of_all_points_is_each_point_alone(params, sector, cou
     assert asc._mass_point_series(60, (), pp).shape == (0, 61)
 
 
+def _reference_mass_point_sum(j, kd, p):
+    """S_j at the mass point of index kd, one point and one j at a time: the
+    terms t_0..t_kd of the terminating series with scalar powers of base,
+    each added to a sum from 0 and the next formed only while one is left."""
+    a, b, base = p.a, p.b, p.base
+
+    def pw(e):
+        return base ** _LD(e)
+    tot, term = _LD(0), _LD(1)
+    for i in range(kd + 1):
+        tot += term
+        if i < kd:
+            term = term * (1 - pw(i - j)) * (1 - a * a * pw(kd + i)) \
+                * (1 - pw(i - kd)) * base / ((1 - pw(i + 1)) * (1 - a * b * pw(i)))
+    return tot
+
+
+@pytest.mark.parametrize("params,sector,count", [
+    (ModelParams(0.3, 1, 6), Sector(0, 5), 5),
+    (ModelParams(0.5, 2, 4), Sector(0, 2), 2),
+    (ModelParams(0.01, 1, 20), Sector(0, 17), 18),
+    (ModelParams(1e-6, 1, 12), Sector(0, 3), 7)],
+    ids=["5mass", "transform-deep", "18mass", "7mass"])
+def test_mass_point_series_keeps_the_bits_of_the_one_point_loop(params, sector, count):
+    """Every S_j equals the one-point, one-j loop's in value and zero sign,
+    under the battery's ``errstate``.  The term past the last index is never
+    formed: at q = 0.01 and q = 1e-6 it overflows at j = 60 while every sum
+    stays finite."""
+    pp = asc_params(params, sector)
+    masses = asc.mass_points(pp)
+    assert len(masses) == count
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        rows = asc._mass_point_series(60, masses, pp)
+    assert np.isfinite(rows).all()
+    for d, row in zip(masses, rows):
+        assert _identical(row, [_reference_mass_point_sum(j, d.index, pp)
+                                for j in range(61)])
+
+
 def test_mass_point_series_matches_the_recurrence_where_it_is_stable():
     """Q_j = (ab; base)_j a^(-j) S_j at every mass point of a sector where the
     forward recurrence still holds its digits at low degree."""
@@ -731,31 +770,114 @@ def test_forward_rows_are_contiguous_and_integrate_as_each_row_alone(
                                                 np.abs(d.copy()) ** 2))
 
 
-@pytest.mark.parametrize("kind", ["complex", "zeros", "minus_zero_imag", "real"])
+def _same_values(a, b):
+    """Equal dtype, shape and values, NaN where NaN, and zero signs
+    elsewhere, real and imaginary part (a NaN's sign carries no value)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and all(
+        np.array_equal(p(a), p(b), equal_nan=True)
+        and np.array_equal(np.signbit(p(a)) & ~np.isnan(p(a)),
+                           np.signbit(p(b)) & ~np.isnan(p(b)))
+        for p in (np.real, np.imag))
+
+
+def _plan_layouts(table, disc, cols):
+    """The matrices a plan multiplies at ``cols`` columns, laid out as the
+    plan passes them: the forward's F-ordered ``table.T[:, :cols]`` and
+    C-ordered mass part ``disc[:, :cols]``, and the inverse's C-ordered
+    ``.T`` view of the first and F-ordered ``.T`` view of the second."""
+    cont, part = table.T[:, :cols], disc[:, :cols]
+    return cont, part, cont.T, part.T
+
+
+@pytest.mark.parametrize("kind", ["complex", "zeros", "minus_zero_imag", "real",
+                                  "inf_next_to_zero"])
 def test_split_product_equals_the_complex_product(kind):
-    """M @ V.real and M @ V.imag give the values and zero signs of M cast to
-    complex, also on an empty matrix, and each column the bits of M times
-    that column alone; a real V keeps a real result."""
+    """``_matmul`` gives the values and zero signs of the literal
+    ``mat @ cols`` (M cast to complex for a complex V) on every layout the
+    plan passes, at the full depth and a shallower one, also with a 0-row
+    mass part, for 1 and 13 columns, and each column the bits of M times
+    that column alone; a real V keeps a real result.  An inf profile entry
+    next to a zero coefficient gives NaN, and raises under
+    ``errstate(invalid="raise")``, as the literal product does."""
     rng = np.random.default_rng(8)
-    M = rng.uniform(-1, 1, (40, 40)).astype(_LD)
-    M[rng.random(M.shape) < 0.3] = 0.0
-    M[rng.random(M.shape) < 0.1] = -0.0
-    re, im = (rng.uniform(-1, 1, (40, 3)).astype(_LD) for _ in range(2))
-    if kind == "zeros":
-        re[::3], im[::2] = 0.0, 0.0
-    if kind == "minus_zero_imag":
-        re[::4], im[:] = -0.0, -0.0
-    V = re if kind == "real" else np.empty((40, 3), dtype=np.clongdouble)
-    if kind != "real":
+    J, nodes = 60, 40
+    table = rng.uniform(-1, 1, (J + 1, nodes)).astype(_LD)  # degree-major
+    disc = rng.uniform(-1, 1, (3, J + 1)).astype(_LD)        # one row per point
+    for mat in (table, disc):
+        mat[rng.random(mat.shape) < 0.3] = 0.0
+        mat[rng.random(mat.shape) < 0.1] = -0.0
+    if kind == "inf_next_to_zero":
+        table[4:8, ::5], disc[:, 4:8] = np.inf, -np.inf
+
+    def operand(rows, ncols):
+        # the transposed view of a C-ordered (ncols, rows) stack, as the
+        # plan forms its right-hand sides
+        re, im = (rng.uniform(-1, 1, (ncols, rows)).astype(_LD) for _ in range(2))
+        if kind in ("zeros", "inf_next_to_zero"):
+            re[:, 3::3], im[:, 5::2] = 0.0, 0.0
+        if kind == "minus_zero_imag":
+            re[:, ::4], im[:] = -0.0, -0.0
+        if kind == "real":
+            return re.T
+        V = np.empty((ncols, rows), dtype=np.clongdouble)
         V.real, V.imag = re, im
-    for mat in (M, M[:, :10], M.T[:10], M[:0]):
-        cols = V[:mat.shape[1]]
-        got = spectral._matmul(mat, cols)
-        assert _identical(got, mat @ cols)
-        assert got.dtype == (_LD if kind == "real" else np.clongdouble)
-        for k in range(cols.shape[1]):
-            assert _identical(got[:, k], mat @ cols[:, k])
-            assert _identical(spectral._matmul(mat, cols[:, k:k + 1])[:, 0], got[:, k])
+        return V.T
+
+    mats = [*_plan_layouts(table, disc, J + 1), *_plan_layouts(table, disc, 9),
+            disc[:0], disc[:0].T]
+    with np.errstate(invalid="ignore"):
+        for mat in mats:
+            for ncols in (1, 13):
+                cols = operand(mat.shape[1], ncols)
+                got = spectral._matmul(mat, cols)
+                assert _same_values(got, mat @ cols)
+                assert got.dtype == (_LD if kind == "real" else np.clongdouble)
+                for k in range(ncols):
+                    assert _same_values(got[:, k], mat @ cols[:, k])
+                    assert _same_values(spectral._matmul(mat, cols[:, k:k + 1])[:, 0],
+                                        got[:, k])
+        cont, cols = mats[0], operand(J + 1, 13)
+        assert np.isnan(spectral._matmul(cont, cols)).any() == (kind == "inf_next_to_zero")
+    if kind == "inf_next_to_zero":
+        with np.errstate(invalid="raise"):
+            for product in (spectral._matmul, np.matmul):
+                with pytest.raises(FloatingPointError):
+                    product(cont, cols)
+
+
+def test_plan_round_trip_equals_the_literal_product_plan(monkeypatch):
+    """At the round-trip benchmark's config (q = 0.5, (n, m, L, Lp) =
+    (2, 4, 0, 2), 256 nodes, J = 60), every forward and inverse value, one
+    function at a time and stacked, equals in value and zero sign a plan
+    whose products are the literal ``M @ V``.  The ``longdouble`` padding
+    bytes may differ between numpy's loops, so no bytes are compared."""
+    params, sector = ModelParams(0.5, 2, 4), Sector(0, 2)
+    meas = plancherel_measure(params, sector, 256)
+    rng = Lcg(60)
+    fs = [rng.lattice_function(61) for _ in range(3)]
+    fs += [LatticeFunction({j: v.real for j, v in fs[0].items()}),
+           LatticeFunction({7: 1.5, 60: -2.0}),
+           rng.lattice_function(10)]
+
+    def round_trips():
+        """The stacked and one-function forward arrays, then the values of
+        the inverses of the stacked ones at depth 60 and 12 and of each
+        one-function pair at 60."""
+        plan = spectral._TransformPlan(params, sector, meas, 60)
+        stacked = plan.forward(fs)
+        alone = [plan.forward([f]) for f in fs]
+        recs = [*plan.inverse(*stacked, 60), *plan.inverse(*stacked, 12)]
+        recs += [rec for rows in alone for rec in plan.inverse(*rows, 60)]
+        return [*stacked, *(part for rows in alone for part in rows),
+                *([rec[j] for j in rec.support] for rec in recs)]
+
+    got = round_trips()
+    monkeypatch.setattr(spectral, "_matmul", lambda M, V: M @ V)
+    want = round_trips()
+    assert len(got) == len(want) == 2 + 2 * len(fs) + 3 * len(fs)
+    for g, w in zip(got, want):
+        assert _identical(g, w)
 
 
 @pytest.mark.parametrize("coeffs", [{0: 1.0, 1: -0.5, 3: 0.25},
