@@ -27,9 +27,13 @@ via the q-binomial theorem into the exact finite convolution
 whose terms stay comparable to the value; it cross-checks the recurrence
 (``verify``'s ``asc_consistency``).  At the mass points the 3phi2 terminates
 after a few exact terms, which ``_mass_point_series`` sums for every mass
-point in one call.  A ``SpectralMeasure`` owns its nodes' z = cos(theta) and
-gives Q_0..Q_k from the two there and at its mass points (``polynomials``);
-the eigenfunction profiles of :mod:`qlaplace.spectral` scale the same two.
+point in one call.  A ``SpectralMeasure`` owns its nodes' z = cos(theta)
+and the two tables at its own points: Q_0..Q_k at z and S_0..S_k at its
+mass points, built on the first read and rebuilt only for a deeper one,
+read-only, about 16 N (k+1) bytes on N nodes after the deepest read.  Its
+``polynomials`` and the transform plans of :mod:`qlaplace.spectral` read
+them, the plans scaled into eigenfunction profiles; a profile at other
+points or of another family runs the two kernels itself.
 
 The orthogonality measure consists of a continuous density on z = cos(t),
 t in [0, pi], plus finitely many point masses at z_k = (a base^k + a^(-1)
@@ -42,7 +46,7 @@ c-function; one kernel runs its three products for the density and for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -380,13 +384,15 @@ class SpectralMeasure:
     eigenvalues read only the nodes and the mass points; so is ``z``, the
     read-only ``longdouble`` cos(theta) at the nodes.  ``normalization`` is
     a positive extended-precision scale of both parts, applied only by
-    :meth:`weights`.
+    :meth:`weights`.  :meth:`_tables` holds the family's values there.
     """
 
     theta_nodes: np.ndarray
     params: AscParams
     discrete: tuple[DiscreteMass, ...]
     normalization: np.longdouble = _LD(1.0)
+    _raw: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def density(self) -> np.ndarray:
@@ -398,17 +404,34 @@ class SpectralMeasure:
         z.flags.writeable = False
         return z
 
+    def _tables(self, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (band, sums) to degree kmax: :func:`asc_recurrence` at
+        ``z`` and the :func:`_mass_point_series` rows.  Built on the first
+        read and rebuilt only for a deeper one, each at the depth read, never
+        deeper (a later term can overflow); a shallower read gets leading
+        rows and columns, with a fresh build's bits, as no recurrence row or
+        series column depends on a later one."""
+        if kmax < 0:
+            raise ValueError(f"degree must be nonnegative, got {kmax}")
+        if self._raw is None or len(self._raw[0]) <= kmax:
+            band = asc_recurrence(kmax, self.z, self.params)
+            sums = _mass_point_series(kmax, self.discrete, self.params)
+            band.flags.writeable = sums.flags.writeable = False
+            object.__setattr__(self, "_raw", (band, sums))
+        band, sums = self._raw
+        return band[:kmax + 1], sums[:, :kmax + 1]
+
     def polynomials(self, kmax: int) -> tuple[np.ndarray, np.ndarray]:
         """Q_0..Q_kmax at the nodes and at the mass points, as (band, disc):
-        band is :func:`asc_recurrence` at ``z``, one row per degree, and disc
-        one row per mass point, Q_j = (a b; base)_j a^(-j) S_j from one
-        :func:`_mass_point_series` call (the forward recurrence loses that
-        minimal solution), (a b; base)_j a running product."""
+        band is the read-only recurrence table of :meth:`_tables`, one row
+        per degree, and disc one row per mass point, Q_j = (a b; base)_j
+        a^(-j) S_j from its terminating sums (the forward recurrence loses
+        that minimal solution), (a b; base)_j a running product."""
         p = self.params
-        band = asc_recurrence(kmax, self.z, p)
+        band, sums = self._tables(kmax)
         pw = _running_products(np.full(kmax, p.base))  # base^j
         lead = _running_products(1 - p.a * p.b * pw[:-1]) * p.a ** -np.arange(kmax + 1)
-        return band, lead * _mass_point_series(kmax, self.discrete, p)
+        return band, lead * sums
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature weights of the two parts, normalization included: the

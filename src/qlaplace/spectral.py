@@ -37,17 +37,22 @@ each of one matrix product per part (band and mass points, run by
 function, which its inverse takes; every row has the bits of the
 one-function call.  :func:`transform_grid`, the one builder of a
 ``SpectralFunction``, and :func:`inverse_transform_profile` are one-row
-calls of the same code.  A transform_grid result carries its plan, which
-the inverse of the same round trip reads, so a round trip builds one
-profile matrix: the transposed view of the profile's one table.  The
-inverse's lattice functions are built by ``LatticeFunction._from_items``,
-without checking again the indices the plan made.
+calls of the same code.  Who owns what: the measure owns the family's raw
+values at its points (``SpectralMeasure._tables``: Q_0..Q_k at its nodes and
+the terminating sums at its mass points, read-only, rebuilt only for a
+deeper depth, about 16 N (J+1) bytes on N nodes after its deepest
+transform); a plan owns its scaled profile matrix and lattice masses and
+lives for one call.  A round trip carries no plan: its inverse builds its
+own from the measure's tables, which the forward built, so the recurrence
+runs on a measure's first transform and on each deeper one only.  The inverse's
+lattice functions are built by ``LatticeFunction._from_items``, without
+checking again the indices the plan made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -119,12 +124,19 @@ def eigenfunction_profile(params: ModelParams, sector: Sector, z,
     if max_j < 0:
         raise ValueError("max_j must be nonnegative")
     pp = asc_params(params, sector)
-    ppow = _running_products(np.full(max_j, pp.base))
-    scale = _running_products(pp.b / (1 - pp.a * pp.b * ppow[:-1]))
+    scale, ratio = _profile_scales(pp, max_j)
     table = asc_recurrence(max_j, z, pp)
     table *= scale[:, None]
-    ratio = (pp.b / pp.a) ** np.arange(max_j + 1).astype(_LD)
     return table.T, ratio * _mass_point_series(max_j, discrete, pp)
+
+
+def _profile_scales(pp: AscParams, max_j: int):
+    """b^j / (a b; base)_j, a running product, and (b/a)^j, j = 0..max_j:
+    the eigenfunction scales of the recurrence rows and the terminating
+    sums."""
+    ppow = _running_products(np.full(max_j, pp.base))
+    return (_running_products(pp.b / (1 - pp.a * pp.b * ppow[:-1])),
+            (pp.b / pp.a) ** np.arange(max_j + 1).astype(_LD))
 
 
 def c_function(params: ModelParams, sector: Sector, arg):
@@ -181,7 +193,6 @@ class SpectralFunction:
     measure: SpectralMeasure
     continuous: np.ndarray
     discrete: np.ndarray
-    _plan: _TransformPlan | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.continuous) != len(self.measure.theta_nodes):
@@ -230,10 +241,10 @@ class _TransformPlan:
     strides, so every value equals a fresh build's for that function alone:
     a shallower function's coefficients past its own depth are zeros, and a
     zero term leaves an index-order sum that starts at +0 unchanged.  A
-    function deeper than the plan raises ValueError.  :func:`transform_grid`
-    wraps its one row in a ``SpectralFunction`` that carries the plan
-    (``_plan``), which :func:`inverse_transform_profile` reuses when it is
-    deep enough.
+    function deeper than the plan raises ValueError.  For the measure's own
+    family the profiles are its tables scaled into new arrays by
+    :func:`eigenfunction_profile`'s operations in its order, so they have
+    its bits; another family calls it at the measure's points.
     """
 
     def __init__(self, params: ModelParams, sector: Sector,
@@ -241,8 +252,14 @@ class _TransformPlan:
         self.params, self.sector = params, sector
         self.measure = measure
         self.max_j = max_j
-        self.cont, self.disc = eigenfunction_profile(
-            params, sector, measure.z, measure.discrete, max_j)
+        pp = asc_params(params, sector)
+        if pp == measure.params:
+            band, sums = measure._tables(max_j)
+            scale, ratio = _profile_scales(pp, max_j)
+            self.cont, self.disc = (band * scale[:, None]).T, ratio * sums
+        else:
+            self.cont, self.disc = eigenfunction_profile(
+                params, sector, measure.z, measure.discrete, max_j)
 
     @cached_property
     def masses(self) -> np.ndarray:
@@ -285,23 +302,14 @@ def transform_grid(params: ModelParams, sector: Sector, f: Mapping[int, complex]
     """Forward transform sampled on a Plancherel measure's full node set."""
     plan = _TransformPlan(params, sector, measure, max(f, default=0))
     [cont], [disc] = plan.forward([f])
-    return SpectralFunction(measure=measure, continuous=cont, discrete=disc,
-                            _plan=plan)
+    return SpectralFunction(measure=measure, continuous=cont, discrete=disc)
 
 
 def inverse_transform_profile(params: ModelParams, sector: Sector,
                               fhat: SpectralFunction, max_j: int) -> LatticeFunction:
-    """Inverse transform on all lattice indices 0..max_j at once.
-
-    It reads the plan ``fhat`` carries from its forward transform when that
-    plan is at least ``max_j`` deep on the same params, sector and measure,
-    and builds one at ``max_j`` otherwise; the values are the same bits
-    either way.
-    """
-    plan = fhat._plan
-    if (plan is None or plan.max_j < max_j or plan.measure is not fhat.measure
-            or (plan.params, plan.sector) != (params, sector)):
-        plan = _TransformPlan(params, sector, fhat.measure, max_j)
+    """Inverse transform on all lattice indices 0..max_j at once, on a plan
+    of its own at ``max_j``, which reads the measure's tables."""
+    plan = _TransformPlan(params, sector, fhat.measure, max_j)
     # a hand-built spectral function may hold a sequence of values
     [rec] = plan.inverse(np.asarray(fhat.continuous)[None],
                          np.asarray(fhat.discrete)[None], max_j)

@@ -2,7 +2,6 @@
 spectral transform."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -594,8 +593,9 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("params,sector", PLAN_CASES)
 def test_transform_plan_slices_keep_the_bits_of_a_fresh_build(params, sector):
     """A plan at depth 16 gives every shallower forward and inverse transform
-    the bits of the public functions, which build at the function's own
-    depth: the leading profile columns and masses equal a shallower build's."""
+    the bits of the public functions on a fresh measure, which build its
+    tables at the function's own depth: the leading profile columns and
+    masses equal a shallower build's."""
     meas = plancherel_measure(params, sector, 256)
     plan = spectral._TransformPlan(params, sector, meas, 16)
     rng = Lcg(99)
@@ -607,12 +607,14 @@ def test_transform_plan_slices_keep_the_bits_of_a_fresh_build(params, sector):
                     plan.forward([g])
                 continue
             cont, disc = plan.forward([g])
-            want = transform_grid(params, sector, g, meas)
+            want = transform_grid(params, sector, g, plancherel_measure(params, sector, 256))
             assert _same_bits(cont[0], want.continuous)
             assert _same_bits(disc[0], want.discrete)
             for depth in (1, 14, 16):
                 [rec] = plan.inverse(cont, disc, depth)
-                ref = inverse_transform_profile(params, sector, want, depth)
+                fresh = SpectralFunction(plancherel_measure(params, sector, 256),
+                                         want.continuous, want.discrete)
+                ref = inverse_transform_profile(params, sector, fresh, depth)
                 assert rec.support == ref.support
                 assert _same_bits([rec[j] for j in rec.support],
                                   [ref[j] for j in ref.support])
@@ -643,25 +645,9 @@ def _identical(a, b):
         for p in (np.real, np.imag))
 
 
-def _rows(fhat):
-    """A spectral function's values as the plan's one-row (cont, disc)."""
-    return np.asarray(fhat.continuous)[None], np.asarray(fhat.discrete)[None]
-
-
 def _identical_lattice(got, want):
     return got.support == want.support and _identical(
         [got[j] for j in got.support], [want[j] for j in want.support])
-
-
-def _count_builds(monkeypatch):
-    builds = []
-    build = spectral.eigenfunction_profile
-
-    def counted(*args):
-        builds.append(args[-1])
-        return build(*args)
-    monkeypatch.setattr(spectral, "eigenfunction_profile", counted)
-    return builds
 
 
 def _stacked_reference_profile(params, sector, z, discrete, J):
@@ -702,54 +688,128 @@ def test_in_place_profile_table_keeps_the_bits_of_the_stacked_one():
     assert rec.support == tuple(range(61)) and _identical_lattice(rec, want)
 
 
+def _count_table_builds(monkeypatch):
+    """Record (kernel, depth) for every run of the recurrence table or the
+    mass-point series, through the measure's tables or a profile call."""
+    builds = []
+
+    def counted(kernel, name):
+        def run(kmax, *args):
+            builds.append((name, kmax))
+            return kernel(kmax, *args)
+        return run
+
+    for module in (asc, spectral):
+        for name in ("asc_recurrence", "_mass_point_series"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+    return builds
+
+
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
-def test_round_trip_builds_one_plan(params, sector, masses, monkeypatch):
-    """The inverse reads the plan its forward result carries when that plan
-    is deep enough, at equal and at smaller depth: one profile build per
-    round trip, with the bits of a fresh plan at the inverse's depth."""
+def test_transforms_on_one_measure_run_the_recurrence_once(
+        params, sector, masses, monkeypatch):
+    """The first transform on a measure runs the recurrence table and the
+    mass-point series once each; later forwards, inverses, plans and
+    ``polynomials`` at equal or smaller depth run neither."""
     meas = plancherel_measure(params, sector, 256)
     assert len(meas.discrete) == masses
-    fhat = transform_grid(params, sector, Lcg(5).lattice_function(21), meas)
-    wants = {depth: spectral._TransformPlan(params, sector, meas, depth).inverse(
-        *_rows(fhat), depth)[0] for depth in (20, 11, 0)}
-    builds = _count_builds(monkeypatch)
-    for depth, want in wants.items():
-        assert _identical_lattice(inverse_transform_profile(params, sector, fhat, depth),
-                                  want)
-    assert builds == []
+    rng = Lcg(5)
+    f = rng.lattice_function(21)
+    builds = _count_table_builds(monkeypatch)
+    fhat = transform_grid(params, sector, f, meas)
+    assert builds == [("asc_recurrence", 20), ("_mass_point_series", 20)]
+    for depth in (20, 11, 0):
+        inverse_transform_profile(params, sector, fhat, depth)
+    transform_grid(params, sector, rng.lattice_function(12), meas)
+    spectral._TransformPlan(params, sector, meas, 15).forward(
+        [rng.lattice_function(16), rng.lattice_function(3)])
+    meas.polynomials(20)
+    assert len(builds) == 2
+
+
+def test_a_deeper_read_rebuilds_once_and_shallower_reads_keep_fresh_bits(monkeypatch):
+    """At the round-trip benchmark's sector a read deeper than the tables
+    rebuilds them once, at that depth; every read then has the bits of a
+    fresh build at its own depth, and so do the profiles and round trips
+    of the plans that scale them."""
+    params, sector = ModelParams(0.5, 2, 4), Sector(0, 2)
+    meas = plancherel_measure(params, sector, 256)
+    pp = meas.params
+    fresh = {J: (asc.asc_recurrence(J, meas.z, pp), asc._mass_point_series(J, meas.discrete, pp),
+                 eigenfunction_profile(params, sector, meas.z, meas.discrete, J))
+             for J in (0, 5, 17, 30, 60)}
+    f = Lcg(17).lattice_function(31)
+    plans = {J: spectral._TransformPlan(params, sector, meas, J) for J in (5, 30, 60)}
+    for J, plan in plans.items():
+        plan.cont, plan.disc = fresh[J][2]
+    fhat = plans[30].forward([f])
+    want = {J: plan.inverse(*fhat, J)[0] for J, plan in plans.items()}
+    meas = plancherel_measure(params, sector, 256)
+    builds = _count_table_builds(monkeypatch)
+    meas._tables(5)
+    assert builds == [("asc_recurrence", 5), ("_mass_point_series", 5)]
+    meas._tables(30)
+    assert builds[2:] == [("asc_recurrence", 30), ("_mass_point_series", 30)]
+    for J in (0, 5, 17, 30):
+        band, sums = meas._tables(J)
+        assert _identical(band, fresh[J][0]) and _identical(sums, fresh[J][1])
+        plan = spectral._TransformPlan(params, sector, meas, J)
+        assert _identical(plan.cont, fresh[J][2][0]) and _identical(plan.disc, fresh[J][2][1])
+    for J in (5, 30):
+        rec = inverse_transform_profile(params, sector, transform_grid(params, sector, f, meas), J)
+        assert _identical_lattice(rec, want[J])
+    assert len(builds) == 4
+    rec = inverse_transform_profile(params, sector, transform_grid(params, sector, f, meas), 60)
+    assert _identical_lattice(rec, want[60])
+    assert builds[4:] == [("asc_recurrence", 60), ("_mass_point_series", 60)]
+
+
+def test_measure_tables_are_read_only():
+    """Writing into a table the measure serves raises, and the arrays a plan
+    or ``polynomials`` makes from them are its own."""
+    params, sector = ModelParams(0.5, 2, 4), Sector(0, 2)
+    meas = plancherel_measure(params, sector, 64)
+    band, sums = meas._tables(8)
+    shallow, shallow_sums = meas._tables(3)
+    for table in (band, sums, shallow, shallow_sums, meas.polynomials(8)[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+    plan = spectral._TransformPlan(params, sector, meas, 8)
+    keep = band.copy(), sums.copy()
+    plan.cont[...] = 0
+    plan.disc[...] = 0
+    meas.polynomials(8)[1][...] = 0
+    assert _identical(band, keep[0]) and _identical(sums, keep[1])
 
 
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
-def test_inverse_builds_its_own_plan_when_the_carried_one_does_not_serve(
-        params, sector, masses, monkeypatch):
-    """A deeper inverse, other params, another sector, a hand-built spectral
-    function or one moved onto another measure each get a plan at the
-    inverse's depth, with its bits."""
+def test_other_families_on_a_measure_get_the_profile_bits(params, sector, masses, monkeypatch):
+    """Other params or another sector on a measure get the bits of
+    ``eigenfunction_profile`` at the measure's points and leave its tables
+    alone; other params with the measure's family read them."""
     meas = plancherel_measure(params, sector, 256)
-    fhat = transform_grid(params, sector, Lcg(6).lattice_function(14), meas)
-    plain = SpectralFunction(meas, fhat.continuous, fhat.discrete)
-    moved = replace(fhat, measure=plancherel_measure(params, sector, 256))
-    cases = [(params, sector, fhat, 30), (ModelParams(params.q, params.n, params.m + 1),
-                                          sector, fhat, 12),
-             (params, Sector(1, sector.Lp), fhat, 12), (params, sector, plain, 12),
-             (params, sector, moved, 12)]
-    wants = [spectral._TransformPlan(p, s, fh.measure, depth).inverse(*_rows(fh), depth)[0]
-             for p, s, fh, depth in cases]
-    builds = _count_builds(monkeypatch)
-    for (p, s, fh, depth), want in zip(cases, wants):
-        assert _identical_lattice(inverse_transform_profile(p, s, fh, depth), want)
-    assert builds == [30, 12, 12, 12, 12]
-
-
-def test_forward_result_carries_its_plan_outside_equality():
-    params, sector, _ = REUSE_CASES[1]
-    meas = plancherel_measure(params, sector, 64)
-    fhat = transform_grid(params, sector, LatticeFunction.basis(2), meas)
-    plan = fhat._plan
-    assert isinstance(plan, spectral._TransformPlan)
-    assert plan.measure is meas and plan.max_j == 2
-    assert "_plan" not in repr(fhat)
-    assert SpectralFunction(meas, fhat.continuous, fhat.discrete)._plan is None
+    f = Lcg(6).lattice_function(14)
+    assert max(f) == 13
+    others = [(ModelParams(params.q, params.n, params.m + 1), sector),
+              (params, Sector(sector.L + 1, sector.Lp))]
+    if masses == 0:  # (n, m, L, L') = (1, 2, 1, 0) has the family of (2, 2, 0, 0)
+        others.append((ModelParams(params.q, 1, 2), Sector(1, 0)))
+    wants = [eigenfunction_profile(p, s, meas.z, meas.discrete, 13) for p, s in others]
+    builds = _count_table_builds(monkeypatch)
+    for (p, s), want in zip(others[:2], wants):
+        assert asc_params(p, s) != meas.params
+        plan = spectral._TransformPlan(p, s, meas, 13)
+        assert _identical(plan.cont, want[0]) and _identical(plan.disc, want[1])
+        inverse_transform_profile(p, s, transform_grid(p, s, f, meas), 13)
+    assert meas._raw is None
+    assert builds == [("asc_recurrence", 13), ("_mass_point_series", 13)] * 6
+    if masses == 0:
+        same = others[2]
+        assert asc_params(*same) == meas.params
+        plan = spectral._TransformPlan(*same, meas, 13)
+        assert _identical(plan.cont, wants[2][0]) and _identical(plan.disc, wants[2][1])
+        assert builds[12:] == [("asc_recurrence", 13), ("_mass_point_series", 13)]
+        assert meas._raw is not None
 
 
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])

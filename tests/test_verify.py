@@ -480,6 +480,31 @@ def test_check_makes_one_grid_kernel_call(monkeypatch, cfg, check, module, name)
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("cfg", CONFIGS, ids=["q0.3", "q0.5", "q0.95", "2mass"])
+def test_transform_check_runs_the_recurrence_once(monkeypatch, cfg):
+    """The transform check's plan and its ``polynomials`` read the measure's
+    one table: one recurrence run per check, and the residual of a run
+    that builds the table afresh for each read."""
+    calls = []
+    kernel = asc.asc_recurrence
+
+    def counting(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    def fresh(self, kmax):
+        return (asc.asc_recurrence(kmax, self.z, self.params),
+                asc._mass_point_series(kmax, self.discrete, self.params))
+
+    monkeypatch.setattr(asc, "asc_recurrence", counting)
+    params, sector = cfg.params(), cfg.sector()
+    got = verify.check_transform_of_base_indicator(params, sector, cfg)
+    assert calls == [12]
+    monkeypatch.setattr(asc.SpectralMeasure, "_tables", fresh)
+    assert verify.check_transform_of_base_indicator(params, sector, cfg) == got
+    assert calls == [12] * 3
+
+
 def test_eigenvalue_residual_makes_one_profile_call(monkeypatch):
     """The check's seven z values and the sector's two mass points go
     through one profile call."""
