@@ -33,7 +33,7 @@ mass points, built on the first read and rebuilt only for a deeper one,
 read-only, about 16 N (k+1) bytes on N nodes after the deepest read.  Its
 ``polynomials`` and the transform plans of :mod:`qlaplace.spectral` read
 them, the plans scaled into eigenfunction profiles; a profile at other
-points or of another family runs the two kernels itself.
+points runs the two kernels itself.
 
 The orthogonality measure consists of a continuous density on z = cos(t),
 t in [0, pi], plus finitely many point masses at z_k = (a base^k + a^(-1)

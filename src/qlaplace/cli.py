@@ -18,6 +18,8 @@ for a fixed configuration and seed, and carry ``schema_version`` 1.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -162,9 +164,10 @@ def _emit(command: str, config: dict, fmt: str, out: str | None, body: dict) -> 
     if fmt == "json":
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
-        lines = ["field,value"]
-        lines += [f"{name},{val}" for name, val in rows]
-        text = "\n".join(lines) + "\n"
+        # a field is quoted only when it holds a comma, quote or newline
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([("field", "value"), *rows])
+        text = buf.getvalue()
     if out is None:
         click.echo(text, nl=False)
     else:
@@ -284,7 +287,8 @@ def transform(out, input_path, **kw):
     try:
         with open(input_path) as fh:
             f = LatticeFunction.from_json(json.load(fh))
-    except (ValueError, KeyError) as exc:
+    # RecursionError: arrays nested past the JSON parser's recursion limit
+    except (ValueError, KeyError, RecursionError) as exc:
         raise click.UsageError(f"bad input function: {exc}")
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     fhat = spectral.transform_grid(params, sector, f, meas)

@@ -18,19 +18,19 @@ the base-point indicator to the constant function 1).
 Numerical notes.  Eigenfunction profiles are evaluated in extended precision
 by ``asc.asc_recurrence``, the family's one degree-major table on a point
 set, at every z of :func:`eigenfunction_profile` at once (a measure's nodes
-are read at its ``SpectralMeasure.z``), with the per-point bits, scaled in
-place.  On the band, and off it away from the mass points, the polynomial is
-the dominant solution of its recurrence, so the forward run keeps its
-relative accuracy.  At discrete mass points (w = a q^(2k)) the terminating
-parameter a/w = q^(-2k) truncates the defining series after k+1 terms, and
-that short sum is used instead: one ``asc._mass_point_series`` call over
-every mass point, a row of all degrees per point (bound-state profiles are
-minimal solutions of the recurrence, so any forward evaluation loses
-relative accuracy exponentially in j).  The lattice masses of all degrees
-come from one ``measure_mass`` call.
+are read at its ``SpectralMeasure.z``), with the per-point bits, scaled by
+:func:`_profiles`.  On the band, and off it away from the mass points, the
+polynomial is the dominant solution of its recurrence, so the forward run
+keeps its relative accuracy.  At discrete mass points (w = a q^(2k)) the
+terminating parameter a/w = q^(-2k) truncates the defining series after k+1
+terms, and that short sum is used instead: one ``asc._mass_point_series``
+call over every mass point, a row of all degrees per point (bound-state
+profiles are minimal solutions of the recurrence, so any forward evaluation
+loses relative accuracy exponentially in j).  The lattice masses of all
+degrees come from one ``measure_mass`` call.
 
-Transforms run on a ``_TransformPlan``, the profiles and masses of one
-measure at one depth.  Its forward takes a list of functions, one column
+Transforms run on a ``_TransformPlan``, the profiles of one measure's
+family at one depth.  Its forward takes a list of functions, one column
 each of one matrix product per part (band and mass points, run by
 ``np.dot``'s ``longdouble`` dot loop, see :func:`_matmul`), and returns
 (cont, disc), C-contiguous ``clongdouble`` arrays with one row per
@@ -41,10 +41,11 @@ calls of the same code.  Who owns what: the measure owns the family's raw
 values at its points (``SpectralMeasure._tables``: Q_0..Q_k at its nodes and
 the terminating sums at its mass points, read-only, rebuilt only for a
 deeper depth, about 16 N (J+1) bytes on N nodes after its deepest
-transform); a plan owns its scaled profile matrix and lattice masses and
-lives for one call.  A round trip carries no plan: its inverse builds its
-own from the measure's tables, which the forward built, so the recurrence
-runs on a measure's first transform and on each deeper one only.  The inverse's
+transform); a plan owns its scaled profile matrix and lives for one call,
+and refuses another family, whose profiles would not pair with the measure.
+A round trip carries no plan: its inverse builds its own from the
+measure's tables, which the forward built, so the recurrence runs on a
+measure's first transform and on each deeper one only.  The inverse's
 lattice functions are built by ``LatticeFunction._from_items``, without
 checking again the indices the plan made.
 """
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -112,31 +112,27 @@ def eigenfunction_profile(params: ModelParams, sector: Sector, z,
     """Eigenfunction values at lattice indices 0..max_j (value 1 at j = 0),
     as (cont, disc).
 
-    cont[t, j] is at the t-th entry of the 1-D ``longdouble`` array ``z``: the
-    recurrence table of :func:`qlaplace.asc.asc_recurrence` with degree j
-    rescaled in place by b^j / (a b; q^2)_j, returned as the transposed view
-    of that degree-major table.  disc[k, j] = (b/a)^j S_j is at the k-th
-    mass point of the sector in ``discrete`` (``asc.DiscreteMass`` values),
-    from the terminating sums S_j of one :func:`qlaplace.asc._mass_point_series`
-    call over every point and one array of the powers (b/a)^j.  Every row
-    has the bits of a call on that point alone.
+    cont[t, j] is at the t-th entry of the 1-D ``longdouble`` array ``z``,
+    from :func:`qlaplace.asc.asc_recurrence`, and disc[k, j] at the k-th
+    mass point in ``discrete`` (``asc.DiscreteMass`` values), from one
+    :func:`qlaplace.asc._mass_point_series` call, both scaled by
+    :func:`_profiles`.  Every row has the bits of a call on that point alone.
     """
-    if max_j < 0:
-        raise ValueError("max_j must be nonnegative")
     pp = asc_params(params, sector)
-    scale, ratio = _profile_scales(pp, max_j)
-    table = asc_recurrence(max_j, z, pp)
-    table *= scale[:, None]
-    return table.T, ratio * _mass_point_series(max_j, discrete, pp)
+    return _profiles(pp, asc_recurrence(max_j, z, pp),
+                     _mass_point_series(max_j, discrete, pp))
 
 
-def _profile_scales(pp: AscParams, max_j: int):
-    """b^j / (a b; base)_j, a running product, and (b/a)^j, j = 0..max_j:
-    the eigenfunction scales of the recurrence rows and the terminating
-    sums."""
-    ppow = _running_products(np.full(max_j, pp.base))
-    return (_running_products(pp.b / (1 - pp.a * pp.b * ppow[:-1])),
-            (pp.b / pp.a) ** np.arange(max_j + 1).astype(_LD))
+def _profiles(pp: AscParams, band: np.ndarray, sums: np.ndarray):
+    """Profiles (cont, disc) from the family's raw values to degree k: the
+    recurrence table ``band`` (one row per degree) times b^j / (a b; base)_j,
+    a running product, as the transposed view of a new array, and the
+    terminating sums ``sums`` times (b/a)^j."""
+    k = len(band) - 1
+    ppow = _running_products(np.full(k, pp.base))
+    scale = _running_products(pp.b / (1 - pp.a * pp.b * ppow[:-1]))
+    ratio = (pp.b / pp.a) ** np.arange(k + 1).astype(_LD)
+    return (band * scale[:, None]).T, ratio * sums
 
 
 def c_function(params: ModelParams, sector: Sector, arg):
@@ -227,73 +223,56 @@ def _matmul(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 class _TransformPlan:
-    """Profile matrix and lattice masses of one measure at depth ``max_j``,
-    shared by every forward and inverse transform of depth <= max_j.
+    """Profile matrix of one measure's family at depth ``max_j``: the
+    measure's tables scaled by :func:`_profiles`, with
+    :func:`eigenfunction_profile`'s bits.  A (params, sector) of another
+    family raises ValueError before any table is built.
 
     A call transforms a list of functions in one matrix product per part
-    (band and mass points), each function one column of the right-hand side
-    over the leading columns of the plan's profiles and masses.  Those
-    columns carry the bits of a build at the smaller depth (profile column j
-    comes from a recurrence run in degree order and a running product, so it
-    depends on no later column; masses are elementwise), and the
-    extended-precision products, ``np.dot``'s ``longdouble`` dot loop
-    through :func:`_matmul`, sum in index order from +0 whatever the
-    strides, so every value equals a fresh build's for that function alone:
-    a shallower function's coefficients past its own depth are zeros, and a
-    zero term leaves an index-order sum that starts at +0 unchanged.  A
-    function deeper than the plan raises ValueError.  For the measure's own
-    family the profiles are its tables scaled into new arrays by
-    :func:`eigenfunction_profile`'s operations in its order, so they have
-    its bits; another family calls it at the measure's points.
+    (band and mass points), each function one column of the right-hand
+    side.  A forward reads the leading columns, to its deepest function's
+    depth, and forms the lattice masses there.  Those columns carry the bits
+    of a build at that depth (profile column j depends on no later column),
+    and the products, ``np.dot``'s ``longdouble`` dot loop through
+    :func:`_matmul`, sum in index order from +0 whatever the strides, so
+    every value equals a fresh build's for that function alone: a zero
+    coefficient past a shallower function's depth leaves the sum unchanged.
+    A function deeper than the plan raises ValueError.
     """
 
     def __init__(self, params: ModelParams, sector: Sector,
                  measure: SpectralMeasure, max_j: int):
+        pp = asc_params(params, sector)
+        if pp != measure.params:
+            raise ValueError("the sector's Al-Salam-Chihara family is not the measure's")
         self.params, self.sector = params, sector
         self.measure = measure
         self.max_j = max_j
-        pp = asc_params(params, sector)
-        if pp == measure.params:
-            band, sums = measure._tables(max_j)
-            scale, ratio = _profile_scales(pp, max_j)
-            self.cont, self.disc = (band * scale[:, None]).T, ratio * sums
-        else:
-            self.cont, self.disc = eigenfunction_profile(
-                params, sector, measure.z, measure.discrete, max_j)
-
-    @cached_property
-    def masses(self) -> np.ndarray:
-        """Lattice masses at 0..max_j; built on the first forward transform
-        (an inverse transform needs none)."""
-        return measure_mass(self.params, self.sector, np.arange(self.max_j + 1))
-
-    def _columns(self, J: int) -> int:
-        if J > self.max_j:
-            raise ValueError(f"depth {J} exceeds the transform plan's "
-                             f"depth {self.max_j}")
-        return J + 1
+        self.cont, self.disc = _profiles(pp, *measure._tables(max_j))
 
     def forward(self, fs: Sequence[Mapping[int, complex]]):
         """Forward transforms of the functions of ``fs`` on the measure's full
         node set, as (cont, disc): C-contiguous ``clongdouble`` arrays of
         the values at the nodes and at the mass points, one row per
         function."""
-        cols = self._columns(max((max(f, default=0) for f in fs), default=0))
-        coeffs = np.array([[f.get(j, 0) for j in range(cols)] for f in fs],
-                          dtype=_CLD).reshape(len(fs), cols)
-        weighted = (coeffs * self.masses[:cols]).T
-        return (np.ascontiguousarray(_matmul(self.cont[:, :cols], weighted).T),
-                np.ascontiguousarray(_matmul(self.disc[:, :cols], weighted).T))
+        J = max((max(f, default=0) for f in fs), default=0)
+        if J > self.max_j:
+            raise ValueError(f"depth {J} exceeds the transform plan's "
+                             f"depth {self.max_j}")
+        coeffs = np.array([[f.get(j, 0) for j in range(J + 1)] for f in fs],
+                          dtype=_CLD).reshape(len(fs), J + 1)
+        weighted = (coeffs * measure_mass(self.params, self.sector, np.arange(J + 1))).T
+        return (np.ascontiguousarray(_matmul(self.cont[:, :J + 1], weighted).T),
+                np.ascontiguousarray(_matmul(self.disc[:, :J + 1], weighted).T))
 
-    def inverse(self, cont: np.ndarray, disc: np.ndarray, max_j: int) -> list:
+    def inverse(self, cont: np.ndarray, disc: np.ndarray) -> list:
         """Inverse transforms of the spectral functions given by their values
         at the nodes and at the mass points, one row each of ``cont`` and
         ``disc``, each on all lattice indices 0..max_j at once."""
-        cols = self._columns(max_j)
         nodes, masses = self.measure.weights()
-        vals = _matmul(self.cont[:, :cols].T, (nodes * cont).T)
+        vals = _matmul(self.cont.T, (nodes * cont).T)
         if len(masses):
-            vals = vals + _matmul(self.disc[:, :cols].T, (masses * disc).T)
+            vals = vals + _matmul(self.disc.T, (masses * disc).T)
         return [LatticeFunction._from_items(enumerate(col)) for col in vals.T]
 
 
@@ -312,7 +291,7 @@ def inverse_transform_profile(params: ModelParams, sector: Sector,
     plan = _TransformPlan(params, sector, fhat.measure, max_j)
     # a hand-built spectral function may hold a sequence of values
     [rec] = plan.inverse(np.asarray(fhat.continuous)[None],
-                         np.asarray(fhat.discrete)[None], max_j)
+                         np.asarray(fhat.discrete)[None])
     return rec
 
 

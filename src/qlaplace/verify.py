@@ -249,7 +249,7 @@ def check_roundtrip(params, sector, cfg) -> float:
     rng = Lcg(cfg.seed + 606)
     fs = [rng.lattice_function(15) for _ in range(5)]
     pairs = []
-    for f, rec in zip(fs, plan.inverse(*plan.forward(fs), 16)):
+    for f, rec in zip(fs, plan.inverse(*plan.forward(fs))):
         err = rec - f
         pairs += [(err, err), (f, f)]
     values = lattice.inner_product(params, sector, pairs)

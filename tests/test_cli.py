@@ -111,9 +111,11 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(command, option):
     (["transform", "--input", "f.json"], '{"support": [true], "values": [[1.0, 0.0]]}'),
     (["transform", "--input", "f.json"], '{"support": [0], "values": [[NaN, 0.0]]}'),
     (["transform", "--input", "f.json"], '{"support": [0], "values": [[1.0, -Infinity]]}'),
+    # past the JSON parser's recursion limit, which raised RecursionError
+    (["transform", "--input", "f.json"], "[" * 100_000 + "]" * 100_000),
 ], ids=["out-directory-missing", "input-top-level-list", "input-string-value",
         "input-infinite-index", "input-repeated-index", "input-boolean-index",
-        "input-nan-value", "input-infinite-value"])
+        "input-nan-value", "input-infinite-value", "input-deeply-nested"])
 def test_bad_out_or_input_is_a_usage_error(tmp_path, args, content):
     if content is not None:
         (tmp_path / "f.json").write_text(content)
@@ -212,6 +214,21 @@ def test_csv_report_starts_with_the_common_header(tmp_path, command, args):
     assert names[:len(config)] == [f"config.{k}" for k in asdict(RunConfig())
                                    if k in config]
     assert not any(name.startswith("config.") for name in names[len(config):])
+
+
+def test_csv_report_quotes_the_notes_that_hold_commas():
+    """At q = 0.01, m = 200 the battery fails with notes that hold commas
+    (the point-from-exponent underflow and the Jacobi overflow): every CSV
+    row still parses to (field, value), and each note is the JSON one."""
+    j = run("verify", "--q", "0.01", "--m", "200")
+    c = run("verify", "--q", "0.01", "--m", "200", "--format", "csv")
+    assert j.exit_code == c.exit_code == 1
+    rows = list(csv.reader(io.StringIO(c.stdout)))
+    assert {len(row) for row in rows} == {2}
+    notes = {name: val for name, val in rows if name.endswith(".note")}
+    checks = json.loads(j.stdout)["checks"]
+    assert notes == {f"checks.{i}.note": check["note"] for i, check in enumerate(checks)}
+    assert sum("," in note for note in notes.values()) >= 2
 
 
 def test_spectrum_discrete_part_presence():

@@ -592,10 +592,11 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("params,sector", PLAN_CASES)
 def test_transform_plan_slices_keep_the_bits_of_a_fresh_build(params, sector):
-    """A plan at depth 16 gives every shallower forward and inverse transform
-    the bits of the public functions on a fresh measure, which build its
-    tables at the function's own depth: the leading profile columns and
-    masses equal a shallower build's."""
+    """A plan at depth 16 gives every shallower forward transform, and a
+    shallower plan on its measure every inverse transform, the bits of the
+    public functions on a fresh measure, which build its tables at the
+    function's own depth: the leading profile columns and masses equal a
+    shallower build's."""
     meas = plancherel_measure(params, sector, 256)
     plan = spectral._TransformPlan(params, sector, meas, 16)
     rng = Lcg(99)
@@ -611,7 +612,7 @@ def test_transform_plan_slices_keep_the_bits_of_a_fresh_build(params, sector):
             assert _same_bits(cont[0], want.continuous)
             assert _same_bits(disc[0], want.discrete)
             for depth in (1, 14, 16):
-                [rec] = plan.inverse(cont, disc, depth)
+                [rec] = spectral._TransformPlan(params, sector, meas, depth).inverse(cont, disc)
                 fresh = SpectralFunction(plancherel_measure(params, sector, 256),
                                          want.continuous, want.discrete)
                 ref = inverse_transform_profile(params, sector, fresh, depth)
@@ -626,9 +627,6 @@ def test_transform_plan_rejects_deeper_functions():
     plan = spectral._TransformPlan(params, sector, meas, 5)
     with pytest.raises(ValueError, match="depth 6"):
         plan.forward([LatticeFunction.basis(6)])
-    cont, disc = plan.forward([LatticeFunction.basis(5)])
-    with pytest.raises(ValueError, match="depth 6"):
-        plan.inverse(cont, disc, 6)
 
 
 #: sectors with 0, 2 and 5 mass points
@@ -684,7 +682,7 @@ def test_in_place_profile_table_keeps_the_bits_of_the_stacked_one():
     plan = spectral._TransformPlan(params, sector, meas, 60)
     plan.cont, plan.disc = _stacked_reference_profile(params, sector, z, meas.discrete, 60)
     assert plan.cont.flags.c_contiguous and not plan.cont.flags.f_contiguous
-    [want] = plan.inverse(*plan.forward([f]), 60)
+    [want] = plan.inverse(*plan.forward([f]))
     assert rec.support == tuple(range(61)) and _identical_lattice(rec, want)
 
 
@@ -743,7 +741,7 @@ def test_a_deeper_read_rebuilds_once_and_shallower_reads_keep_fresh_bits(monkeyp
     for J, plan in plans.items():
         plan.cont, plan.disc = fresh[J][2]
     fhat = plans[30].forward([f])
-    want = {J: plan.inverse(*fhat, J)[0] for J, plan in plans.items()}
+    want = {J: plan.inverse(*fhat)[0] for J, plan in plans.items()}
     meas = plancherel_measure(params, sector, 256)
     builds = _count_table_builds(monkeypatch)
     meas._tables(5)
@@ -783,33 +781,39 @@ def test_measure_tables_are_read_only():
 
 
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
-def test_other_families_on_a_measure_get_the_profile_bits(params, sector, masses, monkeypatch):
-    """Other params or another sector on a measure get the bits of
-    ``eigenfunction_profile`` at the measure's points and leave its tables
-    alone; other params with the measure's family read them."""
+def test_other_families_on_a_measure_are_refused(params, sector, masses, monkeypatch):
+    """Other params or another sector, whose eigenfunctions do not pair with
+    the measure, raise from the plan, ``transform_grid`` and
+    ``inverse_transform_profile`` before any table is built."""
     meas = plancherel_measure(params, sector, 256)
     f = Lcg(6).lattice_function(14)
-    assert max(f) == 13
-    others = [(ModelParams(params.q, params.n, params.m + 1), sector),
-              (params, Sector(sector.L + 1, sector.Lp))]
-    if masses == 0:  # (n, m, L, L') = (1, 2, 1, 0) has the family of (2, 2, 0, 0)
-        others.append((ModelParams(params.q, 1, 2), Sector(1, 0)))
-    wants = [eigenfunction_profile(p, s, meas.z, meas.discrete, 13) for p, s in others]
+    fhat = SpectralFunction(meas, np.ones(len(meas.theta_nodes), dtype=np.clongdouble),
+                            np.ones(masses, dtype=np.clongdouble))
     builds = _count_table_builds(monkeypatch)
-    for (p, s), want in zip(others[:2], wants):
+    for p, s in [(ModelParams(params.q, params.n, params.m + 1), sector),
+                 (params, Sector(sector.L + 1, sector.Lp))]:
         assert asc_params(p, s) != meas.params
-        plan = spectral._TransformPlan(p, s, meas, 13)
-        assert _identical(plan.cont, want[0]) and _identical(plan.disc, want[1])
-        inverse_transform_profile(p, s, transform_grid(p, s, f, meas), 13)
-    assert meas._raw is None
-    assert builds == [("asc_recurrence", 13), ("_mass_point_series", 13)] * 6
-    if masses == 0:
-        same = others[2]
-        assert asc_params(*same) == meas.params
-        plan = spectral._TransformPlan(*same, meas, 13)
-        assert _identical(plan.cont, wants[2][0]) and _identical(plan.disc, wants[2][1])
-        assert builds[12:] == [("asc_recurrence", 13), ("_mass_point_series", 13)]
-        assert meas._raw is not None
+        for call in (lambda: spectral._TransformPlan(p, s, meas, 13),
+                     lambda: transform_grid(p, s, f, meas),
+                     lambda: inverse_transform_profile(p, s, fhat, 13)):
+            with pytest.raises(ValueError, match="not the measure's"):
+                call()
+    assert meas._raw is None and builds == []
+
+
+def test_a_sector_of_the_measure_family_reads_its_tables(monkeypatch):
+    """(n, m, L, L') = (1, 2, 1, 0) has the family of (2, 2, 0, 0): its plan
+    on that measure reads the measure's tables, built once, and has
+    ``eigenfunction_profile``'s bits."""
+    meas = plancherel_measure(ModelParams(0.5, 2, 2), Sector(0, 0), 256)
+    params, sector = ModelParams(0.5, 1, 2), Sector(1, 0)
+    assert asc_params(params, sector) == meas.params
+    want = eigenfunction_profile(params, sector, meas.z, meas.discrete, 13)
+    builds = _count_table_builds(monkeypatch)
+    plan = spectral._TransformPlan(params, sector, meas, 13)
+    assert _identical(plan.cont, want[0]) and _identical(plan.disc, want[1])
+    assert builds == [("asc_recurrence", 13), ("_mass_point_series", 13)]
+    assert meas._raw is not None
 
 
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
@@ -922,13 +926,14 @@ def test_plan_round_trip_equals_the_literal_product_plan(monkeypatch):
 
     def round_trips():
         """The stacked and one-function forward arrays, then the values of
-        the inverses of the stacked ones at depth 60 and 12 and of each
-        one-function pair at 60."""
+        the inverses of the stacked ones on plans at depth 60 and 12 and of
+        each one-function pair at 60."""
         plan = spectral._TransformPlan(params, sector, meas, 60)
         stacked = plan.forward(fs)
         alone = [plan.forward([f]) for f in fs]
-        recs = [*plan.inverse(*stacked, 60), *plan.inverse(*stacked, 12)]
-        recs += [rec for rows in alone for rec in plan.inverse(*rows, 60)]
+        shallow = spectral._TransformPlan(params, sector, meas, 12)
+        recs = [*plan.inverse(*stacked), *shallow.inverse(*stacked)]
+        recs += [rec for rows in alone for rec in plan.inverse(*rows)]
         return [*stacked, *(part for rows in alone for part in rows),
                 *([rec[j] for j in rec.support] for rec in recs)]
 
@@ -1037,8 +1042,9 @@ def test_containment_equals_the_per_eigenvalue_loop_and_keeps_a_nan():
 def test_stacked_transforms_keep_the_bits_of_each_function_alone(params, sector, masses):
     """One forward call on functions of every depth up to the plan's, the
     empty function and real and complex values, and one inverse call on
-    their transforms: each result has the bits of the one-function call,
-    and of the public functions, which build at the function's own depth."""
+    their transforms, on the plan and on a shallower one: each result has
+    the bits of the one-function call, and of the public functions, which
+    build at the function's own depth."""
     meas = plancherel_measure(params, sector, 256)
     assert len(meas.discrete) == masses
     plan = spectral._TransformPlan(params, sector, meas, 16)
@@ -1054,14 +1060,14 @@ def test_stacked_transforms_keep_the_bits_of_each_function_alone(params, sector,
         [c_alone], [d_alone] = plan.forward([f])
         assert _identical(c, c_alone) and _identical(d, d_alone)
         assert _identical(c, public.continuous) and _identical(d, public.discrete)
-    for depth in (16, 9):
-        recs = plan.inverse(cont, disc, depth)
+    for inv in (plan, spectral._TransformPlan(params, sector, meas, 9)):
+        recs = inv.inverse(cont, disc)
         assert len(recs) == len(fs)
         for k, (rec, public) in enumerate(zip(recs, publics)):
-            [alone] = plan.inverse(cont[k:k + 1], disc[k:k + 1], depth)
+            [alone] = inv.inverse(cont[k:k + 1], disc[k:k + 1])
             assert _identical_lattice(rec, alone)
             assert _identical_lattice(
-                rec, inverse_transform_profile(params, sector, public, depth))
+                rec, inverse_transform_profile(params, sector, public, inv.max_j))
     cont, disc = plan.forward([])
     assert cont.shape == (0, len(meas.theta_nodes)) and disc.shape == (0, masses)
-    assert plan.inverse(cont, disc, 16) == []
+    assert plan.inverse(cont, disc) == []
