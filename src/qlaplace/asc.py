@@ -27,13 +27,16 @@ via the q-binomial theorem into the exact finite convolution
 whose terms stay comparable to the value; it cross-checks the recurrence
 (``verify``'s ``asc_consistency``).  At the mass points the 3phi2 terminates
 after a few exact terms, which ``_mass_point_series`` sums for every mass
-point in one call.  A ``SpectralMeasure`` owns its nodes' z = cos(theta)
-and the two tables at its own points: Q_0..Q_k at z and S_0..S_k at its
-mass points, built on the first read and rebuilt only for a deeper one,
-read-only, about 16 N (k+1) bytes on N nodes after the deepest read.  Its
-``polynomials`` and the transform plans of :mod:`qlaplace.spectral` read
-them, the plans scaled into eigenfunction profiles; a profile at other
-points runs the two kernels itself.
+point in one call.  A ``SpectralMeasure`` owns its nodes' z = cos(theta),
+the two tables at its own points (Q_0..Q_k at z and S_0..S_k at its mass
+points, about 16 N (k+1) bytes on N nodes after the deepest read), the
+eigenfunction profile vectors :func:`_profile_vectors` forms from the sums
+and its quadrature weights, all read-only.  The tables and the vectors are
+built on the first read and rebuilt only for a deeper one, the weights once:
+O(k) + O(N) bytes beyond the tables.  Its ``polynomials`` and the transform
+plans of :mod:`qlaplace.spectral` read them, a plan scaling the band table
+into its own profile matrix; a profile at other points runs the kernels
+itself.
 
 The orthogonality measure consists of a continuous density on z = cos(t),
 t in [0, pi], plus finitely many point masses at z_k = (a base^k + a^(-1)
@@ -224,6 +227,18 @@ def _mass_point_series(kmax: int, discrete, p: AscParams) -> np.ndarray:
     return tot
 
 
+def _profile_vectors(p: AscParams, sums: np.ndarray):
+    """The two eigenfunction profile vectors of the family to degree k, from
+    the :func:`_mass_point_series` rows ``sums`` (k+1 columns): the band
+    scale b^j / (a b; base)_j, a running product, by which row j of a
+    recurrence table becomes profile column j, and the mass-point profile
+    rows (b/a)^j S_j.  Entry j of either depends on no later one."""
+    k = sums.shape[1] - 1
+    pw = _running_products(np.full(k, p.base))  # base^j
+    scale = _running_products(p.b / (1 - p.a * p.b * pw[:-1]))
+    return scale, (p.b / p.a) ** np.arange(k + 1).astype(_LD) * sums
+
+
 def asc_hypergeometric(J: int, theta, p: AscParams) -> np.ndarray:
     """Q_0..Q_J from the hypergeometric representation, evaluated stably, at
     each angle of the 1-D array ``theta``: one ``clongdouble`` row per angle.
@@ -384,7 +399,14 @@ class SpectralMeasure:
     eigenvalues read only the nodes and the mass points; so is ``z``, the
     read-only ``longdouble`` cos(theta) at the nodes.  ``normalization`` is
     a positive extended-precision scale of both parts, applied only by
-    :meth:`weights`.  :meth:`_tables` holds the family's values there.
+    :meth:`weights`.
+
+    The measure owns what depends on it alone, read-only: the family's
+    values at its points (:meth:`_tables`), the eigenfunction profile
+    vectors formed from them (:meth:`_profiles`) and its quadrature weights
+    (:meth:`weights`, built once), O(k) + O(N) bytes beyond the tables.  A
+    transform plan owns only its scaled band; the lattice masses belong to
+    the sector.
     """
 
     theta_nodes: np.ndarray
@@ -392,6 +414,8 @@ class SpectralMeasure:
     discrete: tuple[DiscreteMass, ...]
     normalization: np.longdouble = _LD(1.0)
     _raw: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _vectors: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     @cached_property
@@ -421,6 +445,21 @@ class SpectralMeasure:
         band, sums = self._raw
         return band[:kmax + 1], sums[:, :kmax + 1]
 
+    def _profiles(self, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (band, scale, disc) to degree kmax: the band table of
+        :meth:`_tables` and the :func:`_profile_vectors` of its sums, the
+        band's scale vector and the mass-point profile rows.  The vectors
+        keep the tables' rule: built on the first read, rebuilt only for a
+        deeper one, and a shallower read gets their leading entries with a
+        fresh build's bits."""
+        band, sums = self._tables(kmax)
+        if self._vectors is None or len(self._vectors[0]) <= kmax:
+            scale, disc = _profile_vectors(self.params, sums)
+            scale.flags.writeable = disc.flags.writeable = False
+            object.__setattr__(self, "_vectors", (scale, disc))
+        scale, disc = self._vectors
+        return band, scale[:kmax + 1], disc[:, :kmax + 1]
+
     def polynomials(self, kmax: int) -> tuple[np.ndarray, np.ndarray]:
         """Q_0..Q_kmax at the nodes and at the mass points, as (band, disc):
         band is the read-only recurrence table of :meth:`_tables`, one row
@@ -435,14 +474,20 @@ class SpectralMeasure:
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature weights of the two parts, normalization included: the
-        trapezoid weights at the theta nodes and the point masses."""
+        trapezoid weights at the theta nodes and the point masses, read-only
+        and built on the first call."""
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, np.ndarray]:
         h = self.theta_nodes[1] - self.theta_nodes[0]
         w = np.full(len(self.theta_nodes), h, dtype=self.density.dtype)
         w[0] /= 2
         w[-1] /= 2
-        return (w * self.density * self.normalization,
-                np.array([self.normalization * d.mass for d in self.discrete],
-                         dtype=_LD))
+        nodes = w * self.density * self.normalization
+        masses = np.array([self.normalization * d.mass for d in self.discrete], dtype=_LD)
+        nodes.flags.writeable = masses.flags.writeable = False
+        return nodes, masses
 
     def integrate(self, continuous_values, discrete_values=None):
         """Integrate a spectral function given by its node / mass-point values.

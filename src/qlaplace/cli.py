@@ -32,7 +32,7 @@ import numpy as np
 from . import fockoracle, laplace, spectral
 from .asc import _MAX_NODES
 from .lattice import (LatticeFunction, ModelParams, Quadruple, Sector,
-                      hwv_inner_product)
+                      hwv_inner_product, measure_mass)
 from .verify import (CONTAINMENT_SIZE, CONTAINMENT_THRESHOLD, oracle_error,
                      run_battery)
 
@@ -290,13 +290,19 @@ def transform(out, input_path, **kw):
     # RecursionError: arrays nested past the JSON parser's recursion limit
     except (ValueError, KeyError, RecursionError) as exc:
         raise click.UsageError(f"bad input function: {exc}")
+    top = max(f, default=0)
+    not_finite = click.UsageError(f"transform values are not finite in double "
+                                  f"precision (largest support index {top})")
+    # a lattice mass past the longdouble range makes the values non-finite:
+    # refuse before the measure builds a table of that depth
+    if not np.isfinite(measure_mass(params, sector, top)):
+        raise not_finite
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     fhat = spectral.transform_grid(params, sector, f, meas)
     cont = np.asarray(fhat.continuous, dtype=complex)
     disc = np.asarray(fhat.discrete, dtype=complex)
     if not (np.isfinite(cont).all() and np.isfinite(disc).all()):
-        raise click.UsageError(f"transform values are not finite in double precision "
-                               f"(largest support index {max(f)})")
+        raise not_finite
     lam_cont, lam_disc = spectral.measure_eigenvalues(params, meas)
     _emit("transform", config, cfg.fmt, out, {
         "sector": {"L": sector.L, "Lp": sector.Lp},

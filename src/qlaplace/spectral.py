@@ -19,9 +19,9 @@ Numerical notes.  Eigenfunction profiles are evaluated in extended precision
 by ``asc.asc_recurrence``, the family's one degree-major table on a point
 set, at every z of :func:`eigenfunction_profile` at once (a measure's nodes
 are read at its ``SpectralMeasure.z``), with the per-point bits, scaled by
-:func:`_profiles`.  On the band, and off it away from the mass points, the
-polynomial is the dominant solution of its recurrence, so the forward run
-keeps its relative accuracy.  At discrete mass points (w = a q^(2k)) the
+the vectors of ``asc._profile_vectors``.  On the band, and off it away from
+the mass points, the polynomial is the dominant solution of its recurrence,
+so the forward run keeps its relative accuracy.  At discrete mass points (w = a q^(2k)) the
 terminating parameter a/w = q^(-2k) truncates the defining series after k+1
 terms, and that short sum is used instead: one ``asc._mass_point_series``
 call over every mass point, a row of all degrees per point (bound-state
@@ -37,15 +37,18 @@ each of one matrix product per part (band and mass points, run by
 function, which its inverse takes; every row has the bits of the
 one-function call.  :func:`transform_grid`, the one builder of a
 ``SpectralFunction``, and :func:`inverse_transform_profile` are one-row
-calls of the same code.  Who owns what: the measure owns the family's raw
-values at its points (``SpectralMeasure._tables``: Q_0..Q_k at its nodes and
-the terminating sums at its mass points, read-only, rebuilt only for a
-deeper depth, about 16 N (J+1) bytes on N nodes after its deepest
-transform); a plan owns its scaled profile matrix and lives for one call,
-and refuses another family, whose profiles would not pair with the measure.
-A round trip carries no plan: its inverse builds its own from the
-measure's tables, which the forward built, so the recurrence runs on a
-measure's first transform and on each deeper one only.  The inverse's
+calls of the same code.  Who owns what: the measure owns, read-only, the
+family's raw values at its points (``SpectralMeasure._tables``, about
+16 N (J+1) bytes on N nodes after its deepest transform), the profile
+vectors formed from them (``SpectralMeasure._profiles``: the band's scale
+b^j / (a b; base)_j and the mass-point profile rows) and its quadrature
+weights, O(J) + O(N) bytes more.  A plan owns only its scaled band, reads
+the mass-point rows as a view, lives for one call, and refuses another
+family, whose profiles would not pair with the measure; the lattice masses
+belong to the sector and are formed per forward.  A round trip carries no
+plan: its inverse builds its own from what the forward left on the
+measure, so the recurrence and the vectors run on a measure's first
+transform and on each deeper one only.  The inverse's
 lattice functions are built by ``LatticeFunction._from_items``, without
 checking again the indices the plan made.
 """
@@ -59,7 +62,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .asc import (AscParams, DiscreteMass, SpectralMeasure, _c_products,
-                  _mass_point_series, _norm_factor, _running_products,
+                  _mass_point_series, _norm_factor, _profile_vectors,
                   asc_recurrence, mass_points, orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
@@ -113,26 +116,17 @@ def eigenfunction_profile(params: ModelParams, sector: Sector, z,
     as (cont, disc).
 
     cont[t, j] is at the t-th entry of the 1-D ``longdouble`` array ``z``,
-    from :func:`qlaplace.asc.asc_recurrence`, and disc[k, j] at the k-th
-    mass point in ``discrete`` (``asc.DiscreteMass`` values), from one
-    :func:`qlaplace.asc._mass_point_series` call, both scaled by
-    :func:`_profiles`.  Every row has the bits of a call on that point alone.
+    from :func:`qlaplace.asc.asc_recurrence` times the band scale of
+    ``asc._profile_vectors``, as the transposed view of a new array, and
+    disc[k, j] at the k-th mass point in ``discrete`` (``asc.DiscreteMass``
+    values), that helper's profile rows of one
+    :func:`qlaplace.asc._mass_point_series` call.  Every row has the bits of
+    a call on that point alone.
     """
     pp = asc_params(params, sector)
-    return _profiles(pp, asc_recurrence(max_j, z, pp),
-                     _mass_point_series(max_j, discrete, pp))
-
-
-def _profiles(pp: AscParams, band: np.ndarray, sums: np.ndarray):
-    """Profiles (cont, disc) from the family's raw values to degree k: the
-    recurrence table ``band`` (one row per degree) times b^j / (a b; base)_j,
-    a running product, as the transposed view of a new array, and the
-    terminating sums ``sums`` times (b/a)^j."""
-    k = len(band) - 1
-    ppow = _running_products(np.full(k, pp.base))
-    scale = _running_products(pp.b / (1 - pp.a * pp.b * ppow[:-1]))
-    ratio = (pp.b / pp.a) ** np.arange(k + 1).astype(_LD)
-    return (band * scale[:, None]).T, ratio * sums
+    band = asc_recurrence(max_j, z, pp)
+    scale, disc = _profile_vectors(pp, _mass_point_series(max_j, discrete, pp))
+    return (band * scale[:, None]).T, disc
 
 
 def c_function(params: ModelParams, sector: Sector, arg):
@@ -223,10 +217,12 @@ def _matmul(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 class _TransformPlan:
-    """Profile matrix of one measure's family at depth ``max_j``: the
-    measure's tables scaled by :func:`_profiles`, with
-    :func:`eigenfunction_profile`'s bits.  A (params, sector) of another
-    family raises ValueError before any table is built.
+    """Profile matrix of one measure's family at depth ``max_j``, with
+    :func:`eigenfunction_profile`'s bits: ``cont``, the plan's own array,
+    is the measure's band table times its scale vector, and ``disc`` the
+    measure's read-only mass-point profile rows, a view
+    (``SpectralMeasure._profiles``).  A (params, sector) of another family
+    raises ValueError before any table is built.
 
     A call transforms a list of functions in one matrix product per part
     (band and mass points), each function one column of the right-hand
@@ -248,7 +244,8 @@ class _TransformPlan:
         self.params, self.sector = params, sector
         self.measure = measure
         self.max_j = max_j
-        self.cont, self.disc = _profiles(pp, *measure._tables(max_j))
+        band, scale, self.disc = measure._profiles(max_j)
+        self.cont = (band * scale[:, None]).T
 
     def forward(self, fs: Sequence[Mapping[int, complex]]):
         """Forward transforms of the functions of ``fs`` on the measure's full

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import qlaplace
-from qlaplace import asc, cli, fockoracle, verify
+from qlaplace import asc, cli, fockoracle, spectral, verify
 from qlaplace.cli import RunConfig, main
 from qlaplace.lattice import LatticeFunction, ModelParams, Quadruple, hwv_inner_product
 from qlaplace.qcore import ConvergenceError
@@ -272,15 +272,25 @@ def test_transform_never_forms_the_density(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_transform_beyond_double_range_is_a_usage_error(tmp_path, fmt):
+@pytest.mark.parametrize("index,built", [(400, True), (10 ** 8, False)])
+def test_transform_beyond_double_range_is_a_usage_error(tmp_path, monkeypatch,
+                                                        fmt, index, built):
+    """Values past the double range are a usage error; a lattice mass past
+    the longdouble range is refused before the measure is built, where a
+    table of 10^8 degrees ended in a MemoryError traceback."""
+    measures = []
+    build = spectral.plancherel_measure
+    monkeypatch.setattr(spectral, "plancherel_measure",
+                        lambda *args: measures.append(args) or build(*args))
     src = tmp_path / "deep.json"
-    src.write_text(json.dumps({"support": [400], "values": [[1.0, 0.0]]}))
+    src.write_text(json.dumps({"support": [index], "values": [[1.0, 0.0]]}))
     res = run("transform", "--input", str(src), "--quad-nodes", "64",
               "--format", fmt)
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
-    assert "largest support index 400" in res.stderr
+    assert f"largest support index {index}" in res.stderr
     assert "Traceback" not in res.output + res.stderr
+    assert bool(measures) == built
 
 
 def test_transform_rejects_bad_schema(tmp_path):

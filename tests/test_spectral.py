@@ -703,26 +703,47 @@ def _count_table_builds(monkeypatch):
     return builds
 
 
+def _count_vector_builds(monkeypatch):
+    """Record the depth of every run of the profile-vector helper, through
+    the measure or a profile call."""
+    builds = []
+    helper = asc._profile_vectors
+
+    def run(p, sums):
+        builds.append(sums.shape[1] - 1)
+        return helper(p, sums)
+
+    for module in (asc, spectral):
+        monkeypatch.setattr(module, "_profile_vectors", run)
+    return builds
+
+
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
 def test_transforms_on_one_measure_run_the_recurrence_once(
         params, sector, masses, monkeypatch):
-    """The first transform on a measure runs the recurrence table and the
-    mass-point series once each; later forwards, inverses, plans and
-    ``polynomials`` at equal or smaller depth run neither."""
+    """The first transform on a measure runs the recurrence table, the
+    mass-point series and the profile-vector helper once each; later
+    forwards, inverses, plans and ``polynomials`` at equal or smaller depth
+    run none of them, and every inverse reads the weights the first built."""
     meas = plancherel_measure(params, sector, 256)
     assert len(meas.discrete) == masses
     rng = Lcg(5)
     f = rng.lattice_function(21)
     builds = _count_table_builds(monkeypatch)
+    vectors = _count_vector_builds(monkeypatch)
     fhat = transform_grid(params, sector, f, meas)
     assert builds == [("asc_recurrence", 20), ("_mass_point_series", 20)]
+    assert vectors == [20]
+    inverse_transform_profile(params, sector, fhat, 20)
+    nodes, mass_weights = meas.weights()
     for depth in (20, 11, 0):
         inverse_transform_profile(params, sector, fhat, depth)
     transform_grid(params, sector, rng.lattice_function(12), meas)
     spectral._TransformPlan(params, sector, meas, 15).forward(
         [rng.lattice_function(16), rng.lattice_function(3)])
     meas.polynomials(20)
-    assert len(builds) == 2
+    assert len(builds) == 2 and vectors == [20]
+    assert meas.weights()[0] is nodes and meas.weights()[1] is mass_weights
 
 
 def test_a_deeper_read_rebuilds_once_and_shallower_reads_keep_fresh_bits(monkeypatch):
@@ -734,7 +755,8 @@ def test_a_deeper_read_rebuilds_once_and_shallower_reads_keep_fresh_bits(monkeyp
     meas = plancherel_measure(params, sector, 256)
     pp = meas.params
     fresh = {J: (asc.asc_recurrence(J, meas.z, pp), asc._mass_point_series(J, meas.discrete, pp),
-                 eigenfunction_profile(params, sector, meas.z, meas.discrete, J))
+                 eigenfunction_profile(params, sector, meas.z, meas.discrete, J),
+                 asc._profile_vectors(pp, asc._mass_point_series(J, meas.discrete, pp)))
              for J in (0, 5, 17, 30, 60)}
     f = Lcg(17).lattice_function(31)
     plans = {J: spectral._TransformPlan(params, sector, meas, J) for J in (5, 30, 60)}
@@ -744,27 +766,36 @@ def test_a_deeper_read_rebuilds_once_and_shallower_reads_keep_fresh_bits(monkeyp
     want = {J: plan.inverse(*fhat)[0] for J, plan in plans.items()}
     meas = plancherel_measure(params, sector, 256)
     builds = _count_table_builds(monkeypatch)
+    vectors = _count_vector_builds(monkeypatch)
     meas._tables(5)
     assert builds == [("asc_recurrence", 5), ("_mass_point_series", 5)]
-    meas._tables(30)
+    meas._profiles(5)
+    assert len(builds) == 2 and vectors == [5]
+    meas._profiles(30)
     assert builds[2:] == [("asc_recurrence", 30), ("_mass_point_series", 30)]
+    assert vectors == [5, 30]
     for J in (0, 5, 17, 30):
         band, sums = meas._tables(J)
         assert _identical(band, fresh[J][0]) and _identical(sums, fresh[J][1])
+        held_band, scale, disc = meas._profiles(J)
+        assert held_band.base is band.base
+        assert _identical(scale, fresh[J][3][0]) and _identical(disc, fresh[J][3][1])
         plan = spectral._TransformPlan(params, sector, meas, J)
         assert _identical(plan.cont, fresh[J][2][0]) and _identical(plan.disc, fresh[J][2][1])
     for J in (5, 30):
         rec = inverse_transform_profile(params, sector, transform_grid(params, sector, f, meas), J)
         assert _identical_lattice(rec, want[J])
-    assert len(builds) == 4
+    assert len(builds) == 4 and vectors == [5, 30]
     rec = inverse_transform_profile(params, sector, transform_grid(params, sector, f, meas), 60)
     assert _identical_lattice(rec, want[60])
     assert builds[4:] == [("asc_recurrence", 60), ("_mass_point_series", 60)]
+    assert vectors == [5, 30, 60]
 
 
 def test_measure_tables_are_read_only():
-    """Writing into a table the measure serves raises, and the arrays a plan
-    or ``polynomials`` makes from them are its own."""
+    """Writing into a table the measure serves raises; a plan's ``disc``
+    is a read-only view of the measure's profile rows, and its ``cont`` and
+    the mass-point values of ``polynomials`` are their own arrays."""
     params, sector = ModelParams(0.5, 2, 4), Sector(0, 2)
     meas = plancherel_measure(params, sector, 64)
     band, sums = meas._tables(8)
@@ -773,11 +804,41 @@ def test_measure_tables_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1
     plan = spectral._TransformPlan(params, sector, meas, 8)
-    keep = band.copy(), sums.copy()
+    _, _, disc = meas._profiles(8)
+    assert plan.disc.base is disc.base and not plan.disc.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        plan.disc[0, 0] = 1
+    assert plan.cont.flags.writeable and not np.shares_memory(plan.cont, band)
+    keep = band.copy(), sums.copy(), disc.copy()
     plan.cont[...] = 0
-    plan.disc[...] = 0
     meas.polynomials(8)[1][...] = 0
     assert _identical(band, keep[0]) and _identical(sums, keep[1])
+    assert _identical(meas._profiles(8)[2], keep[2])
+
+
+@pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
+def test_held_profile_vectors_and_weights_are_read_only_with_fresh_bits(
+        params, sector, masses):
+    """The measure's scale vector, mass-point profile rows and weights are
+    read-only; a shallower read of the vectors has the bits of a fresh
+    measure's read at that depth, zero signs included, and every
+    ``weights`` call returns the arrays of the first, with a fresh
+    measure's bits."""
+    meas = plancherel_measure(params, sector, 256)
+    _, scale, disc = meas._profiles(24)
+    nodes, mass_weights = meas.weights()
+    assert len(mass_weights) == masses
+    for held in (scale, disc, nodes, mass_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            held[...] = 0
+    for J in (0, 1, 9, 24):
+        fresh = plancherel_measure(params, sector, 256)
+        _, want_scale, want_disc = fresh._profiles(J)
+        _, got_scale, got_disc = meas._profiles(J)
+        assert _identical(got_scale, want_scale) and _identical(got_disc, want_disc)
+    fresh = plancherel_measure(params, sector, 256).weights()
+    assert meas.weights()[0] is nodes and meas.weights()[1] is mass_weights
+    assert _identical(nodes, fresh[0]) and _identical(mass_weights, fresh[1])
 
 
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
