@@ -27,16 +27,9 @@ via the q-binomial theorem into the exact finite convolution
 whose terms stay comparable to the value; it cross-checks the recurrence
 (``verify``'s ``asc_consistency``).  At the mass points the 3phi2 terminates
 after a few exact terms, which ``_mass_point_series`` sums for every mass
-point in one call.  A ``SpectralMeasure`` owns its nodes' z = cos(theta),
-the two tables at its own points (Q_0..Q_k at z and S_0..S_k at its mass
-points, about 16 N (k+1) bytes on N nodes after the deepest read), the
-eigenfunction profile vectors :func:`_profile_vectors` forms from the sums
-and its quadrature weights, all read-only.  The tables and the vectors are
-built on the first read and rebuilt only for a deeper one, the weights once:
-O(k) + O(N) bytes beyond the tables.  Its ``polynomials`` and the transform
-plans of :mod:`qlaplace.spectral` read them, a plan scaling the band table
-into its own profile matrix; a profile at other points runs the kernels
-itself.
+point in one call.  :func:`_profile` scales the recurrence table and those
+sums into the eigenfunction profile, which a ``SpectralMeasure`` holds at
+its own points (see its docstring for who owns what).
 
 The orthogonality measure consists of a continuous density on z = cos(t),
 t in [0, pi], plus finitely many point masses at z_k = (a base^k + a^(-1)
@@ -93,8 +86,9 @@ class AscParams:
     base: np.longdouble
 
     def __post_init__(self):
-        if not (0.0 < float(self.base) < 1.0):
-            raise ValueError(f"base must lie in (0, 1), got {self.base}")
+        base = _LD(self.base)  # compared in full: a base below double's range is fine
+        if not 0 < base < 1:
+            raise ValueError(f"base must lie in (0, 1), got {np.format_float_scientific(base)}")
         for name in ("a", "b", "base"):
             value = _LD(getattr(self, name))
             if not np.isfinite(value):  # b = 0 is allowed
@@ -227,16 +221,18 @@ def _mass_point_series(kmax: int, discrete, p: AscParams) -> np.ndarray:
     return tot
 
 
-def _profile_vectors(p: AscParams, sums: np.ndarray):
-    """The two eigenfunction profile vectors of the family to degree k, from
-    the :func:`_mass_point_series` rows ``sums`` (k+1 columns): the band
-    scale b^j / (a b; base)_j, a running product, by which row j of a
-    recurrence table becomes profile column j, and the mass-point profile
-    rows (b/a)^j S_j.  Entry j of either depends on no later one."""
-    k = sums.shape[1] - 1
-    pw = _running_products(np.full(k, p.base))  # base^j
-    scale = _running_products(p.b / (1 - p.a * p.b * pw[:-1]))
-    return scale, (p.b / p.a) ** np.arange(k + 1).astype(_LD) * sums
+def _profile(kmax: int, z, discrete, p: AscParams):
+    """The eigenfunction profile of the family to degree kmax, as (band,
+    disc): band the :func:`asc_recurrence` table at the 1-D array ``z``,
+    row j scaled in place by b^j / (a b; base)_j (a running product), and
+    disc one row (b/a)^j S_j per mass point of ``discrete``, from one
+    :func:`_mass_point_series` call.  Entry j of either depends on no later
+    degree."""
+    band = asc_recurrence(kmax, z, p)
+    pw = _running_products(np.full(kmax, p.base))  # base^j
+    band *= _running_products(p.b / (1 - p.a * p.b * pw[:-1]))[:, None]
+    return band, (p.b / p.a) ** np.arange(kmax + 1).astype(_LD) \
+        * _mass_point_series(kmax, discrete, p)
 
 
 def asc_hypergeometric(J: int, theta, p: AscParams) -> np.ndarray:
@@ -401,21 +397,20 @@ class SpectralMeasure:
     a positive extended-precision scale of both parts, applied only by
     :meth:`weights`.
 
-    The measure owns what depends on it alone, read-only: the family's
-    values at its points (:meth:`_tables`), the eigenfunction profile
-    vectors formed from them (:meth:`_profiles`) and its quadrature weights
-    (:meth:`weights`, built once), O(k) + O(N) bytes beyond the tables.  A
-    transform plan owns only its scaled band; the lattice masses belong to
-    the sector.
+    Who owns what.  The measure owns, read-only, what depends on it alone:
+    the family's eigenfunction profile at its points (:meth:`_profile`,
+    about 16 N (k+1) bytes on N nodes after its deepest read) and its
+    quadrature weights (:meth:`weights`, built once, O(N) bytes).  The
+    transform plans of :mod:`qlaplace.spectral` read views of both and own
+    no array; :meth:`polynomials` and a profile at other points run the
+    kernels themselves; the lattice masses belong to the sector.
     """
 
     theta_nodes: np.ndarray
     params: AscParams
     discrete: tuple[DiscreteMass, ...]
     normalization: np.longdouble = _LD(1.0)
-    _raw: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _vectors: tuple[np.ndarray, np.ndarray] | None = field(
+    _held: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     @cached_property
@@ -428,49 +423,34 @@ class SpectralMeasure:
         z.flags.writeable = False
         return z
 
-    def _tables(self, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (band, sums) to degree kmax: :func:`asc_recurrence` at
-        ``z`` and the :func:`_mass_point_series` rows.  Built on the first
-        read and rebuilt only for a deeper one, each at the depth read, never
-        deeper (a later term can overflow); a shallower read gets leading
-        rows and columns, with a fresh build's bits, as no recurrence row or
-        series column depends on a later one."""
+    def _profile(self, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (band, disc) to degree kmax, the :func:`_profile` of
+        the family at ``z`` and at the mass points.  Built on the first read
+        and rebuilt only for a deeper one, at the depth read, never deeper
+        (a later term can overflow); a shallower read gets leading rows and
+        columns, with a fresh build's bits, as no degree depends on a later
+        one."""
         if kmax < 0:
             raise ValueError(f"degree must be nonnegative, got {kmax}")
-        if self._raw is None or len(self._raw[0]) <= kmax:
-            band = asc_recurrence(kmax, self.z, self.params)
-            sums = _mass_point_series(kmax, self.discrete, self.params)
-            band.flags.writeable = sums.flags.writeable = False
-            object.__setattr__(self, "_raw", (band, sums))
-        band, sums = self._raw
-        return band[:kmax + 1], sums[:, :kmax + 1]
-
-    def _profiles(self, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (band, scale, disc) to degree kmax: the band table of
-        :meth:`_tables` and the :func:`_profile_vectors` of its sums, the
-        band's scale vector and the mass-point profile rows.  The vectors
-        keep the tables' rule: built on the first read, rebuilt only for a
-        deeper one, and a shallower read gets their leading entries with a
-        fresh build's bits."""
-        band, sums = self._tables(kmax)
-        if self._vectors is None or len(self._vectors[0]) <= kmax:
-            scale, disc = _profile_vectors(self.params, sums)
-            scale.flags.writeable = disc.flags.writeable = False
-            object.__setattr__(self, "_vectors", (scale, disc))
-        scale, disc = self._vectors
-        return band, scale[:kmax + 1], disc[:, :kmax + 1]
+        if self._held is None or len(self._held[0]) <= kmax:
+            band, disc = _profile(kmax, self.z, self.discrete, self.params)
+            band.flags.writeable = disc.flags.writeable = False
+            object.__setattr__(self, "_held", (band, disc))
+        band, disc = self._held
+        return band[:kmax + 1], disc[:, :kmax + 1]
 
     def polynomials(self, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-        """Q_0..Q_kmax at the nodes and at the mass points, as (band, disc):
-        band is the read-only recurrence table of :meth:`_tables`, one row
-        per degree, and disc one row per mass point, Q_j = (a b; base)_j
-        a^(-j) S_j from its terminating sums (the forward recurrence loses
-        that minimal solution), (a b; base)_j a running product."""
+        """Q_0..Q_kmax at the nodes and at the mass points, as (band, disc),
+        new arrays of this call: band the :func:`asc_recurrence` table at
+        ``z``, one row per degree, and disc one row per mass point, Q_j =
+        (a b; base)_j a^(-j) S_j from its :func:`_mass_point_series` sums
+        (the forward recurrence loses that minimal solution), (a b; base)_j
+        a running product."""
         p = self.params
-        band, sums = self._tables(kmax)
+        band = asc_recurrence(kmax, self.z, p)
         pw = _running_products(np.full(kmax, p.base))  # base^j
         lead = _running_products(1 - p.a * p.b * pw[:-1]) * p.a ** -np.arange(kmax + 1)
-        return band, lead * sums
+        return band, lead * _mass_point_series(kmax, self.discrete, p)
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature weights of the two parts, normalization included: the

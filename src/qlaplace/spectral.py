@@ -16,18 +16,18 @@ orthogonality measure rescaled to total mass 1, which is forced by sending
 the base-point indicator to the constant function 1).
 
 Numerical notes.  Eigenfunction profiles are evaluated in extended precision
-by ``asc.asc_recurrence``, the family's one degree-major table on a point
-set, at every z of :func:`eigenfunction_profile` at once (a measure's nodes
-are read at its ``SpectralMeasure.z``), with the per-point bits, scaled by
-the vectors of ``asc._profile_vectors``.  On the band, and off it away from
-the mass points, the polynomial is the dominant solution of its recurrence,
-so the forward run keeps its relative accuracy.  At discrete mass points (w = a q^(2k)) the
-terminating parameter a/w = q^(-2k) truncates the defining series after k+1
-terms, and that short sum is used instead: one ``asc._mass_point_series``
-call over every mass point, a row of all degrees per point (bound-state
-profiles are minimal solutions of the recurrence, so any forward evaluation
-loses relative accuracy exponentially in j).  The lattice masses of all
-degrees come from one ``measure_mass`` call.
+by ``asc._profile`` at every z of :func:`eigenfunction_profile` at once (a
+measure's nodes are read at its ``SpectralMeasure.z``): the family's one
+degree-major ``asc.asc_recurrence`` table on the point set, row j scaled by
+b^j / (a b; base)_j, with the per-point bits.  On the band, and off it away
+from the mass points, the polynomial is the dominant solution of its
+recurrence, so the forward run keeps its relative accuracy.  At discrete mass
+points (w = a q^(2k)) the terminating parameter a/w = q^(-2k) truncates the
+defining series after k+1 terms, and that short sum is used instead: one
+``asc._mass_point_series`` call over every mass point, a row of all degrees
+per point (bound-state profiles are minimal solutions of the recurrence, so
+any forward evaluation loses relative accuracy exponentially in j).  The
+lattice masses of all degrees come from one ``measure_mass`` call.
 
 Transforms run on a ``_TransformPlan``, the profiles of one measure's
 family at one depth.  Its forward takes a list of functions, one column
@@ -37,20 +37,16 @@ each of one matrix product per part (band and mass points, run by
 function, which its inverse takes; every row has the bits of the
 one-function call.  :func:`transform_grid`, the one builder of a
 ``SpectralFunction``, and :func:`inverse_transform_profile` are one-row
-calls of the same code.  Who owns what: the measure owns, read-only, the
-family's raw values at its points (``SpectralMeasure._tables``, about
-16 N (J+1) bytes on N nodes after its deepest transform), the profile
-vectors formed from them (``SpectralMeasure._profiles``: the band's scale
-b^j / (a b; base)_j and the mass-point profile rows) and its quadrature
-weights, O(J) + O(N) bytes more.  A plan owns only its scaled band, reads
-the mass-point rows as a view, lives for one call, and refuses another
+calls of the same code.  The measure holds the profile and the quadrature
+weights (``SpectralMeasure`` says who owns what); a plan reads read-only
+views of them, owns no array, lives for one call, and refuses another
 family, whose profiles would not pair with the measure; the lattice masses
 belong to the sector and are formed per forward.  A round trip carries no
-plan: its inverse builds its own from what the forward left on the
-measure, so the recurrence and the vectors run on a measure's first
-transform and on each deeper one only.  The inverse's
-lattice functions are built by ``LatticeFunction._from_items``, without
-checking again the indices the plan made.
+plan: its inverse builds its own on the profile the forward left on the
+measure, so the profile is built on a measure's first transform and on
+each deeper one only.  The inverse's lattice functions are built by
+``LatticeFunction._from_items``, without checking again the indices the
+plan made.
 """
 
 from __future__ import annotations
@@ -62,8 +58,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .asc import (AscParams, DiscreteMass, SpectralMeasure, _c_products,
-                  _mass_point_series, _norm_factor, _profile_vectors,
-                  asc_recurrence, mass_points, orthogonality_measure)
+                  _norm_factor, _profile, mass_points, orthogonality_measure)
 from .lattice import LatticeFunction, ModelParams, Sector, measure_mass
 from .laplace import eigenvalue
 
@@ -115,18 +110,14 @@ def eigenfunction_profile(params: ModelParams, sector: Sector, z,
     """Eigenfunction values at lattice indices 0..max_j (value 1 at j = 0),
     as (cont, disc).
 
-    cont[t, j] is at the t-th entry of the 1-D ``longdouble`` array ``z``,
-    from :func:`qlaplace.asc.asc_recurrence` times the band scale of
-    ``asc._profile_vectors``, as the transposed view of a new array, and
-    disc[k, j] at the k-th mass point in ``discrete`` (``asc.DiscreteMass``
-    values), that helper's profile rows of one
-    :func:`qlaplace.asc._mass_point_series` call.  Every row has the bits of
-    a call on that point alone.
+    cont[t, j] is at the t-th entry of the 1-D ``longdouble`` array ``z``
+    and disc[k, j] at the k-th mass point in ``discrete``
+    (``asc.DiscreteMass`` values), from one ``asc._profile`` call, cont the
+    transposed view of its degree-major band.  Every row has the bits of a
+    call on that point alone.
     """
-    pp = asc_params(params, sector)
-    band = asc_recurrence(max_j, z, pp)
-    scale, disc = _profile_vectors(pp, _mass_point_series(max_j, discrete, pp))
-    return (band * scale[:, None]).T, disc
+    band, disc = _profile(max_j, z, discrete, asc_params(params, sector))
+    return band.T, disc
 
 
 def c_function(params: ModelParams, sector: Sector, arg):
@@ -218,11 +209,10 @@ def _matmul(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 class _TransformPlan:
     """Profile matrix of one measure's family at depth ``max_j``, with
-    :func:`eigenfunction_profile`'s bits: ``cont``, the plan's own array,
-    is the measure's band table times its scale vector, and ``disc`` the
-    measure's read-only mass-point profile rows, a view
-    (``SpectralMeasure._profiles``).  A (params, sector) of another family
-    raises ValueError before any table is built.
+    :func:`eigenfunction_profile`'s bits: ``cont`` and ``disc`` are
+    read-only views of the measure's profile (``SpectralMeasure._profile``),
+    cont the transposed band.  A (params, sector) of another family raises
+    ValueError before any profile is built.
 
     A call transforms a list of functions in one matrix product per part
     (band and mass points), each function one column of the right-hand
@@ -244,8 +234,8 @@ class _TransformPlan:
         self.params, self.sector = params, sector
         self.measure = measure
         self.max_j = max_j
-        band, scale, self.disc = measure._profiles(max_j)
-        self.cont = (band * scale[:, None]).T
+        band, self.disc = measure._profile(max_j)
+        self.cont = band.T
 
     def forward(self, fs: Sequence[Mapping[int, complex]]):
         """Forward transforms of the functions of ``fs`` on the measure's full
@@ -284,7 +274,7 @@ def transform_grid(params: ModelParams, sector: Sector, f: Mapping[int, complex]
 def inverse_transform_profile(params: ModelParams, sector: Sector,
                               fhat: SpectralFunction, max_j: int) -> LatticeFunction:
     """Inverse transform on all lattice indices 0..max_j at once, on a plan
-    of its own at ``max_j``, which reads the measure's tables."""
+    of its own at ``max_j``, which reads the measure's profile."""
     plan = _TransformPlan(params, sector, fhat.measure, max_j)
     # a hand-built spectral function may hold a sequence of values
     [rec] = plan.inverse(np.asarray(fhat.continuous)[None],

@@ -200,8 +200,8 @@ def check_transform_of_base_indicator(params, sector, cfg) -> float:
     # e_0 transforms to 1, and each e_j to the orthonormal polynomial of the
     # Plancherel measure p_j = Q_j sqrt(h_j / h_0), h_j / h_0 = 1 / ((base;
     # base)_j (ab; base)_j), at every node and mass point: the lattice masses
-    # against the polynomials' norms.  Q_j comes from the measure, which
-    # owns its z and the family's values there and at its mass points.
+    # against the polynomials' norms.  Q_j comes from the measure's
+    # ``polynomials`` at its z and its mass points.
     J = 12
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     plan = spectral._TransformPlan(params, sector, meas, J)

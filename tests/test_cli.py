@@ -543,6 +543,24 @@ def test_parameters_past_extended_range_are_a_usage_error(tmp_path, args):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("args", [["plancherel"], ["transform", "--input", "f0.json"]],
+                         ids=["plancherel", "transform"])
+def test_a_base_below_the_double_range_is_accepted(tmp_path, monkeypatch, args):
+    # at q = 1e-200 the base q^2 = 1e-400 rounds to 0 in double but not in
+    # longdouble; it was refused as "base must lie in (0, 1), got 0.0"
+    (tmp_path / "f0.json").write_text('{"support": [0], "values": [[1.0, 0.0]]}')
+    monkeypatch.chdir(tmp_path)
+    res = run(*args, "--q", "1e-200", *FAST)
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.stdout)
+    if args[0] == "plancherel":
+        assert report["total_mass"] == 1.0
+    else:
+        assert report["continuous"] == [[1.0, 0.0]] * len(report["continuous"])
+    with pytest.raises(ValueError, match=r"got -1\.e-400$"):
+        asc.AscParams(a=1, b=1, base=-np.longdouble("1e-400"))
+
+
 def test_verify_past_extended_range_completes_its_report():
     res = run_python("-m", "qlaplace.cli", "verify", "--q", "0.01", "--m", "2500")
     assert res.returncode == 1

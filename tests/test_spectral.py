@@ -686,54 +686,35 @@ def test_in_place_profile_table_keeps_the_bits_of_the_stacked_one():
     assert rec.support == tuple(range(61)) and _identical_lattice(rec, want)
 
 
-def _count_table_builds(monkeypatch):
-    """Record (kernel, depth) for every run of the recurrence table or the
-    mass-point series, through the measure's tables or a profile call."""
+def _count_profile_builds(monkeypatch):
+    """Record the depth of every run of the profile helper ``asc._profile``,
+    through the measure or a profile call."""
     builds = []
+    helper = asc._profile
 
-    def counted(kernel, name):
-        def run(kmax, *args):
-            builds.append((name, kmax))
-            return kernel(kmax, *args)
-        return run
+    def run(kmax, *args):
+        builds.append(kmax)
+        return helper(kmax, *args)
 
     for module in (asc, spectral):
-        for name in ("asc_recurrence", "_mass_point_series"):
-            monkeypatch.setattr(module, name, counted(getattr(module, name), name))
-    return builds
-
-
-def _count_vector_builds(monkeypatch):
-    """Record the depth of every run of the profile-vector helper, through
-    the measure or a profile call."""
-    builds = []
-    helper = asc._profile_vectors
-
-    def run(p, sums):
-        builds.append(sums.shape[1] - 1)
-        return helper(p, sums)
-
-    for module in (asc, spectral):
-        monkeypatch.setattr(module, "_profile_vectors", run)
+        monkeypatch.setattr(module, "_profile", run)
     return builds
 
 
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
-def test_transforms_on_one_measure_run_the_recurrence_once(
+def test_transforms_on_one_measure_build_the_profile_once(
         params, sector, masses, monkeypatch):
-    """The first transform on a measure runs the recurrence table, the
-    mass-point series and the profile-vector helper once each; later
-    forwards, inverses, plans and ``polynomials`` at equal or smaller depth
-    run none of them, and every inverse reads the weights the first built."""
+    """The first transform on a measure builds its profile once; later
+    forwards, inverses and plans at equal or smaller depth, and
+    ``polynomials``, which runs its own kernels, build none, and every
+    inverse reads the weights the first built."""
     meas = plancherel_measure(params, sector, 256)
     assert len(meas.discrete) == masses
     rng = Lcg(5)
     f = rng.lattice_function(21)
-    builds = _count_table_builds(monkeypatch)
-    vectors = _count_vector_builds(monkeypatch)
+    builds = _count_profile_builds(monkeypatch)
     fhat = transform_grid(params, sector, f, meas)
-    assert builds == [("asc_recurrence", 20), ("_mass_point_series", 20)]
-    assert vectors == [20]
+    assert builds == [20]
     inverse_transform_profile(params, sector, fhat, 20)
     nodes, mass_weights = meas.weights()
     for depth in (20, 11, 0):
@@ -742,100 +723,98 @@ def test_transforms_on_one_measure_run_the_recurrence_once(
     spectral._TransformPlan(params, sector, meas, 15).forward(
         [rng.lattice_function(16), rng.lattice_function(3)])
     meas.polynomials(20)
-    assert len(builds) == 2 and vectors == [20]
+    assert builds == [20]
     assert meas.weights()[0] is nodes and meas.weights()[1] is mass_weights
 
 
 def test_a_deeper_read_rebuilds_once_and_shallower_reads_keep_fresh_bits(monkeypatch):
-    """At the round-trip benchmark's sector a read deeper than the tables
-    rebuilds them once, at that depth; every read then has the bits of a
-    fresh build at its own depth, and so do the profiles and round trips
-    of the plans that scale them."""
+    """At the round-trip benchmark's sector a read deeper than the profile
+    rebuilds it once, at that depth; every read, before and after that
+    rebuild, has the bits of a fresh build at its own depth, and so do the
+    plans that view it, their round trips and ``polynomials``."""
     params, sector = ModelParams(0.5, 2, 4), Sector(0, 2)
     meas = plancherel_measure(params, sector, 256)
-    pp = meas.params
-    fresh = {J: (asc.asc_recurrence(J, meas.z, pp), asc._mass_point_series(J, meas.discrete, pp),
-                 eigenfunction_profile(params, sector, meas.z, meas.discrete, J),
-                 asc._profile_vectors(pp, asc._mass_point_series(J, meas.discrete, pp)))
+    fresh = {J: eigenfunction_profile(params, sector, meas.z, meas.discrete, J)
              for J in (0, 5, 17, 30, 60)}
     f = Lcg(17).lattice_function(31)
     plans = {J: spectral._TransformPlan(params, sector, meas, J) for J in (5, 30, 60)}
     for J, plan in plans.items():
-        plan.cont, plan.disc = fresh[J][2]
+        plan.cont, plan.disc = fresh[J]
     fhat = plans[30].forward([f])
     want = {J: plan.inverse(*fhat)[0] for J, plan in plans.items()}
+    polys = {k: plancherel_measure(params, sector, 256).polynomials(k) for k in (0, 4, 12)}
     meas = plancherel_measure(params, sector, 256)
-    builds = _count_table_builds(monkeypatch)
-    vectors = _count_vector_builds(monkeypatch)
-    meas._tables(5)
-    assert builds == [("asc_recurrence", 5), ("_mass_point_series", 5)]
-    meas._profiles(5)
-    assert len(builds) == 2 and vectors == [5]
-    meas._profiles(30)
-    assert builds[2:] == [("asc_recurrence", 30), ("_mass_point_series", 30)]
-    assert vectors == [5, 30]
-    for J in (0, 5, 17, 30):
-        band, sums = meas._tables(J)
-        assert _identical(band, fresh[J][0]) and _identical(sums, fresh[J][1])
-        held_band, scale, disc = meas._profiles(J)
-        assert held_band.base is band.base
-        assert _identical(scale, fresh[J][3][0]) and _identical(disc, fresh[J][3][1])
-        plan = spectral._TransformPlan(params, sector, meas, J)
-        assert _identical(plan.cont, fresh[J][2][0]) and _identical(plan.disc, fresh[J][2][1])
+    builds = _count_profile_builds(monkeypatch)
+    meas._profile(5)
+    meas._profile(2)
+    assert builds == [5]
+    meas._profile(30)
+    assert builds == [5, 30]
+
+    def reads_fresh_bits(depths):
+        for J in depths:
+            band, disc = meas._profile(J)
+            assert _identical(band.T, fresh[J][0]) and _identical(disc, fresh[J][1])
+            plan = spectral._TransformPlan(params, sector, meas, J)
+            assert _identical(plan.cont, fresh[J][0]) and _identical(plan.disc, fresh[J][1])
+
+    reads_fresh_bits((0, 5, 17, 30))
     for J in (5, 30):
         rec = inverse_transform_profile(params, sector, transform_grid(params, sector, f, meas), J)
         assert _identical_lattice(rec, want[J])
-    assert len(builds) == 4 and vectors == [5, 30]
+    assert builds == [5, 30]
     rec = inverse_transform_profile(params, sector, transform_grid(params, sector, f, meas), 60)
     assert _identical_lattice(rec, want[60])
-    assert builds[4:] == [("asc_recurrence", 60), ("_mass_point_series", 60)]
-    assert vectors == [5, 30, 60]
+    assert builds == [5, 30, 60]
+    reads_fresh_bits((0, 5, 17, 30, 60))
+    for k, (band, disc) in polys.items():
+        got = meas.polynomials(k)
+        assert _identical(got[0], band) and _identical(got[1], disc)
+    assert builds == [5, 30, 60]
 
 
-def test_measure_tables_are_read_only():
-    """Writing into a table the measure serves raises; a plan's ``disc``
-    is a read-only view of the measure's profile rows, and its ``cont`` and
-    the mass-point values of ``polynomials`` are their own arrays."""
+def test_measure_profile_is_read_only_and_plans_view_it():
+    """Writing into the profile the measure serves raises; a plan's
+    ``cont`` and ``disc`` are read-only views of it, and the values of
+    ``polynomials`` are new arrays of that call."""
     params, sector = ModelParams(0.5, 2, 4), Sector(0, 2)
     meas = plancherel_measure(params, sector, 64)
-    band, sums = meas._tables(8)
-    shallow, shallow_sums = meas._tables(3)
-    for table in (band, sums, shallow, shallow_sums, meas.polynomials(8)[0]):
+    band, disc = meas._profile(8)
+    for held in (band, disc, *meas._profile(3)):
         with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1
+            held[0, 0] = 1
     plan = spectral._TransformPlan(params, sector, meas, 8)
-    _, _, disc = meas._profiles(8)
-    assert plan.disc.base is disc.base and not plan.disc.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        plan.disc[0, 0] = 1
-    assert plan.cont.flags.writeable and not np.shares_memory(plan.cont, band)
-    keep = band.copy(), sums.copy(), disc.copy()
-    plan.cont[...] = 0
-    meas.polynomials(8)[1][...] = 0
-    assert _identical(band, keep[0]) and _identical(sums, keep[1])
-    assert _identical(meas._profiles(8)[2], keep[2])
+    for view, held in zip((plan.cont, plan.disc), meas._held):
+        assert not view.flags.writeable and not view.flags.owndata
+        assert np.shares_memory(view, held)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 1
+    keep = band.copy(), disc.copy()
+    for table in meas.polynomials(8):
+        assert table.flags.writeable
+        assert not any(np.shares_memory(table, held) for held in meas._held)
+        table[...] = 0
+    assert _identical(band, keep[0]) and _identical(disc, keep[1])
 
 
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
-def test_held_profile_vectors_and_weights_are_read_only_with_fresh_bits(
+def test_held_profile_and_weights_are_read_only_with_fresh_bits(
         params, sector, masses):
-    """The measure's scale vector, mass-point profile rows and weights are
-    read-only; a shallower read of the vectors has the bits of a fresh
-    measure's read at that depth, zero signs included, and every
-    ``weights`` call returns the arrays of the first, with a fresh
-    measure's bits."""
+    """The measure's profile and weights are read-only; a shallower read of
+    the profile has the bits of a fresh measure's read at that depth, zero
+    signs included, and every ``weights`` call returns the arrays of the
+    first, with a fresh measure's bits."""
     meas = plancherel_measure(params, sector, 256)
-    _, scale, disc = meas._profiles(24)
+    band, disc = meas._profile(24)
     nodes, mass_weights = meas.weights()
     assert len(mass_weights) == masses
-    for held in (scale, disc, nodes, mass_weights):
+    for held in (band, disc, nodes, mass_weights):
         with pytest.raises(ValueError, match="read-only"):
             held[...] = 0
     for J in (0, 1, 9, 24):
-        fresh = plancherel_measure(params, sector, 256)
-        _, want_scale, want_disc = fresh._profiles(J)
-        _, got_scale, got_disc = meas._profiles(J)
-        assert _identical(got_scale, want_scale) and _identical(got_disc, want_disc)
+        want = plancherel_measure(params, sector, 256)._profile(J)
+        got = meas._profile(J)
+        assert _identical(got[0], want[0]) and _identical(got[1], want[1])
     fresh = plancherel_measure(params, sector, 256).weights()
     assert meas.weights()[0] is nodes and meas.weights()[1] is mass_weights
     assert _identical(nodes, fresh[0]) and _identical(mass_weights, fresh[1])
@@ -845,12 +824,12 @@ def test_held_profile_vectors_and_weights_are_read_only_with_fresh_bits(
 def test_other_families_on_a_measure_are_refused(params, sector, masses, monkeypatch):
     """Other params or another sector, whose eigenfunctions do not pair with
     the measure, raise from the plan, ``transform_grid`` and
-    ``inverse_transform_profile`` before any table is built."""
+    ``inverse_transform_profile`` before any profile is built."""
     meas = plancherel_measure(params, sector, 256)
     f = Lcg(6).lattice_function(14)
     fhat = SpectralFunction(meas, np.ones(len(meas.theta_nodes), dtype=np.clongdouble),
                             np.ones(masses, dtype=np.clongdouble))
-    builds = _count_table_builds(monkeypatch)
+    builds = _count_profile_builds(monkeypatch)
     for p, s in [(ModelParams(params.q, params.n, params.m + 1), sector),
                  (params, Sector(sector.L + 1, sector.Lp))]:
         assert asc_params(p, s) != meas.params
@@ -859,22 +838,21 @@ def test_other_families_on_a_measure_are_refused(params, sector, masses, monkeyp
                      lambda: inverse_transform_profile(p, s, fhat, 13)):
             with pytest.raises(ValueError, match="not the measure's"):
                 call()
-    assert meas._raw is None and builds == []
+    assert meas._held is None and builds == []
 
 
-def test_a_sector_of_the_measure_family_reads_its_tables(monkeypatch):
+def test_a_sector_of_the_measure_family_reads_its_profile(monkeypatch):
     """(n, m, L, L') = (1, 2, 1, 0) has the family of (2, 2, 0, 0): its plan
-    on that measure reads the measure's tables, built once, and has
+    on that measure reads the measure's profile, built once, and has
     ``eigenfunction_profile``'s bits."""
     meas = plancherel_measure(ModelParams(0.5, 2, 2), Sector(0, 0), 256)
     params, sector = ModelParams(0.5, 1, 2), Sector(1, 0)
     assert asc_params(params, sector) == meas.params
     want = eigenfunction_profile(params, sector, meas.z, meas.discrete, 13)
-    builds = _count_table_builds(monkeypatch)
+    builds = _count_profile_builds(monkeypatch)
     plan = spectral._TransformPlan(params, sector, meas, 13)
     assert _identical(plan.cont, want[0]) and _identical(plan.disc, want[1])
-    assert builds == [("asc_recurrence", 13), ("_mass_point_series", 13)]
-    assert meas._raw is not None
+    assert builds == [13] and meas._held is not None
 
 
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])

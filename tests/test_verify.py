@@ -481,28 +481,32 @@ def test_check_makes_one_grid_kernel_call(monkeypatch, cfg, check, module, name)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=["q0.3", "q0.5", "q0.95", "2mass"])
-def test_transform_check_runs_the_recurrence_once(monkeypatch, cfg):
-    """The transform check's plan and its ``polynomials`` read the measure's
-    one table: one recurrence run per check, and the residual of a run
-    that builds the table afresh for each read."""
+def test_transform_check_builds_the_profile_once(monkeypatch, cfg):
+    """The transform check's plan builds the measure's profile once, and
+    ``polynomials`` runs its own recurrence; the residual equals that of a
+    run whose plan reads a fresh build."""
     calls = []
-    kernel = asc.asc_recurrence
 
-    def counting(*args):
-        calls.append(args[0])
-        return kernel(*args)
+    def counting(name):
+        kernel = getattr(asc, name)
+
+        def run(*args):
+            calls.append((name, args[0]))
+            return kernel(*args)
+        return run
 
     def fresh(self, kmax):
-        return (asc.asc_recurrence(kmax, self.z, self.params),
-                asc._mass_point_series(kmax, self.discrete, self.params))
+        return asc._profile(kmax, self.z, self.discrete, self.params)
 
-    monkeypatch.setattr(asc, "asc_recurrence", counting)
+    for name in ("_profile", "asc_recurrence"):
+        monkeypatch.setattr(asc, name, counting(name))
     params, sector = cfg.params(), cfg.sector()
     got = verify.check_transform_of_base_indicator(params, sector, cfg)
-    assert calls == [12]
-    monkeypatch.setattr(asc.SpectralMeasure, "_tables", fresh)
+    once = [("_profile", 12), ("asc_recurrence", 12), ("asc_recurrence", 12)]
+    assert calls == once
+    monkeypatch.setattr(asc.SpectralMeasure, "_profile", fresh)
     assert verify.check_transform_of_base_indicator(params, sector, cfg) == got
-    assert calls == [12] * 3
+    assert calls == once * 2
 
 
 def test_eigenvalue_residual_makes_one_profile_call(monkeypatch):
