@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeFunction, ModelParams, Quadruple, Sector, sector_weight
+from .lattice import LatticeFunction, ModelParams, Quadruple, Sector, _weight
 from .qcore import _quotient
 
 __all__ = [
@@ -154,9 +154,7 @@ def apply_divergence_form(params: ModelParams, quad: Quadruple, fs) -> list:
         * (1 - q ** _LD(2 * (N - 1 + s))) / D
 
     def kernel(vals, lo, hi):
-        j = np.arange(lo, hi)
-        x = q ** _LD(-2 * j)
-        rho = sector_weight(params, sector, j)
+        rho, x = _weight(params, sector, np.arange(lo, hi), q ** _LD(-2))
         # G = rho * x * (q^(2(n+k)) - x q^(-2l)) * B- f on the output range,
         # and B+ G from G's values one index below (0 below the range).  One
         # index below a row's own range G is (0 - 0) times a factor of fixed

@@ -263,17 +263,33 @@ def sector_weight(params: ModelParams, sector: Sector, j):
 
     Equals x^(Lp+m-1) * (q^(-2) x; q^(-2))_{L+n-1}; its sign is
     (-1)^(L+n-1) for every j.  An integer array ``j`` gives the weights
-    elementwise.
+    elementwise, each with the bits of the scalar call at its index
+    (:func:`_weight` forms the powers).
+    """
+    return _weight(params, sector, j, params.q_ld ** _LD(-2))[0]
+
+
+def _weight(params: ModelParams, sector: Sector, j, step):
+    """(:func:`sector_weight`, x = q^(-2j)) at an index or an integer index
+    array ``j``, from step = q^(-2).
+
+    x is formed once per index.  When ``j`` is a run j0, j0+1, ..., j1 of
+    two or more indices, q^(-2j-2) = q^(-2(j+1)) is the next entry of the
+    same ``powl`` array, raised one entry longer (over j0..j1+1); otherwise
+    both powers are raised.  ``powl`` bits depend only on the exponent's
+    value, so every entry has the bits of the scalar powers at its index
+    either way, and no array spans the gaps of a sparse ``j``.
     """
     q = params.q_ld
-    e = _LD(-2 * j)
-    return _weight(params, sector, q, e, q ** e, q ** _LD(-2))
-
-
-def _weight(params: ModelParams, sector: Sector, q, e, x, step):
-    """:func:`sector_weight` at e = -2j, from x = q^e and step = q^(-2)."""
+    if isinstance(j, np.ndarray) and j.ndim == 1 and len(j) > 1 \
+            and j[-1] - j[0] == len(j) - 1 and (j[1:] > j[:-1]).all():
+        run = q ** _LD(-2 * np.arange(j[0], j[-1] + 2))
+        x, shifted = run[:-1], run[1:]
+    else:
+        e = _LD(-2 * j)
+        x, shifted = q ** e, q ** (e - 2)
     return x ** _LD(sector.Lp + params.m - 1) * qpoch(
-        q ** (e - 2), step, sector.L + params.n - 1)
+        shifted, step, sector.L + params.n - 1), x
 
 
 def measure_mass(params: ModelParams, sector: Sector, j):
@@ -283,14 +299,13 @@ def measure_mass(params: ModelParams, sector: Sector, j):
     weight, so the quotient is positive.  An integer array ``j`` gives the
     masses elementwise, each with the bits of the scalar call at its index:
     x = q^(-2j) is formed once per index and serves the weight and the
-    trailing factor; q^(-2) and the normalizer are formed once per call.
+    trailing factor, and q^(-2j-2) comes from the same ``powl`` array when
+    ``j`` is a run (:func:`_weight`); q^(-2) and the normalizer are formed
+    once per call.
     """
-    q = params.q_ld
-    e = _LD(-2 * j)
-    x = q ** e
-    step = q ** _LD(-2)
-    return _weight(params, sector, q, e, x, step) * x \
-        / qpoch(step, step, sector.L + params.n - 1)
+    step = params.q_ld ** _LD(-2)
+    weight, x = _weight(params, sector, j, step)
+    return weight * x / qpoch(step, step, sector.L + params.n - 1)
 
 
 def inner_product(params: ModelParams, sector: Sector, pairs) -> list:

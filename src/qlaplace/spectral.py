@@ -96,13 +96,21 @@ def point_from_exponent(params: ModelParams, ell) -> float:
     return z
 
 
-def asc_params(params: ModelParams, sector: Sector) -> AscParams:
-    """Al-Salam-Chihara parameters attached to a sector (base = q^2)."""
+def _family(params: ModelParams, sector: Sector) -> tuple:
+    """The sector's raw Al-Salam-Chihara triple (a, b, base), in
+    ``longdouble``: a = q^(2n - N + 1 + L - Lp), b = q^(N - 1 + L + Lp),
+    base = q^2.  A power past the range is inf, unchecked."""
     q = params.q_ld
     with np.errstate(over="ignore"):  # AscParams names a non-finite a or b
         a = q ** _LD(2 * params.n - params.N + 1 + sector.L - sector.Lp)
         b = q ** _LD(params.N - 1 + sector.L + sector.Lp)
-    return AscParams(a=a, b=b, base=q * q)
+    return a, b, q * q
+
+
+def asc_params(params: ModelParams, sector: Sector) -> AscParams:
+    """Al-Salam-Chihara parameters attached to a sector (base = q^2): the
+    checked triple of :func:`_family`."""
+    return AscParams(*_family(params, sector))
 
 
 def eigenfunction_profile(params: ModelParams, sector: Sector, z,
@@ -188,9 +196,11 @@ class SpectralFunction:
 
 def _matmul(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     """M @ V for a ``longdouble`` matrix M and a matrix V of columns, run by
-    ``np.dot``.  A complex V runs as two real products, M V.real and
-    M V.imag: the sums of M cast to complex, in the same order, without the
-    cast copy of M.  A real V gives a real result.
+    ``np.dot``.  A complex V runs as one real product over its C-contiguous
+    ``longdouble`` view, whose columns interleave the real and imaginary
+    parts, and the result is viewed back as ``clongdouble``: each part sums
+    in the order of M cast to complex times V, without the cast copy of M.
+    A real V gives a real result.
 
     For ``longdouble``, ``np.dot`` runs the dtype's dot loop on the operands
     as they are strided; it adds the same rounded products in the same index
@@ -201,18 +211,18 @@ def _matmul(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     alone."""
     if not np.iscomplexobj(V):
         return np.dot(M, V)
-    out = np.empty((len(M), V.shape[1]), dtype=np.result_type(M, V))
-    out.real = np.dot(M, V.real)
-    out.imag = np.dot(M, V.imag)
-    return out
+    parts = np.ascontiguousarray(V, dtype=_CLD).view(_LD)
+    return np.dot(M, parts).view(_CLD)
 
 
 class _TransformPlan:
     """Profile matrix of one measure's family at depth ``max_j``, with
     :func:`eigenfunction_profile`'s bits: ``cont`` and ``disc`` are
     read-only views of the measure's profile (``SpectralMeasure._profile``),
-    cont the transposed band.  A (params, sector) of another family raises
-    ValueError before any profile is built.
+    cont the transposed band.  The family is compared raw: a (params,
+    sector) whose (a, b, q^2) of :func:`_family` differ from the fields of
+    ``measure.params`` raises ValueError before any profile is built, also
+    when its a or b is not finite, with no ``AscParams`` formed.
 
     A call transforms a list of functions in one matrix product per part
     (band and mass points), each function one column of the right-hand
@@ -228,8 +238,8 @@ class _TransformPlan:
 
     def __init__(self, params: ModelParams, sector: Sector,
                  measure: SpectralMeasure, max_j: int):
-        pp = asc_params(params, sector)
-        if pp != measure.params:
+        p = measure.params
+        if _family(params, sector) != (p.a, p.b, p.base):
             raise ValueError("the sector's Al-Salam-Chihara family is not the measure's")
         self.params, self.sector = params, sector
         self.measure = measure

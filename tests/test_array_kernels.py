@@ -3,6 +3,7 @@ the band-weight product kernel against their per-index references
 (``scalarref``), bit for bit, and the type rule of :mod:`qlaplace.laplace`."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,18 +161,54 @@ def test_inner_product_keeps_the_bits_of_the_per_index_sum(params):
         assert lattice.inner_product(params, sector, []) == []
 
 
+#: index arrays of every shape the mass kernel's powers tell apart: runs,
+#: which take q^(-2j-2) from the x array one entry longer, and the rest,
+#: which raise both powers; [3, 3, 5] and [4, 6, 5, 7] span as many indices
+#: as a run of their length would
+INDEX_ARRAYS = {
+    "run-from-0": np.arange(80),
+    "run-from-7": np.arange(7, 40),
+    "runs-with-gaps": np.array([0, 1, 2, 5, 6, 9, 30, 31]),
+    "unsorted": np.array([4, 6, 5, 7]),
+    "unsorted-far": np.array([9, 3, 4, 0, 12, 1]),
+    "descending": np.arange(20, 10, -1),
+    "repeated": np.array([3, 3, 5]),
+    "repeated-run": np.array([4, 4, 5, 6, 6]),
+    "one-index": np.array([11]),
+    "empty": np.array([], dtype=int),
+    "2-D": np.arange(14).reshape(2, 7),
+    "sparse-far": np.array([0, 10**7]),
+}
+
+
 @pytest.mark.parametrize("params", PARAMS)
-def test_measure_mass_on_an_index_array_keeps_every_scalar_bits(params):
-    js = np.arange(80)
-    for sector in (Sector(0, 0), Sector(3, 1), Sector(0, 4), Sector(2, 2)):
-        got = lattice.measure_mass(params, sector, js)
-        assert got.dtype == _LD
-        weights = lattice.sector_weight(params, sector, js)
-        for j in js:
-            scalar = lattice.measure_mass(params, sector, int(j))
-            assert _same_bits(scalar, scalarref.measure_mass(params, sector, int(j)))
-            assert _same_bits(got[j], scalar)
-            assert _same_bits(weights[j], scalarref.sector_weight(params, sector, int(j)))
+@pytest.mark.parametrize("name", INDEX_ARRAYS)
+def test_measure_mass_on_an_index_array_keeps_every_scalar_bits(params, name):
+    """Every entry of the mass and of the weight has the bits of the scalar
+    call and of the per-index reference at its index.  The far sparse array
+    overflows at 10^7 (an inf, a NaN where no Pochhammer factor runs); its
+    call allocates well under one power array spanning its gap (160 MB)."""
+    js = INDEX_ARRAYS[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sector in (Sector(0, 0), Sector(3, 1), Sector(0, 4), Sector(2, 2)):
+            tracemalloc.start()
+            try:
+                got = lattice.measure_mass(params, sector, js)
+                weights = lattice.sector_weight(params, sector, js)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            assert got.dtype == weights.dtype == _LD
+            assert got.shape == weights.shape == js.shape
+            for at in np.ndindex(js.shape):
+                j = int(js[at])
+                scalar = lattice.measure_mass(params, sector, j)
+                assert _same_bits(scalar, scalarref.measure_mass(params, sector, j))
+                assert _same_bits(got[at], scalar)
+                weight = lattice.sector_weight(params, sector, j)
+                assert _same_bits(weight, scalarref.sector_weight(params, sector, j))
+                assert _same_bits(weights[at], weight)
 
 
 @pytest.mark.parametrize("params", PARAMS)

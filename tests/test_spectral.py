@@ -820,24 +820,39 @@ def test_held_profile_and_weights_are_read_only_with_fresh_bits(
     assert _identical(nodes, fresh[0]) and _identical(mass_weights, fresh[1])
 
 
-@pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
-def test_other_families_on_a_measure_are_refused(params, sector, masses, monkeypatch):
+def _other_families(params, sector):
+    return [(ModelParams(params.q, params.n, params.m + 1), sector),
+            (params, Sector(sector.L + 1, sector.Lp))]
+
+
+#: each measure's config, its count of mass points, and the (params,
+#: sector) whose families differ from it; at (0.01, 2, 2500) a =
+#: 0.01^(-2497) = inf in ``longdouble``, which ``AscParams`` refuses
+REFUSED_CASES = [(*case, _other_families(*case[:2])) for case in REUSE_CASES] \
+    + [(ModelParams(0.01, 2, 2), Sector(0, 0), 0, [(ModelParams(0.01, 2, 2500), Sector(0, 0))])]
+
+
+@pytest.mark.parametrize("params,sector,masses,others", REFUSED_CASES,
+                         ids=["0mass", "2mass", "5mass", "a-inf"])
+def test_other_families_on_a_measure_are_refused(params, sector, masses, others,
+                                                 monkeypatch):
     """Other params or another sector, whose eigenfunctions do not pair with
     the measure, raise from the plan, ``transform_grid`` and
-    ``inverse_transform_profile`` before any profile is built."""
+    ``inverse_transform_profile`` before any profile is built, also for a
+    family with a non-finite a and under ``errstate(over="raise")``."""
     meas = plancherel_measure(params, sector, 256)
     f = Lcg(6).lattice_function(14)
     fhat = SpectralFunction(meas, np.ones(len(meas.theta_nodes), dtype=np.clongdouble),
                             np.ones(masses, dtype=np.clongdouble))
     builds = _count_profile_builds(monkeypatch)
-    for p, s in [(ModelParams(params.q, params.n, params.m + 1), sector),
-                 (params, Sector(sector.L + 1, sector.Lp))]:
-        assert asc_params(p, s) != meas.params
+    for p, s in others:
+        assert spectral._family(p, s) != (meas.params.a, meas.params.b, meas.params.base)
         for call in (lambda: spectral._TransformPlan(p, s, meas, 13),
                      lambda: transform_grid(p, s, f, meas),
                      lambda: inverse_transform_profile(p, s, fhat, 13)):
-            with pytest.raises(ValueError, match="not the measure's"):
-                call()
+            for over in ("warn", "raise"):
+                with np.errstate(over=over), pytest.raises(ValueError, match="not the measure's"):
+                    call()
     assert meas._held is None and builds == []
 
 
@@ -895,10 +910,12 @@ def _plan_layouts(table, disc, cols):
 
 @pytest.mark.parametrize("kind", ["complex", "zeros", "minus_zero_imag", "real",
                                   "inf_next_to_zero"])
-def test_split_product_equals_the_complex_product(kind):
-    """``_matmul`` gives the values and zero signs of the literal
-    ``mat @ cols`` (M cast to complex for a complex V) on every layout the
-    plan passes, at the full depth and a shallower one, also with a 0-row
+def test_interleaved_product_equals_the_complex_product(kind):
+    """``_matmul``, one ``np.dot`` over the ``longdouble`` view of a complex
+    V whose columns interleave the real and imaginary parts, gives the
+    values and zero signs of the literal ``mat @ cols`` (M cast to complex)
+    on every layout the plan passes (V's transposed stacks are copied to C
+    order first), at the full depth and a shallower one, also with a 0-row
     mass part, for 1 and 13 columns, and each column the bits of M times
     that column alone; a real V keeps a real result.  An inf profile entry
     next to a zero coefficient gives NaN, and raises under
