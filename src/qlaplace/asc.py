@@ -505,6 +505,14 @@ _LOG_SPLIT = 0.1
 _MAX_NODES = 2 ** 14
 
 
+def _check_node_floor(quad_nodes: int) -> None:
+    """ValueError unless the node floor ``quad_nodes`` lies in 16.._MAX_NODES."""
+    if quad_nodes < 16:
+        raise ValueError(f"need quad_nodes >= 16, got {quad_nodes}")
+    if quad_nodes > _MAX_NODES:
+        raise ValueError(f"need quad_nodes <= {_MAX_NODES}, got {quad_nodes}")
+
+
 def _node_count(p: AscParams, floor: int) -> int:
     """Theta nodes of every measure grid: max(floor, ceil(ln(C / tol) / (2 d))).
 
@@ -546,10 +554,7 @@ def orthogonality_measure(p: AscParams, quad_nodes: int) -> SpectralMeasure:
 def _grid_measure(p: AscParams, discrete, quad_nodes: int) -> SpectralMeasure:
     """:func:`orthogonality_measure` with its point masses ``discrete``
     already enumerated."""
-    if quad_nodes < 16:
-        raise ValueError(f"need quad_nodes >= 16, got {quad_nodes}")
-    if quad_nodes > _MAX_NODES:
-        raise ValueError(f"need quad_nodes <= {_MAX_NODES}, got {quad_nodes}")
+    _check_node_floor(quad_nodes)
     theta = np.linspace(0, np.pi, _node_count(p, quad_nodes)).astype(_LD)
     return SpectralMeasure(theta_nodes=theta, params=p, discrete=discrete)
 

@@ -30,7 +30,7 @@ import click
 import numpy as np
 
 from . import fockoracle, laplace, spectral
-from .asc import _MAX_NODES
+from .asc import _check_node_floor
 from .lattice import (LatticeFunction, ModelParams, Quadruple, Sector,
                       hwv_inner_product, measure_mass)
 from .verify import (CONTAINMENT_SIZE, CONTAINMENT_THRESHOLD, oracle_error,
@@ -63,11 +63,7 @@ class RunConfig:
             raise click.UsageError(
                 f"--q {self.q} is outside the supported regime (q <= 0.95: "
                 "operator coefficients scale like 1/(1-q^2))")
-        if self.quad_nodes < 16:
-            raise click.UsageError(f"--quad-nodes must be >= 16, got {self.quad_nodes}")
-        if self.quad_nodes > _MAX_NODES:
-            raise click.UsageError(
-                f"--quad-nodes must be <= {_MAX_NODES}, got {self.quad_nodes}")
+        _check_node_floor(self.quad_nodes)
 
     def params(self) -> ModelParams:
         return ModelParams(q=self.q, n=self.n, m=self.m)
@@ -328,7 +324,7 @@ def oracle(out, quadruple, **kw):
     # fixed test pair exercising two lattice points
     f = LatticeFunction.basis(0) + LatticeFunction.basis(1)
     [[o]] = fockoracle.invariant_integral(params, [quad], [(f, f)])
-    c = hwv_inner_product(params, quad, f, f)
+    [[c]] = hwv_inner_product(params, [quad], [(f, f)])
     _emit("oracle", config, cfg.fmt, out, {
         "quadruple": list(quadruple),
         "oracle": float(o),

@@ -382,17 +382,20 @@ def hwv_pairing_constant(params: ModelParams, quad: Quadruple):
     return c
 
 
-def hwv_inner_product(params: ModelParams, quad: Quadruple,
-                      phi: Mapping[int, complex], psi: Mapping[int, complex]):
-    """Closed-form pairing of dressed vectors built from phi and psi.
-
-    Returns C(k,l,kp,lp) * integral of conj(psi) phi against the sector
-    weight; positive for phi = psi != 0.
-    """
-    sector = quad.sector()
-    weighted = {
-        j: np.conjugate(psi.get(j, 0.0)) * phi.get(j, 0.0)
-        * sector_weight(params, sector, j)
-        for j in sorted(set(phi) | set(psi))
-    }
-    return hwv_pairing_constant(params, quad) * jackson_integral(weighted, params.q_ld)
+def hwv_inner_product(params: ModelParams, quads, pairs) -> list:
+    """Closed-form pairing of the dressed vectors of each (phi, psi) of
+    ``pairs``, one row per quadruple of ``quads``, as ``invariant_integral``:
+    C(k,l,kp,lp) times the Jackson integral of conj(psi) phi against the
+    sector weight, positive for phi = psi != 0.  Per quadruple, C and the
+    weights on the union of the supports come from one call each."""
+    pairs = [(phi, psi, sorted(set(phi) | set(psi))) for phi, psi in pairs]
+    idx = sorted(set().union(*(js for *_, js in pairs)))
+    rows = []
+    for quad in quads:
+        c = hwv_pairing_constant(params, quad)
+        weight = dict(zip(idx, sector_weight(params, quad.sector(),
+                                             np.array(idx, dtype=int))))
+        rows.append([c * jackson_integral(
+            {j: np.conjugate(psi.get(j, 0.0)) * phi.get(j, 0.0) * weight[j] for j in js},
+            params.q_ld) for phi, psi, js in pairs])
+    return rows

@@ -12,7 +12,9 @@ overflow, division by zero or invalid operation inside a check fails it the
 same way instead of printing a warning.  A check whose values sit in arrays
 forms its comparisons as one array, elementwise with the bits of the
 per-value formula, and ``_worst`` reduces it in one pass; the identity
-checks pass it an iterable of their relative gaps.
+checks pass it an iterable of their relative gaps.  The eigenvalue and
+symmetry checks read one three-term table formed on their own rows, and the
+trace check its closed forms on the oracle's grid of quadruples and pairs.
 """
 
 from __future__ import annotations
@@ -88,17 +90,12 @@ def check_eigenvalue_residual(params, sector, cfg) -> float:
     lams = laplace.eigenvalue(params, np.array(z + [d.z for d in masses]))
     cont, disc = spectral.eigenfunction_profile(params, sector, np.array(z, dtype=_LD),
                                                 masses, J + 1)
-    profs = [*cont, *disc]
-    afs = laplace.apply_three_term(
-        params, sector, [LatticeFunction({j: prof[j] for j in range(J + 2)})
-                         for prof in profs])
-    errors = []
-    for prof, lam, af in zip(profs, lams, afs):
-        # carries |lambda| as the gap's rounding does; passes 1e308 at small q
-        scale = max(_LD(1), abs(lam)) * np.max(np.abs(prof[:J + 1]))
-        values = np.array([af.get(j, 0.0) for j in range(1, J + 1)])
-        errors.append(np.abs(values - lam * prof[1:J + 1]) / scale)
-    return _worst(np.concatenate(errors))
+    profs = np.concatenate([cont, disc])
+    # the action at 1..J, from each profile's values at 0..J+1
+    action = laplace._three_term(params, sector, profs, 1, J + 1)
+    # carries |lambda| as the gap's rounding does; passes 1e308 at small q
+    scale = np.maximum(_LD(1), np.abs(lams)) * np.max(np.abs(profs[:, :J + 1]), axis=1)
+    return _worst(np.abs(action - lams[:, None] * profs[:, 1:J + 1]) / scale[:, None])
 
 
 def check_cross_form(params, sector, cfg) -> float:
@@ -127,15 +124,14 @@ def check_sector_independence(params, sector, cfg) -> float:
 
 
 def check_symmetry(params, sector, cfg) -> float:
-    basis = [LatticeFunction.basis(j) for j in range(LATTICE_DEPTH + 1)]
-    actions = laplace.apply_three_term(params, sector, basis)
-    pairs = []
-    for j in range(LATTICE_DEPTH + 1):
-        for k in (j - 1, j, j + 1):
-            if 0 <= k <= LATTICE_DEPTH:
-                pairs += [(actions[j], basis[k]), (basis[j], actions[k])]
-    values = np.array(lattice.inner_product(params, sector, pairs))
-    lhs, rhs = values[::2], values[1::2]
+    # A[j, k] = (T f_j)(k) on 0..J from the basis rows (values at -1..J+1);
+    # <T f_j, f_k> = A[j, k] m_k against <f_j, T f_k> = A[k, j] m_j, |j - k| <= 1
+    J = LATTICE_DEPTH
+    table = laplace._three_term(params, sector, np.eye(J + 1, J + 3, 1, dtype=_LD), 0, J + 1)
+    mass = lattice.measure_mass(params, sector, np.arange(J + 1))
+    j, k = np.array([(i, t) for i in range(J + 1) for t in (i - 1, i, i + 1)
+                     if 0 <= t <= J]).T
+    lhs, rhs = table[j, k] * mass[k], table[k, j] * mass[j]
     return _worst(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
 
 
@@ -183,7 +179,8 @@ def check_density_identity(params, sector, cfg) -> float:
     # there, so it is left out.  Q_K comes from the recurrence, not the weight.
     pp = spectral.asc_params(params, sector)
     size = np.log(np.maximum(1, np.abs(pp.a))) + np.log(np.maximum(1, np.abs(pp.b)))
-    K = math.ceil((math.log(LD_INF_TOL) - float(size)) / math.log(pp.base)) + 20
+    # the base's log in extended precision: in double, one below 1e-308 is 0
+    K = math.ceil((math.log(LD_INF_TOL) - float(size)) / float(np.log(pp.base))) + 20
     thetas = np.linspace(0.0, math.pi, 42)[1:-1].astype(_LD)
     c = spectral.c_function(params, sector, -1j * (thetas / np.log(params.q_ld)))
     lhs = asc.asc_recurrence(K, np.cos(thetas), pp)[K]
@@ -287,13 +284,10 @@ def check_oracle(params, sector, cfg) -> float:
     quads = [Quadruple(0, 0, 0, 0), Quadruple(1, 0, 1, 0), Quadruple(0, 1, 0, 1),
              Quadruple(1, 1, 1, 1)]
     pairs = ((f0, f0), (f1, f1), (f01, f01), (f01, f0))
-    errors = []
     oracle = fockoracle.invariant_integral(params, quads, pairs)
-    for quad, row in zip(quads, oracle):
-        for (phi, psi), o in zip(pairs, row):
-            c = lattice.hwv_inner_product(params, quad, phi, psi)
-            errors.append(oracle_error(o, c))
-    return _worst(errors)
+    closed = lattice.hwv_inner_product(params, quads, pairs)
+    return _worst(oracle_error(o, c) for orow, crow in zip(oracle, closed)
+                  for o, c in zip(orow, crow))
 
 
 def _identity_residual(sides) -> float:

@@ -25,7 +25,8 @@ from typing import Mapping
 import numpy as np
 
 from qlaplace import asc, fockoracle, qcore
-from qlaplace.lattice import ModelParams, Quadruple, invariant_integral_normalizer
+from qlaplace.lattice import (ModelParams, Quadruple, hwv_pairing_constant,
+                              invariant_integral_normalizer)
 
 _LD = np.longdouble
 
@@ -67,6 +68,15 @@ def measure_mass(params, sector, j):
     q = params.q_ld
     norm = qpoch(q ** _LD(-2), q ** _LD(-2), sector.L + params.n - 1)
     return sector_weight(params, sector, j) * q ** _LD(-2 * j) / norm
+
+
+def hwv_inner_product(params, quad, phi, psi):
+    """The closed-form pairing of one (phi, psi) at one quadruple: one scalar
+    weight per index, then the Jackson integral of that pair alone."""
+    weighted = {j: np.conjugate(psi.get(j, 0.0)) * phi.get(j, 0.0)
+                * sector_weight(params, quad.sector(), j)
+                for j in sorted(set(phi) | set(psi))}
+    return hwv_pairing_constant(params, quad) * qcore.jackson_integral(weighted, params.q_ld)
 
 
 def inner_product(params, sector, f, g):

@@ -267,9 +267,9 @@ def test_criterion_08_fock_oracle():
             quads = list(all_quadruples(2))
             pairs = list(itertools.product(family, family))
             rows = fockoracle.invariant_integral(params, quads, pairs)
-            for quad, row in zip(quads, rows):
-                for (phi, psi), o in zip(pairs, row):
-                    c = lattice.hwv_inner_product(params, quad, phi, psi)
+            closed = lattice.hwv_inner_product(params, quads, pairs)
+            for row, closed_row in zip(rows, closed):
+                for o, c in zip(row, closed_row):
                     if c == 0:
                         worst = max(worst, float(abs(o)))
                     else:

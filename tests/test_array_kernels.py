@@ -377,6 +377,37 @@ def test_oracle_check_keeps_the_bits_of_per_call_values(q, m):
             assert _same_bits(alone, want)
 
 
+#: the oracle check's pairs, then a sparse support, complex values on two
+#: supports with gaps, and an empty pair
+HWV_PAIRS = [*ORACLE_PAIRS, (LatticeFunction({0: 0.5, 7: -1.25, 20: 2.0}),) * 2,
+             (_function("complex", (0, 3, 4, 9), 1), _function("complex", (2, 3, 7, 8, 12), 2)),
+             (LatticeFunction(), LatticeFunction())]
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("q", [0.01, 0.5, 0.95])
+def test_closed_form_grid_keeps_the_bits_of_per_pair_values(monkeypatch, q, m):
+    """One weight call per quadruple on the union of the supports: each value,
+    and each one-pair call, equals the per-index Jackson integral of that pair
+    alone."""
+    params = ModelParams(q, 2, m)
+    quads = ORACLE_QUADS + QUADS
+    calls = []
+    weight = lattice.sector_weight
+    monkeypatch.setattr(lattice, "sector_weight",
+                        lambda *args: calls.append(args) or weight(*args))
+    rows = lattice.hwv_inner_product(params, quads, HWV_PAIRS)
+    assert len(calls) == len(quads)
+    assert lattice.hwv_inner_product(params, quads, []) == [[] for _ in quads]
+    for quad, row in zip(quads, rows):
+        assert len(row) == len(HWV_PAIRS)
+        for (phi, psi), got in zip(HWV_PAIRS, row):
+            want = scalarref.hwv_inner_product(params, quad, phi, psi)
+            assert _same_bits(got, want)
+            [[alone]] = lattice.hwv_inner_product(params, [quad], [(phi, psi)])
+            assert _same_bits(alone, want)
+
+
 #: the kernel's split and 1/base margin at these q, from 1e-6 to past the CLI's bound
 PRODUCT_QS = [1e-6, 0.01, 0.3, 0.5, 0.9, 0.95, 0.99]
 

@@ -1,6 +1,8 @@
 """Tests for the Al-Salam-Chihara family and its orthogonality measure."""
 
 import math
+import runpy
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -514,8 +516,8 @@ def test_degree_term_keeps_the_whole_table_at_the_floor(q, sector):
 
 
 # ROADMAP baseline sweep: n, m, L, L'
-SWEEP_SECTORS = [(1, 2, 0, 0), (1, 3, 0, 2), (2, 2, 3, 0), (3, 5, 0, 4),
-                 (2, 7, 1, 6), (4, 2, 2, 2), (1, 6, 0, 5), (5, 9, 0, 0)]
+SWEEP_SECTORS = runpy.run_path(
+    str(Path(__file__).resolve().parent.parent / "tools" / "bitprint.py"))["SWEEP_SECTORS"]
 
 
 @pytest.mark.parametrize("q", [0.01, 0.1, 0.3, 0.6, 0.9, 0.95])

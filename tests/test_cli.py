@@ -321,7 +321,7 @@ def test_oracle_rel_err_is_the_checks_relative_gap_below_1e_300():
     params, quad = ModelParams(0.001, 2, 10), Quadruple(0, 0, 10, 10)
     f = LatticeFunction.basis(0) + LatticeFunction.basis(1)
     [[o]] = fockoracle.invariant_integral(params, [quad], [(f, f)])
-    c = hwv_inner_product(params, quad, f, f)
+    [[c]] = hwv_inner_product(params, [quad], [(f, f)])
     assert 0 < abs(c) < 1e-300
     assert report["rel_err"] == float(abs(o - c) / abs(c)) > 0
 
@@ -338,7 +338,7 @@ def test_oracle_reports_the_extended_precision_values_past_the_double_range():
     params, quad = ModelParams(0.001, 2, 10), Quadruple(0, 0, 10, 10)
     f = LatticeFunction.basis(0) + LatticeFunction.basis(1)
     [[o]] = fockoracle.invariant_integral(params, [quad], [(f, f)])
-    c = hwv_inner_product(params, quad, f, f)
+    [[c]] = hwv_inner_product(params, [quad], [(f, f)])
     for field, value in (("oracle_ld", o), ("closed_form_ld", c)):
         text = report[field]
         assert -897 <= int(text.split("e")[1]) <= -891
@@ -505,7 +505,7 @@ def test_quad_nodes_past_the_node_cap_is_a_usage_error(tmp_path, args, nodes):
     res = run_python("-m", "qlaplace.cli", *args, "--quad-nodes", str(nodes),
                      cwd=tmp_path)
     assert res.returncode == 2
-    assert f"--quad-nodes must be <= 16384, got {nodes}" in res.stderr
+    assert f"need quad_nodes <= 16384, got {nodes}" in res.stderr
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
 

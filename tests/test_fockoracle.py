@@ -143,10 +143,10 @@ def test_oracle_unit_mass_of_base_indicator():
 
 def test_oracle_matches_closed_form():
     params = ModelParams(0.6, 2, 3)
-    for quad in quadruples(2)[::3]:
-        for phi, psi in ((F0, F0), (F1, F1), (F01, F01), (F01, F0)):
+    quads, pairs = quadruples(2)[::3], [(F0, F0), (F1, F1), (F01, F01), (F01, F0)]
+    for quad, closed in zip(quads, hwv_inner_product(params, quads, pairs)):
+        for (phi, psi), c in zip(pairs, closed):
             o = _oracle(params, quad, phi, psi)
-            c = hwv_inner_product(params, quad, phi, psi)
             assert abs(o - c) <= 1e-9 * abs(c)
 
 
@@ -432,8 +432,9 @@ def test_oracle_converges_at_depth_two():
     start at a = 2, and the 2D value moves by a rounding error only."""
     params = ModelParams(1e-6, 2, 2)
     assert fockoracle._depth(params.q) == 2
-    for quad in (Quadruple(0, 1, 0, 1), Quadruple(1, 1, 1, 1)):
-        for phi, psi in ((F1, F1), (F01, F01), (F01, F0)):
+    quads = [Quadruple(0, 1, 0, 1), Quadruple(1, 1, 1, 1)]
+    pairs = [(F1, F1), (F01, F01), (F01, F0)]
+    for quad, closed in zip(quads, hwv_inner_product(params, quads, pairs)):
+        for (phi, psi), c in zip(pairs, closed):
             o = _oracle(params, quad, phi, psi)
-            c = hwv_inner_product(params, quad, phi, psi)
             assert abs(o - c) <= 1e-18 * abs(c)

@@ -297,7 +297,7 @@ def test_hwv_pairing_positive_definite():
     for params in (ModelParams(0.4, 2, 2), ModelParams(0.6, 1, 3)):
         for quad in all_quadruples(3)[::5]:
             phi = rng.lattice_function(5)
-            val = hwv_inner_product(params, quad, phi, phi)
+            [[val]] = hwv_inner_product(params, [quad], [(phi, phi)])
             assert np.real(val) > 0
             assert abs(np.imag(complex(val))) <= 1e-12 * abs(val)
 
@@ -305,8 +305,8 @@ def test_hwv_pairing_positive_definite():
 def test_hwv_pairing_disjoint_support():
     params = ModelParams(0.5, 2, 2)
     quad = Quadruple(1, 1, 1, 1)
-    assert hwv_inner_product(params, quad, LatticeFunction.basis(0),
-                             LatticeFunction.basis(1)) == 0
+    assert hwv_inner_product(params, [quad], [(LatticeFunction.basis(0),
+                                               LatticeFunction.basis(1))]) == [[0]]
 
 
 def test_hwv_indicator_closed_form():
@@ -319,7 +319,8 @@ def test_hwv_indicator_closed_form():
             k, l, kp, lp = quad.k, quad.l, quad.kp, quad.lp
             for s in (0, 1, 3):
                 fs = LatticeFunction.basis(s)
-                got = float(hwv_inner_product(params, quad, fs, fs))
+                [[got]] = hwv_inner_product(params, [quad], [(fs, fs)])
+                got = float(got)
                 want = ((-1) ** (k + l)
                         * q ** (m * (m - 1) - 2 * l * m + 2 * (m - 1) * (kp + lp))
                         * float(invariant_integral_normalizer(params))

@@ -4,6 +4,8 @@ transform plan per check and one action per basis function must not move a
 residual by a bit."""
 
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,12 +89,31 @@ def _symmetry_loop(params, sector, cfg):
     return worst
 
 
+def _eigenvalue_loop(params, sector, cfg):
+    J = verify.LATTICE_DEPTH
+    z = [math.cos(t) for t in (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3)]
+    z += [spectral.point_from_exponent(params, ell) for ell in (1, 2, 3)]
+    masses = asc.mass_points(spectral.asc_params(params, sector), strict=False)
+    lams = laplace.eigenvalue(params, np.array(z + [d.z for d in masses]))
+    cont, disc = spectral.eigenfunction_profile(params, sector, np.array(z, dtype=_LD),
+                                                masses, J + 1)
+    worst = 0.0
+    for prof, lam in zip([*cont, *disc], lams):
+        f = LatticeFunction({j: prof[j] for j in range(J + 2)})
+        [af] = laplace.apply_three_term(params, sector, [f])
+        scale = max(_LD(1), abs(lam)) * np.max(np.abs(prof[:J + 1]))
+        for j in range(1, J + 1):
+            worst = max(worst, float(abs(af.get(j, 0.0) - lam * prof[j]) / scale))
+    return worst
+
+
 @pytest.mark.parametrize("check,loop", [
     (verify.check_parseval, _parseval_loop),
     (verify.check_multiplication, _multiplication_loop),
     (verify.check_roundtrip, _roundtrip_loop),
     (verify.check_symmetry, _symmetry_loop),
-], ids=["parseval", "multiplication", "roundtrip", "symmetry"])
+    (verify.check_eigenvalue_residual, _eigenvalue_loop),
+], ids=["parseval", "multiplication", "roundtrip", "symmetry", "eigenvalue_residual"])
 @pytest.mark.parametrize("cfg", CONFIGS,
                          ids=["q0.3", "q0.5", "q0.95", "q0.5-m4-Lp2"])
 def test_check_equals_its_plain_loop(check, loop, cfg):
@@ -209,8 +230,8 @@ def test_underflowing_off_band_point_fails_the_eigenvalue_check_by_name():
 
 
 #: the (n, m, L, Lp) sectors of the 48-config domain sweep
-SWEEP_SECTORS = [(1, 2, 0, 0), (1, 3, 0, 2), (2, 2, 3, 0), (3, 5, 0, 4),
-                 (2, 7, 1, 6), (4, 2, 2, 2), (1, 6, 0, 5), (5, 9, 0, 0)]
+SWEEP_SECTORS = runpy.run_path(
+    str(Path(__file__).resolve().parent.parent / "tools" / "bitprint.py"))["SWEEP_SECTORS"]
 
 
 def _failed_checks(q, n, m, L, Lp):
@@ -329,6 +350,14 @@ _DENSITY_CONFIGS = pytest.mark.parametrize(
 
 def _density_identity(cfg):
     return verify.check_density_identity(cfg.params(), cfg.sector(), cfg)
+
+
+def test_density_identity_at_a_base_below_the_double_range():
+    """At q = 1e-200 the base q^2 = 1e-400 reads 0.0 in double, where its log
+    was a math domain error; in extended precision the check passes."""
+    [res] = [r for r in verify.run_battery(RunConfig(q=1e-200)) if r.name == "density_identity"]
+    assert (res.passed, res.skipped, res.note) == (True, False, "")
+    assert res.residual <= _DENSITY_THRESHOLD
 
 
 @_DENSITY_CONFIGS
@@ -453,14 +482,17 @@ def test_battery_runs_the_public_kernels(monkeypatch):
     assert all(calls.values()), calls
 
 
-#: checks that pair or sum through one call of a grid kernel, with the kernel
-ONE_CALL_CHECKS = [("operator_symmetry", lattice, "inner_product"),
+#: checks that pair or sum through one call of a grid kernel, with the kernel:
+#: the lattice checks form their actions as one three-term table
+ONE_CALL_CHECKS = [("eigenvalue_residual", laplace, "_three_term"),
+                   ("operator_symmetry", laplace, "_three_term"),
                    ("basis_orthonormality", lattice, "inner_product"),
                    ("parseval", lattice, "inner_product"),
                    ("transform_roundtrip", lattice, "inner_product"),
                    ("identity_negative_block", fockoracle, "negative_block_sum"),
                    ("identity_qbinomial_convolution", fockoracle,
-                    "qbinomial_convolution")]
+                    "qbinomial_convolution"),
+                   ("trace_oracle_agreement", lattice, "hwv_inner_product")]
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(q=0.5), RunConfig(q=0.95)], ids=["q0.5", "q0.95"])
@@ -478,6 +510,53 @@ def test_check_makes_one_grid_kernel_call(monkeypatch, cfg, check, module, name)
     [fn] = [fn for check_name, fn, _, _ in verify.BATTERY if check_name == check]
     fn(cfg.params(), cfg.sector(), cfg)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("check", ["eigenvalue_residual", "operator_symmetry"])
+def test_lattice_check_builds_no_lattice_function(monkeypatch, check):
+    """The two checks read their rows as arrays, never as functions."""
+    def refuse(*args):
+        raise AssertionError(f"{check} built a LatticeFunction")
+
+    monkeypatch.setattr(LatticeFunction, "__init__", refuse)
+    monkeypatch.setattr(LatticeFunction, "_from_items", classmethod(refuse))
+    [(fn, threshold)] = [(fn, threshold) for name, fn, threshold, _ in verify.BATTERY
+                         if name == check]
+    cfg = RunConfig(q=0.5, n=2, m=4, Lp=2)
+    assert fn(cfg.params(), cfg.sector(), cfg) <= threshold
+
+
+_SYMMETRY_THRESHOLD = next(threshold for name, _, threshold, _ in verify.BATTERY
+                           if name == "operator_symmetry")
+
+
+@pytest.mark.parametrize("entry,j", [("mass", 0), ("mass", 30), ("action", 0), ("action", 29)])
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(q=0.5, n=2, m=4, Lp=2)],
+                         ids=["default", "m4-Lp2"])
+def test_symmetry_fails_one_entry_off_by_1e_8(monkeypatch, cfg, entry, j):
+    """Every compared pair reads its own entries: the lattice mass at j, or
+    the off-diagonal action entry (T f_j)(j+1), scaled by 1 + 1e-8 fails the
+    check.  (T f_30)(31) lies outside the compared range 0..30 by design, so
+    the last action entry is that of j = 29."""
+    params, sector = cfg.params(), cfg.sector()
+    assert verify.check_symmetry(params, sector, cfg) <= _SYMMETRY_THRESHOLD
+    if entry == "mass":
+        mass = lattice.measure_mass
+
+        def mutant(params, sector, js):
+            return mass(params, sector, js) * np.where(js == j, 1 + 1e-8, 1)
+
+        monkeypatch.setattr(lattice, "measure_mass", mutant)
+    else:
+        three_term = laplace._three_term
+
+        def mutant(params, sector, vals, lo, hi):
+            out = three_term(params, sector, vals, lo, hi)
+            out[j, j + 1 - lo] *= 1 + 1e-8
+            return out
+
+        monkeypatch.setattr(laplace, "_three_term", mutant)
+    assert verify.check_symmetry(params, sector, cfg) > _SYMMETRY_THRESHOLD
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=["q0.3", "q0.5", "q0.95", "2mass"])
@@ -550,12 +629,13 @@ def _count_kernel_calls(monkeypatch) -> dict:
 
 #: per check, the calls of each kernel: one per check, one divergence form
 #: per quadruple, and one scalar norm per basis vector (see
-#: test_an_overflowing_basis_norm_fails_with_its_scalar_call_note)
+#: test_an_overflowing_basis_norm_fails_with_its_scalar_call_note); the
+#: eigenvalue and symmetry checks form their actions by one three-term table
 ONE_ARRAY_PASS_CHECKS = [
-    ("eigenvalue_residual", {"apply_three_term": 1}),
+    ("eigenvalue_residual", {}),
     ("cross_form_agreement", {"apply_three_term": 1, "apply_divergence_form": 1}),
     ("sector_independence", {"apply_divergence_form": 3}),
-    ("operator_symmetry", {"apply_three_term": 1}),
+    ("operator_symmetry", {}),
     ("norm_closed_form", {"indicator_norm_sq": 1}),
     ("transform_of_base_indicator", {"indicator_norm_sq": 13, "forward": 1}),
     ("parseval", {"forward": 1}),
@@ -577,11 +657,11 @@ def test_check_runs_each_kernel_in_one_array_pass(monkeypatch, cfg, check, count
 
 
 def test_default_pass_kernel_calls(monkeypatch):
-    """A default battery pass: 4 three-term actions, 4 divergence forms,
+    """A default battery pass: 2 three-term actions, 4 divergence forms,
     45 indicator-norm calls (one array call for the norm check, one scalar
-    call per basis vector), 4 forward transforms and 1 inverse (48, 14, 75,
+    call per basis vector), 4 forward transforms and 1 inverse (10, 14, 75,
     38 and 5 with one call per function)."""
     calls = _count_kernel_calls(monkeypatch)
     assert all(r.passed for r in verify.run_battery(RunConfig()))
-    assert calls == {"apply_three_term": 4, "apply_divergence_form": 4,
+    assert calls == {"apply_three_term": 2, "apply_divergence_form": 4,
                      "indicator_norm_sq": 45, "forward": 4, "inverse": 1}

@@ -30,9 +30,11 @@ from qlaplace._rng import Lcg
 from qlaplace.cli import RunConfig
 from qlaplace.lattice import ModelParams, Sector
 
-#: the (n, m, L, Lp) sectors of the battery's domain sweep, then the default
-SECTORS = [(1, 2, 0, 0), (1, 3, 0, 2), (2, 2, 3, 0), (3, 5, 0, 4),
-           (2, 7, 1, 6), (4, 2, 2, 2), (1, 6, 0, 5), (5, 9, 0, 0), (2, 2, 0, 0)]
+#: the (n, m, L, Lp) sectors of the battery's domain sweep
+SWEEP_SECTORS = [(1, 2, 0, 0), (1, 3, 0, 2), (2, 2, 3, 0), (3, 5, 0, 4),
+                 (2, 7, 1, 6), (4, 2, 2, 2), (1, 6, 0, 5), (5, 9, 0, 0)]
+#: the sweep sectors, then the default
+SECTORS = SWEEP_SECTORS + [(2, 2, 0, 0)]
 SWEEP_Q = (0.01, 0.1, 0.3, 0.6, 0.9, 0.95)
 SWEEP_NODES = (128, 256)
 
