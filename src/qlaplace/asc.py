@@ -272,22 +272,24 @@ def _masked_qpoch_inf(a, base):
     running m base^i are within 2i + 5 roundings (2^-64 each) of exact
     values at least m base^i; the margin 1/base outweighs them, so every
     |t| is still above s and the masked loop would take the same factors
-    by the same operations.  It takes over from a fresh |t|.
+    by the same operations.  The argument holds for any part of the array
+    with its own least |a|: after the factors every entry runs, each row
+    a[r] of a stack (``a.ndim`` >= 2) runs on by its own least, such as the
+    three rows of :func:`_c_products`, each of one magnitude on the band.
+    The masked loop takes over from a fresh |t|.
     """
     t = np.ones_like(a) * a
     acc = np.ones_like(t)
     mag = np.abs(t)
-    least, edge = mag.min(initial=np.inf), _LOG_SPLIT / base
-    if edge < least < np.inf:
-        fac = np.empty_like(t)
-        steps, cap = 0, (1 - base) * 2.0 ** 61
-        while least > edge and steps < cap:
-            np.subtract(1, t, out=fac)
-            acc *= fac
-            t *= base
-            least = least * base
-            steps += 1
-        mag = np.abs(t)
+    fac = np.empty_like(t)
+    steps = _unmasked_factors(t, acc, fac, mag.min(initial=np.inf), 0, base)
+    if steps:
+        np.abs(t, out=mag)
+    if t.ndim > 1:  # then each row by the least of its own |t|
+        lows = mag.min(axis=tuple(range(1, mag.ndim)), initial=np.inf)
+        for r, m in enumerate(lows):
+            if _unmasked_factors(t[r], acc[r], fac[r], m, steps, base) > steps:
+                np.abs(t[r], out=mag[r])
     head = mag > _LOG_SPLIT
     while head.any():
         np.multiply(acc, 1 - t, out=acc, where=head)
@@ -304,6 +306,23 @@ def _masked_qpoch_inf(a, base):
     np.negative(series, out=series)
     acc *= np.exp(series, out=series)
     return acc
+
+
+def _unmasked_factors(t, acc, fac, least, steps: int, base) -> int:
+    """Multiply the factors 1 - t of every entry of the array ``t`` into
+    ``acc`` (``fac`` the scratch of 1 - t), t -> t base, while the running
+    ``least`` |t| is above s / base and ``steps`` below (1 - base) 2^61:
+    the unmasked factors of :func:`_masked_qpoch_inf`.  Returns the count
+    of factors reached."""
+    edge, cap = _LOG_SPLIT / base, (1 - base) * 2.0 ** 61
+    if edge < least < np.inf:
+        while least > edge and steps < cap:
+            np.subtract(1, t, out=fac)
+            acc *= fac
+            t *= base
+            least = least * base
+            steps += 1
+    return steps
 
 
 def _c_products(u, p: AscParams):

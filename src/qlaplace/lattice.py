@@ -14,14 +14,17 @@ j ~ 60 for small q, so this module computes in numpy's extended-precision
 :func:`sector_weight`, :func:`measure_mass` and :func:`indicator_norm_sq`
 take an integer index or an integer index array; each array entry has the
 bits of the scalar call at its index.  :func:`inner_product` pairs a list
-of (f, g) in one call: its masses come from one :func:`measure_mass` call
-on the sorted union of the supports, and each pair sums in its own index
-order, so every value keeps the bits of that pair's per-index sum.
+of (f, g) in one call of its row core ``_pair_rows``: the pairs' values are
+rows over the sorted union of the supports, the masses come from one
+:func:`measure_mass` call there, and each pair sums from +0 in index order
+over the indices either function holds, so every value keeps the bits of
+that pair's per-index sum.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -197,6 +200,13 @@ class LatticeFunction(Mapping):
     def __iter__(self) -> Iterator[int]:
         return iter(self._coeffs)
 
+    # the dict's own views, which Mapping's would read through __getitem__
+    def items(self):
+        return self._coeffs.items()
+
+    def values(self):
+        return self._coeffs.values()
+
     def __len__(self) -> int:
         return len(self._coeffs)
 
@@ -313,19 +323,78 @@ def inner_product(params: ModelParams, sector: Sector, pairs) -> list:
     of ``pairs``, one value per pair.
 
     Conjugate-linear in ``g``; positive definite on nonzero functions.  The
-    masses come from one :func:`measure_mass` call on the sorted union of
-    every pair's support, and each pair's sum runs in its own index order.
+    pairs run through one :func:`_pair_rows` call on the sorted union of
+    every pair's support, each pair's values one row read there (missing
+    entries 0), the rows grouped by the pair's common value type.  A pair
+    with no support is ``longdouble`` 0.  A pair whose values mix a double
+    and an extended type pairs in the extended one, where the per-index sum
+    would round its double entries' products to double first.
     """
-    pairs = [(f, g, sorted(set(f) | set(g))) for f, g in pairs]
-    idx = sorted(set().union(*(js for *_, js in pairs)))
-    mass = dict(zip(idx, measure_mass(params, sector, np.array(idx, dtype=int))))
-    out = []
-    for f, g, js in pairs:
-        total = params.q_ld * 0
-        for j in js:
-            total = total + np.conjugate(g.get(j, 0.0)) * f.get(j, 0.0) * mass[j]
-        out.append(total)
+    pairs = list(pairs)
+    idx = sorted(set().union(*itertools.chain.from_iterable(pairs)))
+    pos = {j: c for c, j in enumerate(idx)}
+    kinds, members = {}, {}
+    for i, (f, g) in enumerate(pairs):
+        types = frozenset(map(type, itertools.chain(f.values(), g.values())))
+        if types:
+            if types not in kinds:
+                kinds[types] = np.result_type(*types)
+            members.setdefault(kinds[types], []).append(i)
+    groups = []
+    for kind, numbers in members.items():
+        rows = np.zeros((2, len(numbers), len(idx)), kind)
+        for side, hs in zip(rows, zip(*(pairs[i] for i in numbers))):
+            side[[r for r, h in enumerate(hs) for _ in h], [pos[j] for h in hs for j in h]] \
+                = [v for h in hs for v in h.values()]
+        groups.append(tuple(rows))
+    out = [params.q_ld * 0] * len(pairs)
+    for numbers, values in zip(members.values(),
+                               _pair_rows(params, sector, np.array(idx, dtype=int), groups)):
+        for i, value in zip(numbers, values):
+            out[i] = value
     return out
+
+
+def _pair_rows(params: ModelParams, sector: Sector, idx, groups) -> list:
+    """sum_j conj(g(j)) f(j) mass(j) per row pair of each (f_rows, g_rows) of
+    ``groups``: one array of values per group, each group's two 2-D arrays
+    of one value type, column c at the lattice index ``idx[c]``.
+
+    Every value has the bits of the per-index sum of :func:`inner_product`
+    on the two rows as lattice functions.  The masses come from one
+    :func:`measure_mass` call at ``idx``.  A column where both rows hold an
+    exact zero is skipped, as the functions would drop it: its term is never
+    formed (an inf mass there gives no NaN and no warning) and reads +0.
+    Each pair sums its terms conj(g) f mass from +0 in column order
+    (:func:`_sum_in_order`); such a sum is never -0, so a +0 term leaves it
+    unchanged.  A ``complex128`` product conj(g) f is written as its four
+    ``float64`` products and two sums, the scalar product's formula:
+    numpy's array multiply may fuse them into FMAs, which round once where
+    the scalar rounds twice.  Other types multiply as arrays, whose loops
+    are the scalar formula.
+    """
+    mass = measure_mass(params, sector, idx)
+    out = []
+    for f, g in groups:
+        if f.dtype == np.complex128:
+            gr, gi = g.real, -g.imag
+            prod = np.empty_like(f)
+            prod.real = gr * f.real - gi * f.imag
+            prod.imag = gr * f.imag + gi * f.real
+        else:
+            prod = (np.conjugate(g) if np.iscomplexobj(g) else g) * f
+        terms = np.zeros(f.shape, np.result_type(prod, mass))
+        np.multiply(prod, mass, out=terms, where=(f != 0) | (g != 0))
+        out.append(_sum_in_order(terms))
+    return out
+
+
+def _sum_in_order(terms):
+    """Each row's sum of the 2-D array ``terms`` from +0 in column order, as
+    a loop adding one term per step forms it: ``np.add.accumulate`` runs
+    that loop, where ``np.sum`` adds pairwise."""
+    start = np.zeros((len(terms), 1), terms.dtype)
+    return np.add.accumulate(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
 
 
 def indicator_norm_sq(params: ModelParams, sector: Sector, j):

@@ -30,23 +30,28 @@ any forward evaluation loses relative accuracy exponentially in j).  The
 lattice masses of all degrees come from one ``measure_mass`` call.
 
 Transforms run on a ``_TransformPlan``, the profiles of one measure's
-family at one depth.  Its forward takes a list of functions, one column
-each of one matrix product per part (band and mass points, run by
-``np.dot``'s ``longdouble`` dot loop, see :func:`_matmul`), and returns
-(cont, disc), C-contiguous ``clongdouble`` arrays with one row per
-function, which its inverse takes; every row has the bits of the
-one-function call.  :func:`transform_grid`, the one builder of a
+family at one depth.  Its row cores work on arrays: ``_forward_rows``
+takes coefficient rows, a function's values at 0..J each, one column each
+of one matrix product per part (band and mass points, run by ``np.dot``'s
+``longdouble`` dot loop, see :func:`_matmul`), and returns (cont, disc),
+C-contiguous ``clongdouble`` arrays with one row per function, which
+``_inverse_rows`` takes, returning the values at 0..max_j as rows; every
+row has the bits of the one-function call.  The plan's forward and
+inverse are the Mapping adapters around them, gathering the coefficient
+rows from lattice functions and rebuilding lattice functions from the
+value rows; :func:`transform_grid`, the one builder of a
 ``SpectralFunction``, and :func:`inverse_transform_profile` are one-row
-calls of the same code.  The measure holds the profile and the quadrature
-weights (``SpectralMeasure`` says who owns what); a plan reads read-only
-views of them, owns no array, lives for one call, and refuses another
-family, whose profiles would not pair with the measure; the lattice masses
-belong to the sector and are formed per forward.  A round trip carries no
-plan: its inverse builds its own on the profile the forward left on the
-measure, so the profile is built on a measure's first transform and on
-each deeper one only.  The inverse's lattice functions are built by
-``LatticeFunction._from_items``, without checking again the indices the
-plan made.
+calls of those, and the battery's drawn-function checks call the cores.
+The measure holds the profile and the quadrature weights
+(``SpectralMeasure`` says who owns what); a plan reads read-only views of
+them, owns no array, lives for one call, and refuses another family,
+whose profiles would not pair with the measure; the lattice masses belong
+to the sector and are formed per forward, by one ``measure_mass`` call.
+A round trip carries no plan: its inverse builds its own on the profile
+the forward left on the measure, so the profile is built on a measure's
+first transform and on each deeper one only.  The inverse's lattice
+functions are built by ``LatticeFunction._from_items``, without checking
+again the indices the plan made.
 """
 
 from __future__ import annotations
@@ -251,26 +256,47 @@ class _TransformPlan:
         """Forward transforms of the functions of ``fs`` on the measure's full
         node set, as (cont, disc): C-contiguous ``clongdouble`` arrays of
         the values at the nodes and at the mass points, one row per
-        function."""
+        function; the functions' values at 0..J, J the deepest index, are
+        the coefficient rows of :meth:`_forward_rows`."""
         J = max((max(f, default=0) for f in fs), default=0)
+        self._check_depth(J)  # before the rows are built
+        coeffs = np.array([[f.get(j, 0) for j in range(J + 1)] for f in fs], dtype=_CLD)
+        return self._forward_rows(coeffs.reshape(len(fs), J + 1))
+
+    def _forward_rows(self, coeffs: np.ndarray):
+        """Forward transforms of the coefficient rows ``coeffs``, each a
+        function's values at 0..J (a column per index, J at most the plan's
+        depth), as :meth:`forward` returns them.  The rows are read as
+        ``clongdouble``, the lattice masses at 0..J come from one
+        ``measure_mass`` call."""
+        J = coeffs.shape[1] - 1
+        self._check_depth(J)
+        weighted = (np.asarray(coeffs, dtype=_CLD)
+                    * measure_mass(self.params, self.sector, np.arange(J + 1))).T
+        return (np.ascontiguousarray(_matmul(self.cont[:, :J + 1], weighted).T),
+                np.ascontiguousarray(_matmul(self.disc[:, :J + 1], weighted).T))
+
+    def _check_depth(self, J: int) -> None:
         if J > self.max_j:
             raise ValueError(f"depth {J} exceeds the transform plan's "
                              f"depth {self.max_j}")
-        coeffs = np.array([[f.get(j, 0) for j in range(J + 1)] for f in fs],
-                          dtype=_CLD).reshape(len(fs), J + 1)
-        weighted = (coeffs * measure_mass(self.params, self.sector, np.arange(J + 1))).T
-        return (np.ascontiguousarray(_matmul(self.cont[:, :J + 1], weighted).T),
-                np.ascontiguousarray(_matmul(self.disc[:, :J + 1], weighted).T))
 
     def inverse(self, cont: np.ndarray, disc: np.ndarray) -> list:
         """Inverse transforms of the spectral functions given by their values
         at the nodes and at the mass points, one row each of ``cont`` and
-        ``disc``, each on all lattice indices 0..max_j at once."""
+        ``disc``, each on all lattice indices 0..max_j at once: the rows of
+        :meth:`_inverse_rows` as lattice functions."""
+        return [LatticeFunction._from_items(enumerate(row))
+                for row in self._inverse_rows(cont, disc)]
+
+    def _inverse_rows(self, cont: np.ndarray, disc: np.ndarray) -> np.ndarray:
+        """The inverse transforms of :meth:`inverse` as one ``clongdouble``
+        array, a row per spectral function of the values at 0..max_j."""
         nodes, masses = self.measure.weights()
         vals = _matmul(self.cont.T, (nodes * cont).T)
         if len(masses):
             vals = vals + _matmul(self.disc.T, (masses * disc).T)
-        return [LatticeFunction._from_items(enumerate(col)) for col in vals.T]
+        return vals.T
 
 
 def transform_grid(params: ModelParams, sector: Sector, f: Mapping[int, complex],

@@ -12,9 +12,22 @@ overflow, division by zero or invalid operation inside a check fails it the
 same way instead of printing a warning.  A check whose values sit in arrays
 forms its comparisons as one array, elementwise with the bits of the
 per-value formula, and ``_worst`` reduces it in one pass; the identity
-checks pass it an iterable of their relative gaps.  The eigenvalue and
-symmetry checks read one three-term table formed on their own rows, and the
-trace check its closed forms on the oracle's grid of quadruples and pairs.
+checks compare their sides as two arrays.  The eigenvalue, symmetry and
+multiplication checks read one three-term table formed on their own rows,
+and the trace check its closed forms on the oracle's grid of quadruples
+and pairs.
+
+Every check that draws takes its draws from one ``Lcg`` block.  The
+transform checks (``parseval``, ``multiplication_operator``,
+``transform_roundtrip``, ``transform_of_base_indicator``) run on arrays
+from the draw to the residual: coefficient rows into the plan's row cores
+``_forward_rows`` and ``_inverse_rows``, value rows into the pairing core
+``lattice._pair_rows``, each with the bits of the per-function calls on
+lattice functions; ``difference_duality`` forms its quotients on rows by
+the formula of ``qcore.bminus`` and ``qcore.bplus``.  The operator checks
+on drawn functions (``cross_form_agreement``, ``sector_independence``) keep
+their public operator calls, and ``asc_consistency`` ``math.acos`` per
+drawn value, whose bits ``np.arccos`` does not keep.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ from . import asc, fockoracle, laplace, lattice, spectral
 from ._rng import Lcg
 from .asc import DegenerateParameterError
 from .lattice import LatticeFunction, Quadruple
-from .qcore import LD_INF_TOL, bminus, bplus
+from .qcore import LD_INF_TOL, _quotient
 
 __all__ = ["CheckResult", "run_battery", "BATTERY"]
 
@@ -73,8 +86,9 @@ def _worst(errors) -> float:
     return float(errors.max(initial=0.0)) + 0.0
 
 
-def _rel(a, b) -> float:
-    return float(abs(a - b) / max(1.0, abs(b)))
+def _rel(a, b):
+    """|a - b| / max(1, |b|), elementwise on arrays, in the type of a and b."""
+    return np.abs(a - b) / np.maximum(1.0, np.abs(b))
 
 
 def _support_gaps(a, b, scale: float):
@@ -100,8 +114,7 @@ def check_eigenvalue_residual(params, sector, cfg) -> float:
 
 def check_cross_form(params, sector, cfg) -> float:
     quad = sector.a_quadruple()
-    rng = Lcg(cfg.seed + 101)
-    fs = [rng.lattice_function(10) for _ in range(5)]
+    fs = Lcg(cfg.seed + 101).lattice_functions(5, 10)
     errors = []
     for a1, a2 in zip(laplace.apply_three_term(params, sector, fs),
                       laplace.apply_divergence_form(params, quad, fs)):
@@ -113,8 +126,7 @@ def check_cross_form(params, sector, cfg) -> float:
 def check_sector_independence(params, sector, cfg) -> float:
     # a representative sector with several quadruples reducing to it
     quads = [Quadruple(1, 1, 1, 1), Quadruple(2, 0, 2, 0), Quadruple(0, 2, 0, 2)]
-    rng = Lcg(cfg.seed + 202)
-    fs = [rng.lattice_function(8) for _ in range(3)]
+    fs = Lcg(cfg.seed + 202).lattice_functions(3, 8)
     errors = []
     for outs in zip(*(laplace.apply_divergence_form(params, qd, fs) for qd in quads)):
         scale = max(1.0, max(abs(v) for v in outs[0].values()))
@@ -154,11 +166,11 @@ def check_basis_orthonormality(params, sector, cfg) -> float:
 
 def check_asc_consistency(params, sector, cfg) -> float:
     pp = spectral.asc_params(params, sector)
-    rng = Lcg(cfg.seed + 303)
     # both paths at one point: z = cos(theta) of the drawn angle; compared in
     # extended precision, where Q_15 of a mass-laden sector (a^15 ~ 1e535 at
-    # a = 3.6e35) still fits
-    theta = np.array([math.acos(0.999 * rng.symmetric()) for _ in range(50)])
+    # a = 3.6e35) still fits.  math.acos per value: np.arccos rounds otherwise
+    theta = np.array([math.acos(0.999 * s)
+                      for s in Lcg(cfg.seed + 303).symmetric_block(50).tolist()])
     hyp = np.real(asc.asc_hypergeometric(15, theta, pp))
     ref = asc.asc_recurrence(15, np.cos(theta.astype(_LD)), pp).T
     return _worst(np.abs(hyp - ref) / np.maximum(1, np.abs(ref)))
@@ -208,8 +220,11 @@ def check_transform_of_base_indicator(params, sector, cfg) -> float:
     norm = np.sqrt(1 / (np.cumprod(np.r_[1, 1 - pw[1:]])
                         * np.cumprod(np.r_[1, 1 - pp.a * pp.b * pw[:-1]])))
     band, masses = meas.polynomials(J)
-    got = np.concatenate(plan.forward([lattice.orthonormal_basis(params, sector, j)
-                                       for j in range(J + 1)]), axis=1)
+    # row j: e_j's one value at j, its norm from one scalar call (see
+    # basis_orthonormality)
+    basis = np.diag([lattice.orthonormal_basis(params, sector, j).get(j, 0.0)
+                     for j in range(J + 1)])
+    got = np.concatenate(plan._forward_rows(basis), axis=1)
     # row j: degree j at every node, then at every mass point
     want = norm[:, None] * np.concatenate([band, masses.T], axis=1)
     return _worst(np.abs(got - want) / np.maximum(1, np.abs(want)))
@@ -218,21 +233,22 @@ def check_transform_of_base_indicator(params, sector, cfg) -> float:
 def check_parseval(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     plan = spectral._TransformPlan(params, sector, meas, 14)
-    rng = Lcg(cfg.seed + 404)
-    fs = [rng.lattice_function(15) for _ in range(10)]
-    cont, disc = plan.forward(fs)
+    fs = Lcg(cfg.seed + 404).coefficients(10, 15)
+    cont, disc = plan._forward_rows(fs)
     pars = meas.integrate(np.abs(cont) ** 2, np.abs(disc) ** 2)
-    return _worst(float(abs(par - nrm) / abs(nrm)) for par, nrm in
-                  zip(pars, lattice.inner_product(params, sector, [(f, f) for f in fs])))
+    [nrms] = lattice._pair_rows(params, sector, np.arange(15), [(fs, fs)])
+    return _worst(np.abs(pars - nrms) / np.abs(nrms))
 
 
 def check_multiplication(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
-    rng = Lcg(cfg.seed + 505)
     lam_cont, lam_disc = spectral.measure_eigenvalues(params, meas)
     plan = spectral._TransformPlan(params, sector, meas, 12)
-    fs = [rng.lattice_function(12) for _ in range(5)]
-    cont, disc = plan.forward(fs + laplace.apply_three_term(params, sector, fs))
+    # the values of each f at -1..13, whose action reaches 0..12
+    rows = np.zeros((5, 15), dtype=np.clongdouble)
+    rows[:, 1:13] = Lcg(cfg.seed + 505).coefficients(5, 12)
+    action = laplace._three_term(params, sector, rows, 0, 13)
+    cont, disc = plan._forward_rows(np.concatenate([rows[:, 1:-1], action]))
     lam_fhat = lam_cont * cont[:5]
     # one scale per function, which may pass 1e308
     scale = np.array([max(_LD(1), top) for top in np.max(np.abs(lam_fhat), axis=1)])
@@ -243,15 +259,11 @@ def check_multiplication(params, sector, cfg) -> float:
 def check_roundtrip(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     plan = spectral._TransformPlan(params, sector, meas, 16)
-    rng = Lcg(cfg.seed + 606)
-    fs = [rng.lattice_function(15) for _ in range(5)]
-    pairs = []
-    for f, rec in zip(fs, plan.inverse(*plan.forward(fs))):
-        err = rec - f
-        pairs += [(err, err), (f, f)]
-    values = lattice.inner_product(params, sector, pairs)
-    return _worst(float(np.sqrt(abs(num) / abs(den)))
-                  for num, den in zip(values[::2], values[1::2]))
+    fs = np.zeros((5, 17), dtype=complex)
+    fs[:, :15] = Lcg(cfg.seed + 606).coefficients(5, 15)
+    err = plan._inverse_rows(*plan._forward_rows(fs[:, :15])) - fs
+    num, den = lattice._pair_rows(params, sector, np.arange(17), [(err, err), (fs, fs)])
+    return _worst(np.sqrt(np.abs(num) / np.abs(den)))
 
 
 def check_spectrum_containment(params, sector, cfg) -> float:
@@ -291,8 +303,9 @@ def check_oracle(params, sector, cfg) -> float:
 
 
 def _identity_residual(sides) -> float:
-    """Worst relative gap over the (lhs, rhs) pairs of ``sides``."""
-    return _worst(_rel(lhs, rhs) for lhs, rhs in sides)
+    """Worst relative gap over the (lhs, rhs) pairs of ``sides``, each
+    |lhs - rhs| / max(1, |rhs|) in the sides' own type."""
+    return _worst(_rel(*np.array(sides).reshape(-1, 2).T))
 
 
 def check_identity_negative_block(params, sector, cfg) -> float:
@@ -316,19 +329,22 @@ def check_identity_geometric(params, sector, cfg) -> float:
 
 
 def check_difference_duality(params, sector, cfg) -> float:
-    rng = Lcg(cfg.seed + 707)
+    # sum_j u(j) (B- v)(j) x_j = -q^2 sum_j (B+ u)(j) v(j) x_j on the window
+    # j = -6..11, x_j = q^(-2j), for u and v drawn on -3..4: a row per draw
+    # of the values at -7..12 (the quotients at the window's ends read
+    # zeros), each quotient by the formula of bminus and bplus, and each sum
+    # from +0 in index order
     q = params.q_ld
-    errors = []
-    for _ in range(5):
-        u = {j - 3: rng.symmetric() for j in range(8)}
-        v = {j - 3: rng.symmetric() for j in range(8)}
-        window = range(-6, 12)
-        lhs = sum(u.get(j, 0.0) * bminus(v, j, q) * q ** _LD(-2 * j) for j in window) \
-            * (q ** _LD(-2) - 1)
-        rhs = -q * q * sum(bplus(u, j, q) * v.get(j, 0.0) * q ** _LD(-2 * j)
-                           for j in window) * (q ** _LD(-2) - 1)
-        errors.append(_rel(lhs, rhs))
-    return _worst(errors)
+    draws = Lcg(cfg.seed + 707).symmetric_block(80).reshape(5, 2, 8)  # u's, then v's
+    u, v = np.zeros((2, 5, 20))
+    u[:, 4:12], v[:, 4:12] = draws[:, 0], draws[:, 1]
+    x = q ** _LD(-2 * np.arange(-6, 12))
+    here_u, here_v = u[:, 1:-1], v[:, 1:-1]
+    lhs = lattice._sum_in_order(here_u * _quotient(v[:, 2:], here_v, x, q**-2) * x) \
+        * (q ** _LD(-2) - 1)
+    rhs = -q * q * lattice._sum_in_order(
+        _quotient(u[:, :-2], here_u, x, q**2) * here_v * x) * (q ** _LD(-2) - 1)
+    return _worst(_rel(lhs, rhs))
 
 
 #: also the bound of the ``qlaplace spectrum`` report's ``converged`` flag

@@ -64,6 +64,12 @@ def sector_weight(params, sector, j):
         q ** _LD(-2 * j - 2), q ** _LD(-2), sector.L + params.n - 1)
 
 
+def rel(a, b) -> float:
+    """The battery's relative gap |a - b| / max(1, |b|) of one pair of
+    scalars, as a float."""
+    return float(abs(a - b) / max(1.0, abs(b)))
+
+
 def measure_mass(params, sector, j):
     q = params.q_ld
     norm = qpoch(q ** _LD(-2), q ** _LD(-2), sector.L + params.n - 1)

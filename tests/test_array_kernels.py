@@ -161,6 +161,52 @@ def test_inner_product_keeps_the_bits_of_the_per_index_sum(params):
         assert lattice.inner_product(params, sector, []) == []
 
 
+@pytest.mark.parametrize("params", PARAMS)
+def test_a_mixed_pair_is_paired_in_its_common_type(params):
+    """A pair whose values mix types is one row pair of their common type:
+    its value equals, bit for bit, the per-index sum on the functions with
+    every value cast to that type, beside pairs of other types.  A double
+    entry beside a ``longdouble`` one therefore multiplies in extended
+    precision (0.7 * (1/3) rounds differently there)."""
+    f = LatticeFunction({0: 0.1, 1: _LD(1) / 3, 4: 0.7})
+    g = LatticeFunction({1: 0.3, 2: _LD(-2) / 7, 4: 1 / 3})
+    h = LatticeFunction({0: complex(0.5, -1.0), 2: 0.1, 3: 2.0})
+    cases = [((f, g), _LD), ((h, h), complex), ((h, f), _CLD), ((f, f), _LD)]
+    for sector in (Sector(0, 0), Sector(3, 1)):
+        got = lattice.inner_product(params, sector, [pair for pair, _ in cases])
+        for ((a, b), kind), value in zip(cases, got):
+            cast = [{j: kind(v) for j, v in fn.items()} for fn in (a, b)]
+            assert _same_bits(value, scalarref.inner_product(params, sector, *cast))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pairing_core_skips_the_columns_both_rows_leave_out(monkeypatch, kind):
+    """A column where both rows hold an exact zero, as a function's missing
+    index, is left out of the pair's sum: with the mass there patched to
+    inf, the pair keeps the bits of its per-index sum over its own support
+    and turns into no NaN (a 0 * inf would also warn, which fails the
+    test).  A pair that does read the column meets the inf."""
+    params, sector = PARAMS[0], Sector(3, 1)
+    f, g = _function(kind, (0, 2, 5), seed=3), _function(kind, (2, 4), seed=4)
+    wants = [scalarref.inner_product(params, sector, f, g),
+             scalarref.inner_product(params, sector, g, g)]
+    mass = lattice.measure_mass
+
+    def infinite_at_3(params, sector, j):
+        return np.where(j == 3, _LD(np.inf), mass(params, sector, j))
+
+    monkeypatch.setattr(lattice, "measure_mass", infinite_at_3)
+    hit = LatticeFunction({3: 1.0})
+    got = lattice.inner_product(params, sector, [(f, g), (g, g), (hit, hit)])
+    assert all(_same_bits(value, want) for value, want in zip(got, wants))
+    assert np.isinf(got[2])
+    idx = np.arange(6)
+    rows = [np.array([[h.get(j, 0) for j in idx]], dtype=np.result_type(*f.values()))
+            for h in (f, g)]
+    [[value]] = lattice._pair_rows(params, sector, idx, [tuple(rows)])
+    assert _same_bits(value, wants[0]) and np.isfinite(value)
+
+
 #: index arrays of every shape the mass kernel's powers tell apart: runs,
 #: which take q^(-2j-2) from the x array one entry longer, and the rest,
 #: which raise both powers; [3, 3, 5] and [4, 6, 5, 7] span as many indices
@@ -435,7 +481,11 @@ def _product_cases(q):
             break
         for steps in range(-2, 3):
             least = _nudged(edge, steps)
-            yield np.concatenate([least * phases, 3 * least * phases[:2]])
+            row = np.concatenate([least * phases, 3 * least * phases[:2]])
+            yield row
+            # the same row in a stack whose other row runs no unmasked
+            # factor, so that the first runs them by its own least
+            yield np.stack([row, np.full_like(row, split / 2)])
     # the band weight's rows on the unit circle, and rows whose heads end at
     # different factors
     u = np.exp(_CLD(1j) * np.linspace(0, np.pi, 256).astype(_LD))
@@ -491,8 +541,9 @@ def test_product_kernel_takes_a_least_magnitude_past_the_double_range():
 def test_battery_keeps_its_results_with_the_masked_loop(monkeypatch, cfg):
     """Every check result is the same when the product kernel masks every
     factor: at q = 0.95 m = 12 L' = 3 the rows' heads run 29, 15 and 23
-    factors, 14 of them unmasked, and at q = 0.3 m = 70 the a row's 35 run
-    masked."""
+    factors, 14 of them on the whole array and 28, 14 and 22 unmasked by
+    each row's own least |a|, and at q = 0.3 m = 70 the a row runs 34 of
+    its 35 unmasked."""
     got = verify.run_battery(cfg)
     monkeypatch.setattr(asc, "_masked_qpoch_inf", scalarref.masked_qpoch_inf)
     assert got == verify.run_battery(cfg)

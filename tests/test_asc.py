@@ -395,7 +395,7 @@ def _reference_asc_consistency(params, sector, cfg):
         table = asc_recurrence(15, np.cos(np.longdouble(theta)), pp)
         for k in range(16):
             hyp = np.real(asc_hypergeometric(k, np.array([theta]), pp)[0, k])
-            worst = max(worst, verify._rel(hyp, table[k]))
+            worst = max(worst, scalarref.rel(hyp, table[k]))
     return worst
 
 

@@ -3,6 +3,7 @@ build every transform and every operator action afresh: sharing one
 transform plan per check and one action per basis function must not move a
 residual by a bit."""
 
+import itertools
 import math
 import runpy
 from pathlib import Path
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlaplace import asc, fockoracle, laplace, lattice, spectral, verify
+import scalarref
+from qlaplace import asc, fockoracle, laplace, lattice, qcore, spectral, verify
 from qlaplace._rng import Lcg
 from qlaplace.cli import RunConfig
 from qlaplace.lattice import LatticeFunction
@@ -107,18 +109,85 @@ def _eigenvalue_loop(params, sector, cfg):
     return worst
 
 
+def _base_indicator_loop(params, sector, cfg):
+    """The transform check with one orthonormal basis function per row and
+    its gaps one by one."""
+    J = 12
+    meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
+    plan = spectral._TransformPlan(params, sector, meas, J)
+    pp = meas.params
+    pw = np.cumprod(np.r_[_LD(1), np.full(J, pp.base)])
+    norm = np.sqrt(1 / (np.cumprod(np.r_[1, 1 - pw[1:]])
+                        * np.cumprod(np.r_[1, 1 - pp.a * pp.b * pw[:-1]])))
+    band, masses = meas.polynomials(J)
+    cont, disc = plan.forward([lattice.orthonormal_basis(params, sector, j)
+                               for j in range(J + 1)])
+    worst = 0.0
+    for j in range(J + 1):
+        for got, q in zip([*cont[j], *disc[j]], [*band[j], *masses[:, j]]):
+            want = norm[j] * q
+            worst = max(worst, float(abs(got - want) / max(1, abs(want))))
+    return worst
+
+
+def _difference_duality_loop(params, sector, cfg):
+    """The duality check on dicts, summed index by index through the
+    library's bminus and bplus."""
+    rng = Lcg(cfg.seed + 707)
+    q = params.q_ld
+    worst = 0.0
+    for _ in range(5):
+        u = {j - 3: rng.symmetric() for j in range(8)}
+        v = {j - 3: rng.symmetric() for j in range(8)}
+        window = range(-6, 12)
+        lhs = sum(u.get(j, 0.0) * qcore.bminus(v, j, q) * q ** _LD(-2 * j) for j in window) \
+            * (q ** _LD(-2) - 1)
+        rhs = -q * q * sum(qcore.bplus(u, j, q) * v.get(j, 0.0) * q ** _LD(-2 * j)
+                           for j in window) * (q ** _LD(-2) - 1)
+        worst = max(worst, scalarref.rel(lhs, rhs))
+    return worst
+
+
+def _identity_loop(sides):
+    """An identity check's residual, one ``scalarref.rel`` per (lhs, rhs) pair."""
+    def loop(params, sector, cfg):
+        return max((scalarref.rel(lhs, rhs) for lhs, rhs in sides(params.q)), default=0.0)
+    return loop
+
+
+_IDENTITY_LOOPS = [
+    (verify.check_identity_negative_block, _identity_loop(
+        lambda q: fockoracle.negative_block_sum(
+            q, itertools.product((2, 3), range(4), range(4), range(4))))),
+    (verify.check_identity_positive_block, _identity_loop(
+        lambda q: fockoracle.positive_block_sum(q, itertools.product((2, 3), range(4), range(4))))),
+    (verify.check_identity_qbinomial, _identity_loop(
+        lambda q: fockoracle.qbinomial_convolution(
+            q, itertools.product(range(5), range(5), range(5))))),
+    (verify.check_identity_geometric, _identity_loop(
+        lambda q: fockoracle.pochhammer_geometric_sum(q, itertools.product(range(4), range(1, 4))))),
+]
+
+
 @pytest.mark.parametrize("check,loop", [
     (verify.check_parseval, _parseval_loop),
     (verify.check_multiplication, _multiplication_loop),
     (verify.check_roundtrip, _roundtrip_loop),
     (verify.check_symmetry, _symmetry_loop),
     (verify.check_eigenvalue_residual, _eigenvalue_loop),
-], ids=["parseval", "multiplication", "roundtrip", "symmetry", "eigenvalue_residual"])
+    (verify.check_transform_of_base_indicator, _base_indicator_loop),
+    (verify.check_difference_duality, _difference_duality_loop),
+    *_IDENTITY_LOOPS,
+], ids=["parseval", "multiplication", "roundtrip", "symmetry", "eigenvalue_residual",
+        "transform_of_base_indicator", "difference_duality", "identity_negative_block",
+        "identity_positive_block", "identity_qbinomial_convolution",
+        "identity_geometric_sum"])
 @pytest.mark.parametrize("cfg", CONFIGS,
                          ids=["q0.3", "q0.5", "q0.95", "q0.5-m4-Lp2"])
 def test_check_equals_its_plain_loop(check, loop, cfg):
     params, sector = cfg.params(), cfg.sector()
-    assert check(params, sector, cfg) == loop(params, sector, cfg)
+    got, want = check(params, sector, cfg), loop(params, sector, cfg)
+    assert got.hex() == float(want).hex()
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(q=0.5), RunConfig(q=0.95)], ids=["q0.5", "q0.95"])
@@ -483,12 +552,15 @@ def test_battery_runs_the_public_kernels(monkeypatch):
 
 
 #: checks that pair or sum through one call of a grid kernel, with the kernel:
-#: the lattice checks form their actions as one three-term table
+#: the lattice checks and multiplication_operator form their actions as one
+#: three-term table, and the drawn-function checks pair their rows through
+#: one call of the pairing core
 ONE_CALL_CHECKS = [("eigenvalue_residual", laplace, "_three_term"),
                    ("operator_symmetry", laplace, "_three_term"),
+                   ("multiplication_operator", laplace, "_three_term"),
                    ("basis_orthonormality", lattice, "inner_product"),
-                   ("parseval", lattice, "inner_product"),
-                   ("transform_roundtrip", lattice, "inner_product"),
+                   ("parseval", lattice, "_pair_rows"),
+                   ("transform_roundtrip", lattice, "_pair_rows"),
                    ("identity_negative_block", fockoracle, "negative_block_sum"),
                    ("identity_qbinomial_convolution", fockoracle,
                     "qbinomial_convolution"),
@@ -607,9 +679,11 @@ def test_eigenvalue_residual_makes_one_profile_call(monkeypatch):
 
 def _count_kernel_calls(monkeypatch) -> dict:
     """Count the lattice actions, the indicator norms and the transform
-    plans' forward and inverse calls, by kernel name."""
+    plans' forward and inverse calls and those of their row cores, by
+    kernel name (a forward call also counts its row core call)."""
     calls = dict.fromkeys(["apply_three_term", "apply_divergence_form",
-                           "indicator_norm_sq", "forward", "inverse"], 0)
+                           "indicator_norm_sq", "forward", "inverse",
+                           "_forward_rows", "_inverse_rows"], 0)
 
     def counting(kernel, name):
         def counted(*args):
@@ -621,7 +695,7 @@ def _count_kernel_calls(monkeypatch) -> dict:
         monkeypatch.setattr(laplace, name, counting(getattr(laplace, name), name))
     monkeypatch.setattr(lattice, "indicator_norm_sq",
                         counting(lattice.indicator_norm_sq, "indicator_norm_sq"))
-    for name in ("forward", "inverse"):
+    for name in ("forward", "inverse", "_forward_rows", "_inverse_rows"):
         monkeypatch.setattr(spectral._TransformPlan, name,
                             counting(getattr(spectral._TransformPlan, name), name))
     return calls
@@ -630,17 +704,18 @@ def _count_kernel_calls(monkeypatch) -> dict:
 #: per check, the calls of each kernel: one per check, one divergence form
 #: per quadruple, and one scalar norm per basis vector (see
 #: test_an_overflowing_basis_norm_fails_with_its_scalar_call_note); the
-#: eigenvalue and symmetry checks form their actions by one three-term table
+#: eigenvalue, symmetry and multiplication checks form their actions by one
+#: three-term table, and the transform checks call the plan's row cores
 ONE_ARRAY_PASS_CHECKS = [
     ("eigenvalue_residual", {}),
     ("cross_form_agreement", {"apply_three_term": 1, "apply_divergence_form": 1}),
     ("sector_independence", {"apply_divergence_form": 3}),
     ("operator_symmetry", {}),
     ("norm_closed_form", {"indicator_norm_sq": 1}),
-    ("transform_of_base_indicator", {"indicator_norm_sq": 13, "forward": 1}),
-    ("parseval", {"forward": 1}),
-    ("multiplication_operator", {"apply_three_term": 1, "forward": 1}),
-    ("transform_roundtrip", {"forward": 1, "inverse": 1}),
+    ("transform_of_base_indicator", {"indicator_norm_sq": 13, "_forward_rows": 1}),
+    ("parseval", {"_forward_rows": 1}),
+    ("multiplication_operator", {"_forward_rows": 1}),
+    ("transform_roundtrip", {"_forward_rows": 1, "_inverse_rows": 1}),
 ]
 
 
@@ -657,11 +732,14 @@ def test_check_runs_each_kernel_in_one_array_pass(monkeypatch, cfg, check, count
 
 
 def test_default_pass_kernel_calls(monkeypatch):
-    """A default battery pass: 2 three-term actions, 4 divergence forms,
-    45 indicator-norm calls (one array call for the norm check, one scalar
-    call per basis vector), 4 forward transforms and 1 inverse (10, 14, 75,
-    38 and 5 with one call per function)."""
+    """A default battery pass: 1 public three-term action (cross_form_agreement;
+    multiplication_operator forms its own from one table), 4 divergence
+    forms, 45 indicator-norm calls (one array call for the norm check, one
+    scalar call per basis vector), no public forward or inverse transform,
+    and 4 forward and 1 inverse row-core calls (10, 14, 75, 38 and 5 with
+    one call per function)."""
     calls = _count_kernel_calls(monkeypatch)
     assert all(r.passed for r in verify.run_battery(RunConfig()))
-    assert calls == {"apply_three_term": 2, "apply_divergence_form": 4,
-                     "indicator_norm_sq": 45, "forward": 4, "inverse": 1}
+    assert calls == {"apply_three_term": 1, "apply_divergence_form": 4,
+                     "indicator_norm_sq": 45, "forward": 0, "inverse": 0,
+                     "_forward_rows": 4, "_inverse_rows": 1}
