@@ -224,15 +224,21 @@ def _mass_point_series(kmax: int, discrete, p: AscParams) -> np.ndarray:
 def _profile(kmax: int, z, discrete, p: AscParams):
     """The eigenfunction profile of the family to degree kmax, as (band,
     disc): band the :func:`asc_recurrence` table at the 1-D array ``z``,
-    row j scaled in place by b^j / (a b; base)_j (a running product), and
-    disc one row (b/a)^j S_j per mass point of ``discrete``, from one
-    :func:`_mass_point_series` call.  Entry j of either depends on no later
-    degree."""
-    band = asc_recurrence(kmax, z, p)
+    and disc from one :func:`_mass_point_series` call at the mass points of
+    ``discrete``, both scaled by :func:`_scale_profile`.  Entry j of either
+    depends on no later degree."""
+    return _scale_profile(asc_recurrence(kmax, z, p), _mass_point_series(kmax, discrete, p), p)
+
+
+def _scale_profile(band, series, p: AscParams):
+    """The profile of ``band``, a degree-major :func:`asc_recurrence` table,
+    and ``series``, the :func:`_mass_point_series` rows: row j of ``band``
+    scaled in place by b^j / (a b; base)_j (a running product), and a new
+    disc, one row (b/a)^j S_j per mass point."""
+    kmax = len(band) - 1
     pw = _running_products(np.full(kmax, p.base))  # base^j
     band *= _running_products(p.b / (1 - p.a * p.b * pw[:-1]))[:, None]
-    return band, (p.b / p.a) ** np.arange(kmax + 1).astype(_LD) \
-        * _mass_point_series(kmax, discrete, p)
+    return band, (p.b / p.a) ** np.arange(kmax + 1).astype(_LD) * series
 
 
 def asc_hypergeometric(J: int, theta, p: AscParams) -> np.ndarray:
@@ -422,7 +428,8 @@ class SpectralMeasure:
     quadrature weights (:meth:`weights`, built once, O(N) bytes).  The
     transform plans of :mod:`qlaplace.spectral` read views of both and own
     no array; :meth:`polynomials` and a profile at other points run the
-    kernels themselves; the lattice masses belong to the sector.
+    kernels themselves (``_polynomials`` can leave the measure its profile
+    from the polynomials' tables); the lattice masses belong to the sector.
     """
 
     theta_nodes: np.ndarray
@@ -452,11 +459,13 @@ class SpectralMeasure:
         if kmax < 0:
             raise ValueError(f"degree must be nonnegative, got {kmax}")
         if self._held is None or len(self._held[0]) <= kmax:
-            band, disc = _profile(kmax, self.z, self.discrete, self.params)
-            band.flags.writeable = disc.flags.writeable = False
-            object.__setattr__(self, "_held", (band, disc))
+            self._hold(*_profile(kmax, self.z, self.discrete, self.params))
         band, disc = self._held
         return band[:kmax + 1], disc[:, :kmax + 1]
+
+    def _hold(self, band, disc) -> None:
+        band.flags.writeable = disc.flags.writeable = False
+        object.__setattr__(self, "_held", (band, disc))
 
     def polynomials(self, kmax: int) -> tuple[np.ndarray, np.ndarray]:
         """Q_0..Q_kmax at the nodes and at the mass points, as (band, disc),
@@ -465,11 +474,22 @@ class SpectralMeasure:
         (a b; base)_j a^(-j) S_j from its :func:`_mass_point_series` sums
         (the forward recurrence loses that minimal solution), (a b; base)_j
         a running product."""
+        return self._polynomials(kmax, hold=False)
+
+    def _polynomials(self, kmax: int, hold: bool) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`polynomials`; with ``hold``, a measure that holds no
+        profile to degree kmax takes it from the same table and sums, so a
+        transform plan at that depth runs neither kernel again.  The table
+        is scaled on a copy, and scaling in place has the bits of a scaled
+        copy, so the profile has the bits of :meth:`_profile`'s own build."""
         p = self.params
         band = asc_recurrence(kmax, self.z, p)
+        series = _mass_point_series(kmax, self.discrete, p)
+        if hold and (self._held is None or len(self._held[0]) <= kmax):
+            self._hold(*_scale_profile(band.copy(), series, p))
         pw = _running_products(np.full(kmax, p.base))  # base^j
         lead = _running_products(1 - p.a * p.b * pw[:-1]) * p.a ** -np.arange(kmax + 1)
-        return band, lead * _mass_point_series(kmax, self.discrete, p)
+        return band, lead * series
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature weights of the two parts, normalization included: the

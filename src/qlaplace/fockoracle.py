@@ -26,10 +26,14 @@ in floating point would add rounding errors scaled up to q^(-2 lp).
 Each identity kernel takes the whole grid of its check, (q, grid), and
 returns one (lhs, rhs) pair per grid point, so a check makes one call, and
 every sum of that call reads one table: the powers of q for the positive
-block and the geometric sum, the (q^-2; q^-2)_i prefixes for the binomial
-convolution, and for the exact negative block the compositions of each
-(n, t), the integer powers of u and v, q^2 = u/v, and the run products
-prod (u^m - v^m) of its Pochhammer factors.  No table outlives its call.
+block and the geometric sum (``_PowerTable``, whose cells' sums come from
+one reduction per depth), the (q^2; q^2)_i prefixes for their right sides,
+the (q^-2; q^-2)_i prefixes for the binomial convolution, and for the exact
+negative block the compositions of each (n, t), the integer powers of u and
+v, q^2 = u/v, and the run products prod (u^m - v^m) of its Pochhammer
+factors.  The oracle reads one power table for its positive blocks and one
+factor table for its negative blocks, each distinct factor and power
+evaluated once per call.  No table outlives its call.
 
 The n = 1 case is excluded: there the first and last negative indices
 coincide and the diagonal factor's two Pochhammer pieces collide; the
@@ -90,21 +94,31 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _negative_block(params: ModelParams, quad: Quadruple,
-                    phi: Mapping[int, complex], psi: Mapping[int, complex]):
+                    phi: Mapping[int, complex], psi: Mapping[int, complex],
+                    factors: dict, powers: dict):
+    """The negative-block sum of one (phi, psi) at one quadruple: each term
+    f q^(2e) read, f = :func:`_negative_factor` at (k, l, a_1, a_n), added
+    from 0 in (read, composition) order.  f and q^(2e) are read from the
+    call's tables ``factors``, keyed (k, l, a_1, a_n), and ``powers``, keyed
+    e; an entry is the same scalar expression evaluated on its first use,
+    so every term, and any overflow, is that of the per-term evaluation."""
     q = params.q_ld
     n, N = params.n, params.N
-    k, l, kp, lp = quad.k, quad.l, quad.kp, quad.lp
+    k, l = quad.k, quad.l
+    w = quad.kp + l + quad.lp + N
     total = _LD(0.0)
     for jread in sorted(set(phi) | set(psi)):
         read = np.conjugate(psi.get(jread, 0.0)) * phi.get(jread, 0.0)
         if read == 0:
             continue
-        c = -(l + jread)
-        for parts in _compositions(-c, n):
-            a = tuple(-v for v in parts)
-            f = _negative_factor(q, k, l, a[0], a[-1])
-            e = sum(ai * (kp + l + lp + N - (i + 1)) for i, ai in enumerate(a))
-            total = total + f * q ** _LD(2 * e) * read
+        for parts in _compositions(l + jread, n):  # parts = -a
+            key = (k, l, -parts[0], -parts[-1])
+            if key not in factors:
+                factors[key] = _negative_factor(q, *key)
+            e = -sum(v * (w - (i + 1)) for i, v in enumerate(parts))
+            if e not in powers:
+                powers[e] = q ** _LD(2 * e)
+            total = total + factors[key] * powers[e] * read
     return total
 
 
@@ -114,47 +128,56 @@ def _depth(q) -> int:
 
 
 class _PowerTable:
-    """The positive-block terms of one check call at one extended-precision q.
+    """The positive-block terms of one call at one extended-precision q, for
+    the (m, kp, lp) cells ``blocks`` (held as the int arrays ``m``, ``kp``,
+    ``lp``).
 
-    Over a = 1..``depth`` + the largest lp of ``blocks``, the (m, kp, lp) the
-    call sums, ``powers[e - 1]`` holds q^(2 e a) for e up to their largest
-    m - 1 + kp, and ``poch[lp]`` the products (q^(2a - 2); q^-2)_lp.
-    Every entry has the bits of a table built for one block alone: ``powl``
-    bits depend only on the exponent's value, so q^(2a - 2) is the e = 1 row
-    shifted by one (q^0 = 1 exactly), each distinct exponent 2ea is raised
-    once and taken into every cell that holds it, and ``poch[lp]`` is the
-    running product's own entry, so the prefixes of one (a; base) run serve
-    every lp.
+    Over a = 1..``depth`` + the largest lp, ``powers[e - 1]`` holds q^(2 e a)
+    for e up to the largest m - 1 + kp, and ``poch[lp]`` the products
+    (q^(2a - 2); q^-2)_lp.  Every entry has the bits of a table built for one
+    cell alone: ``powl`` bits depend only on the exponent's value, so
+    q^(2a - 2) is the e = 1 row shifted by one (q^0 = 1 exactly), each
+    distinct exponent 2ea is raised once and taken into every cell that
+    holds it, and ``poch[lp]`` is the running product's own entry, so the
+    prefixes of one (a; base) run serve every lp; ``poch[0]`` is the empty
+    product, exactly 1.
     """
 
     def __init__(self, q, blocks, depth: int):
-        lpmax = max(lp for *_, lp in blocks)
+        self.m, self.kp, self.lp = np.array(blocks, dtype=int).reshape(-1, 3).T
+        lpmax = int(self.lp.max())
         a = np.arange(1, depth + lpmax + 1)
-        e = np.arange(1, max(m - 1 + kp for m, kp, _ in blocks) + 1)
+        e = np.arange(1, int((self.m - 1 + self.kp).max()) + 1)
         exps, cells = np.unique((2 * e)[:, None] * a, return_inverse=True)
         self.powers = (q ** exps.astype(_LD))[cells.reshape(len(e), len(a))]
-        if lpmax:
-            shifted = np.concatenate([[_LD(1)], self.powers[0, :-1]])
-            self.poch = _qpoch_prefixes(shifted, q ** _LD(-2), lpmax)
+        shifted = np.concatenate([[_LD(1)], self.powers[0, :-1]])
+        self.poch = np.array(_qpoch_prefixes(shifted, q ** _LD(-2), lpmax))
 
-    def sums(self, m: int, kp: int, lp: int, *depths) -> list:
-        """The positive-block sums of :func:`positive_block_sum`, each index
-        taking ``d`` terms for each d of ``depths``: the first from a = lp + 1,
-        the others from a = 1.
+    def sums(self, *depths) -> list:
+        """The positive-block sums of :func:`positive_block_sum` at every
+        cell, one array per d of ``depths``, each index taking d terms: the
+        first from a = lp + 1, the others from a = 1.
 
-        Each sum reads a leading slice: ``np.sum`` of a contiguous prefix
-        gives the bits of those values summed alone.  For lp = 0 the
-        Pochhammer factor is the empty product, exactly 1, and is not formed.
+        The cells' first-index rows, (q^(2a-2); q^-2)_lp q^(2(m-1+kp)a) over
+        a = lp + 1.., are gathered into one array and reduced by one row-wise
+        ``np.sum``, and the other indices' sums, one per row of ``powers``,
+        by one more; each cell then multiplies its first sum by the sums of
+        rows m - 2 + kp - t, t = 1..m - 2, in that order (a cell with fewer
+        indices multiplies by an exact 1).  ``np.sum`` along the contiguous
+        last axis sums each row as it sums that row alone, and the leading
+        d columns of a row are the terms a one-cell sum adds, so every sum
+        has the bits of the per-cell one; for lp = 0 the factor 1 leaves the
+        powers as they are.
         """
-        first = self.powers[m - 2 + kp, lp:]
-        if lp:
-            first = self.poch[lp][lp:] * first
-        rest = [self.powers[m - 2 - t + kp] for t in range(1, m - 1)]
+        m, kp, lp = self.m, self.kp, self.lp
+        cols = lp[:, None] + np.arange(max(depths))
+        first = self.poch[lp[:, None], cols] * self.powers[(m - 2 + kp)[:, None], cols]
         out = []
         for d in depths:
-            total = np.sum(first[:d])
-            for powers in rest:
-                total = total * np.sum(powers[:d])
+            rest = np.sum(self.powers[:, :d], axis=1)
+            total = np.sum(first[:, :d], axis=1)
+            for t in range(1, int(m.max()) - 1):
+                total = total * np.where(t < m - 1, rest[np.maximum(m - 2 - t + kp, 0)], 1)
             out.append(total)
         return out
 
@@ -164,21 +187,23 @@ def _oracle_values(params: ModelParams, quads, pairs, *depths) -> list:
     row per quadruple of ``quads``.
 
     The depth-free factors are shared by the depths, and the positive-block
-    sums, which depend on the quadruple alone, by every pair; one power table
-    built at the deepest depth serves every quadruple.
+    sums, which depend on the quadruple alone, by every pair: one power
+    table built at the deepest depth and one reduction per depth serve
+    every quadruple.  The negative blocks read one factor table and one
+    power table of the call (:func:`_negative_block`).
     """
     q = params.q_ld
-    blocks = [(params.m, quad.kp, quad.lp) for quad in quads]
-    table = _PowerTable(q, blocks, max(depths))
+    table = _PowerTable(q, [(params.m, quad.kp, quad.lp) for quad in quads], max(depths))
+    sums = np.stack(table.sums(*depths), axis=1)  # a row of depths per quadruple
     norm = invariant_integral_normalizer(params)
+    factors, powers = {}, {}
     rows = []
-    for quad, block in zip(quads, blocks):
-        sums = table.sums(*block, *depths)
+    for quad, lhs in zip(quads, sums):
         head = norm * _quadruple_prefactor(q, quad)
         row = []
         for phi, psi in pairs:
-            common = head * _negative_block(params, quad, phi, psi)
-            row.append([common * lhs for lhs in sums])
+            common = head * _negative_block(params, quad, phi, psi, factors, powers)
+            row.append([common * value for value in lhs])
         rows.append(row)
     return rows
 
@@ -293,19 +318,23 @@ def positive_block_sum(q: float, grid) -> list:
          (its terms a_{n+1} <= lp vanish);
     rhs: q^((m-1)(2kp + 2lp + m)) q^(2 lp kp)
          (q^2; q^2)_{kp} (q^2; q^2)_{lp} / (q^2; q^2)_{kp+lp+m-1}.
-    Every lhs reads one :class:`_PowerTable`.
+    Every lhs comes from the one reduction of :meth:`_PowerTable.sums`, and
+    every rhs from one (q^2; q^2) prefix table and array powers, prefix i
+    having the bits of (q^2; q^2)_i and an array power the scalar one's.
     """
     grid = list(grid)
     for m, _, _ in grid:
         if m < 2:
             raise ValueError(f"need m >= 2, got {m}")
     qd, depth = _LD(q), _depth(q)
-    p = qd * qd
     table = _PowerTable(qd, grid, depth)
-    return [(table.sums(m, kp, lp, depth)[0],
-             qd ** _LD((m - 1) * (2 * kp + 2 * lp + m)) * qd ** _LD(2 * lp * kp)
-             * qpoch(p, p, kp) * qpoch(p, p, lp) / qpoch(p, p, kp + lp + m - 1))
-            for m, kp, lp in grid]
+    m, kp, lp = table.m, table.kp, table.lp
+    [lhs] = table.sums(depth)
+    p = qd * qd
+    poch = np.array(_qpoch_prefixes(p, p, int((kp + lp + m - 1).max())))
+    rhs = qd ** ((m - 1) * (2 * kp + 2 * lp + m)).astype(_LD) \
+        * qd ** (2 * lp * kp).astype(_LD) * poch[kp] * poch[lp] / poch[kp + lp + m - 1]
+    return list(zip(lhs, rhs))
 
 
 def qbinomial_convolution(q: float, grid) -> list:
@@ -347,16 +376,22 @@ def pochhammer_geometric_sum(q: float, grid) -> list:
          terms from a = x + 1 (the terms a <= x vanish): the m = 2 positive
          block with kp = y - 1, lp = x;
     rhs: q^(2y(x+1)) (q^2; q^2)_x / (q^(2y); q^2)_{x+1}.
-    Requires y >= 1 for convergence.  Every lhs reads one :class:`_PowerTable`.
+    Requires y >= 1 for convergence.  Every lhs comes from the one reduction
+    of :meth:`_PowerTable.sums`; the rhs reads one (q^2; q^2) prefix table
+    and one run of (q^(2y); q^2) prefixes over every y at once, each entry
+    the running product's own, with array powers.
     """
     grid = list(grid)
     for _, y in grid:
         if y < 1:
             raise ValueError(f"need y >= 1 for convergence, got {y}")
     qd, depth = _LD(q), _depth(q)
+    x, y = np.array(grid, dtype=int).reshape(-1, 2).T
+    table = _PowerTable(qd, np.stack([np.full_like(x, 2), y - 1, x], axis=1), depth)
+    [lhs] = table.sums(depth)
     p = qd * qd
-    table = _PowerTable(qd, [(2, y - 1, x) for x, y in grid], depth)
-    return [(table.sums(2, y - 1, x, depth)[0],
-             qd ** _LD(2 * y * (x + 1)) * qpoch(p, p, x)
-             / qpoch(qd ** _LD(2 * y), p, x + 1))
-            for x, y in grid]
+    top = int(x.max())
+    num = np.array(_qpoch_prefixes(p, p, top))[x]
+    runs = np.array(_qpoch_prefixes(qd ** (2 * y).astype(_LD), p, top + 1))  # a column per cell
+    den = runs[x + 1, np.arange(len(x))]
+    return list(zip(lhs, qd ** (2 * y * (x + 1)).astype(_LD) * num / den))

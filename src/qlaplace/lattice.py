@@ -329,25 +329,42 @@ def inner_product(params: ModelParams, sector: Sector, pairs) -> list:
     with no support is ``longdouble`` 0.  A pair whose values mix a double
     and an extended type pairs in the extended one, where the per-index sum
     would round its double entries' products to double first.
+
+    Each function's entries are read once, through one ``items`` view: the
+    union, the types and the scatter read the flattened entries, and the
+    pairs are grouped one by one only when the call holds more than one
+    value type.  Each group's rows are one array, f's rows above g's,
+    written by one scatter of index and value arrays.
     """
     pairs = list(pairs)
-    idx = sorted(set().union(*itertools.chain.from_iterable(pairs)))
+    n = len(pairs)
+    views = [f.items() for f, _ in pairs] + [g.items() for _, g in pairs]
+    flat = list(itertools.chain.from_iterable(views))
+    idx = sorted({j for j, _ in flat})
     pos = {j: c for c, j in enumerate(idx)}
-    kinds, members = {}, {}
-    for i, (f, g) in enumerate(pairs):
-        types = frozenset(map(type, itertools.chain(f.values(), g.values())))
-        if types:
-            if types not in kinds:
-                kinds[types] = np.result_type(*types)
-            members.setdefault(kinds[types], []).append(i)
+    types = {type(v) for _, v in flat}
+    if len(types) > 1:
+        kinds, members = {}, {}
+        for i, (f, g) in enumerate(pairs):
+            pair_types = frozenset(map(type, itertools.chain(f.values(), g.values())))
+            if pair_types:
+                if pair_types not in kinds:
+                    kinds[pair_types] = np.result_type(*pair_types)
+                members.setdefault(kinds[pair_types], []).append(i)
+    else:  # one type, or no entry at all
+        members = {np.result_type(*types): [i for i in range(n) if views[i] or views[n + i]]} \
+            if types else {}
     groups = []
     for kind, numbers in members.items():
-        rows = np.zeros((2, len(numbers), len(idx)), kind)
-        for side, hs in zip(rows, zip(*(pairs[i] for i in numbers))):
-            side[[r for r, h in enumerate(hs) for _ in h], [pos[j] for h in hs for j in h]] \
-                = [v for h in hs for v in h.values()]
-        groups.append(tuple(rows))
-    out = [params.q_ld * 0] * len(pairs)
+        sub = views if len(numbers) == n else [views[i] for i in numbers] \
+            + [views[n + i] for i in numbers]
+        entries = flat if sub is views else list(itertools.chain.from_iterable(sub))
+        rows = np.zeros((len(sub), len(idx)), kind)
+        rows[np.repeat(np.arange(len(sub)), list(map(len, sub))),
+             np.array([pos[j] for j, _ in entries], dtype=int)] \
+            = np.array([v for _, v in entries], dtype=kind)
+        groups.append((rows[:len(numbers)], rows[len(numbers):]))
+    out = [params.q_ld * 0] * n
     for numbers, values in zip(members.values(),
                                _pair_rows(params, sector, np.array(idx, dtype=int), groups)):
         for i, value in zip(numbers, values):

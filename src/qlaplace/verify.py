@@ -210,16 +210,17 @@ def check_transform_of_base_indicator(params, sector, cfg) -> float:
     # Plancherel measure p_j = Q_j sqrt(h_j / h_0), h_j / h_0 = 1 / ((base;
     # base)_j (ab; base)_j), at every node and mass point: the lattice masses
     # against the polynomials' norms.  Q_j comes from the measure's
-    # ``polynomials`` at its z and its mass points.
+    # polynomials at its z and its mass points, whose tables leave the
+    # measure the profile the plan reads, so each kernel runs once.
     J = 12
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
+    band, masses = meas._polynomials(J, hold=True)
     plan = spectral._TransformPlan(params, sector, meas, J)
     pp = meas.params
     pw = np.cumprod(np.r_[_LD(1), np.full(J, pp.base)])  # base^j
     # (base; base)_j and (ab; base)_j, j = 0..J, each a running product
     norm = np.sqrt(1 / (np.cumprod(np.r_[1, 1 - pw[1:]])
                         * np.cumprod(np.r_[1, 1 - pp.a * pp.b * pw[:-1]])))
-    band, masses = meas.polynomials(J)
     # row j: e_j's one value at j, its norm from one scalar call (see
     # basis_orthonormality)
     basis = np.diag([lattice.orthonormal_basis(params, sector, j).get(j, 0.0)

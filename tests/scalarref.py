@@ -6,8 +6,9 @@ per-degree loop of the Al-Salam-Chihara recurrence in ``asc`` and its
 product kernel with every head factor masked, the
 positive-block sums of ``fockoracle`` with every power formed for one call
 alone, the negative-block identity's sides built term by term, one factor
-tuple per term and one power table per cell, and the trace oracle's literal
-definition: the multi-index
+tuple per term and one power table per cell, the oracle's negative block
+with every term's factor and power evaluated for it alone, and the trace
+oracle's literal definition: the multi-index
 (``FockIndex``) and the diagonal factor of the dressed pairing on one basis
 vector (``diagonal_action``).
 
@@ -273,13 +274,35 @@ def negative_block_sum(q, n, k, l, t):
     return lhs, rhs
 
 
+def negative_block(params, quad, phi, psi):
+    """The oracle's negative-block sum of one pair at one quadruple, every
+    term's factor and power evaluated for that term alone, added from 0 in
+    (read, composition) order."""
+    q = params.q_ld
+    n, N = params.n, params.N
+    k, l, kp, lp = quad.k, quad.l, quad.kp, quad.lp
+    total = _LD(0.0)
+    for jread in sorted(set(phi) | set(psi)):
+        read = np.conjugate(psi.get(jread, 0.0)) * phi.get(jread, 0.0)
+        if read == 0:
+            continue
+        c = -(l + jread)
+        for parts in fockoracle._compositions(-c, n):
+            a = tuple(-v for v in parts)
+            f = fockoracle._negative_factor(q, k, l, a[0], a[-1])
+            e = sum(ai * (kp + l + lp + N - (i + 1)) for i, ai in enumerate(a))
+            total = total + f * q ** _LD(2 * e) * read
+    return total
+
+
 def invariant_integral(params, quad, phi, psi):
     """The oracle's value at depth 2D for one pair at one quadruple, its
-    positive sum formed for this call alone."""
+    negative block summed term by term and its positive sum formed for this
+    call alone."""
     q = params.q_ld
     return invariant_integral_normalizer(params) \
         * fockoracle._quadruple_prefactor(q, quad) \
-        * fockoracle._negative_block(params, quad, phi, psi) \
+        * negative_block(params, quad, phi, psi) \
         * positive_lhs(q, params.m, quad.kp, quad.lp, 2 * fockoracle._depth(params.q))
 
 

@@ -390,37 +390,50 @@ _F0, _F1 = LatticeFunction.basis(0), LatticeFunction.basis(1)
 ORACLE_PAIRS = ((_F0, _F0), (_F1, _F1), (_F0 + _F1, _F0 + _F1), (_F0 + _F1, _F0))
 
 
-@pytest.mark.parametrize("q", [0.01, 0.5, 0.95])
+@pytest.mark.parametrize("q", [0.5, 0.95, 0.3, 0.01, 1e-6])
 def test_identity_grids_keep_the_bits_of_per_call_sums(q):
-    """One power table per identity check: each side over the battery's grid,
-    and over a one-point grid, equals the sums formed for that call alone."""
-    grid = list(itertools.product((2, 3), range(4), range(4)))
-    for args, sides in zip(grid, fockoracle.positive_block_sum(q, grid)):
+    """One power table and one reduction per identity call: each side over
+    a grid of m 2-5, kp and lp 0-4 (x 0-4 and y 1-4), and over a one-point
+    grid, equals the per-cell sides, every power and product formed for that
+    cell alone."""
+    grid = list(itertools.product(range(2, 6), range(5), range(5)))
+    for args, sides in zip(grid, fockoracle.positive_block_sum(q, grid), strict=True):
         want = scalarref.positive_block_sum(q, *args)
-        assert all(_same_bits(u, v) for u, v in zip(sides, want))
+        assert all(_same_bits(u, v) for u, v in zip(sides, want)), args
         [alone] = fockoracle.positive_block_sum(q, [args])
-        assert all(_same_bits(u, v) for u, v in zip(alone, want))
-    grid = list(itertools.product(range(4), range(1, 4)))
-    for args, sides in zip(grid, fockoracle.pochhammer_geometric_sum(q, grid)):
+        assert all(_same_bits(u, v) for u, v in zip(alone, want)), args
+    grid = list(itertools.product(range(5), range(1, 5)))
+    for args, sides in zip(grid, fockoracle.pochhammer_geometric_sum(q, grid), strict=True):
         want = scalarref.pochhammer_geometric_sum(q, *args)
-        assert all(_same_bits(u, v) for u, v in zip(sides, want))
+        assert all(_same_bits(u, v) for u, v in zip(sides, want)), args
         [alone] = fockoracle.pochhammer_geometric_sum(q, [args])
-        assert all(_same_bits(u, v) for u, v in zip(alone, want))
+        assert all(_same_bits(u, v) for u, v in zip(alone, want)), args
+
+
+#: the oracle check's pairs, then complex pairs on several points, with gaps
+#: and unequal supports
+ORACLE_GRID_PAIRS = [*ORACLE_PAIRS,
+                     (_function("complex", (0, 1, 3), 3), _function("complex", (0, 2, 3), 4)),
+                     (_function("complex", (1, 2), 5), _function("clongdouble", (0, 1, 2), 6))]
 
 
 @pytest.mark.parametrize("m", [2, 4])
 @pytest.mark.parametrize("q", [0.01, 0.5, 0.95])
 def test_oracle_check_keeps_the_bits_of_per_call_values(q, m):
-    """One power table serves the check's four quadruples and four pairs; each
-    value, and each one-pair call, equals the value of that pair alone."""
-    params = ModelParams(q, 2, m)
-    rows = fockoracle.invariant_integral(params, ORACLE_QUADS, ORACLE_PAIRS)
-    for quad, row in zip(ORACLE_QUADS, rows):
-        for (phi, psi), got in zip(ORACLE_PAIRS, row):
-            want = scalarref.invariant_integral(params, quad, phi, psi)
-            assert _same_bits(got, want)
-            [[alone]] = fockoracle.invariant_integral(params, [quad], [(phi, psi)])
-            assert _same_bits(alone, want)
+    """One power table, one factor table and one reduction serve the
+    quadruples and pairs of a call, at n = 2..6; each value, and each
+    one-pair call, equals that pair's value with every negative-block term
+    evaluated for itself (``scalarref.negative_block``)."""
+    quads = ORACLE_QUADS + [Quadruple(2, 1, 1, 0)]
+    for n in range(2, 7):
+        params = ModelParams(q, n, m)
+        rows = fockoracle.invariant_integral(params, quads, ORACLE_GRID_PAIRS)
+        for quad, row in zip(quads, rows, strict=True):
+            for (phi, psi), got in zip(ORACLE_GRID_PAIRS, row, strict=True):
+                want = scalarref.invariant_integral(params, quad, phi, psi)
+                assert _same_bits(got, want), (n, quad, phi, psi)
+                [[alone]] = fockoracle.invariant_integral(params, [quad], [(phi, psi)])
+                assert _same_bits(alone, want)
 
 
 #: the oracle check's pairs, then a sparse support, complex values on two

@@ -564,12 +564,22 @@ ONE_CALL_CHECKS = [("eigenvalue_residual", laplace, "_three_term"),
                    ("identity_negative_block", fockoracle, "negative_block_sum"),
                    ("identity_qbinomial_convolution", fockoracle,
                     "qbinomial_convolution"),
-                   ("trace_oracle_agreement", lattice, "hwv_inner_product")]
+                   ("identity_positive_block", fockoracle, "positive_block_sum"),
+                   ("identity_geometric_sum", fockoracle, "pochhammer_geometric_sum"),
+                   ("trace_oracle_agreement", lattice, "hwv_inner_product"),
+                   ("trace_oracle_agreement", fockoracle, "invariant_integral")]
+
+
+def _one_call_ids():
+    """The check's name, then the kernel's too for a check listed again."""
+    seen = set()
+    for check, _, name in ONE_CALL_CHECKS:
+        yield f"{check}-{name}" if check in seen else check
+        seen.add(check)
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(q=0.5), RunConfig(q=0.95)], ids=["q0.5", "q0.95"])
-@pytest.mark.parametrize("check,module,name", ONE_CALL_CHECKS,
-                         ids=[check for check, *_ in ONE_CALL_CHECKS])
+@pytest.mark.parametrize("check,module,name", ONE_CALL_CHECKS, ids=list(_one_call_ids()))
 def test_check_makes_one_grid_kernel_call(monkeypatch, cfg, check, module, name):
     calls = []
     kernel = getattr(module, name)
@@ -582,6 +592,56 @@ def test_check_makes_one_grid_kernel_call(monkeypatch, cfg, check, module, name)
     [fn] = [fn for check_name, fn, _, _ in verify.BATTERY if check_name == check]
     fn(cfg.params(), cfg.sector(), cfg)
     assert len(calls) == 1
+
+
+#: scalar ``qcore.qpoch`` calls per check in one default pass, under every
+#: name a library module binds it to; the positive-block and geometric-sum
+#: kernels read prefix tables instead, and the trace oracle evaluates each
+#: distinct negative-block factor once (16 factors, two calls each, and the
+#: closed form's 33)
+QPOCH_CALLS = {"cross_form_agreement": 1, "sector_independence": 3, "operator_symmetry": 2,
+               "norm_closed_form": 4, "basis_orthonormality": 64,
+               "transform_of_base_indicator": 28, "parseval": 4,
+               "multiplication_operator": 2, "transform_roundtrip": 4,
+               "trace_oracle_agreement": 65}
+
+
+def test_default_pass_makes_its_pinned_qpoch_calls(monkeypatch):
+    """177 ``qpoch`` calls over one default pass, check by check as the
+    benchmark calls each one, and 16 negative-block factors in the trace
+    oracle's 4 quadruples x 4 pairs."""
+    calls, factors, current = {}, {}, [None]
+    qpoch, factor = qcore.qpoch, fockoracle._negative_factor
+
+    def counting(*args):
+        calls[current[0]] = calls.get(current[0], 0) + 1
+        return qpoch(*args)
+
+    def counting_factor(*args):
+        factors[current[0]] = factors.get(current[0], 0) + 1
+        return factor(*args)
+
+    for module in (qcore, asc, fockoracle, laplace, lattice, spectral, verify):
+        if getattr(module, "qpoch", None) is qpoch:
+            monkeypatch.setattr(module, "qpoch", counting)
+    monkeypatch.setattr(fockoracle, "_negative_factor", counting_factor)
+    cfg = RunConfig()
+    for name, fn, _, _ in verify.BATTERY:
+        current[0] = name
+        fn(cfg.params(), cfg.sector(), cfg)
+    assert calls == QPOCH_CALLS
+    assert sum(calls.values()) == 177
+    assert factors == {"trace_oracle_agreement": 16}
+
+
+@pytest.mark.parametrize("q", [0.5, 0.95, 1e-6])
+def test_identity_kernels_make_no_scalar_qpoch_call(monkeypatch, q):
+    def refuse(*args):
+        raise AssertionError("scalar qpoch call")
+
+    monkeypatch.setattr(fockoracle, "qpoch", refuse)
+    fockoracle.positive_block_sum(q, itertools.product(range(2, 6), range(5), range(5)))
+    fockoracle.pochhammer_geometric_sum(q, itertools.product(range(5), range(1, 5)))
 
 
 @pytest.mark.parametrize("check", ["eigenvalue_residual", "operator_symmetry"])
@@ -633,9 +693,10 @@ def test_symmetry_fails_one_entry_off_by_1e_8(monkeypatch, cfg, entry, j):
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=["q0.3", "q0.5", "q0.95", "2mass"])
 def test_transform_check_builds_the_profile_once(monkeypatch, cfg):
-    """The transform check's plan builds the measure's profile once, and
-    ``polynomials`` runs its own recurrence; the residual equals that of a
-    run whose plan reads a fresh build."""
+    """The transform check runs one recurrence and one mass-point series:
+    its polynomials' tables leave the measure the profile its plan reads,
+    with no profile build of its own; the residual equals that of a run
+    whose plan reads a fresh build."""
     calls = []
 
     def counting(name):
@@ -649,15 +710,16 @@ def test_transform_check_builds_the_profile_once(monkeypatch, cfg):
     def fresh(self, kmax):
         return asc._profile(kmax, self.z, self.discrete, self.params)
 
-    for name in ("_profile", "asc_recurrence"):
+    for name in ("_profile", "asc_recurrence", "_mass_point_series"):
         monkeypatch.setattr(asc, name, counting(name))
     params, sector = cfg.params(), cfg.sector()
     got = verify.check_transform_of_base_indicator(params, sector, cfg)
-    once = [("_profile", 12), ("asc_recurrence", 12), ("asc_recurrence", 12)]
-    assert calls == once
+    assert calls == [("asc_recurrence", 12), ("_mass_point_series", 12)]
+    calls.clear()
     monkeypatch.setattr(asc.SpectralMeasure, "_profile", fresh)
     assert verify.check_transform_of_base_indicator(params, sector, cfg) == got
-    assert calls == once * 2
+    assert calls == [("asc_recurrence", 12), ("_mass_point_series", 12), ("_profile", 12),
+                     ("asc_recurrence", 12), ("_mass_point_series", 12)]
 
 
 def test_eigenvalue_residual_makes_one_profile_call(monkeypatch):
