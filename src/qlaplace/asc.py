@@ -113,7 +113,8 @@ def asc_recurrence(kmax: int, z, p: AscParams) -> np.ndarray:
     ``base ** k`` has the scalar power's bits), and 2z is formed once; each
     further row is written by the per-degree loop's five operations in its
     order, 2z Q_(k-1) - lin Q_(k-1) - quad Q_(k-2), so every entry keeps
-    that loop's bits.
+    that loop's bits.  The loop reads the table's rows flattened to 1-D
+    views made once, a scalar z's rows of length 1, and 2z flattened alike.
     """
     if kmax < 0:
         raise ValueError(f"degree must be nonnegative, got {kmax}")
@@ -125,10 +126,10 @@ def asc_recurrence(kmax: int, z, p: AscParams) -> np.ndarray:
         return table
     table[1] = first
     pw = base ** np.arange(kmax)
-    z2 = 2 * z
-    # the rows as (1, *z.shape) views, so that a scalar z is written in place
-    # too; the output goes positionally, which numpy parses faster than out=
-    rows = table[:, None]
+    z2 = np.reshape(2 * z, -1)
+    # the rows as 1-D views, so that a scalar z is written in place too; the
+    # output goes positionally, which numpy parses faster than out=
+    rows = list(table.reshape(kmax + 1, -1))
     tmp = np.empty_like(rows[0])
     mul, sub = np.multiply, np.subtract
     for row, cur, prev, lin, quad in zip(rows[2:], rows[1:], rows, (a + b) * pw[1:],

@@ -26,14 +26,17 @@ in floating point would add rounding errors scaled up to q^(-2 lp).
 Each identity kernel takes the whole grid of its check, (q, grid), and
 returns one (lhs, rhs) pair per grid point, so a check makes one call, and
 every sum of that call reads one table: the powers of q for the positive
-block and the geometric sum (``_PowerTable``, whose cells' sums come from
-one reduction per depth), the (q^2; q^2)_i prefixes for their right sides,
-the (q^-2; q^-2)_i prefixes for the binomial convolution, and for the exact
-negative block the compositions of each (n, t), the integer powers of u and
-v, q^2 = u/v, and the run products prod (u^m - v^m) of its Pochhammer
-factors.  The oracle reads one power table for its positive blocks and one
-factor table for its negative blocks, each distinct factor and power
-evaluated once per call.  No table outlives its call.
+block and the geometric sum (``_PowerTable``, whose distinct exponents are
+marked in one boolean array and whose cells' sums come from one reduction
+per depth over row windows), the (q^2; q^2)_i prefixes for their right
+sides, the (q^-2; q^-2)_i prefixes for the binomial convolution, and for
+the exact negative block the compositions of each (n, t), the integer
+powers of u, q^2 = u/v with v a power of two (so its powers are shifts),
+and the run products prod (u^m - v^m) of its Pochhammer factors.  The
+oracle reads one power table for its positive blocks, and one composition
+table and one factor table for its negative blocks, each distinct
+composition, factor and power evaluated once per call.  No table outlives
+its call.  An empty grid (for the oracle, no quadruple) gives [].
 
 The n = 1 case is excluded: there the first and last negative indices
 coincide and the diagonal factor's two Pochhammer pieces collide; the
@@ -48,6 +51,7 @@ import operator
 from typing import Iterator, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .lattice import ModelParams, Quadruple, invariant_integral_normalizer
 from .qcore import (LD_INF_TOL, ConvergenceError, _qbinomial_from,
@@ -95,36 +99,56 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def _negative_block(params: ModelParams, quad: Quadruple,
                     phi: Mapping[int, complex], psi: Mapping[int, complex],
-                    factors: dict, powers: dict):
+                    comps: dict, factors: dict, powers: dict):
     """The negative-block sum of one (phi, psi) at one quadruple: each term
     f q^(2e) read, f = :func:`_negative_factor` at (k, l, a_1, a_n), added
-    from 0 in (read, composition) order.  f and q^(2e) are read from the
-    call's tables ``factors``, keyed (k, l, a_1, a_n), and ``powers``, keyed
-    e; an entry is the same scalar expression evaluated on its first use,
-    so every term, and any overflow, is that of the per-term evaluation."""
+    from 0 in (read, composition) order.
+
+    The compositions of each total T = l + read index are the call's table
+    ``comps``, keyed T, one ((a_1, a_n), s1) row per composition parts = -a,
+    s1 = sum (i + 1) parts_i, so that e = -sum parts_i (w - (i + 1)) is
+    s1 - w T.  f and q^(2e) are read from the call's tables ``factors``,
+    keyed (k, l) then (a_1, a_n), and ``powers``, keyed e; an entry is the
+    same scalar expression evaluated on its first use, so every term, and
+    any overflow, is that of the per-term evaluation."""
     q = params.q_ld
-    n, N = params.n, params.N
     k, l = quad.k, quad.l
-    w = quad.kp + l + quad.lp + N
+    w = quad.kp + l + quad.lp + params.N
+    ends_factors = factors.setdefault((k, l), {})
     total = _LD(0.0)
     for jread in sorted(set(phi) | set(psi)):
         read = np.conjugate(psi.get(jread, 0.0)) * phi.get(jread, 0.0)
         if read == 0:
             continue
-        for parts in _compositions(l + jread, n):  # parts = -a
-            key = (k, l, -parts[0], -parts[-1])
-            if key not in factors:
-                factors[key] = _negative_factor(q, *key)
-            e = -sum(v * (w - (i + 1)) for i, v in enumerate(parts))
-            if e not in powers:
-                powers[e] = q ** _LD(2 * e)
-            total = total + factors[key] * powers[e] * read
+        T = l + jread
+        if T not in comps:
+            comps[T] = [((-parts[0], -parts[-1]), sum(i * v for i, v in enumerate(parts, 1)))
+                        for parts in _compositions(T, params.n)]
+        for ends, s1 in comps[T]:
+            f = ends_factors.get(ends)
+            if f is None:
+                f = ends_factors[ends] = _negative_factor(q, k, l, *ends)
+            e = s1 - w * T
+            p = powers.get(e)
+            if p is None:
+                p = powers[e] = q ** _LD(2 * e)
+            total = total + f * p * read
     return total
 
 
 def _depth(q) -> int:
     """Smallest D with q^(2D) < LD_INF_TOL: every geometric tail's truncation."""
     return math.ceil(math.log(LD_INF_TOL) / (2 * math.log(q)))
+
+
+def _windows(table, width: int):
+    """The read-only view ``w[i, j] = table[i, j:j + width]`` of a 2-D
+    array: the windows of ``sliding_window_view(table, width, axis=1)``,
+    built without its argument checks."""
+    rows, cols = table.shape
+    step = table.strides[1]
+    return as_strided(table, (rows, cols - width + 1, width), (table.strides[0], step, step),
+                      writeable=False)
 
 
 class _PowerTable:
@@ -137,10 +161,11 @@ class _PowerTable:
     (q^(2a - 2); q^-2)_lp.  Every entry has the bits of a table built for one
     cell alone: ``powl`` bits depend only on the exponent's value, so
     q^(2a - 2) is the e = 1 row shifted by one (q^0 = 1 exactly), each
-    distinct exponent 2ea is raised once and taken into every cell that
-    holds it, and ``poch[lp]`` is the running product's own entry, so the
-    prefixes of one (a; base) run serve every lp; ``poch[0]`` is the empty
-    product, exactly 1.
+    distinct exponent 2ea, marked in a boolean array over 0..its largest,
+    is raised once and taken into every cell that holds it, and
+    ``poch[lp]`` is the running product's own entry, so the prefixes of one
+    (a; base) run serve every lp; ``poch[0]`` is the empty product,
+    exactly 1.
     """
 
     def __init__(self, q, blocks, depth: int):
@@ -148,8 +173,14 @@ class _PowerTable:
         lpmax = int(self.lp.max())
         a = np.arange(1, depth + lpmax + 1)
         e = np.arange(1, int((self.m - 1 + self.kp).max()) + 1)
-        exps, cells = np.unique((2 * e)[:, None] * a, return_inverse=True)
-        self.powers = (q ** exps.astype(_LD))[cells.reshape(len(e), len(a))]
+        cells = (2 * e)[:, None] * a
+        # every distinct exponent marked, raised once, and read by each cell
+        seen = np.zeros(cells[-1, -1] + 1, dtype=bool)
+        seen[cells] = True
+        exps = np.flatnonzero(seen)
+        values = np.empty(len(seen), dtype=_LD)
+        values[exps] = q ** exps.astype(_LD)
+        self.powers = values[cells]
         shifted = np.concatenate([[_LD(1)], self.powers[0, :-1]])
         self.poch = np.array(_qpoch_prefixes(shifted, q ** _LD(-2), lpmax))
 
@@ -159,10 +190,12 @@ class _PowerTable:
         first from a = lp + 1, the others from a = 1.
 
         The cells' first-index rows, (q^(2a-2); q^-2)_lp q^(2(m-1+kp)a) over
-        a = lp + 1.., are gathered into one array and reduced by one row-wise
-        ``np.sum``, and the other indices' sums, one per row of ``powers``,
-        by one more; each cell then multiplies its first sum by the sums of
-        rows m - 2 + kp - t, t = 1..m - 2, in that order (a cell with fewer
+        a = lp + 1.., are gathered into one array from the windows of width
+        max(``depths``) of ``poch`` and of ``powers`` (:func:`_windows`), one
+        window per cell, and reduced by one row-wise ``np.sum``, and the
+        other indices' sums, one per row of ``powers``, by one more; each
+        cell then multiplies its first sum by the sums of rows
+        m - 2 + kp - t, t = 1..m - 2, in that order (a cell with fewer
         indices multiplies by an exact 1).  ``np.sum`` along the contiguous
         last axis sums each row as it sums that row alone, and the leading
         d columns of a row are the terms a one-cell sum adds, so every sum
@@ -170,8 +203,9 @@ class _PowerTable:
         powers as they are.
         """
         m, kp, lp = self.m, self.kp, self.lp
-        cols = lp[:, None] + np.arange(max(depths))
-        first = self.poch[lp[:, None], cols] * self.powers[(m - 2 + kp)[:, None], cols]
+        width = max(depths)
+        first = _windows(self.poch, width)[lp, lp] \
+            * _windows(self.powers, width)[m - 2 + kp, lp]
         out = []
         for d in depths:
             rest = np.sum(self.powers[:, :d], axis=1)
@@ -189,20 +223,20 @@ def _oracle_values(params: ModelParams, quads, pairs, *depths) -> list:
     The depth-free factors are shared by the depths, and the positive-block
     sums, which depend on the quadruple alone, by every pair: one power
     table built at the deepest depth and one reduction per depth serve
-    every quadruple.  The negative blocks read one factor table and one
-    power table of the call (:func:`_negative_block`).
+    every quadruple.  The negative blocks read one composition table, one
+    factor table and one power table of the call (:func:`_negative_block`).
     """
     q = params.q_ld
     table = _PowerTable(q, [(params.m, quad.kp, quad.lp) for quad in quads], max(depths))
     sums = np.stack(table.sums(*depths), axis=1)  # a row of depths per quadruple
     norm = invariant_integral_normalizer(params)
-    factors, powers = {}, {}
+    comps, factors, powers = {}, {}, {}
     rows = []
     for quad, lhs in zip(quads, sums):
         head = norm * _quadruple_prefactor(q, quad)
         row = []
         for phi, psi in pairs:
-            common = head * _negative_block(params, quad, phi, psi, factors, powers)
+            common = head * _negative_block(params, quad, phi, psi, comps, factors, powers)
             row.append([common * value for value in lhs])
         rows.append(row)
     return rows
@@ -224,6 +258,9 @@ def invariant_integral(params: ModelParams, quads, pairs) -> list:
         raise ValueError(
             "the trace oracle is not defined for n = 1 (the two "
             "negative-block Pochhammer factors would collide on one index)")
+    quads = list(quads)
+    if not quads:
+        return []
     depth = _depth(params.q)
     rows = _oracle_values(params, quads, pairs, depth, 2 * depth)
     for row in rows:
@@ -256,10 +293,11 @@ def negative_block_sum(q: float, grid) -> list:
     times u^i v^j, and each side, brought to one common power of u and of v
     with integer multiplies, is one quotient of integers, whose float
     Python's int division rounds correctly; so any exact evaluation of a
-    side gives its bits.  The call builds each table once: the compositions
-    of each (n, t) of the grid, the powers u^c and v^c and the run products
-    R(a, c) over the grid's largest a, c and power.  No table outlives the
-    call.
+    side gives its bits.  v is the square of the ratio's denominator, a
+    power of two 2^sv, so every multiply by a power v^c is the left shift
+    by sv c.  The call builds each table once: the compositions of each
+    (n, t) of the grid, the powers u^c and the run products R(a, c) over the
+    grid's largest a, c and power.  No table outlives the call.
 
     The identity holds for n >= 2 (and degenerately whenever k*l*t = 0); for
     n = 1 with k, l, t all positive the two Pochhammer factors collide on the
@@ -267,18 +305,18 @@ def negative_block_sum(q: float, grid) -> list:
     check agreement on their own grid.
     """
     u, v = (c ** 2 for c in float(q).as_integer_ratio())
+    sv = v.bit_length() - 1  # v = 2^sv
     grid = list(grid)
     tmax = max((t for *_, t in grid), default=0)
     cmax = max((k + l + n - 1 for n, k, l, _ in grid), default=0)
     # every power read: u^m - v^m to m = tmax + cmax, and each side's
     # exponents, at most (n - 1 + k + l) t + (k + l)^2
     top = max([tmax + cmax, *((n - 1 + k + l) * t + (k + l) ** 2 for n, k, l, t in grid)])
-    up, vp = ([*itertools.accumulate(itertools.repeat(b, top), operator.mul,
-                                     initial=1)] for b in (u, v))
+    up = [*itertools.accumulate(itertools.repeat(u, top), operator.mul, initial=1)]
     # run[c][a] = R(a, c)
     run = [[1] * (tmax + 1)]
     for c in range(1, cmax + 1):
-        run.append([r * (up[a + c] - vp[a + c]) for a, r in enumerate(run[-1])])
+        run.append([r * (up[a + c] - (1 << sv * (a + c))) for a, r in enumerate(run[-1])])
     comps = {}
     out = []
     for n, k, l, t in grid:
@@ -293,9 +331,9 @@ def negative_block_sum(q: float, grid) -> list:
         ck = l * (l - 1) // 2 - k * (k + 1) // 2
         rk, rl = run[k], run[l]
         num = sum(rk[first] * rl[last - l] * up[su - w - k * first]
-                  * vp[w + l * (t - last)] for first, last, w in comps[n, t] if last >= l)
+                  << sv * (w + l * (t - last)) for first, last, w in comps[n, t] if last >= l)
         # a positive denominator, so a left side that is 0 is +0.0
-        lhs = num * up[max(ck - su, 0)] / (vp[l * t] * up[max(su - ck, 0)])
+        lhs = num * up[max(ck - su, 0)] / (up[max(su - ck, 0)] << sv * l * t)
         # rhs: R(0, k) R(0, l) R(s - 1, kk) u^i v^-lt / R(0, kk), never 0
         # (each u^m - v^m, m >= 1, is nonzero)
         kk, s = k + l + n - 1, t - l + 1
@@ -303,7 +341,7 @@ def negative_block_sum(q: float, grid) -> list:
         if s >= 1:
             i = l * t - k * (k + 1) // 2 - l * (l + 1) // 2 - kk * (s - 1)
             rhs = run[k][0] * run[l][0] * run[kk][s - 1] * up[max(i, 0)] \
-                / (run[kk][0] * up[max(-i, 0)] * vp[l * t])
+                / (run[kk][0] * up[max(-i, 0)] << sv * l * t)
         out.append((lhs, rhs))
     return out
 
@@ -326,6 +364,8 @@ def positive_block_sum(q: float, grid) -> list:
     for m, _, _ in grid:
         if m < 2:
             raise ValueError(f"need m >= 2, got {m}")
+    if not grid:
+        return []
     qd, depth = _LD(q), _depth(q)
     table = _PowerTable(qd, grid, depth)
     m, kp, lp = table.m, table.kp, table.lp
@@ -385,6 +425,8 @@ def pochhammer_geometric_sum(q: float, grid) -> list:
     for _, y in grid:
         if y < 1:
             raise ValueError(f"need y >= 1 for convergence, got {y}")
+    if not grid:
+        return []
     qd, depth = _LD(q), _depth(q)
     x, y = np.array(grid, dtype=int).reshape(-1, 2).T
     table = _PowerTable(qd, np.stack([np.full_like(x, 2), y - 1, x], axis=1), depth)

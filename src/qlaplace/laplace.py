@@ -14,15 +14,19 @@ lambda(z) = q^N (2z - q^(N-1) - q^(1-N)) / ((1-q^2)(1-q^(2(N-1)))).
 The two lattice actions take a list of functions and return one action per
 function, in one array pass over index arrays: every function's values are
 one row over the union of the output ranges, the scalar coefficients and
-powers of q are formed once per call, and :func:`apply_divergence_form`
-takes the sector weight and the difference quotients over the same range.
-Each function reads its own output range from its row.  Type rule: the rows
-of one pass share one type, so the real functions (float or ``longdouble``
-values) run as one ``longdouble`` stack and the complex functions (complex
-or ``clongdouble``) as one ``clongdouble`` stack; the casts are exact, and
-no row is promoted by another.  When a function's values share one type,
-every output value has the bits of the per-index formula on that function
-alone, and a real function gives real values.  A function that mixes real
+powers of q are formed once per stack of rows, and
+:func:`apply_divergence_form` takes the sector weight and the difference
+quotients over the same range.  Each function reads its own output range
+from its row.  The arithmetic on rows is the module-level row cores
+``_three_term`` and ``_divergence_form``, which the two public actions wrap
+and which a caller holding value rows (the verify battery) calls directly.
+Type rule: the rows of one pass share one type, so the real functions
+(float or ``longdouble`` values) run as one ``longdouble`` stack and the
+complex functions (complex or ``clongdouble``) as one ``clongdouble``
+stack; the casts are exact, and no row is promoted by another.  When a
+function's values share one type, every output value has the bits of the
+per-index formula on that function alone, and a real function gives real
+values.  A function that mixes real
 and complex values is a complex row: it is promoted to the common complex
 type, so its real-only neighbourhoods are divided in complex arithmetic,
 which can move such an entry by one ulp, alone or in a batch.
@@ -126,6 +130,37 @@ def apply_three_term(params: ModelParams, sector: Sector, fs) -> list:
     return _stacked(fs, 1, lambda vals, lo, hi: _three_term(params, sector, vals, lo, hi))
 
 
+def _divergence_form(params: ModelParams, quad: Quadruple, vals, lo: int, hi: int):
+    """Rows of the divergence-form action at indices lo..hi-1 (lo >= 0), from
+    the rows ``vals`` of values at lo..hi (see :func:`apply_divergence_form`)."""
+    q = params.q_ld
+    n, N = params.n, params.N
+    sector = quad.sector()
+    k, l, kp = quad.k, quad.l, quad.kp
+    s = quad.s
+    D = _denominator(params)
+    scal = q ** _LD(1 - 2 * s) * (1 - q ** _LD(2 * s)) \
+        * (1 - q ** _LD(2 * (N - 1 + s))) / D
+    rho, x = _weight(params, sector, np.arange(lo, hi), q ** _LD(-2))
+    # G = rho * x * (q^(2(n+k)) - x q^(-2l)) * B- f on the output range,
+    # and B+ G from G's values one index below (0 below the range).  One
+    # index below a row's own range G is (0 - 0) times a factor of fixed
+    # sign, a signed zero where the row's own call reads +0: it enters only
+    # the first output value, scal * (+0) - B+ G, where either zero gives
+    # the same bits
+    g = rho * x * (q ** _LD(2 * (n + k)) - x * q ** _LD(-2 * l)) \
+        * _quotient(vals[:, 1:], vals[:, :-1], x, q**-2)
+    g = _zero_column_first(g)
+    t = 1 if lo == 0 else 0  # j = 0, where present, comes from the three-term form
+    second = q ** _LD(-1 - 2 * kp) * (1 - q * q) ** 2 \
+        * _quotient(g[:, t:-1], g[:, t + 1:], x[t:], q**2) / (D * rho[t:])
+    res = scal * vals[:, t:-1] - second
+    if t:
+        edge = _three_term(params, sector, _zero_column_first(vals[:, :2]), 0, 1)
+        res = np.concatenate([edge, res], axis=1)
+    return res
+
+
 def apply_divergence_form(params: ModelParams, quad: Quadruple, fs) -> list:
     """Apply the operator as scalar term minus weighted B+ ( ... B- ) form to
     each function of ``fs``, one result per function.
@@ -141,39 +176,11 @@ def apply_divergence_form(params: ModelParams, quad: Quadruple, fs) -> list:
     coefficient vanishes there, and the value is delegated to the three-term
     form, which needs no off-lattice access.  The output depends on the
     quadruple only through its sector.  The functions' values run as rows
-    over the union of their output ranges; the sector weight and the scalar
-    coefficients are formed once per call.
+    over the union of their output ranges through the row core
+    :func:`_divergence_form`, which forms the sector weight and the scalar
+    coefficients once per stack of rows.
     """
-    q = params.q_ld
-    n, N = params.n, params.N
-    sector = quad.sector()
-    k, l, kp = quad.k, quad.l, quad.kp
-    s = quad.s
-    D = _denominator(params)
-    scal = q ** _LD(1 - 2 * s) * (1 - q ** _LD(2 * s)) \
-        * (1 - q ** _LD(2 * (N - 1 + s))) / D
-
-    def kernel(vals, lo, hi):
-        rho, x = _weight(params, sector, np.arange(lo, hi), q ** _LD(-2))
-        # G = rho * x * (q^(2(n+k)) - x q^(-2l)) * B- f on the output range,
-        # and B+ G from G's values one index below (0 below the range).  One
-        # index below a row's own range G is (0 - 0) times a factor of fixed
-        # sign, a signed zero where the row's own call reads +0: it enters
-        # only the first output value, scal * (+0) - B+ G, where either zero
-        # gives the same bits
-        g = rho * x * (q ** _LD(2 * (n + k)) - x * q ** _LD(-2 * l)) \
-            * _quotient(vals[:, 1:], vals[:, :-1], x, q**-2)
-        g = _zero_column_first(g)
-        t = 1 if lo == 0 else 0  # j = 0, where present, comes from the three-term form
-        second = q ** _LD(-1 - 2 * kp) * (1 - q * q) ** 2 \
-            * _quotient(g[:, t:-1], g[:, t + 1:], x[t:], q**2) / (D * rho[t:])
-        res = scal * vals[:, t:-1] - second
-        if t:
-            edge = _three_term(params, sector, _zero_column_first(vals[:, :2]), 0, 1)
-            res = np.concatenate([edge, res], axis=1)
-        return res
-
-    return _stacked(fs, 0, kernel)
+    return _stacked(fs, 0, lambda vals, lo, hi: _divergence_form(params, quad, vals, lo, hi))
 
 
 @dataclass(frozen=True)

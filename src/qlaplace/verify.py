@@ -24,10 +24,12 @@ from the draw to the residual: coefficient rows into the plan's row cores
 ``_forward_rows`` and ``_inverse_rows``, value rows into the pairing core
 ``lattice._pair_rows``, each with the bits of the per-function calls on
 lattice functions; ``difference_duality`` forms its quotients on rows by
-the formula of ``qcore.bminus`` and ``qcore.bplus``.  The operator checks
-on drawn functions (``cross_form_agreement``, ``sector_independence``) keep
-their public operator calls, and ``asc_consistency`` ``math.acos`` per
-drawn value, whose bits ``np.arccos`` does not keep.
+the formula of ``qcore.bminus`` and ``qcore.bplus``; ``sector_independence``
+passes its value rows to the divergence form's row core
+``laplace._divergence_form``, once per quadruple.  ``cross_form_agreement``
+keeps its public operator calls, so both lattice actions' adapters stay on
+the traced path, and ``asc_consistency`` ``math.acos`` per drawn value,
+whose bits ``np.arccos`` does not keep.
 """
 
 from __future__ import annotations
@@ -124,15 +126,19 @@ def check_cross_form(params, sector, cfg) -> float:
 
 
 def check_sector_independence(params, sector, cfg) -> float:
-    # a representative sector with several quadruples reducing to it
+    # a representative sector with several quadruples reducing to it; each
+    # drawn function's action on its output range 0..8, from its values at
+    # 0..9, through the divergence form's row core
     quads = [Quadruple(1, 1, 1, 1), Quadruple(2, 0, 2, 0), Quadruple(0, 2, 0, 2)]
-    fs = Lcg(cfg.seed + 202).lattice_functions(3, 8)
-    errors = []
-    for outs in zip(*(laplace.apply_divergence_form(params, qd, fs) for qd in quads)):
-        scale = max(1.0, max(abs(v) for v in outs[0].values()))
-        for other in outs[1:]:
-            errors += _support_gaps(outs[0], other, scale)
-    return _worst(errors)
+    rows = np.zeros((3, 10), dtype=np.clongdouble)
+    rows[:, :8] = Lcg(cfg.seed + 202).coefficients(3, 8)
+    first, *others = (laplace._divergence_form(params, qd, rows, 0, 9) for qd in quads)
+    # one scale per function, which may pass 1e308; each gap is rounded to a
+    # double before the division, as _support_gaps rounds it
+    scale = np.maximum(1, np.max(np.abs(first), axis=1))
+    with np.errstate(over="ignore"):
+        gaps = np.abs(np.stack(others, axis=1) - first[:, None]).astype(float)
+    return _worst(gaps / scale[:, None, None])
 
 
 def check_symmetry(params, sector, cfg) -> float:

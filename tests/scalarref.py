@@ -10,7 +10,9 @@ tuple per term and one power table per cell, the oracle's negative block
 with every term's factor and power evaluated for it alone, and the trace
 oracle's literal definition: the multi-index
 (``FockIndex``) and the diagonal factor of the dressed pairing on one basis
-vector (``diagonal_action``).
+vector (``diagonal_action``).  The last section keeps the earlier loops of
+the recurrence, the power table, the oracle's negative block and the exact
+negative-block identity, whose bits the trimmed kernels keep.
 
 Each reference repeats the operations of the array kernel in the same order
 on scalars, so for a function whose values share one type the two agree bit
@@ -406,3 +408,119 @@ def diagonal_action(params: ModelParams, quad: Quadruple,
     val = val * q ** _LD(2 * kp * (sum(neg) + sum(pos)))
     val = val * q ** _LD(2 * (l + lp) * c)
     return val * read
+
+
+# The loops of the identity, oracle and recurrence kernels as they ran before
+# their depth-bound steps were trimmed: each trimmed kernel must keep their
+# bits.
+
+def zip_recurrence(kmax, z, p):
+    """:func:`asc.asc_recurrence` with its degree loop over three fresh
+    (1, *z.shape) row views per step, from ``zip``."""
+    a, b, base = p.a, p.b, p.base
+    first = 2 * z - (a + b)
+    table = np.empty((kmax + 1,) + np.shape(first), dtype=np.result_type(first))
+    table[0] = z * 0 + 1.0
+    if kmax == 0:
+        return table
+    table[1] = first
+    pw = base ** np.arange(kmax)
+    z2 = 2 * z
+    rows = table[:, None]
+    tmp = np.empty_like(rows[0])
+    mul, sub = np.multiply, np.subtract
+    for row, cur, prev, lin, quad in zip(rows[2:], rows[1:], rows, (a + b) * pw[1:],
+                                         (1 - pw[1:]) * (1 - a * b * pw[:-1])):
+        mul(z2, cur, row)
+        mul(lin, cur, tmp)
+        sub(row, tmp, row)
+        mul(quad, prev, tmp)
+        sub(row, tmp, row)
+    return table
+
+
+class UniquePowerTable:
+    """``fockoracle._PowerTable`` with its distinct exponents from
+    ``np.unique`` and its first-index rows gathered by 2-D fancy indexing."""
+
+    def __init__(self, q, blocks, depth: int):
+        self.m, self.kp, self.lp = np.array(blocks, dtype=int).reshape(-1, 3).T
+        lpmax = int(self.lp.max())
+        a = np.arange(1, depth + lpmax + 1)
+        e = np.arange(1, int((self.m - 1 + self.kp).max()) + 1)
+        exps, cells = np.unique((2 * e)[:, None] * a, return_inverse=True)
+        self.powers = (q ** exps.astype(_LD))[cells.reshape(len(e), len(a))]
+        shifted = np.concatenate([[_LD(1)], self.powers[0, :-1]])
+        self.poch = np.array(qcore._qpoch_prefixes(shifted, q ** _LD(-2), lpmax))
+
+    def sums(self, *depths) -> list:
+        m, kp, lp = self.m, self.kp, self.lp
+        cols = lp[:, None] + np.arange(max(depths))
+        first = self.poch[lp[:, None], cols] * self.powers[(m - 2 + kp)[:, None], cols]
+        out = []
+        for d in depths:
+            rest = np.sum(self.powers[:, :d], axis=1)
+            total = np.sum(first[:, :d], axis=1)
+            for t in range(1, int(m.max()) - 1):
+                total = total * np.where(t < m - 1, rest[np.maximum(m - 2 - t + kp, 0)], 1)
+            out.append(total)
+        return out
+
+
+def per_composition_negative_block(params, quad, phi, psi, factors, powers):
+    """``fockoracle._negative_block`` walking the compositions of each read
+    and forming each one's exponent sum, with factor and power tables
+    ``factors`` (keyed (k, l, a_1, a_n)) and ``powers`` (keyed e)."""
+    q = params.q_ld
+    n, N = params.n, params.N
+    k, l = quad.k, quad.l
+    w = quad.kp + l + quad.lp + N
+    total = _LD(0.0)
+    for jread in sorted(set(phi) | set(psi)):
+        read = np.conjugate(psi.get(jread, 0.0)) * phi.get(jread, 0.0)
+        if read == 0:
+            continue
+        for parts in fockoracle._compositions(l + jread, n):  # parts = -a
+            key = (k, l, -parts[0], -parts[-1])
+            if key not in factors:
+                factors[key] = fockoracle._negative_factor(q, *key)
+            e = -sum(v * (w - (i + 1)) for i, v in enumerate(parts))
+            if e not in powers:
+                powers[e] = q ** _LD(2 * e)
+            total = total + factors[key] * powers[e] * read
+    return total
+
+
+def multiplied_negative_block_sum(q, grid):
+    """``fockoracle.negative_block_sum`` multiplying by the powers v^c of a
+    table, not shifting."""
+    u, v = (c ** 2 for c in float(q).as_integer_ratio())
+    grid = list(grid)
+    tmax = max((t for *_, t in grid), default=0)
+    cmax = max((k + l + n - 1 for n, k, l, _ in grid), default=0)
+    top = max([tmax + cmax, *((n - 1 + k + l) * t + (k + l) ** 2 for n, k, l, t in grid)])
+    up, vp = ([*itertools.accumulate(itertools.repeat(b, top), operator.mul,
+                                     initial=1)] for b in (u, v))
+    run = [[1] * (tmax + 1)]
+    for c in range(1, cmax + 1):
+        run.append([r * (up[a + c] - vp[a + c]) for a, r in enumerate(run[-1])])
+    comps = {}
+    out = []
+    for n, k, l, t in grid:
+        if (n, t) not in comps:
+            comps[n, t] = [(p[0], p[-1], sum((n - 1 - i) * x for i, x in enumerate(p)))
+                           for p in fockoracle._compositions(t, n)]
+        su = (n - 1 + k) * t
+        ck = l * (l - 1) // 2 - k * (k + 1) // 2
+        rk, rl = run[k], run[l]
+        num = sum(rk[first] * rl[last - l] * up[su - w - k * first]
+                  * vp[w + l * (t - last)] for first, last, w in comps[n, t] if last >= l)
+        lhs = num * up[max(ck - su, 0)] / (vp[l * t] * up[max(su - ck, 0)])
+        kk, s = k + l + n - 1, t - l + 1
+        rhs = 0.0
+        if s >= 1:
+            i = l * t - k * (k + 1) // 2 - l * (l + 1) // 2 - kk * (s - 1)
+            rhs = run[k][0] * run[l][0] * run[kk][s - 1] * up[max(i, 0)] \
+                / (run[kk][0] * up[max(-i, 0)] * vp[l * t])
+        out.append((lhs, rhs))
+    return out

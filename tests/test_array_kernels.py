@@ -383,6 +383,20 @@ def test_recurrence_table_keeps_the_bits_of_the_per_degree_loop(q):
             assert all(_same_bits(u, v) for u, v in zip(got, want))
 
 
+@pytest.mark.parametrize("q", [0.01, 0.5, 0.95])
+def test_recurrence_table_keeps_the_bits_of_the_zip_loop(q):
+    """The degree loop over 1-D row views made once equals the loop over
+    fresh (1, *z.shape) views from ``zip``, entry for entry and sign for
+    sign, at scalar, 1-D and 2-D z and at the density check's K = 447."""
+    nodes = np.cos(np.linspace(0, np.pi, 42)[1:-1].astype(_LD))
+    points = [nodes, nodes.reshape(5, 8), nodes[:1], _LD(-0.3), 0.7, _LD(3.5)]
+    for n, m, L, Lp in ((2, 2, 0, 0), (1, 3, 0, 2)):
+        pp = spectral.asc_params(ModelParams(q, n, m), Sector(L, Lp))
+        for z, kmax in itertools.product(points, (0, 1, 2, 447)):
+            assert _same_bits(asc.asc_recurrence(kmax, z, pp),
+                              scalarref.zip_recurrence(kmax, z, pp)), (n, m, L, Lp, kmax)
+
+
 #: the trace oracle's quadruples and function pairs in ``verify``
 ORACLE_QUADS = [Quadruple(0, 0, 0, 0), Quadruple(1, 0, 1, 0), Quadruple(0, 1, 0, 1),
                 Quadruple(1, 1, 1, 1)]
@@ -410,6 +424,23 @@ def test_identity_grids_keep_the_bits_of_per_call_sums(q):
         assert all(_same_bits(u, v) for u, v in zip(alone, want)), args
 
 
+@pytest.mark.parametrize("q", [0.5, 0.95, 0.3, 0.01, 1e-6])
+def test_power_table_keeps_the_bits_of_the_unique_table(q):
+    """The exponents marked in a boolean array and the first-index rows read
+    from windows give the powers, the Pochhammer rows and the sums of the
+    ``np.unique`` table with its fancy-indexed rows, over the identity
+    grids above, at D and at D and 2D."""
+    qd, depth = _LD(q), fockoracle._depth(q)
+    grids = [list(itertools.product(range(2, 6), range(5), range(5))),
+             [(2, y - 1, x) for x, y in itertools.product(range(5), range(1, 5))]]
+    for grid, depths in itertools.product(grids, [(depth,), (depth, 2 * depth)]):
+        got = fockoracle._PowerTable(qd, grid, max(depths))
+        want = scalarref.UniquePowerTable(qd, grid, max(depths))
+        assert _same_bits(got.powers, want.powers) and _same_bits(got.poch, want.poch)
+        for u, v in zip(got.sums(*depths), want.sums(*depths), strict=True):
+            assert _same_bits(u, v), (grid[0], depths)
+
+
 #: the oracle check's pairs, then complex pairs on several points, with gaps
 #: and unequal supports
 ORACLE_GRID_PAIRS = [*ORACLE_PAIRS,
@@ -434,6 +465,28 @@ def test_oracle_check_keeps_the_bits_of_per_call_values(q, m):
                 assert _same_bits(got, want), (n, quad, phi, psi)
                 [[alone]] = fockoracle.invariant_integral(params, [quad], [(phi, psi)])
                 assert _same_bits(alone, want)
+
+
+@pytest.mark.parametrize("q", [0.01, 0.5, 0.95])
+def test_negative_block_keeps_the_bits_of_the_per_composition_loop(q):
+    """Compositions tabled per total, each term's exponent s1 - w T: every
+    block, and every factor and power its tables hold, equals the loop that
+    walks each read's compositions and sums each one's exponent, at n 2-6
+    over the oracle's quadruples and pairs, each table shared by the call."""
+    quads = ORACLE_QUADS + [Quadruple(2, 1, 1, 0)]
+    for n in range(2, 7):
+        params = ModelParams(q, n, 4)
+        comps, factors, powers, ref_factors, ref_powers = {}, {}, {}, {}, {}
+        for quad, (phi, psi) in itertools.product(quads, ORACLE_GRID_PAIRS):
+            got = fockoracle._negative_block(params, quad, phi, psi, comps, factors, powers)
+            want = scalarref.per_composition_negative_block(params, quad, phi, psi,
+                                                            ref_factors, ref_powers)
+            assert _same_bits(got, want), (n, quad)
+        flat = {(*kl, *ends): f for kl, ends_factors in factors.items()
+                for ends, f in ends_factors.items()}
+        assert flat.keys() == ref_factors.keys() and powers.keys() == ref_powers.keys()
+        assert all(_same_bits(flat[key], ref_factors[key]) for key in flat)
+        assert all(_same_bits(powers[e], ref_powers[e]) for e in powers)
 
 
 #: the oracle check's pairs, then a sparse support, complex values on two

@@ -334,6 +334,38 @@ def test_negative_block_equals_the_per_term_builder(q):
         assert [repr(side) for side in sides] == [repr(side) for side in want], cell
 
 
+@pytest.mark.parametrize("q", [0.95, 0.3, 0.01, 1e-6, 1 / 3])
+def test_negative_block_shifts_keep_the_bits_of_multiplied_powers(q):
+    """v = 2^sv, so each multiply by v^c is a left shift: on n 2-5 x k, l
+    0-4 x t 0-5, in one call over every cell whose sides fit a double, each
+    side has the hex digits and the sign of the loop that multiplies by the
+    tabled powers of v; a cell past the double range raises OverflowError
+    in both."""
+    fits = []
+    for cell in itertools.product(range(2, 6), range(5), range(5), range(6)):
+        try:
+            scalarref.multiplied_negative_block_sum(q, [cell])
+            fits.append(cell)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                negative_block_sum(q, [cell])
+    got = negative_block_sum(q, fits)
+    want = scalarref.multiplied_negative_block_sum(q, fits)
+    for cell, sides, ref in zip(fits, got, want, strict=True):
+        assert [side.hex() for side in sides] == [side.hex() for side in ref], cell
+        assert np.signbit(sides).tolist() == np.signbit(ref).tolist(), cell
+
+
+def test_every_identity_kernel_and_the_oracle_take_an_empty_grid():
+    """An empty grid, or the oracle without a quadruple, gives []."""
+    f0 = LatticeFunction.basis(0)
+    assert negative_block_sum(0.5, []) == []
+    assert qbinomial_convolution(0.5, []) == []
+    assert positive_block_sum(0.5, []) == []
+    assert pochhammer_geometric_sum(0.5, []) == []
+    assert invariant_integral(ModelParams(0.5, 2, 2), [], [(f0, f0)]) == []
+
+
 # ----------------------------------------------------------- identity 2
 
 def test_positive_block_single_geometric():

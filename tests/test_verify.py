@@ -15,7 +15,7 @@ import scalarref
 from qlaplace import asc, fockoracle, laplace, lattice, qcore, spectral, verify
 from qlaplace._rng import Lcg
 from qlaplace.cli import RunConfig
-from qlaplace.lattice import LatticeFunction
+from qlaplace.lattice import LatticeFunction, Quadruple
 
 _LD = np.longdouble
 
@@ -130,6 +130,20 @@ def _base_indicator_loop(params, sector, cfg):
     return worst
 
 
+def _sector_independence_loop(params, sector, cfg):
+    """The sector check through the public divergence form, one action per
+    function and quadruple, and its gaps one by one over each pair's union
+    of supports."""
+    quads = [Quadruple(1, 1, 1, 1), Quadruple(2, 0, 2, 0), Quadruple(0, 2, 0, 2)]
+    fs = Lcg(cfg.seed + 202).lattice_functions(3, 8)
+    errors = []
+    for outs in zip(*(laplace.apply_divergence_form(params, qd, fs) for qd in quads)):
+        scale = max(1.0, max(abs(v) for v in outs[0].values()))
+        for other in outs[1:]:
+            errors += verify._support_gaps(outs[0], other, scale)
+    return verify._worst(errors)
+
+
 def _difference_duality_loop(params, sector, cfg):
     """The duality check on dicts, summed index by index through the
     library's bminus and bplus."""
@@ -177,9 +191,11 @@ _IDENTITY_LOOPS = [
     (verify.check_eigenvalue_residual, _eigenvalue_loop),
     (verify.check_transform_of_base_indicator, _base_indicator_loop),
     (verify.check_difference_duality, _difference_duality_loop),
+    (verify.check_sector_independence, _sector_independence_loop),
     *_IDENTITY_LOOPS,
 ], ids=["parseval", "multiplication", "roundtrip", "symmetry", "eigenvalue_residual",
-        "transform_of_base_indicator", "difference_duality", "identity_negative_block",
+        "transform_of_base_indicator", "difference_duality", "sector_independence",
+        "identity_negative_block",
         "identity_positive_block", "identity_qbinomial_convolution",
         "identity_geometric_sum"])
 @pytest.mark.parametrize("cfg", CONFIGS,
@@ -763,15 +779,16 @@ def _count_kernel_calls(monkeypatch) -> dict:
     return calls
 
 
-#: per check, the calls of each kernel: one per check, one divergence form
-#: per quadruple, and one scalar norm per basis vector (see
+#: per check, the calls of each kernel: one per check and one scalar norm
+#: per basis vector (see
 #: test_an_overflowing_basis_norm_fails_with_its_scalar_call_note); the
 #: eigenvalue, symmetry and multiplication checks form their actions by one
-#: three-term table, and the transform checks call the plan's row cores
+#: three-term table, sector_independence by the divergence form's row core
+#: once per quadruple, and the transform checks call the plan's row cores
 ONE_ARRAY_PASS_CHECKS = [
     ("eigenvalue_residual", {}),
     ("cross_form_agreement", {"apply_three_term": 1, "apply_divergence_form": 1}),
-    ("sector_independence", {"apply_divergence_form": 3}),
+    ("sector_independence", {}),
     ("operator_symmetry", {}),
     ("norm_closed_form", {"indicator_norm_sq": 1}),
     ("transform_of_base_indicator", {"indicator_norm_sq": 13, "_forward_rows": 1}),
@@ -794,14 +811,14 @@ def test_check_runs_each_kernel_in_one_array_pass(monkeypatch, cfg, check, count
 
 
 def test_default_pass_kernel_calls(monkeypatch):
-    """A default battery pass: 1 public three-term action (cross_form_agreement;
-    multiplication_operator forms its own from one table), 4 divergence
-    forms, 45 indicator-norm calls (one array call for the norm check, one
-    scalar call per basis vector), no public forward or inverse transform,
-    and 4 forward and 1 inverse row-core calls (10, 14, 75, 38 and 5 with
-    one call per function)."""
+    """A default battery pass: 1 public three-term action and 1 public
+    divergence form (cross_form_agreement; multiplication_operator and
+    sector_independence call the row cores), 45 indicator-norm calls (one
+    array call for the norm check, one scalar call per basis vector), no
+    public forward or inverse transform, and 4 forward and 1 inverse
+    row-core calls (10, 14, 75, 38 and 5 with one call per function)."""
     calls = _count_kernel_calls(monkeypatch)
     assert all(r.passed for r in verify.run_battery(RunConfig()))
-    assert calls == {"apply_three_term": 1, "apply_divergence_form": 4,
+    assert calls == {"apply_three_term": 1, "apply_divergence_form": 1,
                      "indicator_norm_sq": 45, "forward": 0, "inverse": 0,
                      "_forward_rows": 4, "_inverse_rows": 1}
