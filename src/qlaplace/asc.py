@@ -427,10 +427,11 @@ class SpectralMeasure:
     the family's eigenfunction profile at its points (:meth:`_profile`,
     about 16 N (k+1) bytes on N nodes after its deepest read) and its
     quadrature weights (:meth:`weights`, built once, O(N) bytes).  The
-    transform plans of :mod:`qlaplace.spectral` read views of both and own
-    no array; :meth:`polynomials` and a profile at other points run the
-    kernels themselves (``_polynomials`` can leave the measure its profile
-    from the polynomials' tables); the lattice masses belong to the sector.
+    transforms of :mod:`qlaplace.spectral` read views of both, at each
+    call's depth, and own no array; :meth:`polynomials` and a profile at
+    other points run the kernels themselves (``_polynomials`` can leave the
+    measure its profile from the polynomials' tables); the lattice masses
+    belong to the sector.
     """
 
     theta_nodes: np.ndarray
@@ -480,7 +481,7 @@ class SpectralMeasure:
     def _polynomials(self, kmax: int, hold: bool) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`polynomials`; with ``hold``, a measure that holds no
         profile to degree kmax takes it from the same table and sums, so a
-        transform plan at that depth runs neither kernel again.  The table
+        transform at that depth runs neither kernel again.  The table
         is scaled on a copy, and scaling in place has the bits of a scaled
         copy, so the profile has the bits of :meth:`_profile`'s own build."""
         p = self.params

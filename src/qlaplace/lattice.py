@@ -252,6 +252,8 @@ class LatticeFunction(Mapping):
         for pair in vals:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ValueError(f"'values' entries must be [re, im] pairs, got {pair!r}")
+            if any(isinstance(x, bool) for x in pair):  # true would pass as 1.0
+                raise ValueError(f"'values' entries must be numbers, got {pair!r}")
         coeffs = {}
         try:  # a non-numeric value, an unhashable or infinite index
             for j, (re, im) in zip(sup, vals):

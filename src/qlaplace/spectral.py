@@ -29,29 +29,24 @@ per point (bound-state profiles are minimal solutions of the recurrence, so
 any forward evaluation loses relative accuracy exponentially in j).  The
 lattice masses of all degrees come from one ``measure_mass`` call.
 
-Transforms run on a ``_TransformPlan``, the profiles of one measure's
-family at one depth.  Its row cores work on arrays: ``_forward_rows``
-takes coefficient rows, a function's values at 0..J each, one column each
-of one matrix product per part (band and mass points, run by ``np.dot``'s
-``longdouble`` dot loop, see :func:`_matmul`), and returns (cont, disc),
-C-contiguous ``clongdouble`` arrays with one row per function, which
-``_inverse_rows`` takes, returning the values at 0..max_j as rows; every
-row has the bits of the one-function call.  The plan's forward and
-inverse are the Mapping adapters around them, gathering the coefficient
-rows from lattice functions and rebuilding lattice functions from the
-value rows; :func:`transform_grid`, the one builder of a
-``SpectralFunction``, and :func:`inverse_transform_profile` are one-row
-calls of those, and the battery's drawn-function checks call the cores.
-The measure holds the profile and the quadrature weights
-(``SpectralMeasure`` says who owns what); a plan reads read-only views of
-them, owns no array, lives for one call, and refuses another family,
-whose profiles would not pair with the measure; the lattice masses belong
-to the sector and are formed per forward, by one ``measure_mass`` call.
-A round trip carries no plan: its inverse builds its own on the profile
-the forward left on the measure, so the profile is built on a measure's
-first transform and on each deeper one only.  The inverse's lattice
-functions are built by ``LatticeFunction._from_items``, without checking
-again the indices the plan made.
+Transforms work on arrays, in two functions of the measure:
+``_forward_rows`` takes coefficient rows, a function's values at 0..J each,
+one column each of one matrix product per part (band and mass points, run
+by ``np.dot``'s ``longdouble`` dot loop, see :func:`_matmul`), and returns
+(cont, disc), C-contiguous ``clongdouble`` arrays with one row per
+function, which ``_inverse_rows`` takes, returning the values at 0..max_j
+as rows; every row has the bits of the one-function call.
+:func:`transform_grid`, the one builder of a ``SpectralFunction``, and
+:func:`inverse_transform_profile` are one-row calls of them, and the
+battery's drawn-function checks call them on their rows.  Each reads the
+measure's profile (``SpectralMeasure._profile``, see its docstring for who
+owns what) at its own depth, after refusing another family, whose profiles
+would not pair with the measure; the lattice masses belong to the sector
+and are formed per forward.  The profile is built on a measure's first
+transform and on each deeper one only, so a round trip's inverse reads the
+profile its forward left.  The inverse's lattice
+function is built by ``LatticeFunction._from_items``, without checking
+again the indices 0..max_j.
 """
 
 from __future__ import annotations
@@ -211,111 +206,82 @@ def _matmul(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     as they are strided; it adds the same rounded products in the same index
     order from +0 as ``@``'s no-BLAS matmul loop, so it gives the same
     values and zero signs, but keeps the running sum in a register where
-    ``@`` loads and stores it in the output on every term: 2.4-3x faster on
-    the plan's shapes.  Every column has the bits of M times that column
-    alone."""
+    ``@`` loads and stores it in the output on every term.  Every column
+    has the bits of M times that column alone."""
     if not np.iscomplexobj(V):
         return np.dot(M, V)
     parts = np.ascontiguousarray(V, dtype=_CLD).view(_LD)
     return np.dot(M, parts).view(_CLD)
 
 
-class _TransformPlan:
-    """Profile matrix of one measure's family at depth ``max_j``, with
-    :func:`eigenfunction_profile`'s bits: ``cont`` and ``disc`` are
-    read-only views of the measure's profile (``SpectralMeasure._profile``),
-    cont the transposed band.  The family is compared raw: a (params,
-    sector) whose (a, b, q^2) of :func:`_family` differ from the fields of
+def _family_profile(params: ModelParams, sector: Sector,
+                    measure: SpectralMeasure, depth: int):
+    """``measure._profile(depth)``, read-only (band, disc) views with
+    :func:`eigenfunction_profile`'s bits (band degree-major), for a (params,
+    sector) of the measure's family.  The family is compared raw: one whose
+    (a, b, q^2) of :func:`_family` differ from the fields of
     ``measure.params`` raises ValueError before any profile is built, also
-    when its a or b is not finite, with no ``AscParams`` formed.
+    when its a or b is not finite, with no ``AscParams`` formed."""
+    p = measure.params
+    if _family(params, sector) != (p.a, p.b, p.base):
+        raise ValueError("the sector's Al-Salam-Chihara family is not the measure's")
+    return measure._profile(depth)
 
-    A call transforms a list of functions in one matrix product per part
-    (band and mass points), each function one column of the right-hand
-    side.  A forward reads the leading columns, to its deepest function's
-    depth, and forms the lattice masses there.  Those columns carry the bits
-    of a build at that depth (profile column j depends on no later column),
-    and the products, ``np.dot``'s ``longdouble`` dot loop through
-    :func:`_matmul`, sum in index order from +0 whatever the strides, so
-    every value equals a fresh build's for that function alone: a zero
-    coefficient past a shallower function's depth leaves the sum unchanged.
-    A function deeper than the plan raises ValueError.
-    """
 
-    def __init__(self, params: ModelParams, sector: Sector,
-                 measure: SpectralMeasure, max_j: int):
-        p = measure.params
-        if _family(params, sector) != (p.a, p.b, p.base):
-            raise ValueError("the sector's Al-Salam-Chihara family is not the measure's")
-        self.params, self.sector = params, sector
-        self.measure = measure
-        self.max_j = max_j
-        band, self.disc = measure._profile(max_j)
-        self.cont = band.T
+def _forward_rows(params: ModelParams, sector: Sector, measure: SpectralMeasure,
+                  coeffs: np.ndarray):
+    """Forward transforms of the coefficient rows ``coeffs``, each a
+    function's values at 0..J (a column per index), on the measure's full
+    node set, as (cont, disc): C-contiguous ``clongdouble`` arrays of the
+    values at the nodes and at the mass points, one row per function.
 
-    def forward(self, fs: Sequence[Mapping[int, complex]]):
-        """Forward transforms of the functions of ``fs`` on the measure's full
-        node set, as (cont, disc): C-contiguous ``clongdouble`` arrays of
-        the values at the nodes and at the mass points, one row per
-        function; the functions' values at 0..J, J the deepest index, are
-        the coefficient rows of :meth:`_forward_rows`."""
-        J = max((max(f, default=0) for f in fs), default=0)
-        self._check_depth(J)  # before the rows are built
-        coeffs = np.array([[f.get(j, 0) for j in range(J + 1)] for f in fs], dtype=_CLD)
-        return self._forward_rows(coeffs.reshape(len(fs), J + 1))
+    The rows are read as ``clongdouble`` and the lattice masses at 0..J
+    come from one ``measure_mass`` call; each part is one matrix product,
+    each function one column of the right-hand side, against the profile
+    at depth J.  Profile column j depends on no later column, and the
+    products, ``np.dot``'s ``longdouble`` dot loop through :func:`_matmul`,
+    sum in index order from +0 whatever the strides, so every row equals a
+    fresh build's for that function alone: a zero coefficient past a
+    shallower function's depth leaves the sum unchanged."""
+    J = coeffs.shape[1] - 1
+    band, disc = _family_profile(params, sector, measure, J)
+    weighted = (np.asarray(coeffs, dtype=_CLD)
+                * measure_mass(params, sector, np.arange(J + 1))).T
+    return (np.ascontiguousarray(_matmul(band.T, weighted).T),
+            np.ascontiguousarray(_matmul(disc, weighted).T))
 
-    def _forward_rows(self, coeffs: np.ndarray):
-        """Forward transforms of the coefficient rows ``coeffs``, each a
-        function's values at 0..J (a column per index, J at most the plan's
-        depth), as :meth:`forward` returns them.  The rows are read as
-        ``clongdouble``, the lattice masses at 0..J come from one
-        ``measure_mass`` call."""
-        J = coeffs.shape[1] - 1
-        self._check_depth(J)
-        weighted = (np.asarray(coeffs, dtype=_CLD)
-                    * measure_mass(self.params, self.sector, np.arange(J + 1))).T
-        return (np.ascontiguousarray(_matmul(self.cont[:, :J + 1], weighted).T),
-                np.ascontiguousarray(_matmul(self.disc[:, :J + 1], weighted).T))
 
-    def _check_depth(self, J: int) -> None:
-        if J > self.max_j:
-            raise ValueError(f"depth {J} exceeds the transform plan's "
-                             f"depth {self.max_j}")
-
-    def inverse(self, cont: np.ndarray, disc: np.ndarray) -> list:
-        """Inverse transforms of the spectral functions given by their values
-        at the nodes and at the mass points, one row each of ``cont`` and
-        ``disc``, each on all lattice indices 0..max_j at once: the rows of
-        :meth:`_inverse_rows` as lattice functions."""
-        return [LatticeFunction._from_items(enumerate(row))
-                for row in self._inverse_rows(cont, disc)]
-
-    def _inverse_rows(self, cont: np.ndarray, disc: np.ndarray) -> np.ndarray:
-        """The inverse transforms of :meth:`inverse` as one ``clongdouble``
-        array, a row per spectral function of the values at 0..max_j."""
-        nodes, masses = self.measure.weights()
-        vals = _matmul(self.cont.T, (nodes * cont).T)
-        if len(masses):
-            vals = vals + _matmul(self.disc.T, (masses * disc).T)
-        return vals.T
+def _inverse_rows(params: ModelParams, sector: Sector, measure: SpectralMeasure,
+                  cont: np.ndarray, disc: np.ndarray, max_j: int) -> np.ndarray:
+    """Inverse transforms of the spectral functions given by their values
+    at the nodes and at the mass points, one row each of ``cont`` and
+    ``disc``, as one ``clongdouble`` array, a row per function of its values
+    at 0..max_j, against the profile at depth max_j."""
+    band, prof = _family_profile(params, sector, measure, max_j)
+    nodes, masses = measure.weights()
+    vals = _matmul(band, (nodes * cont).T)
+    if len(masses):
+        vals = vals + _matmul(prof.T, (masses * disc).T)
+    return vals.T
 
 
 def transform_grid(params: ModelParams, sector: Sector, f: Mapping[int, complex],
                    measure: SpectralMeasure) -> SpectralFunction:
-    """Forward transform sampled on a Plancherel measure's full node set."""
-    plan = _TransformPlan(params, sector, measure, max(f, default=0))
-    [cont], [disc] = plan.forward([f])
+    """Forward transform sampled on a Plancherel measure's full node set:
+    the one :func:`_forward_rows` row of f's values at 0..max(f)."""
+    coeffs = np.array([[f.get(j, 0) for j in range(max(f, default=0) + 1)]], dtype=_CLD)
+    [cont], [disc] = _forward_rows(params, sector, measure, coeffs)
     return SpectralFunction(measure=measure, continuous=cont, discrete=disc)
 
 
 def inverse_transform_profile(params: ModelParams, sector: Sector,
                               fhat: SpectralFunction, max_j: int) -> LatticeFunction:
-    """Inverse transform on all lattice indices 0..max_j at once, on a plan
-    of its own at ``max_j``, which reads the measure's profile."""
-    plan = _TransformPlan(params, sector, fhat.measure, max_j)
+    """Inverse transform on all lattice indices 0..max_j at once: the one
+    :func:`_inverse_rows` row, as a lattice function."""
     # a hand-built spectral function may hold a sequence of values
-    [rec] = plan.inverse(np.asarray(fhat.continuous)[None],
-                         np.asarray(fhat.discrete)[None])
-    return rec
+    [row] = _inverse_rows(params, sector, fhat.measure, np.asarray(fhat.continuous)[None],
+                          np.asarray(fhat.discrete)[None], max_j)
+    return LatticeFunction._from_items(enumerate(row))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ and pairs.
 Every check that draws takes its draws from one ``Lcg`` block.  The
 transform checks (``parseval``, ``multiplication_operator``,
 ``transform_roundtrip``, ``transform_of_base_indicator``) run on arrays
-from the draw to the residual: coefficient rows into the plan's row cores
-``_forward_rows`` and ``_inverse_rows``, value rows into the pairing core
+from the draw to the residual: coefficient rows into the transforms' row
+functions ``spectral._forward_rows`` and ``_inverse_rows``, each on the
+check's own measure, value rows into the pairing core
 ``lattice._pair_rows``, each with the bits of the per-function calls on
 lattice functions; ``difference_duality`` forms its quotients on rows by
 the formula of ``qcore.bminus`` and ``qcore.bplus``; ``sector_independence``
@@ -217,11 +218,10 @@ def check_transform_of_base_indicator(params, sector, cfg) -> float:
     # base)_j (ab; base)_j), at every node and mass point: the lattice masses
     # against the polynomials' norms.  Q_j comes from the measure's
     # polynomials at its z and its mass points, whose tables leave the
-    # measure the profile the plan reads, so each kernel runs once.
+    # measure the profile the forward reads, so each kernel runs once.
     J = 12
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     band, masses = meas._polynomials(J, hold=True)
-    plan = spectral._TransformPlan(params, sector, meas, J)
     pp = meas.params
     pw = np.cumprod(np.r_[_LD(1), np.full(J, pp.base)])  # base^j
     # (base; base)_j and (ab; base)_j, j = 0..J, each a running product
@@ -231,7 +231,7 @@ def check_transform_of_base_indicator(params, sector, cfg) -> float:
     # basis_orthonormality)
     basis = np.diag([lattice.orthonormal_basis(params, sector, j).get(j, 0.0)
                      for j in range(J + 1)])
-    got = np.concatenate(plan._forward_rows(basis), axis=1)
+    got = np.concatenate(spectral._forward_rows(params, sector, meas, basis), axis=1)
     # row j: degree j at every node, then at every mass point
     want = norm[:, None] * np.concatenate([band, masses.T], axis=1)
     return _worst(np.abs(got - want) / np.maximum(1, np.abs(want)))
@@ -239,9 +239,8 @@ def check_transform_of_base_indicator(params, sector, cfg) -> float:
 
 def check_parseval(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
-    plan = spectral._TransformPlan(params, sector, meas, 14)
     fs = Lcg(cfg.seed + 404).coefficients(10, 15)
-    cont, disc = plan._forward_rows(fs)
+    cont, disc = spectral._forward_rows(params, sector, meas, fs)
     pars = meas.integrate(np.abs(cont) ** 2, np.abs(disc) ** 2)
     [nrms] = lattice._pair_rows(params, sector, np.arange(15), [(fs, fs)])
     return _worst(np.abs(pars - nrms) / np.abs(nrms))
@@ -250,12 +249,12 @@ def check_parseval(params, sector, cfg) -> float:
 def check_multiplication(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
     lam_cont, lam_disc = spectral.measure_eigenvalues(params, meas)
-    plan = spectral._TransformPlan(params, sector, meas, 12)
     # the values of each f at -1..13, whose action reaches 0..12
     rows = np.zeros((5, 15), dtype=np.clongdouble)
     rows[:, 1:13] = Lcg(cfg.seed + 505).coefficients(5, 12)
     action = laplace._three_term(params, sector, rows, 0, 13)
-    cont, disc = plan._forward_rows(np.concatenate([rows[:, 1:-1], action]))
+    cont, disc = spectral._forward_rows(params, sector, meas,
+                                        np.concatenate([rows[:, 1:-1], action]))
     lam_fhat = lam_cont * cont[:5]
     # one scale per function, which may pass 1e308
     scale = np.array([max(_LD(1), top) for top in np.max(np.abs(lam_fhat), axis=1)])
@@ -265,10 +264,11 @@ def check_multiplication(params, sector, cfg) -> float:
 
 def check_roundtrip(params, sector, cfg) -> float:
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
-    plan = spectral._TransformPlan(params, sector, meas, 16)
+    meas._profile(16)  # at the inverse's depth, so the forward builds none
     fs = np.zeros((5, 17), dtype=complex)
     fs[:, :15] = Lcg(cfg.seed + 606).coefficients(5, 15)
-    err = plan._inverse_rows(*plan._forward_rows(fs[:, :15])) - fs
+    fhat = spectral._forward_rows(params, sector, meas, fs[:, :15])
+    err = spectral._inverse_rows(params, sector, meas, *fhat, 16) - fs
     num, den = lattice._pair_rows(params, sector, np.arange(17), [(err, err), (fs, fs)])
     return _worst(np.sqrt(np.abs(num) / np.abs(den)))
 

@@ -109,13 +109,15 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(command, option):
     (["transform", "--input", "f.json"], '{"support": [1e400], "values": [[1.0, 0.0]]}'),
     (["transform", "--input", "f.json"], '{"support": [0, 0], "values": [[1, 0], [5, 0]]}'),
     (["transform", "--input", "f.json"], '{"support": [true], "values": [[1.0, 0.0]]}'),
+    (["transform", "--input", "f.json"],
+     '{"support": [0, 1], "values": [[true, false], [1.0, true]]}'),
     (["transform", "--input", "f.json"], '{"support": [0], "values": [[NaN, 0.0]]}'),
     (["transform", "--input", "f.json"], '{"support": [0], "values": [[1.0, -Infinity]]}'),
     # past the JSON parser's recursion limit, which raised RecursionError
     (["transform", "--input", "f.json"], "[" * 100_000 + "]" * 100_000),
 ], ids=["out-directory-missing", "input-top-level-list", "input-string-value",
         "input-infinite-index", "input-repeated-index", "input-boolean-index",
-        "input-nan-value", "input-infinite-value", "input-deeply-nested"])
+        "input-boolean-value", "input-nan-value", "input-infinite-value", "input-deeply-nested"])
 def test_bad_out_or_input_is_a_usage_error(tmp_path, args, content):
     if content is not None:
         (tmp_path / "f.json").write_text(content)

@@ -238,13 +238,12 @@ def test_kernels_equal_the_per_point_loops(q, n, m, lp):
                                                 (0.5, 2, 4, 2, 2)])
 def test_eigenfunction_profile_at_one_mass_point_is_its_row(q, n, m, lp, count):
     """A DiscreteMass of the sector runs the terminating sum: its profile
-    alone is its row of the plan's profiles, bit for bit."""
+    alone is its row of the measure's profile, bit for bit."""
     params, sector = ModelParams(q, n, m), Sector(0, lp)
     meas = plancherel_measure(params, sector, 256)
     assert len(meas.discrete) == count
     for J in (0, 1, 30, 60):
-        plan = spectral._TransformPlan(params, sector, meas, J)
-        for d, row in zip(meas.discrete, plan.disc):
+        for d, row in zip(meas.discrete, meas._profile(J)[1]):
             cont, [got] = eigenfunction_profile(params, sector, np.empty(0, dtype=_LD),
                                                 [d], J)
             assert cont.shape == (0, J + 1) and got.dtype == _LD
@@ -491,10 +490,10 @@ def test_transform_of_orthonormal_basis_is_orthonormal_polynomial():
     """U e_j = p_j on the measure's nodes and at its mass points."""
     for params, sector in CASES[:2]:
         meas = plancherel_measure(params, sector, 64)
-        plan = spectral._TransformPlan(params, sector, meas, 5)
         for j in (0, 2, 5):
             ej = LatticeFunction({j: 1.0 / np.sqrt(measure_mass(params, sector, j))})
-            [cont], [disc] = plan.forward([ej])
+            fhat = transform_grid(params, sector, ej, meas)
+            cont, disc = fhat.continuous, fhat.discrete
             assert not cont.imag.any() and not disc.imag.any()
             for t, val in zip(meas.theta_nodes, cont.real):
                 want = _orthonormal_polynomial(params, sector, j, np.cos(t))
@@ -579,7 +578,7 @@ def test_multiplication_operator_property():
                 assert abs(va - lm * vf) / scale < 1e-9
 
 
-PLAN_CASES = [(ModelParams(q, n, m), Sector(L, Lp))
+SLICE_CASES = [(ModelParams(q, n, m), Sector(L, Lp))
               for q in (0.01, 0.3, 0.5, 0.95)
               for n, m, L, Lp in ((2, 2, 0, 0), (2, 4, 0, 2), (1, 6, 0, 5),
                                   (3, 5, 0, 4))]
@@ -590,43 +589,54 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("params,sector", PLAN_CASES)
-def test_transform_plan_slices_keep_the_bits_of_a_fresh_build(params, sector):
-    """A plan at depth 16 gives every shallower forward transform, and a
-    shallower plan on its measure every inverse transform, the bits of the
-    public functions on a fresh measure, which build its tables at the
-    function's own depth: the leading profile columns and masses equal a
+def _coeff_rows(fs):
+    """The coefficient rows of ``spectral._forward_rows``: each function's
+    values at 0..J, J the deepest index of ``fs``."""
+    J = max((max(f, default=0) for f in fs), default=0)
+    return np.array([[f.get(j, 0) for j in range(J + 1)] for f in fs],
+                    dtype=np.clongdouble).reshape(len(fs), J + 1)
+
+
+def _forward(params, sector, meas, fs):
+    """The forward rows of the functions ``fs``, stacked, as (cont, disc)."""
+    return spectral._forward_rows(params, sector, meas, _coeff_rows(fs))
+
+
+def _inverse(params, sector, meas, cont, disc, max_j):
+    """The inverse rows at 0..max_j of the spectral functions given by the
+    rows of ``cont`` and ``disc``, as lattice functions."""
+    return [LatticeFunction._from_items(enumerate(row))
+            for row in spectral._inverse_rows(params, sector, meas, cont, disc, max_j)]
+
+
+@pytest.mark.parametrize("params,sector", SLICE_CASES)
+def test_transform_slices_keep_the_bits_of_a_fresh_build(params, sector):
+    """On a measure holding its profile at depth 16, every forward
+    transform and every inverse transform at a shallower depth has the bits
+    of the public functions on a fresh measure, which build its tables at
+    the function's own depth: the leading profile columns and masses equal a
     shallower build's."""
     meas = plancherel_measure(params, sector, 256)
-    plan = spectral._TransformPlan(params, sector, meas, 16)
+    meas._profile(16)
     rng = Lcg(99)
     for size in (1, 12, 13, 15, 17):
         f = rng.lattice_function(size)
         for g in (f, *apply_three_term(params, sector, [f])):
             if max(g) > 16:
-                with pytest.raises(ValueError, match="depth"):
-                    plan.forward([g])
-                continue
-            cont, disc = plan.forward([g])
+                continue  # a deeper forward rebuilds the profile
+            cont, disc = _forward(params, sector, meas, [g])
             want = transform_grid(params, sector, g, plancherel_measure(params, sector, 256))
             assert _same_bits(cont[0], want.continuous)
             assert _same_bits(disc[0], want.discrete)
             for depth in (1, 14, 16):
-                [rec] = spectral._TransformPlan(params, sector, meas, depth).inverse(cont, disc)
+                [rec] = _inverse(params, sector, meas, cont, disc, depth)
                 fresh = SpectralFunction(plancherel_measure(params, sector, 256),
                                          want.continuous, want.discrete)
                 ref = inverse_transform_profile(params, sector, fresh, depth)
                 assert rec.support == ref.support
                 assert _same_bits([rec[j] for j in rec.support],
                                   [ref[j] for j in ref.support])
-
-
-def test_transform_plan_rejects_deeper_functions():
-    params, sector = ModelParams(0.5, 2, 4), Sector(0, 2)
-    meas = plancherel_measure(params, sector, 64)
-    plan = spectral._TransformPlan(params, sector, meas, 5)
-    with pytest.raises(ValueError, match="depth 6"):
-        plan.forward([LatticeFunction.basis(6)])
+    assert len(meas._held[0]) == 17
 
 
 #: sectors with 0, 2 and 5 mass points
@@ -666,8 +676,8 @@ def test_in_place_profile_table_keeps_the_bits_of_the_stacked_one():
     """At the J = 60 round-trip benchmark's point set (q = 0.5, n = 2, m = 4,
     L = 0, L' = 2, 256 nodes and 2 mass points) the profile written into one
     degree-major table equals the stacked per-degree arrays, values and
-    dtype, and a round trip through the public functions equals one through
-    a plan holding those stacked arrays."""
+    dtype, and a round trip through the public functions equals one on a
+    measure holding those stacked arrays."""
     params, sector = ModelParams(0.5, 2, 4), Sector(0, 2)
     meas = plancherel_measure(params, sector, 256)
     assert len(meas.theta_nodes) == 256 and len(meas.discrete) == 2
@@ -679,11 +689,20 @@ def test_in_place_profile_table_keeps_the_bits_of_the_stacked_one():
             assert g.shape == w.shape and _identical(g, w)
     f = Lcg(60).lattice_function(61)
     rec = inverse_transform_profile(params, sector, transform_grid(params, sector, f, meas), 60)
-    plan = spectral._TransformPlan(params, sector, meas, 60)
-    plan.cont, plan.disc = _stacked_reference_profile(params, sector, z, meas.discrete, 60)
-    assert plan.cont.flags.c_contiguous and not plan.cont.flags.f_contiguous
-    [want] = plan.inverse(*plan.forward([f]))
+    stacked = _holding(params, sector, *_stacked_reference_profile(
+        params, sector, z, meas.discrete, 60))
+    cont = stacked._profile(60)[0].T
+    assert cont.flags.c_contiguous and not cont.flags.f_contiguous
+    [want] = _inverse(params, sector, stacked, *_forward(params, sector, stacked, [f]), 60)
     assert rec.support == tuple(range(61)) and _identical_lattice(rec, want)
+
+
+def _holding(params, sector, cont, disc):
+    """A fresh measure of the sector holding the profile (cont, disc), cont
+    one row per point as ``eigenfunction_profile`` returns it."""
+    meas = plancherel_measure(params, sector, 256)
+    meas._hold(cont.T, disc)
+    return meas
 
 
 def _count_profile_builds(monkeypatch):
@@ -705,7 +724,7 @@ def _count_profile_builds(monkeypatch):
 def test_transforms_on_one_measure_build_the_profile_once(
         params, sector, masses, monkeypatch):
     """The first transform on a measure builds its profile once; later
-    forwards, inverses and plans at equal or smaller depth, and
+    forwards and inverses at equal or smaller depth, public or stacked, and
     ``polynomials``, which runs its own kernels, build none, and every
     inverse reads the weights the first built."""
     meas = plancherel_measure(params, sector, 256)
@@ -720,28 +739,48 @@ def test_transforms_on_one_measure_build_the_profile_once(
     for depth in (20, 11, 0):
         inverse_transform_profile(params, sector, fhat, depth)
     transform_grid(params, sector, rng.lattice_function(12), meas)
-    spectral._TransformPlan(params, sector, meas, 15).forward(
-        [rng.lattice_function(16), rng.lattice_function(3)])
+    _forward(params, sector, meas, [rng.lattice_function(16), rng.lattice_function(3)])
     meas.polynomials(20)
     assert builds == [20]
     assert meas.weights()[0] is nodes and meas.weights()[1] is mass_weights
+
+
+@pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
+def test_a_deeper_forward_rebuilds_the_profile_once_with_fresh_bits(
+        params, sector, masses, monkeypatch):
+    """A forward deeper than the profile the measure holds rebuilds it once,
+    at the forward's own depth, and its rows have the bits of the public
+    forward on a fresh measure; forwards at that depth or shallower build
+    none."""
+    meas = plancherel_measure(params, sector, 256)
+    assert len(meas.discrete) == masses
+    meas._profile(5)
+    fs = [LatticeFunction.basis(6), Lcg(6).lattice_function(7)]
+    wants = [transform_grid(params, sector, f, plancherel_measure(params, sector, 256))
+             for f in fs]
+    builds = _count_profile_builds(monkeypatch)
+    cont, disc = _forward(params, sector, meas, fs)
+    assert builds == [6] and len(meas._held[0]) == 7
+    for c, d, want in zip(cont, disc, wants):
+        assert _identical(c, want.continuous) and _identical(d, want.discrete)
+    _forward(params, sector, meas, fs[:1])
+    _forward(params, sector, meas, [LatticeFunction.basis(2)])
+    assert builds == [6]
 
 
 def test_a_deeper_read_rebuilds_once_and_shallower_reads_keep_fresh_bits(monkeypatch):
     """At the round-trip benchmark's sector a read deeper than the profile
     rebuilds it once, at that depth; every read, before and after that
     rebuild, has the bits of a fresh build at its own depth, and so do the
-    plans that view it, their round trips and ``polynomials``."""
+    round trips that read it and ``polynomials``."""
     params, sector = ModelParams(0.5, 2, 4), Sector(0, 2)
     meas = plancherel_measure(params, sector, 256)
     fresh = {J: eigenfunction_profile(params, sector, meas.z, meas.discrete, J)
              for J in (0, 5, 17, 30, 60)}
     f = Lcg(17).lattice_function(31)
-    plans = {J: spectral._TransformPlan(params, sector, meas, J) for J in (5, 30, 60)}
-    for J, plan in plans.items():
-        plan.cont, plan.disc = fresh[J]
-    fhat = plans[30].forward([f])
-    want = {J: plan.inverse(*fhat)[0] for J, plan in plans.items()}
+    held = {J: _holding(params, sector, *fresh[J]) for J in (5, 30, 60)}
+    fhat = _forward(params, sector, held[30], [f])
+    want = {J: _inverse(params, sector, m, *fhat, J)[0] for J, m in held.items()}
     polys = {k: plancherel_measure(params, sector, 256).polynomials(k) for k in (0, 4, 12)}
     meas = plancherel_measure(params, sector, 256)
     builds = _count_profile_builds(monkeypatch)
@@ -755,8 +794,6 @@ def test_a_deeper_read_rebuilds_once_and_shallower_reads_keep_fresh_bits(monkeyp
         for J in depths:
             band, disc = meas._profile(J)
             assert _identical(band.T, fresh[J][0]) and _identical(disc, fresh[J][1])
-            plan = spectral._TransformPlan(params, sector, meas, J)
-            assert _identical(plan.cont, fresh[J][0]) and _identical(plan.disc, fresh[J][1])
 
     reads_fresh_bits((0, 5, 17, 30))
     for J in (5, 30):
@@ -773,18 +810,17 @@ def test_a_deeper_read_rebuilds_once_and_shallower_reads_keep_fresh_bits(monkeyp
     assert builds == [5, 30, 60]
 
 
-def test_measure_profile_is_read_only_and_plans_view_it():
-    """Writing into the profile the measure serves raises; a plan's
-    ``cont`` and ``disc`` are read-only views of it, and the values of
-    ``polynomials`` are new arrays of that call."""
+def test_measure_profile_is_read_only_and_transforms_view_it():
+    """Writing into the profile the measure serves raises; the profile the
+    forward and inverse rows read are read-only views of it, and the values
+    of ``polynomials`` are new arrays of that call."""
     params, sector = ModelParams(0.5, 2, 4), Sector(0, 2)
     meas = plancherel_measure(params, sector, 64)
     band, disc = meas._profile(8)
     for held in (band, disc, *meas._profile(3)):
         with pytest.raises(ValueError, match="read-only"):
             held[0, 0] = 1
-    plan = spectral._TransformPlan(params, sector, meas, 8)
-    for view, held in zip((plan.cont, plan.disc), meas._held):
+    for view, held in zip(spectral._family_profile(params, sector, meas, 8), meas._held):
         assert not view.flags.writeable and not view.flags.owndata
         assert np.shares_memory(view, held)
         with pytest.raises(ValueError, match="read-only"):
@@ -837,9 +873,9 @@ REFUSED_CASES = [(*case, _other_families(*case[:2])) for case in REUSE_CASES] \
 def test_other_families_on_a_measure_are_refused(params, sector, masses, others,
                                                  monkeypatch):
     """Other params or another sector, whose eigenfunctions do not pair with
-    the measure, raise from the plan, ``transform_grid`` and
-    ``inverse_transform_profile`` before any profile is built, also for a
-    family with a non-finite a and under ``errstate(over="raise")``."""
+    the measure, raise from the forward and inverse rows, ``transform_grid``
+    and ``inverse_transform_profile`` before any profile is built, also for
+    a family with a non-finite a and under ``errstate(over="raise")``."""
     meas = plancherel_measure(params, sector, 256)
     f = Lcg(6).lattice_function(14)
     fhat = SpectralFunction(meas, np.ones(len(meas.theta_nodes), dtype=np.clongdouble),
@@ -847,7 +883,9 @@ def test_other_families_on_a_measure_are_refused(params, sector, masses, others,
     builds = _count_profile_builds(monkeypatch)
     for p, s in others:
         assert spectral._family(p, s) != (meas.params.a, meas.params.b, meas.params.base)
-        for call in (lambda: spectral._TransformPlan(p, s, meas, 13),
+        for call in (lambda: _forward(p, s, meas, [f]),
+                     lambda: spectral._inverse_rows(p, s, meas, fhat.continuous[None],
+                                                    fhat.discrete[None], 13),
                      lambda: transform_grid(p, s, f, meas),
                      lambda: inverse_transform_profile(p, s, fhat, 13)):
             for over in ("warn", "raise"):
@@ -857,29 +895,29 @@ def test_other_families_on_a_measure_are_refused(params, sector, masses, others,
 
 
 def test_a_sector_of_the_measure_family_reads_its_profile(monkeypatch):
-    """(n, m, L, L') = (1, 2, 1, 0) has the family of (2, 2, 0, 0): its plan
-    on that measure reads the measure's profile, built once, and has
+    """(n, m, L, L') = (1, 2, 1, 0) has the family of (2, 2, 0, 0): its
+    transforms on that measure read the measure's profile, built once, with
     ``eigenfunction_profile``'s bits."""
     meas = plancherel_measure(ModelParams(0.5, 2, 2), Sector(0, 0), 256)
     params, sector = ModelParams(0.5, 1, 2), Sector(1, 0)
     assert asc_params(params, sector) == meas.params
     want = eigenfunction_profile(params, sector, meas.z, meas.discrete, 13)
     builds = _count_profile_builds(monkeypatch)
-    plan = spectral._TransformPlan(params, sector, meas, 13)
-    assert _identical(plan.cont, want[0]) and _identical(plan.disc, want[1])
+    band, disc = spectral._family_profile(params, sector, meas, 13)
+    assert _identical(band.T, want[0]) and _identical(disc, want[1])
+    _forward(params, sector, meas, [LatticeFunction.basis(13)])
     assert builds == [13] and meas._held is not None
 
 
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
 def test_forward_rows_are_contiguous_and_integrate_as_each_row_alone(
         params, sector, masses):
-    """The plan's forward arrays are C-contiguous, so one stacked
+    """The forward rows are C-contiguous, so one stacked
     ``integrate`` of |cont|^2 sums each row along its contiguous axis: row
     by row, the bits of that row integrated alone."""
     meas = plancherel_measure(params, sector, 256)
-    plan = spectral._TransformPlan(params, sector, meas, 14)
     rng = Lcg(404)
-    cont, disc = plan.forward([rng.lattice_function(15) for _ in range(10)])
+    cont, disc = _forward(params, sector, meas, [rng.lattice_function(15) for _ in range(10)])
     assert cont.flags.c_contiguous and disc.flags.c_contiguous
     assert cont.shape == (10, len(meas.theta_nodes)) and disc.shape == (10, masses)
     stacked = meas.integrate(np.abs(cont) ** 2, np.abs(disc) ** 2)
@@ -899,9 +937,9 @@ def _same_values(a, b):
         for p in (np.real, np.imag))
 
 
-def _plan_layouts(table, disc, cols):
-    """The matrices a plan multiplies at ``cols`` columns, laid out as the
-    plan passes them: the forward's F-ordered ``table.T[:, :cols]`` and
+def _transform_layouts(table, disc, cols):
+    """The matrices the transforms multiply at ``cols`` columns, laid out as
+    they pass them: the forward's F-ordered ``table.T[:, :cols]`` and
     C-ordered mass part ``disc[:, :cols]``, and the inverse's C-ordered
     ``.T`` view of the first and F-ordered ``.T`` view of the second."""
     cont, part = table.T[:, :cols], disc[:, :cols]
@@ -914,7 +952,7 @@ def test_interleaved_product_equals_the_complex_product(kind):
     """``_matmul``, one ``np.dot`` over the ``longdouble`` view of a complex
     V whose columns interleave the real and imaginary parts, gives the
     values and zero signs of the literal ``mat @ cols`` (M cast to complex)
-    on every layout the plan passes (V's transposed stacks are copied to C
+    on every layout the transforms pass (V's transposed stacks are copied to C
     order first), at the full depth and a shallower one, also with a 0-row
     mass part, for 1 and 13 columns, and each column the bits of M times
     that column alone; a real V keeps a real result.  An inf profile entry
@@ -932,7 +970,7 @@ def test_interleaved_product_equals_the_complex_product(kind):
 
     def operand(rows, ncols):
         # the transposed view of a C-ordered (ncols, rows) stack, as the
-        # plan forms its right-hand sides
+        # transforms form their right-hand sides
         re, im = (rng.uniform(-1, 1, (ncols, rows)).astype(_LD) for _ in range(2))
         if kind in ("zeros", "inf_next_to_zero"):
             re[:, 3::3], im[:, 5::2] = 0.0, 0.0
@@ -944,7 +982,7 @@ def test_interleaved_product_equals_the_complex_product(kind):
         V.real, V.imag = re, im
         return V.T
 
-    mats = [*_plan_layouts(table, disc, J + 1), *_plan_layouts(table, disc, 9),
+    mats = [*_transform_layouts(table, disc, J + 1), *_transform_layouts(table, disc, 9),
             disc[:0], disc[:0].T]
     with np.errstate(invalid="ignore"):
         for mat in mats:
@@ -966,11 +1004,11 @@ def test_interleaved_product_equals_the_complex_product(kind):
                     product(cont, cols)
 
 
-def test_plan_round_trip_equals_the_literal_product_plan(monkeypatch):
+def test_round_trip_equals_the_literal_product_round_trip(monkeypatch):
     """At the round-trip benchmark's config (q = 0.5, (n, m, L, Lp) =
     (2, 4, 0, 2), 256 nodes, J = 60), every forward and inverse value, one
-    function at a time and stacked, equals in value and zero sign a plan
-    whose products are the literal ``M @ V``.  The ``longdouble`` padding
+    function at a time and stacked, equals in value and zero sign a round
+    trip whose products are the literal ``M @ V``.  The ``longdouble`` padding
     bytes may differ between numpy's loops, so no bytes are compared."""
     params, sector = ModelParams(0.5, 2, 4), Sector(0, 2)
     meas = plancherel_measure(params, sector, 256)
@@ -982,14 +1020,13 @@ def test_plan_round_trip_equals_the_literal_product_plan(monkeypatch):
 
     def round_trips():
         """The stacked and one-function forward arrays, then the values of
-        the inverses of the stacked ones on plans at depth 60 and 12 and of
-        each one-function pair at 60."""
-        plan = spectral._TransformPlan(params, sector, meas, 60)
-        stacked = plan.forward(fs)
-        alone = [plan.forward([f]) for f in fs]
-        shallow = spectral._TransformPlan(params, sector, meas, 12)
-        recs = [*plan.inverse(*stacked), *shallow.inverse(*stacked)]
-        recs += [rec for rows in alone for rec in plan.inverse(*rows)]
+        the inverses of the stacked ones at depth 60 and 12 and of each
+        one-function pair at 60."""
+        stacked = _forward(params, sector, meas, fs)
+        alone = [_forward(params, sector, meas, [f]) for f in fs]
+        recs = [*_inverse(params, sector, meas, *stacked, 60),
+                *_inverse(params, sector, meas, *stacked, 12)]
+        recs += [rec for rows in alone for rec in _inverse(params, sector, meas, *rows, 60)]
         return [*stacked, *(part for rows in alone for part in rows),
                 *([rec[j] for j in rec.support] for rec in recs)]
 
@@ -1007,8 +1044,7 @@ def test_plan_round_trip_equals_the_literal_product_plan(monkeypatch):
 def test_forward_transform_values_are_clongdouble_arrays(coeffs):
     params, sector = CASES[1]  # two mass points
     meas = plancherel_measure(params, sector, 64)
-    cont, disc = spectral._TransformPlan(params, sector, meas, 3).forward(
-        [LatticeFunction(coeffs)])
+    cont, disc = _forward(params, sector, meas, [LatticeFunction(coeffs)])
     assert cont.dtype == disc.dtype == np.clongdouble
     assert cont.shape == (1, len(meas.theta_nodes)) and disc.shape == (1, 2)
     if not any(isinstance(v, complex) for v in coeffs.values()):
@@ -1096,34 +1132,33 @@ def test_containment_equals_the_per_eigenvalue_loop_and_keeps_a_nan():
 
 @pytest.mark.parametrize("params,sector,masses", REUSE_CASES, ids=["0mass", "2mass", "5mass"])
 def test_stacked_transforms_keep_the_bits_of_each_function_alone(params, sector, masses):
-    """One forward call on functions of every depth up to the plan's, the
-    empty function and real and complex values, and one inverse call on
-    their transforms, on the plan and on a shallower one: each result has
-    the bits of the one-function call, and of the public functions, which
-    build at the function's own depth."""
+    """One forward call on functions of every depth up to 16, the empty
+    function and real and complex values, and one inverse call on their
+    transforms, at depth 16 and at a shallower one: each result has the bits
+    of the one-function call, and of the public functions, which build at
+    the function's own depth."""
     meas = plancherel_measure(params, sector, 256)
     assert len(meas.discrete) == masses
-    plan = spectral._TransformPlan(params, sector, meas, 16)
     rng = Lcg(12)
     fs = [rng.lattice_function(size) for size in (1, 5, 12, 17)]
     fs += [LatticeFunction(), LatticeFunction.basis(3),
            LatticeFunction({0: 1.0, 4: -0.5, 9: 0.25})]
     fs += apply_three_term(params, sector, fs[:2])
-    cont, disc = plan.forward(fs)
+    cont, disc = _forward(params, sector, meas, fs)
     assert len(cont) == len(disc) == len(fs)
     publics = [transform_grid(params, sector, f, meas) for f in fs]
     for f, c, d, public in zip(fs, cont, disc, publics):
-        [c_alone], [d_alone] = plan.forward([f])
+        [c_alone], [d_alone] = _forward(params, sector, meas, [f])
         assert _identical(c, c_alone) and _identical(d, d_alone)
         assert _identical(c, public.continuous) and _identical(d, public.discrete)
-    for inv in (plan, spectral._TransformPlan(params, sector, meas, 9)):
-        recs = inv.inverse(cont, disc)
+    for depth in (16, 9):
+        recs = _inverse(params, sector, meas, cont, disc, depth)
         assert len(recs) == len(fs)
         for k, (rec, public) in enumerate(zip(recs, publics)):
-            [alone] = inv.inverse(cont[k:k + 1], disc[k:k + 1])
+            [alone] = _inverse(params, sector, meas, cont[k:k + 1], disc[k:k + 1], depth)
             assert _identical_lattice(rec, alone)
             assert _identical_lattice(
-                rec, inverse_transform_profile(params, sector, public, inv.max_j))
-    cont, disc = plan.forward([])
+                rec, inverse_transform_profile(params, sector, public, depth))
+    cont, disc = _forward(params, sector, meas, [])
     assert cont.shape == (0, len(meas.theta_nodes)) and disc.shape == (0, masses)
-    assert plan.inverse(cont, disc) == []
+    assert _inverse(params, sector, meas, cont, disc, 16) == []

@@ -1,6 +1,6 @@
 """The spectral and symmetry checks of the battery against plain loops that
-build every transform and every operator action afresh: sharing one
-transform plan per check and one action per basis function must not move a
+build every transform and every operator action afresh: one stacked
+transform per check and one action per basis function must not move a
 residual by a bit."""
 
 import itertools
@@ -110,21 +110,20 @@ def _eigenvalue_loop(params, sector, cfg):
 
 
 def _base_indicator_loop(params, sector, cfg):
-    """The transform check with one orthonormal basis function per row and
-    its gaps one by one."""
+    """The transform check with one public transform per orthonormal basis
+    function and its gaps one by one."""
     J = 12
     meas = spectral.plancherel_measure(params, sector, cfg.quad_nodes)
-    plan = spectral._TransformPlan(params, sector, meas, J)
     pp = meas.params
     pw = np.cumprod(np.r_[_LD(1), np.full(J, pp.base)])
     norm = np.sqrt(1 / (np.cumprod(np.r_[1, 1 - pw[1:]])
                         * np.cumprod(np.r_[1, 1 - pp.a * pp.b * pw[:-1]])))
     band, masses = meas.polynomials(J)
-    cont, disc = plan.forward([lattice.orthonormal_basis(params, sector, j)
-                               for j in range(J + 1)])
     worst = 0.0
     for j in range(J + 1):
-        for got, q in zip([*cont[j], *disc[j]], [*band[j], *masses[:, j]]):
+        fhat = spectral.transform_grid(params, sector,
+                                       lattice.orthonormal_basis(params, sector, j), meas)
+        for got, q in zip([*fhat.continuous, *fhat.discrete], [*band[j], *masses[:, j]]):
             want = norm[j] * q
             worst = max(worst, float(abs(got - want) / max(1, abs(want))))
     return worst
@@ -710,9 +709,9 @@ def test_symmetry_fails_one_entry_off_by_1e_8(monkeypatch, cfg, entry, j):
 @pytest.mark.parametrize("cfg", CONFIGS, ids=["q0.3", "q0.5", "q0.95", "2mass"])
 def test_transform_check_builds_the_profile_once(monkeypatch, cfg):
     """The transform check runs one recurrence and one mass-point series:
-    its polynomials' tables leave the measure the profile its plan reads,
-    with no profile build of its own; the residual equals that of a run
-    whose plan reads a fresh build."""
+    its polynomials' tables leave the measure the profile its forward
+    reads, with no profile build of its own; the residual equals that of a
+    run whose forward reads a fresh build."""
     calls = []
 
     def counting(name):
@@ -756,12 +755,13 @@ def test_eigenvalue_residual_makes_one_profile_call(monkeypatch):
 
 
 def _count_kernel_calls(monkeypatch) -> dict:
-    """Count the lattice actions, the indicator norms and the transform
-    plans' forward and inverse calls and those of their row cores, by
-    kernel name (a forward call also counts its row core call)."""
+    """Count the lattice actions, the indicator norms and the public
+    transforms and their row cores, by kernel name (a public transform also
+    counts its row core call)."""
     calls = dict.fromkeys(["apply_three_term", "apply_divergence_form",
-                           "indicator_norm_sq", "forward", "inverse",
-                           "_forward_rows", "_inverse_rows"], 0)
+                           "indicator_norm_sq", "transform_grid",
+                           "inverse_transform_profile", "_forward_rows",
+                           "_inverse_rows"], 0)
 
     def counting(kernel, name):
         def counted(*args):
@@ -773,9 +773,9 @@ def _count_kernel_calls(monkeypatch) -> dict:
         monkeypatch.setattr(laplace, name, counting(getattr(laplace, name), name))
     monkeypatch.setattr(lattice, "indicator_norm_sq",
                         counting(lattice.indicator_norm_sq, "indicator_norm_sq"))
-    for name in ("forward", "inverse", "_forward_rows", "_inverse_rows"):
-        monkeypatch.setattr(spectral._TransformPlan, name,
-                            counting(getattr(spectral._TransformPlan, name), name))
+    for name in ("transform_grid", "inverse_transform_profile", "_forward_rows",
+                 "_inverse_rows"):
+        monkeypatch.setattr(spectral, name, counting(getattr(spectral, name), name))
     return calls
 
 
@@ -784,7 +784,8 @@ def _count_kernel_calls(monkeypatch) -> dict:
 #: test_an_overflowing_basis_norm_fails_with_its_scalar_call_note); the
 #: eigenvalue, symmetry and multiplication checks form their actions by one
 #: three-term table, sector_independence by the divergence form's row core
-#: once per quadruple, and the transform checks call the plan's row cores
+#: once per quadruple, and the transform checks call the transforms' row
+#: cores
 ONE_ARRAY_PASS_CHECKS = [
     ("eigenvalue_residual", {}),
     ("cross_form_agreement", {"apply_three_term": 1, "apply_divergence_form": 1}),
@@ -810,6 +811,21 @@ def test_check_runs_each_kernel_in_one_array_pass(monkeypatch, cfg, check, count
     assert calls == {**dict.fromkeys(calls, 0), **counts}
 
 
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(q=0.95), RunConfig(m=4, Lp=2)],
+                         ids=["default", "q0.95", "2mass"])
+def test_battery_pass_builds_three_transform_profiles(monkeypatch, cfg):
+    """A battery pass builds a measure's profile once per transform check
+    that needs one, on its own measure: parseval at 14, the multiplication
+    check at 12 and the round trip at its inverse's depth 16, which its
+    forward reads; the base-indicator check takes the profile from its
+    polynomials' tables."""
+    builds, profile = [], asc._profile
+    monkeypatch.setattr(asc, "_profile",
+                        lambda kmax, *args: builds.append(kmax) or profile(kmax, *args))
+    verify.run_battery(cfg)
+    assert builds == [14, 12, 16]
+
+
 def test_default_pass_kernel_calls(monkeypatch):
     """A default battery pass: 1 public three-term action and 1 public
     divergence form (cross_form_agreement; multiplication_operator and
@@ -820,5 +836,6 @@ def test_default_pass_kernel_calls(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     assert all(r.passed for r in verify.run_battery(RunConfig()))
     assert calls == {"apply_three_term": 1, "apply_divergence_form": 1,
-                     "indicator_norm_sq": 45, "forward": 0, "inverse": 0,
+                     "indicator_norm_sq": 45, "transform_grid": 0,
+                     "inverse_transform_profile": 0,
                      "_forward_rows": 4, "_inverse_rows": 1}

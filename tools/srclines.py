@@ -5,10 +5,12 @@ A line inside a module, class or function docstring is docstring; of the
 others, an empty line is blank, a line whose first non-space character is
 ``#`` is a comment, and the rest are code.  From the repository root:
 
-    python tools/srclines.py [DIR]
+    python tools/srclines.py [PATH]
 
-prints one row per ``.py`` file under DIR (default ``src``) and their total.
-It only reports: the exit status is 0 whatever the counts.
+prints one row per ``.py`` file under PATH (default ``src``), or for PATH
+itself when it is a file, and their total.  It only reports: the exit
+status is 0 whatever the counts, and 2, with PATH named on stderr, when
+PATH does not exist.
 """
 
 import ast
@@ -41,10 +43,14 @@ def count(path: Path) -> dict:
     return counts
 
 
-def main(root: str = "src") -> None:
+def main(root: str = "src") -> int:
+    root = Path(root)
+    if not root.exists():
+        print(f"{root}: no such file or directory", file=sys.stderr)
+        return 2
     total = dict.fromkeys(KINDS, 0)
     print(f"{'file':40} {'lines':>6} " + " ".join(f"{k:>9}" for k in KINDS))
-    for path in sorted(Path(root).rglob("*.py")):
+    for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
         counts = count(path)
         for k in KINDS:
             total[k] += counts[k]
@@ -52,7 +58,8 @@ def main(root: str = "src") -> None:
               + " ".join(f"{counts[k]:9}" for k in KINDS))
     print(f"{'total':40} {sum(total.values()):6} "
           + " ".join(f"{total[k]:9}" for k in KINDS))
+    return 0
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:2])
+    sys.exit(main(*sys.argv[1:2]))
